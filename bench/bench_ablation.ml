@@ -266,6 +266,4 @@ let run () =
   window_sweep ();
   reuse_ablation ();
   competition_vs_corrective ();
-  Bjson.emit ~bench:"ablation"
-    (List.rev !json
-    @ Bench_common.wall_stats ~id:"ablation" (Bench_common.wall_kernel ()))
+  Bjson.emit ~bench:"ablation" (List.rev !json)

@@ -113,15 +113,13 @@ module Bjson = struct
     Printf.printf "[wrote %s]\n%!" file
 end
 
-(* Wall-clock repetitions: every bench id runs a representative kernel
-   [reps] times and emits a <id>-wall-min/-median/-p95 trio, the cells
+(* Wall-clock repetitions: a bench with its own kernel runs it [reps]
+   times and emits a <id>-wall-min/-median/-p95 trio, the cells
    [tukwila bench-diff] gates variance-aware (median vs. median,
-   one-sided, tolerance widened by the repetition spread).  CI sets
-   ADP_BENCH_REPS=3 explicitly to bound job time. *)
-let reps =
-  match Sys.getenv_opt "ADP_BENCH_REPS" with
-  | Some s -> max 1 (int_of_string s)
-  | None -> 3
+   one-sided, tolerance widened by the repetition spread).  Only
+   figure2, figure3 and table3 time [wall_kernel], one trio per data
+   and source model; whole-workload wall time is perfbench's job. *)
+let reps = 3
 
 let wall_stats ~id f =
   let times =
@@ -131,23 +129,17 @@ let wall_stats ~id f =
         Adp_obs.Wallclock.monotonic_s () -. t0)
   in
   let arr = Array.of_list (List.sort compare times) in
-  let n = Array.length arr in
-  let q p =
-    let r = int_of_float (Float.round (p *. float_of_int (n - 1))) in
-    arr.(max 0 (min (n - 1) r))
-  in
+  let q p = arr.(int_of_float (Float.round (p *. float_of_int (reps - 1)))) in
   [ Bjson.wall (id ^ "-wall-min") arr.(0);
     Bjson.wall (id ^ "-wall-median") (q 0.5);
     Bjson.wall (id ^ "-wall-p95") (q 0.95) ]
 
-(* The default repetition kernel: a fresh (never memoized) corrective
-   run recovering from the documented pessimal plan — the adaptation
-   path most experiments exercise — with observability off unless the
-   caller attaches it. *)
-let wall_kernel ?(model = Source.Local) ?(qid = Workload.Q3A)
-    ?(dataset = uniform) ?trace ?profile ?wall () =
+(* The shared repetition kernel: a fresh (never memoized) corrective
+   Q3A run recovering from the documented pessimal plan — the adaptation
+   path most experiments exercise — with observability off. *)
+let wall_kernel ?(model = Source.Local) ?(dataset = uniform) () =
   let ds = Lazy.force dataset in
-  let q = Workload.query qid in
+  let q = Workload.query Workload.Q3A in
   let catalog = Workload.catalog ~with_cardinalities:true ds q in
   let sources () = Workload.sources ~model ds q () in
   let sels = Adp_stats.Selectivity.create () in
@@ -156,7 +148,7 @@ let wall_kernel ?(model = Source.Local) ?(qid = Workload.Q3A)
       .spec
   in
   fun () ->
-    Strategy.run ~label:"wall-kernel" ~initial_plan:bad ?trace ?profile ?wall
+    Strategy.run ~label:"wall-kernel" ~initial_plan:bad
       (Strategy.Corrective corrective_config) q catalog ~sources
 
 let time_cell (o : Strategy.outcome) = seconds o.Strategy.report.Report.time_s

@@ -113,6 +113,4 @@ let run () =
     ~title:
       "Fault sweep with no mirror: exhausted budgets degrade to partial \
        results";
-  Bjson.emit ~bench:"faults"
-    (List.rev !json_cells
-    @ Bench_common.wall_stats ~id:"faults" (Bench_common.wall_kernel ()))
+  Bjson.emit ~bench:"faults" (List.rev !json_cells)

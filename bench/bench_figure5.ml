@@ -111,8 +111,7 @@ let run () =
           (String.concat "," (List.map string_of_int counts)))
     results;
   Bjson.emit ~bench:"figure5"
-    (Bench_common.wall_stats ~id:"figure5" (Bench_common.wall_kernel ())
-    @ List.concat_map
+    (List.concat_map
        (fun (label, per_strategy) ->
          let outputs = List.map (fun (_, o) -> o.output) per_strategy in
          let agree =

@@ -66,6 +66,4 @@ let run () =
       "Figure 6: pre-aggregation strategies on streamed TPC queries \
        (virtual completion time)"
     ~header:("query-dataset" :: names) rows;
-  Bjson.emit ~bench:"figure6"
-    (List.rev !json
-    @ Bench_common.wall_stats ~id:"figure6" (Bench_common.wall_kernel ()))
+  Bjson.emit ~bench:"figure6" (List.rev !json)

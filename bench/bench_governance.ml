@@ -302,5 +302,4 @@ let run () =
       Bjson.count "overload-shed" server.Server.r_shed;
       Bjson.flag "overload-rejects-named" rejects_named;
       Bjson.flag "overload-degraded-in-flight" degraded;
-      Bjson.flag "zero-perturbation" unperturbed ]
-    @ Bench_common.wall_stats ~id:"governance" (Bench_common.wall_kernel ()))
+      Bjson.flag "zero-perturbation" unperturbed ])

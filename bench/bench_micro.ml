@@ -178,5 +178,4 @@ let run () =
          Bench_common.Bjson.wall
            (Bench_common.Bjson.slug name ^ "/ns-per-op")
            (Option.value ~default:(-1.0) ns))
-       measured
-    @ Bench_common.wall_stats ~id:"micro" (Bench_common.wall_kernel ()))
+       measured)

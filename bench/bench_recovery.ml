@@ -163,5 +163,4 @@ let run () =
                o.Strategy.report.Report.time_s;
              Bjson.count (key ^ "/resumed-phases") resumed;
              Bjson.flag (key ^ "/matches-baseline") ok ])
-         recoveries
-     @ Bench_common.wall_stats ~id:"recovery" (Bench_common.wall_kernel ()))
+         recoveries)

@@ -172,5 +172,4 @@ let run () =
     (List.rev !json
     @ [ Bjson.count "exact/2way" exact2; Bjson.count "exact/3way" exact3;
         Bjson.time "join/no-histograms" base;
-        Bjson.time "join/with-histograms" with_h ]
-    @ Bench_common.wall_stats ~id:"sec45" (Bench_common.wall_kernel ()))
+        Bjson.time "join/with-histograms" with_h ])

@@ -222,5 +222,4 @@ let run () =
       Bjson.flag "warm-plan-changed" warm_b.Server.qr_warm_plan_changed;
       Bjson.flag "warm-faster" (warm_s < cold_s);
       Bjson.time "warm-cold-time" cold_s; Bjson.time "warm-time" warm_s;
-      Bjson.count "shared-signatures" warm_r.Server.r_shared_signatures ]
-    @ Bench_common.wall_stats ~id:"server" (Bench_common.wall_kernel ()))
+      Bjson.count "shared-signatures" warm_r.Server.r_shared_signatures ])

@@ -70,8 +70,7 @@ let breakdown ?(model = Adp_exec.Source.Local) ~bench ~title () =
       variants
   in
   Report.table ~title ~header rows;
-  Bjson.emit ~bench
-    (List.rev !json @ wall_stats ~id:bench (wall_kernel ~model ()))
+  Bjson.emit ~bench (List.rev !json)
 
 let run () =
   breakdown ~bench:"table1"

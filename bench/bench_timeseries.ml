@@ -103,7 +103,7 @@ let run () =
   let identical = String.equal jsonl1 jsonl2 in
   let unperturbed = Server.view plain = Server.view r1 in
   let doc =
-    match Timeseries.doc_of_lines (String.split_on_char '\n' jsonl1) with
+    match Timeseries.of_jsonl jsonl1 with
     | Ok d -> d
     | Error m -> failwith m
   in
@@ -153,5 +153,4 @@ let run () =
        Bjson.count "provenance-edges" (List.length doc.Timeseries.d_provs);
        Bjson.count "slo-violations" violations;
        Bjson.count "slo-recoveries" recoveries;
-       Bjson.time "acceptance-finished" r1.Server.r_finished_s ]
-    @ Bench_common.wall_stats ~id:"timeseries" (Bench_common.wall_kernel ()))
+       Bjson.time "acceptance-finished" r1.Server.r_finished_s ])

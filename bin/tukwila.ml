@@ -455,6 +455,22 @@ let metrics_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
+(* The --trace file sink: a .json path gets Chrome trace_event, anything
+   else JSONL. *)
+let trace_sink path =
+  let format =
+    if Filename.check_suffix path ".json" then Adp_obs.Trace.Chrome
+    else Adp_obs.Trace.Jsonl
+  in
+  Adp_obs.Trace.file ~format path
+
+(* The --metrics dump: a .prom path gets Prometheus text, anything else
+   JSON. *)
+let write_metrics path m =
+  Adp_storage.Snapshot.write_text ~path
+    (if Filename.check_suffix path ".prom" then Adp_obs.Metrics.to_prometheus m
+     else Adp_obs.Json.to_string (Adp_obs.Metrics.to_json m) ^ "\n")
+
 let wall_flag_arg =
   let doc =
     "Attach the wall-clock sidecar, so the $(b,--metrics) dump gains the \
@@ -565,16 +581,7 @@ let query_cmd =
            "warning: resource governance (--deadline/--mem-budget/\
             --mem-ceiling/--breaker) applies only to static/corrective \
             runs\n%!");
-    let trace =
-      match trace_file with
-      | None -> None
-      | Some path ->
-        let fmt =
-          if Filename.check_suffix path ".json" then Adp_obs.Trace.Chrome
-          else Adp_obs.Trace.Jsonl
-        in
-        Some (Adp_obs.Trace.file ~format:fmt path)
-    in
+    let trace = Option.map trace_sink trace_file in
     let metrics =
       match metrics_file with Some _ -> Some (Adp_obs.Metrics.create ()) | None -> None
     in
@@ -588,15 +595,8 @@ let query_cmd =
         (* The engine syncs wall gauges at its own boundaries; a final
            sync here covers crashed runs, whose registry would otherwise
            miss the last deltas. *)
-        (match wall with
-         | Some w -> Adp_obs.Wallclock.sync_metrics w m
-         | None -> ());
-        let contents =
-          if Filename.check_suffix path ".prom" then
-            Adp_obs.Metrics.to_prometheus m
-          else Adp_obs.Json.to_string (Adp_obs.Metrics.to_json m) ^ "\n"
-        in
-        Adp_storage.Snapshot.write_text ~path contents
+        Option.iter (fun w -> Adp_obs.Wallclock.sync_metrics w m) wall;
+        write_metrics path m
       | _ -> ()
     in
     let o =
@@ -869,16 +869,7 @@ let profile_cmd =
     let profile = Profile.create () in
     let calibrate = Calibrate.create () in
     let wall = if with_wall then Some (Adp_obs.Wallclock.create ()) else None in
-    let trace =
-      match trace_file with
-      | None -> None
-      | Some path ->
-        let fmt =
-          if Filename.check_suffix path ".json" then Adp_obs.Trace.Chrome
-          else Adp_obs.Trace.Jsonl
-        in
-        Some (Adp_obs.Trace.file ~format:fmt path)
-    in
+    let trace = Option.map trace_sink trace_file in
     let config =
       { Corrective.default_config with
         poll_interval = 2e4; min_leaf_seen = 200; switch_threshold = 0.8 }
@@ -1181,14 +1172,7 @@ let serve_cmd =
     in
     let ds = dataset scale skew seed in
     let trace =
-      match trace_file with
-      | None -> Adp_obs.Trace.null
-      | Some path ->
-        let fmt =
-          if Filename.check_suffix path ".json" then Adp_obs.Trace.Chrome
-          else Adp_obs.Trace.Jsonl
-        in
-        Adp_obs.Trace.file ~format:fmt path
+      Option.fold ~none:Adp_obs.Trace.null ~some:trace_sink trace_file
     in
     let metrics =
       match metrics_file with
@@ -1243,13 +1227,7 @@ let serve_cmd =
        | Some path, Some ts -> Adp_obs.Timeseries.write ts ~path
        | _ -> ());
       match metrics_file, metrics with
-      | Some path, Some m ->
-        let contents =
-          if Filename.check_suffix path ".prom" then
-            Adp_obs.Metrics.to_prometheus m
-          else Adp_obs.Json.to_string (Adp_obs.Metrics.to_json m) ^ "\n"
-        in
-        Adp_storage.Snapshot.write_text ~path contents
+      | Some path, Some m -> write_metrics path m
       | _ -> ()
     in
     let report =
@@ -1365,52 +1343,76 @@ let top_cmd =
   in
   Cmd.v (Cmd.info "top" ~doc) Term.(const run $ arg)
 
-(* ---------------- bench-history ---------------- *)
+(* ---------------- bench-history / bench-diff ---------------- *)
+
+(* Print a Benchdiff verdict and return its exit code: 0 within
+   thresholds, 1 on a breach, 2 when the documents are not comparable. *)
+let report_gate = function
+  | Error m ->
+    prerr_endline m;
+    2
+  | Ok (o : Adp_obs.Benchdiff.outcome) ->
+    List.iter print_endline o.o_notes;
+    List.iter print_endline o.o_breaches;
+    if o.o_breaches <> [] then begin
+      Printf.printf "FAIL %s: %d breach(es) over %d gated cells\n" o.o_bench
+        (List.length o.o_breaches)
+        (o.o_gated + o.o_wall_gated);
+      1
+    end
+    else begin
+      Printf.printf
+        "OK %s: %d gated cells within thresholds (%d wall medians gated \
+         variance-aware, %d wall cells informational)\n"
+        o.o_bench
+        (o.o_gated + o.o_wall_gated)
+        o.o_wall_gated o.o_wall_info;
+      0
+    end
+
+(* Loading errors already name their file. *)
+let or_exit2 = function
+  | Ok x -> x
+  | Error m ->
+    prerr_endline m;
+    exit 2
 
 let bench_history_cmd =
   let module Bench_history = Adp_obs.Benchhistory in
   let run files dir gate time_tol =
-    let failed = ref false in
+    let code = ref 0 in
     List.iter
       (fun file ->
-        match Adp_obs.Bjson.load file with
-        | Error m ->
-          Printf.eprintf "%s: %s\n" file m;
-          exit 2
-        | Ok doc -> (
-          match Bench_history.append ~dir doc with
-          | Error m ->
-            Printf.eprintf "%s: %s\n" file m;
-            exit 2
-          | Ok _seq -> (
-            let hist = Bench_history.path ~dir ~bench:doc.Adp_obs.Bjson.bench in
-            match Bench_history.load hist with
-            | Error m ->
-              Printf.eprintf "%s: %s\n" hist m;
-              exit 2
-            | Ok entries ->
-              Format.printf "%a" (fun ppf -> Bench_history.render ppf) entries;
-              if gate then begin
-                let breaches = Bench_history.gate ~time_tol entries in
-                List.iter print_endline breaches;
-                if breaches <> [] then begin
-                  Printf.printf "FAIL %s: %d breach(es) against history\n"
-                    doc.Adp_obs.Bjson.bench (List.length breaches);
-                  failed := true
-                end
-              end)))
+        let doc = or_exit2 (Adp_obs.Bjson.load file) in
+        let _seq = or_exit2 (Bench_history.append ~dir doc) in
+        let entries =
+          or_exit2
+            (Bench_history.load
+               (Bench_history.path ~dir ~bench:doc.Adp_obs.Bjson.bench))
+        in
+        Format.printf "%a" Bench_history.render entries;
+        match List.rev entries with
+        | last :: (_ :: _ as earlier) when gate ->
+          let priors = List.rev_map (fun e -> e.Bench_history.e_doc) earlier in
+          let verdict =
+            Adp_obs.Benchdiff.diff ~time_tol ~priors
+              ~current:last.Bench_history.e_doc ()
+          in
+          code := max !code (report_gate verdict)
+        | _ -> ())
       files;
-    if !failed then exit 1
+    if !code <> 0 then exit !code
   in
   let doc =
     "Append freshly produced $(b,BENCH_<id>.json) documents to their \
      longitudinal histories ($(i,DIR)/<id>.jsonl, one seq-numbered line \
      per run) and render each cell's trend as a sparkline with \
      first/last/median values.  With $(b,--gate), the newest run also \
-     gates against its history: $(b,time) cells within $(b,--time-tol) \
-     relative of the $(i,median of the prior runs), $(b,count)/$(b,bool) \
-     cells exactly against the most recent prior run, $(b,wall) cells \
-     never (histories may span machines).  Exits 1 on any breach."
+     gates against the earlier ones under $(b,bench-diff)'s rules: \
+     $(b,time) cells within $(b,--time-tol) relative of the $(i,median \
+     of the prior runs), everything else (shape, scale, kinds, exact \
+     $(b,count)/$(b,bool) values, wall trios) against the most recent \
+     prior run.  Exits 1 on any breach, 2 on incomparable runs."
   in
   let files_arg =
     let doc = "BENCH_<id>.json files to append and render." in
@@ -1432,40 +1434,13 @@ let bench_history_cmd =
     (Cmd.info "bench-history" ~doc)
     Term.(const run $ files_arg $ dir_arg $ gate_arg $ tol_arg)
 
-(* ---------------- bench-diff ---------------- *)
-
 let bench_diff_cmd =
-  let module Benchdiff = Adp_obs.Benchdiff in
-  let read path =
-    match Adp_obs.Bjson.load path with
-    | Ok doc -> doc
-    | Error m ->
-      Printf.eprintf "%s: %s\n" path m;
-      exit 2
-  in
+  let read path = or_exit2 (Adp_obs.Bjson.load path) in
   let run base_path new_path time_tol wall_tol =
-    let baseline = read base_path and current = read new_path in
-    match Benchdiff.diff ~time_tol ~wall_tol ~baseline ~current () with
-    | Error m ->
-      Printf.eprintf "%s\n" m;
-      exit 2
-    | Ok o ->
-      List.iter print_endline o.Benchdiff.o_notes;
-      List.iter print_endline o.Benchdiff.o_breaches;
-      if o.Benchdiff.o_breaches <> [] then begin
-        Printf.printf "FAIL %s: %d breach(es) over %d gated cells\n"
-          o.Benchdiff.o_bench
-          (List.length o.Benchdiff.o_breaches)
-          (o.Benchdiff.o_gated + o.Benchdiff.o_wall_gated);
-        exit 1
-      end
-      else
-        Printf.printf
-          "OK %s: %d gated cells within thresholds (%d wall medians gated \
-           variance-aware, %d wall cells informational)\n"
-          o.Benchdiff.o_bench
-          (o.Benchdiff.o_gated + o.Benchdiff.o_wall_gated)
-          o.Benchdiff.o_wall_gated o.Benchdiff.o_wall_info
+    let priors = [ read base_path ] and current = read new_path in
+    exit
+      (report_gate
+         (Adp_obs.Benchdiff.diff ~time_tol ~wall_tol ~priors ~current ()))
   in
   let doc =
     "Compare a freshly produced $(b,BENCH_<id>.json) against a committed \

@@ -1,87 +1,27 @@
 (* Longitudinal benchmark trajectories: [tukwila bench-history] appends
    each BENCH_<id>.json document as one line of bench/history/<id>.jsonl
-   and renders/gates the per-cell trend — the across-runs counterpart of
-   [tukwila bench-diff]'s two-document comparison.
-
-   Gating is deliberately asymmetric by cell kind, mirroring Benchdiff:
-   time cells gate against the *median of the prior runs* (robust to a
-   single outlier run in the history), count/bool cells against the most
-   recent prior run exactly, and wall cells never gate — a history file
-   may span machines, so absolute wall trends are informational. *)
+   and renders the per-cell trend.  Gating the newest run against the
+   earlier ones is Benchdiff's job, the same comparator bench-diff uses
+   with a single baseline. *)
 
 type entry = { e_seq : int; e_doc : Bjson.doc }
 
 let path ~dir ~bench = Filename.concat dir (bench ^ ".jsonl")
 
 let entry_to_line e =
-  let d = e.e_doc in
-  Json.to_string
-    (Json.Obj
-       [ ("seq", Json.Num (float_of_int e.e_seq));
-         ("bench", Json.Str d.Bjson.bench);
-         ("scale", Json.Num d.Bjson.scale);
-         ( "cells",
-           Json.List
-             (List.map
-                (fun (c : Bjson.cell) ->
-                  Json.Obj
-                    [ ("id", Json.Str c.Bjson.id);
-                      ("kind", Json.Str (Bjson.kind_name c.Bjson.kind));
-                      ("value", Json.Num c.Bjson.value) ])
-                d.Bjson.cells) ) ])
-
-let entry_of_line line =
-  match Json.parse line with
-  | Error m -> Error m
-  | Ok j -> (
-    let get name f = Option.bind (Json.member name j) f in
-    match
-      ( get "seq" Json.get_int, get "bench" Json.get_str,
-        get "scale" Json.get_num, get "cells" Json.get_list )
-    with
-    | Some seq, Some bench, Some scale, Some raw -> (
-      let cell c =
-        match
-          ( Option.bind (Json.member "id" c) Json.get_str,
-            Option.bind
-              (Option.bind (Json.member "kind" c) Json.get_str)
-              Bjson.kind_of_name,
-            Option.bind (Json.member "value" c) Json.get_num )
-        with
-        | Some id, Some kind, Some value ->
-          Some { Bjson.id; kind; value }
-        | _ -> None
-      in
-      match List.map cell raw with
-      | cells when List.for_all Option.is_some cells ->
-        Ok
-          { e_seq = seq;
-            e_doc =
-              { Bjson.bench; scale;
-                cells = List.filter_map Fun.id cells } }
-      | _ -> Error "malformed cell"
-      )
-    | _ -> Error "malformed history entry")
+  let seq = ("seq", Json.Num (float_of_int e.e_seq)) in
+  Json.to_string (Json.Obj (seq :: Bjson.fields e.e_doc))
 
 let load path =
   if not (Sys.file_exists path) then Ok []
-  else begin
-    let lines =
-      String.split_on_char '\n'
-        (In_channel.with_open_bin path In_channel.input_all)
-    in
-    let rec go lineno acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest ->
-        if String.trim line = "" then go (lineno + 1) acc rest
-        else begin
-          match entry_of_line line with
-          | Ok e -> go (lineno + 1) (e :: acc) rest
-          | Error m -> Error (Printf.sprintf "%s:%d: %s" path lineno m)
-        end
-    in
-    go 1 [] lines
-  end
+  else
+    Json.read_lines path
+      (fun acc j ->
+        match Bjson.of_json j with
+        | Ok e_doc -> { e_seq = Json.req j "seq" Json.get_int; e_doc } :: acc
+        | Error msg -> raise (Json.Bad msg))
+      []
+    |> Result.map List.rev
 
 let append ~dir (doc : Bjson.doc) =
   let file = path ~dir ~bench:doc.Bjson.bench in
@@ -111,14 +51,6 @@ let trajectory entries id =
              (float_of_int e.e_seq, c.Bjson.value)))
     entries
 
-let median values =
-  match List.sort compare values with
-  | [] -> 0.0
-  | sorted ->
-    let arr = Array.of_list sorted in
-    let n = Array.length arr in
-    arr.(max 0 (min (n - 1) (int_of_float (Float.round (0.5 *. float_of_int (n - 1))))))
-
 let render ppf entries =
   match List.rev entries with
   | [] -> Format.fprintf ppf "(empty history)@."
@@ -144,46 +76,6 @@ let render ppf entries =
           (Timeseries.sparkline 16 traj)
           (Json.float_str (List.hd vals))
           (Json.float_str c.Bjson.value)
-          (Json.float_str (median vals))
+          (Json.float_str (Benchdiff.median vals))
           (List.length vals))
-      last.e_doc.Bjson.cells
-
-(* Gate the newest run against its history.  Returns breach lines
-   (empty = pass); fewer than two runs trivially passes. *)
-let gate ?(time_tol = 0.10) entries =
-  match List.rev entries with
-  | [] | [ _ ] -> []
-  | last :: prev_rev ->
-    let prev = List.rev prev_rev in
-    List.filter_map
-      (fun (c : Bjson.cell) ->
-        let history = List.map snd (trajectory prev c.Bjson.id) in
-        match (c.Bjson.kind, history) with
-        | _, [] -> None  (* new cell: no history to gate against *)
-        | Bjson.Wall, _ -> None
-        | Bjson.Time, vs ->
-          let m = median vs in
-          let rel =
-            Float.abs (c.Bjson.value -. m) /. Float.max (Float.abs m) 1e-9
-          in
-          if Float.abs m <= 1e-9 && Float.abs c.Bjson.value <= 1e-9 then None
-          else if rel > time_tol then
-            Some
-              (Printf.sprintf
-                 "BREACH time       %s: %s vs history median %s (%+.1f%%, \
-                  tolerance %.0f%%)"
-                 c.Bjson.id
-                 (Json.float_str c.Bjson.value)
-                 (Json.float_str m) (100.0 *. rel) (100.0 *. time_tol))
-          else None
-        | (Bjson.Count | Bjson.Bool), vs ->
-          let latest = List.nth vs (List.length vs - 1) in
-          if c.Bjson.value <> latest then
-            Some
-              (Printf.sprintf
-                 "BREACH %-10s %s: %s -> %s (must match the previous run)"
-                 (Bjson.kind_name c.Bjson.kind)
-                 c.Bjson.id (Json.float_str latest)
-                 (Json.float_str c.Bjson.value))
-          else None)
       last.e_doc.Bjson.cells

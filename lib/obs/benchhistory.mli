@@ -1,13 +1,10 @@
-(** Longitudinal benchmark trajectories — the library behind
+(** Longitudinal benchmark store — the history behind
     [tukwila bench-history].
 
     Each run of a benchmark appends its [BENCH_<id>.json] document as
-    one line of [<dir>/<id>.jsonl] (seq-numbered, atomic rewrite);
-    {!render} draws the per-cell trend and {!gate} checks the newest run
-    against its history: [time] cells within a relative tolerance of the
-    {e median of the prior runs}, [count]/[bool] cells exactly against
-    the most recent prior run, [wall] cells never (histories may span
-    machines). *)
+    one line of [<dir>/<id>.jsonl]: the {!Bjson} document plus a ["seq"]
+    field (atomic rewrite).  {!render} draws the per-cell trend; gating
+    the newest run against the earlier ones is {!Benchdiff.diff}. *)
 
 type entry = { e_seq : int; e_doc : Bjson.doc }
 
@@ -25,8 +22,3 @@ val append : dir:string -> Bjson.doc -> (int, string) result
 (** Trend table of the newest entry's cells: one sparkline per cell
     across the history, first/last/median values. *)
 val render : Format.formatter -> entry list -> unit
-
-(** Breach lines gating the newest entry against its predecessors
-    (empty = pass; fewer than two entries trivially passes).
-    [time_tol] defaults to 0.10. *)
-val gate : ?time_tol:float -> entry list -> string list

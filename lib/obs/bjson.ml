@@ -75,37 +75,36 @@ let to_string { bench; scale; cells } =
     bench (Json.float_str scale)
     (String.concat ",\n" (List.map cell_line cells))
 
+let fields { bench; scale; cells } =
+  [ ("schema", Json.Num 1.0); ("bench", Json.Str bench);
+    ("scale", Json.Num scale);
+    ( "cells",
+      Json.List
+        (List.map
+           (fun c ->
+             Json.Obj
+               [ ("id", Json.Str c.id); ("kind", Json.Str (kind_name c.kind));
+                 ("value", Json.Num c.value) ])
+           cells) ) ]
+
 let of_json j =
-  let member name get =
-    match Option.bind (Json.member name j) get with
-    | Some v -> Ok v
-    | None ->
-      Error (Printf.sprintf "missing or malformed %S field" name)
+  let cell c =
+    let kind = Json.req c "kind" Json.get_str in
+    match kind_of_name kind with
+    | Some kind ->
+      { id = Json.req c "id" Json.get_str; kind;
+        value = Json.req c "value" Json.get_num }
+    | None -> raise (Json.Bad (Printf.sprintf "unknown cell kind %S" kind))
   in
-  let ( let* ) = Result.bind in
-  let* schema = member "schema" Json.get_int in
-  if schema <> 1 then Error "unsupported schema version"
-  else
-    let* bench = member "bench" Json.get_str in
-    let* scale = member "scale" Json.get_num in
-    let* raw = member "cells" Json.get_list in
-    let* cells =
-      List.fold_left
-        (fun acc c ->
-          let* acc = acc in
-          match
-            ( Option.bind (Json.member "id" c) Json.get_str,
-              Option.bind (Json.member "kind" c) Json.get_str,
-              Option.bind (Json.member "value" c) Json.get_num )
-          with
-          | Some id, Some kind, Some value -> (
-            match kind_of_name kind with
-            | Some kind -> Ok ({ id; kind; value } :: acc)
-            | None -> Error (Printf.sprintf "unknown cell kind %S" kind))
-          | _ -> Error ("malformed cell " ^ Json.to_string c))
-        (Ok []) raw
-    in
-    Ok { bench; scale; cells = List.rev cells }
+  try
+    if Json.req j "schema" Json.get_int <> 1 then
+      Error "unsupported schema version"
+    else
+      let bench = Json.req j "bench" Json.get_str in
+      let scale = Json.req j "scale" Json.get_num in
+      let cells = List.map cell (Json.req j "cells" Json.get_list) in
+      Ok { bench; scale; cells }
+  with Json.Bad msg -> Error msg
 
 let of_string s =
   match Json.parse s with Ok j -> of_json j | Error m -> Error m

@@ -35,6 +35,12 @@ val slug : string -> string
 (** {2 Serialization} *)
 
 val to_string : doc -> string
+
+(** The document's JSON object fields, for embedding it in a larger
+    object (a bench-history line adds a ["seq"] field); {!of_json}
+    ignores fields it does not know. *)
+val fields : doc -> (string * Json.t) list
+
 val of_json : Json.t -> (doc, string) result
 val of_string : string -> (doc, string) result
 val load : string -> (doc, string) result

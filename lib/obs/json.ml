@@ -242,3 +242,35 @@ let get_int = function
 let get_str = function Str s -> Some s | _ -> None
 let get_bool = function Bool b -> Some b | _ -> None
 let get_list = function List vs -> Some vs | _ -> None
+
+(* JSON Lines: the one reader behind trace, telemetry and bench-history
+   files.  Decoders raise [Bad] (usually through [req]); the fold turns
+   that, or a syntax error, into "<name>:<line>: <reason>". *)
+
+exception Bad of string
+
+let req j k get =
+  match member k j with
+  | None -> raise (Bad (Printf.sprintf "missing field %S" k))
+  | Some v -> (
+    match get v with
+    | Some x -> x
+    | None -> raise (Bad (Printf.sprintf "bad field %S" k)))
+
+let fold_lines ~name text f init =
+  let fail lineno msg = Error (Printf.sprintf "%s:%d: %s" name lineno msg) in
+  let rec go lineno acc = function
+    | [] -> Ok acc
+    | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
+    | line :: rest -> (
+      match Result.map (f acc) (parse line) with
+      | Ok acc -> go (lineno + 1) acc rest
+      | Error msg -> fail lineno msg
+      | exception Bad msg -> fail lineno msg)
+  in
+  go 1 init (String.split_on_char '\n' text)
+
+let read_lines path f init =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> fold_lines ~name:path text f init
+  | exception Sys_error msg -> Error msg

@@ -308,26 +308,17 @@ type doc = {
   d_series : dseries list;
 }
 
-exception Bad of string
-
-let req j k f =
-  match Json.member k j with
-  | None -> raise (Bad (Printf.sprintf "missing field %S" k))
-  | Some v -> (
-    match f v with
-    | Some x -> x
-    | None -> raise (Bad (Printf.sprintf "bad field %S" k)))
-
-let doc_of_lines lines =
+(* [fold] is a {!Json.fold_lines} partially applied to its source. *)
+let decode fold =
   let empty =
     { d_capacity = 0; d_window = 0; d_slos = []; d_samples = [];
       d_spans = []; d_provs = []; d_slo_log = []; d_series = [] }
   in
   let parse_line doc j =
-    let int k = req j k Json.get_int in
-    let num k = req j k Json.get_num in
-    let str k = req j k Json.get_str in
-    match req j "k" Json.get_str with
+    let int k = Json.req j k Json.get_int in
+    let num k = Json.req j k Json.get_num in
+    let str k = Json.req j k Json.get_str in
+    match Json.req j "k" Json.get_str with
     | "meta" ->
       let slos =
         match Json.member "slos" j with
@@ -336,9 +327,9 @@ let doc_of_lines lines =
             (fun s ->
               match Json.get_str s with
               | Some s -> s
-              | None -> raise (Bad "bad slo entry"))
+              | None -> raise (Json.Bad "bad slo entry"))
             l
-        | _ -> raise (Bad "missing field \"slos\"")
+        | _ -> raise (Json.Bad "missing field \"slos\"")
       in
       { doc with d_capacity = int "capacity"; d_window = int "window";
         d_slos = slos }
@@ -359,9 +350,9 @@ let doc_of_lines lines =
             (fun s ->
               match Json.get_str s with
               | Some s -> s
-              | None -> raise (Bad "bad signature entry"))
+              | None -> raise (Json.Bad "bad signature entry"))
             l
-        | _ -> raise (Bad "missing field \"signatures\"")
+        | _ -> raise (Json.Bad "missing field \"signatures\"")
       in
       { doc with
         d_provs =
@@ -369,7 +360,7 @@ let doc_of_lines lines =
             pv_signatures = signatures }
           :: doc.d_provs }
     | "slo" ->
-      let violated = req j "violated" Json.get_bool in
+      let violated = Json.req j "violated" Json.get_bool in
       { doc with
         d_slo_log =
           { sl_t = num "t"; sl_slo = str "slo"; sl_metric = str "metric";
@@ -384,9 +375,9 @@ let doc_of_lines lines =
             (fun (k, v) ->
               match Json.get_str v with
               | Some v -> (k, v)
-              | None -> raise (Bad "bad label entry"))
+              | None -> raise (Json.Bad "bad label entry"))
             kvs
-        | _ -> raise (Bad "missing field \"labels\"")
+        | _ -> raise (Json.Bad "missing field \"labels\"")
       in
       let pts =
         match Json.member "points" j with
@@ -397,54 +388,28 @@ let doc_of_lines lines =
               | Json.List [ a; b ] -> (
                 match (Json.get_num a, Json.get_num b) with
                 | Some a, Some b -> (a, b)
-                | _ -> raise (Bad "bad point entry"))
-              | _ -> raise (Bad "bad point entry"))
+                | _ -> raise (Json.Bad "bad point entry"))
+              | _ -> raise (Json.Bad "bad point entry"))
             l
-        | _ -> raise (Bad "missing field \"points\"")
+        | _ -> raise (Json.Bad "missing field \"points\"")
       in
       { doc with
         d_series =
           { ds_name = str "name"; ds_labels = labels; ds_kind = str "kind";
             ds_total = int "total"; ds_points = pts }
           :: doc.d_series }
-    | other -> raise (Bad (Printf.sprintf "unknown line kind %S" other))
+    | other -> raise (Json.Bad (Printf.sprintf "unknown line kind %S" other))
   in
-  let rec go lineno doc = function
-    | [] ->
-      Ok
-        { doc with d_samples = List.rev doc.d_samples;
-          d_spans = List.rev doc.d_spans; d_provs = List.rev doc.d_provs;
-          d_slo_log = List.rev doc.d_slo_log;
-          d_series = List.rev doc.d_series }
-    | line :: rest ->
-      if String.trim line = "" then go (lineno + 1) doc rest
-      else begin
-        match Json.parse line with
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-        | Ok j -> (
-          match parse_line doc j with
-          | doc -> go (lineno + 1) doc rest
-          | exception Bad msg ->
-            Error (Printf.sprintf "line %d: %s" lineno msg))
-      end
-  in
-  go 1 empty lines
+  Result.map
+    (fun doc ->
+      { doc with d_samples = List.rev doc.d_samples;
+        d_spans = List.rev doc.d_spans; d_provs = List.rev doc.d_provs;
+        d_slo_log = List.rev doc.d_slo_log;
+        d_series = List.rev doc.d_series })
+    (fold parse_line empty)
 
-let read path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "%s: no such file" path)
-  else begin
-    let ic = open_in_bin path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> close_in ic);
-    match doc_of_lines (List.rev !lines) with
-    | Ok doc -> Ok doc
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  end
+let of_jsonl text = decode (Json.fold_lines ~name:"telemetry" text)
+let read path = decode (Json.read_lines path)
 
 (* ------------------------------------------------------------------ *)
 (* The [tukwila top] dashboard                                        *)

@@ -126,11 +126,11 @@ type doc = {
 }
 
 (** Parse an exported telemetry JSONL file.  [Error] carries the first
-    offending line number and reason. *)
+    offending line as ["path:N: reason"]. *)
 val read : string -> (doc, string) result
 
-(** Parse from lines (tests). *)
-val doc_of_lines : string list -> (doc, string) result
+(** Parse the text of {!to_jsonl}; errors name the source ["telemetry"]. *)
+val of_jsonl : string -> (doc, string) result
 
 (** [sparkline width points] maps the last [width] values onto the
     ASCII intensity ramp [" .:-=+*#%@"] (scaled to the rendered min/max;

@@ -260,25 +260,15 @@ let to_json (at, ev) =
   Json.Obj
     (("ts", Json.Num at) :: ("ev", Json.Str (event_name ev)) :: fields ev)
 
-exception Bad of string
-
-let req j k f =
-  match Json.member k j with
-  | None -> raise (Bad (Printf.sprintf "missing field %S" k))
-  | Some v -> (
-    match f v with
-    | Some x -> x
-    | None -> raise (Bad (Printf.sprintf "bad field %S" k)))
-
 let of_json j =
   try
-    let int k = req j k Json.get_int in
-    let num k = req j k Json.get_num in
-    let str k = req j k Json.get_str in
-    let bool k = req j k Json.get_bool in
-    let at = req j "ts" Json.get_num in
+    let int k = Json.req j k Json.get_int in
+    let num k = Json.req j k Json.get_num in
+    let str k = Json.req j k Json.get_str in
+    let bool k = Json.req j k Json.get_bool in
+    let at = Json.req j "ts" Json.get_num in
     let ev =
-      match req j "ev" Json.get_str with
+      match Json.req j "ev" Json.get_str with
       | "phase_opened" -> Phase_opened { id = int "id"; plan = str "plan" }
       | "phase_closed" ->
         Phase_closed
@@ -291,15 +281,15 @@ let of_json j =
               (fun (k, v) ->
                 match Json.get_num v with
                 | Some f -> (k, f)
-                | None -> raise (Bad "bad selectivity entry"))
+                | None -> raise (Json.Bad "bad selectivity entry"))
               kvs
-          | _ -> raise (Bad "missing field \"observed_sel\"")
+          | _ -> raise (Json.Bad "missing field \"observed_sel\"")
         in
         let decision =
           match str "decision" with
           | "keep" -> Keep
           | "switch" -> Switch
-          | _ -> raise (Bad "bad field \"decision\"")
+          | _ -> raise (Json.Bad "bad field \"decision\"")
         in
         Reopt_poll
           { phase = int "phase"; est_cost = num "est_cost";
@@ -388,10 +378,10 @@ let of_json j =
         Slo_recovered
           { slo = str "slo"; metric = str "metric"; agg = str "agg";
             op = str "op"; value = num "value"; bound = num "bound" }
-      | other -> raise (Bad (Printf.sprintf "unknown event %S" other))
+      | other -> raise (Json.Bad (Printf.sprintf "unknown event %S" other))
     in
     Ok (at, ev)
-  with Bad msg -> Error msg
+  with Json.Bad msg -> Error msg
 
 let to_jsonl evs =
   let b = Buffer.create 4096 in
@@ -442,34 +432,13 @@ let close t =
     end
 
 let read_jsonl path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "%s: no such file" path)
-  else begin
-    let ic = open_in_bin path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> close_in ic);
-    let lines = List.rev !lines in
-    let rec go lineno acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest ->
-        if String.trim line = "" then go (lineno + 1) acc rest
-        else begin
-          match Json.parse line with
-          | Error msg ->
-            Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-          | Ok j -> (
-            match of_json j with
-            | Error msg ->
-              Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-            | Ok ev -> go (lineno + 1) (ev :: acc) rest)
-        end
-    in
-    go 1 [] lines
-  end
+  Json.read_lines path
+    (fun acc j ->
+      match of_json j with
+      | Ok ev -> ev :: acc
+      | Error msg -> raise (Json.Bad msg))
+    []
+  |> Result.map List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                             *)

@@ -1006,7 +1006,7 @@ let trio id (mn, md, p95) =
     Bjson.wall (id ^ "-wall-p95") p95 ]
 
 let diff_ok ?time_tol ?wall_tol b c =
-  match Benchdiff.diff ?time_tol ?wall_tol ~baseline:b ~current:c () with
+  match Benchdiff.diff ?time_tol ?wall_tol ~priors:[ b ] ~current:c () with
   | Ok o -> o
   | Error m -> Alcotest.fail m
 
@@ -1080,13 +1080,13 @@ let test_benchdiff_wall_gate () =
   Alcotest.(check int) "lone wall cell counted" 1 o.Benchdiff.o_wall_info;
   (* Incomparable documents are errors, not breaches. *)
   (match
-     Benchdiff.diff ~baseline:base
+     Benchdiff.diff ~priors:[ base ]
        ~current:{ base with Bjson.bench = "other" } ()
    with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "bench id mismatch must be an error");
   match
-    Benchdiff.diff ~baseline:base ~current:{ base with Bjson.scale = 0.1 } ()
+    Benchdiff.diff ~priors:[ base ] ~current:{ base with Bjson.scale = 0.1 } ()
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "scale mismatch must be an error"

@@ -108,10 +108,7 @@ let test_recorder_series_and_aggregates () =
     (Timeseries.aggregate ts ~metric:"nope" Slo.Last);
   (* The ring retains only the last [capacity] points. *)
   let doc =
-    match
-      Timeseries.doc_of_lines
-        (String.split_on_char '\n' (Timeseries.to_jsonl ts))
-    with
+    match Timeseries.of_jsonl (Timeseries.to_jsonl ts) with
     | Ok d -> d
     | Error m -> Alcotest.fail m
   in
@@ -152,7 +149,7 @@ let test_jsonl_roundtrip_and_determinism () =
   in
   let j1 = record () and j2 = record () in
   Alcotest.(check string) "byte-identical re-recording" j1 j2;
-  match Timeseries.doc_of_lines (String.split_on_char '\n' j1) with
+  match Timeseries.of_jsonl j1 with
   | Error m -> Alcotest.fail m
   | Ok doc ->
     Alcotest.(check int) "samples" 2 (List.length doc.Timeseries.d_samples);
@@ -402,10 +399,7 @@ let test_serve_sampling_alignment () =
   (* The one-worker burst must break the queue-depth objective and then
      recover as the queue drains. *)
   let doc =
-    match
-      Timeseries.doc_of_lines
-        (String.split_on_char '\n' (Timeseries.to_jsonl ts1))
-    with
+    match Timeseries.of_jsonl (Timeseries.to_jsonl ts1) with
     | Ok d -> d
     | Error m -> Alcotest.fail m
   in
@@ -524,7 +518,7 @@ let test_benchdiff_shape_mismatch () =
     doc_of [ ("alpha", Bjson.Count, 1.0); ("delta", Bjson.Count, 3.0);
              ("zeta", Bjson.Count, 9.0) ]
   in
-  (match Benchdiff.diff ~baseline ~current () with
+  (match Benchdiff.diff ~priors:[ baseline ] ~current () with
    | Ok _ -> Alcotest.fail "shape mismatch accepted"
    | Error m ->
      (* Sorted missing and extra cell names, distinct from a breach. *)
@@ -538,7 +532,7 @@ let test_benchdiff_shape_mismatch () =
      Error. *)
   let baseline = doc_of [ ("alpha", Bjson.Count, 1.0) ] in
   let current = doc_of [ ("alpha", Bjson.Count, 2.0) ] in
-  match Benchdiff.diff ~baseline ~current () with
+  match Benchdiff.diff ~priors:[ baseline ] ~current () with
   | Error m -> Alcotest.failf "regression misclassified as Error: %s" m
   | Ok o ->
     Alcotest.(check int) "one breach" 1 (List.length o.Benchdiff.o_breaches)
@@ -552,69 +546,124 @@ let with_history_dir k =
     ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
     (fun () -> k dir)
 
+let verdict ~priors current =
+  match Benchdiff.diff ~priors ~current () with
+  | Error _ -> "incomparable"
+  | Ok o when o.Benchdiff.o_breaches <> [] -> "breach"
+  | Ok _ -> "pass"
+
 let test_bench_history () =
   with_history_dir (fun dir ->
-      let doc v t =
+      let run n t =
         { Bjson.bench = "hist"; scale = 0.004;
           cells =
-            [ { Bjson.id = "flag"; kind = Bjson.Bool; value = 1.0 };
-              { Bjson.id = "n"; kind = Bjson.Count; value = v };
-              { Bjson.id = "elapsed"; kind = Bjson.Time; value = t };
-              { Bjson.id = "w-wall-median"; kind = Bjson.Wall; value = 9.9 } ]
-        }
+            [ Bjson.flag "flag" true; Bjson.num "n" n; Bjson.time "elapsed" t;
+              Bjson.wall "k-wall-min" 0.020; Bjson.wall "k-wall-median" 0.021;
+              Bjson.wall "k-wall-p95" 0.022 ] }
       in
-      (match Benchhistory.append ~dir (doc 5.0 1.0) with
-       | Ok seq -> Alcotest.(check int) "first seq" 1 seq
-       | Error m -> Alcotest.fail m);
-      (match Benchhistory.append ~dir (doc 5.0 1.02) with
-       | Ok seq -> Alcotest.(check int) "second seq" 2 seq
-       | Error m -> Alcotest.fail m);
+      let runs = [ run 5.0 1.0; run 5.0 1.02; run 5.0 0.98 ] in
+      List.iteri
+        (fun i d ->
+          match Benchhistory.append ~dir d with
+          | Ok seq -> Alcotest.(check int) "monotonic seq" (i + 1) seq
+          | Error m -> Alcotest.fail m)
+        runs;
       let file = Benchhistory.path ~dir ~bench:"hist" in
       let entries =
         match Benchhistory.load file with
         | Ok es -> es
         | Error m -> Alcotest.fail m
       in
-      Alcotest.(check int) "two entries" 2 (List.length entries);
-      (* Within tolerance of the prior median: passes. *)
-      Alcotest.(check (list string)) "gate passes" []
-        (Benchhistory.gate entries);
-      (* A count drift breaches exactly; a wall drift never does. *)
-      (match Benchhistory.append ~dir (doc 6.0 1.0) with
-       | Ok _ -> ()
-       | Error m -> Alcotest.fail m);
-      let entries3 =
-        match Benchhistory.load file with
-        | Ok es -> es
-        | Error m -> Alcotest.fail m
+      let priors = List.map (fun e -> e.Benchhistory.e_doc) entries in
+      Alcotest.(check bool) "documents read back" true (priors = runs);
+      (* Each history line is a Bjson document plus a seq field. *)
+      let lines =
+        List.filter (( <> ) "")
+          (String.split_on_char '\n'
+             (In_channel.with_open_bin file In_channel.input_all))
       in
-      (match Benchhistory.gate entries3 with
-       | [ breach ] ->
-         Alcotest.(check bool) "count breach" true
-           (contains breach "n")
-       | bs -> Alcotest.failf "expected one breach, got %d" (List.length bs));
-      (* A time excursion past the tolerance of the history median
-         breaches too. *)
-      (match Benchhistory.append ~dir (doc 6.0 2.0) with
-       | Ok _ -> ()
-       | Error m -> Alcotest.fail m);
-      let entries4 =
-        match Benchhistory.load file with
-        | Ok es -> es
-        | Error m -> Alcotest.fail m
+      List.iteri
+        (fun i line ->
+          match Adp_obs.Json.parse line with
+          | Error m -> Alcotest.fail m
+          | Ok j ->
+            Alcotest.(check (option int)) "seq field" (Some (i + 1))
+              (Option.bind (Adp_obs.Json.member "seq" j) Adp_obs.Json.get_int);
+            Alcotest.(check bool) "line is a Bjson document" true
+              (Bjson.of_json j = Ok (List.nth runs i)))
+        lines;
+      let latest = List.nth runs 2 in
+      Alcotest.(check string) "unchanged run passes" "pass"
+        (verdict ~priors latest);
+      (* Time cells gate against the median of the priors (1.0), not the
+         latest run (0.98): +9% passes the history, +11% fails one prior. *)
+      let drift = run 5.0 1.09 in
+      Alcotest.(check string) "history median" "pass"
+        (verdict ~priors drift);
+      Alcotest.(check string) "latest prior" "breach"
+        (verdict ~priors:[ latest ] drift);
+      (* And the other way round: -11% from the median 1.0 breaches the
+         history, naming the cell, while -9% from the latest 0.98
+         passes one prior. *)
+      let dip = run 5.0 0.89 in
+      (match Benchdiff.diff ~priors ~current:dip () with
+       | Ok { Benchdiff.o_breaches = [ line ]; _ } ->
+         Alcotest.(check bool) "breach names elapsed" true
+           (contains line "elapsed")
+       | _ -> Alcotest.fail "history median: expected one breach");
+      Alcotest.(check string) "latest prior, dip" "pass"
+        (verdict ~priors:[ latest ] dip);
+      (* Runs at another scale never enter the median: after a scale
+         change, a run within tolerance of the new-scale prior passes
+         even though the older, larger-scale runs are slower. *)
+      let rescaled = List.map (fun d -> { d with Bjson.scale = 0.008 }) in
+      let mixed = rescaled [ run 5.0 2.0; run 5.0 2.1 ] @ [ run 5.0 1.0 ] in
+      Alcotest.(check string) "scale change, later run" "pass"
+        (verdict ~priors:mixed (run 5.0 1.05));
+      Alcotest.(check string) "scale change, old scale" "incomparable"
+        (verdict ~priors:mixed (List.hd (rescaled [ run 5.0 2.0 ])));
+      (* Drift inputs: the one-prior path (bench-diff) and the history
+         path (bench-history --gate) must give the same verdict. *)
+      let edit f = { latest with Bjson.cells = f latest.Bjson.cells } in
+      let set id g =
+        edit
+          (List.map (fun (c : Bjson.cell) ->
+               if c.Bjson.id = id then g c else c))
       in
-      Alcotest.(check bool) "time breach" true
-        (List.exists
-           (fun b -> contains b "elapsed")
-           (Benchhistory.gate entries4));
+      let cases =
+        [ ( "NaN time cell", "breach",
+            set "elapsed" (fun c -> { c with Bjson.value = Float.nan }) );
+          ( "missing cell", "incomparable",
+            edit (List.filter (fun (c : Bjson.cell) -> c.Bjson.id <> "n")) );
+          ( "extra cell", "incomparable",
+            edit (fun cs -> cs @ [ Bjson.count "m" 1 ]) );
+          ( "changed kind", "breach",
+            set "n" (fun c -> { c with Bjson.kind = Bjson.Time }) );
+          ("changed scale", "incomparable", { latest with Bjson.scale = 0.008 });
+          ( "changed count", "breach",
+            set "n" (fun c -> { c with Bjson.value = 6.0 }) );
+          ( "wall trio 3x slower", "breach",
+            edit
+              (List.map (fun (c : Bjson.cell) ->
+                   if c.Bjson.kind = Bjson.Wall then
+                     { c with Bjson.value = 3.0 *. c.Bjson.value }
+                   else c)) ) ]
+      in
+      List.iter
+        (fun (name, expected, current) ->
+          Alcotest.(check string) (name ^ ", one prior") expected
+            (verdict ~priors:[ latest ] current);
+          Alcotest.(check string) (name ^ ", history") expected
+            (verdict ~priors current))
+        cases;
       (* The render includes a sparkline row per cell of the newest
          entry. *)
-      let rendered = Format.asprintf "%a" Benchhistory.render entries4 in
+      let rendered = Format.asprintf "%a" Benchhistory.render entries in
       List.iter
         (fun id ->
           Alcotest.(check bool) ("rendered " ^ id) true
             (contains rendered id))
-        [ "flag"; "n"; "elapsed"; "w-wall-median" ])
+        [ "flag"; "n"; "elapsed"; "k-wall-median" ])
 
 let suite =
   [ Alcotest.test_case "slo parse" `Quick test_slo_parse;
