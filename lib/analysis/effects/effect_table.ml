@@ -59,15 +59,15 @@ let tail2 path =
 
 (* Hash-table modules whose fold/iter order is a function of hashing and
    insertion history, not of the keys: the stdlib's, and the engine's
-   own Hash_table (whose Ktbl alias is the stdlib's). *)
+   own Hash_table (whose Ktbl and Vtbl aliases are the stdlib's). *)
 let is_hash_fold path =
   match tail2 path with
-  | [ ("Hashtbl" | "Ktbl" | "Hash_table"); "fold" ] -> true
+  | [ ("Hashtbl" | "Ktbl" | "Vtbl" | "Hash_table"); "fold" ] -> true
   | _ -> false
 
 let is_hash_iter path =
   match tail2 path with
-  | [ ("Hashtbl" | "Ktbl" | "Hash_table"); "iter" ] -> true
+  | [ ("Hashtbl" | "Ktbl" | "Vtbl" | "Hash_table"); "iter" ] -> true
   | _ -> false
 
 let is_sort path =

@@ -158,8 +158,12 @@ let update_observations cfg query catalog sels sources order_detectors plan =
         Adp_stats.Selectivity.observe_final_cardinality sels ~relation:name
           ~total:(Source.consumed src))
     sources;
-  let seen = Plan.leaf_seen plan in
-  let seen_of r = Option.value ~default:0 (List.assoc_opt r seen) in
+  let leaves = Plan.leaf_counts plan in
+  let seen_of r =
+    match List.find_opt (fun (l : Plan.leaf_count) -> l.source = r) leaves with
+    | Some l -> l.seen
+    | None -> 0
+  in
   (* Expected total cardinality of a source: exact after exhaustion,
      otherwise the catalog floored by what was read. *)
   let expected_total r =
@@ -261,17 +265,16 @@ let update_observations cfg query catalog sels sources order_detectors plan =
     | _ -> None
   in
   List.iter
-    (fun (name, _schema, tuples, signature) ->
-      let leaf_sig = Logical.signature_of_set query [ name ] in
-      if signature = leaf_sig && seen_of name >= cfg.min_leaf_seen then begin
-        let passed = List.length tuples in
+    (fun (l : Plan.leaf_count) ->
+      let leaf_sig = Logical.signature_of_set query [ l.source ] in
+      if l.signature = leaf_sig && l.seen >= cfg.min_leaf_seen then begin
         Adp_stats.Selectivity.observe sels ~signature:leaf_sig
-          ~output:(float_of_int passed)
-          ~input_product:(float_of_int (seen_of name));
+          ~output:(float_of_int l.passed)
+          ~input_product:(float_of_int l.seen);
         Adp_stats.Selectivity.observe_output sels ~signature:leaf_sig
-          ~cardinality:(predict_output passed [ name ])
+          ~cardinality:(predict_output l.passed [ l.source ])
       end)
-    (Plan.leaf_partitions plan);
+    leaves;
   List.iter
     (fun (info : Plan.join_info) ->
       let enough =

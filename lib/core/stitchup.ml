@@ -46,20 +46,17 @@ let leaf_result env source =
       uniform = List.map (fun (pid, _, tuples) -> pid, tuples) parts;
       mixed = [] }
 
-(* Build one hash table per lineage over the right input. *)
+(* Build one hash table per lineage over the right input.  The tables
+   are only probed, never iterated, so they can be sized up front. *)
 let build_side env sp schema ~key_cols (r : node_result) =
   let c = env.ctx.Ctx.costs in
   let mk tuples =
-    let tbl = Hash_table.create schema ~key_cols in
-    List.iter
-      (fun t ->
-        charge_sp env sp c.hash_build;
-        (match sp with
-         | Some sp -> Adp_obs.Profile.add_builds sp 1
-         | None -> ());
-        Hash_table.insert tbl t)
-      tuples;
-    tbl
+    (* One charge per tuple: the clock's float sum must stay bit-identical. *)
+    List.iter (fun _ -> charge_sp env sp c.hash_build) tuples;
+    (match sp with
+     | Some sp -> Adp_obs.Profile.add_builds sp (List.length tuples)
+     | None -> ());
+    Hash_table.of_list schema ~key_cols tuples
   in
   List.map (fun (pid, tuples) -> pid, mk tuples) r.uniform, mk r.mixed
 
@@ -67,8 +64,7 @@ let probe_into env sp ~out tbl lkey tuples orient =
   let c = env.ctx.Ctx.costs in
   List.iter
     (fun t ->
-      let k = Tuple.key t lkey in
-      let matches = Hash_table.probe tbl k in
+      let matches = Hash_table.probe_tuple tbl t lkey in
       charge_sp env sp
         (c.hash_probe +. (c.per_match *. float_of_int (List.length matches)));
       (match sp with

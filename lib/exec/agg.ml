@@ -2,12 +2,7 @@ open Adp_relation
 
 type input = Raw | Partial
 
-module Ktbl = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal = Tuple.equal_key
-  let hash = Tuple.hash_key
-end)
+module Ktbl = Tuple.Ktbl
 
 type t = {
   ctx : Ctx.t;

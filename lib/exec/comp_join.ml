@@ -249,12 +249,7 @@ let drain t =
   go ();
   List.rev !outs
 
-module Ktbl = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal = Tuple.equal_key
-  let hash = Tuple.hash_key
-end)
+module Ktbl = Tuple.Ktbl
 
 (* Join one spilled region: all left/right pairs except those already
    joined in memory (both epoch 0 within the same operator). *)
@@ -304,16 +299,15 @@ let finish t =
     if Hash_table.length ltbl = 0 || Hash_table.length rtbl = 0 then []
     else begin
       let scan_left = Hash_table.length ltbl <= Hash_table.length rtbl in
-      let scan, probe_tbl =
-        if scan_left then ltbl, rtbl else rtbl, ltbl
+      let scan, probe_tbl, scan_key =
+        if scan_left then ltbl, rtbl, t.lkey else rtbl, ltbl, t.rkey
       in
       (* Scan order is hash order; sorting the combination gives stitch-up
          output a deterministic key order independent of insertion
          history. *)
       Hash_table.to_list scan
       |> List.concat_map (fun s ->
-             let k = Hash_table.key_of scan s in
-             let matches = Hash_table.probe probe_tbl k in
+             let matches = Hash_table.probe_tuple probe_tbl s scan_key in
              Ctx.charge_span t.ctx t.sp_stitch
                (c.hash_probe
                +. (c.per_match *. float_of_int (List.length matches)));

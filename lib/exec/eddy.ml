@@ -144,11 +144,11 @@ let rec route t parts covered acc =
        | (src_rel, src_col, _, probe_col) :: rest ->
          let key =
            match parts.(src_rel) with
-           | Some tup -> [| tup.(src_col) |]
+           | Some tup -> tup.(src_col)
            | None -> invalid_arg "Eddy: missing part"
          in
          let table = List.assoc probe_col stem.s_tables in
-         let matches = Hash_table.probe table key in
+         let matches = Hash_table.probe_value table key in
          stem.s_probes <- stem.s_probes + 1;
          Ctx.charge t.ctx
            (t.ctx.Ctx.costs.hash_probe

@@ -118,12 +118,7 @@ let rec pp_spec fmt = function
 (* Runtime                                                            *)
 (* ------------------------------------------------------------------ *)
 
-module Ktbl = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal = Tuple.equal_key
-  let hash = Tuple.hash_key
-end)
+module Ktbl = Tuple.Ktbl
 
 type preagg_rt = {
   p_group_idx : int array;
@@ -164,8 +159,6 @@ and leaf_rt = {
 and join_rt = {
   left : node;
   right : node;
-  lkey : int array;
-  rkey : int array;
   ltbl : Hash_table.t;
   rtbl : Hash_table.t;
   preds : string list;  (* this join's own predicates *)
@@ -228,12 +221,6 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
       invalid_arg
         ("Plan.instantiate: duplicate source " ^ String.concat "," overlap);
     let schema = Schema.concat left.n_schema right.n_schema in
-    let lkey =
-      Array.of_list (List.map (Schema.index left.n_schema) j.left_key)
-    in
-    let rkey =
-      Array.of_list (List.map (Schema.index right.n_schema) j.right_key)
-    in
     { n_spec = spec; n_schema = schema; n_signature = signature_of spec;
       n_relations = relations spec;
       n_sources = left.n_sources @ right.n_sources;
@@ -241,7 +228,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
       n_in_metric; n_out_metric; n_span;
       impl =
         RJoin
-          { left; right; lkey; rkey;
+          { left; right;
             ltbl = Hash_table.create left.n_schema ~key_cols:j.left_key;
             rtbl = Hash_table.create right.n_schema ~key_cols:j.right_key;
             preds = List.map2 canon_pred j.left_key j.right_key;
@@ -325,20 +312,15 @@ let join_side ctx j ~from_left tuple =
      Profile.add_builds sp 1;
      Profile.add_probes sp 1
    | None -> ());
+  Ctx.charge_span ctx j.j_span c.hash_build;
   let outs =
     if from_left then begin
-      Ctx.charge_span ctx j.j_span c.hash_build;
-      Hash_table.insert j.ltbl tuple;
-      let k = Tuple.key tuple j.lkey in
-      let matches = Hash_table.probe j.rtbl k in
+      let matches = Hash_table.insert_probe j.ltbl tuple ~probe:j.rtbl in
       probe_cost ctx j.j_span j.rtbl (List.length matches);
       List.rev_map (fun m -> Tuple.concat tuple m) matches
     end
     else begin
-      Ctx.charge_span ctx j.j_span c.hash_build;
-      Hash_table.insert j.rtbl tuple;
-      let k = Tuple.key tuple j.rkey in
-      let matches = Hash_table.probe j.ltbl k in
+      let matches = Hash_table.insert_probe j.rtbl tuple ~probe:j.ltbl in
       probe_cost ctx j.j_span j.ltbl (List.length matches);
       List.rev_map (fun m -> Tuple.concat m tuple) matches
     end
@@ -530,32 +512,37 @@ let node_results t =
     [] t.root
   |> List.rev
 
-let leaf_partitions t =
-  (* A pre-aggregation directly over a scan acts as the effective leaf:
-     its partial tuples are what the stitch-up phase must combine. *)
+(* A pre-aggregation directly over a scan acts as the effective leaf:
+   its partial tuples are what the stitch-up phase must combine.  [f]
+   gets the scan and the effective leaf node. *)
+let map_leaves f t =
   let rec walk acc node =
     match node.impl with
-    | RLeaf l ->
-      (l.source, node.n_schema, List.rev node.n_outputs, node.n_signature)
-      :: acc
-    | RPreagg p ->
-      (match p.child.impl with
-       | RLeaf l ->
-         (l.source, node.n_schema, List.rev node.n_outputs, node.n_signature)
-         :: acc
-       | RJoin _ | RPreagg _ -> walk acc p.child)
+    | RLeaf l | RPreagg { child = { impl = RLeaf l; _ }; _ } -> f l node :: acc
+    | RPreagg p -> walk acc p.child
     | RJoin j -> walk (walk acc j.left) j.right
   in
   List.rev (walk [] t.root)
 
-let leaf_seen t =
-  fold_nodes
-    (fun acc node ->
-      match node.impl with
-      | RLeaf l -> (l.source, l.seen) :: acc
-      | RJoin _ | RPreagg _ -> acc)
-    [] t.root
-  |> List.rev
+let leaf_partitions t =
+  map_leaves
+    (fun l node ->
+      (l.source, node.n_schema, List.rev node.n_outputs, node.n_signature))
+    t
+
+type leaf_count = {
+  source : string;
+  signature : string;
+  seen : int;
+  passed : int;
+}
+
+let leaf_counts t =
+  map_leaves
+    (fun (l : leaf_rt) node ->
+      { source = l.source; signature = node.n_signature; seen = l.seen;
+        passed = node.n_out_count })
+    t
 
 let preagg_stats t =
   fold_nodes

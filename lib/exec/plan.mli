@@ -132,8 +132,19 @@ val node_results : t -> (string * Schema.t * Tuple.t list * int) list
     effective signature. *)
 val leaf_partitions : t -> (string * Schema.t * Tuple.t list * string) list
 
-(** Tuples read per leaf source (pre-filter). *)
-val leaf_seen : t -> (string * int) list
+(** What the monitor reads per effective leaf, in {!leaf_partitions}
+    order, from counters alone (cost O(plan nodes), whether or not the
+    plan records its outputs). *)
+type leaf_count = {
+  source : string;
+  signature : string;  (** the effective leaf's signature *)
+  seen : int;  (** source tuples read (pre-filter) *)
+  passed : int;
+      (** tuples the effective leaf produced: filter survivors, or the
+          partials of a pre-aggregation directly over the scan *)
+}
+
+val leaf_counts : t -> leaf_count list
 
 (** Pre-aggregation statistics, if any pre-aggregation operators exist:
     (signature, input count, output count, final window size). *)

@@ -6,23 +6,18 @@ type side = L | R
 type t = {
   ctx : Ctx.t;
   mode : [ `Hash | `Merge ];
-  schema : Schema.t;
   ltbl : Hash_table.t;
   rtbl : Hash_table.t;
   mutable last_l : Value.t array option;
   mutable last_r : Value.t array option;
   mutable out : int;
-  mutable in_l : int;
-  mutable in_r : int;
 }
 
 let create ctx ~mode ~left_schema ~right_schema ~left_key ~right_key =
-  { ctx; mode; schema = Schema.concat left_schema right_schema;
+  { ctx; mode;
     ltbl = Hash_table.create left_schema ~key_cols:left_key;
     rtbl = Hash_table.create right_schema ~key_cols:right_key;
-    last_l = None; last_r = None; out = 0; in_l = 0; in_r = 0 }
-
-let schema t = t.schema
+    last_l = None; last_r = None; out = 0 }
 
 let accepts t side tuple =
   match t.mode with
@@ -46,20 +41,14 @@ let insert t side tuple =
   let outs =
     match side with
     | L ->
-      t.in_l <- t.in_l + 1;
-      Hash_table.insert t.ltbl tuple;
-      let k = Hash_table.key_of t.ltbl tuple in
-      if t.mode = `Merge then t.last_l <- Some k;
-      let matches = Hash_table.probe t.rtbl k in
+      if t.mode = `Merge then t.last_l <- Some (Hash_table.key_of t.ltbl tuple);
+      let matches = Hash_table.insert_probe t.ltbl tuple ~probe:t.rtbl in
       Ctx.charge t.ctx
         (probe +. (c.per_match *. float_of_int (List.length matches)));
       List.rev_map (fun m -> Tuple.concat tuple m) matches
     | R ->
-      t.in_r <- t.in_r + 1;
-      Hash_table.insert t.rtbl tuple;
-      let k = Hash_table.key_of t.rtbl tuple in
-      if t.mode = `Merge then t.last_r <- Some k;
-      let matches = Hash_table.probe t.ltbl k in
+      if t.mode = `Merge then t.last_r <- Some (Hash_table.key_of t.rtbl tuple);
+      let matches = Hash_table.insert_probe t.rtbl tuple ~probe:t.ltbl in
       Ctx.charge t.ctx
         (probe +. (c.per_match *. float_of_int (List.length matches)));
       List.rev_map (fun m -> Tuple.concat m tuple) matches
@@ -70,4 +59,3 @@ let insert t side tuple =
 let left_table t = t.ltbl
 let right_table t = t.rtbl
 let out_count t = t.out
-let inserted t = t.in_l, t.in_r

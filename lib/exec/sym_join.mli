@@ -30,8 +30,6 @@ val create :
   right_key:string list ->
   t
 
-val schema : t -> Schema.t
-
 (** Whether inserting the tuple on that side is legal (always true in
     [`Hash] mode; in-order check in [`Merge] mode). *)
 val accepts : t -> side -> Tuple.t -> bool
@@ -45,6 +43,3 @@ val right_table : t -> Hash_table.t
 
 (** Join output count so far. *)
 val out_count : t -> int
-
-(** Tuples inserted on each side. *)
-val inserted : t -> int * int

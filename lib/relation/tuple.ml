@@ -20,6 +20,13 @@ let hash_key k =
   Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
 
 let equal_key a b = compare_key a b = 0
+
+module Ktbl = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal = equal_key
+  let hash = hash_key
+end)
 let compare = compare_key
 let equal a b = compare a b = 0
 

@@ -12,21 +12,39 @@ open Adp_relation
     Overflow: {!swap_out}/{!swap_in} model spilling to disk.  Contents stay
     addressable (this is a simulation, not an actual spill); the flag is
     consulted by the cost model, which charges I/O for probes against
-    swapped structures, and by the memory-pressure heuristic of §3.4.2. *)
+    swapped structures, and by the memory-pressure heuristic of §3.4.2.
+
+    A table with one key column is keyed by the {!Value.t} itself, hashed
+    as [Tuple.hash_key [| v |]]: inserts and probes read the column in
+    place, and bucket layout (so {!iter} order) equals a composite-keyed
+    table's.  {!of_list} sizes its table from its input, which changes
+    iteration order: use it only for tables that are never iterated. *)
 
 type t
 
 (** [create schema ~key_cols] with [key_cols] resolvable in [schema]. *)
 val create : Schema.t -> key_cols:string list -> t
 
-val schema : t -> Schema.t
-val key_columns : t -> string list
 val length : t -> int
 
 val insert : t -> Tuple.t -> unit
 
+(** [of_list schema ~key_cols tuples] inserts [tuples], in order, into a
+    table pre-sized for them. *)
+val of_list : Schema.t -> key_cols:string list -> Tuple.t list -> t
+
 (** Matches for the probe key (most recently inserted first). *)
 val probe : t -> Value.t array -> Tuple.t list
+
+(** [probe_tuple t tuple cols] is [probe t (Tuple.key tuple cols)]. *)
+val probe_tuple : t -> Tuple.t -> int array -> Tuple.t list
+
+(** [probe_value t v] is [probe t [| v |]]. *)
+val probe_value : t -> Value.t -> Tuple.t list
+
+(** [insert_probe t tuple ~probe] is [insert t tuple] then
+    [probe probe (key_of t tuple)], computing the key once. *)
+val insert_probe : t -> Tuple.t -> probe:t -> Tuple.t list
 
 (** Key of a tuple under this table's key columns. *)
 val key_of : t -> Tuple.t -> Value.t array

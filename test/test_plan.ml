@@ -57,9 +57,14 @@ let test_filter_pushdown () =
       ~on:[ 0, 0 ]
   in
   check_bag "filtered join" outs want;
-  (* The dropped tuple is visible in leaf_seen but not in the partition. *)
-  Alcotest.(check bool) "seen all" true
-    (List.assoc "r" (Plan.leaf_seen plan) = 3);
+  (* The dropped tuple is counted as seen but not in the partition. *)
+  let leaf =
+    List.find
+      (fun (l : Plan.leaf_count) -> l.source = "r")
+      (Plan.leaf_counts plan)
+  in
+  Alcotest.(check int) "seen all" 3 leaf.seen;
+  Alcotest.(check int) "passed" 2 leaf.passed;
   let _, _, part, _ =
     List.find (fun (n, _, _, _) -> n = "r") (Plan.leaf_partitions plan)
   in
@@ -232,6 +237,67 @@ let join_vs_oracle =
       let outs = push_all plan "r" r @ push_all plan "s" s in
       same_bag outs (oracle_join r s ~on:[ 0, 0 ]))
 
+(* The monitor reads each leaf's pass count from the plan's counters; it
+   must equal the buffered partition stitch-up combines, at every poll
+   and across a phase switch, for a filtered scan and for a
+   pre-aggregation over a scan. *)
+let test_leaf_counts_match_partitions () =
+  let rel name n =
+    Relation.of_list (keyed_schema name)
+      (List.init n (fun i -> [| vi (i * 7 mod 13); vi i |]))
+  in
+  let sources =
+    [ Source.create ~name:"r" (rel "r" 300) Source.Local;
+      Source.create ~name:"s" (rel "s" 200) Source.Local;
+      Source.create ~name:"u" (rel "u" 400) Source.Local ]
+  in
+  let r = Plan.scan ~filter:(Predicate.gt "r.k" (vi 3)) "r" in
+  let u =
+    Plan.preagg ~mode:(Plan.Windowed { initial = 4; max_window = 64 })
+      ~group_cols:[ "u.k" ] ~aggs:[ Aggregate.count_all ~name:"n" ]
+      (Plan.scan "u")
+  in
+  let phase0 =
+    Plan.join (Plan.join r (Plan.scan "s") ~on:[ "r.k", "s.k" ]) u
+      ~on:[ "s.k", "u.k" ]
+  and phase1 =
+    Plan.join r (Plan.join (Plan.scan "s") u ~on:[ "s.k", "u.k" ])
+      ~on:[ "r.k", "s.k" ]
+  in
+  let ctx = Ctx.create () in
+  let check_plan plan =
+    List.iter2
+      (fun (l : Plan.leaf_count) (name, _, tuples, signature) ->
+        Alcotest.(check string) "leaf order" name l.source;
+        Alcotest.(check string) "effective leaf" signature l.signature;
+        Alcotest.(check int) (name ^ " passed") (List.length tuples) l.passed)
+      (Plan.leaf_counts plan) (Plan.leaf_partitions plan)
+  in
+  let polls = ref 0 in
+  let run spec ~switch_at =
+    let plan = Plan.instantiate ctx spec ~schema_of:keyed_schema in
+    let consume src t = ignore (Plan.push plan ~source:(Source.name src) t) in
+    let poll () =
+      incr polls;
+      check_plan plan;
+      if !polls = switch_at then `Switch else `Continue
+    in
+    let outcome = Driver.run ctx ~sources ~consume ~poll:(50.0, poll) () in
+    ignore (Plan.flush plan);
+    check_plan plan;
+    plan, outcome
+  in
+  let first, switched = run phase0 ~switch_at:3 in
+  Alcotest.(check bool) "phase 0 switched" true (switched = Driver.Switched);
+  let u_passed plan =
+    (List.find (fun (l : Plan.leaf_count) -> l.source = "u")
+       (Plan.leaf_counts plan)).passed
+  in
+  Alcotest.(check bool) "pre-aggregated leaf emitted" true (u_passed first > 0);
+  let _, finished = run phase1 ~switch_at:0 in
+  Alcotest.(check bool) "phase 1 drained" true (finished = Driver.Exhausted);
+  Alcotest.(check bool) "polled in both phases" true (!polls > 4)
+
 let suite =
   [ Alcotest.test_case "single join" `Quick test_single_join;
     Alcotest.test_case "interleaved arrival" `Quick test_interleaved_arrival;
@@ -248,4 +314,6 @@ let suite =
     Alcotest.test_case "memory pressure" `Quick test_memory_pressure;
     Alcotest.test_case "record_outputs disabled" `Quick
       test_record_outputs_disabled;
+    Alcotest.test_case "leaf counts match partitions at every poll" `Quick
+      test_leaf_counts_match_partitions;
     qtest join_vs_oracle ]

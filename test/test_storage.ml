@@ -50,6 +50,137 @@ let hash_model =
       && Hash_table.length h = List.length tuples
       && same_bag (Hash_table.to_list h) tuples)
 
+(* The keyed path against the composite-key table it replaces: a stdlib
+   table over [Tuple.key] arrays hashed by [Tuple.hash_key], filled the
+   way the engine always filled it (newest match first, 256 buckets). *)
+module Ktbl = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal = Tuple.equal_key
+  let hash = Tuple.hash_key
+end)
+
+let ref_build idx tuples =
+  let r = Ktbl.create 256 in
+  List.iter
+    (fun t ->
+      let k = Tuple.key t idx in
+      match Ktbl.find_opt r k with
+      | Some cell -> cell := t :: !cell
+      | None -> Ktbl.replace r k (ref [ t ]))
+    tuples;
+  r
+
+let ref_probe r k = match Ktbl.find_opt r k with Some c -> !c | None -> []
+
+(* The iteration orders themselves are under test below. *)
+let ref_iter_order r =
+  let acc = ref [] in
+  (* determinism-ok: this order is the reference the test compares *)
+  Ktbl.iter (fun _ cell -> List.iter (fun t -> acc := t :: !acc) !cell) r;
+  List.rev !acc
+
+let ref_to_list r =
+  (* determinism-ok: this order is the reference the test compares *)
+  Ktbl.fold (fun _ cell acc -> List.rev_append !cell acc) r []
+
+let ks3 = Schema.make [ "t.a"; "t.b"; "t.p" ]
+
+(* Few distinct small keys (duplicates, NULLs, Int 3 = Float 3.0) mixed
+   with a wide integer range that makes the tables resize. *)
+let gen_key_value =
+  QCheck2.Gen.(
+    frequency
+      [ (1, pure Value.Null);
+        (3, map vi (int_bound 4));
+        (2, map (fun i -> vf (float_of_int i)) (int_bound 4));
+        (1, pure (vf 3.5));
+        (3, map vi (int_bound 2000)) ])
+
+let gen_keyed_rows =
+  QCheck2.Gen.(
+    pair bool
+      (list_size (int_bound 1500) (pair gen_key_value gen_key_value)
+      |> map (List.mapi (fun i (a, b) -> [| a; b; vi i |]))))
+
+let keyed_path_model =
+  QCheck2.Test.make ~name:"keyed path matches composite-key table" ~count:60
+    gen_keyed_rows
+    (fun (two_cols, tuples) ->
+      let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
+      let idx = if two_cols then [| 0; 1 |] else [| 0 |] in
+      let h = Hash_table.create ks3 ~key_cols in
+      List.iter (Hash_table.insert h) tuples;
+      let r = ref_build idx tuples in
+      let probes = [| Value.Null; vi 3; vf 3.0; vf 3.5; vi 7 |] :: tuples in
+      let probes_agree p =
+        let k = Tuple.key p idx in
+        let want = ref_probe r k in
+        Hash_table.probe h k = want
+        && Hash_table.probe_tuple h p idx = want
+        && (two_cols || Hash_table.probe_value h p.(0) = want)
+      in
+      let iterated = ref [] in
+      (* determinism-ok: iteration order is what this property checks *)
+      Hash_table.iter (fun t -> iterated := t :: !iterated) h;
+      let other = if two_cols then [ "t.b" ] else [ "t.a"; "t.b" ] in
+      let other_idx = if two_cols then [| 1 |] else [| 0; 1 |] in
+      let rehashed = Hash_table.rehash h ~key_cols:other in
+      let rr = ref_build other_idx (ref_iter_order r) in
+      List.for_all probes_agree probes
+      && List.rev !iterated = ref_iter_order r
+      && Hash_table.to_list h = ref_to_list r
+      && Hash_table.distinct_keys h = Ktbl.length r
+      && Hash_table.length rehashed = List.length tuples
+      && Hash_table.to_list rehashed = ref_to_list rr
+      && List.for_all
+           (fun p ->
+             Hash_table.probe_tuple rehashed p other_idx
+             = ref_probe rr (Tuple.key p other_idx))
+           tuples)
+
+(* [insert_probe] is one join side; [of_list] probes like a filled table. *)
+let insert_probe_model =
+  QCheck2.Test.make ~name:"insert_probe and of_list match insert + probe"
+    ~count:60 gen_keyed_rows
+    (fun (two_cols, tuples) ->
+      let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
+      let idx = if two_cols then [| 0; 1 |] else [| 0 |] in
+      let fused_l = Hash_table.create ks3 ~key_cols
+      and fused_r = Hash_table.create ks3 ~key_cols
+      and plain_l = Hash_table.create ks3 ~key_cols
+      and plain_r = Hash_table.create ks3 ~key_cols in
+      let sized = Hash_table.of_list ks3 ~key_cols tuples in
+      List.for_all
+        (fun t ->
+          let left = Value.compare t.(1) (vi 2) < 0 in
+          let fl, fr, pl, pr =
+            if left then fused_l, fused_r, plain_l, plain_r
+            else fused_r, fused_l, plain_r, plain_l
+          in
+          let fused = Hash_table.insert_probe fl t ~probe:fr in
+          Hash_table.insert pl t;
+          fused = Hash_table.probe pr (Tuple.key t idx)
+          && Hash_table.probe_tuple sized t idx
+             = List.filter
+                 (fun u -> Tuple.equal_key (Tuple.key u idx) (Tuple.key t idx))
+                 (List.rev tuples))
+        tuples
+      && Hash_table.to_list fused_l = Hash_table.to_list plain_l
+      && Hash_table.to_list fused_r = Hash_table.to_list plain_r
+      && Hash_table.length sized = List.length tuples)
+
+(* Bucket layout, and with it every iteration order above, rests on these
+   values; they must not change. *)
+let test_hash_key_values () =
+  List.iter
+    (fun (k, h) ->
+      Alcotest.(check int) (Tuple.to_string k) h (Tuple.hash_key k))
+    [ ([| vi 3 |], 96786705); ([| vf 3.0 |], 96786705);
+      ([| Value.Null |], 527); ([| vs "x" |], 780510600);
+      ([| Value.Date 9000 |], 364418301); ([| vi 1; vs "x" |], 2562941346);
+      ([||], 17) ]
+
 (* ---------------- Sorted run ---------------- *)
 
 let test_sorted_run () =
@@ -241,6 +372,9 @@ let suite =
     Alcotest.test_case "hash rehash" `Quick test_hash_rehash;
     Alcotest.test_case "hash swap flags" `Quick test_hash_swap;
     qtest hash_model;
+    qtest keyed_path_model;
+    qtest insert_probe_model;
+    Alcotest.test_case "hash key values pinned" `Quick test_hash_key_values;
     Alcotest.test_case "sorted run" `Quick test_sorted_run;
     qtest sorted_run_model;
     Alcotest.test_case "btree basics" `Quick test_btree_basics;

@@ -47,6 +47,34 @@ let test_q10a_skewed () = check_query ~ds:skewed_dataset Workload.Q10A
 let test_q5 () = check_query Workload.Q5
 let test_q5_with_cards () = check_query ~with_cardinalities:true Workload.Q5
 
+(* Static never records its leaves' outputs; the monitor must still learn
+   each filtered leaf's pass rate (passed over seen) from the counters. *)
+let test_static_leaf_observations () =
+  let q = Workload.query Workload.Q3 in
+  let catalog = Workload.catalog dataset q in
+  let o =
+    Strategy.run Strategy.Static q catalog
+      ~sources:(Workload.sources dataset q)
+  in
+  let learned =
+    match o.Strategy.corrective_stats with
+    | Some st -> st.Corrective.learned.Adp_stats.Selectivity.d_sels
+    | None -> Alcotest.fail "static reports corrective stats"
+  in
+  List.iter
+    (fun (s : Logical.source) ->
+      let rel = Tpch.table dataset s.Logical.name in
+      let pass = Predicate.compile s.Logical.filter (Relation.schema rel) in
+      let passed =
+        Relation.fold (fun n t -> if pass t then n + 1 else n) 0 rel
+      in
+      let want =
+        float_of_int passed /. float_of_int (Relation.cardinality rel)
+      in
+      Alcotest.(check (float 0.0)) s.Logical.name want
+        (List.assoc (Logical.signature_of_set q [ s.Logical.name ]) learned))
+    q.Logical.sources
+
 let test_flights_example () =
   let d =
     Flights.generate
@@ -326,6 +354,8 @@ let suite =
     Alcotest.test_case "Q10 all strategies" `Slow test_q10;
     Alcotest.test_case "Q10A skewed all strategies" `Slow test_q10a_skewed;
     Alcotest.test_case "Q5 all strategies" `Slow test_q5;
+    Alcotest.test_case "static learns leaf pass rates" `Quick
+      test_static_leaf_observations;
     Alcotest.test_case "Q5 with cardinalities" `Slow test_q5_with_cards;
     Alcotest.test_case "flights example" `Slow test_flights_example;
     Alcotest.test_case "preagg strategies agree" `Slow
