@@ -29,8 +29,8 @@ let run_one ?profile ?calibrate () =
   let q = Workload.query qid in
   let catalog = Workload.catalog ~with_cardinalities:false ds q in
   let initial_plan = pessimal_plan qid uniform in
-  Strategy.run ~label:"profile" ~initial_plan ?profile ?calibrate
-    (Strategy.Corrective corrective_config) q catalog
+  Strategy.run ~label:"profile" ~initial_plan ?profile
+    (Strategy.Corrective { corrective_config with calibrate }) q catalog
     ~sources:(Workload.sources ~model:Adp_exec.Source.Local ds q)
 
 let same_result a b =

@@ -872,11 +872,12 @@ let profile_cmd =
     let trace = Option.map trace_sink trace_file in
     let config =
       { Corrective.default_config with
-        poll_interval = 2e4; min_leaf_seen = 200; switch_threshold = 0.8 }
+        poll_interval = 2e4; min_leaf_seen = 200; switch_threshold = 0.8;
+        calibrate = Some calibrate }
     in
     let o =
-      Strategy.run ~label:"profile" ?initial_plan ?trace ~profile ~calibrate
-        ?wall (Strategy.Corrective config) q catalog
+      Strategy.run ~label:"profile" ?initial_plan ?trace ~profile ?wall
+        (Strategy.Corrective config) q catalog
         ~sources:(Workload.sources ~model ds q)
     in
     Option.iter Adp_obs.Trace.close trace;

@@ -421,7 +421,7 @@ let run ?(config = default_config) query catalog sources =
    | None -> ());
   let ctx =
     Ctx.create ~costs:cfg.costs ~trace:cfg.trace ?metrics:cfg.metrics
-      ?profile:cfg.profile ?calibrate:cfg.calibrate ?wall:cfg.wall ()
+      ?profile:cfg.profile ?wall:cfg.wall ()
   in
   let order_detectors = attach_order_detectors query sources in
   let hist_attrs =
@@ -582,7 +582,10 @@ let run ?(config = default_config) query catalog sources =
        (Analyzer.check_conformance
           (List.map (fun pr -> pr.Checkpoint.pr_spec) restored
           @ [ initial_spec ])));
-  Ctx.set_profile_phase ctx (phase_label (List.length restored));
+  Ctx.set_phase ctx (phase_label (List.length restored));
+  (* Checkpoint I/O is wall-only work: the load above, the restore below
+     and every save stamp a bucket of their own. *)
+  if resume <> None then Ctx.wall_bucket ctx "(checkpoint)";
   freeze_priors initial_spec;
   let current =
     ref
@@ -601,7 +604,7 @@ let run ?(config = default_config) query catalog sources =
      exactly-once. *)
   List.iter
     (fun (pr : Checkpoint.phase_record) ->
-      Ctx.set_profile_phase ctx (phase_label pr.Checkpoint.pr_id);
+      Ctx.set_phase ctx (phase_label pr.Checkpoint.pr_id);
       freeze_priors pr.Checkpoint.pr_spec;
       let ph =
         Phase.create ~record_outputs:true ~id:pr.Checkpoint.pr_id ctx
@@ -622,8 +625,10 @@ let run ?(config = default_config) query catalog sources =
           cl_ends = pr.Checkpoint.pr_ends }
         :: !completed)
     restored;
-  if restored <> [] then
-    Ctx.set_profile_phase ctx (phase_label !current.Phase.id);
+  if restored <> [] then begin
+    Ctx.wall_bucket ctx "(checkpoint)";
+    Ctx.set_phase ctx (phase_label !current.Phase.id)
+  end;
   (* Rebuilding state charged the (fresh) virtual clock; the run proper
      continues from the checkpointed instant and counters. *)
   (match resume with
@@ -703,6 +708,7 @@ let run ?(config = default_config) query catalog sources =
     if Ctx.traced ctx then
       Ctx.emit ctx
         (Trace.Checkpoint_written { seq = !ckpt_seq; path; bytes });
+    Ctx.wall_bucket ctx "(checkpoint)";
     last_ckpt_read := tuples_read ()
   in
   let consume src tuple =
@@ -1000,7 +1006,7 @@ let run ?(config = default_config) query catalog sources =
         | None -> invalid_arg "Corrective: switch without a plan"
       in
       next_spec := None;
-      Ctx.set_profile_phase ctx (phase_label (List.length !completed));
+      Ctx.set_phase ctx (phase_label (List.length !completed));
       freeze_priors spec;
       current :=
         Phase.create ~record_outputs ~id:(List.length !completed) ctx spec
@@ -1130,17 +1136,21 @@ let run ?(config = default_config) query catalog sources =
     (match cfg.profile with
      | None -> ()
      | Some p ->
+       (* A profile shared across a server's queries holds every query's
+          spans; this run's trace carries only its own scope's.  Wall
+          buckets carry no virtual time. *)
        List.iter
          (fun (i : Profile.info) ->
-           Ctx.emit ctx
-             (Trace.Node_profile
-                { phase = i.Profile.phase; node = i.Profile.node;
-                  depth = i.Profile.depth; self_us = i.Profile.self_us;
-                  tuples_in = i.Profile.tuples_in;
-                  tuples_out = i.Profile.tuples_out;
-                  probes = i.Profile.probes; builds = i.Profile.builds;
-                  mem_hw = i.Profile.mem_hw }))
-         (Profile.spans p));
+           if not i.Profile.bucket then
+             Ctx.emit ctx
+               (Trace.Node_profile
+                  { phase = i.Profile.phase; node = i.Profile.node;
+                    depth = i.Profile.depth; self_us = i.Profile.self_us;
+                    tuples_in = i.Profile.tuples_in;
+                    tuples_out = i.Profile.tuples_out;
+                    probes = i.Profile.probes; builds = i.Profile.builds;
+                    mem_hw = i.Profile.mem_hw }))
+         (Profile.in_scope p));
     match cfg.calibrate with
     | None -> ()
     | Some cal ->

@@ -160,7 +160,7 @@ let run ctx query ~join_tree ~phases ~registry ~sink =
     if Ctx.traced ctx then
       Ctx.emit ctx
         (Adp_obs.Trace.Stitchup_begin { phases = n; combos = combos_possible });
-    Ctx.set_profile_phase ctx "stitch-up";
+    Ctx.set_phase ctx "stitch-up";
     let env = { ctx; query; phases; registry; reused = 0; recomputed = 0 } in
     let result = eval env ~is_root:true ~depth:0 join_tree in
     Sink.feed sink ~from:result.schema result.mixed;

@@ -20,19 +20,11 @@ type outcome = {
 let us_to_s v = v /. 1e6
 
 let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
-    ?(label = "run") ?initial_plan ?retry ?trace ?metrics ?profile ?calibrate
-    ?wall strategy query catalog ~sources =
+    ?(label = "run") ?initial_plan ?retry ?trace ?metrics ?profile ?wall
+    strategy query catalog ~sources =
   (* Wall timing goes through the one sanctioned wall-reading module;
      no per-site lint waiver needed. *)
   let wall0 = Adp_obs.Wallclock.monotonic_s () in
-  (* The wall shadow attributes by profile span, so wall capture without
-     an explicit profiler gets a private one (attaching a profiler is
-     itself perturbation-free, see test_obs). *)
-  let profile =
-    match profile, wall with
-    | None, Some _ -> Some (Adp_obs.Profile.create ())
-    | _ -> profile
-  in
   (* Static analysis of the query before any strategy runs: catches what
      used to die as [Eddy: unknown relation] or an unqualified column deep
      inside execution, reporting every problem at once. *)
@@ -44,30 +36,22 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
   let outcome =
     match strategy with
     | Static | Corrective _ ->
-      let config =
+      let base =
         match strategy with
-        | Corrective c ->
-          { c with preagg; costs; initial_plan;
-            retry = Option.value ~default:c.retry retry;
-            trace = Option.value ~default:c.Corrective.trace trace;
-            metrics =
-              (match metrics with Some _ -> metrics | None -> c.metrics);
-            profile =
-              (match profile with Some _ -> profile | None -> c.profile);
-            calibrate =
-              (match calibrate with
-               | Some _ -> calibrate
-               | None -> c.calibrate);
-            wall = (match wall with Some _ -> wall | None -> c.wall) }
+        | Corrective c -> c
         | Static | Plan_partitioned _ | Competitive _ | Eddying ->
           (* Static = corrective that never polls and never switches. *)
           { Corrective.default_config with
-            poll_interval = infinity; max_phases = 1; preagg; costs;
-            initial_plan;
-            retry =
-              Option.value ~default:Corrective.default_config.retry retry;
-            trace = Option.value ~default:Adp_obs.Trace.null trace;
-            metrics; profile; calibrate; wall }
+            poll_interval = infinity; max_phases = 1 }
+      in
+      (* A sidecar given here overrides the configuration's. *)
+      let config =
+        { base with preagg; costs; initial_plan;
+          retry = Option.fold ~none:base.retry ~some:Fun.id retry;
+          trace = Option.fold ~none:base.trace ~some:Fun.id trace;
+          metrics = Option.fold ~none:base.metrics ~some:Option.some metrics;
+          profile = Option.fold ~none:base.profile ~some:Option.some profile;
+          wall = Option.fold ~none:base.wall ~some:Option.some wall }
       in
       let result, stats = Corrective.run ~config query catalog (sources ()) in
       let report =

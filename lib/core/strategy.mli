@@ -47,17 +47,18 @@ type outcome = {
     never perturbs the virtual clock: a traced run and an untraced run
     report identical virtual times and result multisets.
 
-    [profile] and [calibrate] attach the per-node span profiler and the
-    estimate-vs-actual calibration ledger to {!Static} and {!Corrective}
-    runs (same override rule as [trace]/[metrics]); like tracing, both
-    are zero-perturbation — a profiled run is bit-identical to an
-    unprofiled one.
+    [profile] attaches the per-node span registry to {!Static} and
+    {!Corrective} runs (same override rule as [trace]/[metrics]); like
+    tracing, it is zero-perturbation — a profiled run is bit-identical
+    to an unprofiled one.  The calibration ledger is a corrective
+    setting ([Corrective.config.calibrate]).
 
     [wall] attaches the wall-clock/GC shadow recorder ({!Static},
-    {!Corrective} and {!Eddying} runs).  Wall capture needs profile
-    spans to attribute against, so a run given [wall] without [profile]
-    gets a private profiler.  The recorder is read-only: virtual clock,
-    result multiset and decision ledger stay bit-identical. *)
+    {!Corrective} and {!Eddying} runs).  It stamps into profile spans,
+    so a run given [wall] without [profile] profiles into the recorder's
+    private registry ({!Ctx.create}).  The recorder is read-only:
+    virtual clock, result multiset and decision ledger stay
+    bit-identical. *)
 val run :
   ?preagg:Optimizer.preagg_strategy ->
   ?costs:Cost_model.t ->
@@ -67,7 +68,6 @@ val run :
   ?trace:Adp_obs.Trace.t ->
   ?metrics:Adp_obs.Metrics.t ->
   ?profile:Adp_obs.Profile.t ->
-  ?calibrate:Adp_obs.Calibrate.t ->
   ?wall:Adp_obs.Wallclock.t ->
   t ->
   Logical.query ->

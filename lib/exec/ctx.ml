@@ -9,7 +9,6 @@ type t = {
   trace : Trace.t;
   metrics : Metrics.t;
   profile : Profile.t option;
-  calibrate : Adp_obs.Calibrate.t option;
   wall : Wallclock.t option;
   tuples_read : Metrics.counter;
   tuples_output : Metrics.counter;
@@ -25,12 +24,21 @@ type t = {
 }
 
 let create ?(costs = Cost_model.default) ?(trace = Trace.null) ?metrics
-    ?profile ?calibrate ?wall () =
+    ?profile ?wall () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
+  (* The wall recorder stamps into profile spans, so a walled run always
+     profiles: into the profile given, else the recorder's private one. *)
+  let profile =
+    match wall with
+    | None -> profile
+    | Some w ->
+      Option.iter (Wallclock.attach w) profile;
+      Some (Wallclock.profile w)
+  in
   let c name help = Metrics.counter metrics ~help name in
-  { clock = Clock.create (); costs; trace; metrics; profile; calibrate; wall;
+  { clock = Clock.create (); costs; trace; metrics; profile; wall;
     tuples_read = c "adp_tuples_read_total" "source tuples consumed";
     tuples_output = c "adp_tuples_output_total" "result tuples emitted";
     retries = c "adp_retries_total" "source reconnect attempts issued";
@@ -57,8 +65,6 @@ let create ?(costs = Cost_model.default) ?(trace = Trace.null) ?metrics
    the same choke points that charge the virtual clock, and nothing it
    computes flows back — so wall capture preserves the zero-perturbation
    contract the same way tracing and profiling do. *)
-let walled t = Option.is_some t.wall
-
 let charge t c =
   Clock.charge t.clock c;
   match t.wall with None -> () | Some w -> Wallclock.attribute w None
@@ -87,19 +93,17 @@ let charge_span t sp c =
   match sp with None -> () | Some sp -> Profile.add_time sp c
 
 (* Bucket the wall time of a blocking wait (source arrival, retry
-   backoff) so it never pollutes the next operator's span. *)
-let wall_wait t name =
-  match t.wall with None -> () | Some w -> Wallclock.note_wait w name
+   backoff) or of checkpoint I/O so it never pollutes the next
+   operator's span. *)
+let wall_bucket t name =
+  match t.wall with None -> () | Some w -> Wallclock.note_bucket w name
 
 let span t ?depth node =
   match t.profile with
   | None -> None
   | Some p -> Some (Profile.span p ?depth node)
 
-let set_profile_phase t phase =
-  (match t.wall with
-   | None -> ()
-   | Some w -> Wallclock.set_phase w phase);
+let set_phase t phase =
   match t.profile with
   | None -> ()
   | Some p -> Profile.set_phase p phase

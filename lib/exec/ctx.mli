@@ -13,9 +13,7 @@ type t = {
   trace : Adp_obs.Trace.t;
   metrics : Adp_obs.Metrics.t;
   profile : Adp_obs.Profile.t option;
-      (** per-node span profiler; [None] = profiling disabled *)
-  calibrate : Adp_obs.Calibrate.t option;
-      (** estimate-vs-actual calibration ledger; [None] = disabled *)
+      (** per-node span registry; [None] = profiling disabled *)
   wall : Adp_obs.Wallclock.t option;
       (** wall-clock/GC shadow recorder; [None] = wall capture off *)
   tuples_read : Adp_obs.Metrics.counter;  (** source tuples consumed *)
@@ -40,13 +38,15 @@ type t = {
 }
 
 (** [trace] defaults to {!Adp_obs.Trace.null} (tracing disabled);
-    [metrics] defaults to a fresh private registry. *)
+    [metrics] defaults to a fresh private registry.  The [wall] recorder
+    stamps into profile spans, so with [wall] the context always
+    profiles: into [profile] when given (the recorder is attached to
+    it), else into the recorder's private registry. *)
 val create :
   ?costs:Cost_model.t ->
   ?trace:Adp_obs.Trace.t ->
   ?metrics:Adp_obs.Metrics.t ->
   ?profile:Adp_obs.Profile.t ->
-  ?calibrate:Adp_obs.Calibrate.t ->
   ?wall:Adp_obs.Wallclock.t ->
   unit ->
   t
@@ -59,13 +59,10 @@ val charge : t -> float -> unit
 (** Is profiling enabled? *)
 val profiled : t -> bool
 
-(** Is the wall-clock shadow recorder attached? *)
-val walled : t -> bool
-
-(** Bucket the wall time of a blocking wait (e.g. ["(driver wait)"]) so
-    it never pollutes the next operator's span.  No-op without wall
-    capture. *)
-val wall_wait : t -> string -> unit
+(** Bucket the wall time of a blocking wait or of checkpoint I/O (e.g.
+    ["(driver wait)"], ["(checkpoint)"]) so it never pollutes the next
+    operator's span.  No-op without wall capture. *)
+val wall_bucket : t -> string -> unit
 
 (** [charge_span t sp c]: {!charge}, plus attribute the same [c] virtual
     microseconds to span [sp] (when profiling).  The attribution re-uses
@@ -78,7 +75,7 @@ val span : t -> ?depth:int -> string -> Adp_obs.Profile.span option
 
 (** Name the profiler's current phase ("phase 1", "stitch-up", ...).
     No-op when not profiling. *)
-val set_profile_phase : t -> string -> unit
+val set_phase : t -> string -> unit
 
 val now : t -> float
 

@@ -118,7 +118,7 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
            the run continue, the event proceeds and this arm — guarded on
            [now < dl] — never fires again. *)
         Clock.wait_until ctx.Ctx.clock dl;
-        Ctx.wall_wait ctx "(driver wait)";
+        Ctx.wall_bucket ctx "(driver wait)";
         match poll with
         | Some (_, cb) -> reopt_poll cb ~continue:(fun () -> handle i ev)
         | None -> Stopped)
@@ -128,7 +128,7 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
     | Deliver arrival ->
       cursor := (i + 1) mod n;
       Clock.wait_until ctx.Ctx.clock arrival;
-      Ctx.wall_wait ctx "(driver wait)";
+      Ctx.wall_bucket ctx "(driver wait)";
       (match Source.next srcs.(i) with
        | None -> ()
        | Some (tuple, _) ->
@@ -146,7 +146,7 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
       (* Timeout detection and backoff are idle waits on an unresponsive
          source; the attempt itself costs CPU. *)
       Clock.wait_retry ctx.Ctx.clock at;
-      Ctx.wall_wait ctx "(driver wait)";
+      Ctx.wall_bucket ctx "(driver wait)";
       Ctx.charge_span ctx (Ctx.span ctx "(retry)") ctx.Ctx.costs.reconnect;
       let now = Ctx.now ctx in
       if Retry.exhausted ctrls.(i) then begin

@@ -162,8 +162,6 @@ and join_rt = {
   ltbl : Hash_table.t;
   rtbl : Hash_table.t;
   preds : string list;  (* this join's own predicates *)
-  j_probes : Metrics.counter;
-  j_builds : Metrics.counter;
   j_span : Profile.span option;
 }
 
@@ -232,12 +230,6 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
             ltbl = Hash_table.create left.n_schema ~key_cols:j.left_key;
             rtbl = Hash_table.create right.n_schema ~key_cols:j.right_key;
             preds = List.map2 canon_pred j.left_key j.right_key;
-            j_probes =
-              node_counter ctx "adp_node_hash_probes_total"
-                "hash-table probes issued by the join" spec;
-            j_builds =
-              node_counter ctx "adp_node_hash_builds_total"
-                "tuples inserted into the join's hash tables" spec;
             j_span = n_span } }
   | Preagg p ->
     let child = build ~depth:(depth + 1) ctx p.child ~schema_of in
@@ -305,8 +297,6 @@ let probe_cost ctx sp tbl matches =
 
 let join_side ctx j ~from_left tuple =
   let c = ctx.Ctx.costs in
-  Metrics.incr j.j_builds;
-  Metrics.incr j.j_probes;
   (match j.j_span with
    | Some sp ->
      Profile.add_builds sp 1;

@@ -1,105 +1,138 @@
 type span = {
-  sp_phase : string;
-  sp_node : string;
-  sp_depth : int;
-  sp_order : int;
-  mutable sp_self_us : float;
-  mutable sp_in : int;
-  mutable sp_out : int;
-  mutable sp_probes : int;
-  mutable sp_builds : int;
-  mutable sp_mem_hw : int;
+  phase : string;  (* scoped phase key *)
+  node : string;
+  depth : int;
+  order : int;
+  bucket : bool;
+  parent : int option;  (* order of the pre-order parent *)
+  mutable self_us : float;
+  mutable tuples_in : int;
+  mutable tuples_out : int;
+  mutable probes : int;
+  mutable builds : int;
+  mutable mem_hw : int;
+  mutable wall_s : float;
+  mutable samples : int;
+  mutable minor_words : float;
+  mutable major_words : float;
 }
+
+type info = span
 
 type t = {
   tbl : (string * string, span) Hashtbl.t;
   mutable rev : span list;  (* newest first *)
   mutable cur_phase : string;
+  mutable cur_scope : string;
+  mutable key : string;  (* "scope:phase", or the bare phase when unscoped *)
   mutable next_order : int;
 }
 
-type info = {
-  phase : string;
-  node : string;
-  depth : int;
-  order : int;
-  self_us : float;
-  tuples_in : int;
-  tuples_out : int;
-  probes : int;
-  builds : int;
-  mem_hw : int;
-}
-
 let create () =
-  { tbl = Hashtbl.create 64; rev = []; cur_phase = "phase 0"; next_order = 0 }
+  { tbl = Hashtbl.create 64; rev = []; cur_phase = "phase 0"; cur_scope = "";
+    key = "phase 0"; next_order = 0 }
 
-let set_phase t phase = t.cur_phase <- phase
-let phase t = t.cur_phase
+let rekey t =
+  t.key <-
+    (if t.cur_scope = "" then t.cur_phase else t.cur_scope ^ ":" ^ t.cur_phase)
 
-let span t ?(depth = 0) node =
-  let key = (t.cur_phase, node) in
+let set_phase t phase =
+  t.cur_phase <- phase;
+  rekey t
+
+let set_scope t scope =
+  t.cur_scope <- scope;
+  rekey t
+
+let register t ~bucket ~depth node =
+  let key = (t.key, node) in
   match Hashtbl.find_opt t.tbl key with
   | Some sp -> sp
   | None ->
+    (* Parent: the most recently registered non-bucket span of the same
+       phase with a smaller depth — the pre-order ancestor.  Buckets hang
+       off the phase root and never adopt children. *)
+    let parent =
+      if bucket || depth = 0 then None
+      else
+        List.find_opt
+          (fun sp -> sp.phase = t.key && sp.depth < depth && not sp.bucket)
+          t.rev
+        |> Option.map (fun sp -> sp.order)
+    in
     let sp =
-      { sp_phase = t.cur_phase; sp_node = node; sp_depth = depth;
-        sp_order = t.next_order; sp_self_us = 0.0; sp_in = 0; sp_out = 0;
-        sp_probes = 0; sp_builds = 0; sp_mem_hw = 0 }
+      { phase = t.key; node; depth; order = t.next_order; bucket; parent;
+        self_us = 0.0; tuples_in = 0; tuples_out = 0; probes = 0;
+        builds = 0; mem_hw = 0; wall_s = 0.0; samples = 0;
+        minor_words = 0.0; major_words = 0.0 }
     in
     t.next_order <- t.next_order + 1;
     Hashtbl.add t.tbl key sp;
     t.rev <- sp :: t.rev;
     sp
 
-let span_phase sp = sp.sp_phase
-let span_node sp = sp.sp_node
-let span_depth sp = sp.sp_depth
+let span t ?(depth = 0) node = register t ~bucket:false ~depth node
+let bucket t node = register t ~bucket:true ~depth:0 node
 
-let add_time sp us = sp.sp_self_us <- sp.sp_self_us +. us
-let add_in sp n = sp.sp_in <- sp.sp_in + n
-let add_out sp n = sp.sp_out <- sp.sp_out + n
-let add_probes sp n = sp.sp_probes <- sp.sp_probes + n
-let add_builds sp n = sp.sp_builds <- sp.sp_builds + n
-let note_mem sp n = if n > sp.sp_mem_hw then sp.sp_mem_hw <- n
+let add_time sp us = sp.self_us <- sp.self_us +. us
+let add_in sp n = sp.tuples_in <- sp.tuples_in + n
+let add_out sp n = sp.tuples_out <- sp.tuples_out + n
+let add_probes sp n = sp.probes <- sp.probes + n
+let add_builds sp n = sp.builds <- sp.builds + n
+let note_mem sp n = if n > sp.mem_hw then sp.mem_hw <- n
+let add_wall sp s = sp.wall_s <- sp.wall_s +. s
 
-let info sp =
-  { phase = sp.sp_phase; node = sp.sp_node; depth = sp.sp_depth;
-    order = sp.sp_order; self_us = sp.sp_self_us; tuples_in = sp.sp_in;
-    tuples_out = sp.sp_out; probes = sp.sp_probes; builds = sp.sp_builds;
-    mem_hw = sp.sp_mem_hw }
+let add_sample sp ~minor_words ~major_words =
+  sp.samples <- sp.samples + 1;
+  sp.minor_words <- sp.minor_words +. minor_words;
+  sp.major_words <- sp.major_words +. major_words
 
-let spans t = List.rev_map info t.rev
+(* Reads hand out copies, so later charges never move a snapshot. *)
+let spans t = List.rev_map (fun sp -> { sp with self_us = sp.self_us }) t.rev
+
+let in_scope t =
+  let prefix = t.cur_scope ^ ":" in
+  List.filter
+    (fun i -> t.cur_scope = "" || String.starts_with ~prefix i.phase)
+    (spans t)
 
 let totals t =
   let order = ref [] and tbl = Hashtbl.create 16 in
   List.iter
-    (fun (i : info) ->
+    (fun i ->
       match Hashtbl.find_opt tbl i.node with
       | None ->
         order := i.node :: !order;
-        Hashtbl.add tbl i.node { i with phase = "*" }
+        Hashtbl.add tbl i.node { i with phase = "*"; parent = None }
       | Some acc ->
-        Hashtbl.replace tbl i.node
-          { acc with
-            self_us = acc.self_us +. i.self_us;
-            tuples_in = acc.tuples_in + i.tuples_in;
-            tuples_out = acc.tuples_out + i.tuples_out;
-            probes = acc.probes + i.probes;
-            builds = acc.builds + i.builds;
-            mem_hw = max acc.mem_hw i.mem_hw })
+        add_time acc i.self_us;
+        add_in acc i.tuples_in;
+        add_out acc i.tuples_out;
+        add_probes acc i.probes;
+        add_builds acc i.builds;
+        note_mem acc i.mem_hw;
+        add_wall acc i.wall_s;
+        acc.samples <- acc.samples + i.samples;
+        acc.minor_words <- acc.minor_words +. i.minor_words;
+        acc.major_words <- acc.major_words +. i.major_words)
     (spans t);
   List.rev_map (Hashtbl.find tbl) !order
 
+(* The subtree of a span is the contiguous run of deeper spans after it;
+   buckets inside that run belong to the phase, not to the subtree, and a
+   bucket's own subtree is empty. *)
 let cumulative_us l i =
   let arr = Array.of_list l in
   if i < 0 || i >= Array.length arr then 0.0
+  else if arr.(i).bucket then arr.(i).self_us
   else begin
     let base = arr.(i).depth in
     let acc = ref arr.(i).self_us in
     let j = ref (i + 1) in
-    while !j < Array.length arr && arr.(!j).depth > base do
-      acc := !acc +. arr.(!j).self_us;
+    while
+      !j < Array.length arr && (arr.(!j).bucket || arr.(!j).depth > base)
+    do
+      if not arr.(!j).bucket then acc := !acc +. arr.(!j).self_us;
       incr j
     done;
     !acc
@@ -111,17 +144,16 @@ let render ?annot ppf t =
   let all = spans t in
   let phases =
     List.fold_left
-      (fun acc (i : info) ->
-        if List.mem i.phase acc then acc else i.phase :: acc)
+      (fun acc i -> if List.mem i.phase acc then acc else i.phase :: acc)
       [] all
     |> List.rev
   in
   List.iter
     (fun ph ->
-      let l = List.filter (fun (i : info) -> i.phase = ph) all in
+      let l = List.filter (fun i -> i.phase = ph) all in
       Format.fprintf ppf "%s:@." ph;
       List.iteri
-        (fun idx (i : info) ->
+        (fun idx i ->
           let extra =
             match annot with
             | None -> ""
@@ -137,19 +169,3 @@ let render ?annot ppf t =
             i.tuples_in i.tuples_out i.probes i.builds i.mem_hw extra)
         l)
     phases
-
-let info_to_json (i : info) =
-  Json.Obj
-    [ ("phase", Json.Str i.phase); ("node", Json.Str i.node);
-      ("depth", Json.Num (float_of_int i.depth));
-      ("self_us", Json.Num i.self_us);
-      ("tuples_in", Json.Num (float_of_int i.tuples_in));
-      ("tuples_out", Json.Num (float_of_int i.tuples_out));
-      ("probes", Json.Num (float_of_int i.probes));
-      ("builds", Json.Num (float_of_int i.builds));
-      ("mem_hw", Json.Num (float_of_int i.mem_hw)) ]
-
-let to_json t =
-  Json.Obj
-    [ ("spans", Json.List (List.map info_to_json (spans t)));
-      ("totals", Json.List (List.map info_to_json (totals t))) ]

@@ -7,14 +7,16 @@
    attribution choke points the virtual-time profiler uses
    ([Ctx.charge_span]) but never feeds a value back, so a run with a
    recorder attached is bit-identical — virtual clock, result multiset,
-   decision ledger — to a bare run.  Wall self-time is attributed by
-   delta-since-last-stamp: each attribution charges the hardware time
-   elapsed since the previous one to the span being charged, which is
-   exact in aggregate and costs one clock read per charge.  Every
-   [sample_every]-th attribution is a sampling-profiler tick: it takes a
-   [Gc.quick_stat], charges the allocation delta to the sampled span,
-   and records a sample (wall timestamp, reconstructed span stack, GC
-   counters) for the collapsed-stack and Perfetto exports. *)
+   decision ledger — to a bare run.  It keeps no spans of its own: wall
+   self-time and allocation are stamped into the [Profile] span being
+   charged, so one registry carries both clocks.  Wall self-time is
+   attributed by delta-since-last-stamp: each attribution charges the
+   hardware time elapsed since the previous one to the span being
+   charged, which is exact in aggregate and costs one clock read per
+   charge.  Every [sample_every]-th attribution is a sampling-profiler
+   tick: it takes a [Gc.quick_stat], charges the allocation delta to the
+   sampled span, and records a sample (wall timestamp, GC counters) for
+   the Perfetto export. *)
 
 type gc_totals = {
   g_minor_words : float;
@@ -37,25 +39,11 @@ type info = {
   major_words : float;
 }
 
-type wspan = {
-  w_phase : string;
-  w_node : string;
-  w_depth : int;
-  w_order : int;
-  w_bucket : bool;  (* wait/unattributed bucket: never a parent *)
-  w_parent : wspan option;
-  mutable w_self_s : float;
-  mutable w_samples : int;
-  mutable w_minor_words : float;
-  mutable w_major_words : float;
-}
-
 type sample = {
   s_at_s : float;  (* seconds since the recorder's epoch *)
   s_minor_words : float;  (* cumulative since epoch *)
   s_major_words : float;
   s_heap_words : int;
-  s_stack : string list;  (* root first, leaf last; head is the phase *)
 }
 
 type t = {
@@ -63,15 +51,9 @@ type t = {
   epoch : float;
   cpu_epoch : float;
   gc0 : Gc.stat;
-  tbl : (string * string, wspan) Hashtbl.t;
-  mutable rev : wspan list;  (* newest first *)
-  mutable next_order : int;
-  mutable cur_phase : string;
-  mutable cur_scope : string;
-  mutable last_abs : float;  (* monotonic clamp over gettimeofday *)
+  mutable profile : Profile.t;  (* the registry the stamps land in *)
   mutable last_stamp : float;  (* relative seconds at last attribution *)
   mutable ticks : int;
-  mutable memo : (Profile.span * wspan) option;  (* last attribution target *)
   mutable samples : sample list;  (* newest first *)
   mutable marks : (float * string) list;  (* event sidecar, newest first *)
   mutable last_minor : float;  (* words at the previous sampler tick *)
@@ -100,156 +82,68 @@ let cpu_now () = Sys.time ()
 let create ?(sample_every = 64) () =
   let epoch = monotonic_s () in
   { sample_every = max 1 sample_every; epoch; cpu_epoch = cpu_now ();
-    gc0 = Gc.quick_stat (); tbl = Hashtbl.create 64; rev = [];
-    next_order = 0; cur_phase = "phase 0"; cur_scope = "";
-    last_abs = epoch; last_stamp = 0.0; ticks = 0; memo = None;
-    samples = []; marks = []; last_minor = 0.0; last_major = 0.0 }
+    gc0 = Gc.quick_stat (); profile = Profile.create (); last_stamp = 0.0;
+    ticks = 0; samples = []; marks = []; last_minor = 0.0; last_major = 0.0 }
 
-let now_s t =
-  let raw = Unix.gettimeofday () in
-  let abs = if raw < t.last_abs then t.last_abs else raw in
-  t.last_abs <- abs;
-  abs -. t.epoch
+let profile t = t.profile
+let attach t p = t.profile <- p
 
-let elapsed_s t = now_s t
+let elapsed_s t = monotonic_s () -. t.epoch
+
 let cpu_s t = cpu_now () -. t.cpu_epoch
 
-(* ---------------- phases, scopes and spans ---------------- *)
+(* ---------------- attribution ---------------- *)
 
-let phase_key t =
-  if t.cur_scope = "" then t.cur_phase
-  else t.cur_scope ^ ":" ^ t.cur_phase
-
-let set_phase t phase =
-  if phase <> t.cur_phase then begin
-    t.cur_phase <- phase;
-    t.memo <- None
-  end
-
-let set_scope t scope =
-  if scope <> t.cur_scope then begin
-    t.cur_scope <- scope;
-    t.memo <- None
-  end
-
-let find_span ?(bucket = false) t ~depth node =
-  let ph = phase_key t in
-  match Hashtbl.find_opt t.tbl (ph, node) with
-  | Some w -> w
-  | None ->
-    (* Parent: the most recently registered non-bucket span of the same
-       phase with a smaller depth — the pre-order ancestor, mirroring
-       how [Profile] renders its indented tree.  Buckets hang off the
-       phase root and never adopt children. *)
-    let parent =
-      if bucket then None
-      else
-        let rec go = function
-          | [] -> None
-          | w :: rest ->
-            if w.w_phase = ph && w.w_depth < depth && not w.w_bucket then
-              Some w
-            else go rest
-        in
-        go t.rev
-    in
-    let w =
-      { w_phase = ph; w_node = node; w_depth = depth; w_bucket = bucket;
-        w_order = t.next_order; w_parent = parent; w_self_s = 0.0;
-        w_samples = 0; w_minor_words = 0.0; w_major_words = 0.0 }
-    in
-    t.next_order <- t.next_order + 1;
-    Hashtbl.add t.tbl (ph, node) w;
-    t.rev <- w :: t.rev;
-    w
-
-let rec stack_of w =
-  match w.w_parent with
-  | None -> [ w.w_phase; w.w_node ]
-  | Some p -> stack_of p @ [ w.w_node ]
-
-let sample_tick t w at =
+let sample_tick t sp at =
   let q = Gc.quick_stat () in
   let minor = q.Gc.minor_words -. t.gc0.Gc.minor_words in
   let major = q.Gc.major_words -. t.gc0.Gc.major_words in
-  w.w_minor_words <- w.w_minor_words +. (minor -. t.last_minor);
-  w.w_major_words <- w.w_major_words +. (major -. t.last_major);
+  Profile.add_sample sp ~minor_words:(minor -. t.last_minor)
+    ~major_words:(major -. t.last_major);
   t.last_minor <- minor;
   t.last_major <- major;
-  w.w_samples <- w.w_samples + 1;
   t.samples <-
     { s_at_s = at; s_minor_words = minor; s_major_words = major;
-      s_heap_words = q.Gc.heap_words; s_stack = stack_of w }
+      s_heap_words = q.Gc.heap_words }
     :: t.samples
 
-let stamp t w =
-  let at = now_s t in
-  w.w_self_s <- w.w_self_s +. (at -. t.last_stamp);
+let stamp t sp =
+  let at = elapsed_s t in
+  Profile.add_wall sp (at -. t.last_stamp);
   t.last_stamp <- at;
   t.ticks <- t.ticks + 1;
-  if t.ticks mod t.sample_every = 0 then sample_tick t w at
+  if t.ticks mod t.sample_every = 0 then sample_tick t sp at
 
 (* [attribute t sp] charges the wall time elapsed since the last stamp
-   to the wall shadow of virtual-profile span [sp] (or to the
-   "(unattributed)" bucket when the charge carried no span).  The memo
-   makes the common case — many consecutive charges to one span — a
-   physical-equality check instead of a hash lookup. *)
+   to profile span [sp], or to the "(unattributed)" bucket of the
+   profile's current phase when the charge carried no span. *)
 let attribute t sp =
-  let w =
-    match sp with
-    | None -> find_span ~bucket:true t ~depth:0 "(unattributed)"
-    | Some sp -> (
-      match t.memo with
-      | Some (sp', w) when sp' == sp -> w
-      | _ ->
-        let w =
-          (* The wall registry mirrors Profile's keying, but re-resolves
-             the phase itself: Ctx keeps both in lockstep. *)
-          find_span t ~depth:(Profile.span_depth sp) (Profile.span_node sp)
-        in
-        t.memo <- Some (sp, w);
-        w)
-  in
-  stamp t w
+  stamp t
+    (match sp with
+     | Some sp -> sp
+     | None -> Profile.bucket t.profile "(unattributed)")
 
-(* Wait points (the driver blocking on source arrival or retry backoff)
-   stamp into a named bucket so the wall cost of waiting never pollutes
-   the next operator's span. *)
-let note_wait t name = stamp t (find_span ~bucket:true t ~depth:0 name)
+(* Wait and I/O points (the driver blocking on source arrival or retry
+   backoff, checkpoint capture and load) stamp into a named bucket so
+   their wall cost never pollutes the next operator's span. *)
+let note_bucket t name = stamp t (Profile.bucket t.profile name)
 
 (* Event sidecar: wall timestamps riding the trace, without touching the
    trace's own virtual-time stamps.  Reading the clock here does not
    advance [last_stamp]; the read itself is attributed to whichever span
    is charged next, which is noise-level. *)
-let note_event t name = t.marks <- (now_s t, name) :: t.marks
+let note_event t name = t.marks <- (elapsed_s t, name) :: t.marks
 let marks t = List.rev t.marks
 
 (* ---------------- reads ---------------- *)
 
-let info w =
-  { phase = w.w_phase; node = w.w_node; depth = w.w_depth;
-    order = w.w_order; self_s = w.w_self_s; samples = w.w_samples;
-    minor_words = w.w_minor_words; major_words = w.w_major_words }
+let view (i : Profile.info) =
+  { phase = i.phase; node = i.node; depth = i.depth; order = i.order;
+    self_s = i.wall_s; samples = i.samples; minor_words = i.minor_words;
+    major_words = i.major_words }
 
-let spans t = List.rev_map info t.rev
-
-let totals t =
-  let order = ref [] and tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (i : info) ->
-      match Hashtbl.find_opt tbl i.node with
-      | None ->
-        order := i.node :: !order;
-        Hashtbl.add tbl i.node { i with phase = "*" }
-      | Some acc ->
-        Hashtbl.replace tbl i.node
-          { acc with
-            self_s = acc.self_s +. i.self_s;
-            samples = acc.samples + i.samples;
-            minor_words = acc.minor_words +. i.minor_words;
-            major_words = acc.major_words +. i.major_words })
-    (spans t);
-  List.rev_map (Hashtbl.find tbl) !order
+let spans t = List.map view (Profile.spans t.profile)
+let totals t = List.map view (Profile.totals t.profile)
 
 let sample_count t = List.length t.samples
 
@@ -273,20 +167,27 @@ let gc_totals t =
    fall back to weighting by wall self-time in microseconds so the
    export is never empty for a timed run. *)
 let to_folded t =
-  let use_samples = List.exists (fun w -> w.w_samples > 0) t.rev in
-  let lines =
-    List.filter_map
-      (fun w ->
-        let count =
-          if use_samples then w.w_samples
-          else int_of_float (Float.round (w.w_self_s *. 1e6))
-        in
-        if count <= 0 then None
-        else
-          Some (String.concat ";" (stack_of w) ^ " " ^ string_of_int count))
-      (List.rev t.rev)
+  let spans = Array.of_list (Profile.spans t.profile) in
+  (* [order] is the index into the registration-order listing. *)
+  let rec stack (i : Profile.info) acc =
+    match i.parent with
+    | None -> i.phase :: i.node :: acc
+    | Some p -> stack spans.(p) (i.node :: acc)
   in
-  String.concat "" (List.map (fun l -> l ^ "\n") lines)
+  let use_samples =
+    Array.exists (fun (i : Profile.info) -> i.samples > 0) spans
+  in
+  Array.to_list spans
+  |> List.filter_map (fun (i : Profile.info) ->
+         let count =
+           if use_samples then i.samples
+           else int_of_float (Float.round (i.wall_s *. 1e6))
+         in
+         if count <= 0 then None
+         else
+           Some (String.concat ";" (stack i []) ^ " " ^ string_of_int count
+                ^ "\n"))
+  |> String.concat ""
 
 (* Perfetto / Chrome trace JSON: a counter track per GC series (ph "C")
    sampled at the profiler ticks, plus instant events (ph "i") for the

@@ -11,14 +11,19 @@
     the engine, and a run with wall capture on is bit-identical to a
     bare run (virtual clock, result multiset, decision ledger).
 
+    The recorder keeps only a timebase, a GC sampler and event marks.
+    Its spans are {!Profile} spans: {!attribute} stamps wall self-time
+    and allocation straight into the span being charged, so phases,
+    scopes, nesting and order are the profile's, and {!spans}/{!totals}
+    are views of [Profile.spans]/[Profile.totals].
+
     Attribution is delta-since-last-stamp: each call charges the wall
     time elapsed since the previous call to the span being charged
     (exact in aggregate, one clock read per charge).  Every
     [sample_every]-th attribution is a sampler tick: it captures a
     [Gc.quick_stat] delta, charges the allocation to the sampled span,
-    and records a (timestamp, span stack, GC counters) sample that the
-    collapsed-stack ({!to_folded}) and Perfetto ({!to_perfetto})
-    exports fold up. *)
+    and records a (timestamp, GC counters) sample for the Perfetto
+    export ({!to_perfetto}). *)
 
 type t
 
@@ -33,8 +38,7 @@ type gc_totals = {
   g_top_heap_words : int;
 }
 
-(** Immutable view of one wall span (the wall shadow of a profile
-    span). *)
+(** The wall fields of one profile span. *)
 type info = {
   phase : string;
   node : string;
@@ -51,6 +55,14 @@ type info = {
     calls. *)
 val create : ?sample_every:int -> unit -> t
 
+(** The registry the recorder stamps into: a private one from {!create}
+    until {!attach} names another.  A run given a recorder but no
+    profile profiles into this one. *)
+val profile : t -> Profile.t
+
+(** Stamp into [p] from now on (the run's own profile). *)
+val attach : t -> Profile.t -> unit
+
 (** {2 Timebase} *)
 
 (** Monotonically-clamped [Unix.gettimeofday]: real elapsed seconds
@@ -65,29 +77,18 @@ val cpu_now : unit -> float
 (** Wall seconds since this recorder was created. *)
 val elapsed_s : t -> float
 
-(** Same, relative seconds (alias used at stamp points). *)
-val now_s : t -> float
-
 (** CPU seconds since this recorder was created. *)
 val cpu_s : t -> float
 
 (** {2 Attribution} — called from [Ctx] at the charge points. *)
 
-(** Mirror of [Profile.set_phase]: subsequent spans register under this
-    phase. *)
-val set_phase : t -> string -> unit
-
-(** Server-side per-query scope: a non-empty scope prefixes phase keys
-    as ["scope:phase"].  Reset with [""]. *)
-val set_scope : t -> string -> unit
-
-(** Charge the wall time since the last stamp to the wall shadow of
-    [sp] ([None] goes to the "(unattributed)" bucket). *)
+(** Charge the wall time since the last stamp to [sp] ([None] goes to
+    the "(unattributed)" bucket of the profile's current phase). *)
 val attribute : t -> Profile.span option -> unit
 
-(** Stamp into a named bucket (e.g. ["(driver wait)"]) so waiting time
-    never pollutes the next operator's span. *)
-val note_wait : t -> string -> unit
+(** Stamp into a named bucket (e.g. ["(driver wait)"], ["(checkpoint)"])
+    so waiting and I/O time never pollute the next operator's span. *)
+val note_bucket : t -> string -> unit
 
 (** Record a wall timestamp for a trace event (the sidecar annotation
     channel); shows up as instant events in the Perfetto export. *)
@@ -99,7 +100,7 @@ val marks : t -> (float * string) list
 (** {2 Reads} *)
 
 val spans : t -> info list
-(** All wall spans in registration order. *)
+(** Every profile span, in registration order. *)
 
 val totals : t -> info list
 (** Aggregated across phases, keyed by node; [phase] is ["*"]. *)

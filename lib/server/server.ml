@@ -449,16 +449,20 @@ let run config resolver script =
         crash; stats_seed = Some params.a_seed; trace = inner;
         metrics = Some qm; deadline; memory_budget }
     in
-    (* A shared wall recorder separates concurrent queries by scope:
-       their wall spans key as "q:<id>:phase ..." instead of colliding
-       on bare phase names. *)
-    let set_wall_scope s =
-      match cc.Corrective.wall with
-      | None -> ()
-      | Some w -> Adp_obs.Wallclock.set_scope w s
+    (* A shared profile separates queries by scope: their spans, virtual
+       and wall alike, key as "q:<id>:phase ..." instead of colliding on
+       bare phase names.  A recorder without a profile stamps into its
+       own registry. *)
+    let profile =
+      match cc.Corrective.profile, cc.Corrective.wall with
+      | None, Some w -> Some (Adp_obs.Wallclock.profile w)
+      | p, _ -> p
     in
-    set_wall_scope ("q:" ^ job.j_id);
-    Fun.protect ~finally:(fun () -> set_wall_scope "") @@ fun () ->
+    let set_scope s =
+      Option.iter (fun p -> Adp_obs.Profile.set_scope p s) profile
+    in
+    set_scope ("q:" ^ job.j_id);
+    Fun.protect ~finally:(fun () -> set_scope "") @@ fun () ->
     match Corrective.run ~config:cc r.r_query r.r_catalog (r.r_sources ()) with
     | result, stats ->
       (* determinism-ok: draining the job's own capture trace ([] when

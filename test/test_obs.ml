@@ -333,11 +333,12 @@ let run_q3a ?trace ?metrics ?profile ?calibrate ?wall () =
   let bad = (Optimizer.pessimal q catalog sels).Optimizer.spec in
   let cfg =
     { Corrective.default_config with
-      poll_interval = 5e3; switch_threshold = 0.95; min_leaf_seen = 100 }
+      poll_interval = 5e3; switch_threshold = 0.95; min_leaf_seen = 100;
+      calibrate }
   in
   Strategy.run ~preagg:Optimizer.Auto ~label:"obs" ~initial_plan:bad
-    ?trace ?metrics ?profile ?calibrate ?wall (Strategy.Corrective cfg) q
-    catalog ~sources
+    ?trace ?metrics ?profile ?wall (Strategy.Corrective cfg) q catalog
+    ~sources
 
 let normalize r = { r with Report.wall_s = 0.0 }
 
@@ -604,7 +605,6 @@ let test_profile_spans () =
   Profile.add_time (Profile.span p "root") 2.0;
   (* A new phase opens fresh spans for the same node names. *)
   Profile.set_phase p "phase 1";
-  Alcotest.(check string) "phase renamed" "phase 1" (Profile.phase p);
   Profile.add_time (Profile.span p ~depth:0 "root") 1.0;
   let infos = Profile.spans p in
   Alcotest.(check int) "three spans" 3 (List.length infos);
@@ -636,15 +636,29 @@ let test_profile_spans () =
   Alcotest.(check (float 1e-9)) "totals sum phases" 13.0
     root_total.Profile.self_us;
   Alcotest.(check string) "totals phase is *" "*" root_total.Profile.phase;
-  (* The rendering and JSON dump include every span. *)
+  (* The rendering includes every span. *)
   let out = Format.asprintf "%a" (Profile.render ?annot:None) p in
   List.iter
     (fun s ->
       Alcotest.(check bool) ("render has " ^ s) true (contains ~needle:s out))
     [ "phase 0:"; "phase 1:"; "root"; "child" ];
-  match Json.parse (Json.to_string (Profile.to_json p)) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e
+  (* A bucket registered between a span and its late child is never a
+     parent, and does not cut the span's subtree short. *)
+  Profile.set_phase p "stitch-up";
+  Profile.add_time (Profile.span p "top") 1.0;
+  Profile.add_time (Profile.bucket p "(unattributed)") 4.0;
+  Profile.add_time (Profile.span p ~depth:1 "late") 2.0;
+  let stitch =
+    List.filter
+      (fun (i : Profile.info) -> i.Profile.phase = "stitch-up")
+      (Profile.spans p)
+  in
+  Alcotest.(check (float 1e-9)) "subtree spans the bucket" 3.0
+    (Profile.cumulative_us stitch 0);
+  Alcotest.(check (float 1e-9)) "bucket subtree is itself" 4.0
+    (Profile.cumulative_us stitch 1);
+  Alcotest.(check bool) "late child's parent is the span" true
+    ((List.nth stitch 2).Profile.parent = Some (List.hd stitch).Profile.order)
 
 let test_calibrate_ledger () =
   Alcotest.(check (float 1e-9)) "q-error symmetric over" 100.0
@@ -776,9 +790,9 @@ let run_e2e ?trace ?metrics ?profile ?calibrate ?checkpoint ?resume_from
   let sources () = Workload.sources e2e_dataset e2e_query () in
   let cfg =
     { Corrective.default_config with
-      poll_interval = 2e4; checkpoint; resume_from; crash }
+      poll_interval = 2e4; checkpoint; resume_from; crash; calibrate }
   in
-  Strategy.run ~label:"e2e" ?trace ?metrics ?profile ?calibrate
+  Strategy.run ~label:"e2e" ?trace ?metrics ?profile
     (Strategy.Corrective cfg) e2e_query catalog ~sources
 
 let test_resume_traced_equals_untraced () =
@@ -926,6 +940,104 @@ let test_wall_capture_is_free () =
     [ "adp_wall_elapsed_seconds"; "adp_wall_samples"; "adp_gc_minor_words";
       "adp_gc_major_collections" ]
 
+(* One span registry: the recorder keeps no spans of its own, so every
+   wall span is a profile span (same phase, node, depth and order); the
+   wall-only buckets are depth-0 spans that never parent anything, in the
+   folded stacks or in the rendered tree's cumulative times; and the
+   virtual spans are the same with or without the recorder attached. *)
+let test_one_span_registry () =
+  let bare = Profile.create () in
+  ignore (run_q3a ~profile:bare ());
+  let profile = Profile.create () in
+  let wall = Wallclock.create ~sample_every:4 () in
+  ignore (run_q3a ~profile ~wall ());
+  let spans = Profile.spans profile in
+  let key (i : Profile.info) =
+    (i.Profile.phase, i.Profile.node, i.Profile.depth, i.Profile.order)
+  in
+  let wkey (i : Wallclock.info) =
+    (i.Wallclock.phase, i.Wallclock.node, i.Wallclock.depth, i.Wallclock.order)
+  in
+  Alcotest.(check bool) "wall spans are the profile's spans" true
+    (List.map wkey (Wallclock.spans wall) = List.map key spans);
+  Alcotest.(check bool) "the recorder stamped the profile" true
+    (List.exists (fun (i : Profile.info) -> i.Profile.wall_s > 0.0) spans);
+  let buckets = List.filter (fun (i : Profile.info) -> i.Profile.bucket) spans in
+  Alcotest.(check bool) "buckets recorded" true
+    (List.exists
+       (fun (i : Profile.info) -> i.Profile.node = "(driver wait)")
+       buckets);
+  Alcotest.(check bool) "buckets sit at depth 0" true
+    (List.for_all (fun (i : Profile.info) -> i.Profile.depth = 0) buckets);
+  let by_order = Array.of_list spans in
+  Alcotest.(check bool) "no bucket is a parent" true
+    (List.for_all
+       (fun (i : Profile.info) ->
+         match i.Profile.parent with
+         | None -> true
+         | Some o -> not by_order.(o).Profile.bucket)
+       spans);
+  List.iter
+    (fun line ->
+      List.iter
+        (fun (b : Profile.info) ->
+          if contains ~needle:(b.Profile.node ^ ";") line then
+            Alcotest.failf "bucket %s parents a folded stack: %s"
+              b.Profile.node line)
+        buckets)
+    (String.split_on_char '\n' (Wallclock.to_folded wall));
+  (* Cumulative time of each span = self time of its parent-pointer
+     subtree, buckets interleaved in the listing or not. *)
+  let rec descends (i : Profile.info) o =
+    match i.Profile.parent with
+    | None -> false
+    | Some p -> p = o || descends by_order.(p) o
+  in
+  List.iter
+    (fun (root : Profile.info) ->
+      let phase =
+        List.filter
+          (fun (i : Profile.info) -> i.Profile.phase = root.Profile.phase)
+          spans
+      in
+      let idx = ref 0 in
+      List.iteri
+        (fun n (i : Profile.info) ->
+          if i.Profile.order = root.Profile.order then idx := n)
+        phase;
+      let expect =
+        List.fold_left
+          (fun acc (i : Profile.info) ->
+            if descends i root.Profile.order then acc +. i.Profile.self_us
+            else acc)
+          root.Profile.self_us phase
+      in
+      Alcotest.(check (float 1e-6))
+        ("cumulative of " ^ root.Profile.node)
+        expect
+        (Profile.cumulative_us phase !idx))
+    spans;
+  let virtual_fields l =
+    List.filter_map
+      (fun (i : Profile.info) ->
+        if i.Profile.bucket then None
+        else
+          Some
+            ( (i.Profile.phase, i.Profile.node, i.Profile.depth),
+              ( i.Profile.self_us, i.Profile.tuples_in, i.Profile.tuples_out,
+                (i.Profile.probes, i.Profile.builds, i.Profile.mem_hw) ) ))
+      l
+  in
+  let bare_spans = Profile.spans bare in
+  Alcotest.(check bool) "virtual spans unchanged by the recorder" true
+    (virtual_fields spans = virtual_fields bare_spans);
+  Alcotest.(check bool) "no recorder, no buckets and no wall numbers" true
+    (List.for_all
+       (fun (i : Profile.info) ->
+         (not i.Profile.bucket) && i.Profile.wall_s = 0.0
+         && i.Profile.samples = 0)
+       bare_spans)
+
 (* Recorder mechanics that don't need an engine run: the monotonic
    timebase, scoped phase keys, wait buckets staying out of the span
    tree, and the µs fallback for runs too short to tick the sampler. *)
@@ -934,12 +1046,13 @@ let test_wall_recorder_mechanics () =
   let b = Wallclock.monotonic_s () in
   Alcotest.(check bool) "monotonic probe never steps back" true (b >= a);
   let w = Wallclock.create ~sample_every:1000000 () in
-  Wallclock.set_scope w "q:42";
-  Wallclock.set_phase w "phase 0";
+  let p = Wallclock.profile w in
+  Profile.set_scope p "q:42";
+  Profile.set_phase p "phase 0";
   Wallclock.attribute w None;
-  Wallclock.note_wait w "(driver wait)";
+  Wallclock.note_bucket w "(driver wait)";
   Wallclock.note_event w "poll";
-  Wallclock.set_scope w "";
+  Profile.set_scope p "";
   (match Wallclock.spans w with
    | [] -> Alcotest.fail "no spans"
    | infos ->
@@ -1130,6 +1243,7 @@ let suite =
       test_resume_profiled_equals_unprofiled;
     Alcotest.test_case "explain replay" `Quick test_explain_renders_run;
     Alcotest.test_case "wall capture is free" `Quick test_wall_capture_is_free;
+    Alcotest.test_case "one span registry" `Quick test_one_span_registry;
     Alcotest.test_case "wall recorder mechanics" `Quick
       test_wall_recorder_mechanics;
     Alcotest.test_case "histogram quantile edges" `Quick

@@ -14,6 +14,7 @@ module Crash = Adp_recovery.Crash
 module Diagnostic = Adp_analysis.Diagnostic
 module Trace = Adp_obs.Trace
 module Metrics = Adp_obs.Metrics
+module Profile = Adp_obs.Profile
 module Json = Adp_obs.Json
 module Poll = Adp_server.Poll_controller
 module Script = Adp_server.Script
@@ -557,6 +558,54 @@ let test_serve_zero_perturbation () =
          ts >= 0.0 && ts <= plain.Server.r_finished_s *. 1e6 +. 1.0)
        events)
 
+(* One profile shared by every query of a serve keys each query's spans
+   by its own scope, and each attempt's trace carries only the
+   [Node_profile] events of that scope: no other query's spans, and no
+   merging of same-named nodes across queries. *)
+let test_shared_profile_scoped_per_query () =
+  let profile = Profile.create () in
+  let trace = Trace.memory () in
+  let config c =
+    { c with
+      Server.trace;
+      corrective =
+        { c.Server.corrective with Corrective.profile = Some profile } }
+  in
+  with_server ~config "at 0 submit a Q3\nat 0.2 submit b Q10" (fun r ->
+      Alcotest.(check int) "both done" 2 r.Server.r_done;
+      (* Attribute each Node_profile event to the attempt block that
+         carries it. *)
+      let rec lanes owner left = function
+        | [] -> []
+        | (_, Trace.Query_attempt { query; events; _ }) :: rest ->
+          lanes query events rest
+        | (_, ev) :: rest when left > 0 ->
+          let tail = lanes owner (left - 1) rest in
+          (match ev with
+           | Trace.Node_profile { phase; _ } -> (owner, phase) :: tail
+           | _ -> tail)
+        | _ :: rest -> lanes owner left rest
+      in
+      let tagged = lanes "" 0 (Trace.events trace) in
+      List.iter
+        (fun q ->
+          Alcotest.(check bool) (q ^ ": node profiles traced") true
+            (List.mem_assoc q tagged))
+        [ "a"; "b" ];
+      List.iter
+        (fun (q, phase) ->
+          if not (String.starts_with ~prefix:("q:" ^ q ^ ":") phase) then
+            Alcotest.failf "query %s's trace carries a span of phase %s" q
+              phase)
+        tagged;
+      Alcotest.(check bool) "the shared profile keys every span by query"
+        true
+        (List.for_all
+           (fun (i : Profile.info) ->
+             String.starts_with ~prefix:"q:a:" i.Profile.phase
+             || String.starts_with ~prefix:"q:b:" i.Profile.phase)
+           (Profile.spans profile)))
+
 (* ---------------- report JSON round-trip ---------------- *)
 
 let test_view_json_roundtrip () =
@@ -628,6 +677,8 @@ let suite =
       test_acceptance_workload;
     Alcotest.test_case "serve zero perturbation" `Quick
       test_serve_zero_perturbation;
+    Alcotest.test_case "shared profile scoped per query" `Quick
+      test_shared_profile_scoped_per_query;
     Alcotest.test_case "view json roundtrip" `Quick
       test_view_json_roundtrip;
     Alcotest.test_case "config validation" `Quick test_config_validation ]
