@@ -696,14 +696,8 @@ let run ?(config = default_config) query catalog sources =
         current = (if include_current then Some (current_record ()) else None)
       }
     in
-    let path = Checkpoint.save ~dir:policy.Checkpoint.dir ck in
+    let path, bytes = Checkpoint.save ~dir:policy.Checkpoint.dir ck in
     Metrics.incr ctx.Ctx.checkpoints;
-    let bytes =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> in_channel_length ic)
-    in
     Metrics.incr ~by:bytes ctx.Ctx.checkpoint_bytes;
     if Ctx.traced ctx then
       Ctx.emit ctx

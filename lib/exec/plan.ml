@@ -629,8 +629,6 @@ and impl_state =
   | St_join of {
       st_left : state;
       st_right : state;
-      ltuples : Tuple.t list;
-      rtuples : Tuple.t list;
       lswapped : bool;
       rswapped : bool;
     }
@@ -643,8 +641,6 @@ let rec capture_node node =
     | RJoin j ->
       St_join
         { st_left = capture_node j.left; st_right = capture_node j.right;
-          ltuples = Hash_table.to_list j.ltbl;
-          rtuples = Hash_table.to_list j.rtbl;
           lswapped = Hash_table.swapped j.ltbl;
           rswapped = Hash_table.swapped j.rtbl }
     | RPreagg p ->
@@ -661,10 +657,21 @@ let rec capture_node node =
   { st_outputs = List.rev node.n_outputs; st_out_count = node.n_out_count;
     st_impl }
 
-let capture t = capture_node t.root
+let capture t =
+  if not t.record_outputs then
+    invalid_arg "Plan.capture: plan does not record its outputs";
+  capture_node t.root
 
 let shape_error () =
   invalid_arg "Plan.restore: state shape does not match the plan"
+
+(* A join inserted every tuple its child emitted, in emission order, so
+   re-inserting the child's outputs oldest-first rebuilds the table with
+   its exact bucket chains. *)
+let refill tbl (child : state) ~swapped =
+  Hash_table.clear tbl;
+  List.iter (Hash_table.insert tbl) child.st_outputs;
+  if swapped then Hash_table.swap_out tbl else Hash_table.swap_in tbl
 
 let rec restore_node node st =
   node.n_outputs <- List.rev st.st_outputs;
@@ -672,14 +679,8 @@ let rec restore_node node st =
   match node.impl, st.st_impl with
   | RLeaf l, St_leaf s -> l.seen <- s.seen
   | RJoin j, St_join s ->
-    Hash_table.clear j.ltbl;
-    List.iter (Hash_table.insert j.ltbl) s.ltuples;
-    if s.lswapped then Hash_table.swap_out j.ltbl
-    else Hash_table.swap_in j.ltbl;
-    Hash_table.clear j.rtbl;
-    List.iter (Hash_table.insert j.rtbl) s.rtuples;
-    if s.rswapped then Hash_table.swap_out j.rtbl
-    else Hash_table.swap_in j.rtbl;
+    refill j.ltbl s.st_left ~swapped:s.lswapped;
+    refill j.rtbl s.st_right ~swapped:s.rswapped;
     restore_node j.left s.st_left;
     restore_node j.right s.st_right
   | RPreagg p, St_preagg s ->

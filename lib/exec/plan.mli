@@ -175,9 +175,12 @@ val apply_memory_pressure : t -> budget:int -> string list
 (** {2 State capture and restore (checkpoint/recovery)}
 
     A plan's complete runtime state as plain data: per-leaf consumption
-    counters, every join's two hash-table contents (and swapped flags),
-    every pre-aggregation's open window, and each node's materialized
-    output list.  [capture] walks the runtime tree; [restore] writes a
+    counters, every join's swapped flags, every pre-aggregation's open
+    window, and each node's materialized output list.  Join hash tables
+    are not captured: a join inserts every tuple its children emit, in
+    emission order, so [restore] rebuilds each table by re-inserting its
+    child's outputs oldest-first, which reproduces the exact bucket
+    chains.  [capture] walks the runtime tree; [restore] writes a
     captured state back into a freshly instantiated plan of the {e same
     spec} — the recovery path rebuilds an interrupted phase by
     instantiating its spec and restoring its state.  All tuple lists are
@@ -204,13 +207,14 @@ and impl_state =
   | St_join of {
       st_left : state;
       st_right : state;
-      ltuples : Tuple.t list;
-      rtuples : Tuple.t list;
       lswapped : bool;
       rswapped : bool;
     }
   | St_preagg of { st_child : state; st_pa : preagg_state }
 
+(** @raise Invalid_argument on a plan instantiated with
+    [~record_outputs:false], whose output lists cannot rebuild its
+    tables. *)
 val capture : t -> state
 
 (** @raise Invalid_argument when the state's shape does not match the

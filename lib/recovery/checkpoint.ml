@@ -4,7 +4,7 @@ open Adp_optimizer
 module Diagnostic = Adp_analysis.Diagnostic
 module S = Snapshot
 
-let format_version = 1
+let format_version = 2
 
 type phase_record = {
   pr_id : int;
@@ -40,15 +40,13 @@ let ledger t =
 
 (* ---------------- segment encoding ---------------- *)
 
-let enc_phase pr =
-  let b = S.encoder () in
+let enc_phase pr b =
   S.int b pr.pr_id;
   Codec.spec b pr.pr_spec;
   Codec.plan_state b pr.pr_state;
   S.int b pr.pr_emitted;
   S.int b pr.pr_read;
-  S.list (S.pair S.str S.int) b pr.pr_ends;
-  S.contents b
+  S.list (S.pair S.str S.int) b pr.pr_ends
 
 let dec_phase payload =
   let d = S.decoder payload in
@@ -61,8 +59,7 @@ let dec_phase payload =
   if not (S.at_end d) then raise (S.Corrupt "phase: trailing bytes");
   { pr_id; pr_spec; pr_state; pr_emitted; pr_read; pr_ends }
 
-let enc_manifest t =
-  let b = S.encoder () in
+let enc_manifest t b =
   S.int b t.seq;
   S.str b t.fingerprint;
   S.int b t.tuples_read;
@@ -72,20 +69,13 @@ let enc_manifest t =
   S.int b t.sources_failed;
   S.list (S.pair S.str S.int) b t.positions;
   S.list S.int b (List.map (fun pr -> pr.pr_id) t.completed);
-  S.option S.int b (Option.map (fun pr -> pr.pr_id) t.current);
-  S.contents b
+  S.option S.int b (Option.map (fun pr -> pr.pr_id) t.current)
 
 let segments t =
   let phases = t.completed @ Option.to_list t.current in
   ("manifest", enc_manifest t)
-  :: ( "clock",
-       let b = S.encoder () in
-       Codec.clock_state b t.clock;
-       S.contents b )
-  :: ( "stats",
-       let b = S.encoder () in
-       Codec.stats_dump b t.stats;
-       S.contents b )
+  :: ("clock", fun b -> Codec.clock_state b t.clock)
+  :: ("stats", fun b -> Codec.stats_dump b t.stats)
   :: List.map
        (fun pr -> (Printf.sprintf "phase-%d" pr.pr_id, enc_phase pr))
        phases
@@ -103,8 +93,7 @@ let file_name seq = Printf.sprintf "ckpt-%08d.adpckpt" seq
 let save ~dir t =
   mkdir_p dir;
   let path = Filename.concat dir (file_name t.seq) in
-  S.write_file ~path ~version:format_version (segments t);
-  path
+  (path, S.write_file ~path ~version:format_version (segments t))
 
 let latest ~dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then None
@@ -132,10 +121,12 @@ let of_file_error ~path = function
     err ~path "ckpt-crc-mismatch" "segment %S failed CRC verification" seg
   | S.Io_error msg -> err ~path "ckpt-io-error" "cannot read checkpoint: %s" msg
 
-let load path =
-  match S.read_file ~path with
+(* Read and verify [path], then decode its segments with [f]; every
+   failure becomes a diagnostic. *)
+let with_segments path f =
+  match S.read_file ~version:format_version ~path with
   | Error e -> Error [ of_file_error ~path e ]
-  | Ok (_version, segs) -> (
+  | Ok segs -> (
     let segment name =
       match List.assoc_opt name segs with
       | Some payload -> payload
@@ -145,31 +136,50 @@ let load path =
              ( "checkpoint",
                [ err ~path "ckpt-segment-missing" "segment %S missing" name ] ))
     in
-    try
-      let d = S.decoder (segment "manifest") in
-      let seq = S.read_int d in
-      let fingerprint = S.read_str d in
-      let tuples_read = S.read_int d in
-      let tuples_output = S.read_int d in
-      let retries = S.read_int d in
-      let failovers = S.read_int d in
-      let sources_failed = S.read_int d in
-      let positions = S.read_list (S.read_pair S.read_str S.read_int) d in
-      let completed_ids = S.read_list S.read_int d in
-      let current_id = S.read_option S.read_int d in
-      if not (S.at_end d) then raise (S.Corrupt "manifest: trailing bytes");
-      let clock = Codec.read_clock_state (S.decoder (segment "clock")) in
-      let stats = Codec.read_stats_dump (S.decoder (segment "stats")) in
-      let phase id = dec_phase (segment (Printf.sprintf "phase-%d" id)) in
-      let completed = List.map phase completed_ids in
-      let current = Option.map phase current_id in
-      Ok
-        { seq; fingerprint; clock; tuples_read; tuples_output; retries;
-          failovers; sources_failed; positions; stats; completed; current }
-    with
+    try Ok (f segment) with
     | S.Corrupt msg ->
       Error [ err ~path "ckpt-malformed" "malformed checkpoint: %s" msg ]
     | Diagnostic.Failed (_, diags) -> Error diags)
+
+(* Decode the manifest; the result assembles the checkpoint once the
+   other segments are decoded. *)
+let read_manifest segment =
+  let d = S.decoder (segment "manifest") in
+  let seq = S.read_int d in
+  let fingerprint = S.read_str d in
+  let tuples_read = S.read_int d in
+  let tuples_output = S.read_int d in
+  let retries = S.read_int d in
+  let failovers = S.read_int d in
+  let sources_failed = S.read_int d in
+  let positions = S.read_list (S.read_pair S.read_str S.read_int) d in
+  let completed_ids = S.read_list S.read_int d in
+  let current_id = S.read_option S.read_int d in
+  if not (S.at_end d) then raise (S.Corrupt "manifest: trailing bytes");
+  fun ~clock ~stats ~phase ->
+    let completed = List.map phase completed_ids in
+    let current = Option.map phase current_id in
+    { seq; fingerprint; clock; tuples_read; tuples_output; retries;
+      failovers; sources_failed; positions; stats; completed; current }
+
+let read_clock segment = Codec.read_clock_state (S.decoder (segment "clock"))
+
+let load path =
+  with_segments path (fun segment ->
+      let assemble = read_manifest segment in
+      let clock = read_clock segment in
+      let stats = Codec.read_stats_dump (S.decoder (segment "stats")) in
+      assemble ~clock ~stats ~phase:(fun id ->
+          dec_phase (segment (Printf.sprintf "phase-%d" id))))
+
+let load_clock path =
+  match
+    with_segments path (fun segment ->
+        let _assemble = read_manifest segment in
+        read_clock segment)
+  with
+  | Ok clock -> Some clock
+  | Error _ -> None
 
 (* ---------------- policies ---------------- *)
 

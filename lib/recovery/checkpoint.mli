@@ -61,8 +61,9 @@ val ledger : t -> (int * (string * int) list) list
 (** {2 Files} *)
 
 (** [save ~dir t] writes [t] atomically as [dir/ckpt-<seq>.adpckpt]
-    (creating [dir] if needed) and returns the path written. *)
-val save : dir:string -> t -> string
+    (creating [dir] if needed) and returns the path written and its size
+    in bytes. *)
+val save : dir:string -> t -> string * int
 
 (** Highest-sequence checkpoint file in [dir], if any. *)
 val latest : dir:string -> string option
@@ -73,6 +74,12 @@ val latest : dir:string -> string option
     ["ckpt-malformed"] (a segment decodes to garbage),
     ["ckpt-segment-missing"]. *)
 val load : string -> (t, Diagnostic.t list) result
+
+(** The virtual clock a checkpoint file recorded.  Verifies every
+    segment's CRC like {!load} but decodes only the manifest and the
+    clock, not the phases' tuples; [None] on any failure {!load} would
+    report. *)
+val load_clock : string -> Clock.state option
 
 (** {2 Policies}
 

@@ -216,13 +216,10 @@ let rec plan_state b (st : Plan.state) =
   | Plan.St_leaf { seen } ->
     S.u8 b 0;
     S.int b seen
-  | Plan.St_join { st_left; st_right; ltuples; rtuples; lswapped; rswapped }
-    ->
+  | Plan.St_join { st_left; st_right; lswapped; rswapped } ->
     S.u8 b 1;
     plan_state b st_left;
     plan_state b st_right;
-    S.list S.tuple b ltuples;
-    S.list S.tuple b rtuples;
     S.bool b lswapped;
     S.bool b rswapped
   | Plan.St_preagg { st_child; st_pa } ->
@@ -243,12 +240,8 @@ let rec read_plan_state d : Plan.state =
     | 1 ->
       let st_left = read_plan_state d in
       let st_right = read_plan_state d in
-      let ltuples = S.read_list S.read_tuple d in
-      let rtuples = S.read_list S.read_tuple d in
       let lswapped = S.read_bool d in
-      Plan.St_join
-        { st_left; st_right; ltuples; rtuples; lswapped;
-          rswapped = S.read_bool d }
+      Plan.St_join { st_left; st_right; lswapped; rswapped = S.read_bool d }
     | 2 ->
       let st_child = read_plan_state d in
       let ps_window = S.read_int d in

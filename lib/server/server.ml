@@ -221,9 +221,9 @@ let latest_clock dir ~base =
   match Checkpoint.latest ~dir with
   | None -> None
   | Some path -> (
-    match Checkpoint.load path with
-    | Ok ck -> Some (Float.max base ck.Checkpoint.clock.Clock.s_now)
-    | Error _ -> None)
+    Option.map
+      (fun (c : Clock.state) -> Float.max base c.Clock.s_now)
+      (Checkpoint.load_clock path))
 
 let rec subsets = function
   | [] -> [ [] ]

@@ -4,29 +4,58 @@ open Adp_relation
 (* Encoder                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type enc = Buffer.t
+(* A growable byte buffer written in place.  Each field reserves its
+   room once ([ensure]) rather than per byte. *)
+type enc = { mutable buf : Bytes.t; mutable len : int }
 
-let encoder () = Buffer.create 4096
-let contents = Buffer.contents
+let encoder () = { buf = Bytes.create 4096; len = 0 }
+let contents b = Bytes.sub_string b.buf 0 b.len
 
-let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+let ensure b n =
+  let need = b.len + n in
+  if need > Bytes.length b.buf then begin
+    let buf = Bytes.create (max need (2 * Bytes.length b.buf)) in
+    Bytes.blit b.buf 0 buf 0 b.len;
+    b.buf <- buf
+  end
 
-(* Zigzag varint: small magnitudes of either sign stay short. *)
-let int b v =
-  let u = ref ((v lsl 1) lxor (v asr 62)) in
+let u8 b v =
+  ensure b 1;
+  Bytes.set b.buf b.len (Char.unsafe_chr (v land 0xff));
+  b.len <- b.len + 1
+
+(* Zigzag varint at [pos], which has ten bytes of room; returns the
+   position after it.  Small magnitudes of either sign stay short. *)
+let put_varint buf pos v =
+  let u = ref ((v lsl 1) lxor (v asr 62)) and pos = ref pos in
   while !u lor 0x7f <> 0x7f do
-    u8 b (0x80 lor (!u land 0x7f));
-    u := !u lsr 7
+    Bytes.set buf !pos (Char.unsafe_chr (0x80 lor (!u land 0x7f)));
+    u := !u lsr 7;
+    incr pos
   done;
-  u8 b (!u land 0x7f)
+  Bytes.set buf !pos (Char.unsafe_chr !u);
+  !pos + 1
+
+let int b v =
+  ensure b 10;
+  b.len <- put_varint b.buf b.len v
+
+let raw b s =
+  let n = String.length s in
+  ensure b n;
+  Bytes.blit_string s 0 b.buf b.len n;
+  b.len <- b.len + n
 
 let bool b v = u8 b (if v then 1 else 0)
 
-let f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
+let f64 b v =
+  ensure b 8;
+  Bytes.set_int64_le b.buf b.len (Int64.bits_of_float v);
+  b.len <- b.len + 8
 
 let str b s =
   int b (String.length s);
-  Buffer.add_string b s
+  raw b s
 
 let list f b l =
   int b (List.length l);
@@ -42,20 +71,28 @@ let pair f g b (x, y) =
   f b x;
   g b y
 
-let value b = function
-  | Value.Null -> u8 b 0
+(* One [ensure] per value: a tag byte plus at most ten more. *)
+let value b v =
+  ensure b 11;
+  let buf = b.buf and pos = b.len in
+  match v with
+  | Value.Null ->
+    Bytes.set buf pos '\000';
+    b.len <- pos + 1
   | Value.Int i ->
-    u8 b 1;
-    int b i
+    Bytes.set buf pos '\001';
+    b.len <- put_varint buf (pos + 1) i
   | Value.Float f ->
-    u8 b 2;
-    f64 b f
+    Bytes.set buf pos '\002';
+    Bytes.set_int64_le buf (pos + 1) (Int64.bits_of_float f);
+    b.len <- pos + 9
   | Value.Str s ->
-    u8 b 3;
+    Bytes.set buf pos '\003';
+    b.len <- pos + 1;
     str b s
   | Value.Date d ->
-    u8 b 4;
-    int b d
+    Bytes.set buf pos '\004';
+    b.len <- put_varint buf (pos + 1) d
 
 let tuple b (t : Tuple.t) =
   int b (Array.length t);
@@ -157,22 +194,52 @@ let read_schema d =
 (* CRC-32 (IEEE 802.3)                                                *)
 (* ------------------------------------------------------------------ *)
 
-let crc_table =
+(* Slicing-by-8: table [k] advances a byte through [k] further zero
+   bytes, so one step folds eight input bytes with eight lookups. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+(* CRC-32 of [len] bytes of [buf] from [off]. *)
+let crc32_sub buf off len =
+  let t = Lazy.force crc_tables in
+  let stop = off + len in
+  let c = ref 0xFFFFFFFF and i = ref off in
+  while !i + 8 <= stop do
+    let lo = Int32.to_int (Bytes.get_int32_le buf !i) land 0xFFFFFFFF lxor !c
+    and hi = Int32.to_int (Bytes.get_int32_le buf (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      t.((7 * 256) + (lo land 0xff))
+      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor t.((4 * 256) + (lo lsr 24))
+      lxor t.((3 * 256) + (hi land 0xff))
+      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor t.(256 + ((hi lsr 16) land 0xff))
+      lxor t.(hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to stop - 1 do
+    c := t.((!c lxor Char.code (Bytes.get buf j)) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
+
+(* Read-only: [crc32_sub] never writes its buffer. *)
+let crc32 s = crc32_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Segmented container files                                          *)
@@ -197,23 +264,37 @@ let pp_file_error fmt = function
   | Io_error m -> Format.fprintf fmt "I/O error: %s" m
 
 let write_file ~path ~version segments =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b magic;
-  int b version;
-  list
-    (fun b (name, payload) ->
-      str b name;
-      int b (crc32 payload);
-      str b payload)
-    b segments;
+  (* Each payload is encoded into one reused buffer, checksummed there
+     and written straight to the channel after its framing: no payload is
+     copied into a string or a whole-file buffer. *)
+  let frame = encoder () and body = encoder () in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Buffer.output_buffer oc b;
-      close_out oc);
-  Sys.rename tmp path
+  let bytes =
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc magic;
+        int frame version;
+        int frame (List.length segments);
+        List.iter
+          (fun (name, encode) ->
+            body.len <- 0;
+            encode body;
+            str frame name;
+            int frame (crc32_sub body.buf 0 body.len);
+            int frame body.len;
+            output oc frame.buf 0 frame.len;
+            frame.len <- 0;
+            output oc body.buf 0 body.len)
+          segments;
+        output oc frame.buf 0 frame.len;
+        let bytes = pos_out oc in
+        close_out oc;
+        bytes)
+  in
+  Sys.rename tmp path;
+  bytes
 
 let write_text ~path contents =
   let tmp = path ^ ".tmp" in
@@ -225,7 +306,7 @@ let write_text ~path contents =
       close_out oc);
   Sys.rename tmp path
 
-let read_file ~path =
+let read_file ~version:expected ~path =
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -244,8 +325,8 @@ let read_file ~path =
       d.off <- String.length magic;
       match read_int d with
       | exception Corrupt _ -> Error (Truncated "version")
-      | version when version <> 1 -> Error (Unsupported_version version)
-      | version -> (
+      | version when version <> expected -> Error (Unsupported_version version)
+      | _ -> (
         let read_segment d =
           let name =
             try read_str d with Corrupt _ -> corrupt "segment name"
@@ -261,6 +342,6 @@ let read_file ~path =
             Error (Crc_mismatch (String.sub m 4 (String.length m - 4)))
           else Error (Truncated m)
         | segments ->
-          if at_end d then Ok (version, segments)
+          if at_end d then Ok segments
           else Error (Truncated "trailing garbage"))
     end

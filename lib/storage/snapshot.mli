@@ -25,6 +25,10 @@ val encoder : unit -> enc
 val contents : enc -> string
 
 val u8 : enc -> int -> unit
+
+(** The string's bytes, with no length prefix. *)
+val raw : enc -> string -> unit
+
 val int : enc -> int -> unit
 val bool : enc -> bool -> unit
 val f64 : enc -> float -> unit
@@ -62,7 +66,8 @@ val read_schema : dec -> Schema.t
 
 (** {2 CRC-32}
 
-    IEEE 802.3 polynomial, as in zip/png.  Result in [0, 2^32). *)
+    IEEE 802.3 polynomial, as in zip/png, computed eight bytes per step
+    (slicing-by-8).  Result in [0, 2^32). *)
 
 val crc32 : string -> int
 
@@ -77,11 +82,14 @@ type file_error =
 
 val pp_file_error : Format.formatter -> file_error -> unit
 
-(** [write_file ~path ~version segments] writes the container atomically:
-    the bytes go to [path ^ ".tmp"], which is renamed over [path] only
-    after a successful close.  Segment order is preserved. *)
+(** [write_file ~path ~version segments] writes the container atomically
+    and returns its size in bytes: the bytes go to [path ^ ".tmp"], which
+    is renamed over [path] only after a successful close.  Each segment is
+    a name and a function that encodes its payload; payloads are encoded
+    one at a time into a reused buffer and streamed to the file.  Segment
+    order is preserved. *)
 val write_file :
-  path:string -> version:int -> (string * string) list -> unit
+  path:string -> version:int -> (string * (enc -> unit)) list -> int
 
 (** [write_text ~path contents] writes a plain-text file through the same
     temp-file + rename discipline as {!write_file}.  Observability exports
@@ -89,9 +97,10 @@ val write_file :
     can tear at most the temp file, never a previously written export. *)
 val write_text : path:string -> string -> unit
 
-(** Read a container back: the format version and the named segments in
-    file order.  Every structural problem — wrong magic, unknown version,
-    torn file, per-segment CRC mismatch — is an [Error], never an
-    exception, so callers can turn it into a diagnostic. *)
+(** [read_file ~version ~path] reads a container of format [version]
+    back: its named segments in file order, each verified against its
+    CRC.  Every structural problem — wrong magic, any other version, torn
+    file, per-segment CRC mismatch — is an [Error], never an exception,
+    so callers can turn it into a diagnostic. *)
 val read_file :
-  path:string -> (int * (string * string) list, file_error) result
+  version:int -> path:string -> ((string * string) list, file_error) result

@@ -82,6 +82,38 @@ let test_snapshot_truncation_detected () =
    | _ -> Alcotest.fail "expected Corrupt on truncated input"
    | exception Snapshot.Corrupt _ -> ())
 
+(* ---------------- CRC-32 ---------------- *)
+
+(* The textbook bytewise CRC-32 the slicing-by-8 version must equal. *)
+let crc32_bytewise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_matches_bytewise () =
+  Alcotest.(check int) "standard check value" 0xCBF43926
+    (Snapshot.crc32 "123456789");
+  Alcotest.(check int) "empty string" 0 (Snapshot.crc32 "");
+  let base = String.init (64 + 8) (fun i -> Char.chr ((i * 151 + 7) land 0xff)) in
+  for align = 0 to 7 do
+    for len = 0 to 64 do
+      let s = String.sub base align len in
+      if Snapshot.crc32 s <> crc32_bytewise s then
+        Alcotest.failf "crc32 differs at alignment %d, length %d" align len
+    done
+  done
+
+let crc32_random =
+  QCheck2.Test.make ~name:"crc32 = bytewise reference (qcheck)" ~count:300
+    QCheck2.Gen.(string_size (int_bound 300))
+    (fun s -> Snapshot.crc32 s = crc32_bytewise s)
+
 (* ---------------- container files ---------------- *)
 
 let test_container_roundtrip () =
@@ -89,11 +121,16 @@ let test_container_roundtrip () =
   Sys.mkdir dir 0o755;
   let path = Filename.concat dir "x.adpckpt" in
   let segments = [ "alpha", "payload-one"; "beta", String.make 1000 'z' ] in
-  Snapshot.write_file ~path ~version:1 segments;
-  (match Snapshot.read_file ~path with
-   | Ok (1, got) ->
+  let bytes =
+    Snapshot.write_file ~path ~version:1
+      (List.map (fun (name, p) -> (name, fun b -> Snapshot.raw b p)) segments)
+  in
+  Alcotest.(check int) "write_file returns the file size"
+    (In_channel.with_open_bin path In_channel.length |> Int64.to_int)
+    bytes;
+  (match Snapshot.read_file ~version:1 ~path with
+   | Ok got ->
      Alcotest.(check bool) "segments roundtrip" true (got = segments)
-   | Ok (v, _) -> Alcotest.failf "unexpected version %d" v
    | Error e ->
      Alcotest.failf "read failed: %a" Snapshot.pp_file_error e);
   rm_rf dir
@@ -113,10 +150,12 @@ let test_container_corruption_detected () =
   let dir = fresh_dir () in
   Sys.mkdir dir 0o755;
   let path = Filename.concat dir "x.adpckpt" in
-  Snapshot.write_file ~path ~version:1
-    [ "alpha", "payload-one"; "beta", String.make 200 'z' ];
+  ignore
+    (Snapshot.write_file ~path ~version:1
+       [ ("alpha", fun b -> Snapshot.raw b "payload-one");
+         ("beta", fun b -> Snapshot.raw b (String.make 200 'z')) ]);
   flip_byte path ~offset_from_end:5;
-  (match Snapshot.read_file ~path with
+  (match Snapshot.read_file ~version:1 ~path with
    | Error (Snapshot.Crc_mismatch "beta") -> ()
    | Error e ->
      Alcotest.failf "wrong error: %a" Snapshot.pp_file_error e
@@ -125,7 +164,7 @@ let test_container_corruption_detected () =
   let oc = open_out_bin garbage in
   output_string oc "not a checkpoint at all";
   close_out oc;
-  (match Snapshot.read_file ~path:garbage with
+  (match Snapshot.read_file ~version:1 ~path:garbage with
    | Error Snapshot.Bad_magic -> ()
    | _ -> Alcotest.fail "bad magic not detected");
   rm_rf dir
@@ -133,7 +172,8 @@ let test_container_corruption_detected () =
 (* ---------------- plan state capture/restore ---------------- *)
 
 let tables =
-  [ "r", Schema.make [ "r.k"; "r.p" ]; "s", Schema.make [ "s.k"; "s.p" ] ]
+  [ "r", Schema.make [ "r.k"; "r.p" ]; "s", Schema.make [ "s.k"; "s.p" ];
+    "t", Schema.make [ "t.k"; "t.p" ] ]
 
 let schema_of name = List.assoc name tables
 
@@ -169,6 +209,74 @@ let test_plan_capture_restore () =
   (match Plan.restore other state with
    | _ -> Alcotest.fail "shape mismatch accepted"
    | exception Invalid_argument _ -> ())
+
+(* Capture a plan after [split] interleaved pushes, round-trip the state
+   through the codec and restore it into a fresh plan: every later push,
+   and the final flush, must return the same list (not only the same bag)
+   as the uninterrupted plan — restored tables keep their bucket chains. *)
+let check_continuation spec ~split =
+  let rng = Random.State.make [| 17 |] in
+  let sources = Array.of_list (Plan.relations spec) in
+  let events =
+    List.init 240 (fun _ ->
+        let src = sources.(Random.State.int rng (Array.length sources)) in
+        (src, [| vi (Random.State.int rng 5); vi (Random.State.int rng 4) |]))
+  in
+  let run plan evs =
+    List.map (fun (src, t) -> Plan.push plan ~source:src t) evs
+  in
+  let before = List.filteri (fun i _ -> i < split) events
+  and after = List.filteri (fun i _ -> i >= split) events in
+  let p0 = Plan.instantiate (Ctx.create ()) spec ~schema_of in
+  ignore (run p0 before);
+  let b = Snapshot.encoder () in
+  Codec.plan_state b (Plan.capture p0);
+  let state = Codec.read_plan_state (Snapshot.decoder (Snapshot.contents b)) in
+  let want = run p0 after in
+  let want_flush = Plan.flush p0 in
+  let p1 = Plan.instantiate (Ctx.create ()) spec ~schema_of in
+  Plan.restore p1 state;
+  let got = run p1 after in
+  let same = List.equal Tuple.equal in
+  Alcotest.(check bool) "some continuation pushes emit" true
+    (List.exists (fun l -> l <> []) want);
+  Alcotest.(check bool) "continuation pushes, list for list" true
+    (List.equal same want got);
+  Alcotest.(check bool) "final flush, list for list" true
+    (same want_flush (Plan.flush p1))
+
+let test_continuation_three_way () =
+  let spec =
+    Plan.join
+      (Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ])
+      (Plan.scan ~filter:(Predicate.lt "t.p" (vi 3)) "t")
+      ~on:[ "s.p", "t.k" ]
+  in
+  check_continuation spec ~split:100;
+  check_continuation spec ~split:181
+
+let test_continuation_preagg_under_join () =
+  let spec =
+    Plan.join
+      (Plan.preagg
+         ~mode:(Plan.Windowed { initial = 4; max_window = 16 })
+         ~group_cols:[ "r.k" ]
+         ~aggs:[ Aggregate.count_all ~name:"n" ]
+         (Plan.scan "r"))
+      (Plan.scan "s") ~on:[ "r.k", "s.k" ]
+  in
+  check_continuation spec ~split:101;
+  check_continuation spec ~split:150
+
+let test_capture_requires_recorded_outputs () =
+  let spec = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
+  let plan =
+    Plan.instantiate ~record_outputs:false (Ctx.create ()) spec ~schema_of
+  in
+  ignore (push_all plan "r" (mk_tuples 5 0));
+  match Plan.capture plan with
+  | _ -> Alcotest.fail "captured a plan that does not record its outputs"
+  | exception Invalid_argument _ -> ()
 
 let test_plan_state_codec_roundtrip () =
   let spec =
@@ -245,7 +353,10 @@ let mini_checkpoint () =
 let test_checkpoint_save_load () =
   let dir = fresh_dir () in
   let ck = mini_checkpoint () in
-  let path = Checkpoint.save ~dir ck in
+  let path, bytes = Checkpoint.save ~dir ck in
+  Alcotest.(check int) "save returns the file size"
+    (In_channel.with_open_bin path In_channel.length |> Int64.to_int)
+    bytes;
   Alcotest.(check (option string)) "latest finds it" (Some path)
     (Checkpoint.latest ~dir);
   ignore (Checkpoint.save ~dir { ck with Checkpoint.seq = 4 });
@@ -271,7 +382,7 @@ let test_checkpoint_save_load () =
 
 let test_corrupt_checkpoint_rejected () =
   let dir = fresh_dir () in
-  let path = Checkpoint.save ~dir (mini_checkpoint ()) in
+  let path, _ = Checkpoint.save ~dir (mini_checkpoint ()) in
   flip_byte path ~offset_from_end:12;
   (match Checkpoint.load path with
    | Error ds ->
@@ -298,6 +409,41 @@ let test_corrupt_checkpoint_rejected () =
      Alcotest.(check bool) "io error surfaced" true
        (List.mem "ckpt-io-error" (Diagnostic.codes ds))
    | Ok _ -> Alcotest.fail "missing file accepted");
+  rm_rf dir
+
+let test_v1_checkpoint_rejected () =
+  let dir = fresh_dir () in
+  let path, _ = Checkpoint.save ~dir (mini_checkpoint ()) in
+  (* The same segments under the previous format version, whose phase
+     segments still carried every join's table contents. *)
+  (match Snapshot.read_file ~version:2 ~path with
+   | Ok segs ->
+     ignore
+       (Snapshot.write_file ~path ~version:1
+          (List.map (fun (name, p) -> (name, fun b -> Snapshot.raw b p)) segs))
+   | Error e -> Alcotest.failf "read failed: %a" Snapshot.pp_file_error e);
+  (match Checkpoint.load path with
+   | Error ds ->
+     Alcotest.(check (list string)) "version diagnostic" [ "ckpt-version" ]
+       (Diagnostic.codes ds)
+   | Ok _ -> Alcotest.fail "v1 checkpoint accepted");
+  Alcotest.(check bool) "no clock from a v1 file" true
+    (Checkpoint.load_clock path = None);
+  rm_rf dir
+
+let test_load_clock () =
+  let dir = fresh_dir () in
+  let ck = mini_checkpoint () in
+  let path, _ = Checkpoint.save ~dir ck in
+  Alcotest.(check bool) "clock read alone" true
+    (Checkpoint.load_clock path = Some ck.Checkpoint.clock);
+  (* A flipped byte in the last phase segment, which load_clock does not
+     decode, still fails its CRC. *)
+  flip_byte path ~offset_from_end:12;
+  Alcotest.(check bool) "every segment verified" true
+    (Checkpoint.load_clock path = None);
+  Alcotest.(check bool) "missing file" true
+    (Checkpoint.load_clock (Filename.concat dir "missing.adpckpt") = None);
   rm_rf dir
 
 (* ---------------- ledger validation ---------------- *)
@@ -348,26 +494,35 @@ let e2e_query =
      WHERE orders.o_orderkey = lineitem.l_orderkey AND orders.o_orderdate < \
      DATE '1995-03-15'"
 
-let e2e_catalog = Workload.catalog dataset e2e_query
-let e2e_sources () = Workload.sources dataset e2e_query ()
+(* Three relations, so a restored phase rebuilds an outer join's table
+   from an inner join's outputs. *)
+let e2e_query3 =
+  Sql_parser.parse ~schema_of:Tpch.schema_of
+    "SELECT customer.c_custkey, orders.o_orderkey, lineitem.l_quantity FROM \
+     customer, orders, lineitem WHERE customer.c_custkey = orders.o_custkey \
+     AND orders.o_orderkey = lineitem.l_orderkey AND orders.o_orderdate < \
+     DATE '1995-03-15'"
 
-let run_corrective ?checkpoint ?resume_from ?(crash = []) ?memory_budget () =
+let run_corrective ?(query = e2e_query) ?checkpoint ?resume_from ?(crash = [])
+    ?memory_budget () =
   let config =
     { Corrective.default_config with
       poll_interval = 2e4; checkpoint; resume_from; crash; memory_budget }
   in
-  Corrective.run ~config e2e_query e2e_catalog (e2e_sources ())
+  Corrective.run ~config query
+    (Workload.catalog dataset query)
+    (Workload.sources dataset query ())
 
-let kill_and_resume point () =
+let kill_and_resume ?query point () =
   let dir = fresh_dir () in
   let policy = Checkpoint.policy ~every_tuples:500 ~dir () in
-  let want, _ = run_corrective () in
-  (match run_corrective ~checkpoint:policy ~crash:[ point ] () with
+  let want, _ = run_corrective ?query () in
+  (match run_corrective ?query ~checkpoint:policy ~crash:[ point ] () with
    | _ -> Alcotest.failf "expected crash %a" Crash.pp_point point
    | exception Crash.Crashed _ -> ());
   Alcotest.(check bool) "a checkpoint was written" true
     (Checkpoint.latest ~dir <> None);
-  let result, stats = run_corrective ~resume_from:dir () in
+  let result, stats = run_corrective ?query ~resume_from:dir () in
   Alcotest.(check bool) "phases were restored" true
     (stats.Corrective.resumed_phases > 0);
   (* The recovery invariant: the resumed answer is the exact multiset of
@@ -377,7 +532,7 @@ let kill_and_resume point () =
     (Relation.to_list result) (Relation.to_list want);
   (* Resuming is deterministic: a second recovery from the same
      checkpoint reproduces the same answer. *)
-  let again, _ = run_corrective ~resume_from:dir () in
+  let again, _ = run_corrective ?query ~resume_from:dir () in
   check_bag "resume is deterministic" (Relation.to_list again)
     (Relation.to_list result);
   rm_rf dir
@@ -385,6 +540,15 @@ let kill_and_resume point () =
 let test_resume_mid_phase = kill_and_resume (Crash.After_tuples 2000)
 let test_resume_at_boundary = kill_and_resume (Crash.At_phase_boundary 0)
 let test_resume_during_stitchup = kill_and_resume Crash.During_stitchup
+
+let test_resume3_mid_phase =
+  kill_and_resume ~query:e2e_query3 (Crash.After_tuples 2000)
+
+let test_resume3_at_boundary =
+  kill_and_resume ~query:e2e_query3 (Crash.At_phase_boundary 0)
+
+let test_resume3_during_stitchup =
+  kill_and_resume ~query:e2e_query3 Crash.During_stitchup
 
 let test_checkpoint_policies () =
   let dir = fresh_dir () in
@@ -440,10 +604,19 @@ let suite =
     qtest snapshot_int_roundtrip;
     Alcotest.test_case "snapshot truncation" `Quick
       test_snapshot_truncation_detected;
+    Alcotest.test_case "crc32 = bytewise reference" `Quick
+      test_crc32_matches_bytewise;
+    qtest crc32_random;
     Alcotest.test_case "container roundtrip" `Quick test_container_roundtrip;
     Alcotest.test_case "container corruption" `Quick
       test_container_corruption_detected;
     Alcotest.test_case "plan capture/restore" `Quick test_plan_capture_restore;
+    Alcotest.test_case "continuation: 3-way join" `Quick
+      test_continuation_three_way;
+    Alcotest.test_case "continuation: preagg under join" `Quick
+      test_continuation_preagg_under_join;
+    Alcotest.test_case "capture needs recorded outputs" `Quick
+      test_capture_requires_recorded_outputs;
     Alcotest.test_case "plan state codec" `Quick
       test_plan_state_codec_roundtrip;
     Alcotest.test_case "clock capture/restore" `Quick
@@ -453,6 +626,9 @@ let suite =
     Alcotest.test_case "checkpoint save/load" `Quick test_checkpoint_save_load;
     Alcotest.test_case "corrupt checkpoint rejected" `Quick
       test_corrupt_checkpoint_rejected;
+    Alcotest.test_case "v1 checkpoint rejected" `Quick
+      test_v1_checkpoint_rejected;
+    Alcotest.test_case "load_clock" `Quick test_load_clock;
     Alcotest.test_case "ledger diagnostics" `Quick test_ledger_diagnostics;
     Alcotest.test_case "crash injector" `Quick test_crash_injector_fires_once;
     Alcotest.test_case "kill+resume: mid-phase" `Quick test_resume_mid_phase;
@@ -460,6 +636,12 @@ let suite =
       test_resume_at_boundary;
     Alcotest.test_case "kill+resume: during stitch-up" `Quick
       test_resume_during_stitchup;
+    Alcotest.test_case "kill+resume 3-way: mid-phase" `Quick
+      test_resume3_mid_phase;
+    Alcotest.test_case "kill+resume 3-way: phase boundary" `Quick
+      test_resume3_at_boundary;
+    Alcotest.test_case "kill+resume 3-way: during stitch-up" `Quick
+      test_resume3_during_stitchup;
     Alcotest.test_case "checkpoint policies" `Quick test_checkpoint_policies;
     Alcotest.test_case "fingerprint mismatch" `Quick
       test_fingerprint_mismatch_rejected ]
