@@ -252,7 +252,8 @@ let drain t =
 module Ktbl = Tuple.Ktbl
 
 (* Join one spilled region: all left/right pairs except those already
-   joined in memory (both epoch 0 within the same operator). *)
+   joined in memory (both epoch 0 within the same operator).  As in
+   [Hash_table], a key with a NULL column matches nothing. *)
 let resolve_region t region =
   let c = t.ctx.Ctx.costs in
   let ls = t.disk_l.(region) and rs = t.disk_r.(region) in
@@ -272,7 +273,10 @@ let resolve_region t region =
     List.iter
       (fun le ->
         let k = key_of t L le.d_tuple in
-        let matches = Option.value ~default:[] (Ktbl.find_opt table k) in
+        let matches =
+          if Array.exists Value.is_null k then []
+          else Option.value ~default:[] (Ktbl.find_opt table k)
+        in
         Ctx.charge_span t.ctx t.sp_overflow
           (c.hash_probe +. (c.per_match *. float_of_int (List.length matches)));
         List.iter

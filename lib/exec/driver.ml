@@ -1,8 +1,7 @@
 type outcome = Exhausted | Switched | Stopped
 
-type event = Deliver of float | Attempt of float
-
-let time_of = function Deliver t | Attempt t -> t
+(* [Stdlib.max] on floats, without the polymorphic compare. *)
+let fmax (a : float) b = if a >= b then a else b
 
 let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
     ?breakers () =
@@ -13,11 +12,12 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
   let next_poll =
     ref (match poll with Some (iv, _) -> Ctx.now ctx +. iv | None -> infinity)
   in
-  let breaker i =
+  let bks =
     match breakers with
-    | Some bks when Array.length bks = n -> Some bks.(i)
-    | Some _ | None -> None
+    | Some bks when Array.length bks = n -> Array.map Option.some bks
+    | Some _ | None -> Array.make n None
   in
+  let breaker i = bks.(i) in
   let emit_breaker_change i b ~from_state ~now =
     Adp_obs.Metrics.incr ctx.Ctx.breaker_transitions;
     (match Breaker.state b with
@@ -51,49 +51,62 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
       end
       else false
   in
-  (* The engine-observable next event on a source.  An arrival within the
-     retry deadline is a delivery; silence past the deadline (a stall, a
-     long gap, or a dropped link) is a timeout, which surfaces as a
-     reconnect attempt — at the deadline, or at the scheduled post-backoff
-     time while attempts are in flight.  An open breaker stops asking: its
-     source's next attempt is held back to the scheduled probe time. *)
+  (* Each source's next event, rewritten by [event] at every pick: its
+     virtual time, and whether it is a delivery or a reconnect attempt.
+     Flat arrays keep picking a tuple allocation-free, and so does keeping
+     the picked delivery's arrival boxed as the source returned it. *)
+  let ev_time = Array.make n 0.0 and ev_deliver = Array.make n false in
+  let deliver_at = ref 0.0 in
+  let set_attempt i t =
+    ev_deliver.(i) <- false;
+    ev_time.(i) <-
+      (match breaker i with
+       | Some b when Breaker.state b = Breaker.Open -> fmax t (Breaker.probe_at b)
+       | Some _ | None -> t)
+  in
+  (* The engine-observable next event on a source; [false] when it is
+     finished.  An arrival within the retry deadline is a delivery;
+     silence past the deadline (a stall, a long gap, or a dropped link) is
+     a timeout, which surfaces as a reconnect attempt — at the deadline,
+     or at the scheduled post-backoff time while attempts are in flight.
+     An open breaker stops asking: its source's next attempt is held back
+     to the scheduled probe time.  The clock is read only when the arrival
+     misses the deadline: [a <= max dl now] is [a <= dl || a <= now]. *)
   let event i =
     let s = srcs.(i) in
-    if Source.finished s then None
+    if Source.finished s then false
     else begin
-      let now = Ctx.now ctx in
-      let attempt t =
-        match breaker i with
-        | Some b when Breaker.state b = Breaker.Open ->
-          Attempt (max t (Breaker.probe_at b))
-        | Some _ | None -> Attempt t
-      in
-      match Retry.pending_attempt ctrls.(i) with
-      | Some ta -> Some (attempt (max ta now))
-      | None ->
-        let dl = Retry.deadline ctrls.(i) in
-        (match Source.peek_arrival s with
-         | Some a when a <= max dl now -> Some (Deliver a)
-         | Some _ | None -> Some (attempt (max dl now)))
+      let c = ctrls.(i) in
+      (match Retry.pending_attempt c with
+       | Some ta -> set_attempt i (fmax ta (Ctx.now ctx))
+       | None ->
+         if Source.ready s
+            && (Retry.in_time c (Source.arrival s)
+               || Source.arrival s <= Ctx.now ctx)
+         then begin
+           ev_deliver.(i) <- true;
+           ev_time.(i) <- Source.arrival s
+         end
+         else set_attempt i (fmax (Retry.deadline c) (Ctx.now ctx)));
+      true
     end
   in
   let pick () =
-    (* Earliest event among live sources; ties broken round-robin starting
-       after the last pick.  Events at infinite time (a permanently silent
-       source under a no-timeout policy) can never fire: such sources are
-       left behind rather than hanging the loop. *)
-    let best = ref None in
+    (* Earliest event among live sources, or -1; ties broken round-robin
+       starting after the last pick.  Events at infinite time (a
+       permanently silent source under a no-timeout policy) can never
+       fire: such sources are left behind rather than hanging the loop. *)
+    let best = ref (-1) in
     for off = 0 to n - 1 do
       let i = (!cursor + off) mod n in
-      match event i with
-      | None -> ()
-      | Some ev ->
-        let t = time_of ev in
-        if Float.is_finite t then
-          (match !best with
-           | Some (_, bev) when time_of bev <= t -> ()
-           | Some _ | None -> best := Some (i, ev))
+      if event i then begin
+        let t = ev_time.(i) in
+        if Float.is_finite t && (!best < 0 || ev_time.(!best) > t) then
+          best := i
+      end
     done;
+    if !best >= 0 && ev_deliver.(!best) then
+      deliver_at := Source.arrival srcs.(!best);
     !best
   in
   let reopt_poll cb ~continue =
@@ -107,11 +120,11 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
     | `Stop -> Stopped
   in
   let rec loop () =
-    match pick () with
-    | None -> Exhausted
-    | Some (i, ev) -> (
+    let i = pick () in
+    if i < 0 then Exhausted
+    else
       match deadline with
-      | Some dl when time_of ev > dl && Ctx.now ctx < dl -> (
+      | Some dl when ev_time.(i) > dl && Ctx.now ctx < dl -> (
         (* No source event due before the query deadline: hand control to
            the governance poll at the deadline instead of sleeping past
            it.  The poll normally answers [`Stop] (degrade); if it lets
@@ -120,28 +133,32 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
         Clock.wait_until ctx.Ctx.clock dl;
         Ctx.wall_bucket ctx "(driver wait)";
         match poll with
-        | Some (_, cb) -> reopt_poll cb ~continue:(fun () -> handle i ev)
+        | Some (_, cb) -> reopt_poll cb ~continue:(fun () -> handle i)
         | None -> Stopped)
-      | Some _ | None -> handle i ev)
-  and handle i ev =
-    match ev with
-    | Deliver arrival ->
+      | Some _ | None -> handle i
+  and handle i =
+    if ev_deliver.(i) then begin
       cursor := (i + 1) mod n;
-      Clock.wait_until ctx.Ctx.clock arrival;
+      Clock.wait_until ctx.Ctx.clock !deliver_at;
       Ctx.wall_bucket ctx "(driver wait)";
-      (match Source.next srcs.(i) with
-       | None -> ()
-       | Some (tuple, _) ->
-         Adp_obs.Metrics.incr ctx.Ctx.tuples_read;
-         let now = Ctx.now ctx in
-         Retry.note_progress ctrls.(i) ~now;
-         breaker_success i ~now;
-         consume srcs.(i) tuple);
-      (match poll with
-       | Some (_, cb) when Ctx.now ctx >= !next_poll ->
-         reopt_poll cb ~continue:loop
-       | Some _ | None -> loop ())
-    | Attempt at ->
+      let s = srcs.(i) in
+      if Source.ready s then begin
+        let tuple = Source.take s in
+        Adp_obs.Metrics.incr ctx.Ctx.tuples_read;
+        let now = Ctx.now ctx in
+        Retry.note_progress ctrls.(i) ~now;
+        (match breaker i with
+         | Some _ -> breaker_success i ~now
+         | None -> ());
+        consume s tuple
+      end;
+      match poll with
+      | Some (_, cb) when Ctx.now ctx >= !next_poll ->
+        reopt_poll cb ~continue:loop
+      | Some _ | None -> loop ()
+    end
+    else begin
+      let at = ev_time.(i) in
       cursor := (i + 1) mod n;
       (* Timeout detection and backoff are idle waits on an unresponsive
          source; the attempt itself costs CPU. *)
@@ -223,5 +240,6 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
           else loop ()
         end
       end
+    end
   in
   loop ()

@@ -386,10 +386,14 @@ let preagg_insert ctx pa tuple =
   in
   punct_flush @ window_flush
 
+let rec has_source source = function
+  | [] -> false
+  | s :: rest -> String.equal s source || has_source source rest
+
 (* Push one tuple into the subtree containing [source]; [None] when the
    source is not below this node. *)
 let rec do_push ctx ~keep node ~source tuple =
-  if not (List.mem source node.n_sources) then None
+  if not (has_source source node.n_sources) then None
   else
     match node.impl with
     | RLeaf l ->

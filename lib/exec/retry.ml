@@ -36,6 +36,7 @@ let retries_total t = t.retries_total
 let exhausted t = t.attempts >= t.policy.max_retries
 
 let deadline t = t.last_progress +. (t.policy.timeout_s *. 1e6)
+let in_time t arrival = arrival <= deadline t
 let pending_attempt t = t.next_attempt
 
 let note_progress t ~now =

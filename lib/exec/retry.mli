@@ -56,6 +56,9 @@ val exhausted : t -> bool
 (** Virtual time at which the current wait times out. *)
 val deadline : t -> float
 
+(** [in_time t a] is [a <= deadline t], without boxing the deadline. *)
+val in_time : t -> float -> bool
+
 (** Scheduled next reconnect attempt, when backing off after a failure. *)
 val pending_attempt : t -> float option
 

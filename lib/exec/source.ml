@@ -124,8 +124,8 @@ let finished t = exhausted t || t.link = Link_failed
 let failovers t = t.failovers
 let redelivered t = t.redelivered
 
-let peek_arrival t =
-  if exhausted t || t.link <> Link_up then None else Some t.next_arrival
+let ready t = (not (exhausted t)) && t.link = Link_up
+let arrival t = t.next_arrival
 
 let advance_arrival t =
   match t.model with
@@ -140,19 +140,29 @@ let advance_arrival t =
     end
     else t.next_arrival <- t.next_arrival +. (1e6 /. b.rate)
 
+let rec notify tuple = function
+  | [] -> ()
+  | f :: rest ->
+    f tuple;
+    notify tuple rest
+
+let take t =
+  if not (ready t) then invalid_arg "Source.take: no tuple ready";
+  let tuple = Relation.get t.relation t.pos in
+  t.pos <- t.pos + 1;
+  t.conn_delivered <- t.conn_delivered + 1;
+  t.last_arrival <- t.next_arrival;
+  advance_arrival t;
+  if t.faults <> [] then fire_faults t;
+  notify tuple t.observers;
+  tuple
+
 let next t =
-  if exhausted t || t.link <> Link_up then None
-  else begin
-    let tuple = Relation.get t.relation t.pos in
+  if ready t then begin
     let arrival = t.next_arrival in
-    t.pos <- t.pos + 1;
-    t.conn_delivered <- t.conn_delivered + 1;
-    t.last_arrival <- arrival;
-    advance_arrival t;
-    fire_faults t;
-    List.iter (fun f -> f tuple) t.observers;
-    Some (tuple, arrival)
+    Some (take t, arrival)
   end
+  else None
 
 let inject t fault =
   t.faults <- t.faults @ [ fault ];

@@ -103,13 +103,19 @@ val failovers : t -> int
     skipped before the consumer). *)
 val redelivered : t -> int
 
-(** Arrival time of the next tuple; [None] when exhausted or the link is
-    not up. *)
-val peek_arrival : t -> float option
+(** Whether a tuple can be delivered: not exhausted and the link is up. *)
+val ready : t -> bool
+
+(** Arrival time of the next tuple, meaningful only when {!ready}. *)
+val arrival : t -> float
 
 (** Consume the next tuple; returns it with its arrival time and feeds
     observers.  [None] when exhausted or the link is not up. *)
 val next : t -> (Tuple.t * float) option
+
+(** [next] without the allocation: the next tuple, once {!ready}.
+    @raise Invalid_argument when not {!ready}. *)
+val take : t -> Tuple.t
 
 (** Append a fault to the current connection's pending set (fires
     immediately if its trigger point has already passed). *)

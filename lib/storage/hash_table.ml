@@ -1,19 +1,29 @@
 open Adp_relation
 
-module Ktbl = Tuple.Ktbl
+(* A chained table specialised for join state.  Each entry stores its
+   key's hash, so growth relinks entries without re-hashing and a lookup
+   compares keys only when the stored hash matches; an entry holds its
+   rows in place.  The layout is the stdlib [Hashtbl.Make]'s over the
+   same hash (see the .mli), so iteration order is too. *)
 
-(* One-column keys, hashed exactly as [Tuple.hash_key [| v |]] so bucket
-   layout, and with it iteration order, matches the composite table. *)
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
+type 'k bucket =
+  | Empty
+  | Cons of {
+      hash : int;
+      key : 'k;
+      mutable rows : Tuple.t list;  (* newest first *)
+      mutable next : 'k bucket;
+    }
 
-  let equal = Value.equal
-  let hash v = (17 * 31) + Value.hash v
-end)
+type 'k chains = {
+  mutable data : 'k bucket array;
+  mutable keys : int;
+  initial : int;
+}
 
 type table =
-  | Single of Tuple.t list ref Vtbl.t
-  | Multi of Tuple.t list ref Ktbl.t
+  | Single of Value.t chains
+  | Multi of Value.t array chains
 
 type t = {
   schema : Schema.t;
@@ -23,11 +33,81 @@ type t = {
   mutable swapped : bool;
 }
 
+(* One-column keys hash exactly as [Tuple.hash_key [| v |]]. *)
+let hash_value v = (17 * 31) + Value.hash v
+
+let rec power_2_above x n =
+  if x >= n then x
+  else if x * 2 > Sys.max_array_length then x
+  else power_2_above (x * 2) n
+
+let chains n =
+  let s = power_2_above 16 n in
+  { data = Array.make s Empty; keys = 0; initial = s }
+
+(* Sizes are powers of two, so this is the stdlib's
+   [hash land max_int mod size]. *)
+let index data hash = hash land (Array.length data - 1)
+
+let rec find equal hash key = function
+  | Empty -> Empty
+  | Cons c as cell ->
+    if c.hash = hash && equal c.key key then cell else find equal hash key c.next
+
+(* Link [e] after [tail], or at the head of bucket [j] when it is empty. *)
+let link data j tail e =
+  (match tail with Empty -> data.(j) <- e | Cons t -> t.next <- e);
+  e
+
+(* Double the bucket array.  Old bucket [i] splits into new buckets [i]
+   and [i + osize], so each chain is relinked in order behind two tails:
+   the order [Hashtbl.resize] gives, without its array of tails. *)
+let resize ch =
+  let odata = ch.data in
+  let osize = Array.length odata in
+  let nsize = osize * 2 in
+  if nsize < Sys.max_array_length then begin
+    let ndata = Array.make nsize Empty in
+    for i = 0 to osize - 1 do
+      let cell = ref odata.(i) and lo = ref Empty and hi = ref Empty in
+      while
+        match !cell with
+        | Empty -> false
+        | Cons c as e ->
+          cell := c.next;
+          c.next <- Empty;
+          if c.hash land osize = 0 then lo := link ndata i !lo e
+          else hi := link ndata (i + osize) !hi e;
+          true
+      do
+        ()
+      done
+    done;
+    ch.data <- ndata
+  end
+
+(* Find-or-add in one bucket walk; a new key goes at the bucket head. *)
+let add equal ch hash key tuple =
+  let data = ch.data in
+  let i = index data hash in
+  match find equal hash key data.(i) with
+  | Cons c -> c.rows <- tuple :: c.rows
+  | Empty ->
+    data.(i) <- Cons { hash; key; rows = [ tuple ]; next = data.(i) };
+    ch.keys <- ch.keys + 1;
+    if ch.keys > Array.length data lsl 1 then resize ch
+
+let rows equal ch hash key =
+  match find equal hash key ch.data.(index ch.data hash) with
+  | Cons c -> c.rows
+  | Empty -> []
+
+let has_null k = Array.exists Value.is_null k
+
 let sized schema ~key_cols n =
   let key_idx = Array.of_list (List.map (Schema.index schema) key_cols) in
   let table =
-    if Array.length key_idx = 1 then Single (Vtbl.create n)
-    else Multi (Ktbl.create n)
+    if Array.length key_idx = 1 then Single (chains n) else Multi (chains n)
   in
   { schema; key_idx; table; size = 0; swapped = false }
 
@@ -37,70 +117,83 @@ let length t = t.size
 
 let key_of t tuple = Tuple.key tuple t.key_idx
 
-(* A miss appends a fresh key exactly as [Hashtbl.replace] would. *)
-let add_single h v tuple =
-  match Vtbl.find_opt h v with
-  | Some cell -> cell := tuple :: !cell
-  | None -> Vtbl.add h v (ref [ tuple ])
-
-let add_multi h k tuple =
-  match Ktbl.find_opt h k with
-  | Some cell -> cell := tuple :: !cell
-  | None -> Ktbl.add h k (ref [ tuple ])
-
 let insert t tuple =
   (match t.table with
-   | Single h -> add_single h tuple.(t.key_idx.(0)) tuple
-   | Multi h -> add_multi h (key_of t tuple) tuple);
+   | Single ch ->
+     let v = tuple.(t.key_idx.(0)) in
+     add Value.equal ch (hash_value v) v tuple
+   | Multi ch ->
+     let k = key_of t tuple in
+     add Tuple.equal_key ch (Tuple.hash_key k) k tuple);
   t.size <- t.size + 1
 
 let probe_value t v =
-  match t.table with
-  | Single h -> (match Vtbl.find_opt h v with Some cell -> !cell | None -> [])
-  | Multi _ -> []
+  match t.table, v with
+  | Single _, Value.Null | Multi _, _ -> []
+  | Single ch, _ -> rows Value.equal ch (hash_value v) v
 
 let probe t k =
   match t.table with
   | Single _ -> if Array.length k = 1 then probe_value t k.(0) else []
-  | Multi h -> (match Ktbl.find_opt h k with Some cell -> !cell | None -> [])
+  | Multi ch ->
+    if has_null k then [] else rows Tuple.equal_key ch (Tuple.hash_key k) k
 
 let probe_tuple t tuple cols =
   if Array.length cols = 1 then probe_value t tuple.(cols.(0))
   else probe t (Tuple.key tuple cols)
 
+(* The key is hashed once, for the insert and for the probe. *)
 let insert_probe t tuple ~probe:other =
   t.size <- t.size + 1;
   match t.table with
-  | Single h ->
+  | Single ch ->
     let v = tuple.(t.key_idx.(0)) in
-    add_single h v tuple;
-    probe_value other v
-  | Multi h ->
+    let h = hash_value v in
+    add Value.equal ch h v tuple;
+    (match other.table, v with
+     | Single _, Value.Null | Multi _, _ -> []
+     | Single och, _ -> rows Value.equal och h v)
+  | Multi ch ->
     let k = key_of t tuple in
-    add_multi h k tuple;
-    probe other k
+    let h = Tuple.hash_key k in
+    add Tuple.equal_key ch h k tuple;
+    (match other.table with
+     | Multi och -> if has_null k then [] else rows Tuple.equal_key och h k
+     | Single _ -> probe other k)
 
 let of_list schema ~key_cols tuples =
   let t = sized schema ~key_cols (List.length tuples) in
   List.iter (insert t) tuples;
   t
 
+let iter_chains f data =
+  let rec walk = function
+    | Empty -> ()
+    | Cons c ->
+      List.iter f c.rows;
+      walk c.next
+  in
+  Array.iter walk data
+
 let iter f t =
   match t.table with
-  | Single h -> Vtbl.iter (fun _ cell -> List.iter f !cell) h
-  | Multi h -> Ktbl.iter (fun _ cell -> List.iter f !cell) h
+  | Single ch -> iter_chains f ch.data
+  | Multi ch -> iter_chains f ch.data
+
+let fold_chains data =
+  let rec walk acc = function
+    | Empty -> acc
+    | Cons c -> walk (List.rev_append c.rows acc) c.next
+  in
+  Array.fold_left walk [] data
 
 let to_list t =
   match t.table with
-  | Single h ->
-    (* determinism-ok: multiset semantics — callers must not depend on order *)
-    Vtbl.fold (fun _ cell acc -> List.rev_append !cell acc) h []
-  | Multi h ->
-    (* determinism-ok: multiset semantics — callers must not depend on order *)
-    Ktbl.fold (fun _ cell acc -> List.rev_append !cell acc) h []
+  | Single ch -> fold_chains ch.data
+  | Multi ch -> fold_chains ch.data
 
 let distinct_keys t =
-  match t.table with Single h -> Vtbl.length h | Multi h -> Ktbl.length h
+  match t.table with Single ch -> ch.keys | Multi ch -> ch.keys
 
 let rehash t ~key_cols =
   let fresh = create t.schema ~key_cols in
@@ -112,6 +205,13 @@ let swap_out t = t.swapped <- true
 let swap_in t = t.swapped <- false
 let swapped t = t.swapped
 
+(* Shrink back to the initial size, as [Hashtbl.reset] does. *)
+let reset ch =
+  ch.keys <- 0;
+  if Array.length ch.data = ch.initial then
+    Array.fill ch.data 0 ch.initial Empty
+  else ch.data <- Array.make ch.initial Empty
+
 let clear t =
-  (match t.table with Single h -> Vtbl.reset h | Multi h -> Ktbl.reset h);
+  (match t.table with Single ch -> reset ch | Multi ch -> reset ch);
   t.size <- 0

@@ -17,8 +17,34 @@ open Adp_relation
     A table with one key column is keyed by the {!Value.t} itself, hashed
     as [Tuple.hash_key [| v |]]: inserts and probes read the column in
     place, and bucket layout (so {!iter} order) equals a composite-keyed
-    table's.  {!of_list} sizes its table from its input, which changes
-    iteration order: use it only for tables that are never iterated. *)
+    table's.
+
+    Layout contract.  The table is chained, and each entry keeps its key's
+    hash ([Tuple.hash_key] of the key columns), so growth never re-hashes
+    and a lookup compares keys ({!Value.equal}, {!Tuple.equal_key}) only
+    when the stored hash matches.  The layout is exactly that of a
+    [Hashtbl.Make] table over the same hash and equality, filled by
+    [find_opt]/[add]:
+    - bucket index [hash land max_int mod size];
+    - initial size [power_2_above 16 n]: 256 for {!create}, the input
+      length for {!of_list};
+    - a new key goes at the head of its bucket, and a key's rows are kept
+      newest first;
+    - the bucket array doubles when keys exceed twice its size, relinking
+      each chain in order;
+    - {!clear} shrinks back to the initial size, as [Hashtbl.reset] does.
+    {!iter} and {!to_list} therefore visit tuples in the stdlib table's
+    order.  Stitch-up, [Comp_join] and checkpoint restore see that order,
+    and the virtual clock depends on it.  {!of_list} sizes its table from
+    its input, which changes iteration order: use it only for tables that
+    are never iterated.  Inserting into a table while iterating it is
+    unspecified.
+
+    NULL rule.  Probes follow SQL equality: a probe key that is NULL, or
+    has a NULL column, matches nothing ({!probe}, {!probe_value},
+    {!probe_tuple}, {!insert_probe}).  Inserts still store such tuples,
+    under one key as [Value.equal] groups them, so {!length}, {!iter},
+    {!distinct_keys} and rebuilds see them. *)
 
 type t
 
@@ -43,7 +69,7 @@ val probe_tuple : t -> Tuple.t -> int array -> Tuple.t list
 val probe_value : t -> Value.t -> Tuple.t list
 
 (** [insert_probe t tuple ~probe] is [insert t tuple] then
-    [probe probe (key_of t tuple)], computing the key once. *)
+    [probe probe (key_of t tuple)], computing and hashing the key once. *)
 val insert_probe : t -> Tuple.t -> probe:t -> Tuple.t list
 
 (** Key of a tuple under this table's key columns. *)

@@ -221,6 +221,30 @@ let test_overflow_charges_io () =
   Alcotest.(check bool) "spilling costs more" true
     (Clock.cpu ctx_spill.Ctx.clock > Clock.cpu ctx_mem.Ctx.clock)
 
+(* SQL equality on every join path: symmetric hash and merge modes, and
+   the complementary pair with its overflow resolution.  NULL keys sort
+   first, so the merge side accepts them in order. *)
+let test_null_keys_match_nothing () =
+  let null = Adp_relation.Value.Null in
+  let l = [ [| null; vi 1 |]; [| null; vi 3 |]; [| vi 2; vi 2 |] ]
+  and r = [ [| null; vi 4 |]; [| vi 2; vi 5 |] ] in
+  let want = oracle_join l r ~on:[ 0, 0 ] in
+  Alcotest.(check int) "oracle rows" 1 (List.length want);
+  List.iter
+    (fun mode ->
+      let j = mk_sym (Ctx.create ()) mode in
+      let outs =
+        List.concat_map (Sym_join.insert j Sym_join.L) l
+        @ List.concat_map (Sym_join.insert j Sym_join.R) r
+      in
+      check_bag "symmetric join" outs want)
+    [ `Hash; `Merge ];
+  List.iter
+    (fun budget ->
+      let outs, _, _ = comp_overflow_outputs Comp_join.Naive budget l r in
+      check_bag "complementary join" outs want)
+    [ None; Some 1 ]
+
 let comp_overflow_prop =
   QCheck2.Test.make
     ~name:"complementary join exact under any memory budget (qcheck)"
@@ -323,6 +347,8 @@ let suite =
     Alcotest.test_case "overflow: with priority queue" `Quick
       test_overflow_with_priority_queue;
     Alcotest.test_case "overflow: charges I/O" `Quick test_overflow_charges_io;
+    Alcotest.test_case "NULL keys match nothing on every join path" `Quick
+      test_null_keys_match_nothing;
     qtest comp_overflow_prop;
     qtest comp_budget_matches_unbounded;
     qtest comp_join_equivalence ]

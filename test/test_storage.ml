@@ -25,6 +25,35 @@ let test_hash_rehash () =
   Alcotest.(check int) "new key works" 2
     (List.length (Hash_table.probe r [| vi 10 |]))
 
+(* SQL equality: a NULL key, or one with a NULL column, is stored (it
+   counts and iterates) but no probe ever matches it. *)
+let test_hash_null_keys () =
+  let single = Hash_table.create ks ~key_cols:[ "t.k" ] in
+  let other = Hash_table.create ks ~key_cols:[ "t.k" ] in
+  Hash_table.insert other [| Value.Null; vi 0 |];
+  Hash_table.insert single [| Value.Null; vi 1 |];
+  Alcotest.(check int) "null insert_probe matches nothing" 0
+    (List.length
+       (Hash_table.insert_probe single [| Value.Null; vi 2 |] ~probe:other));
+  Alcotest.(check int) "nulls stored" 2 (Hash_table.length single);
+  Alcotest.(check int) "one null key" 1 (Hash_table.distinct_keys single);
+  Alcotest.(check int) "nulls iterate" 2 (List.length (Hash_table.to_list single));
+  Alcotest.(check int) "probe null" 0
+    (List.length (Hash_table.probe single [| Value.Null |]));
+  Alcotest.(check int) "probe_value null" 0
+    (List.length (Hash_table.probe_value single Value.Null));
+  let ks3 = Schema.make [ "t.a"; "t.b"; "t.p" ] in
+  let multi = Hash_table.create ks3 ~key_cols:[ "t.a"; "t.b" ] in
+  Hash_table.insert multi [| vi 1; Value.Null; vi 0 |];
+  Hash_table.insert multi [| vi 1; vi 2; vi 1 |];
+  Alcotest.(check int) "composite with null" 0
+    (List.length (Hash_table.probe multi [| vi 1; Value.Null |]));
+  Alcotest.(check int) "probe_tuple with null" 0
+    (List.length
+       (Hash_table.probe_tuple multi [| vi 1; Value.Null; vi 9 |] [| 0; 1 |]));
+  Alcotest.(check int) "composite without null" 1
+    (List.length (Hash_table.probe multi [| vi 1; vi 2 |]))
+
 let test_hash_swap () =
   let h = Hash_table.create ks ~key_cols:[ "t.k" ] in
   Alcotest.(check bool) "in memory" false (Hash_table.swapped h);
@@ -35,6 +64,7 @@ let test_hash_swap () =
 
 let hash_model =
   QCheck2.Test.make ~name:"hash table matches assoc model" ~count:100
+    ~long_factor:10
     (gen_keyed_tuples ~key_range:10 ~max_len:60)
     (fun tuples ->
       let h = Hash_table.create ks ~key_cols:[ "t.k" ] in
@@ -60,18 +90,24 @@ module Ktbl = Hashtbl.Make (struct
   let hash = Tuple.hash_key
 end)
 
-let ref_build idx tuples =
-  let r = Ktbl.create 256 in
+let ref_fill r idx tuples =
   List.iter
     (fun t ->
       let k = Tuple.key t idx in
       match Ktbl.find_opt r k with
       | Some cell -> cell := t :: !cell
       | None -> Ktbl.replace r k (ref [ t ]))
-    tuples;
+    tuples
+
+let ref_build idx tuples =
+  let r = Ktbl.create 256 in
+  ref_fill r idx tuples;
   r
 
-let ref_probe r k = match Ktbl.find_opt r k with Some c -> !c | None -> []
+(* Probes follow SQL equality: a key with a NULL column matches nothing. *)
+let ref_probe r k =
+  if Array.exists Value.is_null k then []
+  else match Ktbl.find_opt r k with Some c -> !c | None -> []
 
 (* The iteration orders themselves are under test below. *)
 let ref_iter_order r =
@@ -105,6 +141,7 @@ let gen_keyed_rows =
 
 let keyed_path_model =
   QCheck2.Test.make ~name:"keyed path matches composite-key table" ~count:60
+    ~long_factor:10
     gen_keyed_rows
     (fun (two_cols, tuples) ->
       let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
@@ -142,7 +179,7 @@ let keyed_path_model =
 (* [insert_probe] is one join side; [of_list] probes like a filled table. *)
 let insert_probe_model =
   QCheck2.Test.make ~name:"insert_probe and of_list match insert + probe"
-    ~count:60 gen_keyed_rows
+    ~count:60 ~long_factor:10 gen_keyed_rows
     (fun (two_cols, tuples) ->
       let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
       let idx = if two_cols then [| 0; 1 |] else [| 0 |] in
@@ -163,12 +200,95 @@ let insert_probe_model =
           fused = Hash_table.probe pr (Tuple.key t idx)
           && Hash_table.probe_tuple sized t idx
              = List.filter
-                 (fun u -> Tuple.equal_key (Tuple.key u idx) (Tuple.key t idx))
+                 (fun u ->
+                   let k = Tuple.key t idx in
+                   (not (Array.exists Value.is_null k))
+                   && Tuple.equal_key (Tuple.key u idx) k)
                  (List.rev tuples))
         tuples
       && Hash_table.to_list fused_l = Hash_table.to_list plain_l
       && Hash_table.to_list fused_r = Hash_table.to_list plain_r
       && Hash_table.length sized = List.length tuples)
+
+(* Layout equivalence on tables large enough to double at least three
+   times (a 256-bucket table doubles past 512, 1024 and 2048 keys).  Keys
+   mix NULL, Int 3 / Float 3.0, NaN and strings with a wide integer
+   range. *)
+let layout_value rng =
+  match Adp_datagen.Prng.int rng 16 with
+  | 0 -> Value.Null
+  | 1 -> vi 3
+  | 2 -> vf 3.0
+  | 3 -> vf Float.nan
+  | 4 | 5 | 6 -> vs ("s" ^ string_of_int (Adp_datagen.Prng.int rng 50_000))
+  | _ -> vi (Adp_datagen.Prng.int rng 1_000_000)
+
+(* Rows are drawn from a seeded stream, so a failure shrinks the seed and
+   the row count rather than a list of thousands of rows. *)
+let gen_layout_rows =
+  QCheck2.Gen.(
+    triple bool (int_bound 1_000_000) (int_range 3500 5000)
+    |> map (fun (two_cols, seed, n) ->
+           let rng = Adp_datagen.Prng.create seed in
+           ( two_cols,
+             List.init n (fun i ->
+                 let a = layout_value rng in
+                 let b = layout_value rng in
+                 [| a; b; vi i |]) )))
+
+let iter_order h =
+  let acc = ref [] in
+  (* determinism-ok: iteration order is what the layout properties check *)
+  Hash_table.iter (fun t -> acc := t :: !acc) h;
+  List.rev !acc
+
+(* The same tuples, physically, in the same order ([=] fails on NaN). *)
+let same_rows a b =
+  List.length a = List.length b && List.for_all2 ( == ) a b
+
+let same_layout h r =
+  same_rows (iter_order h) (ref_iter_order r)
+  && same_rows (Hash_table.to_list h) (ref_to_list r)
+  && Hash_table.distinct_keys h = Ktbl.length r
+
+let layout_matches_stdlib =
+  QCheck2.Test.make ~name:"layout matches Hashtbl.Make through doublings"
+    ~count:10 ~long_factor:10 gen_layout_rows
+    (fun (two_cols, tuples) ->
+      let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
+      let idx = if two_cols then [| 0; 1 |] else [| 0 |] in
+      let h = Hash_table.create ks3 ~key_cols in
+      List.iter (Hash_table.insert h) tuples;
+      let r = ref_build idx tuples in
+      Hash_table.distinct_keys h > 2048 && same_layout h r)
+
+let layout_after_reuse =
+  QCheck2.Test.make
+    ~name:"layout after clear, rehash and of_list matches Hashtbl.Make"
+    ~count:10 ~long_factor:10 gen_layout_rows
+    (fun (two_cols, tuples) ->
+      let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
+      let idx = if two_cols then [| 0; 1 |] else [| 0 |] in
+      let other = if two_cols then [ "t.b" ] else [ "t.a"; "t.b" ] in
+      let other_idx = if two_cols then [| 1 |] else [| 0; 1 |] in
+      let h = Hash_table.create ks3 ~key_cols in
+      let r = ref_build idx tuples in
+      List.iter (Hash_table.insert h) tuples;
+      (* [clear] shrinks back to 256 buckets, as [Hashtbl.reset] does. *)
+      let again = List.filteri (fun i _ -> i mod 3 <> 0) tuples in
+      Hash_table.clear h;
+      Ktbl.reset r;
+      List.iter (Hash_table.insert h) again;
+      ref_fill r idx again;
+      let rehashed = Hash_table.rehash h ~key_cols:other in
+      let rr = ref_build other_idx (ref_iter_order r) in
+      let sized = Hash_table.of_list ks3 ~key_cols tuples in
+      let rs = Ktbl.create (List.length tuples) in
+      ref_fill rs idx tuples;
+      Hash_table.length h = List.length again
+      && same_layout h r
+      && same_layout rehashed rr
+      && same_layout sized rs)
 
 (* Bucket layout, and with it every iteration order above, rests on these
    values; they must not change. *)
@@ -371,9 +491,13 @@ let suite =
   [ Alcotest.test_case "hash basics" `Quick test_hash_basic;
     Alcotest.test_case "hash rehash" `Quick test_hash_rehash;
     Alcotest.test_case "hash swap flags" `Quick test_hash_swap;
+    Alcotest.test_case "hash NULL keys stored, never matched" `Quick
+      test_hash_null_keys;
     qtest hash_model;
     qtest keyed_path_model;
     qtest insert_probe_model;
+    qtest layout_matches_stdlib;
+    qtest layout_after_reuse;
     Alcotest.test_case "hash key values pinned" `Quick test_hash_key_values;
     Alcotest.test_case "sorted run" `Quick test_sorted_run;
     qtest sorted_run_model;

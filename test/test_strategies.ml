@@ -151,6 +151,41 @@ let forced_switch_setup () =
   in
   q, catalog, sources
 
+(* Regression: a NULL key matches nothing, not even another NULL.
+   r(a) = {NULL, 2, NULL} joined with s(b) = {NULL, 2} on r.a = s.b has
+   one row; the engine's join tables once matched NULL to NULL and
+   returned three. *)
+let test_null_join_keys () =
+  let r_schema = Schema.make [ "r.a" ] and s_schema = Schema.make [ "s.b" ] in
+  let q =
+    { Logical.sources =
+        [ { Logical.name = "r"; filter = Predicate.tt };
+          { Logical.name = "s"; filter = Predicate.tt } ];
+      join_preds = [ "r.a", "s.b" ];
+      group_cols = []; aggs = []; projection = [] }
+  in
+  let catalog = Catalog.create () in
+  Catalog.add catalog "r"
+    { Catalog.schema = r_schema; cardinality = Some 3.0; key = None };
+  Catalog.add catalog "s"
+    { Catalog.schema = s_schema; cardinality = Some 2.0; key = None };
+  let rel sch vs = Relation.of_list sch (List.map (fun v -> [| v |]) vs) in
+  let sources () =
+    [ Source.create ~name:"r" (rel r_schema [ Value.Null; vi 2; Value.Null ])
+        Source.Local;
+      Source.create ~name:"s" (rel s_schema [ Value.Null; vi 2 ]) Source.Local ]
+  in
+  let want = Strategy.reference q catalog ~sources in
+  Alcotest.(check int) "reference rows" 1 (Relation.cardinality want);
+  List.iter
+    (fun (label, strat) ->
+      let o = Strategy.run ~label strat q catalog ~sources in
+      Alcotest.(check int) (label ^ " rows") 1
+        (Relation.cardinality o.Strategy.result);
+      Alcotest.(check bool) (label ^ " matches reference") true
+        (approx_same_relations o.Strategy.result want))
+    strategies
+
 let test_corrective_switches () =
   let q, catalog, sources = forced_switch_setup () in
   let want = Strategy.reference q catalog ~sources in
@@ -354,6 +389,8 @@ let suite =
     Alcotest.test_case "Q10 all strategies" `Slow test_q10;
     Alcotest.test_case "Q10A skewed all strategies" `Slow test_q10a_skewed;
     Alcotest.test_case "Q5 all strategies" `Slow test_q5;
+    Alcotest.test_case "NULL join keys match nothing" `Quick
+      test_null_join_keys;
     Alcotest.test_case "static learns leaf pass rates" `Quick
       test_static_leaf_observations;
     Alcotest.test_case "Q5 with cardinalities" `Slow test_q5_with_cards;
