@@ -113,44 +113,6 @@ module Bjson = struct
     Printf.printf "[wrote %s]\n%!" file
 end
 
-(* Wall-clock repetitions: a bench with its own kernel runs it [reps]
-   times and emits a <id>-wall-min/-median/-p95 trio, the cells
-   [tukwila bench-diff] gates variance-aware (median vs. median,
-   one-sided, tolerance widened by the repetition spread).  Only
-   figure2, figure3 and table3 time [wall_kernel], one trio per data
-   and source model; whole-workload wall time is perfbench's job. *)
-let reps = 3
-
-let wall_stats ~id f =
-  let times =
-    List.init reps (fun _ ->
-        let t0 = Adp_obs.Wallclock.monotonic_s () in
-        ignore (Sys.opaque_identity (f ()));
-        Adp_obs.Wallclock.monotonic_s () -. t0)
-  in
-  let arr = Array.of_list (List.sort compare times) in
-  let q p = arr.(int_of_float (Float.round (p *. float_of_int (reps - 1)))) in
-  [ Bjson.wall (id ^ "-wall-min") arr.(0);
-    Bjson.wall (id ^ "-wall-median") (q 0.5);
-    Bjson.wall (id ^ "-wall-p95") (q 0.95) ]
-
-(* The shared repetition kernel: a fresh (never memoized) corrective
-   Q3A run recovering from the documented pessimal plan — the adaptation
-   path most experiments exercise — with observability off. *)
-let wall_kernel ?(model = Source.Local) ?(dataset = uniform) () =
-  let ds = Lazy.force dataset in
-  let q = Workload.query Workload.Q3A in
-  let catalog = Workload.catalog ~with_cardinalities:true ds q in
-  let sources () = Workload.sources ~model ds q () in
-  let sels = Adp_stats.Selectivity.create () in
-  let bad =
-    (Adp_optimizer.Optimizer.pessimal q catalog sels).Adp_optimizer.Optimizer
-      .spec
-  in
-  fun () ->
-    Strategy.run ~label:"wall-kernel" ~initial_plan:bad
-      (Strategy.Corrective corrective_config) q catalog ~sources
-
 let time_cell (o : Strategy.outcome) = seconds o.Strategy.report.Report.time_s
 
 (* The bursty 802.11b-style model of Figure 3: limited bandwidth with

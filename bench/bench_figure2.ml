@@ -42,5 +42,4 @@ let run () =
          "Figure 2: strategies over TPC data (virtual completion time, SF %g)"
          scale)
     ~header rows;
-  Bjson.emit ~bench:"figure2"
-    (List.rev !json @ wall_stats ~id:"figure2" (wall_kernel ()))
+  Bjson.emit ~bench:"figure2" (List.rev !json)

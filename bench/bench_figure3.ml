@@ -45,5 +45,4 @@ let run () =
       "Figure 3: corrective query processing over a bursty wireless network \
        (virtual completion time)"
     ~header rows;
-  Bjson.emit ~bench:"figure3"
-    (List.rev !json @ wall_stats ~id:"figure3" (wall_kernel ~model:wireless ()))
+  Bjson.emit ~bench:"figure3" (List.rev !json)

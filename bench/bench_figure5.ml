@@ -177,7 +177,4 @@ let table3 () =
       [ "dataset"; "variant"; "hash out"; "merge out"; "stitch out";
         "routed→merge"; "routed→hash" ]
     rows;
-  Bjson.emit ~bench:"table3"
-    (List.rev !json
-    @ Bench_common.wall_stats ~id:"table3"
-        (Bench_common.wall_kernel ~dataset:Bench_common.skewed ()))
+  Bjson.emit ~bench:"table3" (List.rev !json)

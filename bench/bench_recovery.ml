@@ -150,9 +150,9 @@ let run () =
     (Bjson.count "total-input" n
      :: Bjson.time "baseline/time" btime
      :: List.concat_map
-          (fun (every, t, wall, ckpts) ->
+          (fun (every, t, _, ckpts) ->
             let key = Printf.sprintf "overhead/every-%d" every in
-            [ Bjson.time (key ^ "/time") t; Bjson.wall (key ^ "/wall") wall;
+            [ Bjson.time (key ^ "/time") t;
               Bjson.count (key ^ "/checkpoints") ckpts ])
           overhead
      @ List.concat_map

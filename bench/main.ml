@@ -21,8 +21,7 @@ let experiments =
     "profile", ("profiler overhead, zero-perturbation and blame check", Bench_profile.run);
     "server", ("multi-query server: supervision, adaptive polling, warm starts", Bench_server.run);
     "timeseries", ("server telemetry: sampling determinism, SLOs, zero perturbation", Bench_timeseries.run);
-    "governance", ("resource governance: deadlines, memory ceilings, breakers, overload", Bench_governance.run);
-    "micro", ("bechamel micro-benchmarks", Bench_micro.run) ]
+    "governance", ("resource governance: deadlines, memory ceilings, breakers, overload", Bench_governance.run) ]
 
 let usage () =
   print_endline "usage: main.exe [experiment ...]";

@@ -1353,21 +1353,15 @@ let report_gate = function
     prerr_endline m;
     2
   | Ok (o : Adp_obs.Benchdiff.outcome) ->
-    List.iter print_endline o.o_notes;
     List.iter print_endline o.o_breaches;
     if o.o_breaches <> [] then begin
       Printf.printf "FAIL %s: %d breach(es) over %d gated cells\n" o.o_bench
-        (List.length o.o_breaches)
-        (o.o_gated + o.o_wall_gated);
+        (List.length o.o_breaches) o.o_gated;
       1
     end
     else begin
-      Printf.printf
-        "OK %s: %d gated cells within thresholds (%d wall medians gated \
-         variance-aware, %d wall cells informational)\n"
-        o.o_bench
-        (o.o_gated + o.o_wall_gated)
-        o.o_wall_gated o.o_wall_info;
+      Printf.printf "OK %s: %d gated cells within thresholds\n" o.o_bench
+        o.o_gated;
       0
     end
 
@@ -1412,8 +1406,7 @@ let bench_history_cmd =
      gates against the earlier ones under $(b,bench-diff)'s rules: \
      $(b,time) cells within $(b,--time-tol) relative of the $(i,median \
      of the prior runs), everything else (shape, scale, kinds, exact \
-     $(b,count)/$(b,bool) values, wall trios) against the most recent \
-     prior run.  Exits 1 on any breach, 2 on incomparable runs."
+     $(b,count)/$(b,bool) values) against the most recent prior run.  Exits 1 on any breach, 2 on incomparable runs."
   in
   let files_arg =
     let doc = "BENCH_<id>.json files to append and render." in
@@ -1437,24 +1430,17 @@ let bench_history_cmd =
 
 let bench_diff_cmd =
   let read path = or_exit2 (Adp_obs.Bjson.load path) in
-  let run base_path new_path time_tol wall_tol =
+  let run base_path new_path time_tol =
     let priors = [ read base_path ] and current = read new_path in
-    exit
-      (report_gate
-         (Adp_obs.Benchdiff.diff ~time_tol ~wall_tol ~priors ~current ()))
+    exit (report_gate (Adp_obs.Benchdiff.diff ~time_tol ~priors ~current ()))
   in
   let doc =
     "Compare a freshly produced $(b,BENCH_<id>.json) against a committed \
      baseline with per-metric-kind thresholds: $(b,time) cells (virtual \
-     seconds) must stay within $(b,--time-tol) relative, $(b,count) and \
-     $(b,bool) cells must match exactly, and $(b,wall) cells gate \
-     variance-aware when present as repetition trios \
-     ($(b,<id>-wall-min/-median/-p95) in both documents): median vs. \
-     median, one-sided (only slowdowns breach), with the $(b,--wall-tol) \
-     tolerance automatically widened to twice the larger document's \
-     repetition spread and a 5 ms noise floor.  Lone wall cells stay \
-     informational.  Exits 1 on any breach, 2 on malformed or \
-     incomparable inputs (schema, bench id, or scale mismatch)."
+     seconds) must stay within $(b,--time-tol) relative, and $(b,count) \
+     and $(b,bool) cells must match exactly.  Exits 1 on any breach, 2 on \
+     malformed or incomparable inputs (schema, unknown cell kind, bench \
+     id, scale or cell-shape mismatch)."
   in
   let base_arg =
     let doc = "The committed baseline BENCH_<id>.json." in
@@ -1468,16 +1454,9 @@ let bench_diff_cmd =
     let doc = "Relative tolerance for time-kind cells." in
     Arg.(value & opt float 0.10 & info [ "time-tol" ] ~docv:"FRAC" ~doc)
   in
-  let wall_tol_arg =
-    let doc =
-      "Base relative tolerance for wall-median comparisons (widened by \
-       repetition spread)."
-    in
-    Arg.(value & opt float 0.5 & info [ "wall-tol" ] ~docv:"FRAC" ~doc)
-  in
   Cmd.v
     (Cmd.info "bench-diff" ~doc)
-    Term.(const run $ base_arg $ new_arg $ tol_arg $ wall_tol_arg)
+    Term.(const run $ base_arg $ new_arg $ tol_arg)
 
 (* ---------------- flame ---------------- *)
 

@@ -7,55 +7,17 @@
    two zeros compare equal, and relative error denominators are floored
    at [eps]; non-finite values (NaN/inf, e.g. from a corrupted run) are
    explicit breaches rather than silently passing every [<>] or [>]
-   test.  Wall trios gate one-sided under a tolerance that widens with
-   the measured noise:
-
-     spread(d)  = (p95 - min) / max(median, floor)
-     tol_eff    = max(wall_tol, 2 * max(spread_base, spread_new))
-     breach    <=> median_new > max(median_base, floor) * (1 + tol_eff)
-
-   and trios whose medians both sit under [floor] (5 ms) are noise by
-   definition and stay informational. *)
+   test. *)
 
 type outcome = {
   o_bench : string;
-  o_gated : int;  (* deterministic cells compared under a gate *)
-  o_wall_gated : int;  (* wall medians gated variance-aware *)
-  o_wall_info : int;  (* wall cells that stayed informational *)
+  o_gated : int;  (* cells compared under a gate *)
   o_breaches : string list;
-  o_notes : string list;
 }
 
 let eps = 1e-9
-let floor_s = 5e-3
 
 let finite v = Float.is_finite v
-
-let trio_suffixes = [ "-wall-min"; "-wall-median"; "-wall-p95" ]
-
-(* [Some (base, suffix)] when [id] is [base ^ suffix] for a trio suffix. *)
-let trio_member id =
-  List.find_map
-    (fun suffix ->
-      let n = String.length id and m = String.length suffix in
-      if n >= m && String.sub id (n - m) m = suffix then
-        Some (String.sub id 0 (n - m), suffix)
-      else None)
-    trio_suffixes
-
-(* The wall trio rooted at [base], when all three cells are present. *)
-let trio cells base =
-  let find suffix =
-    List.find_opt
-      (fun (c : Bjson.cell) -> c.id = base ^ suffix && c.kind = Bjson.Wall)
-      cells
-  in
-  match List.map find trio_suffixes with
-  | [ Some mn; Some md; Some p95 ] ->
-    Some (mn.Bjson.value, md.Bjson.value, p95.Bjson.value)
-  | _ -> None
-
-let spread (mn, md, p95) = (p95 -. mn) /. Float.max md floor_s
 
 (* The upper median: the middle element, or the upper of the two middle
    ones, so the result is always a value that was actually measured. *)
@@ -85,7 +47,7 @@ let shape_mismatch (baseline : Bjson.doc) (current : Bjson.doc) =
   | [] -> None
   | parts -> Some (String.concat "; " ("cell shape mismatch" :: parts))
 
-let diff ?(time_tol = 0.10) ?(wall_tol = 0.5) ~(priors : Bjson.doc list)
+let diff ?(time_tol = 0.10) ~(priors : Bjson.doc list)
     ~(current : Bjson.doc) () =
   let baseline =
     match List.rev priors with
@@ -120,39 +82,10 @@ let diff ?(time_tol = 0.10) ?(wall_tol = 0.5) ~(priors : Bjson.doc list)
     match shape_mismatch baseline current with
     | Some m -> Error m
     | None ->
-    let breaches = ref [] and notes = ref [] in
-    let gated = ref 0 and wall_gated = ref 0 and wall_info = ref 0 in
+    let breaches = ref [] and gated = ref 0 in
     let breach fmt = Printf.ksprintf (fun s -> breaches := s :: !breaches) fmt in
-    let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
     let lookup id =
       List.find (fun (c : Bjson.cell) -> c.id = id) current.cells
-    in
-    (* A trio gates once, through its median cell, when both documents
-       carry all three cells; its min/p95 cells are accounted for there. *)
-    let gate_trio id base =
-      let b = Option.get (trio baseline.cells base)
-      and n = Option.get (trio current.cells base) in
-      let (bmn, bmd, bp95), (nmn, nmd, np95) = (b, n) in
-      if not (List.for_all finite [ bmn; bmd; bp95; nmn; nmd; np95 ]) then
-        breach "BREACH %-10s %s: non-finite value in repetition trio" "wall" id
-      else if bmd < floor_s && nmd < floor_s then begin
-        incr wall_info;
-        note "note: wall trio %s under the %.0f ms noise floor (informational)"
-          base (floor_s *. 1e3)
-      end
-      else begin
-        incr wall_gated;
-        let tol_eff =
-          Float.max wall_tol (2.0 *. Float.max (spread b) (spread n))
-        in
-        if nmd > Float.max bmd floor_s *. (1.0 +. tol_eff) then
-          breach
-            "BREACH %-10s %s: median %s -> %s s (%+.0f%%, effective \
-             tolerance %.0f%%)"
-            "wall" id (Json.float_str bmd) (Json.float_str nmd)
-            (100.0 *. ((nmd /. Float.max bmd eps) -. 1.0))
-            (100.0 *. tol_eff)
-      end
     in
     List.iter
       (fun (b : Bjson.cell) ->
@@ -163,17 +96,6 @@ let diff ?(time_tol = 0.10) ?(wall_tol = 0.5) ~(priors : Bjson.doc list)
         | _ when n.kind <> b.kind ->
           breach "BREACH %-10s %s: kind changed to %s" kind b.id
             (Bjson.kind_name n.kind)
-        | Bjson.Wall -> (
-          match trio_member b.id with
-          | Some (base, suffix)
-            when trio baseline.cells base <> None
-                 && trio current.cells base <> None ->
-            if suffix = "-wall-median" then gate_trio b.id base
-          | _ ->
-            incr wall_info;
-            if not (finite nv) then
-              note "note: wall cell %s is non-finite (%s)" b.id
-                (Json.float_str nv))
         | Bjson.Time ->
           incr gated;
           (* With one prior the median is [bv] itself. *)
@@ -201,5 +123,4 @@ let diff ?(time_tol = 0.10) ?(wall_tol = 0.5) ~(priors : Bjson.doc list)
       baseline.cells;
     Ok
       { o_bench = baseline.bench; o_gated = !gated;
-        o_wall_gated = !wall_gated; o_wall_info = !wall_info;
-        o_breaches = List.rev !breaches; o_notes = List.rev !notes }
+        o_breaches = List.rev !breaches }

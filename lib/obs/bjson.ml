@@ -11,13 +11,11 @@
             tolerance (plans may legitimately drift a little across
             estimator tweaks);
      count  deterministic integer/exact value — must match exactly;
-     bool   invariant flag (1/0) — must match exactly;
-     wall   wall-clock measurement.  A repetition trio
-            <base>-wall-min / <base>-wall-median / <base>-wall-p95
-            gates median-vs-median under a variance-aware tolerance;
-            lone wall cells stay informational. *)
+     bool   invariant flag (1/0) — must match exactly.
+   Wall-clock numbers are not cells: the bench tables print them, and
+   perfbench judges wall time. *)
 
-type kind = Time | Count | Bool | Wall
+type kind = Time | Count | Bool
 
 type cell = { id : string; kind : kind; value : float }
 
@@ -27,19 +25,16 @@ let time id v = { id; kind = Time; value = v }
 let count id n = { id; kind = Count; value = float_of_int n }
 let num id v = { id; kind = Count; value = v }
 let flag id b = { id; kind = Bool; value = (if b then 1.0 else 0.0) }
-let wall id v = { id; kind = Wall; value = v }
 
 let kind_name = function
   | Time -> "time"
   | Count -> "count"
   | Bool -> "bool"
-  | Wall -> "wall"
 
 let kind_of_name = function
   | "time" -> Some Time
   | "count" -> Some Count
   | "bool" -> Some Bool
-  | "wall" -> Some Wall
   | _ -> None
 
 (* Cell ids are path-like slugs: lowercase, [a-z0-9./%+-] kept,
@@ -89,12 +84,12 @@ let fields { bench; scale; cells } =
 
 let of_json j =
   let cell c =
+    let id = Json.req c "id" Json.get_str in
     let kind = Json.req c "kind" Json.get_str in
     match kind_of_name kind with
-    | Some kind ->
-      { id = Json.req c "id" Json.get_str; kind;
-        value = Json.req c "value" Json.get_num }
-    | None -> raise (Json.Bad (Printf.sprintf "unknown cell kind %S" kind))
+    | Some kind -> { id; kind; value = Json.req c "value" Json.get_num }
+    | None ->
+      raise (Json.Bad (Printf.sprintf "cell %S: unknown kind %S" id kind))
   in
   try
     if Json.req j "schema" Json.get_int <> 1 then

@@ -4,11 +4,10 @@
     A document is a bench id, the TPC scale factor it ran at, and a list
     of cells.  Cell kinds carry their diff semantics (see {!Benchdiff}):
     [Time] gates with a relative tolerance, [Count] and [Bool] must
-    match exactly, [Wall] gates variance-aware when emitted as a
-    repetition trio ([<base>-wall-min] / [-median] / [-p95]) and is
-    informational otherwise. *)
+    match exactly.  Every cell is deterministic under the virtual clock;
+    wall-clock numbers are printed, never stored. *)
 
-type kind = Time | Count | Bool | Wall
+type kind = Time | Count | Bool
 
 type cell = { id : string; kind : kind; value : float }
 
@@ -23,7 +22,6 @@ val count : string -> int -> cell
 val num : string -> float -> cell
 
 val flag : string -> bool -> cell
-val wall : string -> float -> cell
 
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
@@ -41,6 +39,9 @@ val to_string : doc -> string
     ignores fields it does not know. *)
 val fields : doc -> (string * Json.t) list
 
+(** [Error] on a bad schema version, a missing field, or a cell of an
+    unknown kind (naming the cell id) — including the retired ["wall"]
+    kind, so a stale baseline fails to load instead of being skipped. *)
 val of_json : Json.t -> (doc, string) result
 val of_string : string -> (doc, string) result
 val load : string -> (doc, string) result

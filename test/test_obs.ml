@@ -1110,16 +1110,12 @@ let test_histogram_quantile_edges () =
         (v > 0.0 && v <= 7.0))
     [ 0.25; 0.5; 0.95 ]
 
-(* ---------------- variance-aware bench gating ---------------- *)
+(* ---------------- bench gating ---------------- *)
 
 let doc cells = { Bjson.bench = "t"; scale = 0.02; cells }
 
-let trio id (mn, md, p95) =
-  [ Bjson.wall (id ^ "-wall-min") mn; Bjson.wall (id ^ "-wall-median") md;
-    Bjson.wall (id ^ "-wall-p95") p95 ]
-
-let diff_ok ?time_tol ?wall_tol b c =
-  match Benchdiff.diff ?time_tol ?wall_tol ~priors:[ b ] ~current:c () with
+let diff_ok b c =
+  match Benchdiff.diff ~priors:[ b ] ~current:c () with
   | Ok o -> o
   | Error m -> Alcotest.fail m
 
@@ -1138,13 +1134,6 @@ let test_benchdiff_zero_and_nan () =
   let o = diff_ok z n in
   Alcotest.(check int) "zero -> nonzero breaches" 1
     (List.length o.Benchdiff.o_breaches);
-  (* A wall trio with a 0 cell must not divide by zero: spread uses the
-     5 ms floor and the gate still fires on a real slowdown. *)
-  let b = doc (trio "k" (0.0, 0.010, 0.010)) in
-  let c = doc (trio "k" (0.0, 0.200, 0.200)) in
-  let o = diff_ok b c in
-  Alcotest.(check int) "zero-valued wall cell still gates" 1
-    (List.length o.Benchdiff.o_breaches);
   (* Non-finite values are explicit breaches, never silent passes. *)
   let bad = doc [ Bjson.time "t/busy" Float.nan ] in
   let o = diff_ok (doc [ Bjson.time "t/busy" 1.0 ]) bad in
@@ -1154,55 +1143,41 @@ let test_benchdiff_zero_and_nan () =
   Alcotest.(check int) "NaN baseline breaches too" 1
     (List.length o.Benchdiff.o_breaches)
 
-let test_benchdiff_wall_gate () =
-  let base = doc (trio "k" (0.010, 0.011, 0.012)) in
-  (* Unchanged rebuild: identical trio passes and is counted as gated. *)
-  let o = diff_ok base base in
-  Alcotest.(check (list string)) "unchanged trio passes" []
-    o.Benchdiff.o_breaches;
-  Alcotest.(check int) "median gated variance-aware" 1
-    o.Benchdiff.o_wall_gated;
-  (* A ~2x slowdown with tight repetitions breaches... *)
-  let slow = doc (trio "k" (0.021, 0.022, 0.023)) in
-  let o = diff_ok base slow in
-  Alcotest.(check int) "2x slowdown gated" 1
-    (List.length o.Benchdiff.o_breaches);
-  (* ...a speedup never does (one-sided)... *)
-  let fast = doc (trio "k" (0.004, 0.005, 0.006)) in
-  let o = diff_ok base fast in
-  Alcotest.(check (list string)) "speedup passes" [] o.Benchdiff.o_breaches;
-  (* ...noisy repetitions widen the effective tolerance past the same
-     2x delta... *)
-  let noisy_base = doc (trio "k" (0.010, 0.011, 0.030)) in
-  let o = diff_ok noisy_base slow in
-  Alcotest.(check (list string)) "spread widens the tolerance" []
-    o.Benchdiff.o_breaches;
-  (* ...and sub-floor trios are informational noise. *)
-  let tiny = doc (trio "k" (0.0005, 0.001, 0.0015)) in
-  let tiny2 = doc (trio "k" (0.001, 0.002, 0.003)) in
-  let o = diff_ok tiny tiny2 in
-  Alcotest.(check (list string)) "sub-floor trio passes" []
-    o.Benchdiff.o_breaches;
-  Alcotest.(check int) "sub-floor trio not gated" 0 o.Benchdiff.o_wall_gated;
-  (* Lone wall cells (no trio) stay informational, as before. *)
-  let lone_b = doc [ Bjson.wall "w" 0.010 ] in
-  let lone_c = doc [ Bjson.wall "w" 10.0 ] in
-  let o = diff_ok lone_b lone_c in
-  Alcotest.(check (list string)) "lone wall cell informational" []
-    o.Benchdiff.o_breaches;
-  Alcotest.(check int) "lone wall cell counted" 1 o.Benchdiff.o_wall_info;
-  (* Incomparable documents are errors, not breaches. *)
-  (match
-     Benchdiff.diff ~priors:[ base ]
-       ~current:{ base with Bjson.bench = "other" } ()
-   with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "bench id mismatch must be an error");
-  match
-    Benchdiff.diff ~priors:[ base ] ~current:{ base with Bjson.scale = 0.1 } ()
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "scale mismatch must be an error"
+(* The wall kind is retired: a baseline still carrying a wall cell must
+   fail to load, naming the cell, and bench-diff must exit 2 on it
+   rather than skip the cell. *)
+let test_benchdiff_stale_wall () =
+  let stale =
+    {|{ "schema": 1, "bench": "t", "scale": 0.02, "cells": [
+    { "id": "t/busy", "kind": "time", "value": 1 },
+    { "id": "k-wall-median", "kind": "wall", "value": 0.011 } ] }|}
+  in
+  (match Bjson.of_string stale with
+   | Ok _ -> Alcotest.fail "a wall cell must not load"
+   | Error m ->
+     Alcotest.(check string) "error names the cell"
+       {|cell "k-wall-median": unknown kind "wall"|} m);
+  let write text =
+    let path = Filename.temp_file "bench-diff" ".json" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let base = write stale in
+  let fresh = write (Bjson.to_string (doc [ Bjson.time "t/busy" 1.0 ])) in
+  let tukwila =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/tukwila.exe")
+  in
+  let code =
+    Sys.command
+      (String.concat " "
+         (List.map Filename.quote [ tukwila; "bench-diff"; base; fresh ])
+      ^ " > /dev/null 2>&1")
+  in
+  Sys.remove base;
+  Sys.remove fresh;
+  Alcotest.(check int) "bench-diff exits 2" 2 code
 
 (* Bjson documents written by the harness parse back bit-equal. *)
 let test_bjson_roundtrip () =
@@ -1210,7 +1185,7 @@ let test_bjson_roundtrip () =
     { Bjson.bench = "roundtrip"; scale = 0.02;
       cells =
         [ Bjson.time "a/t" 1.25; Bjson.count "a/n" 7; Bjson.flag "a/ok" true;
-          Bjson.wall "a-wall-median" 0.0105; Bjson.num "a/frac" 0.75 ] }
+          Bjson.num "a/frac" 0.75 ] }
   in
   match Bjson.of_string (Bjson.to_string d) with
   | Error m -> Alcotest.fail m
@@ -1250,6 +1225,6 @@ let suite =
       test_histogram_quantile_edges;
     Alcotest.test_case "bench-diff zero and NaN cells" `Quick
       test_benchdiff_zero_and_nan;
-    Alcotest.test_case "bench-diff variance-aware wall gate" `Quick
-      test_benchdiff_wall_gate;
+    Alcotest.test_case "bench-diff rejects stale wall baselines" `Quick
+      test_benchdiff_stale_wall;
     Alcotest.test_case "bjson roundtrip" `Quick test_bjson_roundtrip ]

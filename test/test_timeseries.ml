@@ -528,6 +528,19 @@ let test_benchdiff_shape_mismatch () =
        (contains m "missing 2 cells: beta, gamma");
      Alcotest.(check bool) "extra sorted" true
        (contains m "extra 2 cells: delta, zeta"));
+  (* So are a different bench id and a different scale. *)
+  (match
+     Benchdiff.diff ~priors:[ baseline ]
+       ~current:{ baseline with Bjson.bench = "other" } ()
+   with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "bench id mismatch must be an error");
+  (match
+     Benchdiff.diff ~priors:[ baseline ]
+       ~current:{ baseline with Bjson.scale = 0.1 } ()
+   with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "scale mismatch must be an error");
   (* A genuine regression on an aligned shape is a breach, not an
      Error. *)
   let baseline = doc_of [ ("alpha", Bjson.Count, 1.0) ] in
@@ -557,9 +570,7 @@ let test_bench_history () =
       let run n t =
         { Bjson.bench = "hist"; scale = 0.004;
           cells =
-            [ Bjson.flag "flag" true; Bjson.num "n" n; Bjson.time "elapsed" t;
-              Bjson.wall "k-wall-min" 0.020; Bjson.wall "k-wall-median" 0.021;
-              Bjson.wall "k-wall-p95" 0.022 ] }
+            [ Bjson.flag "flag" true; Bjson.num "n" n; Bjson.time "elapsed" t ] }
       in
       let runs = [ run 5.0 1.0; run 5.0 1.02; run 5.0 0.98 ] in
       List.iteri
@@ -641,13 +652,7 @@ let test_bench_history () =
             set "n" (fun c -> { c with Bjson.kind = Bjson.Time }) );
           ("changed scale", "incomparable", { latest with Bjson.scale = 0.008 });
           ( "changed count", "breach",
-            set "n" (fun c -> { c with Bjson.value = 6.0 }) );
-          ( "wall trio 3x slower", "breach",
-            edit
-              (List.map (fun (c : Bjson.cell) ->
-                   if c.Bjson.kind = Bjson.Wall then
-                     { c with Bjson.value = 3.0 *. c.Bjson.value }
-                   else c)) ) ]
+            set "n" (fun c -> { c with Bjson.value = 6.0 }) ) ]
       in
       List.iter
         (fun (name, expected, current) ->
@@ -663,7 +668,7 @@ let test_bench_history () =
         (fun id ->
           Alcotest.(check bool) ("rendered " ^ id) true
             (contains rendered id))
-        [ "flag"; "n"; "elapsed"; "k-wall-median" ])
+        [ "flag"; "n"; "elapsed" ])
 
 let suite =
   [ Alcotest.test_case "slo parse" `Quick test_slo_parse;
