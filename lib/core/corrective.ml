@@ -86,19 +86,37 @@ type closed = {
 }
 
 (* Order detection (plus a distinct sketch and the value range) on every
-   join attribute is always on: it costs a comparison and a hash per tuple
-   (the paper found such per-operator bookkeeping had no measurable
-   penalty), and §4.5 shows it is what makes join sizes predictable on
-   sorted sources: a sorted prefix reveals the key density and
-   multiplicity, and the full range extrapolates from the fraction
-   consumed. *)
+   join attribute is always on: §4.5 shows it is what makes join sizes
+   predictable on sorted sources: a sorted prefix reveals the key density
+   and multiplicity, and the full range extrapolates from the fraction
+   consumed.  Every field is read only through [sorted_col], which needs
+   the column perfectly sorted; once it has stepped both up and down it
+   never is again, so the tracker goes dead and costs one test per
+   tuple. *)
+type range = { mutable lo : float; mutable hi : float }  (* flat floats *)
+
 type col_tracker = {
   t_order : Adp_stats.Order_detector.t;
   t_distinct : Adp_stats.Distinct.t;
-  mutable t_lo : float;
-  mutable t_hi : float;
-  mutable t_count : int;
+  t_range : range;
+  mutable t_live : bool;
 }
+
+let widen r x =
+  if x < r.lo then r.lo <- x;
+  if x > r.hi then r.hi <- x
+
+let track tr (v : Adp_relation.Value.t) =
+  Adp_stats.Order_detector.add tr.t_order v;
+  if not (Adp_stats.Order_detector.perfectly_sorted tr.t_order) then
+    tr.t_live <- false
+  else begin
+    Adp_stats.Distinct.add tr.t_distinct v;
+    match v with
+    | Int i | Date i -> widen tr.t_range (float_of_int i)
+    | Float x -> widen tr.t_range x
+    | Null | Str _ -> ()
+  end
 
 let attach_order_detectors (query : Logical.query) sources =
   List.concat_map
@@ -118,21 +136,10 @@ let attach_order_detectors (query : Logical.query) sources =
           let tr =
             { t_order = Adp_stats.Order_detector.create ();
               t_distinct = Adp_stats.Distinct.create ();
-              t_lo = infinity; t_hi = neg_infinity; t_count = 0 }
+              t_range = { lo = infinity; hi = neg_infinity }; t_live = true }
           in
           let idx = Adp_relation.Schema.index (Source.schema src) col in
-          Source.observe src (fun t ->
-              let v = t.(idx) in
-              Adp_stats.Order_detector.add tr.t_order v;
-              Adp_stats.Distinct.add tr.t_distinct v;
-              tr.t_count <- tr.t_count + 1;
-              match v with
-              | Adp_relation.Value.Int _ | Adp_relation.Value.Float _
-              | Adp_relation.Value.Date _ ->
-                let x = Adp_relation.Value.to_float v in
-                if x < tr.t_lo then tr.t_lo <- x;
-                if x > tr.t_hi then tr.t_hi <- x
-              | Adp_relation.Value.Null | Adp_relation.Value.Str _ -> ());
+          Source.observe src (fun t -> if tr.t_live then track tr t.(idx));
           (col, tr))
         cols)
     sources
@@ -221,15 +228,16 @@ let update_observations cfg query catalog sels sources order_detectors plan =
   let sorted_pair_estimate (a, b) =
     match List.assoc_opt a order_detectors, List.assoc_opt b order_detectors with
     | Some ta, Some tb
-      when sorted_col a && sorted_col b && ta.t_count > 0 && tb.t_count > 0
-           && ta.t_hi > ta.t_lo && tb.t_hi > tb.t_lo ->
+      when sorted_col a && sorted_col b
+           && ta.t_range.hi > ta.t_range.lo && tb.t_range.hi > tb.t_range.lo ->
       let ra = Logical.relation_of_column a
       and rb = Logical.relation_of_column b in
       let range tr r =
         let frac =
           min 1.0 (float_of_int (seen_of r) /. expected_total r)
         in
-        tr.t_lo, tr.t_lo +. ((tr.t_hi -. tr.t_lo) /. max frac 1e-6)
+        let { lo; hi } = tr.t_range in
+        lo, lo +. ((hi -. lo) /. max frac 1e-6)
       in
       let lo_a, hi_a = range ta ra and lo_b, hi_b = range tb rb in
       let lo = max lo_a lo_b and hi = min hi_a hi_b in
@@ -237,7 +245,8 @@ let update_observations cfg query catalog sels sources order_detectors plan =
       else begin
         let mult tr =
           let d = Adp_stats.Distinct.estimate tr.t_distinct in
-          if d <= 0.0 then 1.0 else float_of_int tr.t_count /. d
+          if d <= 0.0 then 1.0
+          else float_of_int (Adp_stats.Order_detector.count tr.t_order) /. d
         in
         let density r (lo_r, hi_r) =
           expected_total r /. max 1.0 (hi_r -. lo_r)

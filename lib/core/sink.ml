@@ -1,22 +1,23 @@
 open Adp_relation
 open Adp_exec
-open Adp_storage
 open Adp_optimizer
 
-type mode =
-  | Aggregating of Agg.t
-  | Collecting of { out : Relation.t; project : int array option }
+(* Where tuples fed under one schema go, with no intermediate copy: into
+   the aggregate compiled against that schema, or into the collected
+   relation through the given columns ([None]: kept as they are). *)
+type view =
+  | Into_agg of Agg.t * Agg.view
+  | Into_relation of Relation.t * int array option
 
 type t = {
   canonical : Schema.t;
-  mode : mode;
-  mutable consumed : int;
-  mutable cached_adapter : (Schema.t * Tuple_adapter.t) option;
-      (* feeds arrive in long runs from one plan; cache its adapter *)
+  base : view;  (* for the canonical schema *)
+  mutable cached : Schema.t * view;
+      (* feeds arrive in long runs from one plan; cache its view *)
 }
 
 let create ctx (q : Logical.query) ~canonical =
-  let mode =
+  let base =
     if q.aggs = [] && q.group_cols = [] then begin
       let project =
         match q.projection with
@@ -29,7 +30,7 @@ let create ctx (q : Logical.query) ~canonical =
         | [] -> canonical
         | cols -> Schema.project canonical cols
       in
-      Collecting { out = Relation.create out_schema; project }
+      Into_relation (Relation.create out_schema, project)
     end
     else begin
       (* Partial inputs are detected by the presence of the partial
@@ -39,39 +40,51 @@ let create ctx (q : Logical.query) ~canonical =
         | first :: _ when Schema.mem canonical first -> Agg.Partial
         | _ :: _ | [] -> Agg.Raw
       in
-      Aggregating
-        (Agg.create ctx ~group_cols:q.group_cols ~aggs:q.aggs ~input canonical)
+      let agg =
+        Agg.create ctx ~group_cols:q.group_cols ~aggs:q.aggs ~input canonical
+      in
+      Into_agg (agg, Agg.view agg canonical)
     end
   in
-  { canonical; mode; consumed = 0; cached_adapter = None }
+  { canonical; base; cached = (canonical, base) }
 
-let adapter_for t from =
-  match t.cached_adapter with
-  | Some (s, a) when s == from -> a
-  | Some _ | None ->
-    let a = Tuple_adapter.create ~from ~into:t.canonical in
-    t.cached_adapter <- Some (from, a);
-    a
+let make_view t from =
+  if not (Schema.same_columns from t.canonical) then
+    invalid_arg
+      (Format.asprintf "Sink.feed: %a vs %a" Schema.pp from Schema.pp
+         t.canonical);
+  match t.base with
+  | Into_agg (agg, _) -> Into_agg (agg, Agg.view agg from)
+  | Into_relation (out, project) ->
+    (* The adapter's permutation, composed with the projection. *)
+    let perm = Schema.permutation ~from ~into:t.canonical in
+    (match project with
+     | Some idx ->
+       Into_relation (out, Some (Array.map (fun i -> perm.(i)) idx))
+     | None when perm = Array.init (Array.length perm) Fun.id ->
+       Into_relation (out, None)
+     | None -> Into_relation (out, Some perm))
+
+let view_for t from =
+  match t.cached with
+  | s, v when s == from -> v
+  | _ ->
+    let v = make_view t from in
+    t.cached <- (from, v);
+    v
 
 let feed t ~from tuples =
   if tuples <> [] then begin
-    let adapter = adapter_for t from in
-    let tuples = Tuple_adapter.adapt_all adapter tuples in
-    t.consumed <- t.consumed + List.length tuples;
-    match t.mode with
-    | Aggregating agg -> Agg.add_all agg tuples
-    | Collecting c ->
+    match view_for t from with
+    | Into_agg (agg, v) -> List.iter (Agg.add_view agg v) tuples
+    | Into_relation (out, None) -> List.iter (Relation.append out) tuples
+    | Into_relation (out, Some cols) ->
       List.iter
-        (fun tuple ->
-          match c.project with
-          | None -> Relation.append c.out tuple
-          | Some idx -> Relation.append c.out (Tuple.project tuple idx))
+        (fun tuple -> Relation.append out (Tuple.project tuple cols))
         tuples
   end
 
-let consumed t = t.consumed
-
 let result t =
-  match t.mode with
-  | Aggregating agg -> Agg.result agg
-  | Collecting c -> c.out
+  match t.base with
+  | Into_agg (agg, _) -> Agg.result agg
+  | Into_relation (out, _) -> out

@@ -7,10 +7,12 @@ open Adp_optimizer
     All phase plans and the stitch-up plan of one query feed the same sink.
     Because different plan shapes concatenate attributes in different
     orders, the sink fixes a canonical schema (the first plan's root
-    schema) and adapts every feed through a {!Adp_storage.Tuple_adapter}
-    (§3.2).  Aggregation queries run a blocking hash aggregate that
-    coalesces raw or partial (pre-aggregated) inputs; pure SPJ queries
-    collect and project. *)
+    schema) and reads every feed through a view of it cached per feeding
+    schema (§3.2's tuple adapters, applied without copying): aggregation
+    queries run a blocking hash aggregate, compiled against the feeding
+    schema, that coalesces raw or partial (pre-aggregated) inputs; pure
+    SPJ queries collect, copying each tuple once through the permutation
+    composed with the projection. *)
 
 type t
 
@@ -18,11 +20,10 @@ type t
     first plan instantiated for [q]. *)
 val create : Ctx.t -> Logical.query -> canonical:Schema.t -> t
 
-(** Feed root output tuples produced under schema [from]. *)
+(** Feed root output tuples produced under schema [from].
+    @raise Invalid_argument if [from] and the canonical schema have
+    different column sets. *)
 val feed : t -> from:Schema.t -> Tuple.t list -> unit
-
-(** Tuples consumed so far. *)
-val consumed : t -> int
 
 (** Finalized query result. *)
 val result : t -> Relation.t

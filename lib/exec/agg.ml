@@ -4,10 +4,13 @@ type input = Raw | Partial
 
 module Ktbl = Tuple.Ktbl
 
+(* Group-key indices and aggregates compiled against one input layout. *)
+type view = { group_idx : int array; comp : Aggregate.compiled }
+
 type t = {
   ctx : Ctx.t;
-  group_idx : int array;
-  comp : Aggregate.compiled;
+  view_of : Schema.t -> view;
+  base : view;  (* for the schema given to [create] *)
   out_schema : Schema.t;
   table : Value.t array Ktbl.t;
   mutable order : Value.t array list;  (* first-seen order, newest first *)
@@ -15,33 +18,35 @@ type t = {
 }
 
 let create ctx ~group_cols ~aggs ~input schema =
-  let group_idx =
-    Array.of_list (List.map (Schema.index schema) group_cols)
-  in
-  let comp =
-    match input with
-    | Raw -> Aggregate.compile aggs schema
-    | Partial -> Aggregate.compile_partial aggs schema
+  let view_of schema =
+    { group_idx = Array.of_list (List.map (Schema.index schema) group_cols);
+      comp =
+        (match input with
+         | Raw -> Aggregate.compile aggs schema
+         | Partial -> Aggregate.compile_partial aggs schema) }
   in
   let out_names =
     List.map (fun c -> (Schema.columns schema).(Schema.index schema c)) group_cols
     @ List.map (fun (a : Aggregate.spec) -> a.name) aggs
   in
-  { ctx; group_idx; comp; out_schema = Schema.make out_names;
+  { ctx; view_of; base = view_of schema; out_schema = Schema.make out_names;
     table = Ktbl.create 256; order = []; consumed = 0 }
 
-let add t tuple =
+let view t schema = t.view_of schema
+
+let add_view t v tuple =
   Ctx.charge t.ctx t.ctx.Ctx.costs.agg_update;
   t.consumed <- t.consumed + 1;
-  let k = Tuple.key tuple t.group_idx in
+  let k = Tuple.key tuple v.group_idx in
   match Ktbl.find_opt t.table k with
-  | Some acc -> Aggregate.update t.comp acc tuple
+  | Some acc -> Aggregate.update v.comp acc tuple
   | None ->
-    let acc = Aggregate.init t.comp in
-    Aggregate.update t.comp acc tuple;
+    let acc = Aggregate.init v.comp in
+    Aggregate.update v.comp acc tuple;
     Ktbl.replace t.table k acc;
     t.order <- k :: t.order
 
+let add t tuple = add_view t t.base tuple
 let add_all t tuples = List.iter (add t) tuples
 
 let consumed t = t.consumed
@@ -54,6 +59,7 @@ let result t =
     (fun k ->
       let acc = Ktbl.find t.table k in
       Ctx.charge t.ctx t.ctx.Ctx.costs.output;
-      Relation.append rel (Array.append k (Aggregate.finalize t.comp acc)))
+      Relation.append rel
+        (Array.append k (Aggregate.finalize t.base.comp acc)))
     (List.rev t.order);
   rel

@@ -26,6 +26,14 @@ val create :
 val add : t -> Tuple.t -> unit
 val add_all : t -> Tuple.t list -> unit
 
+(** Group-key indices and aggregates compiled against another schema with
+    the columns of [create]'s: [add_view t (view t s) tuple] aggregates a
+    tuple laid out under [s] as {!add} would its permuted copy. *)
+type view
+
+val view : t -> Schema.t -> view
+val add_view : t -> view -> Tuple.t -> unit
+
 (** Tuples consumed so far. *)
 val consumed : t -> int
 

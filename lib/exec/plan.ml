@@ -139,7 +139,6 @@ type node = {
   n_schema : Schema.t;
   n_signature : string;
   n_relations : string list;
-  n_sources : string list;  (* scan sources in subtree *)
   n_predicates : string list;
   mutable n_outputs : Tuple.t list;  (* newest first *)
   mutable n_out_count : int;
@@ -172,7 +171,24 @@ and impl =
   | RJoin of join_rt
   | RPreagg of preagg_node_rt
 
-type t = { ctx : Ctx.t; root : node; record_outputs : bool }
+(* Where a source's tuples enter the plan: its leaf, then each ancestor
+   up to the root, nearest first, with the step that takes tuples into it
+   from below (the join side or the pre-aggregation they arrive at). *)
+type hop = { h_node : node; h_step : Tuple.t -> Tuple.t list }
+
+type route = {
+  r_source : string;
+  r_leaf : node;
+  r_leaf_rt : leaf_rt;
+  r_hops : hop list;
+}
+
+type t = {
+  ctx : Ctx.t;
+  root : node;
+  routes : route array;
+  record_outputs : bool;
+}
 
 (* Per-node counters live in the context's metrics registry, labelled
    with the node's rendering.  Registration is idempotent per (name,
@@ -203,7 +219,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
     let schema = schema_of s.source in
     { n_spec = spec; n_schema = schema;
       n_signature = signature_of spec; n_relations = [ s.source ];
-      n_sources = [ s.source ]; n_predicates = []; n_outputs = [];
+      n_predicates = []; n_outputs = [];
       n_out_count = 0; n_in_metric; n_out_metric; n_span;
       impl =
         RLeaf
@@ -213,7 +229,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
     let left = build ~depth:(depth + 1) ctx j.left ~schema_of in
     let right = build ~depth:(depth + 1) ctx j.right ~schema_of in
     let overlap =
-      List.filter (fun s -> List.mem s right.n_sources) left.n_sources
+      List.filter (fun s -> List.mem s right.n_relations) left.n_relations
     in
     if overlap <> [] then
       invalid_arg
@@ -221,7 +237,6 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
     let schema = Schema.concat left.n_schema right.n_schema in
     { n_spec = spec; n_schema = schema; n_signature = signature_of spec;
       n_relations = relations spec;
-      n_sources = left.n_sources @ right.n_sources;
       n_predicates = predicates spec; n_outputs = []; n_out_count = 0;
       n_in_metric; n_out_metric; n_span;
       impl =
@@ -244,7 +259,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
       | Pseudogroup -> 1
     in
     { n_spec = spec; n_schema = schema; n_signature = signature_of spec;
-      n_relations = child.n_relations; n_sources = child.n_sources;
+      n_relations = child.n_relations;
       n_predicates = child.n_predicates; n_outputs = []; n_out_count = 0;
       n_in_metric; n_out_metric; n_span;
       impl =
@@ -260,12 +275,8 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
                 p_buffer = Ktbl.create 256; p_order = [];
                 p_in_total = 0; p_out_total = 0 } } }
 
-let instantiate ?(record_outputs = true) ctx spec ~schema_of =
-  { ctx; root = build ctx spec ~schema_of; record_outputs }
-
 let spec t = t.root.n_spec
 let schema t = t.root.n_schema
-let sources t = t.root.n_sources
 
 let record ~keep node outs =
   if outs <> [] then begin
@@ -295,6 +306,18 @@ let probe_cost ctx sp tbl matches =
   Ctx.charge_span ctx sp
     (c.hash_probe +. io +. (c.per_match *. float_of_int matches))
 
+(* Result tuples of one probe, reversed as [List.rev_map] would give them,
+   counted in the same walk, which ends by charging the probe. *)
+let rec emit_matches ctx j ~from_left tuple n acc = function
+  | [] ->
+    probe_cost ctx j.j_span (if from_left then j.rtbl else j.ltbl) n;
+    acc
+  | m :: rest ->
+    let out =
+      if from_left then Tuple.concat tuple m else Tuple.concat m tuple
+    in
+    emit_matches ctx j ~from_left tuple (n + 1) (out :: acc) rest
+
 let join_side ctx j ~from_left tuple =
   let c = ctx.Ctx.costs in
   (match j.j_span with
@@ -303,18 +326,11 @@ let join_side ctx j ~from_left tuple =
      Profile.add_probes sp 1
    | None -> ());
   Ctx.charge_span ctx j.j_span c.hash_build;
-  let outs =
-    if from_left then begin
-      let matches = Hash_table.insert_probe j.ltbl tuple ~probe:j.rtbl in
-      probe_cost ctx j.j_span j.rtbl (List.length matches);
-      List.rev_map (fun m -> Tuple.concat tuple m) matches
-    end
-    else begin
-      let matches = Hash_table.insert_probe j.rtbl tuple ~probe:j.ltbl in
-      probe_cost ctx j.j_span j.ltbl (List.length matches);
-      List.rev_map (fun m -> Tuple.concat m tuple) matches
-    end
+  let matches =
+    if from_left then Hash_table.insert_probe j.ltbl tuple ~probe:j.rtbl
+    else Hash_table.insert_probe j.rtbl tuple ~probe:j.ltbl
   in
+  let outs = emit_matches ctx j ~from_left tuple 0 [] matches in
   (match j.j_span with
    | Some sp ->
      Profile.note_mem sp
@@ -386,55 +402,54 @@ let preagg_insert ctx pa tuple =
   in
   punct_flush @ window_flush
 
-let rec has_source source = function
-  | [] -> false
-  | s :: rest -> String.equal s source || has_source source rest
+(* [List.concat_map f outs], without its two list copies in the common
+   case of a single input tuple. *)
+let each f = function [ x ] -> f x | outs -> List.concat_map f outs
 
-(* Push one tuple into the subtree containing [source]; [None] when the
-   source is not below this node. *)
-let rec do_push ctx ~keep node ~source tuple =
-  if not (has_source source node.n_sources) then None
-  else
+let routes ctx root =
+  let rec walk hops acc node =
+    let up h_step = { h_node = node; h_step } :: hops in
     match node.impl with
     | RLeaf l ->
-      l.seen <- l.seen + 1;
-      Metrics.incr node.n_in_metric;
-      (match node.n_span with
-       | Some sp -> Profile.add_in sp 1
-       | None -> ());
-      Ctx.charge_span ctx node.n_span
-        (ctx.Ctx.costs.filter_atom *. float_of_int (max 1 l.filter_atoms));
-      if l.filter tuple then Some (record ~keep node [ tuple ]) else Some []
+      { r_source = l.source; r_leaf = node; r_leaf_rt = l; r_hops = hops }
+      :: acc
     | RJoin j ->
-      (match do_push ctx ~keep j.left ~source tuple with
-       | Some outs ->
-         Some
-           (record ~keep node
-              (List.concat_map
-                 (join_side ctx j ~from_left:true)
-                 (record_in node outs)))
-       | None ->
-         (match do_push ctx ~keep j.right ~source tuple with
-          | Some outs ->
-            Some
-              (record ~keep node
-                 (List.concat_map
-                    (join_side ctx j ~from_left:false)
-                    (record_in node outs)))
-          | None -> None))
-    | RPreagg p ->
-      (match do_push ctx ~keep p.child ~source tuple with
-       | Some outs ->
-         Some
-           (record ~keep node
-              (List.concat_map (preagg_insert ctx p.pa)
-                 (record_in node outs)))
-       | None -> None)
+      let acc = walk (up (join_side ctx j ~from_left:true)) acc j.left in
+      walk (up (join_side ctx j ~from_left:false)) acc j.right
+    | RPreagg p -> walk (up (preagg_insert ctx p.pa)) acc p.child
+  in
+  Array.of_list (List.rev (walk [] [] root))
 
+let instantiate ?(record_outputs = true) ctx spec ~schema_of =
+  let root = build ctx spec ~schema_of in
+  { ctx; root; routes = routes ctx root; record_outputs }
+
+let rec climb ~keep outs hops =
+  match outs, hops with
+  | [], _ | _, [] -> outs
+  | _, { h_node = node; h_step } :: rest ->
+    climb ~keep (record ~keep node (each h_step (record_in node outs))) rest
+
+let rec find_route routes source i =
+  if i = Array.length routes then
+    invalid_arg ("Plan.push: unknown source " ^ source)
+  else if String.equal routes.(i).r_source source then routes.(i)
+  else find_route routes source (i + 1)
+
+(* Push one source tuple in at its leaf and up its route to the root. *)
 let push t ~source tuple =
-  match do_push t.ctx ~keep:t.record_outputs t.root ~source tuple with
-  | Some outs -> outs
-  | None -> invalid_arg ("Plan.push: unknown source " ^ source)
+  let ctx = t.ctx and keep = t.record_outputs in
+  let r = find_route t.routes source 0 in
+  let node = r.r_leaf and l = r.r_leaf_rt in
+  l.seen <- l.seen + 1;
+  Metrics.incr node.n_in_metric;
+  (match node.n_span with
+   | Some sp -> Profile.add_in sp 1
+   | None -> ());
+  Ctx.charge_span ctx node.n_span
+    (ctx.Ctx.costs.filter_atom *. float_of_int (max 1 l.filter_atoms));
+  if l.filter tuple then climb ~keep (record ~keep node [ tuple ]) r.r_hops
+  else []
 
 let rec do_flush ctx ~keep node =
   match node.impl with

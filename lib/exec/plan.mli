@@ -97,10 +97,11 @@ val instantiate :
 
 val spec : t -> spec
 val schema : t -> Schema.t
-val sources : t -> string list
 
 (** [push t ~source tuple] routes one source tuple and returns the result
-    tuples that reached the root. *)
+    tuples that reached the root.  Each source's route (its leaf and the
+    ancestors above it) is fixed by {!instantiate}.
+    @raise Invalid_argument if no scan reads [source]. *)
 val push : t -> source:string -> Tuple.t -> Tuple.t list
 
 (** End-of-stream (or phase-suspension) flush: drains pre-aggregation

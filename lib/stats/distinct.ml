@@ -7,61 +7,73 @@ module Vset = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-type mode = Exact of unit Vset.t | Sketch of Bytes.t
+(* The sketch keeps its count of clear bits as it goes, so [estimate] does
+   not scan the bitmap. *)
+type mode =
+  | Exact of unit Vset.t
+  | Sketch of { bm : Bytes.t; mutable zeros : int }
 
 type t = {
   exact_budget : int;
-  bits : int;
+  mask : int;  (* 2^sketch_bits - 1 *)
   mutable seen : int;
+  mutable last : Value.t;  (* the previous value added, once [seen > 0] *)
   mutable mode : mode;
 }
 
 let create ?(exact_budget = 4096) ?(sketch_bits = 16) () =
-  { exact_budget; bits = sketch_bits; seen = 0;
-    mode = Exact (Vset.create 256) }
+  if sketch_bits < 3 then
+    invalid_arg "Distinct.create: sketch_bits must be at least 3";
+  { exact_budget; mask = (1 lsl sketch_bits) - 1; seen = 0;
+    last = Value.Null; mode = Exact (Vset.create 256) }
 
+(* Sets bit [i]; true when it was clear. *)
 let bitmap_set bm i =
-  let byte = i lsr 3 and bit = i land 7 in
+  let byte = i lsr 3 and bit = 1 lsl (i land 7) in
   let c = Char.code (Bytes.get bm byte) in
-  Bytes.set bm byte (Char.chr (c lor (1 lsl bit)))
-
-let bitmap_zeros bm =
-  let zeros = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let c = Char.code c in
-      for b = 0 to 7 do
-        if c land (1 lsl b) = 0 then incr zeros
-      done)
-    bm;
-  !zeros
+  Bytes.set bm byte (Char.chr (c lor bit));
+  c land bit = 0
 
 let to_sketch t set =
-  let m = 1 lsl t.bits in
-  let bm = Bytes.make (m lsr 3) '\000' in
-  Vset.iter (fun v () -> bitmap_set bm (Value.hash v land (m - 1))) set;
-  t.mode <- Sketch bm
+  let bm = Bytes.make ((t.mask + 1) lsr 3) '\000' in
+  let zeros = ref (t.mask + 1) in
+  Vset.iter
+    (fun v () -> if bitmap_set bm (Value.hash v land t.mask) then decr zeros)
+    set;
+  t.mode <- Sketch { bm; zeros = !zeros }
+
+(* Interchangeable values: same constructor and payload, so equal to the
+   same values and hashed alike.  [Value.equal] is weaker (it is not
+   transitive across [Int]/[Float]), so it cannot stand in here. *)
+let same a b =
+  match a, b with
+  | Value.Null, Value.Null -> true
+  | Int x, Int y | Date x, Date y -> x = y
+  | Float x, Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Str x, Str y -> String.equal x y
+  | (Null | Int _ | Float _ | Str _ | Date _), _ -> false
 
 let add t v =
+  (* A repeat of the previous value is already in the set or bitmap. *)
+  let repeat = t.seen > 0 && same t.last v in
   t.seen <- t.seen + 1;
-  match t.mode with
-  | Exact set ->
-    if not (Vset.mem set v) then begin
-      Vset.replace set v ();
-      if Vset.length set > t.exact_budget then to_sketch t set
-    end
-  | Sketch bm ->
-    let m = 1 lsl t.bits in
-    bitmap_set bm (Value.hash v land (m - 1))
-
-let count t = t.seen
+  t.last <- v;
+  if not repeat then
+    match t.mode with
+    | Exact set ->
+      if not (Vset.mem set v) then begin
+        Vset.replace set v ();
+        if Vset.length set > t.exact_budget then to_sketch t set
+      end
+    | Sketch s ->
+      if bitmap_set s.bm (Value.hash v land t.mask) then s.zeros <- s.zeros - 1
 
 let estimate t =
   match t.mode with
   | Exact set -> float_of_int (Vset.length set)
-  | Sketch bm ->
-    let m = float_of_int (1 lsl t.bits) in
-    let z = float_of_int (bitmap_zeros bm) in
+  | Sketch s ->
+    let m = float_of_int (t.mask + 1) in
+    let z = float_of_int s.zeros in
     if z <= 0.0 then m *. log m (* saturated: crude upper bound *)
     else -.m *. log (z /. m)
 

@@ -11,11 +11,12 @@ type t
 
 (** [create ?exact_budget ?sketch_bits ()] — exact up to [exact_budget]
     distinct values (default 4096), then a [2^sketch_bits]-bit linear
-    counter (default 16). *)
+    counter (default 16).
+    @raise Invalid_argument if [sketch_bits < 3] (the bitmap would have
+    no bytes). *)
 val create : ?exact_budget:int -> ?sketch_bits:int -> unit -> t
 
 val add : t -> Value.t -> unit
-val count : t -> int
 
 (** Current distinct estimate. *)
 val estimate : t -> float

@@ -2,33 +2,31 @@ open Adp_relation
 
 type verdict = Ascending | Descending | Unsorted
 
+(* [last] is meaningful only once [seen > 0]; keeping it in place (no
+   option) means an add allocates nothing. *)
 type t = {
   mutable seen : int;
-  mutable last : Value.t option;
+  mutable last : Value.t;
   mutable asc_pairs : int;
   mutable desc_pairs : int;
   mutable strict_asc : bool;
-  mutable any_violation : bool;
 }
 
 let create () =
-  { seen = 0; last = None; asc_pairs = 0; desc_pairs = 0; strict_asc = true;
-    any_violation = false }
+  { seen = 0; last = Value.Null; asc_pairs = 0; desc_pairs = 0;
+    strict_asc = true }
 
 let add t v =
-  (match t.last with
-   | None -> ()
-   | Some prev ->
-     let c = Value.compare prev v in
-     if c <= 0 then t.asc_pairs <- t.asc_pairs + 1;
-     if c >= 0 then t.desc_pairs <- t.desc_pairs + 1;
-     if c >= 0 then t.strict_asc <- false;
-     ());
+  if t.seen > 0 then begin
+    let c = Value.compare t.last v in
+    if c <= 0 then t.asc_pairs <- t.asc_pairs + 1;
+    if c >= 0 then begin
+      t.desc_pairs <- t.desc_pairs + 1;
+      t.strict_asc <- false
+    end
+  end;
   t.seen <- t.seen + 1;
-  t.last <- Some v;
-  let pairs = t.seen - 1 in
-  if pairs > 0 && t.asc_pairs < pairs && t.desc_pairs < pairs then
-    t.any_violation <- true
+  t.last <- v
 
 let count t = t.seen
 

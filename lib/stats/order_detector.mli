@@ -31,5 +31,7 @@ val ascending_fraction : t -> float
     distinct. *)
 val strictly_ascending : t -> bool
 
-(** True when no adjacent violation has occurred yet in either direction. *)
+(** True when no adjacent violation has occurred yet in either direction.
+    Once the stream has taken both a strictly ascending and a strictly
+    descending step this is false for good. *)
 val perfectly_sorted : t -> bool

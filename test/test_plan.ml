@@ -137,6 +137,88 @@ let test_join_infos_and_node_results () =
   let _, _, root_tuples, _ = List.nth results 1 in
   Alcotest.(check int) "root materialized" 1 (List.length root_tuples)
 
+(* Three joins over four sources, one of them read through a windowed
+   pre-aggregation; every count below is worked out by hand from the
+   arrival order. *)
+let test_routed_push_counts () =
+  let schema_of = function
+    | "w" -> keyed_schema "w"
+    | name -> schema_of_tbl tables name
+  in
+  let r_s = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
+  let agg_u =
+    Plan.preagg ~mode:(Windowed { initial = 2; max_window = 2 })
+      ~group_cols:[ "u.k" ] ~aggs:[ Aggregate.count_all ~name:"c" ]
+      (Plan.scan "u")
+  in
+  let r_s_u = Plan.join r_s agg_u ~on:[ "s.p", "u.k" ] in
+  let w = Plan.scan ~filter:(Predicate.eq "w.k" (vi 5)) "w" in
+  let spec = Plan.join r_s_u w ~on:[ "r.p", "w.k" ] in
+  let ctx = Ctx.create () in
+  let plan = Plan.instantiate ctx spec ~schema_of in
+  let t l = Array.of_list (List.map vi l) in
+  let outs =
+    List.concat_map
+      (fun (src, rows) -> push_all plan src (List.map t rows))
+      [ "u", [ [ 7; 70 ]; [ 7; 71 ]; [ 8; 80 ] ];
+        "r", [ [ 1; 5 ]; [ 2; 6 ] ];
+        "s", [ [ 1; 7 ]; [ 2; 8 ]; [ 1; 8 ] ];
+        "w", [ [ 5; 50 ]; [ 6; 60 ]; [ 5; 51 ] ] ]
+  in
+  (* u's window of two emits (7, count 2) and keeps 8 buffered, so only
+     s.p = 7 finds a partner, and w's filter drops w.k = 6. *)
+  let root_rows =
+    [ t [ 1; 5; 1; 7; 7; 2; 5; 50 ]; t [ 1; 5; 1; 7; 7; 2; 5; 51 ] ]
+  in
+  let rows = Alcotest.(list (array (of_pp Value.pp))) in
+  Alcotest.check rows "root outputs, in push order" root_rows outs;
+  Alcotest.(check (list (pair string int)))
+    "node results: signature, complexity"
+    [ Plan.signature_of r_s, 2; Plan.signature_of r_s_u, 3;
+      Plan.signature_of spec, 4 ]
+    (List.map (fun (sg, _, _, c) -> sg, c) (Plan.node_results plan));
+  Alcotest.check (Alcotest.list rows) "node results: tuples, oldest first"
+    [ [ t [ 1; 5; 1; 7 ]; t [ 2; 6; 2; 8 ]; t [ 1; 5; 1; 8 ] ];
+      [ t [ 1; 5; 1; 7; 7; 2 ] ]; root_rows ]
+    (List.map (fun (_, _, tuples, _) -> tuples) (Plan.node_results plan));
+  Alcotest.(check (list (triple int int int)))
+    "join infos: out, left out, right out"
+    [ 3, 2, 3; 1, 3, 1; 2, 1, 2 ]
+    (List.map
+       (fun (i : Plan.join_info) -> i.out_count, i.left_out, i.right_out)
+       (Plan.join_infos plan));
+  Alcotest.(check (list (triple string int int)))
+    "leaf counts: source, seen, passed"
+    [ "r", 2, 2; "s", 3, 3; "u", 3, 1; "w", 3, 2 ]
+    (List.map
+       (fun (l : Plan.leaf_count) -> l.source, l.seen, l.passed)
+       (Plan.leaf_counts plan));
+  Alcotest.(check (list (triple int int int)))
+    "preagg: in, out, window" [ 3, 1, 2 ]
+    (List.map (fun (_, i, o, w) -> i, o, w) (Plan.preagg_stats plan));
+  let node_counter name node =
+    let label = Format.asprintf "%a" Plan.pp_spec node in
+    List.find_map
+      (fun (n, labels, r) ->
+        match r with
+        | Adp_obs.Metrics.Counter_v c
+          when n = name && List.assoc_opt "node" labels = Some label ->
+          Some c
+        | _ -> None)
+      (Adp_obs.Metrics.readings ctx.Ctx.metrics)
+  in
+  Alcotest.(check (list (pair (option int) (option int))))
+    "node counters: in, out"
+    (List.map
+       (fun (i, o) -> Some i, Some o)
+       [ 2, 2; 3, 3; 5, 3; 3, 3; 3, 1; 4, 1; 3, 2; 3, 2 ])
+    (List.map
+       (fun node ->
+         ( node_counter "adp_node_tuples_in_total" node,
+           node_counter "adp_node_tuples_out_total" node ))
+       [ Plan.scan "r"; Plan.scan "s"; r_s; Plan.scan "u"; agg_u; r_s_u; w;
+         spec ])
+
 let test_duplicate_source_rejected () =
   let ctx = Ctx.create () in
   let spec = Plan.join (Plan.scan "r") (Plan.scan "r") ~on:[ "r.k", "r.k" ] in
@@ -310,6 +392,8 @@ let suite =
     Alcotest.test_case "duplicate source rejected" `Quick
       test_duplicate_source_rejected;
     Alcotest.test_case "unknown source rejected" `Quick test_unknown_source_push;
+    Alcotest.test_case "routed push: outputs, results and counters" `Quick
+      test_routed_push_counts;
     Alcotest.test_case "costs charged" `Quick test_costs_charged;
     Alcotest.test_case "memory pressure" `Quick test_memory_pressure;
     Alcotest.test_case "record_outputs disabled" `Quick

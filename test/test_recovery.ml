@@ -483,6 +483,29 @@ let test_crash_injector_fires_once () =
   Crash.tuple_consumed inj ~total:6;
   Alcotest.(check int) "no pending points" 0 (List.length (Crash.pending inj))
 
+let test_crash_injector_tuple_points () =
+  (* Fires at exactly tuple n, the earliest due point first, and not on a
+     point that already fired. *)
+  let inj =
+    Crash.injector
+      [ Crash.At_phase_boundary 0; Crash.After_tuples 7; Crash.After_tuples 3 ]
+  in
+  let fired = ref [] in
+  for total = 1 to 10 do
+    match Crash.tuple_consumed inj ~total with
+    | () -> ()
+    | exception Crash.Crashed _ -> fired := total :: !fired
+  done;
+  Alcotest.(check (list int)) "fired at tuples 3 and 7" [ 3; 7 ]
+    (List.rev !fired);
+  Alcotest.(check int) "phase point still pending" 1
+    (List.length (Crash.pending inj));
+  (* A count that jumps past a point fires it at once. *)
+  let inj = Crash.injector [ Crash.After_tuples 4 ] in
+  match Crash.tuple_consumed inj ~total:9 with
+  | () -> Alcotest.fail "expected crash"
+  | exception Crash.Crashed _ -> ()
+
 (* ---------------- kill-and-resume end-to-end ---------------- *)
 
 let dataset =
@@ -631,6 +654,8 @@ let suite =
     Alcotest.test_case "load_clock" `Quick test_load_clock;
     Alcotest.test_case "ledger diagnostics" `Quick test_ledger_diagnostics;
     Alcotest.test_case "crash injector" `Quick test_crash_injector_fires_once;
+    Alcotest.test_case "crash injector: tuple points" `Quick
+      test_crash_injector_tuple_points;
     Alcotest.test_case "kill+resume: mid-phase" `Quick test_resume_mid_phase;
     Alcotest.test_case "kill+resume: phase boundary" `Quick
       test_resume_at_boundary;

@@ -142,6 +142,208 @@ let test_distinct_sketch () =
     (Printf.sprintf "linear counting within 10%% (got %.0f)" est)
     true (err < 0.1)
 
+let test_distinct_sketch_bits () =
+  Alcotest.check_raises "two sketch bits rejected"
+    (Invalid_argument "Distinct.create: sketch_bits must be at least 3")
+    (fun () -> ignore (Distinct.create ~sketch_bits:2 ()));
+  let d = Distinct.create ~exact_budget:1 ~sketch_bits:3 () in
+  List.iter (fun i -> Distinct.add d (vi i)) [ 1; 2; 3; 4 ];
+  Alcotest.(check bool) "three bits sketch" true
+    ((not (Distinct.is_exact d)) && Float.is_finite (Distinct.estimate d))
+
+(* ---------------- Reference models ---------------- *)
+
+(* The order detector and distinct counter as first written: an option
+   for the previous value, a hash for every value, and a full bitmap scan
+   per estimate.  The reworked modules must agree with them exactly. *)
+module Ref_order = struct
+  type t = {
+    mutable seen : int;
+    mutable last : Value.t option;
+    mutable asc_pairs : int;
+    mutable desc_pairs : int;
+    mutable strict_asc : bool;
+  }
+
+  let create () =
+    { seen = 0; last = None; asc_pairs = 0; desc_pairs = 0; strict_asc = true }
+
+  let add t v =
+    (match t.last with
+     | None -> ()
+     | Some prev ->
+       let c = Value.compare prev v in
+       if c <= 0 then t.asc_pairs <- t.asc_pairs + 1;
+       if c >= 0 then t.desc_pairs <- t.desc_pairs + 1;
+       if c >= 0 then t.strict_asc <- false);
+    t.seen <- t.seen + 1;
+    t.last <- Some v
+
+  let ascending_fraction t =
+    let pairs = t.seen - 1 in
+    if pairs <= 0 then 1.0 else float_of_int t.asc_pairs /. float_of_int pairs
+
+  let verdict ?(threshold = 0.95) t =
+    let pairs = t.seen - 1 in
+    if pairs <= 0 then Order_detector.Ascending
+    else begin
+      let asc = float_of_int t.asc_pairs /. float_of_int pairs in
+      let desc = float_of_int t.desc_pairs /. float_of_int pairs in
+      if asc >= threshold && asc >= desc then Order_detector.Ascending
+      else if desc >= threshold then Descending
+      else Unsorted
+    end
+
+  let perfectly_sorted t =
+    let pairs = t.seen - 1 in
+    pairs <= 0 || t.asc_pairs = pairs || t.desc_pairs = pairs
+end
+
+module Ref_distinct = struct
+  module Vset = Hashtbl.Make (struct
+    type t = Value.t
+
+    let equal = Value.equal
+    let hash = Value.hash
+  end)
+
+  type mode = Exact of unit Vset.t | Sketch of Bytes.t
+
+  type t = {
+    exact_budget : int;
+    bits : int;
+    mutable seen : int;
+    mutable mode : mode;
+  }
+
+  let create ~exact_budget ~sketch_bits =
+    { exact_budget; bits = sketch_bits; seen = 0;
+      mode = Exact (Vset.create 256) }
+
+  let bitmap_set bm i =
+    let byte = i lsr 3 and bit = i land 7 in
+    let c = Char.code (Bytes.get bm byte) in
+    Bytes.set bm byte (Char.chr (c lor (1 lsl bit)))
+
+  let bitmap_zeros bm =
+    let zeros = ref 0 in
+    Bytes.iter
+      (fun c ->
+        let c = Char.code c in
+        for b = 0 to 7 do
+          if c land (1 lsl b) = 0 then incr zeros
+        done)
+      bm;
+    !zeros
+
+  let add t v =
+    t.seen <- t.seen + 1;
+    match t.mode with
+    | Exact set ->
+      if not (Vset.mem set v) then begin
+        Vset.replace set v ();
+        if Vset.length set > t.exact_budget then begin
+          let m = 1 lsl t.bits in
+          let bm = Bytes.make (m lsr 3) '\000' in
+          Vset.iter (fun v () -> bitmap_set bm (Value.hash v land (m - 1))) set;
+          t.mode <- Sketch bm
+        end
+      end
+    | Sketch bm -> bitmap_set bm (Value.hash v land ((1 lsl t.bits) - 1))
+
+  let estimate t =
+    match t.mode with
+    | Exact set -> float_of_int (Vset.length set)
+    | Sketch bm ->
+      let m = float_of_int (1 lsl t.bits) in
+      let z = float_of_int (bitmap_zeros bm) in
+      if z <= 0.0 then m *. log m else -.m *. log (z /. m)
+
+  let is_exact t = match t.mode with Exact _ -> true | Sketch _ -> false
+end
+
+(* Streams: sorted, reversed, shuffled or runs of duplicates, over atoms
+   that include NULL, [Int 3]/[Float 3.0], NaN, signed zeros and integers
+   that one float equals. *)
+let gen_atom =
+  QCheck2.Gen.(
+    oneof
+      [ map vi (int_range (-4) 4);
+        map (fun i -> Value.Float (float_of_int i)) (int_range (-4) 4);
+        oneofl
+          [ Value.Null; Value.Int 3; Value.Float 3.0; Value.Float Float.nan;
+            Value.Float 0.0; Value.Float (-0.0); Value.Str "a";
+            Value.Str "b"; Value.Date 3;
+            (* [Value.equal] is not transitive past 2^53 *)
+            Value.Int (1 lsl 53); Value.Int ((1 lsl 53) + 1);
+            Value.Float (Float.of_int (1 lsl 53)) ] ])
+
+let shaped atoms =
+  QCheck2.Gen.(
+    oneof
+      [ return atoms;
+        return (List.sort Value.compare atoms);
+        return (List.rev (List.sort Value.compare atoms));
+        shuffle_l atoms ])
+
+let gen_small =
+  QCheck2.Gen.(
+    let* runs = list_size (int_bound 40) (pair gen_atom (int_range 1 4)) in
+    let* atoms = shaped (List.concat_map (fun (v, n) -> List.init n (fun _ -> v)) runs) in
+    let* budget = int_range 1 6 and* bits = int_range 3 6 in
+    return (atoms, budget, bits))
+
+(* Past the default 4,096-value exact budget, in each shape. *)
+let gen_big =
+  QCheck2.Gen.(
+    let* n = int_range 4000 6000 and* dup = int_range 1 3 in
+    let* atoms = shaped (List.init n (fun i -> vi (i / dup))) in
+    return (atoms, 4096, 16))
+
+let print_stream (atoms, budget, bits) =
+  Printf.sprintf "budget %d, bits %d, %d values: %s" budget bits
+    (List.length atoms)
+    (String.concat " "
+       (List.filteri (fun i _ -> i < 60) (List.map Value.to_string atoms)))
+
+(* Feed both models; compare every observable after each value. *)
+let agrees ~every (atoms, budget, bits) =
+  let od = Order_detector.create () and ro = Ref_order.create () in
+  let d = Distinct.create ~exact_budget:budget ~sketch_bits:bits ()
+  and rd = Ref_distinct.create ~exact_budget:budget ~sketch_bits:bits in
+  let ok = ref true in
+  List.iteri
+    (fun i v ->
+      Order_detector.add od v;
+      Ref_order.add ro v;
+      Distinct.add d v;
+      Ref_distinct.add rd v;
+      if (i + 1) mod every = 0 || i = List.length atoms - 1 then
+        ok :=
+          !ok
+          && Order_detector.verdict od = Ref_order.verdict ro
+          && Order_detector.verdict ~threshold:0.5 od
+             = Ref_order.verdict ~threshold:0.5 ro
+          && Float.equal (Order_detector.ascending_fraction od)
+               (Ref_order.ascending_fraction ro)
+          && Order_detector.perfectly_sorted od = Ref_order.perfectly_sorted ro
+          && Order_detector.strictly_ascending od = ro.Ref_order.strict_asc
+          && Order_detector.count od = ro.Ref_order.seen
+          && Distinct.is_exact d = Ref_distinct.is_exact rd
+          && Float.equal (Distinct.estimate d) (Ref_distinct.estimate rd))
+    atoms;
+  !ok
+
+let prop_small_streams =
+  QCheck2.Test.make ~count:300 ~print:print_stream
+    ~name:"order detector and distinct = reference (small streams)" gen_small
+    (agrees ~every:1)
+
+let prop_big_streams =
+  QCheck2.Test.make ~count:12 ~print:print_stream
+    ~name:"order detector and distinct = reference (past the exact budget)"
+    gen_big (agrees ~every:97)
+
 (* ---------------- Join estimator (§4.5) ---------------- *)
 
 let feed_prefix side values frac =
@@ -258,6 +460,9 @@ let suite =
       test_order_mostly_sorted_threshold;
     Alcotest.test_case "distinct exact" `Quick test_distinct_exact;
     Alcotest.test_case "distinct sketch" `Quick test_distinct_sketch;
+    Alcotest.test_case "distinct sketch bits" `Quick test_distinct_sketch_bits;
+    qtest prop_small_streams;
+    qtest prop_big_streams;
     Alcotest.test_case "selectivity registry" `Quick test_selectivity_registry;
     Alcotest.test_case "selectivity cards/flags" `Quick
       test_selectivity_cards_and_flags ]

@@ -373,6 +373,81 @@ let test_sink_adapts_schemas () =
     (Relation.to_list (Sink.result sink))
     [ [| vi 1; vi 2 |]; [| vi 10; vi 20 |] ]
 
+let test_sink_views_match_adapted_feeds () =
+  (* A sink reads each feeding schema through its own view; the result
+     must equal feeding the same tuples adapted into the canonical
+     schema, for raw and partial aggregates and for a projection. *)
+  let canonical = Schema.make [ "r.g"; "r.x"; "s.y" ] in
+  let other = Schema.make [ "s.y"; "r.g"; "r.x" ] in
+  let rows =
+    [ [ 1; 10; 5 ]; [ 2; 20; 6 ]; [ 1; 30; 7 ]; [ 3; 40; 8 ]; [ 2; 50; 9 ] ]
+    |> List.map (fun l -> Array.of_list (List.map vi l))
+  in
+  let in_other =
+    List.map
+      (Adp_storage.Tuple_adapter.adapt
+         (Adp_storage.Tuple_adapter.create ~from:canonical ~into:other))
+      rows
+  in
+  let query ~aggs ~projection =
+    { Logical.sources =
+        [ { Logical.name = "r"; filter = Predicate.tt };
+          { Logical.name = "s"; filter = Predicate.tt } ];
+      join_preds = []; group_cols = (if aggs = [] then [] else [ "r.g" ]);
+      aggs; projection }
+  in
+  let agg_specs =
+    [ Aggregate.sum ~name:"sx" (Expr.col "r.x");
+      Aggregate.count_all ~name:"n";
+      Aggregate.min_of ~name:"my" (Expr.col "s.y");
+      Aggregate.avg ~name:"ay" (Expr.col "s.y") ]
+  in
+  (* Partial inputs: group key then the accumulator columns. *)
+  let partial = Schema.make ([ "r.g" ] @ Aggregate.partial_names agg_specs) in
+  let partial_other =
+    Schema.make (List.rev (Array.to_list (Schema.columns partial)))
+  in
+  let partial_rows =
+    List.map
+      (fun r -> [| r.(0); r.(1); vi 1; r.(2); r.(2); vi 1 |])
+      rows
+  in
+  let check name q ~canonical ~other ~first ~second =
+    let adapted =
+      List.map
+        (Adp_storage.Tuple_adapter.adapt
+           (Adp_storage.Tuple_adapter.create ~from:other ~into:canonical))
+        second
+    in
+    let viewed = Sink.create (Ctx.create ()) q ~canonical in
+    Sink.feed viewed ~from:canonical first;
+    Sink.feed viewed ~from:other second;
+    Sink.feed viewed ~from:canonical first;
+    let copied = Sink.create (Ctx.create ()) q ~canonical in
+    Sink.feed copied ~from:canonical first;
+    Sink.feed copied ~from:canonical adapted;
+    Sink.feed copied ~from:canonical first;
+    Alcotest.(check (list (array (of_pp Value.pp))))
+      name
+      (Relation.to_list (Sink.result copied))
+      (Relation.to_list (Sink.result viewed))
+  in
+  check "raw aggregates" (query ~aggs:agg_specs ~projection:[]) ~canonical
+    ~other ~first:rows ~second:in_other;
+  let partial_in_other =
+    List.map
+      (Adp_storage.Tuple_adapter.adapt
+         (Adp_storage.Tuple_adapter.create ~from:partial ~into:partial_other))
+      partial_rows
+  in
+  check "partial aggregates" (query ~aggs:agg_specs ~projection:[])
+    ~canonical:partial ~other:partial_other ~first:partial_rows
+    ~second:partial_in_other;
+  check "projection" (query ~aggs:[] ~projection:[ "s.y"; "r.g" ]) ~canonical
+    ~other ~first:rows ~second:in_other;
+  check "no projection" (query ~aggs:[] ~projection:[]) ~canonical ~other
+    ~first:rows ~second:in_other
+
 let test_rewrite () =
   let f c = "m." ^ c in
   let e = Rewrite.expr f Expr.(Add (col "a", int 1)) in
@@ -413,4 +488,6 @@ let suite =
       test_plan_partition_stages;
     Alcotest.test_case "competition details" `Quick test_competition_details;
     Alcotest.test_case "sink adapts schemas" `Quick test_sink_adapts_schemas;
+    Alcotest.test_case "sink views = adapted feeds" `Quick
+      test_sink_views_match_adapted_feeds;
     Alcotest.test_case "rewrite helpers" `Quick test_rewrite ]
