@@ -109,7 +109,8 @@ module Bjson = struct
 
   let emit ~bench cells =
     let file = "BENCH_" ^ bench ^ ".json" in
-    write file { Adp_obs.Bjson.bench; scale; cells };
+    Out_channel.with_open_bin file (fun oc ->
+        Out_channel.output_string oc (to_string { bench; scale; cells }));
     Printf.printf "[wrote %s]\n%!" file
 end
 

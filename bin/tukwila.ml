@@ -67,6 +67,24 @@ let parse_query_with_order sql =
     Printf.eprintf "parse error: %s\n" m;
     exit 2
 
+module Analyzer = Adp_analysis.Analyzer
+module Diagnostic = Adp_analysis.Diagnostic
+
+(* A run the analyzer refused: list every problem and exit 1. *)
+let analysis_failed where ds =
+  Printf.eprintf "%s: %d problem(s)\n%s\n%!" where (List.length ds)
+    (Diagnostic.to_string ds);
+  exit 1
+
+(* The optimizer assumes a well-formed query, so a subcommand that plans
+   one checks it first. *)
+let check_query ~where catalog q =
+  let lookup r =
+    try Some (Catalog.schema_of catalog r) with Not_found -> None
+  in
+  let ds = Analyzer.check_query ~lookup q in
+  if Diagnostic.has_errors ds then analysis_failed where ds
+
 (* ---------------- generate ---------------- *)
 
 let generate_cmd =
@@ -145,6 +163,7 @@ let plan_cmd =
     let ds = dataset scale skew seed in
     let q = parse_query sql in
     let catalog = Workload.catalog ~with_cardinalities:cards ds q in
+    check_query ~where:"plan" catalog q;
     let sels = Adp_stats.Selectivity.create () in
     let r = Optimizer.optimize ~preagg:Optimizer.Auto q catalog sels in
     Format.printf "plan: %a@." Plan.pp_spec r.Optimizer.spec;
@@ -611,11 +630,9 @@ let query_cmd =
         finish ();
         Printf.eprintf "%s\n%!" msg;
         exit 3
-      | exception Adp_analysis.Diagnostic.Failed (where, ds) ->
+      | exception Diagnostic.Failed (where, ds) ->
         finish ();
-        Printf.eprintf "%s: %d problem(s)\n%s\n%!" where (List.length ds)
-          (Adp_analysis.Diagnostic.to_string ds);
-        exit 1
+        analysis_failed where ds
     in
     Format.printf "%a@.@." Report.pp_run o.Strategy.report;
     (match wall with
@@ -656,8 +673,6 @@ let query_cmd =
 
 (* ---------------- check ---------------- *)
 
-module Analyzer = Adp_analysis.Analyzer
-module Diagnostic = Adp_analysis.Diagnostic
 module Stitch_matrix = Adp_analysis.Stitch_matrix
 module Lint = Adp_lint.Lint
 
@@ -852,6 +867,7 @@ let profile_cmd =
       | None -> parse_query arg
     in
     let catalog = Workload.catalog ~with_cardinalities:cards ds q in
+    check_query ~where:"profile" catalog q;
     (* The default reproduces the paper's mis-costed situation: the
        optimizer plans without statistics AND starts from the costliest
        candidate ordering (the plan an unlucky mis-estimate selects), so
@@ -876,11 +892,17 @@ let profile_cmd =
         calibrate = Some calibrate }
     in
     let o =
-      Strategy.run ~label:"profile" ?initial_plan ?trace ~profile ?wall
-        (Strategy.Corrective config) q catalog
-        ~sources:(Workload.sources ~model ds q)
+      match
+        Fun.protect
+          ~finally:(fun () -> Option.iter Adp_obs.Trace.close trace)
+          (fun () ->
+            Strategy.run ~label:"profile" ?initial_plan ?trace ~profile ?wall
+              (Strategy.Corrective config) q catalog
+              ~sources:(Workload.sources ~model ds q))
+      with
+      | o -> o
+      | exception Diagnostic.Failed (where, ds) -> analysis_failed where ds
     in
-    Option.iter Adp_obs.Trace.close trace;
     Format.printf "%a@.@." Report.pp_run o.Strategy.report;
     let latest = Calibrate.latest_by_node calibrate in
     let blame = Option.map fst (Calibrate.worst calibrate) in
@@ -1238,9 +1260,7 @@ let serve_cmd =
         r
       | exception Diagnostic.Failed (where, ds) ->
         finish ();
-        Printf.eprintf "%s: %d problem(s)\n%s\n%!" where (List.length ds)
-          (Diagnostic.to_string ds);
-        exit 1
+        analysis_failed where ds
     in
     let v = Server.view report in
     Format.printf "%a" Server.pp_view v;

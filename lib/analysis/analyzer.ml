@@ -380,7 +380,7 @@ let check_stitch_tree ~phases (q : Logical.query) spec =
 (* ------------------------------------------------------------------ *)
 
 let check_knobs ~poll_interval ~switch_threshold ~max_phases ~min_leaf_seen
-    ~min_remaining_fraction ~(retry : Retry.policy) =
+    ~(retry : Retry.policy) =
   let ds = ref [] in
   let bad path fmt =
     Printf.ksprintf
@@ -402,11 +402,6 @@ let check_knobs ~poll_interval ~switch_threshold ~max_phases ~min_leaf_seen
   if min_leaf_seen < 0 then
     bad "min_leaf_seen" "minimum leaf-seen count cannot be negative, got %d"
       min_leaf_seen;
-  if not (min_remaining_fraction >= 0. && min_remaining_fraction <= 1.)
-  then
-    bad "min_remaining_fraction"
-      "remaining-work fraction must lie in [0, 1], got %g"
-      min_remaining_fraction;
   if not (retry.timeout_s > 0.) then
     bad "retry.timeout_s" "timeout must be positive, got %g"
       retry.timeout_s;

@@ -100,7 +100,7 @@ val check_stitch_tree :
     multiplier at least 1). *)
 val check_knobs :
   poll_interval:float -> switch_threshold:float -> max_phases:int ->
-  min_leaf_seen:int -> min_remaining_fraction:float -> retry:Retry.policy ->
+  min_leaf_seen:int -> retry:Retry.policy ->
   Diagnostic.t list
 
 (** Range-check the resource-governance knobs.  Invalid values are

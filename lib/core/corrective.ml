@@ -20,7 +20,6 @@ type config = {
   reuse_intermediates : bool;
   initial_plan : Plan.spec option;
   memory_budget : int option;
-  min_remaining_fraction : float;
   use_histograms : bool;
   retry : Retry.policy;
   deadline : float option;
@@ -41,12 +40,18 @@ let default_config =
   { poll_interval = 1e6; switch_threshold = 0.7; max_phases = 8;
     min_leaf_seen = 100; preagg = Optimizer.No_preagg;
     costs = Cost_model.default; reuse_intermediates = true;
-    initial_plan = None; memory_budget = None;
-    min_remaining_fraction = 0.25; use_histograms = false;
+    initial_plan = None; memory_budget = None; use_histograms = false;
     retry = Retry.default_policy; deadline = None; memory_ceiling = None;
     breaker = None; checkpoint = None; resume_from = None;
     crash = []; trace = Trace.null; metrics = None; profile = None;
     calibrate = None; wall = None; stats_seed = None }
+
+(* §4.3: the optimizer "factors in the amount of computation that has
+   already been performed" — a switch is only worthwhile while enough
+   input remains for the better plan to pay for the stitch-up; below
+   this fraction of the expected total input, the running plan is
+   kept. *)
+let min_remaining_fraction = 0.25
 
 type phase_info = {
   id : int;
@@ -494,8 +499,7 @@ let run ?(config = default_config) query catalog sources =
   Diagnostic.raise_if_errors ~where:"corrective"
     (Analyzer.check_knobs ~poll_interval:cfg.poll_interval
        ~switch_threshold:cfg.switch_threshold ~max_phases:cfg.max_phases
-       ~min_leaf_seen:cfg.min_leaf_seen
-       ~min_remaining_fraction:cfg.min_remaining_fraction ~retry:cfg.retry
+       ~min_leaf_seen:cfg.min_leaf_seen ~retry:cfg.retry
     @ Analyzer.check_governance ~deadline:cfg.deadline
         ~memory_budget:cfg.memory_budget ~memory_ceiling:cfg.memory_ceiling
         ~breaker:cfg.breaker
@@ -728,15 +732,6 @@ let run ?(config = default_config) query catalog sources =
      | Some _ | None -> ());
     Crash.tuple_consumed crash ~total:(tuples_read ())
   in
-  let source_coverage () =
-    let delivered, total =
-      List.fold_left
-        (fun (d, t) src ->
-          d + Source.consumed src, t + Source.cardinality src)
-        (0, 0) sources
-    in
-    if total = 0 then 1.0 else float_of_int delivered /. float_of_int total
-  in
   (* Graceful degradation: record why, count it, and answer [`Stop] so the
      driver ends the phase — stitch-up then assembles what arrived and the
      report carries the reason, instead of the run timing out with
@@ -748,7 +743,8 @@ let run ?(config = default_config) query catalog sources =
       if Ctx.traced ctx then
         Ctx.emit ctx
           (Trace.Query_degraded
-             { reason; phase = ph.Phase.id; coverage = source_coverage () })
+             { reason; phase = ph.Phase.id;
+               coverage = Source.coverage sources })
     end;
     `Stop
   in
@@ -851,7 +847,7 @@ let run ?(config = default_config) query catalog sources =
     in
     let guard =
       if phase_count () >= cfg.max_phases then Some "max-phases"
-      else if remaining_fraction < cfg.min_remaining_fraction then
+      else if remaining_fraction < min_remaining_fraction then
         Some "min-remaining"
       else None
     in
@@ -990,10 +986,9 @@ let run ?(config = default_config) query catalog sources =
            { id = ph.Phase.id; read; emitted = ph.Phase.emitted });
     completed :=
       { cl_phase = ph; cl_read = read; cl_ends = positions () } :: !completed;
-    (match cfg.checkpoint with
-     | Some p when p.Checkpoint.at_phase_boundary ->
-       write_checkpoint p ~include_current:false
-     | Some _ | None -> ());
+    Option.iter
+      (fun p -> write_checkpoint p ~include_current:false)
+      cfg.checkpoint;
     Crash.phase_closed crash ~id:ph.Phase.id
   in
   let rec drive () =
@@ -1121,15 +1116,6 @@ let run ?(config = default_config) query catalog sources =
           emitted = c.cl_phase.Phase.emitted; read = c.cl_read })
       !completed
   in
-  let coverage =
-    let delivered, total =
-      List.fold_left
-        (fun (d, t) src ->
-          d + Source.consumed src, t + Source.cardinality src)
-        (0, 0) sources
-    in
-    if total = 0 then 1.0 else float_of_int delivered /. float_of_int total
-  in
   Ctx.sync_metrics ctx;
   (* Fold the profiler and the calibration ledger into the trace so
      [tukwila explain] can replay them.  Bounded: one event per span,
@@ -1181,7 +1167,8 @@ let run ?(config = default_config) query catalog sources =
       discarded_tuples =
         (if List.length phases <= 1 then 0
          else Registry.discarded_tuples registry);
-      phase_log; coverage; retries = Metrics.count ctx.Ctx.retries;
+      phase_log; coverage = Source.coverage sources;
+      retries = Metrics.count ctx.Ctx.retries;
       failovers = Metrics.count ctx.Ctx.failovers;
       sources_failed = Metrics.count ctx.Ctx.sources_failed;
       checkpoints = Metrics.count ctx.Ctx.checkpoints;

@@ -34,12 +34,6 @@ type config = {
       (** cap (in tuples) on resident join state structures; beyond it,
           structures are paged out most-complex-first (§3.4.2) and their
           probes pay the I/O penalty *)
-  min_remaining_fraction : float;
-      (** §4.3: the optimizer "factors in the amount of computation that
-          has already been performed" — a switch is only worthwhile while
-          enough input remains for the better plan to pay for the
-          stitch-up; below this remaining fraction of the expected total
-          input, the running plan is kept (default 0.25) *)
   use_histograms : bool;
       (** §4.5 extension (off by default, as in Tukwila): attach
           incremental histograms + order detectors to every source join

@@ -56,7 +56,8 @@ let make_view t from =
   match t.base with
   | Into_agg (agg, _) -> Into_agg (agg, Agg.view agg from)
   | Into_relation (out, project) ->
-    (* The adapter's permutation, composed with the projection. *)
+    (* The feed's permutation into the canonical layout, composed with
+       the projection. *)
     let perm = Schema.permutation ~from ~into:t.canonical in
     (match project with
      | Some idx ->

@@ -112,10 +112,14 @@ let rec eval env ~is_root ~depth spec =
             | Some entry ->
               Registry.mark_reused entry;
               env.reused <- env.reused + entry.Registry.cardinality;
-              let adapter =
-                Tuple_adapter.create ~from:entry.Registry.schema ~into:schema
-              in
-              Some (pid, Tuple_adapter.adapt_all adapter entry.Registry.tuples)
+              let from = entry.Registry.schema
+              and tuples = entry.Registry.tuples in
+              (* The registering plan may lay the same columns out
+                 differently (§3.2); matching layouts are shared as is. *)
+              if Schema.equal from schema then Some (pid, tuples)
+              else
+                let perm = Schema.permutation ~from ~into:schema in
+                Some (pid, List.map (fun t -> Tuple.project t perm) tuples)
             | None ->
               (match List.assoc_opt pid rtabs with
                | None -> Some (pid, [])

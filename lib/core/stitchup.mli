@@ -12,9 +12,10 @@ open Adp_optimizer
     state structure per lineage (phase p, or "mixed"), and a combination
     of two same-phase structures is skipped when the registry already
     holds that subexpression for that phase (reusing its tuples instead —
-    through a tuple adapter when the registered plan laid the columns out
-    differently) or, at the root, unconditionally (the exclusion list:
-    every phase already emitted its own uniform combination). *)
+    through a {!Adp_relation.Schema.permutation} when the registered plan
+    laid the columns out differently) or, at the root, unconditionally
+    (the exclusion list: every phase already emitted its own uniform
+    combination). *)
 
 type stats = {
   combos_possible : int;  (** nᵐ − n *)

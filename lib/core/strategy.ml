@@ -120,21 +120,13 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
        | Driver.Switched | Driver.Stopped -> assert false);
       let result = Sink.result sink in
       Ctx.sync_metrics ctx;
-      let coverage =
-        let delivered, total =
-          List.fold_left
-            (fun (d, t) src ->
-              d + Source.consumed src, t + Source.cardinality src)
-            (0, 0) srcs
-        in
-        if total = 0 then 1.0 else float_of_int delivered /. float_of_int total
-      in
       let report =
         { Report.label; time_s = us_to_s (Ctx.now ctx);
           cpu_s = us_to_s (Clock.cpu ctx.Ctx.clock);
           idle_s = us_to_s (Clock.idle ctx.Ctx.clock); wall_s = 0.0;
           phases = 1; stitch_time_s = 0.0; reused = 0; discarded = 0;
-          result_card = Relation.cardinality result; coverage;
+          result_card = Relation.cardinality result;
+          coverage = Source.coverage srcs;
           retries = Adp_obs.Metrics.count ctx.Ctx.retries;
           failovers = Adp_obs.Metrics.count ctx.Ctx.failovers;
           paged_out = 0; checkpoints = 0; degraded_reason = None }

@@ -112,6 +112,15 @@ let name t = t.name
 let schema t = Relation.schema t.relation
 let cardinality t = Relation.cardinality t.relation
 let consumed t = t.pos
+
+let coverage sources =
+  let delivered, total =
+    List.fold_left
+      (fun (d, n) src -> (d + consumed src, n + cardinality src))
+      (0, 0) sources
+  in
+  if total = 0 then 1.0 else float_of_int delivered /. float_of_int total
+
 let exhausted t = t.pos >= Relation.cardinality t.relation
 
 let status t =

@@ -87,6 +87,10 @@ val cardinality : t -> int
 (** Tuples consumed so far. *)
 val consumed : t -> int
 
+(** Fraction of the sources' tuples delivered so far (1.0 when they
+    hold none). *)
+val coverage : t list -> float
+
 val exhausted : t -> bool
 
 (** Connection state of the current (primary or mirror) link. *)

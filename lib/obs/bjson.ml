@@ -111,7 +111,3 @@ let load path =
     | Ok d -> Ok d
     | Error m -> Error (path ^ ": " ^ m))
   | exception Sys_error m -> Error m
-
-let write path doc =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (to_string doc))

@@ -45,4 +45,3 @@ val fields : doc -> (string * Json.t) list
 val of_json : Json.t -> (doc, string) result
 val of_string : string -> (doc, string) result
 val load : string -> (doc, string) result
-val write : string -> doc -> unit

@@ -117,31 +117,3 @@ let render ppf t =
     Format.fprintf ppf "decisions:@.";
     List.iter (pp_decision ppf) ds
   end
-
-let observation_to_json o =
-  Json.Obj
-    [ ("phase", Json.Str o.o_phase); ("at", Json.Num o.o_at);
-      ("point", Json.Str (point_name o.o_point));
-      ("node", Json.Str o.o_node); ("est", Json.Num o.o_est);
-      ("actual", Json.Num o.o_actual); ("q_error", Json.Num o.o_q) ]
-
-let decision_to_json d =
-  Json.Obj
-    ([ ("phase", Json.Str d.d_phase); ("at", Json.Num d.d_at);
-       ("verdict", Json.Str (verdict_name d.d_verdict));
-       ("current_cost", Json.Num d.d_current_cost);
-       ("best_cost", Json.Num d.d_best_cost);
-       ("switch_cost", Json.Num d.d_switch_cost);
-       ("threshold", Json.Num d.d_threshold);
-       ("margin", Json.Num d.d_margin) ]
-    @
-    match d.d_blame with
-    | Some (node, q) ->
-      [ ("blame", Json.Str node); ("blame_q", Json.Num q) ]
-    | None -> [])
-
-let to_json t =
-  Json.Obj
-    [ ("observations",
-       Json.List (List.map observation_to_json (observations t)));
-      ("decisions", Json.List (List.map decision_to_json (decisions t))) ]

@@ -95,5 +95,3 @@ val pp_decision : Format.formatter -> decision -> unit
 
 val render : Format.formatter -> t -> unit
 (** The full ledger: per-node est/actual/q table then every decision. *)
-
-val to_json : t -> Json.t

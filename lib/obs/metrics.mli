@@ -1,5 +1,5 @@
-(** Metrics registry: named counters, gauges and histograms with
-    Prometheus-style labels.
+(** Metrics registry: named counters and gauges with Prometheus-style
+    labels.
 
     The engine registers its global tuple/fault counters here (via
     [Ctx]), and [Plan.build] registers per-node counters (tuples in/out,
@@ -18,7 +18,6 @@ type t
 
 type counter
 type gauge
-type histogram
 
 val create : unit -> t
 
@@ -35,9 +34,6 @@ val create : unit -> t
     store, whichever view they are called on. *)
 
 val with_labels : t -> (string * string) list -> t
-
-(** The view's label scope ([[]] for {!create}'s root view). *)
-val scope : t -> (string * string) list
 
 (** Retire every cell whose labels carry all of this view's scope pairs,
     so retiring a query bounds the store however many queries pass
@@ -59,15 +55,6 @@ val counter :
 val gauge :
   t -> ?labels:(string * string) list -> ?help:string -> string -> gauge
 
-(** [buckets] are upper bounds (le); a [+Inf] bucket is implicit. *)
-val histogram :
-  t ->
-  ?labels:(string * string) list ->
-  ?help:string ->
-  ?buckets:float list ->
-  string ->
-  histogram
-
 (** {2 Updates and reads} *)
 
 val incr : ?by:int -> counter -> unit
@@ -77,37 +64,14 @@ val count : counter -> int
 val set_count : counter -> int -> unit
 
 val set : gauge -> float -> unit
-val value : gauge -> float
-val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
-(** Exact largest observation (0 when empty). *)
-val histogram_max : histogram -> float
-
-(** Prometheus-style linear interpolation inside the bucket holding the
-    rank; the +Inf bucket is capped by {!histogram_max}. *)
-val histogram_quantile : histogram -> float -> float
 
 (** Sum of all counter cells with this name (any labels); 0 when none. *)
 val counter_total : t -> string -> int
 
-(** {2 Snapshots}
+(** {2 Snapshots} *)
 
-    A point-in-time read of one cell: histograms collapse to count/sum
-    plus the p50/p95/max estimates the telemetry layer plots, so a
-    reading is a handful of floats however many buckets back it. *)
-
-type reading =
-  | Counter_v of int
-  | Gauge_v of float
-  | Histogram_v of {
-      hr_n : int;
-      hr_sum : float;
-      hr_p50 : float;
-      hr_p95 : float;
-      hr_max : float;
-    }
+(** A point-in-time read of one cell. *)
+type reading = Counter_v of int | Gauge_v of float
 
 (** Every live cell of the whole store in dump order (sorted by name,
     then labels) — the deterministic iteration the time-series sampler
@@ -119,7 +83,6 @@ val readings : t -> (string * (string * string) list * reading) list
 val to_json : t -> Json.t
 
 (** Prometheus text exposition format, scrape-validator clean: every
-    family (including the [_p50]/[_p95]/[_max] gauge siblings derived
-    from each histogram) carries exactly one [# HELP] and one [# TYPE]
-    line, and a family's samples are contiguous. *)
+    family carries exactly one [# HELP] and one [# TYPE] line, and a
+    family's samples are contiguous. *)
 val to_prometheus : t -> string

@@ -45,9 +45,12 @@ type slo_rec = {
   sl_violated : bool;
 }
 
+(* Points retained per series ring, and the trailing sample count the
+   windowed aggregates cover. *)
+let capacity = 512
+let window = 32
+
 type t = {
-  capacity : int;
-  window : int;
   monitor : Slo.monitor;
   index : (string * (string * string) list, series) Hashtbl.t;
   mutable series : series list;  (* reversed insertion order *)
@@ -58,17 +61,14 @@ type t = {
   mutable slo_log : slo_rec list;  (* reversed *)
 }
 
-let create ?(capacity = 512) ?(window = 32) ?(slos = []) () =
-  if capacity < 1 then invalid_arg "Timeseries.create: capacity < 1";
-  if window < 1 then invalid_arg "Timeseries.create: window < 1";
-  { capacity; window; monitor = Slo.monitor slos;
+let create ?(slos = []) () =
+  { monitor = Slo.monitor slos;
     index = Hashtbl.create 64; series = []; samples = 0; sample_log = [];
     spans = []; provs = []; slo_log = [] }
 
 let samples t = t.samples
 let series_count t = List.length t.series
 let objectives t = Slo.objectives t.monitor
-let active_violations t = Slo.active_violations t.monitor
 
 (* ------------------------------------------------------------------ *)
 (* Rings                                                              *)
@@ -81,7 +81,7 @@ let push t name labels kind p =
     | None ->
       let sr =
         { sr_name = name; sr_labels = labels; sr_kind = kind;
-          sr_ring = Array.make t.capacity { p_t = 0.0; p_v = 0.0 };
+          sr_ring = Array.make capacity { p_t = 0.0; p_v = 0.0 };
           sr_len = 0; sr_next = 0; sr_total = 0 }
       in
       Hashtbl.replace t.index (name, labels) sr;
@@ -89,16 +89,16 @@ let push t name labels kind p =
       sr
   in
   sr.sr_ring.(sr.sr_next) <- p;
-  sr.sr_next <- (sr.sr_next + 1) mod t.capacity;
-  sr.sr_len <- min t.capacity (sr.sr_len + 1);
+  sr.sr_next <- (sr.sr_next + 1) mod capacity;
+  sr.sr_len <- min capacity (sr.sr_len + 1);
   sr.sr_total <- sr.sr_total + 1
 
 (* Retained points in time order. *)
-let points cap sr =
+let points sr =
   let start =
-    if sr.sr_len < cap then 0 else sr.sr_next
+    if sr.sr_len < capacity then 0 else sr.sr_next
   in
-  List.init sr.sr_len (fun i -> sr.sr_ring.((start + i) mod cap))
+  List.init sr.sr_len (fun i -> sr.sr_ring.((start + i) mod capacity))
 
 (* ------------------------------------------------------------------ *)
 (* Windowed aggregates                                                *)
@@ -148,13 +148,13 @@ let values t ~metric agg =
   List.rev t.series
   |> List.filter_map (fun sr ->
          if sr.sr_name = metric then
-           aggregate_points ~window:t.window (points t.capacity sr) agg
+           aggregate_points ~window (points sr) agg
          else None)
 
 let aggregate t ?(labels = []) ~metric agg =
   match Hashtbl.find_opt t.index (metric, labels) with
   | None -> None
-  | Some sr -> aggregate_points ~window:t.window (points t.capacity sr) agg
+  | Some sr -> aggregate_points ~window (points sr) agg
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                          *)
@@ -169,12 +169,7 @@ let sample t ~now_s ?wall_s metrics =
       match (reading : Metrics.reading) with
       | Metrics.Counter_v n ->
         push t name labels "counter" (pt (float_of_int n))
-      | Metrics.Gauge_v g -> push t name labels "gauge" (pt g)
-      | Metrics.Histogram_v { hr_n; hr_p50; hr_p95; hr_max; _ } ->
-        push t (name ^ "_count") labels "counter" (pt (float_of_int hr_n));
-        push t (name ^ "_p50") labels "gauge" (pt hr_p50);
-        push t (name ^ "_p95") labels "gauge" (pt hr_p95);
-        push t (name ^ "_max") labels "gauge" (pt hr_max))
+      | Metrics.Gauge_v g -> push t name labels "gauge" (pt g))
     (Metrics.readings metrics);
   let transitions = Slo.evaluate t.monitor ~values:(values t) in
   List.iter
@@ -227,8 +222,8 @@ let to_jsonl t =
   let wall = List.exists (fun (_, w) -> w <> None) t.sample_log in
   line
     (Json.Obj
-       [ ("k", str "meta"); ("v", int 1); ("capacity", int t.capacity);
-         ("window", int t.window);
+       [ ("k", str "meta"); ("v", int 1); ("capacity", int capacity);
+         ("window", int window);
          ( "slos",
            Json.List
              (List.map
@@ -279,7 +274,7 @@ let to_jsonl t =
                Json.List
                  (List.map
                     (fun p -> Json.List [ num p.p_t; num p.p_v ])
-                    (points t.capacity sr)) ) ]))
+                    (points sr)) ) ]))
     (sorted_series t);
   Buffer.contents b
 

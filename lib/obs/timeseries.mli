@@ -2,8 +2,7 @@
     and the server-side journal behind [tukwila top].
 
     A recorder samples every registered cell of a {!Metrics} registry
-    (counters, gauges, and each histogram's count/p50/p95/max) into
-    fixed-capacity ring-buffer series.  The server calls {!sample} once
+    (counters and gauges) into ring-buffer series of 512 points.  The server calls {!sample} once
     per dispatcher poll with the {e virtual} clock as the time axis — an
     optional wall shadow rides along when the caller supplies one from
     the sanctioned {!Wallclock} module.  Sampling only reads; it never
@@ -19,11 +18,9 @@
 
 type t
 
-(** [capacity] bounds each series ring (points retained); [window] is
-    the trailing sample count aggregates cover; [slos] are evaluated at
-    every {!sample}. *)
-val create :
-  ?capacity:int -> ?window:int -> ?slos:Slo.objective list -> unit -> t
+(** Each series ring retains its last 512 points; aggregates cover the
+    trailing 32 samples; [slos] are evaluated at every {!sample}. *)
+val create : ?slos:Slo.objective list -> unit -> t
 
 (** Samples taken so far. *)
 val samples : t -> int
@@ -32,7 +29,6 @@ val samples : t -> int
 val series_count : t -> int
 
 val objectives : t -> Slo.objective list
-val active_violations : t -> Slo.objective list
 
 (** Record one sample at virtual time [now_s] (seconds): snapshot every
     cell of [metrics] into its series, then evaluate the SLO monitor

@@ -13,10 +13,10 @@
    attributed by delta-since-last-stamp: each attribution charges the
    hardware time elapsed since the previous one to the span being
    charged, which is exact in aggregate and costs one clock read per
-   charge.  Every [sample_every]-th attribution is a sampling-profiler
-   tick: it takes a [Gc.quick_stat], charges the allocation delta to the
-   sampled span, and records a sample (wall timestamp, GC counters) for
-   the Perfetto export. *)
+   charge.  Every 64th attribution is a sampling-profiler tick: it
+   takes a [Gc.quick_stat], charges the allocation delta to the sampled
+   span, and records a sample (wall timestamp, GC counters) for the
+   Perfetto export. *)
 
 type gc_totals = {
   g_minor_words : float;
@@ -46,8 +46,10 @@ type sample = {
   s_heap_words : int;
 }
 
+(* Sampler period in attribution ticks. *)
+let sample_every = 64
+
 type t = {
-  sample_every : int;
   epoch : float;
   cpu_epoch : float;
   gc0 : Gc.stat;
@@ -79,9 +81,9 @@ let monotonic_s () =
 
 let cpu_now () = Sys.time ()
 
-let create ?(sample_every = 64) () =
+let create () =
   let epoch = monotonic_s () in
-  { sample_every = max 1 sample_every; epoch; cpu_epoch = cpu_now ();
+  { epoch; cpu_epoch = cpu_now ();
     gc0 = Gc.quick_stat (); profile = Profile.create (); last_stamp = 0.0;
     ticks = 0; samples = []; marks = []; last_minor = 0.0; last_major = 0.0 }
 
@@ -112,7 +114,7 @@ let stamp t sp =
   Profile.add_wall sp (at -. t.last_stamp);
   t.last_stamp <- at;
   t.ticks <- t.ticks + 1;
-  if t.ticks mod t.sample_every = 0 then sample_tick t sp at
+  if t.ticks mod sample_every = 0 then sample_tick t sp at
 
 (* [attribute t sp] charges the wall time elapsed since the last stamp
    to profile span [sp], or to the "(unattributed)" bucket of the

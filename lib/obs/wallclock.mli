@@ -19,8 +19,8 @@
 
     Attribution is delta-since-last-stamp: each call charges the wall
     time elapsed since the previous call to the span being charged
-    (exact in aggregate, one clock read per charge).  Every
-    [sample_every]-th attribution is a sampler tick: it captures a
+    (exact in aggregate, one clock read per charge).  Every 64th
+    attribution is a sampler tick: it captures a
     [Gc.quick_stat] delta, charges the allocation to the sampled span,
     and records a (timestamp, GC counters) sample for the Perfetto
     export ({!to_perfetto}). *)
@@ -50,10 +50,7 @@ type info = {
   major_words : float;
 }
 
-(** [sample_every] is the sampler period in attribution ticks
-    (default 64): smaller = finer flamegraphs, more [Gc.quick_stat]
-    calls. *)
-val create : ?sample_every:int -> unit -> t
+val create : unit -> t
 
 (** The registry the recorder stamps into: a private one from {!create}
     until {!attach} names another.  A run given a recorder but no

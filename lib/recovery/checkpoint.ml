@@ -186,10 +186,8 @@ let load_clock path =
 type policy = {
   dir : string;
   every_tuples : int option;
-  at_phase_boundary : bool;
   on_page_out : bool;
 }
 
-let policy ?every_tuples ?(at_phase_boundary = true) ?(on_page_out = false)
-    ~dir () =
-  { dir; every_tuples; at_phase_boundary; on_page_out }
+let policy ?every_tuples ?(on_page_out = false) ~dir () =
+  { dir; every_tuples; on_page_out }

@@ -83,22 +83,21 @@ val load_clock : string -> Clock.state option
 
 (** {2 Policies}
 
-    When the corrective driver writes checkpoints. *)
+    When the corrective driver writes checkpoints: always whenever a
+    phase closes, and on the triggers below. *)
 
 type policy = {
   dir : string;  (** where checkpoint files go *)
   every_tuples : int option;  (** every N consumed source tuples *)
-  at_phase_boundary : bool;  (** whenever a phase closes (default on) *)
   on_page_out : bool;
       (** when memory pressure pages state structures out — paged-out
           state is the state most expensive to lose *)
 }
 
-(** [policy ~dir ()] — boundary checkpoints on, tuple-count and page-out
-    triggers off unless given. *)
+(** [policy ~dir ()] — tuple-count and page-out triggers off unless
+    given. *)
 val policy :
   ?every_tuples:int ->
-  ?at_phase_boundary:bool ->
   ?on_page_out:bool ->
   dir:string ->
   unit ->

@@ -5,7 +5,7 @@
     or the bare column name when it is unambiguous, mirroring SQL name
     resolution.  Schemas are value-compared; two equivalent subexpressions in
     different plans may produce the same columns in different orders, which
-    {!Tuple_adapter} (in [adp_storage]) reconciles via {!permutation}. *)
+    stitch-up and the result sink reconcile via {!permutation}. *)
 
 type t
 

@@ -3,8 +3,8 @@
     The Tukwila paper represents tuples as vectors of pointers to attribute
     containers so that state structures can store values in one physical
     order while operators read them in another; in OCaml the value array is
-    already a vector of boxed values, and re-ordering is performed by the
-    [Tuple_adapter] permutation in [adp_storage]. *)
+    already a vector of boxed values, and re-ordering is a {!project}
+    through a {!Schema.permutation}. *)
 
 type t = Value.t array
 

@@ -482,7 +482,6 @@ let run config resolver script =
         | Some s_now -> s_now -. params.a_base
         | None -> 0.0
       in
-      let death_at = params.a_t0 +. death_off in
       let hb = config.heartbeat_interval in
       let beats = Float.of_int (int_of_float (death_off /. hb)) in
       let last_hb = params.a_t0 +. (beats *. hb) in
@@ -490,7 +489,6 @@ let run config resolver script =
         (* determinism-ok: draining the job's own capture trace into the
            crash record, not back into execution *)
         Some (P_crashed { last_hb; msg; events = Trace.events inner });
-      ignore death_at;
       schedule (last_hb +. config.heartbeat_timeout)
         (E_death (job.j_id, job.j_gen))
     | exception Diagnostic.Failed (where, diags) ->

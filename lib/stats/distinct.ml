@@ -13,19 +13,17 @@ type mode =
   | Exact of unit Vset.t
   | Sketch of { bm : Bytes.t; mutable zeros : int }
 
+(* Exact up to 4,096 distinct values, then a 2^16-bit linear counter. *)
+let exact_budget = 4096
+let mask = (1 lsl 16) - 1
+
 type t = {
-  exact_budget : int;
-  mask : int;  (* 2^sketch_bits - 1 *)
   mutable seen : int;
   mutable last : Value.t;  (* the previous value added, once [seen > 0] *)
   mutable mode : mode;
 }
 
-let create ?(exact_budget = 4096) ?(sketch_bits = 16) () =
-  if sketch_bits < 3 then
-    invalid_arg "Distinct.create: sketch_bits must be at least 3";
-  { exact_budget; mask = (1 lsl sketch_bits) - 1; seen = 0;
-    last = Value.Null; mode = Exact (Vset.create 256) }
+let create () = { seen = 0; last = Value.Null; mode = Exact (Vset.create 256) }
 
 (* Sets bit [i]; true when it was clear. *)
 let bitmap_set bm i =
@@ -35,10 +33,10 @@ let bitmap_set bm i =
   c land bit = 0
 
 let to_sketch t set =
-  let bm = Bytes.make ((t.mask + 1) lsr 3) '\000' in
-  let zeros = ref (t.mask + 1) in
+  let bm = Bytes.make ((mask + 1) lsr 3) '\000' in
+  let zeros = ref (mask + 1) in
   Vset.iter
-    (fun v () -> if bitmap_set bm (Value.hash v land t.mask) then decr zeros)
+    (fun v () -> if bitmap_set bm (Value.hash v land mask) then decr zeros)
     set;
   t.mode <- Sketch { bm; zeros = !zeros }
 
@@ -63,16 +61,16 @@ let add t v =
     | Exact set ->
       if not (Vset.mem set v) then begin
         Vset.replace set v ();
-        if Vset.length set > t.exact_budget then to_sketch t set
+        if Vset.length set > exact_budget then to_sketch t set
       end
     | Sketch s ->
-      if bitmap_set s.bm (Value.hash v land t.mask) then s.zeros <- s.zeros - 1
+      if bitmap_set s.bm (Value.hash v land mask) then s.zeros <- s.zeros - 1
 
 let estimate t =
   match t.mode with
   | Exact set -> float_of_int (Vset.length set)
   | Sketch s ->
-    let m = float_of_int (t.mask + 1) in
+    let m = float_of_int (mask + 1) in
     let z = float_of_int s.zeros in
     if z <= 0.0 then m *. log m (* saturated: crude upper bound *)
     else -.m *. log (z /. m)

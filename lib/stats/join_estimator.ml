@@ -7,8 +7,8 @@ type side = {
   mutable max_v : float;
 }
 
-let side ?(buckets = 50) () =
-  { hist = Histogram.create ~buckets; order = Order_detector.create ();
+let side () =
+  { hist = Histogram.create ~buckets:50; order = Order_detector.create ();
     min_v = infinity; max_v = neg_infinity }
 
 let observe s v =

@@ -13,9 +13,9 @@ open Adp_relation
 
 type side
 
-(** [side ~buckets ()] creates the per-stream summary (histogram + order
-    detector).  The paper uses 50 buckets. *)
-val side : ?buckets:int -> unit -> side
+(** [side ()] creates the per-stream summary: a 50-bucket histogram, the
+    paper's size, and an order detector. *)
+val side : unit -> side
 
 (** Observe the join attribute of one arriving tuple. *)
 val observe : side -> Value.t -> unit

@@ -34,7 +34,10 @@ let ascending_fraction t =
   let pairs = t.seen - 1 in
   if pairs <= 0 then 1.0 else float_of_int t.asc_pairs /. float_of_int pairs
 
-let verdict ?(threshold = 0.95) t =
+(* The in-order fraction below which a stream is [Unsorted]. *)
+let threshold = 0.95
+
+let verdict t =
   let pairs = t.seen - 1 in
   if pairs <= 0 then Ascending
   else begin

@@ -19,9 +19,8 @@ val add : t -> Value.t -> unit
 val count : t -> int
 
 (** Verdict once at least two values have been seen; a stream is declared
-    [Unsorted] when the in-order fraction drops below [threshold]
-    (default 0.95). *)
-val verdict : ?threshold:float -> t -> verdict
+    [Unsorted] when the in-order fraction drops below 0.95. *)
+val verdict : t -> verdict
 
 (** Fraction of adjacent pairs in ascending order (1.0 until two values are
     seen). *)

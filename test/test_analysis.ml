@@ -360,19 +360,19 @@ let test_matrix_too_large () =
 let test_knobs () =
   let ok =
     Analyzer.check_knobs ~poll_interval:1e4 ~switch_threshold:0.7
-      ~max_phases:4 ~min_leaf_seen:100 ~min_remaining_fraction:0.25
+      ~max_phases:4 ~min_leaf_seen:100
       ~retry:Retry.default_policy
   in
   Alcotest.(check (list string)) "defaults are clean" [] (codes ok);
   let zero =
     Analyzer.check_knobs ~poll_interval:1e4 ~switch_threshold:0.0
-      ~max_phases:1 ~min_leaf_seen:0 ~min_remaining_fraction:0.0
+      ~max_phases:1 ~min_leaf_seen:0
       ~retry:Retry.no_timeouts
   in
   Alcotest.(check (list string)) "pinned-plan config is legal" [] (codes zero);
   let bad =
     Analyzer.check_knobs ~poll_interval:(-1.0) ~switch_threshold:(-0.5)
-      ~max_phases:0 ~min_leaf_seen:(-1) ~min_remaining_fraction:1.5
+      ~max_phases:0 ~min_leaf_seen:(-1)
       ~retry:{ Retry.default_policy with jitter = 1.5; backoff_multiplier = 0.5 }
   in
   Alcotest.(check bool) "every bad knob reported" true

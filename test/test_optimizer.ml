@@ -264,8 +264,8 @@ let optimizer_plans_agree =
           Schema.make
             [ "f.k1"; "f.k2"; "f.v"; "a.k"; "a.w"; "b.k"; "b.w" ]
         in
-        let ad = Adp_storage.Tuple_adapter.create ~from:(Plan.schema plan) ~into in
-        Adp_storage.Tuple_adapter.adapt_all ad outs
+        let perm = Schema.permutation ~from:(Plan.schema plan) ~into in
+        List.map (fun t -> Tuple.project t perm) outs
       in
       match List.map run alts with
       | [] -> false

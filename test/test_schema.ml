@@ -43,7 +43,23 @@ let test_permutation () =
   let from = Schema.make [ "t.a"; "t.b"; "t.c" ] in
   let into = Schema.make [ "t.c"; "t.a"; "t.b" ] in
   let perm = Schema.permutation ~from ~into in
-  Alcotest.(check (array int)) "perm" [| 2; 0; 1 |] perm
+  Alcotest.(check (array int)) "perm" [| 2; 0; 1 |] perm;
+  Alcotest.(check bool) "permuted" true
+    (Tuple.project [| Value.Int 1; Value.Int 2; Value.Int 3 |] perm
+     = [| Value.Int 3; Value.Int 1; Value.Int 2 |])
+
+let permutation_roundtrip =
+  QCheck2.Test.make ~name:"permutation there-and-back is identity" ~count:100
+    QCheck2.Gen.(list_size (int_bound 6) small_int)
+    (fun payload ->
+      let n = List.length payload in
+      QCheck2.assume (n > 0);
+      let cols = List.init n (fun i -> Printf.sprintf "t.c%d" i) in
+      let from = Schema.make cols in
+      let into = Schema.make (List.rev cols) in
+      let t = Array.of_list (List.map (fun i -> Value.Int i) payload) in
+      let there = Tuple.project t (Schema.permutation ~from ~into) in
+      Tuple.project there (Schema.permutation ~from:into ~into:from) = t)
 
 let test_same_columns () =
   let a = Schema.make [ "t.a"; "t.b" ] in
@@ -60,4 +76,5 @@ let suite =
     Alcotest.test_case "project" `Quick test_project;
     Alcotest.test_case "rename qualifier" `Quick test_rename_qualifier;
     Alcotest.test_case "permutation" `Quick test_permutation;
+    Helpers.qtest permutation_roundtrip;
     Alcotest.test_case "column-set equality" `Quick test_same_columns ]

@@ -114,23 +114,39 @@ let test_order_unsorted () =
 let test_order_mostly_sorted_threshold () =
   let od = Order_detector.create () in
   feed_list od (List.init 100 Fun.id @ [ 5 ] @ List.init 50 (fun i -> 101 + i));
-  Alcotest.(check bool) "98% in-order is Ascending at default threshold" true
+  Alcotest.(check bool) "98% in-order is Ascending" true
     (Order_detector.verdict od = Order_detector.Ascending);
-  Alcotest.(check bool) "strict threshold flags it" true
-    (Order_detector.verdict ~threshold:0.999 od = Order_detector.Unsorted)
+  (* The 0.95 threshold is inclusive: 19 of 20 pairs in order is
+     Ascending, 19 of 21 is not. *)
+  let od = Order_detector.create () in
+  feed_list od (List.init 20 Fun.id @ [ 0 ]);
+  Alcotest.(check bool) "95% in-order is Ascending" true
+    (Order_detector.verdict od = Order_detector.Ascending);
+  Order_detector.add od (vi (-1));
+  Alcotest.(check bool) "90% in-order is Unsorted" true
+    (Order_detector.verdict od = Order_detector.Unsorted)
 
 (* ---------------- Distinct ---------------- *)
 
 let test_distinct_exact () =
-  let d = Distinct.create ~exact_budget:100 () in
+  let d = Distinct.create () in
   for i = 1 to 50 do
     Distinct.add d (vi (i mod 10))
   done;
   Alcotest.(check bool) "exact" true (Distinct.is_exact d);
-  Alcotest.(check (float 0.0)) "ten distinct" 10.0 (Distinct.estimate d)
+  Alcotest.(check (float 0.0)) "ten distinct" 10.0 (Distinct.estimate d);
+  (* The exact budget is 4,096 distinct values. *)
+  let d = Distinct.create () in
+  for i = 1 to 4096 do
+    Distinct.add d (vi i)
+  done;
+  Alcotest.(check bool) "exact at the budget" true (Distinct.is_exact d);
+  Alcotest.(check (float 0.0)) "4,096 distinct" 4096.0 (Distinct.estimate d);
+  Distinct.add d (vi 4097);
+  Alcotest.(check bool) "sketch past the budget" false (Distinct.is_exact d)
 
 let test_distinct_sketch () =
-  let d = Distinct.create ~exact_budget:64 ~sketch_bits:16 () in
+  let d = Distinct.create () in
   let n = 20000 in
   for i = 1 to n do
     Distinct.add d (vi i)
@@ -140,16 +156,15 @@ let test_distinct_sketch () =
   let err = Float.abs (est -. float_of_int n) /. float_of_int n in
   Alcotest.(check bool)
     (Printf.sprintf "linear counting within 10%% (got %.0f)" est)
-    true (err < 0.1)
-
-let test_distinct_sketch_bits () =
-  Alcotest.check_raises "two sketch bits rejected"
-    (Invalid_argument "Distinct.create: sketch_bits must be at least 3")
-    (fun () -> ignore (Distinct.create ~sketch_bits:2 ()));
-  let d = Distinct.create ~exact_budget:1 ~sketch_bits:3 () in
-  List.iter (fun i -> Distinct.add d (vi i)) [ 1; 2; 3; 4 ];
-  Alcotest.(check bool) "three bits sketch" true
-    ((not (Distinct.is_exact d)) && Float.is_finite (Distinct.estimate d))
+    true (err < 0.1);
+  (* A million distinct values set every one of the 2^16 bits (the
+     last one at about 675,000), and the estimate becomes the crude
+     upper bound m ln m. *)
+  for i = n + 1 to 1_000_000 do
+    Distinct.add d (vi i)
+  done;
+  Alcotest.(check (float 0.0)) "saturated sketch" (65536.0 *. log 65536.0)
+    (Distinct.estimate d)
 
 (* ---------------- Reference models ---------------- *)
 
@@ -183,7 +198,8 @@ module Ref_order = struct
     let pairs = t.seen - 1 in
     if pairs <= 0 then 1.0 else float_of_int t.asc_pairs /. float_of_int pairs
 
-  let verdict ?(threshold = 0.95) t =
+  let verdict t =
+    let threshold = 0.95 in
     let pairs = t.seen - 1 in
     if pairs <= 0 then Order_detector.Ascending
     else begin
@@ -209,16 +225,11 @@ module Ref_distinct = struct
 
   type mode = Exact of unit Vset.t | Sketch of Bytes.t
 
-  type t = {
-    exact_budget : int;
-    bits : int;
-    mutable seen : int;
-    mutable mode : mode;
-  }
+  type t = { mutable seen : int; mutable mode : mode }
 
-  let create ~exact_budget ~sketch_bits =
-    { exact_budget; bits = sketch_bits; seen = 0;
-      mode = Exact (Vset.create 256) }
+  let exact_budget = 4096
+  let bits = 16
+  let create () = { seen = 0; mode = Exact (Vset.create 256) }
 
   let bitmap_set bm i =
     let byte = i lsr 3 and bit = i land 7 in
@@ -242,20 +253,20 @@ module Ref_distinct = struct
     | Exact set ->
       if not (Vset.mem set v) then begin
         Vset.replace set v ();
-        if Vset.length set > t.exact_budget then begin
-          let m = 1 lsl t.bits in
+        if Vset.length set > exact_budget then begin
+          let m = 1 lsl bits in
           let bm = Bytes.make (m lsr 3) '\000' in
           Vset.iter (fun v () -> bitmap_set bm (Value.hash v land (m - 1))) set;
           t.mode <- Sketch bm
         end
       end
-    | Sketch bm -> bitmap_set bm (Value.hash v land ((1 lsl t.bits) - 1))
+    | Sketch bm -> bitmap_set bm (Value.hash v land ((1 lsl bits) - 1))
 
   let estimate t =
     match t.mode with
     | Exact set -> float_of_int (Vset.length set)
     | Sketch bm ->
-      let m = float_of_int (1 lsl t.bits) in
+      let m = float_of_int (1 lsl bits) in
       let z = float_of_int (bitmap_zeros bm) in
       if z <= 0.0 then m *. log m else -.m *. log (z /. m)
 
@@ -286,31 +297,31 @@ let shaped atoms =
         return (List.rev (List.sort Value.compare atoms));
         shuffle_l atoms ])
 
-let gen_small =
+let runs_of_atoms =
   QCheck2.Gen.(
-    let* runs = list_size (int_bound 40) (pair gen_atom (int_range 1 4)) in
-    let* atoms = shaped (List.concat_map (fun (v, n) -> List.init n (fun _ -> v)) runs) in
-    let* budget = int_range 1 6 and* bits = int_range 3 6 in
-    return (atoms, budget, bits))
+    map
+      (List.concat_map (fun (v, n) -> List.init n (fun _ -> v)))
+      (list_size (int_bound 40) (pair gen_atom (int_range 1 4))))
 
-(* Past the default 4,096-value exact budget, in each shape. *)
+let gen_small = QCheck2.Gen.(runs_of_atoms >>= shaped)
+
+(* Past the 4,096-value exact budget into the sketch, in each shape,
+   with the odd atoms mixed in. *)
 let gen_big =
   QCheck2.Gen.(
-    let* n = int_range 4000 6000 and* dup = int_range 1 3 in
-    let* atoms = shaped (List.init n (fun i -> vi (i / dup))) in
-    return (atoms, 4096, 16))
+    let* d = int_range 4097 5000 and* dup = int_range 1 3
+    and* odd = runs_of_atoms in
+    shaped (List.init (d * dup) (fun i -> vi (i / dup)) @ odd))
 
-let print_stream (atoms, budget, bits) =
-  Printf.sprintf "budget %d, bits %d, %d values: %s" budget bits
-    (List.length atoms)
+let print_stream atoms =
+  Printf.sprintf "%d values: %s" (List.length atoms)
     (String.concat " "
        (List.filteri (fun i _ -> i < 60) (List.map Value.to_string atoms)))
 
 (* Feed both models; compare every observable after each value. *)
-let agrees ~every (atoms, budget, bits) =
+let agrees ~every atoms =
   let od = Order_detector.create () and ro = Ref_order.create () in
-  let d = Distinct.create ~exact_budget:budget ~sketch_bits:bits ()
-  and rd = Ref_distinct.create ~exact_budget:budget ~sketch_bits:bits in
+  let d = Distinct.create () and rd = Ref_distinct.create () in
   let ok = ref true in
   List.iteri
     (fun i v ->
@@ -322,8 +333,6 @@ let agrees ~every (atoms, budget, bits) =
         ok :=
           !ok
           && Order_detector.verdict od = Ref_order.verdict ro
-          && Order_detector.verdict ~threshold:0.5 od
-             = Ref_order.verdict ~threshold:0.5 ro
           && Float.equal (Order_detector.ascending_fraction od)
                (Ref_order.ascending_fraction ro)
           && Order_detector.perfectly_sorted od = Ref_order.perfectly_sorted ro
@@ -460,7 +469,6 @@ let suite =
       test_order_mostly_sorted_threshold;
     Alcotest.test_case "distinct exact" `Quick test_distinct_exact;
     Alcotest.test_case "distinct sketch" `Quick test_distinct_sketch;
-    Alcotest.test_case "distinct sketch bits" `Quick test_distinct_sketch_bits;
     qtest prop_small_streams;
     qtest prop_big_streams;
     Alcotest.test_case "selectivity registry" `Quick test_selectivity_registry;

@@ -35,6 +35,13 @@ let right_deep =
     (Plan.join (Plan.scan "s") (Plan.scan "u") ~on:[ "s.p", "u.k" ])
     ~on:[ "r.k", "s.k" ]
 
+(* [left_deep] with the inner join's inputs swapped: same relation sets,
+   columns laid out (s, r, u). *)
+let swapped_left_deep =
+  Plan.join
+    (Plan.join (Plan.scan "s") (Plan.scan "r") ~on:[ "s.k", "r.k" ])
+    (Plan.scan "u") ~on:[ "s.p", "u.k" ]
+
 (* Split a list into exactly n contiguous segments (some possibly empty). *)
 let segments n l =
   let arr = Array.of_list l in
@@ -158,6 +165,19 @@ let test_shape_mismatch_recomputes () =
   Alcotest.(check bool) "phase-0 intermediates reused" true
     (stats.Stitchup.reused > 0)
 
+let test_reuse_across_column_orders () =
+  let r, s, u = gen_inputs 8 40 in
+  (* Phase 1 registers (s⋈r) as (s, r); the stitch tree reads it as
+     (r⋈s), so the reused tuples must be permuted into (r, s). *)
+  let got, stats, _ =
+    run_phased ~shapes:[ left_deep; swapped_left_deep ] ~stitch_tree:left_deep
+      ~r ~s ~u
+  in
+  check_bag "permuted reuse stitches correctly" (Relation.to_list got)
+    (oracle ~r ~s ~u);
+  Alcotest.(check int) "both phases' inner results reused" 0
+    stats.Stitchup.recomputed_uniform
+
 let stitchup_identity =
   QCheck2.Test.make
     ~name:"ADP identity: phases ∪ stitch-up = single plan (qcheck)" ~count:40
@@ -183,6 +203,8 @@ let suite =
     Alcotest.test_case "empty phase segments" `Quick test_empty_phase_segments;
     Alcotest.test_case "registry reuse accounting" `Quick
       test_registry_reuse_accounting;
+    Alcotest.test_case "reuse across column orders" `Quick
+      test_reuse_across_column_orders;
     Alcotest.test_case "shape mismatch recomputes" `Quick
       test_shape_mismatch_recomputes;
     qtest stitchup_identity ]

@@ -301,38 +301,6 @@ let test_hash_key_values () =
       ([| Value.Date 9000 |], 364418301); ([| vi 1; vs "x" |], 2562941346);
       ([||], 17) ]
 
-(* ---------------- Tuple adapter ---------------- *)
-
-let test_adapter () =
-  let from = Schema.make [ "t.a"; "t.b"; "t.c" ] in
-  let into = Schema.make [ "t.c"; "t.a"; "t.b" ] in
-  let ad = Tuple_adapter.create ~from ~into in
-  Alcotest.(check bool) "not identity" false (Tuple_adapter.is_identity ad);
-  let t = Tuple_adapter.adapt ad [| vi 1; vi 2; vi 3 |] in
-  Alcotest.(check bool) "permuted" true (t = [| vi 3; vi 1; vi 2 |]);
-  let idad = Tuple_adapter.create ~from ~into:from in
-  Alcotest.(check bool) "identity" true (Tuple_adapter.is_identity idad);
-  Alcotest.check_raises "different columns"
-    (Invalid_argument
-       "Tuple_adapter.create: (t.a, t.b, t.c) vs (t.a, t.b)") (fun () ->
-      ignore (Tuple_adapter.create ~from ~into:(Schema.make [ "t.a"; "t.b" ])))
-
-let adapter_roundtrip =
-  QCheck2.Test.make ~name:"adapter there-and-back is identity" ~count:100
-    QCheck2.Gen.(list_size (int_bound 6) small_int)
-    (fun payload ->
-      let n = List.length payload in
-      QCheck2.assume (n > 0);
-      let cols = List.init n (fun i -> Printf.sprintf "t.c%d" i) in
-      let from = Schema.make cols in
-      let into = Schema.make (List.rev cols) in
-      let t = Array.of_list (List.map vi payload) in
-      let there = Tuple_adapter.adapt (Tuple_adapter.create ~from ~into) t in
-      let back =
-        Tuple_adapter.adapt (Tuple_adapter.create ~from:into ~into:from) there
-      in
-      back = t)
-
 (* ---------------- Registry ---------------- *)
 
 let test_registry () =
@@ -379,8 +347,6 @@ let suite =
     qtest layout_matches_stdlib;
     qtest layout_after_reuse;
     Alcotest.test_case "hash key values pinned" `Quick test_hash_key_values;
-    Alcotest.test_case "tuple adapter" `Quick test_adapter;
-    qtest adapter_roundtrip;
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "registry complexity filter" `Quick
       test_registry_complexity_filter ]

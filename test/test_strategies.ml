@@ -383,12 +383,11 @@ let test_sink_views_match_adapted_feeds () =
     [ [ 1; 10; 5 ]; [ 2; 20; 6 ]; [ 1; 30; 7 ]; [ 3; 40; 8 ]; [ 2; 50; 9 ] ]
     |> List.map (fun l -> Array.of_list (List.map vi l))
   in
-  let in_other =
-    List.map
-      (Adp_storage.Tuple_adapter.adapt
-         (Adp_storage.Tuple_adapter.create ~from:canonical ~into:other))
-      rows
+  let adapt ~from ~into tuples =
+    let perm = Schema.permutation ~from ~into in
+    List.map (fun t -> Tuple.project t perm) tuples
   in
+  let in_other = adapt ~from:canonical ~into:other rows in
   let query ~aggs ~projection =
     { Logical.sources =
         [ { Logical.name = "r"; filter = Predicate.tt };
@@ -413,12 +412,7 @@ let test_sink_views_match_adapted_feeds () =
       rows
   in
   let check name q ~canonical ~other ~first ~second =
-    let adapted =
-      List.map
-        (Adp_storage.Tuple_adapter.adapt
-           (Adp_storage.Tuple_adapter.create ~from:other ~into:canonical))
-        second
-    in
+    let adapted = adapt ~from:other ~into:canonical second in
     let viewed = Sink.create (Ctx.create ()) q ~canonical in
     Sink.feed viewed ~from:canonical first;
     Sink.feed viewed ~from:other second;
@@ -435,10 +429,7 @@ let test_sink_views_match_adapted_feeds () =
   check "raw aggregates" (query ~aggs:agg_specs ~projection:[]) ~canonical
     ~other ~first:rows ~second:in_other;
   let partial_in_other =
-    List.map
-      (Adp_storage.Tuple_adapter.adapt
-         (Adp_storage.Tuple_adapter.create ~from:partial ~into:partial_other))
-      partial_rows
+    adapt ~from:partial ~into:partial_other partial_rows
   in
   check "partial aggregates" (query ~aggs:agg_specs ~projection:[])
     ~canonical:partial ~other:partial_other ~first:partial_rows

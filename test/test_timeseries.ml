@@ -84,43 +84,50 @@ let test_recorder_series_and_aggregates () =
   let m = Metrics.create () in
   let c = Metrics.counter m ~help:"ticks" "t_ticks_total" in
   let g = Metrics.gauge m ~help:"depth" "t_depth" in
-  let h = Metrics.histogram m ~help:"lat" "t_latency" in
-  let ts = Timeseries.create ~capacity:4 ~window:3 () in
-  for i = 1 to 6 do
+  let ts = Timeseries.create () in
+  (* Past the 512-point ring, so it wraps. *)
+  for i = 1 to 600 do
     Metrics.incr c;
-    Metrics.set g (float_of_int (10 - i));
-    Metrics.observe h (float_of_int i);
+    Metrics.set g (float_of_int (1000 - i));
     ignore (Timeseries.sample ts ~now_s:(float_of_int i) m)
   done;
-  Alcotest.(check int) "samples" 6 (Timeseries.samples ts);
-  (* counter + gauge + histogram expanded to count/p50/p95/max. *)
-  Alcotest.(check int) "series" 6 (Timeseries.series_count ts);
-  Alcotest.(check (option (float 1e-9))) "last counter" (Some 6.0)
+  Alcotest.(check int) "samples" 600 (Timeseries.samples ts);
+  Alcotest.(check int) "series" 2 (Timeseries.series_count ts);
+  Alcotest.(check (option (float 1e-9))) "last counter" (Some 600.0)
     (Timeseries.aggregate ts ~metric:"t_ticks_total" Slo.Last);
-  Alcotest.(check (option (float 1e-9))) "windowed min of gauge" (Some 4.0)
+  (* The window is the last 32 samples, t 569 .. 600. *)
+  Alcotest.(check (option (float 1e-9))) "window starts at sample 569"
+    (Some 569.0)
+    (Timeseries.aggregate ts ~metric:"t_ticks_total" Slo.Min);
+  Alcotest.(check (option (float 1e-9))) "windowed min of gauge" (Some 400.0)
     (Timeseries.aggregate ts ~metric:"t_depth" Slo.Min);
-  Alcotest.(check (option (float 1e-9))) "windowed median" (Some 5.0)
+  Alcotest.(check (option (float 1e-9))) "windowed max of gauge" (Some 431.0)
+    (Timeseries.aggregate ts ~metric:"t_depth" Slo.Max);
+  Alcotest.(check (option (float 1e-9))) "windowed median" (Some 416.0)
     (Timeseries.aggregate ts ~metric:"t_depth" Slo.Median);
-  (* Rate over the window: counter went 4 -> 6 over t 4 -> 6. *)
+  Alcotest.(check (option (float 1e-9))) "windowed p95" (Some 429.0)
+    (Timeseries.aggregate ts ~metric:"t_depth" Slo.P95);
   Alcotest.(check (option (float 1e-9))) "windowed rate" (Some 1.0)
     (Timeseries.aggregate ts ~metric:"t_ticks_total" Slo.Rate);
   Alcotest.(check (option (float 0.0))) "absent metric" None
     (Timeseries.aggregate ts ~metric:"nope" Slo.Last);
-  (* The ring retains only the last [capacity] points. *)
   let doc =
     match Timeseries.of_jsonl (Timeseries.to_jsonl ts) with
     | Ok d -> d
     | Error m -> Alcotest.fail m
   in
+  Alcotest.(check int) "exported capacity" 512 doc.Timeseries.d_capacity;
+  Alcotest.(check int) "exported window" 32 doc.Timeseries.d_window;
   let depth =
     List.find (fun s -> s.Timeseries.ds_name = "t_depth") doc.Timeseries.d_series
   in
-  Alcotest.(check int) "ring capped" 4 (List.length depth.Timeseries.ds_points);
-  Alcotest.(check int) "total recorded" 6 depth.Timeseries.ds_total;
+  Alcotest.(check int) "ring capped" 512 (List.length depth.Timeseries.ds_points);
+  Alcotest.(check int) "total recorded" 600 depth.Timeseries.ds_total;
+  Alcotest.(check (list (float 1e-9))) "retained in time order"
+    (List.init 512 (fun i -> float_of_int (89 + i)))
+    (List.map fst depth.Timeseries.ds_points);
   (match depth.Timeseries.ds_points with
-   | (t0, v0) :: _ ->
-     Alcotest.(check (float 1e-9)) "oldest retained t" 3.0 t0;
-     Alcotest.(check (float 1e-9)) "oldest retained v" 7.0 v0
+   | (_, v0) :: _ -> Alcotest.(check (float 1e-9)) "oldest retained v" 911.0 v0
    | [] -> Alcotest.fail "no points")
 
 let test_jsonl_roundtrip_and_determinism () =
@@ -225,8 +232,7 @@ let test_with_labels_no_leaks () =
 
 (* A minimal scrape validator: every sample line's family must have been
    introduced by exactly one HELP and one TYPE line, all samples of a
-   family must be contiguous, and no family may repeat.  Histogram
-   families own their conventional [_bucket]/[_sum]/[_count] samples. *)
+   family must be contiguous, and no family may repeat. *)
 let validate_prometheus text =
   let lines =
     List.filter
@@ -234,7 +240,6 @@ let validate_prometheus text =
       (String.split_on_char '\n' text)
   in
   let seen = Hashtbl.create 16 in
-  let kinds = Hashtbl.create 16 in
   let current = ref None in
   let family_of_sample line =
     let name_end =
@@ -244,24 +249,7 @@ let validate_prometheus text =
       | None, Some j -> j
       | None, None -> String.length line
     in
-    let name = String.sub line 0 name_end in
-    let strip suffix =
-      if
-        String.length name > String.length suffix
-        && String.sub name
-             (String.length name - String.length suffix)
-             (String.length suffix)
-           = suffix
-      then
-        Some (String.sub name 0 (String.length name - String.length suffix))
-      else None
-    in
-    let histo base = Hashtbl.find_opt kinds base = Some "histogram" in
-    match (strip "_bucket", strip "_sum", strip "_count") with
-    | Some base, _, _ when histo base -> base
-    | _, Some base, _ when histo base -> base
-    | _, _, Some base when histo base -> base
-    | _ -> name
+    String.sub line 0 name_end
   in
   List.iter
     (fun line ->
@@ -276,8 +264,7 @@ let validate_prometheus text =
       else if String.length line > 7 && String.sub line 0 7 = "# TYPE " then begin
         let rest = String.sub line 7 (String.length line - 7) in
         (match String.split_on_char ' ' rest with
-         | fam :: kind :: _ ->
-           Hashtbl.replace kinds fam kind;
+         | fam :: _ :: _ ->
            (match Hashtbl.find_opt seen fam with
             | Some `Help -> Hashtbl.replace seen fam `Typed
             | _ -> Alcotest.failf "TYPE for %s without preceding HELP" fam);
@@ -304,15 +291,13 @@ let test_prometheus_families () =
   let v2 = Metrics.with_labels m [ ("query", "q2") ] in
   List.iter
     (fun v ->
-      let h = Metrics.histogram v ~help:"latency" "adp_latency" in
-      Metrics.observe h 1.0;
-      Metrics.observe h 3.0;
+      Metrics.incr (Metrics.counter v ~help:"rows" "adp_rows_total");
       ignore (Metrics.gauge v ~help:"depth" "adp_depth"))
     [ v1; v2 ];
   let text = Metrics.to_prometheus m in
   validate_prometheus text;
-  (* Every family appears with both headers, including the synthesized
-     quantile sibling families of multi-label-set histograms. *)
+  (* Every family appears with both headers, including those whose
+     label sets were registered through two views. *)
   List.iter
     (fun fam ->
       let has prefix =
@@ -324,8 +309,7 @@ let test_prometheus_families () =
       in
       Alcotest.(check bool) ("HELP " ^ fam) true (has ("# HELP " ^ fam ^ " "));
       Alcotest.(check bool) ("TYPE " ^ fam) true (has ("# TYPE " ^ fam ^ " ")))
-    [ "adp_polls_total"; "adp_bare_total"; "adp_depth"; "adp_latency";
-      "adp_latency_p50"; "adp_latency_p95"; "adp_latency_max" ];
+    [ "adp_polls_total"; "adp_bare_total"; "adp_depth"; "adp_rows_total" ];
   (* The empty help string falls back to the family name, never an
      empty HELP line. *)
   Alcotest.(check bool) "synthesized help" true
