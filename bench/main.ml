@@ -20,7 +20,6 @@ let experiments =
     "trace", ("observability overhead and clock-perturbation check", Bench_trace.run);
     "profile", ("profiler overhead, zero-perturbation and blame check", Bench_profile.run);
     "server", ("multi-query server: supervision, adaptive polling, warm starts", Bench_server.run);
-    "timeseries", ("server telemetry: sampling determinism, SLOs, zero perturbation", Bench_timeseries.run);
     "governance", ("resource governance: deadlines, memory ceilings, breakers, overload", Bench_governance.run) ]
 
 let usage () =

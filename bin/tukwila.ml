@@ -10,13 +10,14 @@
      check      statically analyze a query/plan without executing it
      profile    EXPLAIN-ANALYZE-style run: per-node virtual time and
                 tuple counts, estimate-vs-actual calibration, blame
-     bench-diff compare two BENCH_<id>.json files with per-kind
-                thresholds (regression gate for CI)
-     top        render a telemetry JSONL file written by
-                serve --telemetry as a text dashboard
-     bench-history
-                append BENCH_<id>.json documents to longitudinal
-                per-bench histories and render/gate the trends *)
+     serve      run a scripted multi-query workload through the
+                worker-pool server
+     server-report
+                re-render a saved JSON server report
+     flame      wall-clock profile as folded stacks / Perfetto JSON
+     bench-diff compare a BENCH_<id>.json file against its committed
+                baseline; every cell must match exactly (CI gate)
+     lint       effect and determinism lint over OCaml sources *)
 
 open Cmdliner
 open Adp_relation
@@ -1137,54 +1138,10 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "results" ] ~docv:"DIR" ~doc)
   in
-  let telemetry_arg =
-    let doc =
-      "Record server telemetry over time into $(i,FILE) (JSONL): one \
-       sample of every metric cell per dispatcher poll on the server's \
-       virtual clock, per-query lifecycle spans, warm-start provenance \
-       edges, and the SLO violation/recovery ledger.  Render the file \
-       with $(b,tukwila top).  Sampling only reads — the reported times \
-       and results are identical with and without it, and repeated \
-       serves of the same script write byte-identical files."
-    in
-    Arg.(value & opt (some string) None
-         & info [ "telemetry" ] ~docv:"FILE" ~doc)
-  in
-  let slo_arg =
-    let parse s =
-      match Adp_obs.Slo.parse s with
-      | Ok o -> Ok o
-      | Error m -> Error (`Msg m)
-    in
-    let print fmt o = Format.pp_print_string fmt (Adp_obs.Slo.to_string o) in
-    let doc =
-      "Declare a service-level objective, evaluated at every telemetry \
-       sample: $(b,NAME=METRIC [AGG] OP BOUND) where $(i,AGG) is one of \
-       $(b,last) (default), $(b,rate), $(b,min), $(b,median), $(b,p95), \
-       $(b,max) over the trailing window, and $(i,OP) is $(b,<), \
-       $(b,<=), $(b,>) or $(b,>=) — e.g. \
-       $(b,depth=adp_server_queue_depth p95 < 8).  Transitions are \
-       recorded in the telemetry ledger, emitted as trace events, and \
-       counted in the $(b,adp_slo_*) metrics.  Repeatable; requires \
-       $(b,--telemetry)."
-    in
-    Arg.(value & opt_all (conv (parse, print)) []
-         & info [ "slo" ] ~docv:"NAME=EXPR" ~doc)
-  in
-  let telemetry_wall_arg =
-    let doc =
-      "Attach a wall-clock shadow to every telemetry sample (through the \
-       sanctioned Wallclock module).  Off by default: wall shadows make \
-       the telemetry file vary across runs, breaking its byte-for-byte \
-       reproducibility."
-    in
-    Arg.(value & flag & info [ "telemetry-wall" ] ~doc)
-  in
   let run script_path scale skew seed cards workers queue_cap poll_min
       poll_max poll_backoff poll_speedup poll_window hb_interval hb_timeout
       max_retries retry_backoff ckpt_dir ckpt_every trace_file metrics_file
-      report_file results_dir classes memory_budget breaker faults
-      telemetry_file slos telemetry_wall =
+      report_file results_dir classes memory_budget breaker faults =
     let script =
       match Server_script.parse_file script_path with
       | Ok s -> s
@@ -1202,16 +1159,6 @@ let serve_cmd =
       | Some _ -> Some (Adp_obs.Metrics.create ())
       | None -> None
     in
-    let telemetry =
-      match telemetry_file with
-      | Some _ -> Some (Adp_obs.Timeseries.create ~slos ())
-      | None ->
-        if slos <> [] then
-          Printf.eprintf "warning: --slo needs --telemetry\n%!";
-        if telemetry_wall then
-          Printf.eprintf "warning: --telemetry-wall needs --telemetry\n%!";
-        None
-    in
     let base = Server.default_config ~checkpoint_dir:ckpt_dir in
     let config =
       { base with
@@ -1225,7 +1172,7 @@ let serve_cmd =
         retry_backoff = retry_backoff *. 1e6; checkpoint_every = ckpt_every;
         class_quotas = classes; memory_budget;
         corrective = { base.Server.corrective with Corrective.breaker };
-        trace; metrics; telemetry; telemetry_wall }
+        trace; metrics }
     in
     let resolver spec =
       let r = Server.tpch_resolver ~with_cardinalities:cards ds spec in
@@ -1246,9 +1193,6 @@ let serve_cmd =
     in
     let finish () =
       Adp_obs.Trace.close trace;
-      (match telemetry_file, telemetry with
-       | Some path, Some ts -> Adp_obs.Timeseries.write ts ~path
-       | _ -> ());
       match metrics_file, metrics with
       | Some path, Some m -> write_metrics path m
       | _ -> ()
@@ -1306,7 +1250,7 @@ let serve_cmd =
           $ max_retries_arg $ retry_backoff_arg $ serve_ckpt_dir_arg
           $ serve_ckpt_every_arg $ trace_arg $ metrics_arg $ report_arg
           $ results_arg $ class_arg $ serve_mem_arg $ breaker_arg
-          $ fault_arg $ telemetry_arg $ slo_arg $ telemetry_wall_arg)
+          $ fault_arg)
 
 let server_report_cmd =
   let run path =
@@ -1341,126 +1285,41 @@ let server_report_cmd =
   in
   Cmd.v (Cmd.info "server-report" ~doc) Term.(const run $ arg)
 
-(* ---------------- top ---------------- *)
-
-let top_cmd =
-  let run path =
-    match Adp_obs.Timeseries.read path with
-    | Ok doc -> Format.printf "%a" Adp_obs.Timeseries.top doc
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  let doc =
-    "Render a telemetry file written by $(b,tukwila serve --telemetry) \
-     as a text dashboard: per-query span lanes on the server's virtual \
-     clock (submitted/started/reclaimed/finished), a sparkline per \
-     metric series with its trailing-window aggregates, the SLO status \
-     and violation/recovery ledger, and warm-start provenance edges."
-  in
-  let arg =
-    let doc = "The telemetry JSONL file." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"TELEMETRY" ~doc)
-  in
-  Cmd.v (Cmd.info "top" ~doc) Term.(const run $ arg)
-
-(* ---------------- bench-history / bench-diff ---------------- *)
-
-(* Print a Benchdiff verdict and return its exit code: 0 within
-   thresholds, 1 on a breach, 2 when the documents are not comparable. *)
-let report_gate = function
-  | Error m ->
-    prerr_endline m;
-    2
-  | Ok (o : Adp_obs.Benchdiff.outcome) ->
-    List.iter print_endline o.o_breaches;
-    if o.o_breaches <> [] then begin
-      Printf.printf "FAIL %s: %d breach(es) over %d gated cells\n" o.o_bench
-        (List.length o.o_breaches) o.o_gated;
-      1
-    end
-    else begin
-      Printf.printf "OK %s: %d gated cells within thresholds\n" o.o_bench
-        o.o_gated;
-      0
-    end
-
-(* Loading errors already name their file. *)
-let or_exit2 = function
-  | Ok x -> x
-  | Error m ->
-    prerr_endline m;
-    exit 2
-
-let bench_history_cmd =
-  let module Bench_history = Adp_obs.Benchhistory in
-  let run files dir gate time_tol =
-    let code = ref 0 in
-    List.iter
-      (fun file ->
-        let doc = or_exit2 (Adp_obs.Bjson.load file) in
-        let _seq = or_exit2 (Bench_history.append ~dir doc) in
-        let entries =
-          or_exit2
-            (Bench_history.load
-               (Bench_history.path ~dir ~bench:doc.Adp_obs.Bjson.bench))
-        in
-        Format.printf "%a" Bench_history.render entries;
-        match List.rev entries with
-        | last :: (_ :: _ as earlier) when gate ->
-          let priors = List.rev_map (fun e -> e.Bench_history.e_doc) earlier in
-          let verdict =
-            Adp_obs.Benchdiff.diff ~time_tol ~priors
-              ~current:last.Bench_history.e_doc ()
-          in
-          code := max !code (report_gate verdict)
-        | _ -> ())
-      files;
-    if !code <> 0 then exit !code
-  in
-  let doc =
-    "Append freshly produced $(b,BENCH_<id>.json) documents to their \
-     longitudinal histories ($(i,DIR)/<id>.jsonl, one seq-numbered line \
-     per run) and render each cell's trend as a sparkline with \
-     first/last/median values.  With $(b,--gate), the newest run also \
-     gates against the earlier ones under $(b,bench-diff)'s rules: \
-     $(b,time) cells within $(b,--time-tol) relative of the $(i,median \
-     of the prior runs), everything else (shape, scale, kinds, exact \
-     $(b,count)/$(b,bool) values) against the most recent prior run.  Exits 1 on any breach, 2 on incomparable runs."
-  in
-  let files_arg =
-    let doc = "BENCH_<id>.json files to append and render." in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"BENCH" ~doc)
-  in
-  let dir_arg =
-    let doc = "History directory." in
-    Arg.(value & opt string "bench/history" & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
-  let gate_arg =
-    let doc = "Gate the newest run against its history." in
-    Arg.(value & flag & info [ "gate" ] ~doc)
-  in
-  let tol_arg =
-    let doc = "Relative tolerance for time-kind cells vs the history median." in
-    Arg.(value & opt float 0.10 & info [ "time-tol" ] ~docv:"FRAC" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "bench-history" ~doc)
-    Term.(const run $ files_arg $ dir_arg $ gate_arg $ tol_arg)
+(* ---------------- bench-diff ---------------- *)
 
 let bench_diff_cmd =
-  let read path = or_exit2 (Adp_obs.Bjson.load path) in
-  let run base_path new_path time_tol =
-    let priors = [ read base_path ] and current = read new_path in
-    exit (report_gate (Adp_obs.Benchdiff.diff ~time_tol ~priors ~current ()))
+  (* Loading errors already name their file. *)
+  let read path =
+    match Adp_obs.Bjson.load path with
+    | Ok d -> d
+    | Error m ->
+      prerr_endline m;
+      exit 2
+  in
+  let run base_path new_path =
+    let baseline = read base_path and current = read new_path in
+    match Adp_obs.Benchdiff.diff ~baseline ~current with
+    | Error m ->
+      prerr_endline m;
+      exit 2
+    | Ok (o : Adp_obs.Benchdiff.outcome) ->
+      List.iter print_endline o.o_breaches;
+      if o.o_breaches <> [] then begin
+        Printf.printf "FAIL %s: %d breach(es) over %d gated cells\n" o.o_bench
+          (List.length o.o_breaches) o.o_gated;
+        exit 1
+      end;
+      Printf.printf "OK %s: %d gated cells match the baseline\n" o.o_bench
+        o.o_gated
   in
   let doc =
-    "Compare a freshly produced $(b,BENCH_<id>.json) against a committed \
-     baseline with per-metric-kind thresholds: $(b,time) cells (virtual \
-     seconds) must stay within $(b,--time-tol) relative, and $(b,count) \
-     and $(b,bool) cells must match exactly.  Exits 1 on any breach, 2 on \
-     malformed or incomparable inputs (schema, unknown cell kind, bench \
-     id, scale or cell-shape mismatch)."
+    "Compare a freshly produced $(b,BENCH_<id>.json) against its \
+     committed baseline.  Every cell is deterministic under the virtual \
+     clock, so every $(b,time), $(b,count) and $(b,bool) cell must match \
+     the baseline exactly (two values at or below 1 ns compare equal).  \
+     Exits 1 on any breach, 2 on malformed or incomparable inputs \
+     (schema, unknown cell kind, repeated cell id, bench id, scale or \
+     cell-shape mismatch)."
   in
   let base_arg =
     let doc = "The committed baseline BENCH_<id>.json." in
@@ -1470,13 +1329,7 @@ let bench_diff_cmd =
     let doc = "The freshly produced BENCH_<id>.json to gate." in
     Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc)
   in
-  let tol_arg =
-    let doc = "Relative tolerance for time-kind cells." in
-    Arg.(value & opt float 0.10 & info [ "time-tol" ] ~docv:"FRAC" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "bench-diff" ~doc)
-    Term.(const run $ base_arg $ new_arg $ tol_arg)
+  Cmd.v (Cmd.info "bench-diff" ~doc) Term.(const run $ base_arg $ new_arg)
 
 (* ---------------- flame ---------------- *)
 
@@ -1685,5 +1538,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; explain_cmd; plan_cmd; query_cmd; check_cmd;
-            profile_cmd; flame_cmd; serve_cmd; server_report_cmd; top_cmd;
-            bench_diff_cmd; bench_history_cmd; lint_cmd ]))
+            profile_cmd; flame_cmd; serve_cmd; server_report_cmd;
+            bench_diff_cmd; lint_cmd ]))

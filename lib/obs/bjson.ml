@@ -6,14 +6,12 @@
      { "schema": 1, "bench": "<id>", "scale": <SF>,
        "cells": [ { "id": "...", "kind": "...", "value": <num> }, ... ] }
 
-   Cell kinds and their diff semantics (see Benchdiff):
-     time   deterministic virtual seconds — compared with a relative
-            tolerance (plans may legitimately drift a little across
-            estimator tweaks);
-     count  deterministic integer/exact value — must match exactly;
-     bool   invariant flag (1/0) — must match exactly.
-   Wall-clock numbers are not cells: the bench tables print them, and
-   perfbench judges wall time. *)
+   Cell kinds (see Benchdiff; every kind must match the baseline exactly):
+     time   deterministic virtual seconds;
+     count  deterministic integer/exact value;
+     bool   invariant flag (1/0).
+   Cell ids are unique within a document.  Wall-clock numbers are not
+   cells: the bench tables print them, and perfbench judges wall time. *)
 
 type kind = Time | Count | Bool
 
@@ -70,18 +68,6 @@ let to_string { bench; scale; cells } =
     bench (Json.float_str scale)
     (String.concat ",\n" (List.map cell_line cells))
 
-let fields { bench; scale; cells } =
-  [ ("schema", Json.Num 1.0); ("bench", Json.Str bench);
-    ("scale", Json.Num scale);
-    ( "cells",
-      Json.List
-        (List.map
-           (fun c ->
-             Json.Obj
-               [ ("id", Json.Str c.id); ("kind", Json.Str (kind_name c.kind));
-                 ("value", Json.Num c.value) ])
-           cells) ) ]
-
 let of_json j =
   let cell c =
     let id = Json.req c "id" Json.get_str in
@@ -98,7 +84,15 @@ let of_json j =
       let bench = Json.req j "bench" Json.get_str in
       let scale = Json.req j "scale" Json.get_num in
       let cells = List.map cell (Json.req j "cells" Json.get_list) in
-      Ok { bench; scale; cells }
+      (* bench-diff pairs cells by id, so a repeated id would let the
+         second cell escape every gate. *)
+      let rec repeated = function
+        | a :: (b :: _ as rest) -> if a = b then Some a else repeated rest
+        | _ -> None
+      in
+      match repeated (List.sort compare (List.map (fun c -> c.id) cells)) with
+      | Some id -> Error (Printf.sprintf "cell %S: repeated id" id)
+      | None -> Ok { bench; scale; cells }
   with Json.Bad msg -> Error msg
 
 let of_string s =

@@ -2,10 +2,10 @@
     harness, [tukwila bench-diff] and the tests.
 
     A document is a bench id, the TPC scale factor it ran at, and a list
-    of cells.  Cell kinds carry their diff semantics (see {!Benchdiff}):
-    [Time] gates with a relative tolerance, [Count] and [Bool] must
-    match exactly.  Every cell is deterministic under the virtual clock;
-    wall-clock numbers are printed, never stored. *)
+    of cells with unique ids.  Every cell is deterministic under the
+    virtual clock, so {!Benchdiff} requires each kind ([Time], [Count],
+    [Bool]) to match its baseline exactly; wall-clock numbers are
+    printed, never stored. *)
 
 type kind = Time | Count | Bool
 
@@ -34,14 +34,10 @@ val slug : string -> string
 
 val to_string : doc -> string
 
-(** The document's JSON object fields, for embedding it in a larger
-    object (a bench-history line adds a ["seq"] field); {!of_json}
-    ignores fields it does not know. *)
-val fields : doc -> (string * Json.t) list
-
-(** [Error] on a bad schema version, a missing field, or a cell of an
-    unknown kind (naming the cell id) — including the retired ["wall"]
-    kind, so a stale baseline fails to load instead of being skipped. *)
+(** [Error] on a bad schema version, a missing field, a cell id that
+    appears twice, or a cell of an unknown kind (naming the cell id) —
+    including the retired ["wall"] kind, so a stale baseline fails to
+    load instead of being skipped. *)
 val of_json : Json.t -> (doc, string) result
 val of_string : string -> (doc, string) result
 val load : string -> (doc, string) result

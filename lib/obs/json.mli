@@ -36,19 +36,15 @@ val get_list : t -> t list option
 
 (** {2 JSON Lines} *)
 
-(** Raised by line decoders; {!fold_lines} reports it with the line. *)
+(** Raised by line decoders; {!read_lines} reports it with the line. *)
 exception Bad of string
 
 (** [req j k get] is field [k] of [j] read through [get]; raises {!Bad}
     naming the field when it is missing or mistyped. *)
 val req : t -> string -> (t -> 'a option) -> 'a
 
-(** [fold_lines ~name text f init] folds [f] over the JSON value of each
-    non-blank line of [text], first line first.  The first syntax error
-    or {!Bad} from [f] comes back as ["name:N: reason"]. *)
-val fold_lines :
-  name:string -> string -> ('a -> t -> 'a) -> 'a -> ('a, string) result
-
-(** {!fold_lines} over the contents of file [path], named by its path;
-    an unreadable file is [Error] with the system's message. *)
+(** [read_lines path f init] folds [f] over the JSON value of each
+    non-blank line of file [path], first line first.  The first syntax
+    error or {!Bad} from [f] comes back as ["path:N: reason"]; an
+    unreadable file is [Error] with the system's message. *)
 val read_lines : string -> ('a -> t -> 'a) -> 'a -> ('a, string) result

@@ -88,10 +88,6 @@ let count c = c.c
 let set_count c n = c.c <- n
 let set g v = g.g <- v
 
-(* Point-in-time snapshot of a cell, the read side the telemetry
-   sampler consumes. *)
-type reading = Counter_v of int | Gauge_v of float
-
 let counter_total t name =
   List.fold_left
     (fun acc e ->
@@ -108,13 +104,6 @@ let sorted t =
       | 0 -> compare a.labels b.labels
       | c -> c)
     t.store.entries
-
-let read_cell = function
-  | Counter c -> Counter_v c.c
-  | Gauge g -> Gauge_v g.g
-
-let readings t =
-  List.map (fun e -> (e.name, e.labels, read_cell e.cell)) (sorted t)
 
 let to_json t =
   let labels_json labels =

@@ -68,16 +68,6 @@ val set : gauge -> float -> unit
 (** Sum of all counter cells with this name (any labels); 0 when none. *)
 val counter_total : t -> string -> int
 
-(** {2 Snapshots} *)
-
-(** A point-in-time read of one cell. *)
-type reading = Counter_v of int | Gauge_v of float
-
-(** Every live cell of the whole store in dump order (sorted by name,
-    then labels) — the deterministic iteration the time-series sampler
-    is built on. *)
-val readings : t -> (string * (string * string) list * reading) list
-
 (** {2 Dumps} *)
 
 val to_json : t -> Json.t

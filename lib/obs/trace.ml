@@ -91,22 +91,6 @@ type event =
       worker : int;
       events : int;  (* length of the re-stamped block that follows *)
     }
-  | Slo_violation of {
-      slo : string;
-      metric : string;
-      agg : string;
-      op : string;
-      value : float;
-      bound : float;
-    }
-  | Slo_recovered of {
-      slo : string;
-      metric : string;
-      agg : string;
-      op : string;
-      value : float;
-      bound : float;
-    }
 
 type stamped = float * event
 
@@ -170,8 +154,6 @@ let event_name = function
   | Query_degraded _ -> "query_degraded"
   | Breaker_state_changed _ -> "breaker_state_changed"
   | Query_attempt _ -> "query_attempt"
-  | Slo_violation _ -> "slo_violation"
-  | Slo_recovered _ -> "slo_recovered"
 
 let decision_str = function Keep -> "keep" | Switch -> "switch"
 
@@ -251,10 +233,6 @@ let fields ev : (string * Json.t) list =
   | Query_attempt { query; attempt; worker; events } ->
     [ ("query", str query); ("attempt", int attempt);
       ("worker", int worker); ("events", int events) ]
-  | Slo_violation { slo; metric; agg; op; value; bound }
-  | Slo_recovered { slo; metric; agg; op; value; bound } ->
-    [ ("slo", str slo); ("metric", str metric); ("agg", str agg);
-      ("op", str op); ("value", num value); ("bound", num bound) ]
 
 let to_json (at, ev) =
   Json.Obj
@@ -370,14 +348,6 @@ let of_json j =
         Query_attempt
           { query = str "query"; attempt = int "attempt";
             worker = int "worker"; events = int "events" }
-      | "slo_violation" ->
-        Slo_violation
-          { slo = str "slo"; metric = str "metric"; agg = str "agg";
-            op = str "op"; value = num "value"; bound = num "bound" }
-      | "slo_recovered" ->
-        Slo_recovered
-          { slo = str "slo"; metric = str "metric"; agg = str "agg";
-            op = str "op"; value = num "value"; bound = num "bound" }
       | other -> raise (Json.Bad (Printf.sprintf "unknown event %S" other))
     in
     Ok (at, ev)
@@ -563,12 +533,6 @@ let pp_event ppf ev =
       "query %s attempt %d on worker %d: %d re-stamped event%s" query
       attempt worker events
       (if events = 1 then "" else "s")
-  | Slo_violation { slo; metric; agg; op; value; bound } ->
-    Format.fprintf ppf "SLO %s VIOLATED: %s %s = %s (objective %s %s)" slo
-      metric agg (fnum value) op (fnum bound)
-  | Slo_recovered { slo; metric; agg; op; value; bound } ->
-    Format.fprintf ppf "SLO %s recovered: %s %s = %s (objective %s %s)" slo
-      metric agg (fnum value) op (fnum bound)
 
 (* Rebuild a [Profile.t] from the Node_profile events a profiled run
    appends to its trace; emission preserved registration order, so the
@@ -718,17 +682,13 @@ let explain ppf evs =
         "-- server: workers spawned %d; deaths %d; reclaims %d; \
          poll-interval moves %d; load-shed %d@."
         spawns deaths reclaims interval_moves sheds;
-    (* Lane markers and SLO transitions only appear in telemetry-enabled
-       server traces; older replays stay byte-identical. *)
+    (* Lane markers only appear in [tukwila serve] traces (one per
+       re-stamped attempt block); single-query replays stay
+       byte-identical. *)
     let lanes = count (function Query_attempt _ -> true | _ -> false) in
     if lanes > 0 then
       Format.fprintf ppf "-- lanes: %d query-attempt block%s@." lanes
         (if lanes = 1 then "" else "s");
-    let violations = count (function Slo_violation _ -> true | _ -> false) in
-    let recoveries = count (function Slo_recovered _ -> true | _ -> false) in
-    if violations + recoveries > 0 then
-      Format.fprintf ppf "-- slo: violations %d; recoveries %d@." violations
-        recoveries;
     (* Governance events likewise only appear when deadlines, budgets or
        breakers are configured; ungoverned replays stay byte-identical. *)
     let deadline_hits =

@@ -148,24 +148,6 @@ type event =
               [tukwila explain] group a serve replay into per-query
               lanes *)
     }
-  | Slo_violation of {
-      slo : string;  (** objective name as declared ([--slo NAME=...]) *)
-      metric : string;  (** series the objective watches *)
-      agg : string;  (** "last" | "rate" | "min" | "median" | "p95" | "max" *)
-      op : string;  (** "<" | "<=" | ">" | ">=" *)
-      value : float;  (** the aggregate at the violating sample *)
-      bound : float;
-    }
-  | Slo_recovered of {
-      slo : string;
-      metric : string;
-      agg : string;
-      op : string;
-      value : float;
-      bound : float;
-    }
-      (** SLO transitions from the telemetry monitor: emitted only at
-          state changes (violated <-> healthy), not at every sample. *)
 
 (** Events are stamped with the virtual clock (µs). *)
 type stamped = float * event

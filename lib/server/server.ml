@@ -5,8 +5,6 @@ module Corrective = Adp_core.Corrective
 module Diagnostic = Adp_analysis.Diagnostic
 module Trace = Adp_obs.Trace
 module Metrics = Adp_obs.Metrics
-module Timeseries = Adp_obs.Timeseries
-module Slo = Adp_obs.Slo
 module Json = Adp_obs.Json
 module Selectivity = Adp_stats.Selectivity
 module Checkpoint = Adp_recovery.Checkpoint
@@ -30,8 +28,6 @@ type config = {
   corrective : Corrective.config;
   trace : Trace.t;
   metrics : Metrics.t option;
-  telemetry : Timeseries.t option;
-  telemetry_wall : bool;
 }
 
 let default_config ~checkpoint_dir =
@@ -42,8 +38,7 @@ let default_config ~checkpoint_dir =
     corrective =
       { Corrective.default_config with poll_interval = 2e4;
         min_leaf_seen = 200; switch_threshold = 0.8 };
-    trace = Trace.null; metrics = None; telemetry = None;
-    telemetry_wall = false }
+    trace = Trace.null; metrics = None }
 
 let validate cfg =
   let bad fmt = Diagnostic.errorf ~path:"server" fmt in
@@ -192,7 +187,6 @@ type job = {
   mutable j_outcome : outcome option;
   mutable j_finished : float;
   mutable j_warm_sigs : int;
-  mutable j_warm_list : string list;  (* the inherited signatures *)
   mutable j_warm_changed : bool;
 }
 
@@ -271,24 +265,6 @@ let run config resolver script =
       ~help:"queued queries shed because their deadline passed"
       "adp_server_shed_total"
   in
-  (* SLO families are registered up front, one labelled cell per declared
-     objective, so their series exist from the first telemetry sample. *)
-  let slo_cells =
-    match config.telemetry with
-    | None -> []
-    | Some ts ->
-      List.map
-        (fun (o : Slo.objective) ->
-          let labels = [ ("slo", o.Slo.o_name) ] in
-          ( o.Slo.o_name,
-            ( Metrics.counter metrics ~labels
-                ~help:"SLO violation transitions" "adp_slo_violations_total",
-              Metrics.counter metrics ~labels
-                ~help:"SLO recovery transitions" "adp_slo_recoveries_total",
-              Metrics.gauge metrics ~labels
-                ~help:"1 while the SLO is in violation" "adp_slo_active" ) ))
-        (Timeseries.objectives ts)
-  in
   (* Event heap: a sorted association list is plenty at workload scale;
      the sequence number keeps equal-time events in insertion order. *)
   let heap : (float * int * ev) list ref = ref [] in
@@ -329,27 +305,10 @@ let run config resolver script =
   let set_depth () =
     Metrics.set depth_g (float_of_int (List.length !waiting))
   in
-  (* Telemetry journal hooks: pure appends to the recorder, never touching
-     the clock or the heap. *)
-  let record_span job state ?worker ?attempt () =
-    match config.telemetry with
-    | None -> ()
-    | Some ts ->
-      Timeseries.span ts ~at_s:(!now /. 1e6) ~query:job.j_id ~state ?worker
-        ?attempt ()
-  in
   let finish job outcome =
     job.j_state <- Terminal;
     job.j_outcome <- Some outcome;
     job.j_finished <- !now;
-    record_span job
-      (match outcome with
-       | Done _ -> "done"
-       | Failed _ -> "failed"
-       | Cancelled -> "cancelled"
-       | Rejected _ -> "rejected")
-      ?worker:(Option.map (fun p -> p.a_worker) job.j_params)
-      ~attempt:job.j_attempts ();
     job.j_params <- None;
     job.j_pending <- None;
     Metrics.incr
@@ -390,8 +349,7 @@ let run config resolver script =
       List.mem_assoc sg seed.Selectivity.d_sels
       || List.mem_assoc sg seed.Selectivity.d_outs
     in
-    job.j_warm_list <- List.filter known sigs;
-    job.j_warm_sigs <- List.length job.j_warm_list;
+    job.j_warm_sigs <- List.length (List.filter known sigs);
     if job.j_warm_sigs > 0 then begin
       let cc = config.corrective in
       let plan_under sels =
@@ -520,20 +478,11 @@ let run config resolver script =
         match latest_clock dir ~base:0.0 with Some s -> s | None -> 0.0)
     in
     let seed = Selectivity.dump shared in
-    if job.j_attempts = 0 then begin
+    if job.j_attempts = 0 then
       Option.iter (fun r -> warm_start job r seed) job.j_resolved;
-      (* Warm-start provenance edge: which inherited signatures fed this
-         query's initial plan. *)
-      match config.telemetry with
-      | Some ts when job.j_warm_list <> [] ->
-        Timeseries.provenance ts ~at_s:(!now /. 1e6) ~query:job.j_id
-          ~signatures:job.j_warm_list
-      | _ -> ()
-    end;
     job.j_attempts <- job.j_attempts + 1;
     job.j_gen <- job.j_gen + 1;
     job.j_state <- Running;
-    record_span job "started" ~worker ~attempt:job.j_attempts ();
     Hashtbl.replace workers worker (Some job.j_id);
     let params =
       { a_worker = worker; a_t0 = !now; a_base = base; a_resume = resume;
@@ -595,12 +544,11 @@ let run config resolver script =
           j_submitted = !now; j_state = Queued; j_attempts = 0;
           j_failures = 0; j_not_before = !now; j_armed = []; j_gen = 0;
           j_params = None; j_pending = None; j_outcome = None;
-          j_finished = !now; j_warm_sigs = 0; j_warm_list = [];
+          j_finished = !now; j_warm_sigs = 0;
           j_warm_changed = false }
       in
       Hashtbl.replace jobs qid job;
       order := qid :: !order;
-      record_span job "submitted" ();
       let quota_full =
         match klass with
         | Some c -> (
@@ -714,7 +662,6 @@ let run config resolver script =
                  resume_from });
           incr reclaims;
           Metrics.incr reclaims_c;
-          record_span job "reclaimed" ~worker:w ~attempt:job.j_attempts ();
           ignore (spawn_worker ());
           job.j_failures <- job.j_failures + 1;
           job.j_params <- None;
@@ -797,51 +744,6 @@ let run config resolver script =
         emit ~at:!now
           (Trace.Poll_interval_changed
              { from_s = before /. 1e6; to_s = interval /. 1e6; found });
-      (* Telemetry sampling rides the dispatcher: exactly one sample per
-         poll, stamped with the server's virtual clock.  Sampling only
-         reads the registry, so the serve is bit-identical with or
-         without it; the optional wall shadow goes through the one
-         sanctioned Wallclock module and is off by default because it
-         (by design) varies across runs. *)
-      (match config.telemetry with
-       | None -> ()
-       | Some ts ->
-         let wall_s =
-           if config.telemetry_wall then
-             Some (Adp_obs.Wallclock.monotonic_s ())
-           else None
-         in
-         let transitions =
-           Timeseries.sample ts ~now_s:(!now /. 1e6) ?wall_s metrics
-         in
-         List.iter
-           (fun (tr : Slo.transition) ->
-             let o = tr.Slo.t_objective in
-             emit ~at:!now
-               (if tr.Slo.t_violated then
-                  Trace.Slo_violation
-                    { slo = o.Slo.o_name; metric = o.Slo.o_metric;
-                      agg = Slo.agg_name o.Slo.o_agg;
-                      op = Slo.op_name o.Slo.o_op; value = tr.Slo.t_value;
-                      bound = o.Slo.o_bound }
-                else
-                  Trace.Slo_recovered
-                    { slo = o.Slo.o_name; metric = o.Slo.o_metric;
-                      agg = Slo.agg_name o.Slo.o_agg;
-                      op = Slo.op_name o.Slo.o_op; value = tr.Slo.t_value;
-                      bound = o.Slo.o_bound });
-             match List.assoc_opt o.Slo.o_name slo_cells with
-             | None -> ()
-             | Some (viol_c, recov_c, active_g) ->
-               if tr.Slo.t_violated then begin
-                 Metrics.incr viol_c;
-                 Metrics.set active_g 1.0
-               end
-               else begin
-                 Metrics.incr recov_c;
-                 Metrics.set active_g 0.0
-               end)
-           transitions);
       let busy_worker =
         Hashtbl.fold (fun _ s acc -> acc || s <> None) workers false
       in

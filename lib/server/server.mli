@@ -75,18 +75,6 @@ type config = {
       (** registry for the queue-depth/poll-interval gauges, per-outcome
           counters, and every worker run's cells scoped by
           [("query", qid)] *)
-  telemetry : Adp_obs.Timeseries.t option;
-      (** when present (and [metrics] is too), the dispatcher samples
-          every registry cell into the recorder at each poll, records
-          query span transitions and warm-start provenance, and
-          evaluates the recorder's SLO objectives — emitting
-          [Slo_violation]/[Slo_recovered] trace events and bumping the
-          [adp_slo_*] cells on transitions.  Sampling only reads; the
-          serve stays bit-identical to an untelemetered one *)
-  telemetry_wall : bool;
-      (** attach a {!Adp_obs.Wallclock} shadow to each telemetry sample.
-          Off by default: wall shadows make the exported JSONL
-          non-reproducible byte-for-byte across serves *)
 }
 
 val default_config : checkpoint_dir:string -> config

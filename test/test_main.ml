@@ -24,5 +24,4 @@ let () =
       "obs", Test_obs.suite;
       "recovery", Test_recovery.suite;
       "server", Test_server.suite;
-      "governance", Test_governance.suite;
-      "timeseries", Test_timeseries.suite ]
+      "governance", Test_governance.suite ]

@@ -296,6 +296,124 @@ let test_metrics_label_scopes () =
   Metrics.prune m;
   Alcotest.(check int) "root prune clears the store" 0 (Metrics.cells m)
 
+(* The server scopes each query's cells in a per-query view and prunes it
+   when an attempt is discarded: many views leave no cell behind. *)
+let test_with_labels_no_leaks () =
+  let m = Metrics.create () in
+  let keep = Metrics.counter m ~help:"polls" "adp_polls_total" in
+  Metrics.incr keep;
+  let base = Metrics.cells m in
+  (* Many concurrent per-query views writing scoped cells... *)
+  let views =
+    List.init 50 (fun i ->
+        let qid = Printf.sprintf "q%02d" i in
+        let v = Metrics.with_labels m [ ("query", qid) ] in
+        let c = Metrics.counter v ~help:"rows" "adp_rows_total" in
+        Metrics.incr c ~by:i;
+        let g = Metrics.gauge v ~help:"depth" "adp_depth" in
+        Metrics.set g (float_of_int i);
+        v)
+  in
+  Alcotest.(check int) "scoped cells live" (base + 100) (Metrics.cells m);
+  (* Re-registration under the same view is idempotent, not a new cell. *)
+  let v0 = List.hd views in
+  ignore (Metrics.counter v0 ~help:"rows" "adp_rows_total");
+  Alcotest.(check int) "idempotent" (base + 100) (Metrics.cells m);
+  (* ...and pruning every view retires exactly the scoped cells. *)
+  List.iter Metrics.prune views;
+  Alcotest.(check int) "no leaked labels" base (Metrics.cells m);
+  Alcotest.(check bool) "no query label survives" false
+    (contains ~needle:"query=" (Metrics.to_prometheus m));
+  (* The unscoped cell is untouched. *)
+  Alcotest.(check int) "root cell kept" 1 (Metrics.count keep)
+
+(* A minimal scrape validator: every sample line's family must have been
+   introduced by exactly one HELP and one TYPE line, all samples of a
+   family must be contiguous, and no family may repeat. *)
+let validate_prometheus text =
+  let lines =
+    List.filter
+      (fun l -> String.trim l <> "")
+      (String.split_on_char '\n' text)
+  in
+  let seen = Hashtbl.create 16 in
+  let current = ref None in
+  let family_of_sample line =
+    let name_end =
+      match (String.index_opt line '{', String.index_opt line ' ') with
+      | Some i, Some j -> min i j
+      | Some i, None -> i
+      | None, Some j -> j
+      | None, None -> String.length line
+    in
+    String.sub line 0 name_end
+  in
+  List.iter
+    (fun line ->
+      if String.length line > 7 && String.sub line 0 7 = "# HELP " then begin
+        let rest = String.sub line 7 (String.length line - 7) in
+        let fam = String.sub rest 0 (String.index rest ' ') in
+        if Hashtbl.mem seen fam then
+          Alcotest.failf "family %s introduced twice" fam;
+        Hashtbl.replace seen fam `Help;
+        current := Some fam
+      end
+      else if String.length line > 7 && String.sub line 0 7 = "# TYPE " then begin
+        let rest = String.sub line 7 (String.length line - 7) in
+        (match String.split_on_char ' ' rest with
+         | fam :: _ :: _ ->
+           (match Hashtbl.find_opt seen fam with
+            | Some `Help -> Hashtbl.replace seen fam `Typed
+            | _ -> Alcotest.failf "TYPE for %s without preceding HELP" fam);
+           if !current <> Some fam then
+             Alcotest.failf "TYPE for %s interleaves another family" fam
+         | _ -> Alcotest.failf "malformed TYPE line: %s" line)
+      end
+      else begin
+        let fam = family_of_sample line in
+        (match Hashtbl.find_opt seen fam with
+         | Some `Typed -> ()
+         | _ -> Alcotest.failf "sample for %s before its HELP/TYPE" fam);
+        if !current <> Some fam then
+          Alcotest.failf "samples of %s not contiguous" fam
+      end)
+    lines
+
+let test_prometheus_families () =
+  let m = Metrics.create () in
+  ignore (Metrics.counter m ~help:"polls" "adp_polls_total");
+  let nohelp = Metrics.counter m ~help:"" "adp_bare_total" in
+  Metrics.incr nohelp;
+  let v1 = Metrics.with_labels m [ ("query", "q1") ] in
+  let v2 = Metrics.with_labels m [ ("query", "q2") ] in
+  List.iter
+    (fun v ->
+      Metrics.incr (Metrics.counter v ~help:"rows" "adp_rows_total");
+      ignore (Metrics.gauge v ~help:"depth" "adp_depth"))
+    [ v1; v2 ];
+  let text = Metrics.to_prometheus m in
+  validate_prometheus text;
+  (* Every family appears with both headers, including those whose
+     label sets were registered through two views. *)
+  List.iter
+    (fun fam ->
+      let has prefix =
+        List.exists
+          (fun l ->
+            String.length l >= String.length prefix
+            && String.sub l 0 (String.length prefix) = prefix)
+          (String.split_on_char '\n' text)
+      in
+      Alcotest.(check bool) ("HELP " ^ fam) true (has ("# HELP " ^ fam ^ " "));
+      Alcotest.(check bool) ("TYPE " ^ fam) true (has ("# TYPE " ^ fam ^ " ")))
+    [ "adp_polls_total"; "adp_bare_total"; "adp_depth"; "adp_rows_total" ];
+  (* The empty help string falls back to the family name, never an
+     empty HELP line. *)
+  Alcotest.(check bool) "synthesized help" true
+    (List.exists
+       (fun l -> l = "# HELP adp_bare_total adp_bare_total")
+       (String.split_on_char '\n' text))
+
 (* ---------------- traced = untraced (the headline invariant) ------- *)
 
 let q3a_dataset =
@@ -868,6 +986,47 @@ let test_explain_renders_run () =
        (count_events trace
           (function Trace.Plan_switch _ -> true | _ -> false)))
 
+(* A serve trace marks each re-stamped attempt block with a
+   [Query_attempt] header; explain renders the block as a lane. *)
+let test_explain_lanes () =
+  let events =
+    [ (0.0, Trace.Worker_spawned { worker = 1 });
+      ( 10.0,
+        Trace.Query_attempt { query = "qa"; attempt = 1; worker = 1; events = 2 } );
+      (10.0, Trace.Phase_opened { id = 0; plan = "scan" });
+      (20.0, Trace.Phase_closed { id = 0; read = 5; emitted = 5 });
+      (30.0, Trace.Worker_spawned { worker = 2 }) ]
+  in
+  let text = Format.asprintf "%a" Trace.explain events in
+  let lines = String.split_on_char '\n' text in
+  let has f = List.exists f lines in
+  (* The two inner events render inside qa's lane; the lane closes when
+     its block is exhausted. *)
+  Alcotest.(check bool) "lane header" true
+    (has (fun l ->
+         contains ~needle:"query qa attempt 1 on worker 1" l
+         && contains ~needle:"2 re-stamped events" l));
+  Alcotest.(check bool) "lane prefix on inner events" true
+    (has (fun l -> contains ~needle:"qa| phase 0 opened" l));
+  Alcotest.(check bool) "lane prefix on second inner event" true
+    (has (fun l -> contains ~needle:"qa| phase 0 closed" l));
+  Alcotest.(check bool) "lane closed after block" true
+    (has (fun l ->
+         contains ~needle:"worker 2 spawned" l
+         && not (contains ~needle:"qa| " l)));
+  Alcotest.(check bool) "lanes summary" true
+    (has (fun l -> contains ~needle:"lanes: 1 query-attempt block" l));
+  (* Trace JSON round-trip for every event of the lane. *)
+  List.iter
+    (fun (at, ev) ->
+      match Trace.of_json (Trace.to_json (at, ev)) with
+      | Ok (at', ev') ->
+        Alcotest.(check (float 0.0)) "stamp" at at';
+        Alcotest.(check bool) ("round-trip " ^ Trace.event_name ev) true
+          (ev = ev')
+      | Error m -> Alcotest.fail m)
+    events
+
 (* ---------------- wall-clock sidecar ---------------- *)
 
 (* The tentpole invariant extended to hardware time: attaching the wall
@@ -1081,7 +1240,7 @@ let test_wall_recorder_mechanics () =
 let doc cells = { Bjson.bench = "t"; scale = 0.02; cells }
 
 let diff_ok b c =
-  match Benchdiff.diff ~priors:[ b ] ~current:c () with
+  match Benchdiff.diff ~baseline:b ~current:c with
   | Ok o -> o
   | Error m -> Alcotest.fail m
 
@@ -1109,6 +1268,40 @@ let test_benchdiff_zero_and_nan () =
   Alcotest.(check int) "NaN baseline breaches too" 1
     (List.length o.Benchdiff.o_breaches)
 
+(* Every cell is deterministic under the virtual clock, so time cells
+   gate exactly: a 5% drift is a breach, not noise. *)
+let test_benchdiff_time_exact () =
+  let o =
+    diff_ok (doc [ Bjson.time "t/busy" 1.0 ]) (doc [ Bjson.time "t/busy" 1.05 ])
+  in
+  Alcotest.(check (list string)) "1.0 -> 1.05 breaches"
+    [ "BREACH time       t/busy: 1 -> 1.05 (must match exactly)" ]
+    o.Benchdiff.o_breaches
+
+(* Exit code of the real [tukwila bench-diff] on two documents given as
+   text. *)
+let bench_diff_exit base_text new_text =
+  let write text =
+    let path = Filename.temp_file "bench-diff" ".json" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let base = write base_text and fresh = write new_text in
+  let tukwila =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/tukwila.exe")
+  in
+  let code =
+    Sys.command
+      (String.concat " "
+         (List.map Filename.quote [ tukwila; "bench-diff"; base; fresh ])
+      ^ " > /dev/null 2>&1")
+  in
+  Sys.remove base;
+  Sys.remove fresh;
+  code
+
 (* The wall kind is retired: a baseline still carrying a wall cell must
    fail to load, naming the cell, and bench-diff must exit 2 on it
    rather than skip the cell. *)
@@ -1123,27 +1316,60 @@ let test_benchdiff_stale_wall () =
    | Error m ->
      Alcotest.(check string) "error names the cell"
        {|cell "k-wall-median": unknown kind "wall"|} m);
-  let write text =
-    let path = Filename.temp_file "bench-diff" ".json" in
-    Out_channel.with_open_bin path (fun oc -> output_string oc text);
-    path
+  Alcotest.(check int) "bench-diff exits 2" 2
+    (bench_diff_exit stale
+       (Bjson.to_string (doc [ Bjson.time "t/busy" 1.0 ])))
+
+(* bench-diff pairs cells by id: a document that repeats an id must fail
+   to load, naming the id, rather than let the second cell go
+   ungated. *)
+let test_benchdiff_repeated_id () =
+  let baseline = doc [ Bjson.count "a" 1; Bjson.count "b" 2 ] in
+  let repeated =
+    Bjson.to_string
+      (doc [ Bjson.count "a" 1; Bjson.count "a" 99; Bjson.count "b" 2 ])
   in
-  let base = write stale in
-  let fresh = write (Bjson.to_string (doc [ Bjson.time "t/busy" 1.0 ])) in
-  let tukwila =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat Filename.parent_dir_name "bin/tukwila.exe")
+  (match Bjson.of_string repeated with
+   | Ok _ -> Alcotest.fail "a repeated id must not load"
+   | Error m ->
+     Alcotest.(check string) "error names the id" {|cell "a": repeated id|} m);
+  Alcotest.(check int) "bench-diff exits 2" 2
+    (bench_diff_exit (Bjson.to_string baseline) repeated)
+
+(* Bench id, scale and cell shape must agree; a mismatch is an [Error]
+   (exit 2), distinct from a value breach (exit 1). *)
+let test_benchdiff_shape_mismatch () =
+  let baseline =
+    doc [ Bjson.count "alpha" 1; Bjson.time "beta" 2.0; Bjson.flag "gamma" true ]
   in
-  let code =
-    Sys.command
-      (String.concat " "
-         (List.map Filename.quote [ tukwila; "bench-diff"; base; fresh ])
-      ^ " > /dev/null 2>&1")
+  let current =
+    doc [ Bjson.count "alpha" 1; Bjson.count "delta" 3; Bjson.count "zeta" 9 ]
   in
-  Sys.remove base;
-  Sys.remove fresh;
-  Alcotest.(check int) "bench-diff exits 2" 2 code
+  (match Benchdiff.diff ~baseline ~current with
+   | Ok _ -> Alcotest.fail "shape mismatch accepted"
+   | Error m ->
+     (* Sorted missing and extra cell names, distinct from a breach. *)
+     Alcotest.(check bool) "mentions shape" true
+       (contains ~needle:"shape mismatch" m);
+     Alcotest.(check bool) "missing sorted" true
+       (contains ~needle:"missing 2 cells: beta, gamma" m);
+     Alcotest.(check bool) "extra sorted" true
+       (contains ~needle:"extra 2 cells: delta, zeta" m));
+  (* So are a different bench id and a different scale. *)
+  (match
+     Benchdiff.diff ~baseline ~current:{ baseline with Bjson.bench = "other" }
+   with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "bench id mismatch must be an error");
+  (match
+     Benchdiff.diff ~baseline ~current:{ baseline with Bjson.scale = 0.1 }
+   with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "scale mismatch must be an error");
+  (* A genuine regression on an aligned shape is a breach, not an
+     Error. *)
+  let o = diff_ok (doc [ Bjson.count "alpha" 1 ]) (doc [ Bjson.count "alpha" 2 ]) in
+  Alcotest.(check int) "one breach" 1 (List.length o.Benchdiff.o_breaches)
 
 (* Bjson documents written by the harness parse back bit-equal. *)
 let test_bjson_roundtrip () =
@@ -1167,6 +1393,9 @@ let suite =
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
     Alcotest.test_case "metrics label scopes" `Quick
       test_metrics_label_scopes;
+    Alcotest.test_case "with_labels has no leaks" `Quick
+      test_with_labels_no_leaks;
+    Alcotest.test_case "prometheus families" `Quick test_prometheus_families;
     Alcotest.test_case "tracing is free" `Quick test_tracing_is_free;
     Alcotest.test_case "cqp event classes" `Quick test_cqp_event_classes;
     Alcotest.test_case "fault events" `Quick test_fault_events;
@@ -1183,12 +1412,19 @@ let suite =
     Alcotest.test_case "kill+resume profiled = unprofiled" `Quick
       test_resume_profiled_equals_unprofiled;
     Alcotest.test_case "explain replay" `Quick test_explain_renders_run;
+    Alcotest.test_case "explain lanes" `Quick test_explain_lanes;
     Alcotest.test_case "wall capture is free" `Quick test_wall_capture_is_free;
     Alcotest.test_case "one span registry" `Quick test_one_span_registry;
     Alcotest.test_case "wall recorder mechanics" `Quick
       test_wall_recorder_mechanics;
     Alcotest.test_case "bench-diff zero and NaN cells" `Quick
       test_benchdiff_zero_and_nan;
+    Alcotest.test_case "bench-diff time cells are exact" `Quick
+      test_benchdiff_time_exact;
     Alcotest.test_case "bench-diff rejects stale wall baselines" `Quick
       test_benchdiff_stale_wall;
+    Alcotest.test_case "bench-diff rejects a repeated cell id" `Quick
+      test_benchdiff_repeated_id;
+    Alcotest.test_case "bench-diff shape mismatch" `Quick
+      test_benchdiff_shape_mismatch;
     Alcotest.test_case "bjson roundtrip" `Quick test_bjson_roundtrip ]

@@ -197,15 +197,18 @@ let test_routed_push_counts () =
     "preagg: in, out, window" [ 3, 1, 2 ]
     (List.map (fun (_, i, o, w) -> i, o, w) (Plan.preagg_stats plan));
   let node_counter name node =
+    let module Json = Adp_obs.Json in
     let label = Format.asprintf "%a" Plan.pp_spec node in
+    let field k get e = Option.bind (Json.member k e) get in
     List.find_map
-      (fun (n, labels, r) ->
-        match r with
-        | Adp_obs.Metrics.Counter_v c
-          when n = name && List.assoc_opt "node" labels = Some label ->
-          Some c
-        | _ -> None)
-      (Adp_obs.Metrics.readings ctx.Ctx.metrics)
+      (fun e ->
+        if field "name" Json.get_str e = Some name
+           && field "type" Json.get_str e = Some "counter"
+           && field "labels" (field "node" Json.get_str) e = Some label
+        then Option.map int_of_float (field "value" Json.get_num e)
+        else None)
+      (Json.req (Adp_obs.Metrics.to_json ctx.Ctx.metrics) "metrics"
+         Json.get_list)
   in
   Alcotest.(check (list (pair (option int) (option int))))
     "node counters: in, out"
