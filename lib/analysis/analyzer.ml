@@ -279,7 +279,7 @@ let check_plan_for_query ?(types = no_types) ~lookup (q : Logical.query)
 
 (* The effective leaf of a source is the unit whose buffered partition the
    stitch-up phase reuses: the scan itself, or the pre-aggregation sitting
-   directly above it (Plan.leaf_partitions makes the same choice at run
+   directly above it (Plan.leaf_partition makes the same choice at run
    time).  Phases may only be combined when these signatures agree — the
    regions of each relation must partition the *same* stream. *)
 let effective_leaf_signatures spec =

@@ -22,5 +22,3 @@ let register t registry =
         Registry.register registry ~signature ~phase:t.id ~schema ~complexity
           tuples)
     (Plan.node_results t.plan)
-
-let partitions t = Plan.leaf_partitions t.plan

@@ -28,7 +28,3 @@ val create :
 (** Register the phase's strictly intermediate join results (the root's
     output already reached the shared sink) under its plan id. *)
 val register : t -> Registry.t -> unit
-
-(** The phase's partition of each effective leaf: (source name, schema,
-    tuples, leaf signature). *)
-val partitions : t -> (string * Schema.t * Tuple.t list * string) list

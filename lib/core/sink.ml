@@ -74,16 +74,23 @@ let view_for t from =
     t.cached <- (from, v);
     v
 
+(* What takes one tuple into [view]; an aggregate charges for it only
+   when [charge]. *)
+let add ~charge = function
+  | Into_agg (agg, v) -> if charge then Agg.add_view agg v else Agg.absorb agg v
+  | Into_relation (out, None) -> Relation.append out
+  | Into_relation (out, Some cols) ->
+    fun tuple -> Relation.append out (Tuple.project tuple cols)
+
 let feed t ~from tuples =
-  if tuples <> [] then begin
-    match view_for t from with
-    | Into_agg (agg, v) -> List.iter (Agg.add_view agg v) tuples
-    | Into_relation (out, None) -> List.iter (Relation.append out) tuples
-    | Into_relation (out, Some cols) ->
-      List.iter
-        (fun tuple -> Relation.append out (Tuple.project tuple cols))
-        tuples
-  end
+  if tuples <> [] then List.iter (add ~charge:true (view_for t from)) tuples
+
+let stream t ~from = add ~charge:false (view_for t from)
+
+let settle t n =
+  match t.base with
+  | Into_agg (agg, _) -> Agg.charge_updates agg n
+  | Into_relation _ -> ()
 
 let result t =
   match t.base with

@@ -25,5 +25,12 @@ val create : Ctx.t -> Logical.query -> canonical:Schema.t -> t
     different column sets. *)
 val feed : t -> from:Schema.t -> Tuple.t list -> unit
 
+(** [stream t ~from] feeds one tuple at a time as {!feed} does, but
+    leaves its charges to [settle t n], which makes those of [n] tuples:
+    stream tuples as they are produced, then settle, and the clock ends
+    as after one {!feed} of them all. *)
+val stream : t -> from:Schema.t -> Tuple.t -> unit
+val settle : t -> int -> unit
+
 (** Finalized query result. *)
 val result : t -> Relation.t

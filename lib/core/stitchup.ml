@@ -11,20 +11,25 @@ type stats = {
   time : float;
 }
 
+(* One phase's tuples at a stitch-up node.  [live] is the signature of
+   the node in that phase's plan that emitted exactly these tuples, in
+   this order: the join above it there holds them in a table. *)
+type part = { phase : Phase.t; tuples : Tuple.t list; live : string option }
+
 (* Evaluation result of one stitch-up node: tuples grouped by lineage. *)
 type node_result = {
   schema : Schema.t;
-  uniform : (int * Tuple.t list) list;  (* phase id -> tuples *)
+  uniform : part list;
   mixed : Tuple.t list;
 }
 
 type env = {
   ctx : Ctx.t;
-  query : Logical.query;
   phases : Phase.t list;
   registry : Registry.t;
   mutable reused : int;
   mutable recomputed : int;
+  mutable output : int;
 }
 
 let charge_sp env sp c = Ctx.charge_span env.ctx sp c
@@ -33,34 +38,43 @@ let leaf_result env source =
   let parts =
     List.filter_map
       (fun (ph : Phase.t) ->
-        List.find_map
-          (fun (name, schema, tuples, _sig) ->
-            if name = source then Some (ph.Phase.id, schema, tuples) else None)
-          (Phase.partitions ph))
+        Option.map
+          (fun (schema, tuples, signature) ->
+            schema, { phase = ph; tuples; live = Some signature })
+          (Plan.leaf_partition ph.Phase.plan source))
       env.phases
   in
   match parts with
   | [] -> invalid_arg ("Stitchup: no partitions for source " ^ source)
-  | (_, schema, _) :: _ ->
-    { schema;
-      uniform = List.map (fun (pid, _, tuples) -> pid, tuples) parts;
-      mixed = [] }
+  | (schema, _) :: _ -> { schema; uniform = List.map snd parts; mixed = [] }
 
-(* Build one hash table per lineage over the right input.  The tables
-   are only probed, never iterated, so they can be sized up front. *)
+(* One hash table per lineage over the right input: the phase's own live
+   table over these tuples when its layout and key match, else a fresh
+   one.  Both give a key's rows newest first; both are only probed, so a
+   fresh one can be sized up front. *)
 let build_side env sp schema ~key_cols (r : node_result) =
   let c = env.ctx.Ctx.costs in
-  let mk tuples =
+  let charge tuples =
     (* One charge per tuple: the clock's float sum must stay bit-identical. *)
     List.iter (fun _ -> charge_sp env sp c.hash_build) tuples;
-    (match sp with
-     | Some sp -> Adp_obs.Profile.add_builds sp (List.length tuples)
-     | None -> ());
-    Hash_table.of_list schema ~key_cols tuples
+    match sp with
+    | Some sp -> Adp_obs.Profile.add_builds sp (List.length tuples)
+    | None -> ()
   in
-  List.map (fun (pid, tuples) -> pid, mk tuples) r.uniform, mk r.mixed
+  let table p =
+    charge p.tuples;
+    match
+      Option.bind p.live (fun signature ->
+          Plan.child_table p.phase.plan ~signature ~schema ~key_cols)
+    with
+    | Some tbl -> tbl
+    | None -> Hash_table.of_list schema ~key_cols p.tuples
+  in
+  charge r.mixed;
+  ( List.map (fun p -> p.phase.id, table p) r.uniform,
+    Hash_table.of_list schema ~key_cols r.mixed )
 
-let probe_into env sp ~out tbl lkey tuples orient =
+let probe_into env sp ~emit tbl lkey tuples =
   let c = env.ctx.Ctx.costs in
   List.iter
     (fun t ->
@@ -72,18 +86,12 @@ let probe_into env sp ~out tbl lkey tuples orient =
          Adp_obs.Profile.add_probes sp 1;
          Adp_obs.Profile.add_out sp (List.length matches)
        | None -> ());
-      List.iter
-        (fun m ->
-          let combined =
-            match orient with
-            | `Left_probe -> Tuple.concat t m
-            | `Right_probe -> Tuple.concat m t
-          in
-          out := combined :: !out)
-        matches)
+      List.iter (fun m -> emit (Tuple.concat t m)) matches)
     tuples
 
-let rec eval env ~is_root ~depth spec =
+(* At the root ([sink] given) the cross-phase combinations stream into
+   the sink as they are produced; its charges are settled by [run]. *)
+let rec eval env ?sink ~depth spec =
   match spec with
   | Plan.Scan { source; _ } -> leaf_result env source
   | Plan.Preagg { child = Plan.Scan { source; _ }; _ } -> leaf_result env source
@@ -95,8 +103,8 @@ let rec eval env ~is_root ~depth spec =
         Ctx.span env.ctx ~depth (Format.asprintf "%a" Plan.pp_spec spec)
       else None
     in
-    let l = eval env ~is_root:false ~depth:(depth + 1) left in
-    let r = eval env ~is_root:false ~depth:(depth + 1) right in
+    let l = eval env ~depth:(depth + 1) left in
+    let r = eval env ~depth:(depth + 1) right in
     let schema = Schema.concat l.schema r.schema in
     let lkey = Array.of_list (List.map (Schema.index l.schema) left_key) in
     let signature = Plan.signature_of spec in
@@ -104,11 +112,12 @@ let rec eval env ~is_root ~depth spec =
     (* Uniform combinations: reuse registered intermediates when possible;
        skip entirely at the root (exclusion list). *)
     let uniform =
-      if is_root then []
+      if Option.is_some sink then []
       else
-        List.filter_map
-          (fun (pid, ltuples) ->
-            match Registry.find env.registry ~signature ~phase:pid with
+        List.map
+          (fun p ->
+            let phase = p.phase.id in
+            match Registry.find env.registry ~signature ~phase with
             | Some entry ->
               Registry.mark_reused entry;
               env.reused <- env.reused + entry.Registry.cardinality;
@@ -116,37 +125,45 @@ let rec eval env ~is_root ~depth spec =
               and tuples = entry.Registry.tuples in
               (* The registering plan may lay the same columns out
                  differently (§3.2); matching layouts are shared as is. *)
-              if Schema.equal from schema then Some (pid, tuples)
+              if Schema.equal from schema then
+                { p with tuples; live = Some signature }
               else
                 let perm = Schema.permutation ~from ~into:schema in
-                Some (pid, List.map (fun t -> Tuple.project t perm) tuples)
+                let tuples = List.map (fun t -> Tuple.project t perm) tuples in
+                { p with tuples; live = None }
             | None ->
-              (match List.assoc_opt pid rtabs with
-               | None -> Some (pid, [])
-               | Some tbl ->
-                 let out = ref [] in
-                 probe_into env sp ~out tbl lkey ltuples `Left_probe;
-                 env.recomputed <- env.recomputed + List.length !out;
-                 Some (pid, List.rev !out)))
+              let out = ref [] in
+              Option.iter
+                (fun tbl ->
+                  probe_into env sp ~emit:(fun t -> out := t :: !out) tbl lkey
+                    p.tuples)
+                (List.assoc_opt phase rtabs);
+              env.recomputed <- env.recomputed + List.length !out;
+              { p with tuples = List.rev !out; live = None })
           l.uniform
     in
     (* Mixed combinations: structure-to-structure enumeration, skipping
        same-phase pairs (those are the uniform path above). *)
     let mixed = ref [] in
+    let emit =
+      match sink with
+      | Some sink ->
+        let add = Sink.stream sink ~from:schema in
+        fun t ->
+          env.output <- env.output + 1;
+          add t
+      | None -> fun t -> mixed := t :: !mixed
+    in
     List.iter
-      (fun (pl, ltuples) ->
+      (fun p ->
         List.iter
           (fun (pr, tbl) ->
-            if pl <> pr then
-              probe_into env sp ~out:mixed tbl lkey ltuples `Left_probe)
+            if p.phase.id <> pr then probe_into env sp ~emit tbl lkey p.tuples)
           rtabs;
-        probe_into env sp ~out:mixed rmixed lkey ltuples `Left_probe)
+        probe_into env sp ~emit rmixed lkey p.tuples)
       l.uniform;
-    List.iter
-      (fun (_, tbl) ->
-        probe_into env sp ~out:mixed tbl lkey l.mixed `Left_probe)
-      rtabs;
-    probe_into env sp ~out:mixed rmixed lkey l.mixed `Left_probe;
+    List.iter (fun (_, tbl) -> probe_into env sp ~emit tbl lkey l.mixed) rtabs;
+    probe_into env sp ~emit rmixed lkey l.mixed;
     { schema; uniform; mixed = List.rev !mixed }
 
 let run ctx query ~join_tree ~phases ~registry ~sink =
@@ -165,15 +182,17 @@ let run ctx query ~join_tree ~phases ~registry ~sink =
       Ctx.emit ctx
         (Adp_obs.Trace.Stitchup_begin { phases = n; combos = combos_possible });
     Ctx.set_phase ctx "stitch-up";
-    let env = { ctx; query; phases; registry; reused = 0; recomputed = 0 } in
-    let result = eval env ~is_root:true ~depth:0 join_tree in
-    Sink.feed sink ~from:result.schema result.mixed;
+    let env =
+      { ctx; phases; registry; reused = 0; recomputed = 0; output = 0 }
+    in
+    ignore (eval env ~sink ~depth:0 join_tree : node_result);
+    Sink.settle sink env.output;
     if Ctx.traced ctx then
       Ctx.emit ctx
         (Adp_obs.Trace.Stitchup_end
-           { output = List.length result.mixed; reused = env.reused;
+           { output = env.output; reused = env.reused;
              recomputed = env.recomputed });
-    { combos_possible; output = List.length result.mixed;
+    { combos_possible; output = env.output;
       reused = env.reused; recomputed_uniform = env.recomputed;
       time = Ctx.now ctx -. start }
   end

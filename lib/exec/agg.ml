@@ -34,8 +34,7 @@ let create ctx ~group_cols ~aggs ~input schema =
 
 let view t schema = t.view_of schema
 
-let add_view t v tuple =
-  Ctx.charge t.ctx t.ctx.Ctx.costs.agg_update;
+let absorb t v tuple =
   t.consumed <- t.consumed + 1;
   let k = Tuple.key tuple v.group_idx in
   match Ktbl.find_opt t.table k with
@@ -45,6 +44,13 @@ let add_view t v tuple =
     Aggregate.update v.comp acc tuple;
     Ktbl.replace t.table k acc;
     t.order <- k :: t.order
+
+let charge_updates t n =
+  for _ = 1 to n do Ctx.charge t.ctx t.ctx.Ctx.costs.agg_update done
+
+let add_view t v tuple =
+  Ctx.charge t.ctx t.ctx.Ctx.costs.agg_update;
+  absorb t v tuple
 
 let add t tuple = add_view t t.base tuple
 let add_all t tuples = List.iter (add t) tuples

@@ -34,6 +34,12 @@ type view
 val view : t -> Schema.t -> view
 val add_view : t -> view -> Tuple.t -> unit
 
+(** [absorb] is {!add_view} without its [agg_update] charge, which
+    [charge_updates t n] makes [n] times.  The aggregate never reads the
+    clock, so charging after absorbing changes neither clock nor result. *)
+val absorb : t -> view -> Tuple.t -> unit
+val charge_updates : t -> int -> unit
+
 (** Tuples consumed so far. *)
 val consumed : t -> int
 

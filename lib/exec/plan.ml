@@ -160,6 +160,8 @@ and join_rt = {
   right : node;
   ltbl : Hash_table.t;
   rtbl : Hash_table.t;
+  lkey : string list;
+  rkey : string list;
   preds : string list;  (* this join's own predicates *)
   j_span : Profile.span option;
 }
@@ -244,6 +246,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
           { left; right;
             ltbl = Hash_table.create left.n_schema ~key_cols:j.left_key;
             rtbl = Hash_table.create right.n_schema ~key_cols:j.right_key;
+            lkey = j.left_key; rkey = j.right_key;
             preds = List.map2 canon_pred j.left_key j.right_key;
             j_span = n_span } }
   | Preagg p ->
@@ -533,11 +536,29 @@ let map_leaves f t =
   in
   List.rev (walk [] t.root)
 
-let leaf_partitions t =
-  map_leaves
-    (fun l node ->
-      (l.source, node.n_schema, List.rev node.n_outputs, node.n_signature))
-    t
+let leaf_partition t source =
+  List.find_map Fun.id
+    (map_leaves
+       (fun l node ->
+         if String.equal l.source source then
+           Some (node.n_schema, List.rev node.n_outputs, node.n_signature)
+         else None)
+       t)
+
+(* A join inserts every tuple a child emits, in emission order. *)
+let child_table t ~signature ~schema ~key_cols =
+  let side child key =
+    String.equal child.n_signature signature
+    && Schema.equal child.n_schema schema
+    && List.equal String.equal key key_cols
+  in
+  let find found node =
+    match found, node.impl with
+    | None, RJoin j when side j.left j.lkey -> Some j.ltbl
+    | None, RJoin j when side j.right j.rkey -> Some j.rtbl
+    | (Some _ | None), (RLeaf _ | RJoin _ | RPreagg _) -> found
+  in
+  if t.record_outputs then fold_nodes find None t.root else None
 
 type leaf_count = {
   source : string;

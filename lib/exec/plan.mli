@@ -128,14 +128,23 @@ val join_infos : t -> join_info list
     tuples, complexity.  Includes the root. *)
 val node_results : t -> (string * Schema.t * Tuple.t list * int) list
 
-(** Per-leaf buffered partitions: source name, schema of buffered tuples
-    (post-filter, possibly pre-aggregated), the tuples, and the leaf's
-    effective signature. *)
-val leaf_partitions : t -> (string * Schema.t * Tuple.t list * string) list
+(** [leaf_partition t source] is the buffered partition of [source]'s
+    effective leaf: the schema of its buffered tuples (post-filter,
+    possibly pre-aggregated), the tuples oldest first, and the leaf's
+    effective signature.  [None] if no scan reads [source]. *)
+val leaf_partition : t -> string -> (Schema.t * Tuple.t list * string) option
 
-(** What the monitor reads per effective leaf, in {!leaf_partitions}
-    order, from counters alone (cost O(plan nodes), whether or not the
-    plan records its outputs). *)
+(** The live table a join of [t] keeps over its child [signature], if
+    that child's layout is [schema] and the join keys it on [key_cols] in
+    that order: it holds the child's outputs, each key's newest first.
+    [None] for the root, and on a plan that does not record outputs. *)
+val child_table :
+  t -> signature:string -> schema:Schema.t -> key_cols:string list ->
+  Adp_storage.Hash_table.t option
+
+(** What the monitor reads per effective leaf, in plan order, from
+    counters alone (cost O(plan nodes), whether or not the plan records
+    its outputs). *)
 type leaf_count = {
   source : string;
   signature : string;  (** the effective leaf's signature *)

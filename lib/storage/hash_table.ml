@@ -26,7 +26,6 @@ type table =
   | Multi of Value.t array chains
 
 type t = {
-  schema : Schema.t;
   key_idx : int array;
   table : table;
   mutable size : int;
@@ -109,7 +108,7 @@ let sized schema ~key_cols n =
   let table =
     if Array.length key_idx = 1 then Single (chains n) else Multi (chains n)
   in
-  { schema; key_idx; table; size = 0; swapped = false }
+  { key_idx; table; size = 0; swapped = false }
 
 let create schema ~key_cols = sized schema ~key_cols 256
 
@@ -194,12 +193,6 @@ let to_list t =
 
 let distinct_keys t =
   match t.table with Single ch -> ch.keys | Multi ch -> ch.keys
-
-let rehash t ~key_cols =
-  let fresh = create t.schema ~key_cols in
-  iter (insert fresh) t;
-  fresh.swapped <- t.swapped;
-  fresh
 
 let swap_out t = t.swapped <- true
 let swap_in t = t.swapped <- false

@@ -4,10 +4,8 @@ open Adp_relation
     behind pipelined hash joins, hybrid hash joins, aggregation, and
     stitch-up reuse.
 
-    The table knows which columns of its tuples form the key, so it can be
-    {!rehash}ed on a different key for stitch-up (§3.4.3 rehashes one
-    structure "if necessary for performance") and exposes its contents for
-    sharing across plans (§3.1 "exposing state").
+    The table knows which columns of its tuples form the key and exposes
+    its contents for sharing across plans (§3.1 "exposing state").
 
     Overflow: {!swap_out}/{!swap_in} model spilling to disk.  Contents stay
     addressable (this is a simulation, not an actual spill); the flag is
@@ -34,11 +32,12 @@ open Adp_relation
       each chain in order;
     - {!clear} shrinks back to the initial size, as [Hashtbl.reset] does.
     {!iter} and {!to_list} therefore visit tuples in the stdlib table's
-    order.  Stitch-up, [Comp_join] and checkpoint restore see that order,
-    and the virtual clock depends on it.  {!of_list} sizes its table from
-    its input, which changes iteration order: use it only for tables that
-    are never iterated.  Inserting into a table while iterating it is
-    unspecified.
+    order.  [Comp_join] and checkpoint restore see that order, and the
+    virtual clock depends on it.  {!of_list} sizes its table from its
+    input, which changes iteration order but not what a probe returns, so
+    stitch-up, which only probes, may use a phase's live table or an
+    {!of_list} table over the same tuples alike.  Inserting into a table
+    while iterating it is unspecified.
 
     NULL rule.  Probes follow SQL equality: a probe key that is NULL, or
     has a NULL column, matches nothing ({!probe}, {!probe_value},
@@ -80,9 +79,6 @@ val to_list : t -> Tuple.t list
 
 (** Number of distinct keys currently present. *)
 val distinct_keys : t -> int
-
-(** Rebuild on different key columns (contents preserved). *)
-val rehash : t -> key_cols:string list -> t
 
 val swap_out : t -> unit
 val swap_in : t -> unit

@@ -65,10 +65,10 @@ let test_filter_pushdown () =
   in
   Alcotest.(check int) "seen all" 3 leaf.seen;
   Alcotest.(check int) "passed" 2 leaf.passed;
-  let _, _, part, _ =
-    List.find (fun (n, _, _, _) -> n = "r") (Plan.leaf_partitions plan)
-  in
-  Alcotest.(check int) "buffered only passing" 2 (List.length part)
+  let _, part, _ = Option.get (Plan.leaf_partition plan "r") in
+  Alcotest.(check int) "buffered only passing" 2 (List.length part)  ;
+  Alcotest.(check bool) "no leaf for an unread source" true
+    (Plan.leaf_partition plan "u" = None)
 
 let three_way_spec () =
   Plan.join
@@ -351,12 +351,18 @@ let test_leaf_counts_match_partitions () =
   in
   let ctx = Ctx.create () in
   let check_plan plan =
-    List.iter2
-      (fun (l : Plan.leaf_count) (name, _, tuples, signature) ->
-        Alcotest.(check string) "leaf order" name l.source;
+    let counts = Plan.leaf_counts plan in
+    Alcotest.(check (list string)) "leaves in plan order" [ "r"; "s"; "u" ]
+      (List.map (fun (l : Plan.leaf_count) -> l.source) counts);
+    List.iter
+      (fun (l : Plan.leaf_count) ->
+        let _, tuples, signature =
+          Option.get (Plan.leaf_partition plan l.source)
+        in
         Alcotest.(check string) "effective leaf" signature l.signature;
-        Alcotest.(check int) (name ^ " passed") (List.length tuples) l.passed)
-      (Plan.leaf_counts plan) (Plan.leaf_partitions plan)
+        Alcotest.(check int) (l.source ^ " passed") (List.length tuples)
+          l.passed)
+      counts
   in
   let polls = ref 0 in
   let run spec ~switch_at =

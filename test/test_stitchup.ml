@@ -51,16 +51,16 @@ let segments n l =
       Array.to_list (Array.sub arr lo (hi - lo)))
 
 (* Run [shapes] as successive phases over segmented inputs, then stitch. *)
-let run_phased ~shapes ~stitch_tree ~r ~s ~u =
+let run_phased ?(query = chain_query) ?(ctx = Ctx.create ()) ~shapes
+    ~stitch_tree ~r ~s ~u () =
   let n = List.length shapes in
-  let ctx = Ctx.create () in
   let registry = Registry.create () in
   let rsegs = segments n r and ssegs = segments n s and usegs = segments n u in
   let phases =
     List.mapi (fun i spec -> Phase.create ~id:i ctx spec ~schema_of) shapes
   in
   let sink =
-    Sink.create ctx chain_query
+    Sink.create ctx query
       ~canonical:(Plan.schema (List.hd phases).Phase.plan)
   in
   List.iteri
@@ -79,7 +79,7 @@ let run_phased ~shapes ~stitch_tree ~r ~s ~u =
       Phase.register ph registry)
     phases;
   let stats =
-    Stitchup.run ctx chain_query ~join_tree:stitch_tree ~phases ~registry ~sink
+    Stitchup.run ctx query ~join_tree:stitch_tree ~phases ~registry ~sink
   in
   Sink.result sink, stats, registry
 
@@ -98,7 +98,8 @@ let gen_inputs seed size =
 let test_two_phases_same_shape () =
   let r, s, u = gen_inputs 1 30 in
   let got, stats, _ =
-    run_phased ~shapes:[ left_deep; left_deep ] ~stitch_tree:left_deep ~r ~s ~u
+    run_phased ~shapes:[ left_deep; left_deep ] ~stitch_tree:left_deep ~r ~s
+      ~u ()
   in
   check_bag "phases + stitchup = oracle" (Relation.to_list got) (oracle ~r ~s ~u);
   Alcotest.(check int) "combos" (8 - 2) stats.Stitchup.combos_possible;
@@ -108,7 +109,8 @@ let test_two_phases_same_shape () =
 let test_two_phases_different_shapes () =
   let r, s, u = gen_inputs 2 30 in
   let got, _, _ =
-    run_phased ~shapes:[ left_deep; right_deep ] ~stitch_tree:right_deep ~r ~s ~u
+    run_phased ~shapes:[ left_deep; right_deep ] ~stitch_tree:right_deep ~r
+      ~s ~u ()
   in
   check_bag "different shapes stitch correctly" (Relation.to_list got)
     (oracle ~r ~s ~u)
@@ -118,7 +120,7 @@ let test_three_phases () =
   let got, stats, _ =
     run_phased
       ~shapes:[ left_deep; right_deep; left_deep ]
-      ~stitch_tree:left_deep ~r ~s ~u
+      ~stitch_tree:left_deep ~r ~s ~u ()
   in
   check_bag "three phases" (Relation.to_list got) (oracle ~r ~s ~u);
   Alcotest.(check int) "combos 3^3-3" 24 stats.Stitchup.combos_possible
@@ -126,7 +128,7 @@ let test_three_phases () =
 let test_single_phase_no_stitch () =
   let r, s, u = gen_inputs 4 20 in
   let got, stats, _ =
-    run_phased ~shapes:[ left_deep ] ~stitch_tree:left_deep ~r ~s ~u
+    run_phased ~shapes:[ left_deep ] ~stitch_tree:left_deep ~r ~s ~u ()
   in
   check_bag "single phase complete" (Relation.to_list got) (oracle ~r ~s ~u);
   Alcotest.(check int) "no stitch work" 0 stats.Stitchup.combos_possible;
@@ -139,14 +141,15 @@ let test_empty_phase_segments () =
   let got, _, _ =
     run_phased
       ~shapes:[ left_deep; right_deep; right_deep; left_deep ]
-      ~stitch_tree:left_deep ~r ~s ~u
+      ~stitch_tree:left_deep ~r ~s ~u ()
   in
   check_bag "empty segments ok" (Relation.to_list got) (oracle ~r ~s ~u)
 
 let test_registry_reuse_accounting () =
   let r, s, u = gen_inputs 6 40 in
   let _, stats, registry =
-    run_phased ~shapes:[ left_deep; left_deep ] ~stitch_tree:left_deep ~r ~s ~u
+    run_phased ~shapes:[ left_deep; left_deep ] ~stitch_tree:left_deep ~r ~s
+      ~u ()
   in
   (* Same shape everywhere: every inner uniform (r⋈s)^p is registered and
      must be reused, so nothing is recomputed. *)
@@ -160,7 +163,8 @@ let test_shape_mismatch_recomputes () =
   (* Phase 1 registers (s⋈u); stitch tree needs (r⋈s) for phase 1 —
      unavailable, hence recomputed. *)
   let _, stats, _ =
-    run_phased ~shapes:[ left_deep; right_deep ] ~stitch_tree:left_deep ~r ~s ~u
+    run_phased ~shapes:[ left_deep; right_deep ] ~stitch_tree:left_deep ~r ~s
+      ~u ()
   in
   Alcotest.(check bool) "phase-0 intermediates reused" true
     (stats.Stitchup.reused > 0)
@@ -171,7 +175,7 @@ let test_reuse_across_column_orders () =
      (r⋈s), so the reused tuples must be permuted into (r, s). *)
   let got, stats, _ =
     run_phased ~shapes:[ left_deep; swapped_left_deep ] ~stitch_tree:left_deep
-      ~r ~s ~u
+      ~r ~s ~u ()
   in
   check_bag "permuted reuse stitches correctly" (Relation.to_list got)
     (oracle ~r ~s ~u);
@@ -181,6 +185,7 @@ let test_reuse_across_column_orders () =
 let stitchup_identity =
   QCheck2.Test.make
     ~name:"ADP identity: phases ∪ stitch-up = single plan (qcheck)" ~count:40
+    ~long_factor:10
     QCheck2.Gen.(
       tup4 (int_range 1 1000) (int_range 1 4) bool bool)
     (fun (seed, n_phases, shape0, stitch_shape) ->
@@ -190,9 +195,117 @@ let stitchup_identity =
         List.init n_phases (fun i -> shape (if i mod 2 = 0 then shape0 else not shape0))
       in
       let got, _, _ =
-        run_phased ~shapes ~stitch_tree:(shape stitch_shape) ~r ~s ~u
+        run_phased ~shapes ~stitch_tree:(shape stitch_shape) ~r ~s ~u ()
       in
       same_bag (Relation.to_list got) (oracle ~r ~s ~u))
+
+(* r ⋈ s on a two-column key, r.k = s.k AND r.p = s.p, then s.p = u.k.
+   [on] gives the r ⋈ s key in either column order. *)
+let two_key_on = [ "r.k", "s.k"; "r.p", "s.p" ]
+
+let two_key_left_deep on =
+  Plan.join
+    (Plan.join (Plan.scan "r") (Plan.scan "s") ~on)
+    (Plan.scan "u") ~on:[ "s.p", "u.k" ]
+
+let two_key_right_deep on =
+  Plan.join (Plan.scan "r")
+    (Plan.join (Plan.scan "s") (Plan.scan "u") ~on:[ "s.p", "u.k" ])
+    ~on
+
+let two_key_query ~aggregate =
+  { chain_query with
+    Logical.join_preds = two_key_on @ [ "s.p", "u.k" ];
+    group_cols = (if aggregate then [ "r.k" ] else []);
+    aggs =
+      (if aggregate then
+         [ Aggregate.count_all ~name:"n";
+           Aggregate.avg ~name:"a" (Expr.col "u.p") ]
+       else []) }
+
+(* [Plan.child_table] offers a join's live table only for a child read in
+   that child's own layout, under the join's key list in its order. *)
+let test_child_table_lookup () =
+  let plan ?record_outputs spec =
+    Plan.instantiate ?record_outputs (Ctx.create ()) spec ~schema_of
+  in
+  let found p spec ~schema key_cols =
+    Option.is_some
+      (Plan.child_table p ~signature:(Plan.signature_of spec) ~schema ~key_cols)
+  in
+  let check = Alcotest.(check bool) in
+  let s_leaf = Plan.scan "s" and s_schema = schema_of "s" in
+  let two_key = plan (two_key_left_deep two_key_on) in
+  check "leaf under its join's key" true
+    (found two_key s_leaf ~schema:s_schema [ "s.k"; "s.p" ]);
+  check "reordered key list" false
+    (found two_key s_leaf ~schema:s_schema [ "s.p"; "s.k" ]);
+  check "plan without recorded outputs" false
+    (found
+       (plan ~record_outputs:false (two_key_left_deep two_key_on))
+       s_leaf ~schema:s_schema [ "s.k"; "s.p" ]);
+  let left = plan left_deep in
+  check "root" false
+    (found left left_deep ~schema:(Plan.schema left) [ "s.p" ]);
+  let rs = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
+  let swapped = plan swapped_left_deep in
+  check "child in its own layout" true
+    (found swapped rs ~schema:(Schema.concat s_schema (schema_of "r"))
+       [ "s.p" ]);
+  check "child of swapped_left_deep read as (r⋈s)" false
+    (found swapped rs ~schema:(Schema.concat (schema_of "r") s_schema)
+       [ "s.p" ])
+
+(* Stitching the same phases with the r ⋈ s key in the phases' column
+   order (their live tables are probed) and reversed (fresh tables are
+   built) gives the same answer in the same order, on the same clock. *)
+let live_tables_match_rebuilt =
+  QCheck2.Test.make
+    ~name:"live and rebuilt stitch-up tables agree (qcheck)" ~count:30
+    ~long_factor:10
+    QCheck2.Gen.(
+      tup4 (int_range 1 1000) (int_range 2 3) bool bool)
+    (fun (seed, n_phases, shape0, stitch_shape) ->
+      let rng = Adp_datagen.Prng.create seed in
+      let mk () =
+        List.init 30 (fun _ ->
+            [| vi (Adp_datagen.Prng.int rng 3);
+               vi (Adp_datagen.Prng.int rng 3) |])
+      in
+      let r = mk () and s = mk () and u = mk () in
+      let shape b = if b then two_key_left_deep else two_key_right_deep in
+      let shapes =
+        List.init n_phases (fun i ->
+            shape (if i mod 2 = 0 then shape0 else not shape0) two_key_on)
+      in
+      let run ~aggregate on =
+        let ctx = Ctx.create () in
+        let got, stats, _ =
+          run_phased ~query:(two_key_query ~aggregate) ~ctx ~shapes
+            ~stitch_tree:(shape stitch_shape on) ~r ~s ~u ()
+        in
+        Relation.to_list got, stats, Ctx.now ctx
+      in
+      let agree ~aggregate =
+        let live = run ~aggregate two_key_on
+        and rebuilt = run ~aggregate (List.rev two_key_on) in
+        live = rebuilt
+      in
+      let rows, plain, _ = run ~aggregate:false two_key_on in
+      let _, grouped, _ = run ~aggregate:true two_key_on in
+      (* Streaming into the aggregating sink still charges one agg_update
+         per combination. *)
+      let agg_time = grouped.Stitchup.time -. plain.Stitchup.time
+      and want =
+        float_of_int plain.Stitchup.output
+        *. (Ctx.create ()).Ctx.costs.agg_update
+      in
+      agree ~aggregate:false && agree ~aggregate:true
+      && Float.abs (agg_time -. want) <= 1e-9 *. grouped.Stitchup.time
+      && same_bag rows
+           (oracle_join
+              (oracle_join r s ~on:[ 0, 0; 1, 1 ])
+              u ~on:[ 3, 0 ]))
 
 let suite =
   [ Alcotest.test_case "two phases, same shape" `Quick test_two_phases_same_shape;
@@ -207,4 +320,6 @@ let suite =
       test_reuse_across_column_orders;
     Alcotest.test_case "shape mismatch recomputes" `Quick
       test_shape_mismatch_recomputes;
-    qtest stitchup_identity ]
+    Alcotest.test_case "live join table lookup" `Quick test_child_table_lookup;
+    qtest stitchup_identity;
+    qtest live_tables_match_rebuilt ]

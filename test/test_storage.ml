@@ -16,15 +16,6 @@ let test_hash_basic () =
   Alcotest.(check int) "probe multi" 2 (List.length (Hash_table.probe h [| vi 1 |]));
   Alcotest.(check int) "probe miss" 0 (List.length (Hash_table.probe h [| vi 9 |]))
 
-let test_hash_rehash () =
-  let h = Hash_table.create ks ~key_cols:[ "t.k" ] in
-  Hash_table.insert h [| vi 1; vi 10 |];
-  Hash_table.insert h [| vi 2; vi 10 |];
-  let r = Hash_table.rehash h ~key_cols:[ "t.p" ] in
-  Alcotest.(check int) "contents kept" 2 (Hash_table.length r);
-  Alcotest.(check int) "new key works" 2
-    (List.length (Hash_table.probe r [| vi 10 |]))
-
 (* SQL equality: a NULL key, or one with a NULL column, is stored (it
    counts and iterates) but no probe ever matches it. *)
 let test_hash_null_keys () =
@@ -160,21 +151,10 @@ let keyed_path_model =
       let iterated = ref [] in
       (* determinism-ok: iteration order is what this property checks *)
       Hash_table.iter (fun t -> iterated := t :: !iterated) h;
-      let other = if two_cols then [ "t.b" ] else [ "t.a"; "t.b" ] in
-      let other_idx = if two_cols then [| 1 |] else [| 0; 1 |] in
-      let rehashed = Hash_table.rehash h ~key_cols:other in
-      let rr = ref_build other_idx (ref_iter_order r) in
       List.for_all probes_agree probes
       && List.rev !iterated = ref_iter_order r
       && Hash_table.to_list h = ref_to_list r
-      && Hash_table.distinct_keys h = Ktbl.length r
-      && Hash_table.length rehashed = List.length tuples
-      && Hash_table.to_list rehashed = ref_to_list rr
-      && List.for_all
-           (fun p ->
-             Hash_table.probe_tuple rehashed p other_idx
-             = ref_probe rr (Tuple.key p other_idx))
-           tuples)
+      && Hash_table.distinct_keys h = Ktbl.length r)
 
 (* [insert_probe] is one join side; [of_list] probes like a filled table. *)
 let insert_probe_model =
@@ -264,13 +244,11 @@ let layout_matches_stdlib =
 
 let layout_after_reuse =
   QCheck2.Test.make
-    ~name:"layout after clear, rehash and of_list matches Hashtbl.Make"
+    ~name:"layout after clear and of_list matches Hashtbl.Make"
     ~count:10 ~long_factor:10 gen_layout_rows
     (fun (two_cols, tuples) ->
       let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
       let idx = if two_cols then [| 0; 1 |] else [| 0 |] in
-      let other = if two_cols then [ "t.b" ] else [ "t.a"; "t.b" ] in
-      let other_idx = if two_cols then [| 1 |] else [| 0; 1 |] in
       let h = Hash_table.create ks3 ~key_cols in
       let r = ref_build idx tuples in
       List.iter (Hash_table.insert h) tuples;
@@ -280,14 +258,11 @@ let layout_after_reuse =
       Ktbl.reset r;
       List.iter (Hash_table.insert h) again;
       ref_fill r idx again;
-      let rehashed = Hash_table.rehash h ~key_cols:other in
-      let rr = ref_build other_idx (ref_iter_order r) in
       let sized = Hash_table.of_list ks3 ~key_cols tuples in
       let rs = Ktbl.create (List.length tuples) in
       ref_fill rs idx tuples;
       Hash_table.length h = List.length again
       && same_layout h r
-      && same_layout rehashed rr
       && same_layout sized rs)
 
 (* Bucket layout, and with it every iteration order above, rests on these
@@ -337,7 +312,6 @@ let test_registry_complexity_filter () =
 
 let suite =
   [ Alcotest.test_case "hash basics" `Quick test_hash_basic;
-    Alcotest.test_case "hash rehash" `Quick test_hash_rehash;
     Alcotest.test_case "hash swap flags" `Quick test_hash_swap;
     Alcotest.test_case "hash NULL keys stored, never matched" `Quick
       test_hash_null_keys;
