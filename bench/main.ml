@@ -16,7 +16,6 @@ let experiments =
     "faults", ("fault-tolerance sweep, disconnects x retry budgets", Bench_faults.run);
     "recovery", ("checkpoint overhead and crash recovery", Bench_recovery.run);
     "check", ("static-analyzer overhead per plan boundary", Bench_check.run);
-    "lint", ("effect & determinism lint over the shipped tree", Bench_lint.run);
     "trace", ("observability overhead and clock-perturbation check", Bench_trace.run);
     "profile", ("profiler overhead, zero-perturbation and blame check", Bench_profile.run);
     "server", ("multi-query server: supervision, adaptive polling, warm starts", Bench_server.run);

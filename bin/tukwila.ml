@@ -17,7 +17,12 @@
      flame      wall-clock profile as folded stacks / Perfetto JSON
      bench-diff compare a BENCH_<id>.json file against its committed
                 baseline; every cell must match exactly (CI gate)
-     lint       effect and determinism lint over OCaml sources *)
+     lint       effect and determinism lint over OCaml sources
+
+   A flag that several subcommands take is defined once, below, as a
+   Cmdliner term: the dataset (--scale/--skew/--seed), the observability
+   sinks (--trace/--metrics/--wall) and the source faults
+   (--fault/--mirror). *)
 
 open Cmdliner
 open Adp_relation
@@ -29,17 +34,27 @@ open Adp_query
 
 (* ---------------- shared arguments ---------------- *)
 
-let scale_arg =
-  let doc = "TPC-H scale factor (0.1 reproduces the paper's 100 MB)." in
-  Arg.(value & opt float 0.01 & info [ "scale" ] ~docv:"SF" ~doc)
-
-let skew_arg =
-  let doc = "Zipf skew factor for the generated data (0 = uniform)." in
-  Arg.(value & opt float 0.0 & info [ "skew" ] ~docv:"Z" ~doc)
-
-let seed_arg =
-  let doc = "Random seed for data generation." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+(* The generated TPC-H dataset a subcommand runs over. *)
+let dataset =
+  let scale =
+    let doc = "TPC-H scale factor (0.1 reproduces the paper's 100 MB)." in
+    Arg.(value & opt float 0.01 & info [ "scale" ] ~docv:"SF" ~doc)
+  in
+  let skew =
+    let doc = "Zipf skew factor for the generated data (0 = uniform)." in
+    Arg.(value & opt float 0.0 & info [ "skew" ] ~docv:"Z" ~doc)
+  in
+  let seed =
+    let doc = "Random seed for data generation." in
+    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+  in
+  let generate scale skew seed =
+    let distribution =
+      if skew > 0.0 then Tpch.Skewed skew else Tpch.Uniform
+    in
+    Tpch.generate { Tpch.scale; distribution; seed }
+  in
+  Term.(const generate $ scale $ skew $ seed)
 
 let sql_arg =
   let doc = "The SQL query (select-project-join-aggregate subset)." in
@@ -52,20 +67,19 @@ let cards_arg =
   in
   Arg.(value & flag & info [ "cardinalities"; "cards" ] ~doc)
 
-let dataset scale skew seed =
-  let distribution = if skew > 0.0 then Tpch.Skewed skew else Tpch.Uniform in
-  Tpch.generate { Tpch.scale; distribution; seed }
-
-let parse_query sql =
-  try Sql_parser.parse ~schema_of:Tpch.schema_of sql
-  with Sql_parser.Parse_error m ->
-    Printf.eprintf "parse error: %s\n" m;
-    exit 2
-
 let parse_query_with_order sql =
   try Sql_parser.parse_with_order ~schema_of:Tpch.schema_of sql
   with Sql_parser.Parse_error m ->
     Printf.eprintf "parse error: %s\n" m;
+    exit 2
+
+let parse_query sql = fst (parse_query_with_order sql)
+
+(* A file's contents; an unreadable file exits 2. *)
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error m ->
+    Printf.eprintf "%s\n" m;
     exit 2
 
 module Analyzer = Adp_analysis.Analyzer
@@ -77,13 +91,13 @@ let analysis_failed where ds =
     (Diagnostic.to_string ds);
   exit 1
 
+let lookup catalog r =
+  try Some (Catalog.schema_of catalog r) with Not_found -> None
+
 (* The optimizer assumes a well-formed query, so a subcommand that plans
    one checks it first. *)
 let check_query ~where catalog q =
-  let lookup r =
-    try Some (Catalog.schema_of catalog r) with Not_found -> None
-  in
-  let ds = Analyzer.check_query ~lookup q in
+  let ds = Analyzer.check_query ~lookup:(lookup catalog) q in
   if Diagnostic.has_errors ds then analysis_failed where ds
 
 (* ---------------- generate ---------------- *)
@@ -97,8 +111,8 @@ let generate_cmd =
     let doc = "Rows to print." in
     Arg.(value & opt int 20 & info [ "limit"; "n" ] ~docv:"N" ~doc)
   in
-  let run table limit scale skew seed =
-    match Tpch.table (dataset scale skew seed) table with
+  let run table limit ds =
+    match Tpch.table ds table with
     | rel -> Format.printf "%a" (Relation.pp ~limit) rel
     | exception Not_found ->
       Printf.eprintf "unknown table %s (expected one of: %s)\n" table
@@ -108,7 +122,7 @@ let generate_cmd =
   let doc = "Generate and print rows of a TPC-H-style table." in
   Cmd.v
     (Cmd.info "generate" ~doc)
-    Term.(const run $ table_arg $ limit_arg $ scale_arg $ skew_arg $ seed_arg)
+    Term.(const run $ table_arg $ limit_arg $ dataset)
 
 (* ---------------- explain ---------------- *)
 
@@ -160,8 +174,7 @@ let explain_cmd =
 (* ---------------- plan ---------------- *)
 
 let plan_cmd =
-  let run sql scale skew seed cards =
-    let ds = dataset scale skew seed in
+  let run sql ds cards =
     let q = parse_query sql in
     let catalog = Workload.catalog ~with_cardinalities:cards ds q in
     check_query ~where:"plan" catalog q;
@@ -180,7 +193,7 @@ let plan_cmd =
   let doc = "Show the optimizer's plan for a SQL query over generated data." in
   Cmd.v
     (Cmd.info "plan" ~doc)
-    Term.(const run $ sql_arg $ scale_arg $ skew_arg $ seed_arg $ cards_arg)
+    Term.(const run $ sql_arg $ dataset $ cards_arg)
 
 (* ---------------- query ---------------- *)
 
@@ -309,6 +322,20 @@ let mirror_arg =
   Arg.(value & opt_all (conv (parse, print)) []
        & info [ "mirror" ] ~docv:"SRC[:LAG]" ~doc)
 
+(* Applies the --fault and --mirror specs to the sources they name. *)
+let inject ~faults ~mirrors srcs =
+  List.iter
+    (fun src ->
+      let name = Source.name src in
+      List.iter (fun (n, f) -> if n = name then Source.inject src f) faults;
+      List.iter
+        (fun (n, lag) ->
+          if n = name then
+            Source.add_mirror src (Source.mirror ~lag_tuples:lag ()))
+        mirrors)
+    srcs;
+  srcs
+
 let retry_arg =
   let doc = "Source silence timeout in virtual seconds." in
   let timeout =
@@ -428,27 +455,30 @@ let breaker_arg =
 
 let deadline_arg =
   let doc =
-    "Deadline for the whole query, virtual seconds.  At every \
-     re-optimizer poll the running plan's cost-to-go is compared against \
-     the remaining budget; once the deadline cannot be met (or has \
-     passed) the run degrades deliberately — the phase closes early, \
+    "Deadline for the whole query of a corrective run, virtual seconds.  \
+     At every re-optimizer poll the running plan's cost-to-go is compared \
+     against the remaining budget; once the deadline cannot be met (or \
+     has passed) the run degrades deliberately — the phase closes early, \
      stitch-up assembles what arrived, and the partial answer is \
-     reported as DEGRADED (deadline) with its coverage."
+     reported as DEGRADED (deadline) with its coverage.  A static run \
+     never polls, so it refuses a deadline."
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
 
 let mem_budget_arg =
   let doc =
-    "Soft memory budget in resident tuples: past it, join state pages \
-     out most-complex-first and its probes pay the I/O penalty."
+    "Soft memory budget of a corrective run, in resident tuples: past \
+     it, join state pages out most-complex-first and its probes pay the \
+     I/O penalty.  A static run refuses it."
   in
   Arg.(value & opt (some int) None & info [ "mem-budget" ] ~docv:"N" ~doc)
 
 let mem_ceiling_arg =
   let doc =
-    "Hard memory ceiling in resident tuples, counting join state \
-     $(i,plus) pre-aggregation windows.  Past it the run degrades to a \
-     partial answer (DEGRADED (memory))."
+    "Hard memory ceiling of a corrective run, in resident tuples, \
+     counting join state $(i,plus) pre-aggregation windows.  Past it the \
+     run degrades to a partial answer (DEGRADED (memory)).  A static run \
+     refuses it."
   in
   Arg.(value & opt (some int) None & info [ "mem-ceiling" ] ~docv:"N" ~doc)
 
@@ -491,38 +521,87 @@ let write_metrics path m =
     (if Filename.check_suffix path ".prom" then Adp_obs.Metrics.to_prometheus m
      else Adp_obs.Json.to_string (Adp_obs.Metrics.to_json m) ^ "\n")
 
-let wall_flag_arg =
+let wall_arg =
   let doc =
-    "Attach the wall-clock sidecar, so the $(b,--metrics) dump gains the \
-     $(b,adp_wall_*) and $(b,adp_gc_*) gauges (wall/CPU seconds, sampler \
-     ticks, allocation and collection totals).  The sidecar only reads \
-     hardware time; the reported virtual times and results are identical \
-     with and without it."
+    "Attach the wall-clock sidecar.  $(b,query) prints a wall/GC summary \
+     line, and its $(b,--metrics) dump gains the $(b,adp_wall_*) and \
+     $(b,adp_gc_*) gauges (wall/CPU seconds, sampler ticks, allocation \
+     and collection totals).  $(b,profile) annotates the plan tree with \
+     per-node wall self-time and allocation, and follows the calibration \
+     ledger with a wall/GC summary.  The sidecar only reads hardware \
+     time: virtual times and results are identical with and without it."
   in
   Arg.(value & flag & info [ "wall" ] ~doc)
 
+(* The observability flags of one subcommand; a subcommand without
+   --metrics or --wall gets [None] or [false] for it. *)
+type obs = {
+  trace_file : string option;
+  metrics_file : string option;
+  with_wall : bool;
+}
+
+let obs ?(metrics = true) ?(wall = true) () =
+  let make trace_file metrics_file with_wall =
+    { trace_file; metrics_file; with_wall }
+  in
+  Term.(const make $ trace_arg
+        $ (if metrics then metrics_arg else const None)
+        $ (if wall then wall_arg else const false))
+
+type sinks = {
+  trace : Adp_obs.Trace.t option;
+  metrics : Adp_obs.Metrics.t option;
+  wall : Adp_obs.Wallclock.t option;
+}
+
+(* Runs [f] on fresh sinks for [o], and flushes them on every way out:
+   an injected crash (exit 3) and a refused query (exit 1) included,
+   since the trace of an interrupted run is exactly what --resume
+   explains. *)
+let observed o f =
+  let s =
+    { trace = Option.map trace_sink o.trace_file;
+      metrics = Option.map (fun _ -> Adp_obs.Metrics.create ()) o.metrics_file;
+      wall = (if o.with_wall then Some (Adp_obs.Wallclock.create ()) else None)
+    }
+  in
+  let flush () =
+    Option.iter Adp_obs.Trace.close s.trace;
+    match o.metrics_file, s.metrics with
+    | Some path, Some m ->
+      (* The engine syncs wall gauges at its own boundaries; a final
+         sync here covers crashed runs, whose registry would otherwise
+         miss the last deltas. *)
+      Option.iter (fun w -> Adp_obs.Wallclock.sync_metrics w m) s.wall;
+      write_metrics path m
+    | _ -> ()
+  in
+  match f s with
+  | v ->
+    flush ();
+    v
+  | exception Adp_recovery.Crash.Crashed msg ->
+    flush ();
+    Printf.eprintf "%s\n%!" msg;
+    exit 3
+  | exception Diagnostic.Failed (where, ds) ->
+    flush ();
+    analysis_failed where ds
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    flush ();
+    Printexc.raise_with_backtrace e bt
+
 let query_cmd =
-  let run sql scale skew seed cards strategy preagg model faults mirrors
-      retry limit ckpt_dir ckpt_every resume crash trace_file metrics_file
-      with_wall deadline_s memory_budget memory_ceiling breaker =
-    let ds = dataset scale skew seed in
+  let run sql ds cards strategy preagg model faults mirrors retry limit
+      ckpt_dir ckpt_every resume crash obs deadline_s memory_budget
+      memory_ceiling breaker =
     let q, order = parse_query_with_order sql in
     let catalog = Workload.catalog ~with_cardinalities:cards ds q in
     let warned = ref false in
     let sources () =
-      let srcs = Workload.sources ~model ds q () in
-      List.iter
-        (fun src ->
-          let name = Source.name src in
-          List.iter
-            (fun (n, f) -> if n = name then Source.inject src f)
-            faults;
-          List.iter
-            (fun (n, lag) ->
-              if n = name then
-                Source.add_mirror src (Source.mirror ~lag_tuples:lag ()))
-            mirrors)
-        srcs;
+      let srcs = inject ~faults ~mirrors (Workload.sources ~model ds q ()) in
       if not !warned then begin
         warned := true;
         let known = List.map Source.name srcs in
@@ -564,23 +643,9 @@ let query_cmd =
         Corrective.checkpoint; resume_from; crash; deadline; memory_budget;
         memory_ceiling; breaker }
     in
-    let governed =
-      deadline <> None || memory_budget <> None || memory_ceiling <> None
-      || breaker <> None
-    in
     let strategy =
       match strategy with
-      | `Static ->
-        if checkpoint = None && resume_from = None && crash = []
-           && not governed
-        then Strategy.Static
-        else
-          (* Static is corrective that never switches on its own; recovery
-             can still force a phase switch across a crash. *)
-          Strategy.Corrective
-            (recovery_cfg
-               { Corrective.default_config with
-                 poll_interval = infinity; max_phases = 1 })
+      | `Static -> Strategy.Corrective (recovery_cfg Strategy.static_config)
       | `Corrective ->
         Strategy.Corrective
           (recovery_cfg
@@ -591,49 +656,23 @@ let query_cmd =
       | `Eddy -> Strategy.Eddying
     in
     (match strategy with
-     | Strategy.Corrective _ | Strategy.Static -> ()
+     | Strategy.Corrective _ -> ()
      | _ ->
        if checkpoint <> None || resume_from <> None || crash <> [] then
          Printf.eprintf
            "warning: checkpointing applies only to static/corrective runs\n%!";
-       if governed then
+       if deadline <> None || memory_budget <> None || memory_ceiling <> None
+          || breaker <> None
+       then
          Printf.eprintf
            "warning: resource governance (--deadline/--mem-budget/\
             --mem-ceiling/--breaker) applies only to static/corrective \
             runs\n%!");
-    let trace = Option.map trace_sink trace_file in
-    let metrics =
-      match metrics_file with Some _ -> Some (Adp_obs.Metrics.create ()) | None -> None
-    in
-    let wall = if with_wall then Some (Adp_obs.Wallclock.create ()) else None in
-    (* Flush the observability sinks even when --crash kills the run: the
-       trace of an interrupted run is exactly what --resume explains. *)
-    let finish () =
-      Option.iter Adp_obs.Trace.close trace;
-      match metrics_file, metrics with
-      | Some path, Some m ->
-        (* The engine syncs wall gauges at its own boundaries; a final
-           sync here covers crashed runs, whose registry would otherwise
-           miss the last deltas. *)
-        Option.iter (fun w -> Adp_obs.Wallclock.sync_metrics w m) wall;
-        write_metrics path m
-      | _ -> ()
-    in
-    let o =
-      match
-        Strategy.run ~preagg ~label:"query" ~retry ?trace ?metrics ?wall
-          strategy q catalog ~sources
-      with
-      | o ->
-        finish ();
-        o
-      | exception Adp_recovery.Crash.Crashed msg ->
-        finish ();
-        Printf.eprintf "%s\n%!" msg;
-        exit 3
-      | exception Diagnostic.Failed (where, ds) ->
-        finish ();
-        analysis_failed where ds
+    let o, wall =
+      observed obs (fun s ->
+          ( Strategy.run ~preagg ~label:"query" ~retry ?trace:s.trace
+              ?metrics:s.metrics ?wall:s.wall strategy q catalog ~sources,
+            s.wall ))
     in
     Format.printf "%a@.@." Report.pp_run o.Strategy.report;
     (match wall with
@@ -666,11 +705,11 @@ let query_cmd =
   let doc = "Execute a SQL query over generated data under an adaptive strategy." in
   Cmd.v
     (Cmd.info "query" ~doc)
-    Term.(const run $ sql_arg $ scale_arg $ skew_arg $ seed_arg $ cards_arg
-          $ strategy_arg $ preagg_arg $ model_arg $ fault_arg $ mirror_arg
-          $ retry_arg $ limit_arg $ checkpoint_dir_arg $ checkpoint_every_arg
-          $ resume_arg $ crash_arg $ trace_arg $ metrics_arg $ wall_flag_arg
-          $ deadline_arg $ mem_budget_arg $ mem_ceiling_arg $ breaker_arg)
+    Term.(const run $ sql_arg $ dataset $ cards_arg $ strategy_arg
+          $ preagg_arg $ model_arg $ fault_arg $ mirror_arg $ retry_arg
+          $ limit_arg $ checkpoint_dir_arg $ checkpoint_every_arg
+          $ resume_arg $ crash_arg $ obs () $ deadline_arg $ mem_budget_arg
+          $ mem_ceiling_arg $ breaker_arg)
 
 (* ---------------- check ---------------- *)
 
@@ -703,15 +742,6 @@ let phases_arg =
     "Phase count for the stitch-up coverage check (the nᵐ − n matrix)."
   in
   Arg.(value & opt int 2 & info [ "phases" ] ~docv:"N" ~doc)
-
-let audit_arg =
-  let doc =
-    "Also run the effect & determinism lint over the given file or \
-     directory (repeatable): flags wall-clock reads, unseeded randomness, \
-     hash-order-sensitive folds and unguarded trace emission in OCaml \
-     sources (same passes as $(b,tukwila lint))."
-  in
-  Arg.(value & opt_all string [] & info [ "audit" ] ~docv:"PATH" ~doc)
 
 let workloads_arg =
   let doc = "Check every bundled workload (TPC-H Q3/3A/10/10A/5, flights)." in
@@ -749,8 +779,7 @@ let rec apply_mutation m spec =
   | _, spec -> spec
 
 let check_cmd =
-  let run sql_opt scale skew seed phases workloads breaks audits =
-    let ds = dataset scale skew seed in
+  let run sql_opt ds phases workloads breaks =
     let exit_code = ref 0 in
     let report label diags =
       let errs = Diagnostic.errors diags in
@@ -766,9 +795,7 @@ let check_cmd =
       if errs <> [] then exit_code := 1
     in
     let check_one label q ~catalog ~table =
-      let lookup r =
-        try Some (Catalog.schema_of catalog r) with Not_found -> None
-      in
+      let lookup = lookup catalog in
       let types =
         Analyzer.types_of_relations
           (List.filter_map
@@ -807,9 +834,8 @@ let check_cmd =
          ~catalog:(Workload.catalog ~with_cardinalities:true ds q)
          ~table:(Tpch.table ds)
      | None ->
-       if not workloads && audits = [] then begin
-         Printf.eprintf
-           "nothing to check: give a SQL query, --workloads, or --audit\n";
+       if not workloads then begin
+         Printf.eprintf "nothing to check: give a SQL query or --workloads\n";
          exit 2
        end);
     if workloads then begin
@@ -831,20 +857,19 @@ let check_cmd =
         ~catalog:(Workload.flights_catalog fds)
         ~table:flights_table
     end;
-    if audits <> [] then report "audit" (Lint.audit_paths audits);
     exit !exit_code
   in
   let doc =
     "Statically analyze a query and its plan without executing anything: \
-     schema and join-key type checks, ADP conformance, symbolic stitch-up \
-     coverage (the nᵐ − n matrix), and an optional determinism audit of \
-     the source tree.  Exits 1 when any error-severity diagnostic is \
-     found."
+     schema and join-key type checks, ADP conformance and symbolic \
+     stitch-up coverage (the nᵐ − n matrix).  Exits 1 when any \
+     error-severity diagnostic is found.  The determinism checks of the \
+     source tree are $(b,tukwila lint)'s."
   in
   Cmd.v
     (Cmd.info "check" ~doc)
-    Term.(const run $ check_sql_arg $ scale_arg $ skew_arg $ seed_arg
-          $ phases_arg $ workloads_arg $ break_arg $ audit_arg)
+    Term.(const run $ check_sql_arg $ dataset $ phases_arg $ workloads_arg
+          $ break_arg)
 
 (* ---------------- profile ---------------- *)
 
@@ -852,18 +877,9 @@ module Profile = Adp_obs.Profile
 module Calibrate = Adp_obs.Calibrate
 
 let profile_cmd =
-  let workload_of_string s =
-    let lc = String.lowercase_ascii s in
-    List.find_opt
-      (fun wq -> String.lowercase_ascii (Workload.name wq) = lc)
-      Workload.evaluated
-  in
-  let run arg scale skew seed cards model trace_file with_wall folded_file
-      perfetto_file =
-    let with_wall = with_wall || folded_file <> None || perfetto_file <> None in
-    let ds = dataset scale skew seed in
+  let run arg ds cards model obs folded_file perfetto_file =
     let q =
-      match workload_of_string arg with
+      match Workload.of_name arg with
       | Some wq -> Workload.query wq
       | None -> parse_query arg
     in
@@ -885,24 +901,20 @@ let profile_cmd =
     in
     let profile = Profile.create () in
     let calibrate = Calibrate.create () in
-    let wall = if with_wall then Some (Adp_obs.Wallclock.create ()) else None in
-    let trace = Option.map trace_sink trace_file in
     let config =
       { Corrective.default_config with
         poll_interval = 2e4; min_leaf_seen = 200; switch_threshold = 0.8;
         calibrate = Some calibrate }
     in
-    let o =
-      match
-        Fun.protect
-          ~finally:(fun () -> Option.iter Adp_obs.Trace.close trace)
-          (fun () ->
-            Strategy.run ~label:"profile" ?initial_plan ?trace ~profile ?wall
-              (Strategy.Corrective config) q catalog
-              ~sources:(Workload.sources ~model ds q))
-      with
-      | o -> o
-      | exception Diagnostic.Failed (where, ds) -> analysis_failed where ds
+    let with_wall =
+      obs.with_wall || folded_file <> None || perfetto_file <> None
+    in
+    let o, wall =
+      observed { obs with with_wall } (fun s ->
+          ( Strategy.run ~label:"profile" ?initial_plan ?trace:s.trace
+              ~profile ?wall:s.wall (Strategy.Corrective config) q catalog
+              ~sources:(Workload.sources ~model ds q),
+            s.wall ))
     in
     Format.printf "%a@.@." Report.pp_run o.Strategy.report;
     let latest = Calibrate.latest_by_node calibrate in
@@ -991,15 +1003,6 @@ let profile_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
   in
-  let wall_arg =
-    let doc =
-      "Attach the wall-clock sidecar: the plan tree gains per-node wall \
-       self-time and allocation annotations, and a wall/GC summary \
-       follows the calibration ledger.  The sidecar only reads hardware \
-       time — virtual clocks and results stay bit-identical."
-    in
-    Arg.(value & flag & info [ "wall" ] ~doc)
-  in
   let folded_arg =
     let doc =
       "Write collapsed-stack flamegraph lines to $(i,FILE) (render with \
@@ -1016,8 +1019,8 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile" ~doc)
-    Term.(const run $ arg $ scale_arg $ skew_arg $ seed_arg $ cards_arg
-          $ model_arg $ trace_arg $ wall_arg $ folded_arg $ perfetto_arg)
+    Term.(const run $ arg $ dataset $ cards_arg $ model_arg
+          $ obs ~metrics:false () $ folded_arg $ perfetto_arg)
 
 (* ---------------- serve / server-report ---------------- *)
 
@@ -1063,15 +1066,6 @@ let serve_cmd =
   let poll_window_arg =
     let doc = "Sliding window of recent polls damping the speedup." in
     Arg.(value & opt int 8 & info [ "poll-window" ] ~docv:"N" ~doc)
-  in
-  let hb_interval_arg =
-    let doc = "Worker heartbeat period, virtual seconds." in
-    Arg.(value & opt float 0.05 & info [ "hb-interval" ] ~docv:"S" ~doc)
-  in
-  let hb_timeout_arg =
-    let doc = "Heartbeat silence after which the supervisor declares a \
-               worker dead, virtual seconds." in
-    Arg.(value & opt float 0.2 & info [ "hb-timeout" ] ~docv:"S" ~doc)
   in
   let max_retries_arg =
     let doc = "Worker-death reclaims tolerated per query before failing it." in
@@ -1138,10 +1132,10 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "results" ] ~docv:"DIR" ~doc)
   in
-  let run script_path scale skew seed cards workers queue_cap poll_min
-      poll_max poll_backoff poll_speedup poll_window hb_interval hb_timeout
-      max_retries retry_backoff ckpt_dir ckpt_every trace_file metrics_file
-      report_file results_dir classes memory_budget breaker faults =
+  let run script_path ds cards workers queue_cap poll_min poll_max
+      poll_backoff poll_speedup poll_window max_retries retry_backoff ckpt_dir
+      ckpt_every obs report_file results_dir classes memory_budget breaker
+      faults =
     let script =
       match Server_script.parse_file script_path with
       | Ok s -> s
@@ -1149,15 +1143,6 @@ let serve_cmd =
         Printf.eprintf "%s: %d problem(s)\n%s\n" script_path (List.length ds)
           (Diagnostic.to_string ds);
         exit 2
-    in
-    let ds = dataset scale skew seed in
-    let trace =
-      Option.fold ~none:Adp_obs.Trace.null ~some:trace_sink trace_file
-    in
-    let metrics =
-      match metrics_file with
-      | Some _ -> Some (Adp_obs.Metrics.create ())
-      | None -> None
     in
     let base = Server.default_config ~checkpoint_dir:ckpt_dir in
     let config =
@@ -1167,44 +1152,24 @@ let serve_cmd =
           { Poll_controller.min_interval = poll_min *. 1e6;
             max_interval = poll_max *. 1e6; backoff = poll_backoff;
             speedup = poll_speedup; window = poll_window };
-        heartbeat_interval = hb_interval *. 1e6;
-        heartbeat_timeout = hb_timeout *. 1e6; max_retries;
-        retry_backoff = retry_backoff *. 1e6; checkpoint_every = ckpt_every;
-        class_quotas = classes; memory_budget;
-        corrective = { base.Server.corrective with Corrective.breaker };
-        trace; metrics }
+        max_retries; retry_backoff = retry_backoff *. 1e6;
+        checkpoint_every = ckpt_every; class_quotas = classes; memory_budget;
+        corrective = { base.Server.corrective with Corrective.breaker } }
     in
     let resolver spec =
       let r = Server.tpch_resolver ~with_cardinalities:cards ds spec in
-      if faults = [] then r
-      else
-        { r with
-          Server.r_sources =
-            (fun () ->
-              let srcs = r.Server.r_sources () in
-              List.iter
-                (fun src ->
-                  List.iter
-                    (fun (n, f) ->
-                      if n = Source.name src then Source.inject src f)
-                    faults)
-                srcs;
-              srcs) }
-    in
-    let finish () =
-      Adp_obs.Trace.close trace;
-      match metrics_file, metrics with
-      | Some path, Some m -> write_metrics path m
-      | _ -> ()
+      { r with
+        Server.r_sources =
+          (fun () -> inject ~faults ~mirrors:[] (r.Server.r_sources ())) }
     in
     let report =
-      match Server.run config resolver script with
-      | r ->
-        finish ();
-        r
-      | exception Diagnostic.Failed (where, ds) ->
-        finish ();
-        analysis_failed where ds
+      observed obs (fun s ->
+          Server.run
+            { config with
+              Server.trace =
+                Option.value s.trace ~default:Adp_obs.Trace.null;
+              metrics = s.metrics }
+            resolver script)
     in
     let v = Server.view report in
     Format.printf "%a" Server.pp_view v;
@@ -1243,28 +1208,16 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
-    Term.(const run $ script_arg $ scale_arg $ skew_arg $ seed_arg
-          $ cards_arg $ workers_arg $ queue_cap_arg $ poll_min_arg
-          $ poll_max_arg $ poll_backoff_arg $ poll_speedup_arg
-          $ poll_window_arg $ hb_interval_arg $ hb_timeout_arg
-          $ max_retries_arg $ retry_backoff_arg $ serve_ckpt_dir_arg
-          $ serve_ckpt_every_arg $ trace_arg $ metrics_arg $ report_arg
-          $ results_arg $ class_arg $ serve_mem_arg $ breaker_arg
-          $ fault_arg)
+    Term.(const run $ script_arg $ dataset $ cards_arg $ workers_arg
+          $ queue_cap_arg $ poll_min_arg $ poll_max_arg $ poll_backoff_arg
+          $ poll_speedup_arg $ poll_window_arg $ max_retries_arg
+          $ retry_backoff_arg $ serve_ckpt_dir_arg $ serve_ckpt_every_arg
+          $ obs ~wall:false () $ report_arg $ results_arg $ class_arg
+          $ serve_mem_arg $ breaker_arg $ fault_arg)
 
 let server_report_cmd =
   let run path =
-    let text =
-      try
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
-    in
-    match Adp_obs.Json.parse text with
+    match Adp_obs.Json.parse (read_file path) with
     | Error msg ->
       Printf.eprintf "%s: %s\n" path msg;
       exit 2
@@ -1335,12 +1288,7 @@ let bench_diff_cmd =
 
 let flame_cmd =
   let run path min_pct =
-    let text =
-      try In_channel.with_open_bin path In_channel.input_all
-      with Sys_error m ->
-        Printf.eprintf "%s\n" m;
-        exit 2
-    in
+    let text = read_file path in
     let entries =
       List.filter_map
         (fun line ->

@@ -423,7 +423,7 @@ let check_knobs ~poll_interval ~switch_threshold ~max_phases ~min_leaf_seen
     bad "retry.jitter" "jitter must lie in [0, 1), got %g" retry.jitter;
   !ds
 
-let check_governance ~deadline ~memory_budget ~memory_ceiling
+let check_governance ~poll_interval ~deadline ~memory_budget ~memory_ceiling
     ~(breaker : Breaker.policy option) =
   let ds = ref [] in
   let bad code path fmt =
@@ -431,6 +431,19 @@ let check_governance ~deadline ~memory_budget ~memory_ceiling
       (fun message -> ds := !ds @ [ Diagnostic.error ~code ~path message ])
       fmt
   in
+  (* Deadlines and memory limits are enforced at the re-optimizer's
+     polls; the breaker runs in the driver and needs none. *)
+  if poll_interval = infinity then
+    List.iter
+      (fun (path, set) ->
+        if set then
+          bad "gov-needs-polls" path
+            "%s is enforced at re-optimizer polls, and this run never \
+             polls (a static run); use a corrective run"
+            path)
+      [ "deadline", deadline <> None;
+        "memory_budget", memory_budget <> None;
+        "memory_ceiling", memory_ceiling <> None ];
   (match deadline with
    | Some d when not (d > 0.) ->
      bad "gov-bad-deadline" "deadline"

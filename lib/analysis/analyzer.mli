@@ -112,9 +112,11 @@ val check_knobs :
     ["gov-bad-breaker"] (window/cooldown positive, threshold ≥ 1, jitter
     in [0, 1)), and ["gov-breaker-window"] (a failure window shorter than
     the probe cooldown makes the breaker flap — failures expire before it
-    can re-trip). *)
+    can re-trip).  ["gov-needs-polls"]: a deadline, memory budget or
+    memory ceiling on a run that never polls ([poll_interval] infinite,
+    a static run), since only the re-optimizer's polls enforce them. *)
 val check_governance :
-  deadline:float option -> memory_budget:int option ->
+  poll_interval:float -> deadline:float option -> memory_budget:int option ->
   memory_ceiling:int option -> breaker:Breaker.policy option ->
   Diagnostic.t list
 

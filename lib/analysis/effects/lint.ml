@@ -263,7 +263,3 @@ let diags_not_in_baseline r baseline =
     (fun (d : Diagnostic.t) ->
       not (Hashtbl.mem known (key (d.code, d.path, d.message))))
     r.r_diags
-
-(* The [check --audit] entry point: same passes, boolean verdict, used
-   where the old substring scanner used to be. *)
-let audit_paths paths = (run paths).r_diags

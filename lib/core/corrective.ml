@@ -500,9 +500,9 @@ let run ?(config = default_config) query catalog sources =
     (Analyzer.check_knobs ~poll_interval:cfg.poll_interval
        ~switch_threshold:cfg.switch_threshold ~max_phases:cfg.max_phases
        ~min_leaf_seen:cfg.min_leaf_seen ~retry:cfg.retry
-    @ Analyzer.check_governance ~deadline:cfg.deadline
-        ~memory_budget:cfg.memory_budget ~memory_ceiling:cfg.memory_ceiling
-        ~breaker:cfg.breaker
+    @ Analyzer.check_governance ~poll_interval:cfg.poll_interval
+        ~deadline:cfg.deadline ~memory_budget:cfg.memory_budget
+        ~memory_ceiling:cfg.memory_ceiling ~breaker:cfg.breaker
     @ Analyzer.check_query ~lookup query);
   (* Circuit breakers persist across phases — unlike retry controllers,
      which every [Driver.run] call recreates — so a source that trips in

@@ -11,17 +11,28 @@ type t =
 
 let corrective_default = Corrective (Corrective.default_config)
 
+let static_config =
+  { Corrective.default_config with poll_interval = infinity; max_phases = 1 }
+
 type outcome = {
   result : Relation.t;
   report : Report.run;
   corrective_stats : Corrective.stats option;
 }
 
-let us_to_s v = v /. 1e6
+(* The run report from virtual-µs clock readings; a field a strategy does
+   not track keeps its zero value.  [wall_s] is stamped by [run]. *)
+let report ~label ~time ~cpu ~idle ~phases ~result_card ?(stitch_time = 0.0)
+    ?(reused = 0) ?(discarded = 0) ?(coverage = 1.0) ?(retries = 0)
+    ?(failovers = 0) ?(paged_out = 0) ?(checkpoints = 0) ?degraded_reason
+    () =
+  { Report.label; time_s = time /. 1e6; cpu_s = cpu /. 1e6;
+    idle_s = idle /. 1e6; wall_s = 0.0; phases;
+    stitch_time_s = stitch_time /. 1e6; reused; discarded; result_card;
+    coverage; retries; failovers; paged_out; checkpoints; degraded_reason }
 
-let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
-    ?(label = "run") ?initial_plan ?retry ?trace ?metrics ?profile ?wall
-    strategy query catalog ~sources =
+let run ?preagg ?(label = "run") ?initial_plan ?retry ?trace ?metrics
+    ?profile ?wall strategy query catalog ~sources =
   (* Wall timing goes through the one sanctioned wall-reading module;
      no per-site lint waiver needed. *)
   let wall0 = Adp_obs.Wallclock.monotonic_s () in
@@ -39,63 +50,52 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
       let base =
         match strategy with
         | Corrective c -> c
-        | Static | Plan_partitioned _ | Competitive _ | Eddying ->
-          (* Static = corrective that never polls and never switches. *)
-          { Corrective.default_config with
-            poll_interval = infinity; max_phases = 1 }
+        | Static | Plan_partitioned _ | Competitive _ | Eddying -> static_config
       in
-      (* A sidecar given here overrides the configuration's. *)
+      (* An argument that is given replaces the configuration's field. *)
+      let pick arg field = Option.value arg ~default:field in
+      let pick_opt arg field = if Option.is_some arg then arg else field in
       let config =
-        { base with preagg; costs; initial_plan;
-          retry = Option.fold ~none:base.retry ~some:Fun.id retry;
-          trace = Option.fold ~none:base.trace ~some:Fun.id trace;
-          metrics = Option.fold ~none:base.metrics ~some:Option.some metrics;
-          profile = Option.fold ~none:base.profile ~some:Option.some profile;
-          wall = Option.fold ~none:base.wall ~some:Option.some wall }
+        { base with
+          preagg = pick preagg base.preagg;
+          initial_plan = pick_opt initial_plan base.initial_plan;
+          retry = pick retry base.retry; trace = pick trace base.trace;
+          metrics = pick_opt metrics base.metrics;
+          profile = pick_opt profile base.profile;
+          wall = pick_opt wall base.wall }
       in
       let result, stats = Corrective.run ~config query catalog (sources ()) in
       let report =
-        { Report.label; time_s = us_to_s stats.total_time;
-          cpu_s = us_to_s stats.cpu; idle_s = us_to_s stats.idle;
-          wall_s = 0.0; phases = stats.phases;
-          stitch_time_s = us_to_s stats.stitch.Stitchup.time;
-          reused = stats.reused_tuples; discarded = stats.discarded_tuples;
-          result_card = stats.result_card; coverage = stats.coverage;
-          retries = stats.retries; failovers = stats.failovers;
-          paged_out = stats.paged_out; checkpoints = stats.checkpoints;
-          degraded_reason = stats.degraded_reason }
+        report ~label ~time:stats.total_time ~cpu:stats.cpu ~idle:stats.idle
+          ~phases:stats.phases ~stitch_time:stats.stitch.Stitchup.time
+          ~reused:stats.reused_tuples ~discarded:stats.discarded_tuples
+          ~result_card:stats.result_card ~coverage:stats.coverage
+          ~retries:stats.retries ~failovers:stats.failovers
+          ~paged_out:stats.paged_out ~checkpoints:stats.checkpoints
+          ?degraded_reason:stats.degraded_reason ()
       in
       { result; report; corrective_stats = Some stats }
     | Plan_partitioned { break_after } ->
       let result, stats =
-        Plan_partition.run ~preagg ~costs ~break_after ?initial_plan query
-          catalog (sources ())
+        Plan_partition.run ?preagg ~break_after ?initial_plan query catalog
+          (sources ())
       in
       let report =
-        { Report.label; time_s = us_to_s stats.total_time;
-          cpu_s = us_to_s stats.cpu; idle_s = us_to_s stats.idle;
-          wall_s = 0.0; phases = stats.stages; stitch_time_s = 0.0;
-          reused = 0; discarded = 0; result_card = stats.result_card;
-          coverage = 1.0; retries = 0; failovers = 0; paged_out = 0;
-          checkpoints = 0; degraded_reason = None }
+        report ~label ~time:stats.total_time ~cpu:stats.cpu ~idle:stats.idle
+          ~phases:stats.stages ~result_card:stats.result_card ()
       in
       { result; report; corrective_stats = None }
     | Competitive { candidates; explore_budget } ->
       let result, stats =
-        Competition.run ~costs ~candidates ~explore_budget query catalog
-          ~sources
+        Competition.run ~candidates ~explore_budget query catalog ~sources
       in
       let report =
-        { Report.label; time_s = us_to_s stats.total_time;
-          cpu_s = us_to_s stats.cpu; idle_s = us_to_s stats.idle;
-          wall_s = 0.0; phases = 1; stitch_time_s = 0.0; reused = 0;
-          discarded = 0; result_card = stats.result_card; coverage = 1.0;
-          retries = 0; failovers = 0; paged_out = 0; checkpoints = 0;
-          degraded_reason = None }
+        report ~label ~time:stats.total_time ~cpu:stats.cpu ~idle:stats.idle
+          ~phases:1 ~result_card:stats.result_card ()
       in
       { result; report; corrective_stats = None }
     | Eddying ->
-      let ctx = Ctx.create ~costs ?trace ?metrics ?wall () in
+      let ctx = Ctx.create ?trace ?metrics ?wall () in
       let eddy =
         Eddy.create ctx
           ~sources:
@@ -121,15 +121,12 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
       let result = Sink.result sink in
       Ctx.sync_metrics ctx;
       let report =
-        { Report.label; time_s = us_to_s (Ctx.now ctx);
-          cpu_s = us_to_s (Clock.cpu ctx.Ctx.clock);
-          idle_s = us_to_s (Clock.idle ctx.Ctx.clock); wall_s = 0.0;
-          phases = 1; stitch_time_s = 0.0; reused = 0; discarded = 0;
-          result_card = Relation.cardinality result;
-          coverage = Source.coverage srcs;
-          retries = Adp_obs.Metrics.count ctx.Ctx.retries;
-          failovers = Adp_obs.Metrics.count ctx.Ctx.failovers;
-          paged_out = 0; checkpoints = 0; degraded_reason = None }
+        report ~label ~time:(Ctx.now ctx) ~cpu:(Clock.cpu ctx.Ctx.clock)
+          ~idle:(Clock.idle ctx.Ctx.clock) ~phases:1
+          ~result_card:(Relation.cardinality result)
+          ~coverage:(Source.coverage srcs)
+          ~retries:(Adp_obs.Metrics.count ctx.Ctx.retries)
+          ~failovers:(Adp_obs.Metrics.count ctx.Ctx.failovers) ()
       in
       { result; report; corrective_stats = None }
   in

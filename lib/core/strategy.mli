@@ -35,33 +35,24 @@ type outcome = {
       (** present for {!Corrective} runs (Table 1/2 details) *)
 }
 
-(** [initial_plan] overrides the first plan choice for {!Static},
-    {!Corrective} and {!Plan_partitioned} runs (ignored by
-    {!Competitive}); used by experiments reproducing a documented poor
-    starting plan.  [retry] overrides the source timeout/retry/failover
-    policy for {!Static}, {!Corrective} and {!Eddying} runs.
+(** [static_config] is the corrective configuration {!Static} runs:
+    it never polls, so it never switches plans on its own (recovery can
+    still force a phase switch across a crash). *)
+val static_config : Corrective.config
 
-    [trace] and [metrics] attach observability sinks to {!Static},
-    {!Corrective} and {!Eddying} runs (they override any sink already in
-    a corrective config; the remaining baselines ignore them).  Tracing
-    never perturbs the virtual clock: a traced run and an untraced run
-    report identical virtual times and result multisets.
+(** One rule applies the optional arguments: an argument that is given
+    replaces the matching field of the {!Corrective} configuration
+    ({!static_config} for {!Static}), and an absent one leaves that field
+    as it is.  The baselines take what they support: [preagg] and
+    [initial_plan] for {!Plan_partitioned}; [retry], [trace], [metrics]
+    and [wall] for {!Eddying}; none for {!Competitive}.
 
-    [profile] attaches the per-node span registry to {!Static} and
-    {!Corrective} runs (same override rule as [trace]/[metrics]); like
-    tracing, it is zero-perturbation — a profiled run is bit-identical
-    to an unprofiled one.  The calibration ledger is a corrective
-    setting ([Corrective.config.calibrate]).
-
-    [wall] attaches the wall-clock/GC shadow recorder ({!Static},
-    {!Corrective} and {!Eddying} runs).  It stamps into profile spans,
-    so a run given [wall] without [profile] profiles into the recorder's
-    private registry ({!Ctx.create}).  The recorder is read-only:
-    virtual clock, result multiset and decision ledger stay
-    bit-identical. *)
+    Observers never perturb the run: a traced, profiled or wall-recorded
+    run reports the same virtual times and result multiset as a bare
+    one.  Given [wall] without [profile], a corrective run profiles into
+    the recorder's private registry ({!Ctx.create}). *)
 val run :
   ?preagg:Optimizer.preagg_strategy ->
-  ?costs:Cost_model.t ->
   ?label:string ->
   ?initial_plan:Plan.spec ->
   ?retry:Retry.policy ->

@@ -14,6 +14,12 @@ let name = function
   | Q10A -> "Q10A"
   | Q5 -> "Q5"
 
+let of_name s =
+  let s = String.lowercase_ascii (String.trim s) in
+  List.find_opt
+    (fun q -> String.lowercase_ascii (name q) = s)
+    [ Q3; Q3A; Q10; Q10A; Q5 ]
+
 let revenue =
   "SUM(lineitem.l_extendedprice * (1 - lineitem.l_discount)) AS revenue"
 

@@ -15,6 +15,12 @@ type tpch_query = Q3 | Q3A | Q10 | Q10A | Q5
 val evaluated : tpch_query list
 
 val name : tpch_query -> string
+
+(** The bundled query a name denotes (["Q3"], ["Q3A"], ["Q10"], ["Q10A"]
+    or ["Q5"]; case-insensitive, surrounding blanks ignored), or [None]
+    for any other text, such as SQL. *)
+val of_name : string -> tpch_query option
+
 val sql : tpch_query -> string
 val query : tpch_query -> Logical.query
 

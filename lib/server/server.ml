@@ -17,8 +17,6 @@ type config = {
   workers : int;
   queue_capacity : int;
   poll : Poll_controller.config;
-  heartbeat_interval : float;
-  heartbeat_timeout : float;
   max_retries : int;
   retry_backoff : float;
   checkpoint_dir : string;
@@ -30,10 +28,15 @@ type config = {
   metrics : Metrics.t option;
 }
 
+(* Worker heartbeat period, and the silence after which the supervisor
+   declares a worker dead; virtual µs. *)
+let heartbeat_interval = 5e4
+let heartbeat_timeout = 2e5
+
 let default_config ~checkpoint_dir =
   { workers = 2; queue_capacity = 16; poll = Poll_controller.default;
-    heartbeat_interval = 5e4; heartbeat_timeout = 2e5; max_retries = 3;
-    retry_backoff = 1e5; checkpoint_dir; checkpoint_every = 500;
+    max_retries = 3; retry_backoff = 1e5; checkpoint_dir;
+    checkpoint_every = 500;
     class_quotas = []; memory_budget = None;
     corrective =
       { Corrective.default_config with poll_interval = 2e4;
@@ -51,16 +54,6 @@ let validate cfg =
          else
            [ bad ~code:"server-bad-capacity"
                "queue_capacity must be >= 1 (got %d)" cfg.queue_capacity ]);
-        (if cfg.heartbeat_interval > 0.0 then []
-         else
-           [ bad ~code:"server-bad-heartbeat"
-               "heartbeat_interval must be > 0 (got %g)" cfg.heartbeat_interval
-           ]);
-        (if cfg.heartbeat_timeout >= cfg.heartbeat_interval then []
-         else
-           [ bad ~code:"server-bad-heartbeat"
-               "heartbeat_timeout must be >= heartbeat_interval (got %g < %g)"
-               cfg.heartbeat_timeout cfg.heartbeat_interval ]);
         (if cfg.max_retries >= 0 then []
          else [ bad ~code:"server-bad-retries"
                   "max_retries must be >= 0 (got %d)" cfg.max_retries ]);
@@ -440,14 +433,14 @@ let run config resolver script =
         | Some s_now -> s_now -. params.a_base
         | None -> 0.0
       in
-      let hb = config.heartbeat_interval in
+      let hb = heartbeat_interval in
       let beats = Float.of_int (int_of_float (death_off /. hb)) in
       let last_hb = params.a_t0 +. (beats *. hb) in
       job.j_pending <-
         (* determinism-ok: draining the job's own capture trace into the
            crash record, not back into execution *)
         Some (P_crashed { last_hb; msg; events = Trace.events inner });
-      schedule (last_hb +. config.heartbeat_timeout)
+      schedule (last_hb +. heartbeat_timeout)
         (E_death (job.j_id, job.j_gen))
     | exception Diagnostic.Failed (where, diags) ->
       job.j_pending <-
@@ -816,18 +809,11 @@ let run config resolver script =
 (* ------------------------------------------------------------------ *)
 
 let tpch_resolver ?(with_cardinalities = false) ?seed ds spec =
-  let spec = String.trim spec in
-  let bundled =
-    List.find_opt
-      (fun wq ->
-        String.lowercase_ascii (Workload.name wq)
-        = String.lowercase_ascii spec)
-      [ Workload.Q3; Workload.Q3A; Workload.Q10; Workload.Q10A; Workload.Q5 ]
-  in
   let q =
-    match bundled with
+    match Workload.of_name spec with
     | Some wq -> Workload.query wq
     | None -> (
+      let spec = String.trim spec in
       try Sql_parser.parse ~schema_of:Tpch.schema_of spec
       with Sql_parser.Parse_error m ->
         raise

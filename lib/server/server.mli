@@ -21,12 +21,12 @@ module Diagnostic = Adp_analysis.Diagnostic
 
     {b Lifecycle.}  queued -> running -> done | failed | cancelled, plus
     the admission outcome rejected (bounded queue or draining).  A killed
-    worker misses heartbeats; the supervisor declares it dead at
-    [last heartbeat + heartbeat_timeout], reclaims the query, spawns a
-    replacement worker and requeues the query with exponential backoff —
-    resuming from its last checkpoint as a forced phase switch, so the
-    final result multiset equals an uninterrupted run's.  A query that
-    exhausts [max_retries] reclaims is failed.
+    worker misses heartbeats (one every 0.05 virtual s); the supervisor
+    declares it dead 0.2 virtual s after its last beat, reclaims the
+    query, spawns a replacement worker and requeues the query with
+    exponential backoff — resuming from its last checkpoint as a forced
+    phase switch, so the final result multiset equals an uninterrupted
+    run's.  A query that exhausts [max_retries] reclaims is failed.
 
     {b Cross-query adaptation.}  Completed queries publish everything
     their monitor observed into a shared {!Adp_stats.Selectivity} store
@@ -39,10 +39,6 @@ type config = {
   workers : int;  (** pool size (>= 1) *)
   queue_capacity : int;  (** admission bound on waiting queries *)
   poll : Poll_controller.config;  (** dispatcher knobs, virtual µs *)
-  heartbeat_interval : float;  (** worker heartbeat period, virtual µs *)
-  heartbeat_timeout : float;
-      (** silence after which the supervisor declares a worker dead
-          (>= heartbeat_interval) *)
   max_retries : int;  (** reclaims tolerated per query before failing it *)
   retry_backoff : float;
       (** requeue delay after the first reclaim, virtual µs; doubles per

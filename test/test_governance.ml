@@ -12,6 +12,7 @@ open Adp_datagen
 open Adp_exec
 open Helpers
 module Corrective = Adp_core.Corrective
+module Strategy = Adp_core.Strategy
 module Analyzer = Adp_analysis.Analyzer
 module Diagnostic = Adp_analysis.Diagnostic
 module Trace = Adp_obs.Trace
@@ -277,11 +278,12 @@ let test_degraded_zero_perturbation () =
 
 (* ---------------- governance knob analyzer ---------------- *)
 
-let gov_codes ?deadline ?memory_budget ?memory_ceiling ?breaker () =
+let gov_codes ?(poll_interval = 1e6) ?deadline ?memory_budget ?memory_ceiling
+    ?breaker () =
   List.map
     (fun (d : Diagnostic.t) -> d.Diagnostic.code)
-    (Analyzer.check_governance ~deadline ~memory_budget ~memory_ceiling
-       ~breaker)
+    (Analyzer.check_governance ~poll_interval ~deadline ~memory_budget
+       ~memory_ceiling ~breaker)
 
 let test_governance_knob_validation () =
   let check msg want got = Alcotest.(check (list string)) msg want got in
@@ -309,7 +311,40 @@ let test_governance_knob_validation () =
   check "window shorter than cooldown flaps" [ "gov-breaker-window" ]
     (gov_codes
        ~breaker:{ Breaker.default_policy with window_s = 2.0; cooldown_s = 5.0 }
-       ())
+       ());
+  check "a run that never polls enforces no limit"
+    [ "gov-needs-polls"; "gov-needs-polls"; "gov-needs-polls" ]
+    (gov_codes ~poll_interval:infinity ~deadline:1e6 ~memory_budget:1000
+       ~memory_ceiling:2000 ());
+  check "a run that never polls still takes a breaker" []
+    (gov_codes ~poll_interval:infinity ~breaker:Breaker.default_policy ())
+
+(* Deadlines and memory limits are enforced at re-optimizer polls, which
+   a static run never takes: such a run is refused up front instead of
+   silently running without its limit.  The breaker lives in the driver,
+   so a static run keeps it. *)
+let test_static_refuses_poll_limits () =
+  let q = Lazy.force spj_query in
+  let catalog = Workload.catalog dataset q in
+  let run config =
+    Strategy.run (Strategy.Corrective config) q catalog
+      ~sources:(Workload.sources ~model:(Source.Bandwidth 2000.0) dataset q)
+  in
+  let refused msg config =
+    match run config with
+    | _ -> Alcotest.failf "%s: the static run was not refused" msg
+    | exception Diagnostic.Failed (_, ds) ->
+      Alcotest.(check (list string)) msg [ "gov-needs-polls" ]
+        (List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) ds)
+  in
+  let static = Strategy.static_config in
+  refused "deadline" { static with deadline = Some 1e5 };
+  refused "memory budget" { static with memory_budget = Some 100 };
+  refused "memory ceiling" { static with memory_ceiling = Some 800 };
+  let o = run { static with breaker = Some Breaker.default_policy } in
+  Alcotest.(check int) "a breaker runs on a static run"
+    (List.length (fst (Lazy.force full_run)))
+    (Relation.cardinality o.Strategy.result)
 
 (* ---------------- serve-script grammar ---------------- *)
 
@@ -522,6 +557,8 @@ let suite =
       test_degraded_zero_perturbation;
     Alcotest.test_case "governance knob validation" `Quick
       test_governance_knob_validation;
+    Alcotest.test_case "static runs refuse deadlines and memory limits" `Quick
+      test_static_refuses_poll_limits;
     Alcotest.test_case "script: class=/deadline= grammar" `Quick
       test_script_governance_grammar;
     Alcotest.test_case "script: governance diagnostics" `Quick

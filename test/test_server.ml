@@ -630,8 +630,6 @@ let test_config_validation () =
     (codes { base with Server.workers = 0 });
   Alcotest.(check (list string)) "bad capacity" [ "server-bad-capacity" ]
     (codes { base with Server.queue_capacity = 0 });
-  Alcotest.(check (list string)) "bad heartbeat" [ "server-bad-heartbeat" ]
-    (codes { base with Server.heartbeat_timeout = 1.0 });
   Alcotest.(check (list string)) "bad retries" [ "server-bad-retries" ]
     (codes { base with Server.max_retries = -1 });
   Alcotest.(check bool) "poll knobs included" true

@@ -159,6 +159,21 @@ let test_workload_queries_parse () =
         (List.length q.Logical.join_preds >= 2))
     [ Workload.Q3; Workload.Q3A; Workload.Q10; Workload.Q10A; Workload.Q5 ]
 
+let test_workload_of_name () =
+  List.iter
+    (fun qid ->
+      let name = Workload.name qid in
+      List.iter
+        (fun spelled ->
+          Alcotest.(check bool) (Printf.sprintf "%S resolves" spelled) true
+            (Workload.of_name spelled = Some qid))
+        [ name; String.lowercase_ascii name; " " ^ name ^ "\t\n" ];
+      Alcotest.(check bool) (name ^ "'s SQL is no name") true
+        (Workload.of_name (Workload.sql qid) = None))
+    [ Workload.Q3; Workload.Q3A; Workload.Q10; Workload.Q10A; Workload.Q5 ];
+  Alcotest.(check bool) "an unknown id is no name" true
+    (Workload.of_name "Q4" = None)
+
 let test_workload_shapes () =
   let q3a = Workload.query Workload.Q3A in
   Alcotest.(check int) "Q3A: 3 relations" 3 (List.length q3a.Logical.sources);
@@ -194,4 +209,5 @@ let suite =
     Alcotest.test_case "order by application" `Quick test_order_by_applied;
     Alcotest.test_case "workload queries parse" `Quick
       test_workload_queries_parse;
+    Alcotest.test_case "workload names resolve" `Quick test_workload_of_name;
     Alcotest.test_case "workload query shapes" `Quick test_workload_shapes ]

@@ -244,6 +244,50 @@ let test_corrective_with_preagg_switches () =
       true (s.Corrective.phases >= 2)
   | None -> Alcotest.fail "expected corrective stats"
 
+(* One rule for run settings: an argument that is given replaces the
+   corrective configuration's field, and an absent one leaves it. *)
+let test_run_arguments_override_config () =
+  let q = Workload.query Workload.Q10 in
+  let catalog = Workload.catalog ~with_cardinalities:true dataset q in
+  let sources () = Workload.sources dataset q () in
+  let sels = Adp_stats.Selectivity.create () in
+  let bad = (Optimizer.pessimal q catalog sels).Optimizer.spec in
+  (* switch_threshold 0 pins the first plan, so the run has one phase. *)
+  let base = { Corrective.default_config with switch_threshold = 0.0 } in
+  let plan ?preagg ?initial_plan cfg =
+    let o =
+      Strategy.run ?preagg ?initial_plan (Strategy.Corrective cfg) q catalog
+        ~sources
+    in
+    match o.Strategy.corrective_stats with
+    | Some { Corrective.phase_log = [ p ]; _ } -> p.Corrective.plan_desc
+    | _ -> Alcotest.fail "expected a one-phase corrective run"
+  in
+  let preaggregated desc =
+    let k = "γwin" in
+    let m = String.length k in
+    let rec from i =
+      i + m <= String.length desc && (String.sub desc i m = k || from (i + 1))
+    in
+    from 0
+  in
+  let own = plan base in
+  let given = plan ~preagg:Optimizer.Auto ~initial_plan:bad base in
+  Alcotest.(check bool) "the pessimal plan is not the optimizer's" true
+    (plan ~initial_plan:bad base <> own);
+  Alcotest.(check bool) "Auto pre-aggregates Q10" true (preaggregated given);
+  Alcotest.(check string) "the config's preagg and initial plan are kept"
+    given
+    (plan { base with preagg = Optimizer.Auto; initial_plan = Some bad });
+  let overridden =
+    plan ~preagg:Optimizer.No_preagg
+      { base with preagg = Optimizer.Auto; initial_plan = Some bad }
+  in
+  Alcotest.(check bool) "a given preagg argument still wins" false
+    (preaggregated overridden);
+  Alcotest.(check string) "the config's initial plan stays under it"
+    (plan ~initial_plan:bad base) overridden
+
 let test_corrective_memory_budget () =
   (* Interleaved streams keep probing the structures that memory pressure
      paged out, so the swap penalty must show up in the virtual time while
@@ -467,6 +511,8 @@ let suite =
       test_corrective_switches;
     Alcotest.test_case "corrective + preagg across phases" `Slow
       test_corrective_with_preagg_switches;
+    Alcotest.test_case "run arguments override the config, absent ones keep it"
+      `Quick test_run_arguments_override_config;
     Alcotest.test_case "corrective under memory pressure" `Quick
       test_corrective_memory_budget;
     Alcotest.test_case "adaptivity harmless with good estimates" `Slow
