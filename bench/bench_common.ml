@@ -9,8 +9,9 @@ open Adp_query
 
 (* Scale factor: the paper uses TPC-H SF 0.1 (100 MB).  The default here is
    SF 0.02 so the whole harness finishes in minutes on a laptop; set
-   ADP_SCALE to change it.  All effects reported in the paper are about
-   relative plan quality, which is scale-invariant. *)
+   ADP_SCALE to change it.  The effects reported in the paper are about
+   relative plan quality, but they are not scale-invariant: Q5's recovery,
+   for one, shrinks as the scale grows. *)
 let scale =
   match Sys.getenv_opt "ADP_SCALE" with
   | Some s -> float_of_string s

@@ -39,7 +39,7 @@ let run () =
   let events = ref 0 in
   let traced =
     List.init repeats (fun _ ->
-        let trace = Trace.file ~format:Trace.Jsonl trace_path in
+        let trace = Trace.file trace_path in
         let metrics = Metrics.create () in
         let r = run_one ~trace ~metrics () in
         Trace.close trace;

@@ -14,7 +14,6 @@
                 worker-pool server
      server-report
                 re-render a saved JSON server report
-     flame      wall-clock profile as folded stacks / Perfetto JSON
      bench-diff compare a BENCH_<id>.json file against its committed
                 baseline; every cell must match exactly (CI gate)
      lint       effect and determinism lint over OCaml sources
@@ -488,11 +487,10 @@ let trace_arg =
   let doc =
     "Record every adaptive decision (re-optimizer polls, plan switches, \
      routing flips, retries, checkpoints, stitch-up, ...) as a \
-     virtual-clock-stamped event trace in $(i,FILE).  A $(b,.json) \
-     extension selects the Chrome trace_event format (loadable in \
-     Perfetto); anything else writes JSONL, replayable with \
-     $(b,tukwila explain FILE).  Tracing never perturbs the virtual \
-     clock: the reported times are identical with and without it."
+     virtual-clock-stamped event trace in $(i,FILE) as JSONL, \
+     replayable with $(b,tukwila explain FILE).  Tracing never perturbs \
+     the virtual clock: the reported times are identical with and \
+     without it."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -504,15 +502,6 @@ let metrics_arg =
      anything else writes JSON."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-(* The --trace file sink: a .json path gets Chrome trace_event, anything
-   else JSONL. *)
-let trace_sink path =
-  let format =
-    if Filename.check_suffix path ".json" then Adp_obs.Trace.Chrome
-    else Adp_obs.Trace.Jsonl
-  in
-  Adp_obs.Trace.file ~format path
 
 (* The --metrics dump: a .prom path gets Prometheus text, anything else
    JSON. *)
@@ -561,7 +550,7 @@ type sinks = {
    explains. *)
 let observed o f =
   let s =
-    { trace = Option.map trace_sink o.trace_file;
+    { trace = Option.map Adp_obs.Trace.file o.trace_file;
       metrics = Option.map (fun _ -> Adp_obs.Metrics.create ()) o.metrics_file;
       wall = (if o.with_wall then Some (Adp_obs.Wallclock.create ()) else None)
     }
@@ -877,7 +866,7 @@ module Profile = Adp_obs.Profile
 module Calibrate = Adp_obs.Calibrate
 
 let profile_cmd =
-  let run arg ds cards model obs folded_file perfetto_file =
+  let run arg ds cards model obs =
     let q =
       match Workload.of_name arg with
       | Some wq -> Workload.query wq
@@ -906,11 +895,8 @@ let profile_cmd =
         poll_interval = 2e4; min_leaf_seen = 200; switch_threshold = 0.8;
         calibrate = Some calibrate }
     in
-    let with_wall =
-      obs.with_wall || folded_file <> None || perfetto_file <> None
-    in
     let o, wall =
-      observed { obs with with_wall } (fun s ->
+      observed obs (fun s ->
           ( Strategy.run ~label:"profile" ?initial_plan ?trace:s.trace
               ~profile ?wall:s.wall (Strategy.Corrective config) q catalog
               ~sources:(Workload.sources ~model ds q),
@@ -973,16 +959,7 @@ let profile_cmd =
          (Report.human_int
             (int_of_float g.Adp_obs.Wallclock.g_major_words))
          g.Adp_obs.Wallclock.g_minor_collections
-         g.Adp_obs.Wallclock.g_major_collections;
-       let export file contents what =
-         match file with
-         | None -> ()
-         | Some path ->
-           Adp_storage.Snapshot.write_text ~path contents;
-           Printf.printf "[wrote %s (%s)]\n" path what
-       in
-       export folded_file (Adp_obs.Wallclock.to_folded w) "collapsed stacks";
-       export perfetto_file (Adp_obs.Wallclock.to_perfetto w) "Perfetto trace")
+         g.Adp_obs.Wallclock.g_major_collections)
   in
   let doc =
     "Execute a query under the corrective strategy with the per-node \
@@ -1003,24 +980,10 @@ let profile_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
   in
-  let folded_arg =
-    let doc =
-      "Write collapsed-stack flamegraph lines to $(i,FILE) (render with \
-       $(b,tukwila flame) or any flamegraph tool).  Implies $(b,--wall)."
-    in
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE" ~doc)
-  in
-  let perfetto_arg =
-    let doc =
-      "Write a Perfetto/Chrome trace with GC counter tracks and event \
-       marks to $(i,FILE).  Implies $(b,--wall)."
-    in
-    Arg.(value & opt (some string) None & info [ "perfetto" ] ~docv:"FILE" ~doc)
-  in
   Cmd.v
     (Cmd.info "profile" ~doc)
     Term.(const run $ arg $ dataset $ cards_arg $ model_arg
-          $ obs ~metrics:false () $ folded_arg $ perfetto_arg)
+          $ obs ~metrics:false ())
 
 (* ---------------- serve / server-report ---------------- *)
 
@@ -1284,116 +1247,6 @@ let bench_diff_cmd =
   in
   Cmd.v (Cmd.info "bench-diff" ~doc) Term.(const run $ base_arg $ new_arg)
 
-(* ---------------- flame ---------------- *)
-
-let flame_cmd =
-  let run path min_pct =
-    let text = read_file path in
-    let entries =
-      List.filter_map
-        (fun line ->
-          let line = String.trim line in
-          match String.rindex_opt line ' ' with
-          | None -> None
-          | Some i -> (
-            let stack = String.sub line 0 i in
-            match
-              int_of_string_opt
-                (String.trim
-                   (String.sub line (i + 1) (String.length line - i - 1)))
-            with
-            | Some c when c > 0 && stack <> "" ->
-              Some (String.split_on_char ';' stack, c)
-            | _ -> None))
-        (String.split_on_char '\n' text)
-    in
-    if entries = [] then begin
-      Printf.eprintf "%s: no stacks (empty or malformed folded file)\n" path;
-      exit 2
-    end;
-    (* Fold the stacks into a prefix tree kept as flat tables: the
-       cumulative weight of every stack prefix, the self weight of every
-       full stack, and each prefix's child frames. *)
-    let total = Hashtbl.create 64 in
-    let self = Hashtbl.create 64 in
-    let kids = Hashtbl.create 64 in
-    let bump tbl k c =
-      Hashtbl.replace tbl k
-        ((match Hashtbl.find_opt tbl k with Some v -> v | None -> 0) + c)
-    in
-    let child parent frame =
-      let cur =
-        match Hashtbl.find_opt kids parent with Some l -> l | None -> []
-      in
-      if not (List.mem frame cur) then Hashtbl.replace kids parent (frame :: cur)
-    in
-    List.iter
-      (fun (stack, c) ->
-        let rec go parent = function
-          | [] -> ()
-          | frame :: rest ->
-            let key = if parent = "" then frame else parent ^ ";" ^ frame in
-            bump total key c;
-            child parent frame;
-            if rest = [] then bump self key c;
-            go key rest
-        in
-        go "" stack)
-      entries;
-    let grand = List.fold_left (fun a (_, c) -> a + c) 0 entries in
-    let pct c = 100.0 *. float_of_int c /. float_of_int grand in
-    let bar p =
-      String.make (max 1 (int_of_float (p *. 0.32 +. 0.5))) '#'
-    in
-    Printf.printf "%s: %d samples across %d stacks\n\n" path grand
-      (List.length entries);
-    let rec render indent parent =
-      let children =
-        List.sort
-          (fun a b ->
-            let ka = if parent = "" then a else parent ^ ";" ^ a in
-            let kb = if parent = "" then b else parent ^ ";" ^ b in
-            match
-              compare (Hashtbl.find total kb) (Hashtbl.find total ka)
-            with
-            | 0 -> String.compare a b
-            | c -> c)
-          (match Hashtbl.find_opt kids parent with Some l -> l | None -> [])
-      in
-      List.iter
-        (fun frame ->
-          let key = if parent = "" then frame else parent ^ ";" ^ frame in
-          let t = Hashtbl.find total key in
-          let s =
-            match Hashtbl.find_opt self key with Some v -> v | None -> 0
-          in
-          if pct t >= min_pct then begin
-            Printf.printf "%6.1f%% %10d  %s%s%s  %s\n" (pct t) t indent frame
-              (if s > 0 && s <> t then Printf.sprintf " (self %d)" s else "")
-              (bar (pct t));
-            render (indent ^ "  ") key
-          end)
-        children
-    in
-    render "" ""
-  in
-  let doc =
-    "Render a collapsed-stack file (as written by $(b,tukwila profile \
-     --folded) or any flamegraph tool: one $(i,frame;frame;...;frame \
-     count) line per stack) as an indented text flamegraph, heaviest \
-     subtrees first, with cumulative percentage, sample count and self \
-     weight per frame."
-  in
-  let arg =
-    let doc = "The .folded collapsed-stack file." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FOLDED" ~doc)
-  in
-  let min_arg =
-    let doc = "Hide frames below this cumulative percentage." in
-    Arg.(value & opt float 0.5 & info [ "min-pct" ] ~docv:"PCT" ~doc)
-  in
-  Cmd.v (Cmd.info "flame" ~doc) Term.(const run $ arg $ min_arg)
-
 (* ---------------- lint ---------------- *)
 
 let lint_cmd =
@@ -1486,5 +1339,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; explain_cmd; plan_cmd; query_cmd; check_cmd;
-            profile_cmd; flame_cmd; serve_cmd; server_report_cmd;
+            profile_cmd; serve_cmd; server_report_cmd;
             bench_diff_cmd; lint_cmd ]))

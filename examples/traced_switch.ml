@@ -7,7 +7,7 @@
 
    The recorded timeline is replayed to stdout, and the raw trace is also
    written to traced_switch.jsonl: `tukwila explain traced_switch.jsonl`
-   renders the same replay, and a .json sink would load in Perfetto.
+   renders the same replay.
 
      dune exec examples/traced_switch.exe *)
 
@@ -43,7 +43,7 @@ let () =
   let events = Trace.events trace in
   Format.printf "%a" Trace.explain events;
   (* The same trace as a replayable artifact. *)
-  let sink = Trace.file ~format:Trace.Jsonl "traced_switch.jsonl" in
+  let sink = Trace.file "traced_switch.jsonl" in
   List.iter (fun (at, ev) -> Trace.emit sink ~at ev) events;
   Trace.close sink;
   print_newline ();

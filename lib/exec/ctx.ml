@@ -72,13 +72,7 @@ let charge t c =
 let now t = Clock.now t.clock
 let traced t = Trace.enabled t.trace
 
-let emit t ev =
-  if traced t then begin
-    (match t.wall with
-     | None -> ()
-     | Some w -> Wallclock.note_event w (Trace.event_name ev));
-    Trace.emit t.trace ~at:(Clock.now t.clock) ev
-  end
+let emit t ev = if traced t then Trace.emit t.trace ~at:(Clock.now t.clock) ev
 
 let profiled t = Option.is_some t.profile
 

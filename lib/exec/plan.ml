@@ -45,7 +45,11 @@ let canon_pred l r = if String.compare l r <= 0 then l ^ "=" ^ r else r ^ "=" ^ 
 let rec predicates = function
   | Scan _ -> []
   | Join j ->
-    let own = List.map2 canon_pred j.left_key j.right_key in
+    (* Unequal key arity (an analyzer error) pairs nothing, never raises. *)
+    let own =
+      if List.compare_lengths j.left_key j.right_key <> 0 then []
+      else List.map2 canon_pred j.left_key j.right_key
+    in
     List.sort String.compare (own @ predicates j.left @ predicates j.right)
   | Preagg p -> predicates p.child
 

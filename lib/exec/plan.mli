@@ -62,7 +62,8 @@ val preagg :
 (** Base relation (scan source) names of the subtree, sorted. *)
 val relations : spec -> string list
 
-(** Join predicates of the subtree as canonical ["a=b"] strings, sorted. *)
+(** Join predicates of the subtree as canonical ["a=b"] strings, sorted.
+    A join whose key lists differ in length contributes none. *)
 val predicates : spec -> string list
 
 (** Canonical signature of the subtree (equal for logically equivalent

@@ -1,8 +1,8 @@
 (** Minimal JSON tree, printer and parser.
 
-    The observability layer speaks three textual formats — JSONL traces,
-    Chrome [trace_event] files and metrics dumps — and must also read its
-    own JSONL back for [tukwila explain].  Rather than pull a dependency
+    The observability layer writes JSONL traces, metrics dumps and bench
+    documents, and must also read its own JSONL back for
+    [tukwila explain].  Rather than pull a dependency
     into the build, this is a small self-contained JSON implementation:
     a value tree, a compact printer with round-trippable float formatting,
     and a recursive-descent parser for standard JSON. *)

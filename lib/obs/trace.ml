@@ -94,11 +94,8 @@ type event =
 
 type stamped = float * event
 
-type format = Jsonl | Chrome
-
 type file_sink = {
   path : string;
-  fmt : format;
   mutable acc : stamped list;  (* reversed *)
   mutable flushed : bool;
 }
@@ -110,7 +107,7 @@ type t =
 
 let null = Null
 let memory () = Memory (ref [])
-let file ~format path = File { path; fmt = format; acc = []; flushed = false }
+let file path = File { path; acc = []; flushed = false }
 let enabled = function Null -> false | Memory _ | File _ -> true
 
 let emit t ~at ev =
@@ -362,43 +359,13 @@ let to_jsonl evs =
     evs;
   Buffer.contents b
 
-(* Chrome trace_event JSON (loadable in Perfetto / about://tracing).
-   Phases and the stitch-up become duration (B/E) slices; every other
-   event is an instant.  Timestamps are virtual µs, which trace_event's
-   [ts] field expects. *)
-let to_chrome evs =
-  let record (at, ev) =
-    let name, ph =
-      match ev with
-      | Phase_opened { id; _ } -> (Printf.sprintf "phase %d" id, "B")
-      | Phase_closed { id; _ } -> (Printf.sprintf "phase %d" id, "E")
-      | Stitchup_begin _ -> ("stitch-up", "B")
-      | Stitchup_end _ -> ("stitch-up", "E")
-      | ev -> (event_name ev, "i")
-    in
-    let base =
-      [ ("name", Json.Str name); ("ph", Json.Str ph); ("ts", Json.Num at);
-        ("pid", Json.Num 1.0); ("tid", Json.Num 1.0) ]
-    in
-    let scope = if ph = "i" then [ ("s", Json.Str "t") ] else [] in
-    Json.Obj (base @ scope @ [ ("args", Json.Obj (fields ev)) ])
-  in
-  Json.to_string
-    (Json.Obj
-       [ ("traceEvents", Json.List (List.map record evs));
-         ("displayTimeUnit", Json.Str "ms") ])
-
 let close t =
   match t with
   | Null | Memory _ -> ()
   | File f ->
     if not f.flushed then begin
       f.flushed <- true;
-      let evs = List.rev f.acc in
-      let body =
-        match f.fmt with Jsonl -> to_jsonl evs | Chrome -> to_chrome evs
-      in
-      Adp_storage.Snapshot.write_text ~path:f.path body
+      Adp_storage.Snapshot.write_text ~path:f.path (to_jsonl (List.rev f.acc))
     end
 
 let read_jsonl path =

@@ -11,10 +11,8 @@
     virtual-time identical by construction.
 
     File sinks buffer in memory and are flushed by {!close} through
-    {!Adp_storage.Snapshot.write_text} (atomic temp + rename), in one of
-    two formats: JSONL (one event object per line, replayable with
-    [tukwila explain]) or the Chrome [trace_event] JSON understood by
-    Perfetto and about://tracing. *)
+    {!Adp_storage.Snapshot.write_text} (atomic temp + rename) as JSONL:
+    one event object per line, replayable with [tukwila explain]. *)
 
 (** Did the re-optimizer keep the running plan or switch? *)
 type decision = Keep | Switch
@@ -152,8 +150,6 @@ type event =
 (** Events are stamped with the virtual clock (µs). *)
 type stamped = float * event
 
-type format = Jsonl | Chrome
-
 type t
 
 (** The disabled sink: {!enabled} is [false], {!emit} is a no-op. *)
@@ -162,8 +158,8 @@ val null : t
 (** In-memory sink (tests, [explain] of a live run). *)
 val memory : unit -> t
 
-(** File sink; nothing is written until {!close}. *)
-val file : format:format -> string -> t
+(** JSONL file sink; nothing is written until {!close}. *)
+val file : string -> t
 
 val enabled : t -> bool
 
@@ -185,7 +181,6 @@ val event_name : event -> string
 val to_json : stamped -> Json.t
 val of_json : Json.t -> (stamped, string) result
 val to_jsonl : stamped list -> string
-val to_chrome : stamped list -> string
 
 (** Parse a JSONL trace file.  [Error] carries the first offending line
     number and reason. *)

@@ -14,9 +14,8 @@
    hardware time elapsed since the previous one to the span being
    charged, which is exact in aggregate and costs one clock read per
    charge.  Every 64th attribution is a sampling-profiler tick: it
-   takes a [Gc.quick_stat], charges the allocation delta to the sampled
-   span, and records a sample (wall timestamp, GC counters) for the
-   Perfetto export. *)
+   takes a [Gc.quick_stat] and charges the allocation delta to the
+   sampled span. *)
 
 type gc_totals = {
   g_minor_words : float;
@@ -39,13 +38,6 @@ type info = {
   major_words : float;
 }
 
-type sample = {
-  s_at_s : float;  (* seconds since the recorder's epoch *)
-  s_minor_words : float;  (* cumulative since epoch *)
-  s_major_words : float;
-  s_heap_words : int;
-}
-
 (* Sampler period in attribution ticks. *)
 let sample_every = 64
 
@@ -55,9 +47,7 @@ type t = {
   gc0 : Gc.stat;
   mutable profile : Profile.t;  (* the registry the stamps land in *)
   mutable last_stamp : float;  (* relative seconds at last attribution *)
-  mutable ticks : int;
-  mutable samples : sample list;  (* newest first *)
-  mutable marks : (float * string) list;  (* event sidecar, newest first *)
+  mutable ticks : int;  (* attributions so far *)
   mutable last_minor : float;  (* words at the previous sampler tick *)
   mutable last_major : float;
 }
@@ -85,7 +75,7 @@ let create () =
   let epoch = monotonic_s () in
   { epoch; cpu_epoch = cpu_now ();
     gc0 = Gc.quick_stat (); profile = Profile.create (); last_stamp = 0.0;
-    ticks = 0; samples = []; marks = []; last_minor = 0.0; last_major = 0.0 }
+    ticks = 0; last_minor = 0.0; last_major = 0.0 }
 
 let profile t = t.profile
 let attach t p = t.profile <- p
@@ -96,25 +86,21 @@ let cpu_s t = cpu_now () -. t.cpu_epoch
 
 (* ---------------- attribution ---------------- *)
 
-let sample_tick t sp at =
+let sample_tick t sp =
   let q = Gc.quick_stat () in
   let minor = q.Gc.minor_words -. t.gc0.Gc.minor_words in
   let major = q.Gc.major_words -. t.gc0.Gc.major_words in
   Profile.add_sample sp ~minor_words:(minor -. t.last_minor)
     ~major_words:(major -. t.last_major);
   t.last_minor <- minor;
-  t.last_major <- major;
-  t.samples <-
-    { s_at_s = at; s_minor_words = minor; s_major_words = major;
-      s_heap_words = q.Gc.heap_words }
-    :: t.samples
+  t.last_major <- major
 
 let stamp t sp =
   let at = elapsed_s t in
   Profile.add_wall sp (at -. t.last_stamp);
   t.last_stamp <- at;
   t.ticks <- t.ticks + 1;
-  if t.ticks mod sample_every = 0 then sample_tick t sp at
+  if t.ticks mod sample_every = 0 then sample_tick t sp
 
 (* [attribute t sp] charges the wall time elapsed since the last stamp
    to profile span [sp], or to the "(unattributed)" bucket of the
@@ -130,13 +116,6 @@ let attribute t sp =
    their wall cost never pollutes the next operator's span. *)
 let note_bucket t name = stamp t (Profile.bucket t.profile name)
 
-(* Event sidecar: wall timestamps riding the trace, without touching the
-   trace's own virtual-time stamps.  Reading the clock here does not
-   advance [last_stamp]; the read itself is attributed to whichever span
-   is charged next, which is noise-level. *)
-let note_event t name = t.marks <- (elapsed_s t, name) :: t.marks
-let marks t = List.rev t.marks
-
 (* ---------------- reads ---------------- *)
 
 let view (i : Profile.info) =
@@ -147,7 +126,7 @@ let view (i : Profile.info) =
 let spans t = List.map view (Profile.spans t.profile)
 let totals t = List.map view (Profile.totals t.profile)
 
-let sample_count t = List.length t.samples
+let sample_count t = t.ticks / sample_every
 
 let gc_totals t =
   let q = Gc.quick_stat () in
@@ -160,71 +139,6 @@ let gc_totals t =
       q.Gc.major_collections - t.gc0.Gc.major_collections;
     g_compactions = q.Gc.compactions - t.gc0.Gc.compactions;
     g_top_heap_words = q.Gc.top_heap_words }
-
-(* ---------------- exports ---------------- *)
-
-(* Collapsed-stack ("folded") flamegraph lines: one line per span,
-   "phase;ancestor;...;node count", count = sampler ticks that landed in
-   the span.  When the run was too short for the sampler to fire at all,
-   fall back to weighting by wall self-time in microseconds so the
-   export is never empty for a timed run. *)
-let to_folded t =
-  let spans = Array.of_list (Profile.spans t.profile) in
-  (* [order] is the index into the registration-order listing. *)
-  let rec stack (i : Profile.info) acc =
-    match i.parent with
-    | None -> i.phase :: i.node :: acc
-    | Some p -> stack spans.(p) (i.node :: acc)
-  in
-  let use_samples =
-    Array.exists (fun (i : Profile.info) -> i.samples > 0) spans
-  in
-  Array.to_list spans
-  |> List.filter_map (fun (i : Profile.info) ->
-         let count =
-           if use_samples then i.samples
-           else int_of_float (Float.round (i.wall_s *. 1e6))
-         in
-         if count <= 0 then None
-         else
-           Some (String.concat ";" (stack i []) ^ " " ^ string_of_int count
-                ^ "\n"))
-  |> String.concat ""
-
-(* Perfetto / Chrome trace JSON: a counter track per GC series (ph "C")
-   sampled at the profiler ticks, plus instant events (ph "i") for the
-   wall timestamps of the trace-event sidecar.  Timestamps are wall
-   microseconds since the recorder's epoch. *)
-let to_perfetto t =
-  let counter at name value =
-    Json.Obj
-      [ ("name", Json.Str name); ("ph", Json.Str "C");
-        ("ts", Json.Num (at *. 1e6)); ("pid", Json.Num 1.0);
-        ("tid", Json.Num 1.0);
-        ("args", Json.Obj [ ("value", Json.Num value) ]) ]
-  in
-  let counters =
-    List.concat_map
-      (fun s ->
-        [ counter s.s_at_s "adp_gc_minor_words" s.s_minor_words;
-          counter s.s_at_s "adp_gc_major_words" s.s_major_words;
-          counter s.s_at_s "adp_gc_heap_words"
-            (float_of_int s.s_heap_words) ])
-      (List.rev t.samples)
-  in
-  let instants =
-    List.map
-      (fun (at, name) ->
-        Json.Obj
-          [ ("name", Json.Str name); ("ph", Json.Str "i");
-            ("ts", Json.Num (at *. 1e6)); ("pid", Json.Num 1.0);
-            ("tid", Json.Num 1.0); ("s", Json.Str "t") ])
-      (List.rev t.marks)
-  in
-  Json.to_string
-    (Json.Obj
-       [ ("traceEvents", Json.List (counters @ instants));
-         ("displayTimeUnit", Json.Str "ms") ])
 
 let sync_metrics t m =
   let g name help v = Metrics.set (Metrics.gauge m ~help name) v in

@@ -11,7 +11,7 @@
     the engine, and a run with wall capture on is bit-identical to a
     bare run (virtual clock, result multiset, decision ledger).
 
-    The recorder keeps only a timebase, a GC sampler and event marks.
+    The recorder keeps only a timebase and a GC sampler.
     Its spans are {!Profile} spans: {!attribute} stamps wall self-time
     and allocation straight into the span being charged, so phases,
     scopes, nesting and order are the profile's, and {!spans}/{!totals}
@@ -21,9 +21,8 @@
     time elapsed since the previous call to the span being charged
     (exact in aggregate, one clock read per charge).  Every 64th
     attribution is a sampler tick: it captures a
-    [Gc.quick_stat] delta, charges the allocation to the sampled span,
-    and records a (timestamp, GC counters) sample for the Perfetto
-    export ({!to_perfetto}). *)
+    [Gc.quick_stat] delta and charges the allocation to the sampled
+    span. *)
 
 type t
 
@@ -87,13 +86,6 @@ val attribute : t -> Profile.span option -> unit
     so waiting and I/O time never pollute the next operator's span. *)
 val note_bucket : t -> string -> unit
 
-(** Record a wall timestamp for a trace event (the sidecar annotation
-    channel); shows up as instant events in the Perfetto export. *)
-val note_event : t -> string -> unit
-
-(** Recorded (wall seconds, event name) marks, oldest first. *)
-val marks : t -> (float * string) list
-
 (** {2 Reads} *)
 
 val spans : t -> info list
@@ -102,19 +94,10 @@ val spans : t -> info list
 val totals : t -> info list
 (** Aggregated across phases, keyed by node; [phase] is ["*"]. *)
 
+(** Sampler ticks so far: one per 64 attributions. *)
 val sample_count : t -> int
+
 val gc_totals : t -> gc_totals
-
-(** {2 Exports} *)
-
-val to_folded : t -> string
-(** Collapsed-stack flamegraph lines ("phase;anc;...;node count", one
-    per span, count = sampler ticks; falls back to µs-of-self-time
-    weights when the run was too short for any tick). *)
-
-val to_perfetto : t -> string
-(** Chrome/Perfetto trace JSON: GC counter tracks (ph ["C"]) at the
-    sampler ticks plus instant events for the trace-event sidecar. *)
 
 val sync_metrics : t -> Metrics.t -> unit
 (** Publish [adp_wall_*] / [adp_gc_*] gauges into a metrics registry. *)

@@ -588,7 +588,7 @@ let test_lint_catches_seeded_mutations () =
     let path rel = Filename.concat root rel in
     let ctx = read_file (path "lib/exec/ctx.ml") in
     let unguarded =
-      replace ~sub:"if traced t then begin" ~by:"begin" ctx
+      replace ~sub:"if traced t then Trace.emit" ~by:"Trace.emit" ctx
     in
     Alcotest.(check bool) "dropped traced guard caught" true
       (List.mem "lint-unguarded-emit"
@@ -710,6 +710,52 @@ let prop_enumerated_plans_clean =
              |> Diagnostic.has_errors |> not)
            plans)
 
+(* Dropping one key from any join of any bundled workload's optimized
+   plan is a key-arity mismatch: the analyzer must report it as an error
+   diagnostic, never raise (as a pairwise map over the key lists would). *)
+let test_drop_join_key_each_join () =
+  let ds = Tpch.generate { Tpch.scale = 0.001; distribution = Tpch.Uniform; seed = 7 } in
+  let fds =
+    Flights.generate { Flights.default_config with n_flights = 100; n_travelers = 50 }
+  in
+  let workloads =
+    List.map
+      (fun wq ->
+        let q = Workload.query wq in
+        (Workload.name wq, q, Workload.catalog ~with_cardinalities:true ds q))
+      Workload.[ Q3; Q3A; Q10; Q10A; Q5 ]
+    @ [ ("flights", Workload.flights_query, Workload.flights_catalog fds) ]
+  in
+  let drop_key_at n spec =
+    let seen = ref (-1) in
+    let rec go = function
+      | Plan.Scan _ as s -> s
+      | Plan.Join j ->
+        incr seen;
+        let left_key = if !seen = n then List.tl j.left_key else j.left_key in
+        let left = go j.left in
+        Plan.Join { j with left_key; left; right = go j.right }
+      | Plan.Preagg p -> Plan.Preagg { p with child = go p.child }
+    in
+    go spec
+  in
+  List.iter
+    (fun (name, q, c) ->
+      let lookup r = try Some (Catalog.schema_of c r) with Not_found -> None in
+      let sels = Adp_stats.Selectivity.create () in
+      let plan = (Optimizer.optimize ~preagg:Optimizer.Auto q c sels).Optimizer.spec in
+      for n = 0 to List.length (Plan.relations plan) - 2 do
+        let broken = drop_key_at n plan in
+        let ds =
+          Analyzer.check_plan_for_query ~lookup q broken
+          @ Analyzer.check_stitch_tree ~phases:2 q broken
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, join %d: key drop is an error" name n)
+          true (Diagnostic.has_errors ds)
+      done)
+    workloads
+
 (* ---------------- integration: boundaries actually fire ----------- *)
 
 let test_corrective_rejects_bad_initial_plan () =
@@ -753,6 +799,8 @@ let suite =
     Alcotest.test_case "unknown source" `Quick test_unknown_source;
     Alcotest.test_case "unknown filter column" `Quick test_unknown_filter_column;
     Alcotest.test_case "dropped join key" `Quick test_dropped_join_key;
+    Alcotest.test_case "dropped key in every workload join" `Quick
+      test_drop_join_key_each_join;
     Alcotest.test_case "unresolved join key" `Quick test_unresolved_join_key;
     Alcotest.test_case "swapped key types" `Quick test_swapped_key_types;
     Alcotest.test_case "int-float keys joinable" `Quick test_int_float_keys_joinable;
