@@ -155,7 +155,7 @@ let run () =
       | "lineitem" -> Relation.schema lineitem
       | _ -> raise Not_found
     in
-    let plan = Plan.instantiate ctx spec ~schema_of in
+    let plan = Plan.instantiate ctx spec ~schema_of ~keep:Plan.keep_all in
     let consume src t = ignore (Plan.push plan ~source:(Source.name src) t) in
     ignore (Driver.run ctx ~sources:[ so; sz; sl ] ~consume ());
     Ctx.now ctx /. 1e6

@@ -834,7 +834,7 @@ let check_cmd =
           check_one (Workload.name wq) q
             ~catalog:(Workload.catalog ~with_cardinalities:true ds q)
             ~table:(Tpch.table ds))
-        Workload.evaluated;
+        Workload.all;
       let fds = Flights.generate Flights.default_config in
       let flights_table = function
         | "f" -> fds.Flights.flights

@@ -38,8 +38,9 @@ let string_set xs = List.sort_uniq String.compare xs
 let agg_input_columns (a : Aggregate.spec) =
   match a.fn with Count -> [] | Sum | Min | Max | Avg -> Expr.columns a.expr
 
-(* Walk the plan bottom-up computing each node's output schema exactly as
-   Plan.instantiate would, accumulating diagnostics instead of raising.
+(* Walk the plan bottom-up computing each node's full-width output
+   schema, accumulating diagnostics instead of raising.  The engine's
+   joins carry a subset of it (Plan.join_layout under the query's rule).
    A node whose schema cannot be determined propagates None upward so one
    root cause does not cascade into spurious downstream reports. *)
 let rec walk ~types ~lookup ~path spec :

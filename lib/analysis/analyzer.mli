@@ -27,9 +27,12 @@ val types_of_relations : (string * Relation.t) list -> type_lookup
 
 (** {2 Pass 1: schema / type checking} *)
 
-(** Bottom-up output schema of a plan, mirroring what [Plan.instantiate]
-    builds ([Schema.concat] at joins, [Aggregate.partial_schema] at
-    pre-aggregations).  [Error diags] when any node fails to type. *)
+(** Bottom-up full-width output schema of a plan: [Schema.concat] at
+    joins, [Aggregate.partial_schema] at pre-aggregations.  This is what
+    [Plan.instantiate] builds under [Plan.keep_all]; under a query's rule
+    ({!Logical.keep}) the engine's joins carry a subset of these columns,
+    in the same relative order.  [Error diags] when any node fails to
+    type. *)
 val spec_schema :
   lookup:schema_lookup -> Plan.spec -> (Schema.t, Diagnostic.t list) result
 

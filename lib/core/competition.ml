@@ -31,10 +31,13 @@ let run ?(costs = Cost_model.default) ?(candidates = 3)
   let alts =
     Optimizer.alternatives ~k:candidates ~costs query catalog sels
   in
+  let keep = Logical.keep query in
   let comps =
     List.mapi
       (fun index (r : Optimizer.result) ->
-        let plan = Plan.instantiate ~record_outputs:false ctx r.spec ~schema_of in
+        let plan =
+          Plan.instantiate ~record_outputs:false ctx r.spec ~schema_of ~keep
+        in
         { index; spec = r.spec; plan; sources = sources ();
           sink = Sink.create ctx query ~canonical:(Plan.schema plan);
           read = 0; exhausted = false })

@@ -443,6 +443,7 @@ let run ?(config = default_config) query catalog sources =
   in
   let registry = Registry.create () in
   let schema_of = Catalog.schema_of catalog in
+  let keep = Logical.keep query in
   let phase_label id = Printf.sprintf "phase %d" id in
   (* Calibration: freeze the optimizer's per-node cardinality belief when
      the phase that introduces the node opens, and at every recording
@@ -603,7 +604,7 @@ let run ?(config = default_config) query catalog sources =
   let current =
     ref
       (Phase.create ~record_outputs ~id:(List.length restored) ctx
-         initial_spec ~schema_of)
+         initial_spec ~schema_of ~keep)
   in
   let sink = Sink.create ctx query ~canonical:(Plan.schema !current.Phase.plan) in
   let completed = ref [] in
@@ -621,7 +622,7 @@ let run ?(config = default_config) query catalog sources =
       freeze_priors pr.Checkpoint.pr_spec;
       let ph =
         Phase.create ~record_outputs:true ~id:pr.Checkpoint.pr_id ctx
-          pr.Checkpoint.pr_spec ~schema_of
+          pr.Checkpoint.pr_spec ~schema_of ~keep
       in
       Plan.restore ph.Phase.plan pr.Checkpoint.pr_state;
       ph.Phase.emitted <- pr.Checkpoint.pr_emitted;
@@ -1008,7 +1009,7 @@ let run ?(config = default_config) query catalog sources =
       freeze_priors spec;
       current :=
         Phase.create ~record_outputs ~id:(List.length !completed) ctx spec
-          ~schema_of;
+          ~schema_of ~keep;
       if Ctx.traced ctx then
         Ctx.emit ctx
           (Trace.Phase_opened

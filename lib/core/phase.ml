@@ -8,8 +8,9 @@ type t = {
   mutable emitted : int;
 }
 
-let create ?record_outputs ~id ctx spec ~schema_of =
-  { id; spec; plan = Plan.instantiate ?record_outputs ctx spec ~schema_of;
+let create ?record_outputs ~id ctx spec ~schema_of ~keep =
+  { id; spec;
+    plan = Plan.instantiate ?record_outputs ctx spec ~schema_of ~keep;
     emitted = 0 }
 
 let register t registry =

@@ -18,12 +18,18 @@ type t = {
   mutable emitted : int;  (** root tuples this phase emitted *)
 }
 
-(** [record_outputs] defaults to true; pass false for executions that
-    will never stitch (single-phase runs) to avoid materializing
-    intermediates nobody can reuse. *)
+(** [keep] is the query's join layout rule ({!Plan.keep}), the same for
+    every phase of one execution.  [record_outputs] defaults to true;
+    pass false for executions that will never stitch (single-phase runs)
+    to avoid materializing intermediates nobody can reuse. *)
 val create :
   ?record_outputs:bool ->
-  id:int -> Ctx.t -> Plan.spec -> schema_of:(string -> Schema.t) -> t
+  id:int ->
+  Ctx.t ->
+  Plan.spec ->
+  schema_of:(string -> Schema.t) ->
+  keep:Plan.keep ->
+  t
 
 (** Register the phase's strictly intermediate join results (the root's
     output already reached the shared sink) under its plan id. *)

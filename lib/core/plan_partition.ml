@@ -25,7 +25,7 @@ let run_stage ?(preagg = Optimizer.No_preagg) ?spec ~costs ctx query catalog
   let plan =
     (* Single-stage executions never stitch: skip intermediate recording. *)
     Plan.instantiate ~record_outputs:false ctx spec
-      ~schema_of:(Catalog.schema_of catalog)
+      ~schema_of:(Catalog.schema_of catalog) ~keep:(Logical.keep query)
   in
   let sink = Sink.create ctx query ~canonical:(Plan.schema plan) in
   let consume src tuple =

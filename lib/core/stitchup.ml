@@ -25,6 +25,7 @@ type node_result = {
 
 type env = {
   ctx : Ctx.t;
+  keep : Plan.keep;  (* the query's join layout rule, as in every phase *)
   phases : Phase.t list;
   registry : Registry.t;
   mutable reused : int;
@@ -74,7 +75,7 @@ let build_side env sp schema ~key_cols (r : node_result) =
   ( List.map (fun p -> p.phase.id, table p) r.uniform,
     Hash_table.of_list schema ~key_cols r.mixed )
 
-let probe_into env sp ~emit tbl lkey tuples =
+let probe_into env sp ~emit layout tbl lkey tuples =
   let c = env.ctx.Ctx.costs in
   List.iter
     (fun t ->
@@ -86,7 +87,7 @@ let probe_into env sp ~emit tbl lkey tuples =
          Adp_obs.Profile.add_probes sp 1;
          Adp_obs.Profile.add_out sp (List.length matches)
        | None -> ());
-      List.iter (fun m -> emit (Tuple.concat t m)) matches)
+      List.iter (fun m -> emit (Plan.join_tuple layout t m)) matches)
     tuples
 
 (* At the root ([sink] given) the cross-phase combinations stream into
@@ -105,7 +106,11 @@ let rec eval env ?sink ~depth spec =
     in
     let l = eval env ~depth:(depth + 1) left in
     let r = eval env ~depth:(depth + 1) right in
-    let schema = Schema.concat l.schema r.schema in
+    let layout =
+      Plan.join_layout env.keep ~relations:(Plan.relations spec) l.schema
+        r.schema
+    in
+    let schema = Plan.layout_schema layout in
     let lkey = Array.of_list (List.map (Schema.index l.schema) left_key) in
     let signature = Plan.signature_of spec in
     let rtabs, rmixed = build_side env sp r.schema ~key_cols:right_key r in
@@ -135,8 +140,9 @@ let rec eval env ?sink ~depth spec =
               let out = ref [] in
               Option.iter
                 (fun tbl ->
-                  probe_into env sp ~emit:(fun t -> out := t :: !out) tbl lkey
-                    p.tuples)
+                  probe_into env sp
+                    ~emit:(fun t -> out := t :: !out)
+                    layout tbl lkey p.tuples)
                 (List.assoc_opt phase rtabs);
               env.recomputed <- env.recomputed + List.length !out;
               { p with tuples = List.rev !out; live = None })
@@ -158,12 +164,15 @@ let rec eval env ?sink ~depth spec =
       (fun p ->
         List.iter
           (fun (pr, tbl) ->
-            if p.phase.id <> pr then probe_into env sp ~emit tbl lkey p.tuples)
+            if p.phase.id <> pr then
+              probe_into env sp ~emit layout tbl lkey p.tuples)
           rtabs;
-        probe_into env sp ~emit rmixed lkey p.tuples)
+        probe_into env sp ~emit layout rmixed lkey p.tuples)
       l.uniform;
-    List.iter (fun (_, tbl) -> probe_into env sp ~emit tbl lkey l.mixed) rtabs;
-    probe_into env sp ~emit rmixed lkey l.mixed;
+    List.iter
+      (fun (_, tbl) -> probe_into env sp ~emit layout tbl lkey l.mixed)
+      rtabs;
+    probe_into env sp ~emit layout rmixed lkey l.mixed;
     { schema; uniform; mixed = List.rev !mixed }
 
 let run ctx query ~join_tree ~phases ~registry ~sink =
@@ -183,7 +192,8 @@ let run ctx query ~join_tree ~phases ~registry ~sink =
         (Adp_obs.Trace.Stitchup_begin { phases = n; combos = combos_possible });
     Ctx.set_phase ctx "stitch-up";
     let env =
-      { ctx; phases; registry; reused = 0; recomputed = 0; output = 0 }
+      { ctx; keep = Logical.keep query; phases; registry; reused = 0;
+        recomputed = 0; output = 0 }
     in
     ignore (eval env ~sink ~depth:0 join_tree : node_result);
     Sink.settle sink env.output;

@@ -15,7 +15,10 @@ open Adp_optimizer
     through a {!Adp_relation.Schema.permutation} when the registered plan
     laid the columns out differently) or, at the root, unconditionally
     (the exclusion list: every phase already emitted its own uniform
-    combination). *)
+    combination).  Every stitch-up join is laid out by
+    {!Adp_exec.Plan.join_layout} under the query's {!Logical.keep}, as
+    the phases' joins are, so a registered intermediate always has the
+    node's column set. *)
 
 type stats = {
   combos_possible : int;  (** nᵐ − n *)

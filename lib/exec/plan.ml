@@ -119,6 +119,47 @@ let rec pp_spec fmt = function
       pp_spec p.child
 
 (* ------------------------------------------------------------------ *)
+(* Join layouts                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type keep = relations:string list -> string -> bool
+
+let keep_all ~relations:_ _ = true
+
+(* [pick = None]: both inputs whole, so the output is their
+   concatenation; else the input positions each side contributes. *)
+type layout = { l_schema : Schema.t; pick : (int array * int array) option }
+
+let join_layout keep ~relations left right =
+  let kept schema =
+    List.filter (fun (_, col) -> keep ~relations col)
+      (List.mapi (fun i col -> (i, col)) (Array.to_list (Schema.columns schema)))
+  in
+  let l = kept left and r = kept right in
+  let l_schema = Schema.make (List.map snd l @ List.map snd r) in
+  if Schema.arity l_schema = Schema.arity left + Schema.arity right then
+    { l_schema; pick = None }
+  else
+    let idx side = Array.of_list (List.map fst side) in
+    { l_schema; pick = Some (idx l, idx r) }
+
+let layout_schema l = l.l_schema
+
+let join_tuple layout a b =
+  match layout.pick with
+  | None -> Tuple.concat a b
+  | Some (pl, pr) ->
+    let nl = Array.length pl and nr = Array.length pr in
+    let out = Array.make (nl + nr) Value.Null in
+    for i = 0 to nl - 1 do
+      out.(i) <- a.(pl.(i))
+    done;
+    for i = 0 to nr - 1 do
+      out.(nl + i) <- b.(pr.(i))
+    done;
+    out
+
+(* ------------------------------------------------------------------ *)
 (* Runtime                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -166,6 +207,7 @@ and join_rt = {
   rtbl : Hash_table.t;
   lkey : string list;
   rkey : string list;
+  layout : layout;
   preds : string list;  (* this join's own predicates *)
   j_span : Profile.span option;
 }
@@ -205,7 +247,7 @@ let node_counter ctx name help spec =
     ~labels:[ ("node", Format.asprintf "%a" pp_spec spec) ]
     ~help name
 
-let rec build ?(depth = 0) ctx spec ~schema_of =
+let rec build ?(depth = 0) ctx spec ~schema_of ~keep =
   let n_in_metric =
     node_counter ctx "adp_node_tuples_in_total"
       "tuples entering the operator" spec
@@ -232,17 +274,20 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
           { source = s.source; filter = Predicate.compile s.filter schema;
             filter_atoms = Predicate.size s.filter; seen = 0 } }
   | Join j ->
-    let left = build ~depth:(depth + 1) ctx j.left ~schema_of in
-    let right = build ~depth:(depth + 1) ctx j.right ~schema_of in
+    let left = build ~depth:(depth + 1) ctx j.left ~schema_of ~keep in
+    let right = build ~depth:(depth + 1) ctx j.right ~schema_of ~keep in
     let overlap =
       List.filter (fun s -> List.mem s right.n_relations) left.n_relations
     in
     if overlap <> [] then
       invalid_arg
         ("Plan.instantiate: duplicate source " ^ String.concat "," overlap);
-    let schema = Schema.concat left.n_schema right.n_schema in
-    { n_spec = spec; n_schema = schema; n_signature = signature_of spec;
-      n_relations = relations spec;
+    let n_relations = relations spec in
+    let layout =
+      join_layout keep ~relations:n_relations left.n_schema right.n_schema
+    in
+    { n_spec = spec; n_schema = layout.l_schema;
+      n_signature = signature_of spec; n_relations;
       n_predicates = predicates spec; n_outputs = []; n_out_count = 0;
       n_in_metric; n_out_metric; n_span;
       impl =
@@ -250,11 +295,11 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
           { left; right;
             ltbl = Hash_table.create left.n_schema ~key_cols:j.left_key;
             rtbl = Hash_table.create right.n_schema ~key_cols:j.right_key;
-            lkey = j.left_key; rkey = j.right_key;
+            lkey = j.left_key; rkey = j.right_key; layout;
             preds = List.map2 canon_pred j.left_key j.right_key;
             j_span = n_span } }
   | Preagg p ->
-    let child = build ~depth:(depth + 1) ctx p.child ~schema_of in
+    let child = build ~depth:(depth + 1) ctx p.child ~schema_of ~keep in
     let schema = Aggregate.partial_schema ~group_cols:p.group_cols p.aggs in
     let p_group_idx =
       Array.of_list (List.map (Schema.index child.n_schema) p.group_cols)
@@ -321,7 +366,8 @@ let rec emit_matches ctx j ~from_left tuple n acc = function
     acc
   | m :: rest ->
     let out =
-      if from_left then Tuple.concat tuple m else Tuple.concat m tuple
+      if from_left then join_tuple j.layout tuple m
+      else join_tuple j.layout m tuple
     in
     emit_matches ctx j ~from_left tuple (n + 1) (out :: acc) rest
 
@@ -427,8 +473,8 @@ let routes ctx root =
   in
   Array.of_list (List.rev (walk [] [] root))
 
-let instantiate ?(record_outputs = true) ctx spec ~schema_of =
-  let root = build ctx spec ~schema_of in
+let instantiate ?(record_outputs = true) ctx spec ~schema_of ~keep =
+  let root = build ctx spec ~schema_of ~keep in
   { ctx; root; routes = routes ctx root; record_outputs }
 
 let rec climb ~keep outs hops =

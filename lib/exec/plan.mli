@@ -83,18 +83,58 @@ val scan_token : source:string -> filter:Predicate.t -> string
 
 val pp_spec : Format.formatter -> spec -> unit
 
+(** {2 Join layouts}
+
+    A join's output carries the columns of its inputs that a [keep] rule
+    admits, left input's first, each side in its own order.  The rule
+    sees the base relations under the join (sorted source names, as
+    {!relations} gives them) and one column name.  It must decide by the
+    relation set alone: then every plan lays out one subexpression with
+    the same columns, so cross-phase reuse ({!child_table}, the registry,
+    stitch-up) works whatever the plan shape.  It must keep every column
+    a join above reads as its key and every column the query outputs.
+    Scans and pre-aggregations are never narrowed. *)
+
+type keep = relations:string list -> string -> bool
+
+(** Keeps every column: each join's output is the concatenation of its
+    inputs. *)
+val keep_all : keep
+
+(** Where each column of one join's output comes from. *)
+type layout
+
+(** [join_layout keep ~relations left right] lays out a join over
+    [relations] whose inputs have schemas [left] and [right].
+    @raise Invalid_argument on duplicate kept column names. *)
+val join_layout :
+  keep -> relations:string list -> Schema.t -> Schema.t -> layout
+
+val layout_schema : layout -> Schema.t
+
+(** [join_tuple layout l r] is the output of the match of the left input
+    tuple [l] with the right input tuple [r]: [Tuple.concat l r] when the
+    layout drops nothing, else a fresh tuple of the kept values. *)
+val join_tuple : layout -> Tuple.t -> Tuple.t -> Tuple.t
+
 (** {2 Runtime} *)
 
 type t
 
-(** [instantiate ctx spec ~schema_of] resolves scan schemas through
-    [schema_of] and builds the runtime tree.  [record_outputs] (default
-    true) materializes every join node's results for registration in the
+(** [instantiate ctx spec ~schema_of ~keep] resolves scan schemas through
+    [schema_of] and builds the runtime tree, each join laid out by
+    {!join_layout} under [keep].  [record_outputs] (default true)
+    materializes every join node's results for registration in the
     state-structure registry; disable it for executions that will never
     stitch (single-phase runs), where it would only consume memory.
     @raise Invalid_argument if two scans share a source name. *)
 val instantiate :
-  ?record_outputs:bool -> Ctx.t -> spec -> schema_of:(string -> Schema.t) -> t
+  ?record_outputs:bool ->
+  Ctx.t ->
+  spec ->
+  schema_of:(string -> Schema.t) ->
+  keep:keep ->
+  t
 
 val spec : t -> spec
 val schema : t -> Schema.t

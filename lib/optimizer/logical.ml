@@ -81,6 +81,34 @@ let relation_of_column_opt col =
   | Some i -> Some (String.sub col 0 i)
   | None -> None
 
+let keep q =
+  if q.group_cols = [] && q.aggs = [] && q.projection = [] then Plan.keep_all
+  else begin
+    let outputs =
+      q.group_cols
+      @ List.concat_map (fun (a : Aggregate.spec) -> Expr.columns a.expr) q.aggs
+      @ q.projection
+    in
+    let names = source_names q in
+    (* [col] pairs with a column whose relation lies outside the set. *)
+    let leaves relations col =
+      List.exists
+        (fun (a, b) ->
+          let out c =
+            match relation_of_column_opt c with
+            | Some r -> not (List.mem r relations)
+            | None -> true
+          in
+          (String.equal a col && out b) || (String.equal b col && out a))
+        q.join_preds
+    in
+    fun ~relations col ->
+      match relation_of_column_opt col with
+      | Some r when List.mem r names ->
+        List.mem col outputs || leaves relations col
+      | Some _ | None -> true
+  end
+
 let validate_list ~schema_of q =
   let errs = ref [] in
   let add code msg = errs := (code, msg) :: !errs in

@@ -53,6 +53,16 @@ val signature_of_set : query -> string list -> string
 (** Relation qualifier of a column name, or [None] when unqualified. *)
 val relation_of_column_opt : string -> string option
 
+(** The query's join layout rule ({!Adp_exec.Plan.keep}): a join over
+    the relation set S keeps a column of a relation in S when the query
+    outputs it (a group-by column, an aggregate input or a SELECT-list
+    column) or when a join predicate pairs it with a column outside S.
+    A [SELECT *] query keeps every column, and so does every join for a
+    column that belongs to no source of the query (a pre-aggregation's
+    [pa.*] partials).  Every phase's plan and the stitch-up phase lay
+    out their joins under this one rule. *)
+val keep : query -> Plan.keep
+
 (** Sanity checks: every join/group/aggregate column resolves to a source,
     and the join graph is connected.  Returns ALL problems found as
     [(code, message)] pairs with stable kebab-case codes

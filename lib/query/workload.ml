@@ -5,6 +5,7 @@ open Adp_optimizer
 
 type tpch_query = Q3 | Q3A | Q10 | Q10A | Q5
 
+let all = [ Q3; Q3A; Q10; Q10A; Q5 ]
 let evaluated = [ Q3A; Q10; Q10A; Q5 ]
 
 let name = function
@@ -16,9 +17,7 @@ let name = function
 
 let of_name s =
   let s = String.lowercase_ascii (String.trim s) in
-  List.find_opt
-    (fun q -> String.lowercase_ascii (name q) = s)
-    [ Q3; Q3A; Q10; Q10A; Q5 ]
+  List.find_opt (fun q -> String.lowercase_ascii (name q) = s) all
 
 let revenue =
   "SUM(lineitem.l_extendedprice * (1 - lineitem.l_discount)) AS revenue"

@@ -11,6 +11,9 @@ open Adp_optimizer
 
 type tpch_query = Q3 | Q3A | Q10 | Q10A | Q5
 
+(** Every bundled TPC-H query, in the order above. *)
+val all : tpch_query list
+
 (** The four queries of Figures 2/3/6 and Tables 1/2. *)
 val evaluated : tpch_query list
 

@@ -4,7 +4,7 @@ open Adp_optimizer
 module Diagnostic = Adp_analysis.Diagnostic
 module S = Snapshot
 
-let format_version = 2
+let format_version = 3
 
 type phase_record = {
   pr_id : int;

@@ -21,6 +21,12 @@ module Diagnostic = Adp_analysis.Diagnostic
     on bad input — every structural problem maps to a structured
     {!Diagnostic.t} with a stable [ckpt-*] code. *)
 
+(** The container version {!save} writes and {!load} accepts.  3: join
+    outputs carry only the columns the query still reads
+    ({!Adp_optimizer.Logical.keep}), so phase tuples are narrower than
+    version 2's full-width ones. *)
+val format_version : int
+
 type phase_record = {
   pr_id : int;
   pr_spec : Plan.spec;

@@ -9,6 +9,12 @@ let vf f = Value.Float f
 
 let schema cols = Schema.make cols
 
+(* A plan built from a bare spec, with no query to narrow its joins:
+   every join keeps every column. *)
+let instantiate ?record_outputs ctx spec ~schema_of =
+  Adp_exec.Plan.instantiate ?record_outputs ctx spec ~schema_of
+    ~keep:Adp_exec.Plan.keep_all
+
 let rel cols rows =
   Relation.of_list (schema cols) (List.map Array.of_list rows)
 

@@ -723,7 +723,7 @@ let test_drop_join_key_each_join () =
       (fun wq ->
         let q = Workload.query wq in
         (Workload.name wq, q, Workload.catalog ~with_cardinalities:true ds q))
-      Workload.[ Q3; Q3A; Q10; Q10A; Q5 ]
+      Workload.all
     @ [ ("flights", Workload.flights_query, Workload.flights_catalog fds) ]
   in
   let drop_key_at n spec =

@@ -611,7 +611,7 @@ let test_window_resize_events () =
       ~aggs:[ Aggregate.sum ~name:"s" (Expr.col "d.v") ]
       (Plan.scan "d")
   in
-  let plan = Plan.instantiate ctx spec ~schema_of in
+  let plan = instantiate ctx spec ~schema_of in
   let tuples = List.init 300 (fun i -> [| vi i; vi i |]) in
   let _ =
     List.concat_map (fun t -> Plan.push plan ~source:"d" t) tuples

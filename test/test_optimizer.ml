@@ -249,7 +249,7 @@ let optimizer_plans_agree =
       let run (r : Optimizer.result) =
         let ctx = Ctx.create () in
         let plan =
-          Plan.instantiate ctx r.Optimizer.spec
+          instantiate ctx r.Optimizer.spec
             ~schema_of:(Catalog.schema_of (catalog ()))
         in
         let outs =

@@ -19,7 +19,7 @@ let test_single_join () =
   let r, s = two_rels () in
   let ctx = Ctx.create () in
   let spec = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
-  let plan = Plan.instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
+  let plan = instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
   let outs =
     push_all plan "r" r @ push_all plan "s" s @ Plan.flush plan
   in
@@ -32,7 +32,7 @@ let test_interleaved_arrival () =
   let r, s = two_rels () in
   let ctx = Ctx.create () in
   let spec = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
-  let plan = Plan.instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
+  let plan = instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
   let outs = ref [] in
   List.iteri
     (fun i (rt, st) ->
@@ -50,7 +50,7 @@ let test_filter_pushdown () =
       (Plan.scan ~filter:(Predicate.eq "r.k" (vi 2)) "r")
       (Plan.scan "s") ~on:[ "r.k", "s.k" ]
   in
-  let plan = Plan.instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
+  let plan = instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
   let outs = push_all plan "r" r @ push_all plan "s" s in
   let want =
     oracle_join (List.filter (fun t -> Value.equal t.(0) (vi 2)) r) s
@@ -82,7 +82,7 @@ let test_three_way () =
   let u = [ [| vi 7; vi 70 |]; [| vi 8; vi 80 |]; [| vi 7; vi 71 |] ] in
   let ctx = Ctx.create () in
   let plan =
-    Plan.instantiate ctx (three_way_spec ()) ~schema_of:(schema_of_tbl tables)
+    instantiate ctx (three_way_spec ()) ~schema_of:(schema_of_tbl tables)
   in
   let outs =
     push_all plan "u" u @ push_all plan "r" r @ push_all plan "s" s
@@ -120,7 +120,7 @@ let test_join_infos_and_node_results () =
   let u = [ [| vi 7; vi 70 |] ] in
   let ctx = Ctx.create () in
   let plan =
-    Plan.instantiate ctx (three_way_spec ()) ~schema_of:(schema_of_tbl tables)
+    instantiate ctx (three_way_spec ()) ~schema_of:(schema_of_tbl tables)
   in
   ignore (push_all plan "r" r);
   ignore (push_all plan "s" s);
@@ -155,7 +155,7 @@ let test_routed_push_counts () =
   let w = Plan.scan ~filter:(Predicate.eq "w.k" (vi 5)) "w" in
   let spec = Plan.join r_s_u w ~on:[ "r.p", "w.k" ] in
   let ctx = Ctx.create () in
-  let plan = Plan.instantiate ctx spec ~schema_of in
+  let plan = instantiate ctx spec ~schema_of in
   let t l = Array.of_list (List.map vi l) in
   let outs =
     List.concat_map
@@ -226,14 +226,14 @@ let test_duplicate_source_rejected () =
   let ctx = Ctx.create () in
   let spec = Plan.join (Plan.scan "r") (Plan.scan "r") ~on:[ "r.k", "r.k" ] in
   (try
-     ignore (Plan.instantiate ctx spec ~schema_of:(schema_of_tbl tables));
+     ignore (instantiate ctx spec ~schema_of:(schema_of_tbl tables));
      Alcotest.fail "should reject duplicate source"
    with Invalid_argument _ -> ())
 
 let test_unknown_source_push () =
   let ctx = Ctx.create () in
   let plan =
-    Plan.instantiate ctx (Plan.scan "r") ~schema_of:(schema_of_tbl tables)
+    instantiate ctx (Plan.scan "r") ~schema_of:(schema_of_tbl tables)
   in
   (try
      ignore (Plan.push plan ~source:"nope" [| vi 1; vi 2 |]);
@@ -244,7 +244,7 @@ let test_costs_charged () =
   let r, s = two_rels () in
   let ctx = Ctx.create () in
   let spec = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
-  let plan = Plan.instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
+  let plan = instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
   ignore (push_all plan "r" r);
   ignore (push_all plan "s" s);
   Alcotest.(check bool) "cpu charged" true (Clock.cpu ctx.Ctx.clock > 0.0)
@@ -256,7 +256,7 @@ let test_record_outputs_disabled () =
   let ctx = Ctx.create () in
   let spec = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
   let plan =
-    Plan.instantiate ~record_outputs:false ctx spec
+    instantiate ~record_outputs:false ctx spec
       ~schema_of:(schema_of_tbl tables)
   in
   let outs = push_all plan "r" r @ push_all plan "s" s in
@@ -274,7 +274,7 @@ let test_memory_pressure () =
   let s = List.init 100 (fun i -> [| vi i; vi i |]) in
   let ctx = Ctx.create () in
   let spec = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
-  let plan = Plan.instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
+  let plan = instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
   ignore (push_all plan "r" r);
   ignore (push_all plan "s" s);
   Alcotest.(check int) "memory in use" 200 (Plan.memory_in_use plan);
@@ -318,7 +318,7 @@ let join_vs_oracle =
       let spec =
         Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ]
       in
-      let plan = Plan.instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
+      let plan = instantiate ctx spec ~schema_of:(schema_of_tbl tables) in
       let outs = push_all plan "r" r @ push_all plan "s" s in
       same_bag outs (oracle_join r s ~on:[ 0, 0 ]))
 
@@ -366,7 +366,7 @@ let test_leaf_counts_match_partitions () =
   in
   let polls = ref 0 in
   let run spec ~switch_at =
-    let plan = Plan.instantiate ctx spec ~schema_of:keyed_schema in
+    let plan = instantiate ctx spec ~schema_of:keyed_schema in
     let consume src t = ignore (Plan.push plan ~source:(Source.name src) t) in
     let poll () =
       incr polls;

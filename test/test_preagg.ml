@@ -15,7 +15,7 @@ let preagg_plan mode =
 
 let run_preagg mode tuples =
   let ctx = Ctx.create () in
-  let plan = Plan.instantiate ctx (preagg_plan mode) ~schema_of in
+  let plan = instantiate ctx (preagg_plan mode) ~schema_of in
   (* Bind pushes before flushing: [@] evaluates right to left. *)
   let streamed = List.concat_map (fun t -> Plan.push plan ~source:"d" t) tuples in
   let outs = streamed @ Plan.flush plan in
@@ -86,7 +86,7 @@ let test_window_shrinks_on_unique () =
 let test_traditional_blocks () =
   let tuples = List.init 100 (fun i -> [| vi (i mod 5); vi i |]) in
   let ctx = Ctx.create () in
-  let plan = Plan.instantiate ctx (preagg_plan Plan.Traditional) ~schema_of in
+  let plan = instantiate ctx (preagg_plan Plan.Traditional) ~schema_of in
   let during =
     List.concat_map (fun t -> Plan.push plan ~source:"d" t) tuples
   in
@@ -97,7 +97,7 @@ let test_traditional_blocks () =
 let test_pseudogroup_streams () =
   let tuples = List.init 10 (fun i -> [| vi (i mod 5); vi i |]) in
   let ctx = Ctx.create () in
-  let plan = Plan.instantiate ctx (preagg_plan Plan.Pseudogroup) ~schema_of in
+  let plan = instantiate ctx (preagg_plan Plan.Pseudogroup) ~schema_of in
   let during =
     List.concat_map (fun t -> Plan.push plan ~source:"d" t) tuples
   in
@@ -114,7 +114,7 @@ let test_preagg_under_join () =
       (preagg_plan (Plan.Windowed { initial = 8; max_window = 256 }))
       (Plan.scan "k") ~on:[ "d.g", "k.k" ]
   in
-  let plan = Plan.instantiate ctx spec ~schema_of in
+  let plan = instantiate ctx spec ~schema_of in
   let from_d = List.concat_map (fun t -> Plan.push plan ~source:"d" t) d in
   let from_k = List.concat_map (fun t -> Plan.push plan ~source:"k" t) k in
   let outs = from_d @ from_k @ Plan.flush plan in
@@ -139,7 +139,7 @@ let test_punctuated_on_sorted () =
       [ 1; 2; 3; 4 ]
   in
   let ctx = Ctx.create () in
-  let plan = Plan.instantiate ctx (preagg_plan Plan.Punctuated) ~schema_of in
+  let plan = instantiate ctx (preagg_plan Plan.Punctuated) ~schema_of in
   let streamed =
     List.concat_map (fun t -> Plan.push plan ~source:"d" t) tuples
   in

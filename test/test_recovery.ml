@@ -190,14 +190,14 @@ let test_plan_capture_restore () =
   and l2 = List.filteri (fun i _ -> i >= split) l in
   (* Reference: one uninterrupted plan. *)
   let ctx = Ctx.create () in
-  let p0 = Plan.instantiate ~record_outputs:true ctx spec ~schema_of in
+  let p0 = instantiate ~record_outputs:true ctx spec ~schema_of in
   let all = push_all p0 "r" l @ push_all p0 "s" r in
   (* Capture mid-stream, restore into a fresh plan, continue there. *)
-  let pa = Plan.instantiate ~record_outputs:true ctx spec ~schema_of in
+  let pa = instantiate ~record_outputs:true ctx spec ~schema_of in
   let first = push_all pa "r" l1 @ push_all pa "s" r in
   let state = Plan.capture pa in
   let pb =
-    Plan.instantiate ~record_outputs:true (Ctx.create ()) spec ~schema_of
+    instantiate ~record_outputs:true (Ctx.create ()) spec ~schema_of
   in
   Plan.restore pb state;
   let second = push_all pb "r" l2 in
@@ -205,7 +205,7 @@ let test_plan_capture_restore () =
   let _, recorded = Plan.root_results pb in
   check_bag "root_results records everything" all recorded;
   (* Restoring a mismatched shape is rejected. *)
-  let other = Plan.instantiate (Ctx.create ()) (Plan.scan "r") ~schema_of in
+  let other = instantiate (Ctx.create ()) (Plan.scan "r") ~schema_of in
   (match Plan.restore other state with
    | _ -> Alcotest.fail "shape mismatch accepted"
    | exception Invalid_argument _ -> ())
@@ -227,14 +227,14 @@ let check_continuation spec ~split =
   in
   let before = List.filteri (fun i _ -> i < split) events
   and after = List.filteri (fun i _ -> i >= split) events in
-  let p0 = Plan.instantiate (Ctx.create ()) spec ~schema_of in
+  let p0 = instantiate (Ctx.create ()) spec ~schema_of in
   ignore (run p0 before);
   let b = Snapshot.encoder () in
   Codec.plan_state b (Plan.capture p0);
   let state = Codec.read_plan_state (Snapshot.decoder (Snapshot.contents b)) in
   let want = run p0 after in
   let want_flush = Plan.flush p0 in
-  let p1 = Plan.instantiate (Ctx.create ()) spec ~schema_of in
+  let p1 = instantiate (Ctx.create ()) spec ~schema_of in
   Plan.restore p1 state;
   let got = run p1 after in
   let same = List.equal Tuple.equal in
@@ -271,7 +271,7 @@ let test_continuation_preagg_under_join () =
 let test_capture_requires_recorded_outputs () =
   let spec = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
   let plan =
-    Plan.instantiate ~record_outputs:false (Ctx.create ()) spec ~schema_of
+    instantiate ~record_outputs:false (Ctx.create ()) spec ~schema_of
   in
   ignore (push_all plan "r" (mk_tuples 5 0));
   match Plan.capture plan with
@@ -286,7 +286,7 @@ let test_plan_state_codec_roundtrip () =
       ~on:[ "r.k", "s.k" ]
   in
   let ctx = Ctx.create () in
-  let plan = Plan.instantiate ~record_outputs:true ctx spec ~schema_of in
+  let plan = instantiate ~record_outputs:true ctx spec ~schema_of in
   ignore (push_all plan "r" (mk_tuples 25 0));
   ignore (push_all plan "s" (mk_tuples 30 50));
   let state = Plan.capture plan in
@@ -338,7 +338,7 @@ let test_selectivity_dump_roundtrip () =
 let mini_checkpoint () =
   let spec = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
   let ctx = Ctx.create () in
-  let plan = Plan.instantiate ~record_outputs:true ctx spec ~schema_of in
+  let plan = instantiate ~record_outputs:true ctx spec ~schema_of in
   ignore (push_all plan "r" (mk_tuples 10 0));
   let pr =
     { Checkpoint.pr_id = 0; pr_spec = spec; pr_state = Plan.capture plan;
@@ -411,25 +411,30 @@ let test_corrupt_checkpoint_rejected () =
    | Ok _ -> Alcotest.fail "missing file accepted");
   rm_rf dir
 
-let test_v1_checkpoint_rejected () =
+(* The same segments under an older format version must be refused. *)
+let old_checkpoint_rejected ~version =
   let dir = fresh_dir () in
   let path, _ = Checkpoint.save ~dir (mini_checkpoint ()) in
-  (* The same segments under the previous format version, whose phase
-     segments still carried every join's table contents. *)
-  (match Snapshot.read_file ~version:2 ~path with
+  (match Snapshot.read_file ~version:Checkpoint.format_version ~path with
    | Ok segs ->
      ignore
-       (Snapshot.write_file ~path ~version:1
+       (Snapshot.write_file ~path ~version
           (List.map (fun (name, p) -> (name, fun b -> Snapshot.raw b p)) segs))
    | Error e -> Alcotest.failf "read failed: %a" Snapshot.pp_file_error e);
   (match Checkpoint.load path with
    | Error ds ->
      Alcotest.(check (list string)) "version diagnostic" [ "ckpt-version" ]
        (Diagnostic.codes ds)
-   | Ok _ -> Alcotest.fail "v1 checkpoint accepted");
-  Alcotest.(check bool) "no clock from a v1 file" true
+   | Ok _ -> Alcotest.failf "v%d checkpoint accepted" version);
+  Alcotest.(check bool) "no clock from an old file" true
     (Checkpoint.load_clock path = None);
   rm_rf dir
+
+(* Version 1 phase segments still carried every join's table contents. *)
+let test_v1_checkpoint_rejected () = old_checkpoint_rejected ~version:1
+
+(* Version 2 phase tuples are full width: every join kept every column. *)
+let test_v2_checkpoint_rejected () = old_checkpoint_rejected ~version:2
 
 let test_load_clock () =
   let dir = fresh_dir () in
@@ -651,6 +656,8 @@ let suite =
       test_corrupt_checkpoint_rejected;
     Alcotest.test_case "v1 checkpoint rejected" `Quick
       test_v1_checkpoint_rejected;
+    Alcotest.test_case "v2 checkpoint rejected" `Quick
+      test_v2_checkpoint_rejected;
     Alcotest.test_case "load_clock" `Quick test_load_clock;
     Alcotest.test_case "ledger diagnostics" `Quick test_ledger_diagnostics;
     Alcotest.test_case "crash injector" `Quick test_crash_injector_fires_once;

@@ -171,6 +171,9 @@ let test_workload_of_name () =
       Alcotest.(check bool) (name ^ "'s SQL is no name") true
         (Workload.of_name (Workload.sql qid) = None))
     [ Workload.Q3; Workload.Q3A; Workload.Q10; Workload.Q10A; Workload.Q5 ];
+  Alcotest.(check bool) "all lists every bundled query" true
+    (Workload.all
+    = [ Workload.Q3; Workload.Q3A; Workload.Q10; Workload.Q10A; Workload.Q5 ]);
   Alcotest.(check bool) "an unknown id is no name" true
     (Workload.of_name "Q4" = None)
 

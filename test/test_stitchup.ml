@@ -57,7 +57,10 @@ let run_phased ?(query = chain_query) ?(ctx = Ctx.create ()) ~shapes
   let registry = Registry.create () in
   let rsegs = segments n r and ssegs = segments n s and usegs = segments n u in
   let phases =
-    List.mapi (fun i spec -> Phase.create ~id:i ctx spec ~schema_of) shapes
+    List.mapi
+      (fun i spec ->
+        Phase.create ~id:i ctx spec ~schema_of ~keep:(Logical.keep query))
+      shapes
   in
   let sink =
     Sink.create ctx query
@@ -227,7 +230,7 @@ let two_key_query ~aggregate =
    that child's own layout, under the join's key list in its order. *)
 let test_child_table_lookup () =
   let plan ?record_outputs spec =
-    Plan.instantiate ?record_outputs (Ctx.create ()) spec ~schema_of
+    instantiate ?record_outputs (Ctx.create ()) spec ~schema_of
   in
   let found p spec ~schema key_cols =
     Option.is_some

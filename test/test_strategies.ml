@@ -483,6 +483,191 @@ let test_sink_views_match_adapted_feeds () =
   check "no projection" (query ~aggs:[] ~projection:[]) ~canonical ~other
     ~first:rows ~second:in_other
 
+(* ---------------- Join layouts ---------------- *)
+
+(* Every bundled query with the catalog its plans resolve scans through
+   and its source factory. *)
+let layout_workloads =
+  let fds =
+    Flights.generate
+      { Flights.default_config with n_flights = 300; n_travelers = 200 }
+  in
+  List.map
+    (fun qid ->
+      let q = Workload.query qid in
+      ( Workload.name qid, q, Workload.catalog ~with_cardinalities:true dataset q,
+        Workload.sources dataset q ))
+    Workload.all
+  @ [ ( "flights", Workload.flights_query,
+        Workload.flights_catalog ~with_cardinalities:true fds,
+        Workload.flights_sources fds ) ]
+
+let narrowed q catalog spec =
+  Plan.instantiate (Ctx.create ()) spec ~schema_of:(Catalog.schema_of catalog)
+    ~keep:(Logical.keep q)
+
+(* The optimal and the pessimal plan of each query, without and with
+   pre-aggregation. *)
+let layout_plans q catalog =
+  let sels = Adp_stats.Selectivity.create () in
+  List.concat_map
+    (fun preagg ->
+      List.map
+        (fun (r : Optimizer.result) ->
+          narrowed q catalog
+            (Optimizer.apply_preagg_strategy preagg q r.Optimizer.spec))
+        [ Optimizer.optimize q catalog sels; Optimizer.pessimal q catalog sels ])
+    [ Optimizer.No_preagg; Optimizer.Auto ]
+
+let node_schemas plan =
+  List.map (fun (sg, schema, _, _) -> (sg, schema)) (Plan.node_results plan)
+
+(* A join's columns depend on its relation set alone: two plans of one
+   query give every subexpression they share the same columns. *)
+let test_layout_same_columns () =
+  List.iter
+    (fun (name, q, catalog, _) ->
+      match layout_plans q catalog with
+      | [ best; worst; best_pa; worst_pa ] ->
+        List.iter
+          (fun (a, b) ->
+            let shared =
+              List.filter_map
+                (fun (sg, x) ->
+                  Option.map (fun y -> (sg, x, y))
+                    (List.assoc_opt sg (node_schemas b)))
+                (node_schemas a)
+            in
+            Alcotest.(check bool) (name ^ ": the plans share their root") true
+              (shared <> []);
+            List.iter
+              (fun (sg, x, y) ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: %s has one column set" name sg)
+                  true (Schema.same_columns x y))
+              shared)
+          [ (best, worst); (best_pa, worst_pa) ]
+      | _ -> Alcotest.fail "four plans")
+    layout_workloads
+
+(* The root carries the query's outputs and nothing else from a base
+   relation: join keys are gone once both their sides are joined. *)
+let test_layout_root_outputs () =
+  List.iter
+    (fun (name, (q : Logical.query), catalog, _) ->
+      let outputs =
+        q.group_cols
+        @ List.concat_map (fun (a : Aggregate.spec) -> Expr.columns a.expr)
+            q.aggs
+        @ q.projection
+      in
+      let base c =
+        match Logical.relation_of_column_opt c with
+        | Some r -> List.mem r (Logical.source_names q)
+        | None -> false
+      in
+      List.iteri
+        (fun i plan ->
+          let root = Schema.columns (Plan.schema plan) in
+          Array.iter
+            (fun c ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s plan %d: root column %s is read" name i c)
+                true
+                (List.mem c outputs || not (base c)))
+            root;
+          (* Plans 0 and 1 have no pre-aggregation: every output is there. *)
+          if i < 2 then
+            List.iter
+              (fun c ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s plan %d: root has %s" name i c)
+                  true
+                  (Array.mem c root))
+              outputs)
+        (layout_plans q catalog))
+    layout_workloads
+
+let spj sql = Adp_query.Sql_parser.parse ~schema_of:Tpch.schema_of sql
+
+let spj_from =
+  " FROM customer, orders, lineitem\
+   \ WHERE customer.c_custkey = orders.o_custkey\
+   \ AND lineitem.l_orderkey = orders.o_orderkey"
+
+(* [SELECT *] keeps every column at every join; a SELECT list keeps its
+   columns and the keys of joins still to come. *)
+let test_layout_select_star () =
+  let star = spj ("SELECT *" ^ spj_from) in
+  let catalog = Workload.catalog ~with_cardinalities:true dataset star in
+  let width rels =
+    List.fold_left
+      (fun n r -> n + Schema.arity (Catalog.schema_of catalog r))
+      0 rels
+  in
+  List.iter
+    (fun plan ->
+      List.iter2
+        (fun (info : Plan.join_info) (sg, schema, _, _) ->
+          Alcotest.(check int) (sg ^ " keeps every column")
+            (width info.Plan.relations) (Schema.arity schema))
+        (Plan.join_infos plan) (Plan.node_results plan))
+    (layout_plans star catalog);
+  let proj = spj ("SELECT customer.c_name, lineitem.l_quantity" ^ spj_from) in
+  let plan =
+    narrowed proj catalog
+      (Plan.join
+         (Plan.join (Plan.scan "customer") (Plan.scan "orders")
+            ~on:[ ("customer.c_custkey", "orders.o_custkey") ])
+         (Plan.scan "lineitem")
+         ~on:[ ("orders.o_orderkey", "lineitem.l_orderkey") ])
+  in
+  Alcotest.(check (list (list string)))
+    "SELECT list and pending keys"
+    [ [ "customer.c_name"; "orders.o_orderkey" ];
+      [ "customer.c_name"; "lineitem.l_quantity" ] ]
+    (List.map
+       (fun (_, schema, _, _) -> Array.to_list (Schema.columns schema))
+       (Plan.node_results plan))
+
+(* A corrective run started on the pessimal plan, polled often and told
+   to take any plan its optimizer prefers, switches and stitches up
+   across the narrowed layouts, and still returns the reference answer.
+   Every query switches without pre-aggregation; with it, some runs
+   keep their plan (flights' among them), so only one switch is asked
+   for there, to cover the partials in a stitch-up. *)
+let test_layout_forced_switch () =
+  let cfg =
+    { Corrective.default_config with
+      poll_interval = 2e3; min_leaf_seen = 20; switch_threshold = 2.0 }
+  in
+  let switched_with_preagg =
+    List.map
+      (fun (name, q, catalog, sources) ->
+        let want = Strategy.reference q catalog ~sources in
+        let bad =
+          (Optimizer.pessimal q catalog (Adp_stats.Selectivity.create ()))
+            .Optimizer.spec
+        in
+        let run preagg =
+          let o =
+            Strategy.run ~preagg ~initial_plan:bad (Strategy.Corrective cfg) q
+              catalog ~sources
+          in
+          Alcotest.(check bool)
+            (name ^ " matches reference")
+            true
+            (approx_same_relations o.Strategy.result want);
+          o.Strategy.report.Report.phases >= 2
+        in
+        Alcotest.(check bool) (name ^ " switched") true
+          (run Optimizer.No_preagg);
+        run Optimizer.Auto)
+      layout_workloads
+  in
+  Alcotest.(check bool) "a pre-aggregated run switched" true
+    (List.mem true switched_with_preagg)
+
 let test_rewrite () =
   let f c = "m." ^ c in
   let e = Rewrite.expr f Expr.(Add (col "a", int 1)) in
@@ -527,4 +712,12 @@ let suite =
     Alcotest.test_case "sink adapts schemas" `Quick test_sink_adapts_schemas;
     Alcotest.test_case "sink views = adapted feeds" `Quick
       test_sink_views_match_adapted_feeds;
-    Alcotest.test_case "rewrite helpers" `Quick test_rewrite ]
+    Alcotest.test_case "rewrite helpers" `Quick test_rewrite;
+    Alcotest.test_case "join layouts: one column set per relation set" `Quick
+      test_layout_same_columns;
+    Alcotest.test_case "join layouts: the root holds only outputs" `Quick
+      test_layout_root_outputs;
+    Alcotest.test_case "join layouts: SELECT * keeps every column" `Quick
+      test_layout_select_star;
+    Alcotest.test_case "join layouts: forced switch matches reference" `Slow
+      test_layout_forced_switch ]
