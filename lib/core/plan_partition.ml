@@ -5,6 +5,7 @@ open Adp_optimizer
 type stats = {
   stages : int;
   materialized_card : int;
+  materialized_width : int;
   total_time : float;
   cpu : float;
   idle : float;
@@ -108,15 +109,15 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
     ?(break_after = 3) ?initial_plan (query : Logical.query) catalog sources =
   let ctx = Ctx.create ~costs () in
   let n = List.length query.sources in
-  let finish stages materialized result =
+  let finish stages (materialized, width) result =
     ( result,
-      { stages; materialized_card = materialized;
+      { stages; materialized_card = materialized; materialized_width = width;
         total_time = Ctx.now ctx; cpu = Clock.cpu ctx.Ctx.clock;
         idle = Clock.idle ctx.Ctx.clock;
         result_card = Relation.cardinality result } )
   in
   if n <= break_after + 1 then
-    finish 1 0
+    finish 1 (0, 0)
       (run_stage ~preagg ?spec:initial_plan ~costs ctx query catalog sources)
   else begin
     let stage1_spec =
@@ -128,6 +129,17 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
       | None -> stage1_set query catalog ~size:(break_after + 1)
     in
     let in_set r = List.mem r set in
+    (* Stage 1 materializes only what stage 2 reads: the columns the
+       query's join layout keeps for the stage-1 relation set (all of
+       them, as [SELECT *], if it keeps none). *)
+    let keep = Logical.keep query ~relations:set in
+    let projection =
+      List.concat_map
+        (fun r ->
+          List.filter keep
+            (Array.to_list (Schema.columns (Catalog.schema_of catalog r))))
+        set
+    in
     let stage1_query =
       { Logical.sources = List.filter (fun s -> in_set s.Logical.name) query.sources;
         join_preds =
@@ -136,7 +148,7 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
               in_set (Logical.relation_of_column a)
               && in_set (Logical.relation_of_column b))
             query.join_preds;
-        group_cols = []; aggs = []; projection = [] }
+        group_cols = []; aggs = []; projection }
     in
     let stage1_sources =
       List.filter (fun s -> in_set (Source.name s)) sources
@@ -185,5 +197,7 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
       :: List.filter (fun s -> not (in_set (Source.name s))) sources
     in
     let result = run_stage ~preagg ~costs ctx stage2_query catalog2 stage2_sources in
-    finish 2 (Relation.cardinality m) result
+    finish 2
+      (Relation.cardinality m, Schema.arity m_schema)
+      result
   end

@@ -17,6 +17,9 @@ open Adp_optimizer
 type stats = {
   stages : int;
   materialized_card : int;  (** tuples materialized between stages *)
+  materialized_width : int;
+      (** columns of each materialized tuple: the stage-1 relations'
+          columns that the query's join layout ({!Logical.keep}) keeps *)
   total_time : float;
   cpu : float;
   idle : float;

@@ -744,8 +744,9 @@ let rec capture_node node =
                   (fun k -> (k, Array.copy (Ktbl.find p.pa.p_buffer k)))
                   p.pa.p_order } }
   in
-  { st_outputs = List.rev node.n_outputs; st_out_count = node.n_out_count;
-    st_impl }
+  (* Outputs are only ever prepended, so the live list is already a
+     snapshot: share it rather than copy it. *)
+  { st_outputs = node.n_outputs; st_out_count = node.n_out_count; st_impl }
 
 let capture t =
   if not t.record_outputs then
@@ -760,11 +761,11 @@ let shape_error () =
    its exact bucket chains. *)
 let refill tbl (child : state) ~swapped =
   Hash_table.clear tbl;
-  List.iter (Hash_table.insert tbl) child.st_outputs;
+  List.iter (Hash_table.insert tbl) (List.rev child.st_outputs);
   if swapped then Hash_table.swap_out tbl else Hash_table.swap_in tbl
 
 let rec restore_node node st =
-  node.n_outputs <- List.rev st.st_outputs;
+  node.n_outputs <- st.st_outputs;
   node.n_out_count <- st.st_out_count;
   match node.impl, st.st_impl with
   | RLeaf l, St_leaf s -> l.seen <- s.seen

@@ -234,9 +234,16 @@ val apply_memory_pressure : t -> budget:int -> string list
     chains.  [capture] walks the runtime tree; [restore] writes a
     captured state back into a freshly instantiated plan of the {e same
     spec} — the recovery path rebuilds an interrupted phase by
-    instantiating its spec and restoring its state.  All tuple lists are
-    oldest-first, so a state serialized and reloaded restores
-    byte-identical iteration order. *)
+    instantiating its spec and restoring its state.
+
+    Output lists are newest first, as the plan holds them: [capture]
+    shares each node's live list rather than copying it.  A running plan
+    only ever prepends to that list, so the captured state stays a
+    snapshot of the capture instant however far the plan runs on.
+    [restore] assigns the list back, and reverses it once per join table
+    it refills.  Pre-aggregation groups are oldest first and are copied,
+    because their accumulators are updated in place.  A state serialized
+    and reloaded restores byte-identical iteration order. *)
 
 type preagg_state = {
   ps_window : int;
@@ -248,7 +255,7 @@ type preagg_state = {
 }
 
 type state = {
-  st_outputs : Tuple.t list;  (** oldest first *)
+  st_outputs : Tuple.t list;  (** newest first, shared with the plan *)
   st_out_count : int;
   st_impl : impl_state;
 }

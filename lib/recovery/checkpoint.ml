@@ -4,7 +4,7 @@ open Adp_optimizer
 module Diagnostic = Adp_analysis.Diagnostic
 module S = Snapshot
 
-let format_version = 3
+let format_version = 4
 
 type phase_record = {
   pr_id : int;
@@ -48,8 +48,7 @@ let enc_phase pr b =
   S.int b pr.pr_read;
   S.list (S.pair S.str S.int) b pr.pr_ends
 
-let dec_phase payload =
-  let d = S.decoder payload in
+let dec_phase d =
   let pr_id = S.read_int d in
   let pr_spec = Codec.read_spec d in
   let pr_state = Codec.read_plan_state d in
@@ -129,7 +128,7 @@ let with_segments path f =
   | Ok segs -> (
     let segment name =
       match List.assoc_opt name segs with
-      | Some payload -> payload
+      | Some d -> d
       | None ->
         raise
           (Diagnostic.Failed
@@ -144,7 +143,7 @@ let with_segments path f =
 (* Decode the manifest; the result assembles the checkpoint once the
    other segments are decoded. *)
 let read_manifest segment =
-  let d = S.decoder (segment "manifest") in
+  let d = segment "manifest" in
   let seq = S.read_int d in
   let fingerprint = S.read_str d in
   let tuples_read = S.read_int d in
@@ -162,13 +161,13 @@ let read_manifest segment =
     { seq; fingerprint; clock; tuples_read; tuples_output; retries;
       failovers; sources_failed; positions; stats; completed; current }
 
-let read_clock segment = Codec.read_clock_state (S.decoder (segment "clock"))
+let read_clock segment = Codec.read_clock_state (segment "clock")
 
 let load path =
   with_segments path (fun segment ->
       let assemble = read_manifest segment in
       let clock = read_clock segment in
-      let stats = Codec.read_stats_dump (S.decoder (segment "stats")) in
+      let stats = Codec.read_stats_dump (segment "stats") in
       assemble ~clock ~stats ~phase:(fun id ->
           dec_phase (segment (Printf.sprintf "phase-%d" id))))
 

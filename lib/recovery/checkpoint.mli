@@ -21,10 +21,12 @@ module Diagnostic = Adp_analysis.Diagnostic
     on bad input — every structural problem maps to a structured
     {!Diagnostic.t} with a stable [ckpt-*] code. *)
 
-(** The container version {!save} writes and {!load} accepts.  3: join
-    outputs carry only the columns the query still reads
-    ({!Adp_optimizer.Logical.keep}), so phase tuples are narrower than
-    version 2's full-width ones. *)
+(** The container version {!save} writes and {!load} accepts.  4: each
+    node's output list is stored newest first, as {!Plan.capture} shares
+    it, and each segment header carries its CRC and length at fixed width
+    (see {!Adp_storage.Snapshot.write_file}).  Version 3 already carried
+    only the columns the query still reads
+    ({!Adp_optimizer.Logical.keep}). *)
 val format_version : int
 
 type phase_record = {

@@ -1,23 +1,106 @@
 open Adp_relation
 
 (* ------------------------------------------------------------------ *)
+(* CRC-32 (IEEE 802.3)                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Slicing-by-8: table [k] advances a byte through [k] further zero
+   bytes, so one step folds eight input bytes with eight lookups. *)
+let crc_tables =
+  lazy
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
+
+(* A CRC is computed incrementally: [crc_update] folds [len] bytes of
+   [buf] from [off] into a running state that starts at [crc_init], and
+   [crc_finish] turns the state into the checksum. *)
+let crc_init = 0xFFFFFFFF
+let crc_finish c = c lxor 0xFFFFFFFF
+
+let crc_update c buf off len =
+  let t = Lazy.force crc_tables in
+  let stop = off + len in
+  let c = ref c and i = ref off in
+  while !i + 8 <= stop do
+    let lo = Int32.to_int (Bytes.get_int32_le buf !i) land 0xFFFFFFFF lxor !c
+    and hi = Int32.to_int (Bytes.get_int32_le buf (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      t.((7 * 256) + (lo land 0xff))
+      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor t.((4 * 256) + (lo lsr 24))
+      lxor t.((3 * 256) + (hi land 0xff))
+      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor t.(256 + ((hi lsr 16) land 0xff))
+      lxor t.(hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to stop - 1 do
+    c := t.((!c lxor Char.code (Bytes.get buf j)) land 0xff) lxor (!c lsr 8)
+  done;
+  !c
+
+(* Read-only: [crc_update] never writes its buffer. *)
+let crc_string c s off len = crc_update c (Bytes.unsafe_of_string s) off len
+let crc32 s = crc_finish (crc_string crc_init s 0 (String.length s))
+
+(* ------------------------------------------------------------------ *)
 (* Encoder                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A growable byte buffer written in place.  Each field reserves its
-   room once ([ensure]) rather than per byte. *)
-type enc = { mutable buf : Bytes.t; mutable len : int }
+(* A byte buffer written in place.  Each field reserves its room once
+   ([ensure]) rather than per byte.  An in-memory encoder grows its
+   buffer.  A streaming encoder keeps one fixed buffer and drains it to
+   its channel whenever a field would not fit, folding the drained bytes
+   into a running CRC; fields need at most eleven bytes of room, and
+   [raw] sends a string longer than the buffer straight to the channel. *)
+type enc = {
+  mutable buf : Bytes.t;
+  mutable len : int;
+  out : out_channel option;  (* [Some]: streaming *)
+  mutable crc : int;  (* CRC state of the bytes drained so far *)
+  mutable drained : int;  (* bytes drained so far *)
+}
 
-let encoder () = { buf = Bytes.create 4096; len = 0 }
+let encoder () =
+  { buf = Bytes.create 4096; len = 0; out = None; crc = crc_init; drained = 0 }
+
 let contents b = Bytes.sub_string b.buf 0 b.len
+
+let stream_buffer = 65536
+
+let streaming oc =
+  { buf = Bytes.create stream_buffer; len = 0; out = Some oc; crc = crc_init;
+    drained = 0 }
+
+let drain b oc =
+  b.crc <- crc_update b.crc b.buf 0 b.len;
+  output oc b.buf 0 b.len;
+  b.drained <- b.drained + b.len;
+  b.len <- 0
 
 let ensure b n =
   let need = b.len + n in
-  if need > Bytes.length b.buf then begin
-    let buf = Bytes.create (max need (2 * Bytes.length b.buf)) in
-    Bytes.blit b.buf 0 buf 0 b.len;
-    b.buf <- buf
-  end
+  if need > Bytes.length b.buf then
+    match b.out with
+    | Some oc -> drain b oc
+    | None ->
+      let buf = Bytes.create (max need (2 * Bytes.length b.buf)) in
+      Bytes.blit b.buf 0 buf 0 b.len;
+      b.buf <- buf
 
 let u8 b v =
   ensure b 1;
@@ -42,9 +125,16 @@ let int b v =
 
 let raw b s =
   let n = String.length s in
-  ensure b n;
-  Bytes.blit_string s 0 b.buf b.len n;
-  b.len <- b.len + n
+  match b.out with
+  | Some oc when n > Bytes.length b.buf ->
+    drain b oc;
+    b.crc <- crc_string b.crc s 0 n;
+    output_string oc s;
+    b.drained <- b.drained + n
+  | Some _ | None ->
+    ensure b n;
+    Bytes.blit_string s 0 b.buf b.len n;
+    b.len <- b.len + n
 
 let bool b v = u8 b (if v then 1 else 0)
 
@@ -104,7 +194,9 @@ let schema b s = list str b (Array.to_list (Schema.columns s))
 (* Decoder                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type dec = { data : string; mutable off : int }
+(* Reads [data] from [off] up to [stop]: a whole string, or one segment
+   of a container file decoded in place. *)
+type dec = { data : string; mutable off : int; stop : int }
 
 exception Corrupt of string
 
@@ -115,11 +207,11 @@ let () =
 
 let corrupt m = raise (Corrupt m)
 
-let decoder data = { data; off = 0 }
-let at_end d = d.off >= String.length d.data
+let decoder data = { data; off = 0; stop = String.length data }
+let at_end d = d.off >= d.stop
 
 let read_u8 d =
-  if d.off >= String.length d.data then corrupt "unexpected end of input";
+  if d.off >= d.stop then corrupt "unexpected end of input";
   let v = Char.code d.data.[d.off] in
   d.off <- d.off + 1;
   v
@@ -142,17 +234,21 @@ let read_bool d =
   | n -> corrupt (Printf.sprintf "bad bool tag %d" n)
 
 let read_f64 d =
-  if d.off + 8 > String.length d.data then corrupt "truncated float";
+  if d.off + 8 > d.stop then corrupt "truncated float";
   let bits = String.get_int64_le d.data d.off in
   d.off <- d.off + 8;
   Int64.float_of_bits bits
 
 let read_str d =
   let n = read_int d in
-  if n < 0 || d.off + n > String.length d.data then
-    corrupt "truncated string";
+  if n < 0 || n > d.stop - d.off then corrupt "truncated string";
   let s = String.sub d.data d.off n in
   d.off <- d.off + n;
+  s
+
+let read_rest d =
+  let s = String.sub d.data d.off (d.stop - d.off) in
+  d.off <- d.stop;
   s
 
 let read_list f d =
@@ -191,57 +287,6 @@ let read_schema d =
   | exception Invalid_argument m -> corrupt ("bad schema: " ^ m)
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3)                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Slicing-by-8: table [k] advances a byte through [k] further zero
-   bytes, so one step folds eight input bytes with eight lookups. *)
-let crc_tables =
-  lazy
-    (let t = Array.make (8 * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for k = 1 to 7 do
-       for n = 0 to 255 do
-         let prev = t.(((k - 1) * 256) + n) in
-         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
-       done
-     done;
-     t)
-
-(* CRC-32 of [len] bytes of [buf] from [off]. *)
-let crc32_sub buf off len =
-  let t = Lazy.force crc_tables in
-  let stop = off + len in
-  let c = ref 0xFFFFFFFF and i = ref off in
-  while !i + 8 <= stop do
-    let lo = Int32.to_int (Bytes.get_int32_le buf !i) land 0xFFFFFFFF lxor !c
-    and hi = Int32.to_int (Bytes.get_int32_le buf (!i + 4)) land 0xFFFFFFFF in
-    c :=
-      t.((7 * 256) + (lo land 0xff))
-      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
-      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
-      lxor t.((4 * 256) + (lo lsr 24))
-      lxor t.((3 * 256) + (hi land 0xff))
-      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
-      lxor t.(256 + ((hi lsr 16) land 0xff))
-      lxor t.(hi lsr 24);
-    i := !i + 8
-  done;
-  for j = !i to stop - 1 do
-    c := t.((!c lxor Char.code (Bytes.get buf j)) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
-(* Read-only: [crc32_sub] never writes its buffer. *)
-let crc32 s = crc32_sub (Bytes.unsafe_of_string s) 0 (String.length s)
-
-(* ------------------------------------------------------------------ *)
 (* Segmented container files                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -263,32 +308,44 @@ let pp_file_error fmt = function
     Format.fprintf fmt "CRC mismatch in segment %S (torn or corrupt write)" seg
   | Io_error m -> Format.fprintf fmt "I/O error: %s" m
 
+(* Version 4 framing: after the magic, the version and the segment
+   count (varints), each segment is its name (a [str]), its payload's
+   CRC-32 (4 bytes) and length (8 bytes), both little-endian, then the
+   payload.  The two fixed-width fields are written as zeros and patched
+   once the payload has streamed past, so no payload is ever held whole
+   in memory. *)
+let field_width = 12
+
 let write_file ~path ~version segments =
-  (* Each payload is encoded into one reused buffer, checksummed there
-     and written straight to the channel after its framing: no payload is
-     copied into a string or a whole-file buffer. *)
-  let frame = encoder () and body = encoder () in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   let bytes =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc magic;
-        int frame version;
-        int frame (List.length segments);
+        let b = streaming oc and field = Bytes.create field_width in
+        raw b magic;
+        int b version;
+        int b (List.length segments);
         List.iter
           (fun (name, encode) ->
-            body.len <- 0;
-            encode body;
-            str frame name;
-            int frame (crc32_sub body.buf 0 body.len);
-            int frame body.len;
-            output oc frame.buf 0 frame.len;
-            frame.len <- 0;
-            output oc body.buf 0 body.len)
+            str b name;
+            drain b oc;
+            let at = pos_out oc in
+            Bytes.fill field 0 field_width '\000';
+            output oc field 0 field_width;
+            b.crc <- crc_init;
+            b.drained <- 0;
+            encode b;
+            drain b oc;
+            Bytes.set_int32_le field 0 (Int32.of_int (crc_finish b.crc));
+            Bytes.set_int64_le field 4 (Int64.of_int b.drained);
+            let stop = pos_out oc in
+            seek_out oc at;
+            output oc field 0 field_width;
+            seek_out oc stop)
           segments;
-        output oc frame.buf 0 frame.len;
+        drain b oc;
         let bytes = pos_out oc in
         close_out oc;
         bytes)
@@ -327,20 +384,27 @@ let read_file ~version:expected ~path =
       | exception Corrupt _ -> Error (Truncated "version")
       | version when version <> expected -> Error (Unsupported_version version)
       | _ -> (
+        (* Frame and verify every segment before any is decoded; each
+           payload is then decoded in place from [data]. *)
+        let exception Bad_crc of string in
         let read_segment d =
           let name =
             try read_str d with Corrupt _ -> corrupt "segment name"
           in
-          let crc = try read_int d with Corrupt _ -> corrupt name in
-          let payload = try read_str d with Corrupt _ -> corrupt name in
-          if crc32 payload <> crc then raise (Corrupt ("crc:" ^ name));
-          (name, payload)
+          let off = d.off + field_width in
+          if off > d.stop then corrupt name;
+          let crc =
+            Int32.to_int (String.get_int32_le data d.off) land 0xFFFFFFFF
+          and len = Int64.to_int (String.get_int64_le data (d.off + 4)) in
+          if len < 0 || len > d.stop - off then corrupt name;
+          if crc_finish (crc_string crc_init data off len) <> crc then
+            raise (Bad_crc name);
+          d.off <- off + len;
+          (name, { data; off; stop = off + len })
         in
         match read_list read_segment d with
-        | exception Corrupt m ->
-          if String.length m > 4 && String.sub m 0 4 = "crc:" then
-            Error (Crc_mismatch (String.sub m 4 (String.length m - 4)))
-          else Error (Truncated m)
+        | exception Bad_crc name -> Error (Crc_mismatch name)
+        | exception Corrupt m -> Error (Truncated m)
         | segments ->
           if at_end d then Ok segments
           else Error (Truncated "trailing garbage"))

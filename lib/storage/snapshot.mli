@@ -9,6 +9,9 @@ open Adp_relation
     version, and a sequence of named segments each protected by a CRC-32 —
     written atomically (temp file + rename) so a crash during a checkpoint
     write can tear at most the temp file, never an existing checkpoint.
+    Writing streams each payload through one fixed 64 KiB buffer, so it
+    needs O(buffer) memory whatever the payload's size; reading decodes
+    each payload in place from the file's contents.
 
     The container is deliberately generic (segments are named byte
     strings); what goes *into* the segments — plan state, source
@@ -21,7 +24,7 @@ type enc
 
 val encoder : unit -> enc
 
-(** Everything encoded so far. *)
+(** Everything an in-memory encoder has encoded so far. *)
 val contents : enc -> string
 
 val u8 : enc -> int -> unit
@@ -57,6 +60,10 @@ val read_int : dec -> int
 val read_bool : dec -> bool
 val read_f64 : dec -> float
 val read_str : dec -> string
+
+(** Every byte left, with no length prefix: the inverse of {!raw} for the
+    last field. *)
+val read_rest : dec -> string
 val read_list : (dec -> 'a) -> dec -> 'a list
 val read_option : (dec -> 'a) -> dec -> 'a option
 val read_pair : (dec -> 'a) -> (dec -> 'b) -> dec -> 'a * 'b
@@ -85,9 +92,13 @@ val pp_file_error : Format.formatter -> file_error -> unit
 (** [write_file ~path ~version segments] writes the container atomically
     and returns its size in bytes: the bytes go to [path ^ ".tmp"], which
     is renamed over [path] only after a successful close.  Each segment is
-    a name and a function that encodes its payload; payloads are encoded
-    one at a time into a reused buffer and streamed to the file.  Segment
-    order is preserved. *)
+    a name and a function that encodes its payload.  The encoder it is
+    given drains one fixed 64 KiB buffer into the file whenever the buffer
+    fills, and a string longer than the buffer goes to the file directly,
+    so writing allocates O(buffer) whatever the payloads' size.  Each
+    segment's header holds the name, then the payload's CRC-32 (4 bytes)
+    and length (8 bytes) at fixed width, patched in once the payload has
+    been written.  Segment order is preserved. *)
 val write_file :
   path:string -> version:int -> (string * (enc -> unit)) list -> int
 
@@ -99,8 +110,11 @@ val write_text : path:string -> string -> unit
 
 (** [read_file ~version ~path] reads a container of format [version]
     back: its named segments in file order, each verified against its
-    CRC.  Every structural problem — wrong magic, any other version, torn
-    file, per-segment CRC mismatch — is an [Error], never an exception,
-    so callers can turn it into a diagnostic. *)
+    CRC before any is returned.  Each segment comes as a decoder over its
+    payload, in place in the file's contents: it starts at the payload's
+    first byte and {!at_end} holds at its last.  Every structural problem
+    — wrong magic, any other version, torn file, per-segment CRC mismatch
+    — is an [Error], never an exception, so callers can turn it into a
+    diagnostic. *)
 val read_file :
-  version:int -> path:string -> ((string * string) list, file_error) result
+  version:int -> path:string -> ((string * dec) list, file_error) result

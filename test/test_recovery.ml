@@ -130,9 +130,95 @@ let test_container_roundtrip () =
     bytes;
   (match Snapshot.read_file ~version:1 ~path with
    | Ok got ->
-     Alcotest.(check bool) "segments roundtrip" true (got = segments)
+     Alcotest.(check bool) "segments roundtrip" true
+       (List.map (fun (name, d) -> (name, Snapshot.read_rest d)) got
+        = segments)
    | Error e ->
      Alcotest.failf "read failed: %a" Snapshot.pp_file_error e);
+  rm_rf dir
+
+(* Payloads larger than the writer's 64 KiB buffer, each holding a run of
+   varints and strings; the first also holds one string longer than the
+   buffer, which the writer sends to the file directly. *)
+let container_large_roundtrip =
+  let open QCheck2.Gen in
+  let payload =
+    pair (list_size (int_bound 20_000) int)
+      (list_size (int_bound 5) (string_size (int_bound 3_000)))
+  in
+  QCheck2.Test.make ~name:"container roundtrip past the buffer (qcheck)"
+    ~count:20
+    (triple (int_range 65_537 140_000) char (list_size (int_range 1 3) payload))
+    (fun (big_len, fill, payloads) ->
+      let dir = fresh_dir () in
+      Sys.mkdir dir 0o755;
+      let path = Filename.concat dir "x.adpckpt" in
+      let big = String.make big_len fill in
+      let payloads =
+        match payloads with
+        | (ints, strs) :: rest -> (ints, big :: strs) :: rest
+        | [] -> [ ([], [ big ]) ]
+      in
+      let encode (ints, strs) b =
+        Snapshot.list Snapshot.int b ints;
+        Snapshot.list Snapshot.str b strs
+      in
+      let bytes =
+        Snapshot.write_file ~path ~version:7
+          (List.mapi (fun i p -> (Printf.sprintf "s%d" i, encode p)) payloads)
+      in
+      let size =
+        In_channel.with_open_bin path In_channel.length |> Int64.to_int
+      in
+      let ok =
+        match Snapshot.read_file ~version:7 ~path with
+        | Error e -> QCheck2.Test.fail_reportf "%a" Snapshot.pp_file_error e
+        | Ok segs ->
+          List.map fst segs
+          = List.mapi (fun i _ -> Printf.sprintf "s%d" i) payloads
+          && List.for_all2
+               (fun (_, d) (ints, strs) ->
+                 let got_ints = Snapshot.read_list Snapshot.read_int d in
+                 let got_strs = Snapshot.read_list Snapshot.read_str d in
+                 got_ints = ints && got_strs = strs && Snapshot.at_end d)
+               segs payloads
+      in
+      rm_rf dir;
+      ok && bytes = size)
+
+(* The writer streams through its fixed buffer: an 11 MB payload must not
+   grow any buffer to its size on the major heap. *)
+let test_write_memory_is_buffer_sized () =
+  let dir = fresh_dir () in
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "big.adpckpt" in
+  let big = String.make 100_000 'q' in
+  let gc = Adp_obs.Wallclock.create () in
+  let bytes =
+    Snapshot.write_file ~path ~version:1
+      [ ( "big",
+          fun b ->
+            for i = 1 to 1_000_000 do
+              Snapshot.f64 b (float_of_int i)
+            done;
+            Snapshot.str b big;
+            for i = 1 to 1_000_000 do
+              Snapshot.int b i
+            done ) ]
+  in
+  let major_bytes =
+    (Adp_obs.Wallclock.gc_totals gc).Adp_obs.Wallclock.g_major_words
+    *. float_of_int (Sys.word_size / 8)
+  in
+  Alcotest.(check bool) "payload of at least 8 MB" true (bytes >= 8_000_000);
+  if major_bytes >= 1e6 then
+    Alcotest.failf "writing %d bytes allocated %.0f bytes on the major heap"
+      bytes major_bytes;
+  (match Snapshot.read_file ~version:1 ~path with
+   | Ok [ ("big", d) ] ->
+     Alcotest.(check (float 0.0)) "first value" 1.0 (Snapshot.read_f64 d)
+   | Ok _ -> Alcotest.fail "wrong segments"
+   | Error e -> Alcotest.failf "read failed: %a" Snapshot.pp_file_error e);
   rm_rf dir
 
 let flip_byte path ~offset_from_end =
@@ -380,6 +466,51 @@ let test_checkpoint_save_load () =
    | Error ds -> Alcotest.failf "load failed: %s" (Diagnostic.to_string ds));
   rm_rf dir
 
+(* [Plan.capture] shares the plan's live output lists, so pushes after
+   the capture must reach neither the captured state nor the file saved
+   from it after those pushes. *)
+let test_capture_is_snapshot () =
+  let spec = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
+  let plan = instantiate ~record_outputs:true (Ctx.create ()) spec ~schema_of in
+  ignore (push_all plan "r" (mk_tuples 12 0));
+  ignore (push_all plan "s" (mk_tuples 9 50));
+  let state = Plan.capture plan in
+  let b = Snapshot.encoder () in
+  Codec.plan_state b state;
+  let at_capture =
+    Codec.read_plan_state (Snapshot.decoder (Snapshot.contents b))
+  in
+  let _, rows_at_capture = Plan.root_results plan in
+  let later = push_all plan "r" (mk_tuples 10 200) in
+  Alcotest.(check bool) "later pushes emit" true (later <> []);
+  Alcotest.(check bool) "captured state unchanged in memory" true
+    (state = at_capture);
+  let dir = fresh_dir () in
+  let ck = mini_checkpoint () in
+  let pr = Option.get ck.Checkpoint.current in
+  let path, _ =
+    Checkpoint.save ~dir
+      { ck with
+        Checkpoint.current = Some { pr with Checkpoint.pr_state = state } }
+  in
+  (match Checkpoint.load path with
+   | Ok { Checkpoint.current = Some loaded; _ } ->
+     Alcotest.(check bool) "saved state = state at capture" true
+       (loaded.Checkpoint.pr_state = at_capture);
+     let restored =
+       instantiate ~record_outputs:true (Ctx.create ()) spec ~schema_of
+     in
+     Plan.restore restored loaded.Checkpoint.pr_state;
+     let _, rows = Plan.root_results restored in
+     Alcotest.(check bool) "restored rows = rows at capture" true
+       (List.equal Tuple.equal rows rows_at_capture);
+     Alcotest.(check bool) "restored plan replays the later pushes" true
+       (List.equal Tuple.equal later
+          (push_all restored "r" (mk_tuples 10 200)))
+   | Ok _ -> Alcotest.fail "no current phase loaded"
+   | Error ds -> Alcotest.failf "load failed: %s" (Diagnostic.to_string ds));
+  rm_rf dir
+
 let test_corrupt_checkpoint_rejected () =
   let dir = fresh_dir () in
   let path, _ = Checkpoint.save ~dir (mini_checkpoint ()) in
@@ -419,7 +550,11 @@ let old_checkpoint_rejected ~version =
    | Ok segs ->
      ignore
        (Snapshot.write_file ~path ~version
-          (List.map (fun (name, p) -> (name, fun b -> Snapshot.raw b p)) segs))
+          (List.map
+             (fun (name, d) ->
+               let p = Snapshot.read_rest d in
+               (name, fun b -> Snapshot.raw b p))
+             segs))
    | Error e -> Alcotest.failf "read failed: %a" Snapshot.pp_file_error e);
   (match Checkpoint.load path with
    | Error ds ->
@@ -435,6 +570,10 @@ let test_v1_checkpoint_rejected () = old_checkpoint_rejected ~version:1
 
 (* Version 2 phase tuples are full width: every join kept every column. *)
 let test_v2_checkpoint_rejected () = old_checkpoint_rejected ~version:2
+
+(* Version 3 stored output lists oldest first, with varint CRCs and
+   lengths in its segment headers. *)
+let test_v3_checkpoint_rejected () = old_checkpoint_rejected ~version:3
 
 let test_load_clock () =
   let dir = fresh_dir () in
@@ -638,6 +777,9 @@ let suite =
     Alcotest.test_case "container roundtrip" `Quick test_container_roundtrip;
     Alcotest.test_case "container corruption" `Quick
       test_container_corruption_detected;
+    qtest container_large_roundtrip;
+    Alcotest.test_case "write memory is buffer-sized" `Quick
+      test_write_memory_is_buffer_sized;
     Alcotest.test_case "plan capture/restore" `Quick test_plan_capture_restore;
     Alcotest.test_case "continuation: 3-way join" `Quick
       test_continuation_three_way;
@@ -652,12 +794,15 @@ let suite =
     Alcotest.test_case "selectivity dump" `Quick
       test_selectivity_dump_roundtrip;
     Alcotest.test_case "checkpoint save/load" `Quick test_checkpoint_save_load;
+    Alcotest.test_case "capture is a snapshot" `Quick test_capture_is_snapshot;
     Alcotest.test_case "corrupt checkpoint rejected" `Quick
       test_corrupt_checkpoint_rejected;
     Alcotest.test_case "v1 checkpoint rejected" `Quick
       test_v1_checkpoint_rejected;
     Alcotest.test_case "v2 checkpoint rejected" `Quick
       test_v2_checkpoint_rejected;
+    Alcotest.test_case "v3 checkpoint rejected" `Quick
+      test_v3_checkpoint_rejected;
     Alcotest.test_case "load_clock" `Quick test_load_clock;
     Alcotest.test_case "ledger diagnostics" `Quick test_ledger_diagnostics;
     Alcotest.test_case "crash injector" `Quick test_crash_injector_fires_once;

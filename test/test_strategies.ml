@@ -325,6 +325,33 @@ let test_plan_partition_stages () =
   Alcotest.(check bool) "plan partitioning correct" true
     (approx_same_relations result want)
 
+(* The materialization between the stages holds only the columns stage 2
+   reads: the stage-1 relations' query outputs and their join columns to
+   the remaining relations.  The optimizer's first stage is customer,
+   supplier, nation and region, which keeps n_name, c_custkey and
+   s_suppkey (14 columns at full width); the poor plan's is lineitem,
+   supplier, nation and region, which keeps l_extendedprice, l_discount,
+   n_name, l_orderkey and s_nationkey (18 at full width). *)
+let test_plan_partition_materializes_what_stage2_reads () =
+  let q = Workload.query Workload.Q5 in
+  let catalog = Workload.catalog dataset q in
+  let sources = Workload.sources dataset q in
+  let true_catalog = Workload.catalog ~with_cardinalities:true dataset q in
+  let bad =
+    (Optimizer.pessimal q true_catalog (Adp_stats.Selectivity.create ()))
+      .Optimizer.spec
+  in
+  List.iter
+    (fun (label, initial_plan, width) ->
+      let result, stats =
+        Plan_partition.run ~break_after:3 ?initial_plan q catalog (sources ())
+      in
+      Alcotest.(check int) (label ^ ": materialized width") width
+        stats.Plan_partition.materialized_width;
+      Alcotest.(check bool) (label ^ ": result exact") true
+        (approx_same_relations result (Strategy.reference q catalog ~sources)))
+    [ ("optimized", None, 3); ("poor start", Some bad, 5) ]
+
 let test_competition_details () =
   let q = Workload.query Workload.Q3A in
   let catalog = Workload.catalog dataset q in
@@ -708,6 +735,8 @@ let suite =
       test_plan_partition_with_initial_plan;
     Alcotest.test_case "plan partitioning stages" `Slow
       test_plan_partition_stages;
+    Alcotest.test_case "plan partitioning materializes what stage 2 reads"
+      `Slow test_plan_partition_materializes_what_stage2_reads;
     Alcotest.test_case "competition details" `Quick test_competition_details;
     Alcotest.test_case "sink adapts schemas" `Quick test_sink_adapts_schemas;
     Alcotest.test_case "sink views = adapted feeds" `Quick
