@@ -30,16 +30,25 @@ let cities =
 
 let generate config =
   let rng = Prng.create config.seed in
+  (* One immutable block per distinct int and city, shared by every row
+     that holds it (see Tpch.generate). *)
+  let ints =
+    Array.init
+      (max 365 (max config.n_flights config.n_travelers) + 1)
+      (fun i -> Value.Int i)
+  in
+  let city_values = Array.map (fun c -> Value.Str c) cities in
+  let n_cities = Array.length cities in
   let flights = Relation.create flights_schema in
   for fid = 1 to config.n_flights do
-    let from_city = Prng.choice rng cities in
-    let to_city = ref (Prng.choice rng cities) in
+    let from_city = Prng.int rng n_cities in
+    let to_city = ref (Prng.int rng n_cities) in
     while !to_city = from_city do
-      to_city := Prng.choice rng cities
+      to_city := Prng.int rng n_cities
     done;
     Relation.append flights
-      [| Value.Int fid; Value.Str from_city; Value.Str !to_city;
-         Value.Int (Prng.int rng 365) |]
+      [| ints.(fid); city_values.(from_city); city_values.(!to_city);
+         ints.(Prng.int rng 365) |]
   done;
   let travelers = Relation.create travelers_schema in
   let trips_zipf =
@@ -63,13 +72,12 @@ let generate config =
   Prng.shuffle rng trips_arr;
   Array.iter
     (fun (ssn, flight) ->
-      Relation.append travelers [| Value.Int ssn; Value.Int flight |])
+      Relation.append travelers [| ints.(ssn); ints.(flight) |])
     trips_arr;
   let children = Relation.create children_schema in
   let parents = Array.init config.n_travelers (fun i -> i + 1) in
   Prng.shuffle rng parents;
   Array.iter
-    (fun p ->
-      Relation.append children [| Value.Int p; Value.Int (Prng.int rng 6) |])
+    (fun p -> Relation.append children [| ints.(p); ints.(Prng.int rng 6) |])
     parents;
   { config; flights; travelers; children }

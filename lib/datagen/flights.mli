@@ -10,7 +10,10 @@ open Adp_relation
 
     The generator can skew how often travelers fly ([frequent_flyers]),
     which is what makes pre-aggregation before the join pay off
-    (Example 2.3). *)
+    (Example 2.3).
+
+    As in {!Tpch}, rows share one immutable block per distinct int and
+    city: never mutate a value or compare values physically. *)
 
 type config = {
   n_flights : int;

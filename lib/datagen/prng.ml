@@ -1,18 +1,27 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in a byte buffer rather than a mutable [int64]
+   field: reading and writing it through [Bytes.get_int64_le]/[set_int64_le]
+   keeps the arithmetic unboxed, so a draw allocates nothing beyond its
+   boxed float result. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 (Int64.of_int seed);
+  t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next_u64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next_u64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let split t =
-  { state = next_u64 t }
+  let child = Bytes.create 8 in
+  Bytes.set_int64_le child 0 (next_u64 t);
+  child
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound <= 0";

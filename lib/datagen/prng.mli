@@ -3,7 +3,13 @@
     All workload generation is seeded through this module so that every
     experiment is exactly reproducible (the paper reruns each experiment 4+
     times; we instead fix seeds and report deterministic virtual-cost numbers
-    alongside wall-clock times). *)
+    alongside wall-clock times).
+
+    The state is 8 unboxed bytes, so [int], [range], [bool] and [shuffle]
+    allocate nothing and [float] only its result.  The generators built
+    on it hand out shared immutable {!Adp_relation.Value.t} blocks (see
+    {!Tpch}): a value drawn once may sit in many rows, so never mutate a
+    value or compare values physically. *)
 
 type t
 

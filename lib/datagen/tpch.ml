@@ -74,13 +74,15 @@ let key_of name =
 (* TPC-H dates span 1992-01-01 .. 1998-08-02 (day 0 .. day 2405). *)
 let max_orderdate = 2284 (* leave room for shipdate = orderdate + <= 121 *)
 
-let skew_pick rng dist ~n ~uniform_pick =
-  (* Foreign keys: uniform draws under [Uniform]; Zipf ranks mapped onto the
-     key space under [Skewed].  The Zipf table is memoized per (n, z) by the
-     caller. *)
+let skew_pick rng dist ~n =
+  (* Foreign keys and value ranks in [1, n]: uniform draws under
+     [Uniform]; Zipf ranks mapped onto the key space under [Skewed].  The
+     Zipf table is memoized per (n, z) by the caller. *)
   match dist with
-  | None -> uniform_pick ()
+  | None -> 1 + Prng.int rng n
   | Some zipf -> (Zipf.sample zipf rng - 1) mod n + 1
+
+let str_values names = Array.map (fun s -> Value.Str s) names
 
 let generate config =
   let rng = Prng.create config.seed in
@@ -96,85 +98,83 @@ let generate config =
   let supp_zipf = zipf_for n_supplier in
   let nation_zipf = zipf_for (Array.length nation_names) in
   let price_zipf = zipf_for 1000 in
+  (* Every repeated value is one immutable block, shared by all the rows
+     that hold it: keys and small ints (so an order's key is one block in
+     orders and in each of its lineitems), dates, the categorical strings
+     and the small-domain floats.  Only the values unique to a row
+     (names, account balances, extended prices) are boxed per row. *)
+  let ints = Array.init (max n_orders 20_000 + 1) (fun i -> Value.Int i) in
+  let dates = Array.init (max_orderdate + 122) (fun d -> Value.Date d) in
+  let segments = str_values mktsegments in
+  let statuses = str_values order_statuses in
+  let flags = str_values return_flags in
+  let totals =
+    Array.init 1001 (fun r -> Value.Float (float_of_int r *. 181.13 +. 857.71))
+  in
+  let quantities = Array.init 51 (fun q -> Value.Float (float_of_int q)) in
+  let discounts =
+    Array.init 11 (fun d -> Value.Float (float_of_int d /. 100.0))
+  in
 
   let region =
     Relation.of_list (schema_of "region")
       (List.init (Array.length region_names) (fun i ->
-           [| Value.Int i; Value.Str region_names.(i) |]))
+           [| ints.(i); Value.Str region_names.(i) |]))
   in
   let nation =
     Relation.of_list (schema_of "nation")
       (List.init (Array.length nation_names) (fun i ->
-           [| Value.Int i; Value.Str nation_names.(i);
-              Value.Int nation_regions.(i) |]))
+           [| ints.(i); Value.Str nation_names.(i);
+              ints.(nation_regions.(i)) |]))
   in
   let supplier = Relation.create (schema_of "supplier") in
   let s_rng = Prng.split rng in
   for k = 1 to n_supplier do
-    let nk =
-      skew_pick s_rng nation_zipf ~n:(Array.length nation_names)
-        ~uniform_pick:(fun () -> 1 + Prng.int s_rng (Array.length nation_names))
-      - 1
-    in
+    let nk = skew_pick s_rng nation_zipf ~n:(Array.length nation_names) - 1 in
     Relation.append supplier
-      [| Value.Int k; Value.Str (Printf.sprintf "Supplier#%09d" k);
-         Value.Int nk; Value.Float (Prng.float s_rng *. 9999.0 -. 999.0) |]
+      [| ints.(k); Value.Str (Printf.sprintf "Supplier#%09d" k);
+         ints.(nk); Value.Float (Prng.float s_rng *. 9999.0 -. 999.0) |]
   done;
   let customer = Relation.create (schema_of "customer") in
   let c_rng = Prng.split rng in
   for k = 1 to n_customer do
-    let nk =
-      skew_pick c_rng nation_zipf ~n:(Array.length nation_names)
-        ~uniform_pick:(fun () -> 1 + Prng.int c_rng (Array.length nation_names))
-      - 1
-    in
+    let nk = skew_pick c_rng nation_zipf ~n:(Array.length nation_names) - 1 in
     Relation.append customer
-      [| Value.Int k; Value.Str (Printf.sprintf "Customer#%09d" k);
-         Value.Int nk; Value.Float (Prng.float c_rng *. 9999.0 -. 999.0);
-         Value.Str (Prng.choice c_rng mktsegments) |]
+      [| ints.(k); Value.Str (Printf.sprintf "Customer#%09d" k);
+         ints.(nk); Value.Float (Prng.float c_rng *. 9999.0 -. 999.0);
+         Prng.choice c_rng segments |]
   done;
   let orders = Relation.create (schema_of "orders") in
   let lineitem = Relation.create (schema_of "lineitem") in
   let o_rng = Prng.split rng in
   let l_rng = Prng.split rng in
+  (* An array literal evaluates its elements right to left, so the draws
+     inside the literals below happen last element first; moving one out
+     of its literal would reorder the stream. *)
   for ok = 1 to n_orders do
-    let ck =
-      skew_pick o_rng cust_zipf ~n:n_customer ~uniform_pick:(fun () ->
-          1 + Prng.int o_rng n_customer)
-    in
+    let ck = skew_pick o_rng cust_zipf ~n:n_customer in
     let odate = Prng.int o_rng max_orderdate in
-    let price_rank =
-      skew_pick o_rng price_zipf ~n:1000 ~uniform_pick:(fun () ->
-          1 + Prng.int o_rng 1000)
-    in
-    let total = float_of_int price_rank *. 181.13 +. 857.71 in
+    let price_rank = skew_pick o_rng price_zipf ~n:1000 in
     Relation.append orders
-      [| Value.Int ok; Value.Int ck;
-         Value.Str (Prng.choice o_rng order_statuses); Value.Float total;
-         Value.Date odate; Value.Int (Prng.int o_rng 5) |];
+      [| ints.(ok); ints.(ck); Prng.choice o_rng statuses; totals.(price_rank);
+         dates.(odate); ints.(Prng.int o_rng 5) |];
     (* Return flags correlate within an order (as dbgen ties them to the
        order's receipt date), so selections on l_returnflag keep whole
        orders — which is what makes pre-aggregation on l_orderkey
        worthwhile after such a filter. *)
-    let order_flag = Prng.choice l_rng return_flags in
+    let order_flag = Prng.choice l_rng flags in
     let n_lines = 1 + Prng.int l_rng 7 in
     for ln = 1 to n_lines do
-      let sk =
-        skew_pick l_rng supp_zipf ~n:n_supplier ~uniform_pick:(fun () ->
-            1 + Prng.int l_rng n_supplier)
+      let sk = skew_pick l_rng supp_zipf ~n:n_supplier in
+      let q = (skew_pick l_rng price_zipf ~n:1000 mod 50) + 1 in
+      let eprice =
+        float_of_int q *. (900.0 +. float_of_int (Prng.int l_rng 10_0000) /. 100.0)
       in
-      let qty_rank =
-        skew_pick l_rng price_zipf ~n:1000 ~uniform_pick:(fun () ->
-            1 + Prng.int l_rng 1000)
-      in
-      let qty = float_of_int ((qty_rank mod 50) + 1) in
-      let eprice = qty *. (900.0 +. float_of_int (Prng.int l_rng 10_0000) /. 100.0) in
       Relation.append lineitem
-        [| Value.Int ok; Value.Int (1 + Prng.int l_rng 20000); Value.Int sk;
-           Value.Int ln; Value.Float qty; Value.Float eprice;
-           Value.Float (float_of_int (Prng.int l_rng 11) /. 100.0);
-           Value.Str order_flag;
-           Value.Date (odate + 1 + Prng.int l_rng 121) |]
+        [| ints.(ok); ints.(1 + Prng.int l_rng 20000); ints.(sk);
+           ints.(ln); quantities.(q); Value.Float eprice;
+           discounts.(Prng.int l_rng 11); order_flag;
+           dates.(odate + 1 + Prng.int l_rng 121) |]
     done
   done;
   { config; region; nation; supplier; customer; orders; lineitem }

@@ -12,6 +12,13 @@ open Adp_relation
     them), which is what makes the complementary-join speculation of §5
     plausible; use {!Perturb} to destroy order.
 
+    Rows share their repeated values: every key, small int, date,
+    categorical string and small-domain float is one immutable
+    {!Value.t} block per dataset, held by every row that has that value
+    (an order's [o_orderkey] is the very block of its lineitems'
+    [l_orderkey]).  Never mutate a value in place or compare values
+    physically; compare with {!Value.equal}/{!Value.compare}.
+
     Cardinalities at scale factor [sf]: REGION 5, NATION 25, SUPPLIER
     10,000·sf, CUSTOMER 150,000·sf, ORDERS 10 per customer, LINEITEM 1–7 per
     order. *)

@@ -57,6 +57,54 @@ let test_exponential_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean near 4" true (Float.abs (mean -. 4.0) < 0.2)
 
+(* The splitmix64 generator with its state boxed in a mutable [int64]
+   field: a reference the unboxed [Prng] must match draw for draw. *)
+module Ref_prng = struct
+  type t = { mutable state : int64 }
+
+  let create seed = { state = Int64.of_int seed }
+
+  let next t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let split t = { state = next t }
+  let int t bound = Int64.to_int (Int64.shift_right_logical (next t) 2) mod bound
+
+  let float t =
+    Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+end
+
+type prng_op = Draw_int of int | Draw_float | Split
+
+(* Each op draws from the current stream; [Split] draws a child from it
+   and continues on the child, so parents and children interleave. *)
+let prng_matches_reference =
+  let open QCheck2 in
+  let op =
+    Gen.oneof
+      [ Gen.map (fun b -> Draw_int b) (Gen.int_range 1 max_int);
+        Gen.map (fun b -> Draw_int b) (Gen.int_range 1 100);
+        Gen.return Draw_float; Gen.return Split ]
+  in
+  Test.make ~name:"prng = boxed splitmix64 reference (qcheck)" ~count:200
+    ~long_factor:10
+    Gen.(pair int (list_size (int_range 0 200) op))
+    (fun (seed, ops) ->
+      let rec go t r = function
+        | [] -> true
+        | Draw_int b :: rest -> Prng.int t b = Ref_prng.int r b && go t r rest
+        | Draw_float :: rest ->
+          Int64.bits_of_float (Prng.float t)
+          = Int64.bits_of_float (Ref_prng.float r)
+          && go t r rest
+        | Split :: rest -> go (Prng.split t) (Ref_prng.split r) rest
+      in
+      go (Prng.create seed) (Ref_prng.create seed) ops)
+
 (* ---------------- Zipf ---------------- *)
 
 let test_zipf_probs () =
@@ -166,6 +214,119 @@ let test_tpch_schema_api () =
         (Schema.mem sch (Tpch.key_of name)))
     Tpch.table_names
 
+(* ---------------- Digest pin ---------------- *)
+
+(* An MD5 over every row of every table, in table and row order: a tag
+   and the content of each value, floats by their bit pattern.  The
+   digests below were computed from the generator whose every row boxed
+   its own values; they pin the exact PRNG draw order, which no property
+   over two runs of the same code can (a reordered draw still generates
+   valid, deterministic data). *)
+let digest_tables tables =
+  let acc = ref "" in
+  let buf = Buffer.create 65_536 in
+  let flush () =
+    acc := Digest.string (!acc ^ Buffer.contents buf);
+    Buffer.clear buf
+  in
+  List.iter
+    (fun (name, rel) ->
+      Buffer.add_string buf name;
+      Relation.iter
+        (fun row ->
+          Array.iter
+            (function
+              | Value.Null -> Buffer.add_char buf 'N'
+              | Value.Int i ->
+                Buffer.add_char buf 'I';
+                Buffer.add_int64_le buf (Int64.of_int i)
+              | Value.Float f ->
+                Buffer.add_char buf 'F';
+                Buffer.add_int64_le buf (Int64.bits_of_float f)
+              | Value.Str s ->
+                Buffer.add_char buf 'S';
+                Buffer.add_int32_le buf (Int32.of_int (String.length s));
+                Buffer.add_string buf s
+              | Value.Date d ->
+                Buffer.add_char buf 'D';
+                Buffer.add_int64_le buf (Int64.of_int d))
+            row;
+          if Buffer.length buf >= 65_536 then flush ())
+        rel)
+    tables;
+  flush ();
+  Digest.to_hex !acc
+
+let tpch_digest scale distribution seed =
+  let d = Tpch.generate { Tpch.scale; distribution; seed } in
+  digest_tables (List.map (fun n -> n, Tpch.table d n) Tpch.table_names)
+
+let flights_digest config =
+  let d = Flights.generate config in
+  digest_tables
+    [ "flights", d.Flights.flights; "travelers", d.Flights.travelers;
+      "children", d.Flights.children ]
+
+let tpch_pins =
+  [ Tpch.Uniform, 1, "04b2e6319c1360e9d5da9e118df5aa53";
+    Tpch.Uniform, 2, "53cf93704004237ee93b5a724a5ff4ee";
+    Tpch.Skewed 0.5, 1, "32a541a76fbc5f8b7dd7e695e47facf7";
+    Tpch.Skewed 0.5, 2, "b1d7793861b693749784c90516628b33" ]
+
+let dist_name = function
+  | Tpch.Uniform -> "uniform"
+  | Tpch.Skewed z -> Printf.sprintf "skewed %g" z
+
+let test_tpch_digest_pin () =
+  List.iter
+    (fun (dist, seed, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "SF 0.01 %s seed %d" (dist_name dist) seed)
+        want (tpch_digest 0.01 dist seed))
+    tpch_pins
+
+let test_flights_digest_pin () =
+  Alcotest.(check string) "default" "d8e2aa3958ad73a0e2c51a1c06af8a18"
+    (flights_digest Flights.default_config);
+  Alcotest.(check string) "frequent flyers" "e1a9626fdb484d6cfa9c3bf946edacb9"
+    (flights_digest { Flights.default_config with frequent_flyers = true })
+
+(* The paper's scale, only in qcheck's long mode (QCHECK_LONG=1 or
+   true, the switch the qcheck properties read): each digest generates
+   about 600,000 lineitem rows. *)
+let long_mode =
+  match Sys.getenv_opt "QCHECK_LONG" with
+  | Some ("1" | "true") -> true
+  | _ -> false
+
+let test_tpch_digest_pin_paper_scale () =
+  if long_mode then
+    List.iter
+      (fun (dist, want) ->
+        Alcotest.(check string)
+          (Printf.sprintf "SF 0.1 %s seed 1" (dist_name dist))
+          want (tpch_digest 0.1 dist 1))
+      [ Tpch.Uniform, "50a084b16a1939bda0c99673b696d0d6";
+        Tpch.Skewed 0.5, "6c4bfaf718bdeb3a62a8b7108ef6833e" ]
+
+(* Repeated values are shared blocks, not per-row copies: the dataset's
+   reachable words stay well under the 2,466,909 it took when every row
+   boxed its own values. *)
+let test_tpch_shares_values () =
+  let d = Tpch.generate { Tpch.scale = 0.01; distribution = Tpch.Uniform; seed = 1 } in
+  let words = Obj.reachable_words (Obj.repr d) in
+  if words > 1_300_000 then
+    Alcotest.failf "SF 0.01 dataset reaches %d words (limit 1,300,000)" words;
+  Relation.iter
+    (fun l ->
+      match l.(0) with
+      | Value.Int ok ->
+        let o = Relation.get d.Tpch.orders (ok - 1) in
+        if not (l.(0) == o.(0)) then
+          Alcotest.failf "l_orderkey %d is not its order's o_orderkey block" ok
+      | _ -> Alcotest.fail "l_orderkey not int")
+    d.Tpch.lineitem
+
 (* ---------------- Perturb ---------------- *)
 
 let test_perturb () =
@@ -227,6 +388,7 @@ let suite =
     Alcotest.test_case "prng split independence" `Quick test_prng_split_independent;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
+    qtest prng_matches_reference;
     Alcotest.test_case "zipf probabilities" `Quick test_zipf_probs;
     Alcotest.test_case "zipf z=0 uniform" `Quick test_zipf_uniform_degenerate;
     Alcotest.test_case "zipf sampling skew" `Quick test_zipf_sampling_skew;
@@ -237,6 +399,12 @@ let suite =
     Alcotest.test_case "tpch determinism" `Quick test_tpch_determinism;
     Alcotest.test_case "tpch skew" `Quick test_tpch_skew;
     Alcotest.test_case "tpch schema api" `Quick test_tpch_schema_api;
+    Alcotest.test_case "tpch digest pin" `Quick test_tpch_digest_pin;
+    Alcotest.test_case "tpch digest pin at SF 0.1 (long)" `Slow
+      test_tpch_digest_pin_paper_scale;
+    Alcotest.test_case "flights digest pin" `Quick test_flights_digest_pin;
+    Alcotest.test_case "tpch shares repeated values" `Quick
+      test_tpch_shares_values;
     Alcotest.test_case "perturbation" `Quick test_perturb;
     Alcotest.test_case "flights generator" `Quick test_flights;
     Alcotest.test_case "flights frequent flyers" `Quick test_flights_frequent_flyers ]
