@@ -12,8 +12,6 @@
                 tuple counts, estimate-vs-actual calibration, blame
      serve      run a scripted multi-query workload through the
                 worker-pool server
-     server-report
-                re-render a saved JSON server report
      bench-diff compare a BENCH_<id>.json file against its committed
                 baseline; every cell must match exactly (CI gate)
      lint       effect and determinism lint over OCaml sources
@@ -73,13 +71,6 @@ let parse_query_with_order sql =
     exit 2
 
 let parse_query sql = fst (parse_query_with_order sql)
-
-(* A file's contents; an unreadable file exits 2. *)
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error m ->
-    Printf.eprintf "%s\n" m;
-    exit 2
 
 module Analyzer = Adp_analysis.Analyzer
 module Diagnostic = Adp_analysis.Diagnostic
@@ -985,7 +976,7 @@ let profile_cmd =
     Term.(const run $ arg $ dataset $ cards_arg $ model_arg
           $ obs ~metrics:false ())
 
-(* ---------------- serve / server-report ---------------- *)
+(* ---------------- serve ---------------- *)
 
 module Server = Adp_server.Server
 module Server_script = Adp_server.Script
@@ -1082,11 +1073,6 @@ let serve_cmd =
     Arg.(value & opt (some int) None
          & info [ "memory-budget" ] ~docv:"N" ~doc)
   in
-  let report_arg =
-    let doc = "Write the JSON server report to $(i,FILE) (render it later \
-               with $(b,tukwila server-report))." in
-    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
-  in
   let results_arg =
     let doc =
       "Write each completed query's full result rows to \
@@ -1097,7 +1083,7 @@ let serve_cmd =
   in
   let run script_path ds cards workers queue_cap poll_min poll_max
       poll_backoff poll_speedup poll_window max_retries retry_backoff ckpt_dir
-      ckpt_every obs report_file results_dir classes memory_budget breaker
+      ckpt_every obs results_dir classes memory_budget breaker
       faults =
     let script =
       match Server_script.parse_file script_path with
@@ -1134,13 +1120,7 @@ let serve_cmd =
               metrics = s.metrics }
             resolver script)
     in
-    let v = Server.view report in
-    Format.printf "%a" Server.pp_view v;
-    Option.iter
-      (fun path ->
-        Adp_storage.Snapshot.write_text ~path
-          (Adp_obs.Json.to_string (Server.view_to_json v) ^ "\n"))
-      report_file;
+    Format.printf "%a" Server.pp_view (Server.view report);
     Option.iter
       (fun dir ->
         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -1175,31 +1155,8 @@ let serve_cmd =
           $ queue_cap_arg $ poll_min_arg $ poll_max_arg $ poll_backoff_arg
           $ poll_speedup_arg $ poll_window_arg $ max_retries_arg
           $ retry_backoff_arg $ serve_ckpt_dir_arg $ serve_ckpt_every_arg
-          $ obs ~wall:false () $ report_arg $ results_arg $ class_arg
+          $ obs ~wall:false () $ results_arg $ class_arg
           $ serve_mem_arg $ breaker_arg $ fault_arg)
-
-let server_report_cmd =
-  let run path =
-    match Adp_obs.Json.parse (read_file path) with
-    | Error msg ->
-      Printf.eprintf "%s: %s\n" path msg;
-      exit 2
-    | Ok j -> (
-      match Server.view_of_json j with
-      | Ok v -> Format.printf "%a" Server.pp_view v
-      | Error msg ->
-        Printf.eprintf "%s: %s\n" path msg;
-        exit 2)
-  in
-  let doc =
-    "Render a JSON server report written by $(b,tukwila serve --report) \
-     back into the human-readable summary."
-  in
-  let arg =
-    let doc = "The JSON report file." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"REPORT" ~doc)
-  in
-  Cmd.v (Cmd.info "server-report" ~doc) Term.(const run $ arg)
 
 (* ---------------- bench-diff ---------------- *)
 
@@ -1339,5 +1296,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; explain_cmd; plan_cmd; query_cmd; check_cmd;
-            profile_cmd; serve_cmd; server_report_cmd;
+            profile_cmd; serve_cmd;
             bench_diff_cmd; lint_cmd ]))

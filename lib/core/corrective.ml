@@ -123,32 +123,44 @@ let track tr (v : Adp_relation.Value.t) =
     | Null | Str _ -> ()
   end
 
-let attach_order_detectors (query : Logical.query) sources =
+(* Every source's join columns with their positions: both monitors
+   observe exactly these. *)
+let join_columns (query : Logical.query) sources =
   List.concat_map
     (fun src ->
       let name = Source.name src in
-      let cols =
-        List.concat_map
-          (fun (a, b) ->
-            List.filter
-              (fun c -> Logical.relation_of_column c = name)
-              [ a; b ])
-          query.join_preds
-        |> List.sort_uniq String.compare
-      in
-      List.map
-        (fun col ->
-          let tr =
-            { t_order = Adp_stats.Order_detector.create ();
-              t_distinct = Adp_stats.Distinct.create ();
-              t_range = { lo = infinity; hi = neg_infinity }; t_live = true }
-          in
-          let idx = Adp_relation.Schema.index (Source.schema src) col in
-          Source.observe src (fun t -> if tr.t_live then track tr t.(idx));
-          (col, tr))
-        cols)
+      List.concat_map
+        (fun (a, b) ->
+          List.filter (fun c -> Logical.relation_of_column c = name) [ a; b ])
+        query.join_preds
+      |> List.sort_uniq String.compare
+      |> List.map (fun col ->
+             (src, col, Adp_relation.Schema.index (Source.schema src) col)))
     sources
 
+let attach_order_detectors cols =
+  List.map
+    (fun (src, col, idx) ->
+      let tr =
+        { t_order = Adp_stats.Order_detector.create ();
+          t_distinct = Adp_stats.Distinct.create ();
+          t_range = { lo = infinity; hi = neg_infinity }; t_live = true }
+      in
+      Source.observe src (fun t -> if tr.t_live then track tr t.(idx));
+      (col, tr))
+    cols
+
+(* A leaf's selection pass rate: observed, else its filter's default.  The
+   monitors see the raw streams, so their join estimates are scaled by
+   both leaves' rates. *)
+let filter_sel (query : Logical.query) sels r =
+  match
+    Adp_stats.Selectivity.lookup sels (Logical.signature_of_set query [ r ])
+  with
+  | Some sel -> sel
+  | None ->
+    let s = List.find (fun s -> s.Logical.name = r) query.Logical.sources in
+    Cardinality.filter_selectivity s.Logical.filter
 
 (* Fold the monitor's counters for the running phase into the selectivity
    registry: per-leaf filter pass rates, per-join-subexpression
@@ -212,18 +224,12 @@ let update_observations cfg query catalog sels sources order_detectors plan =
   in
   let sorted_col col =
     match List.assoc_opt col order_detectors with
-    | Some tr ->
-      Adp_stats.Order_detector.count tr.t_order >= 2
-      && Adp_stats.Order_detector.perfectly_sorted tr.t_order
-      && Adp_stats.Order_detector.ascending_fraction tr.t_order >= 0.5
+    | Some tr -> Adp_stats.Join_estimator.sorted tr.t_order
     | None -> false
-  in
-  let canon a b =
-    if String.compare a b <= 0 then a ^ "=" ^ b else b ^ "=" ^ a
   in
   let aligned_pred p =
     List.exists
-      (fun (a, b) -> canon a b = p && sorted_col a && sorted_col b)
+      (fun (a, b) -> Plan.canon_pred a b = p && sorted_col a && sorted_col b)
       query.Logical.join_preds
   in
   (* Sorted-aligned two-way joins are predictable from the prefix alone
@@ -235,47 +241,22 @@ let update_observations cfg query catalog sels sources order_detectors plan =
     | Some ta, Some tb
       when sorted_col a && sorted_col b
            && ta.t_range.hi > ta.t_range.lo && tb.t_range.hi > tb.t_range.lo ->
+      let side tr r =
+        let frac = min 1.0 (float_of_int (seen_of r) /. expected_total r) in
+        let lo, hi =
+          Adp_stats.Join_estimator.extrapolated_range
+            (tr.t_range.lo, tr.t_range.hi) frac
+        in
+        ( lo, hi, expected_total r,
+          Adp_stats.Join_estimator.per_distinct
+            ~seen:(Adp_stats.Order_detector.count tr.t_order)
+            (Adp_stats.Distinct.estimate tr.t_distinct) )
+      in
       let ra = Logical.relation_of_column a
       and rb = Logical.relation_of_column b in
-      let range tr r =
-        let frac =
-          min 1.0 (float_of_int (seen_of r) /. expected_total r)
-        in
-        let { lo; hi } = tr.t_range in
-        lo, lo +. ((hi -. lo) /. max frac 1e-6)
-      in
-      let lo_a, hi_a = range ta ra and lo_b, hi_b = range tb rb in
-      let lo = max lo_a lo_b and hi = min hi_a hi_b in
-      if hi < lo then Some 0.0
-      else begin
-        let mult tr =
-          let d = Adp_stats.Distinct.estimate tr.t_distinct in
-          if d <= 0.0 then 1.0
-          else float_of_int (Adp_stats.Order_detector.count tr.t_order) /. d
-        in
-        let density r (lo_r, hi_r) =
-          expected_total r /. max 1.0 (hi_r -. lo_r)
-        in
-        let ma = mult ta and mb = mult tb in
-        let da = density ra (lo_a, hi_a)
-        and db = density rb (lo_b, hi_b) in
-        let key_density = min (da /. ma) (db /. mb) in
-        (* The trackers see the raw streams; scale by the leaves'
-           selection pass rates. *)
-        let filter_sel r =
-          let sig_r = Logical.signature_of_set query [ r ] in
-          match Adp_stats.Selectivity.lookup sels sig_r with
-          | Some sel -> sel
-          | None ->
-            let s =
-              List.find (fun s -> s.Logical.name = r) query.Logical.sources
-            in
-            Cardinality.filter_selectivity s.Logical.filter
-        in
-        Some
-          ((hi -. lo) *. key_density *. ma *. mb *. filter_sel ra
-          *. filter_sel rb)
-      end
+      Some
+        (Adp_stats.Join_estimator.sorted_overlap (side ta ra) (side tb rb)
+        *. filter_sel query sels ra *. filter_sel query sels rb)
     | _ -> None
   in
   List.iter
@@ -312,7 +293,7 @@ let update_observations cfg query catalog sels sources order_detectors plan =
            let est =
              List.find_map
                (fun (a, b) ->
-                 if List.mem (canon a b) info.predicate then
+                 if List.mem (Plan.canon_pred a b) info.predicate then
                    sorted_pair_estimate (a, b)
                  else None)
                query.Logical.join_preds
@@ -350,29 +331,15 @@ type hist_attr = {
   h_side : Adp_stats.Join_estimator.side;
 }
 
-let attach_histograms ctx (query : Logical.query) sources =
-  List.concat_map
-    (fun src ->
-      let name = Source.name src in
-      let cols =
-        List.concat_map
-          (fun (a, b) ->
-            List.filter
-              (fun c -> Logical.relation_of_column c = name)
-              [ a; b ])
-          query.join_preds
-        |> List.sort_uniq String.compare
-      in
-      List.map
-        (fun col ->
-          let side = Adp_stats.Join_estimator.side () in
-          let idx = Adp_relation.Schema.index (Source.schema src) col in
-          Source.observe src (fun t ->
-              Ctx.charge ctx ctx.Ctx.costs.histogram_add;
-              Adp_stats.Join_estimator.observe side t.(idx));
-          { h_relation = name; h_column = col; h_side = side })
-        cols)
-    sources
+let attach_histograms ctx cols =
+  List.map
+    (fun (src, col, idx) ->
+      let side = Adp_stats.Join_estimator.side () in
+      Source.observe src (fun t ->
+          Ctx.charge ctx ctx.Ctx.costs.histogram_add;
+          Adp_stats.Join_estimator.observe side t.(idx));
+      { h_relation = Source.name src; h_column = col; h_side = side })
+    cols
 
 let feed_histogram_predictions cfg (query : Logical.query) catalog sels attrs
     sources =
@@ -385,13 +352,6 @@ let feed_histogram_predictions cfg (query : Logical.query) catalog sels attrs
     match Adp_stats.Selectivity.final_cardinality sels r with
     | Some total -> float_of_int (max 1 total)
     | None -> max (Catalog.cardinality catalog r) (float_of_int (consumed r))
-  in
-  let filter_sel r =
-    let src = List.find (fun s -> s.Logical.name = r) query.Logical.sources in
-    let sig_r = Logical.signature_of_set query [ r ] in
-    match Adp_stats.Selectivity.lookup sels sig_r with
-    | Some sel -> sel
-    | None -> Cardinality.filter_selectivity src.Logical.filter
   in
   List.iter
     (fun (a, b) ->
@@ -414,9 +374,9 @@ let feed_histogram_predictions cfg (query : Logical.query) catalog sels attrs
             ~left:(ha.h_side, frac ra)
             ~right:(hb.h_side, frac rb)
         in
-        (* The histograms see the raw streams; scale by the leaves'
-           selection pass rates. *)
-        let est = raw_est *. filter_sel ra *. filter_sel rb in
+        let est =
+          raw_est *. filter_sel query sels ra *. filter_sel query sels rb
+        in
         Adp_stats.Selectivity.observe_output sels
           ~signature:(Logical.signature_of_set query [ ra; rb ])
           ~cardinality:est
@@ -437,9 +397,10 @@ let run ?(config = default_config) query catalog sources =
     Ctx.create ~costs:cfg.costs ~trace:cfg.trace ?metrics:cfg.metrics
       ?profile:cfg.profile ?wall:cfg.wall ()
   in
-  let order_detectors = attach_order_detectors query sources in
+  let cols = join_columns query sources in
+  let order_detectors = attach_order_detectors cols in
   let hist_attrs =
-    if cfg.use_histograms then attach_histograms ctx query sources else []
+    if cfg.use_histograms then attach_histograms ctx cols else []
   in
   let registry = Registry.create () in
   let schema_of = Catalog.schema_of catalog in
@@ -596,17 +557,33 @@ let run ?(config = default_config) query catalog sources =
        (Analyzer.check_conformance
           (List.map (fun pr -> pr.Checkpoint.pr_spec) restored
           @ [ initial_spec ])));
-  Ctx.set_phase ctx (phase_label (List.length restored));
-  (* Checkpoint I/O is wall-only work: the load above, the restore below
-     and every save stamp a bucket of their own. *)
-  if resume <> None then Ctx.wall_bucket ctx "(checkpoint)";
-  freeze_priors initial_spec;
-  let current =
-    ref
-      (Phase.create ~record_outputs ~id:(List.length restored) ctx
-         initial_spec ~schema_of ~keep)
+  let open_phase ?(record_outputs = record_outputs) ~id spec =
+    Ctx.set_phase ctx (phase_label id);
+    freeze_priors spec;
+    Phase.create ~record_outputs ~id ctx spec ~schema_of ~keep
   in
+  let phase_opened (ph : Phase.t) =
+    if Ctx.traced ctx then
+      Ctx.emit ctx
+        (Trace.Phase_opened
+           { id = ph.Phase.id; plan = plan_desc ph.Phase.spec })
+  in
+  (* Checkpoint I/O is wall-only work: the load above, the restore below
+     and every save stamp a bucket of their own, the load in the resumed
+     phase's. *)
+  if resume <> None then begin
+    Ctx.set_phase ctx (phase_label (List.length restored));
+    Ctx.wall_bucket ctx "(checkpoint)"
+  end;
+  let current = ref (open_phase ~id:(List.length restored) initial_spec) in
   let sink = Sink.create ctx query ~canonical:(Plan.schema !current.Phase.plan) in
+  (* Count a phase's new outputs and hand them to the sink. *)
+  let emit (ph : Phase.t) outs =
+    if outs <> [] then begin
+      ph.Phase.emitted <- ph.Phase.emitted + List.length outs;
+      Sink.feed sink ~from:(Plan.schema ph.Phase.plan) outs
+    end
+  in
   let completed = ref [] in
   (* Recovery is a forced phase switch: close every checkpointed phase at
      its recorded positions.  Re-feed the outputs each had already emitted
@@ -618,21 +595,15 @@ let run ?(config = default_config) query catalog sources =
      exactly-once. *)
   List.iter
     (fun (pr : Checkpoint.phase_record) ->
-      Ctx.set_phase ctx (phase_label pr.Checkpoint.pr_id);
-      freeze_priors pr.Checkpoint.pr_spec;
       let ph =
-        Phase.create ~record_outputs:true ~id:pr.Checkpoint.pr_id ctx
-          pr.Checkpoint.pr_spec ~schema_of ~keep
+        open_phase ~record_outputs:true ~id:pr.Checkpoint.pr_id
+          pr.Checkpoint.pr_spec
       in
       Plan.restore ph.Phase.plan pr.Checkpoint.pr_state;
       ph.Phase.emitted <- pr.Checkpoint.pr_emitted;
       let sch, outs = Plan.root_results ph.Phase.plan in
       Sink.feed sink ~from:sch outs;
-      let flushed = Plan.flush ph.Phase.plan in
-      if flushed <> [] then begin
-        ph.Phase.emitted <- ph.Phase.emitted + List.length flushed;
-        Sink.feed sink ~from:(Plan.schema ph.Phase.plan) flushed
-      end;
+      emit ph (Plan.flush ph.Phase.plan);
       Phase.register ph registry;
       completed :=
         { cl_phase = ph; cl_read = pr.Checkpoint.pr_read;
@@ -681,18 +652,10 @@ let run ?(config = default_config) query catalog sources =
   let positions () =
     List.map (fun s -> Source.name s, Source.consumed s) sources
   in
-  let closed_record cl =
-    { Checkpoint.pr_id = cl.cl_phase.Phase.id;
-      pr_spec = cl.cl_phase.Phase.spec;
-      pr_state = Plan.capture cl.cl_phase.Phase.plan;
-      pr_emitted = cl.cl_phase.Phase.emitted; pr_read = cl.cl_read;
-      pr_ends = cl.cl_ends }
-  in
-  let current_record () =
-    let ph = !current in
+  let phase_record (ph : Phase.t) ~read ~ends =
     { Checkpoint.pr_id = ph.Phase.id; pr_spec = ph.Phase.spec;
       pr_state = Plan.capture ph.Phase.plan; pr_emitted = ph.Phase.emitted;
-      pr_read = tuples_read () - !reads_before; pr_ends = positions () }
+      pr_read = read; pr_ends = ends }
   in
   let write_checkpoint (policy : Checkpoint.policy) ~include_current =
     incr ckpt_seq;
@@ -706,9 +669,18 @@ let run ?(config = default_config) query catalog sources =
         sources_failed = Metrics.count ctx.Ctx.sources_failed;
         positions = positions ();
         stats = Adp_stats.Selectivity.dump sels;
-        completed = List.rev_map closed_record !completed;
-        current = (if include_current then Some (current_record ()) else None)
-      }
+        completed =
+          List.rev_map
+            (fun cl ->
+              phase_record cl.cl_phase ~read:cl.cl_read ~ends:cl.cl_ends)
+            !completed;
+        current =
+          (if include_current then
+             Some
+               (phase_record !current
+                  ~read:(tuples_read () - !reads_before)
+                  ~ends:(positions ()))
+           else None) }
     in
     let path, bytes = Checkpoint.save ~dir:policy.Checkpoint.dir ck in
     Metrics.incr ctx.Ctx.checkpoints;
@@ -721,11 +693,7 @@ let run ?(config = default_config) query catalog sources =
   in
   let consume src tuple =
     let ph = !current in
-    let outs = Plan.push ph.Phase.plan ~source:(Source.name src) tuple in
-    if outs <> [] then begin
-      ph.Phase.emitted <- ph.Phase.emitted + List.length outs;
-      Sink.feed sink ~from:(Plan.schema ph.Phase.plan) outs
-    end;
+    emit ph (Plan.push ph.Phase.plan ~source:(Source.name src) tuple);
     (match cfg.checkpoint with
      | Some ({ Checkpoint.every_tuples = Some n; _ } as p)
        when n > 0 && tuples_read () - !last_ckpt_read >= n ->
@@ -846,6 +814,22 @@ let run ?(config = default_config) query catalog sources =
       in
       if expected <= 0.0 then 0.0 else 1.0 -. (read /. expected)
     in
+    (* Cost-to-go of the running plan against the best plan under [s]'s
+       estimates, and what switching to it would cost: the regions
+       already consumed must later be stitched against everything the new
+       plan reads, work roughly proportional to the input fraction already
+       processed — the other half of §4.3's "factor in the amount of
+       computation already performed".  Estimator and optimizer never
+       charge the clock. *)
+    let price s =
+      let est = Cardinality.create query catalog s in
+      let current_cost = Cost.query_cost cfg.costs est ph.Phase.spec in
+      let best =
+        Optimizer.optimize ~preagg:cfg.preagg ~costs:cfg.costs query catalog s
+      in
+      (est, current_cost, best,
+       best.est_cost *. (1.0 +. (1.0 -. remaining_fraction)))
+    in
     let guard =
       if phase_count () >= cfg.max_phases then Some "max-phases"
       else if remaining_fraction < min_remaining_fraction then
@@ -858,18 +842,10 @@ let run ?(config = default_config) query catalog sources =
        | None -> ()
        | Some cal ->
          (* The guard fires before costing; when calibrating we still
-            compute the would-be costs — estimator and optimizer never
-            charge the clock — so a declined switch (the Q3A guarded-rule
-            case) carries the same evidence as a taken one. *)
-         let est = Cardinality.create query catalog sels in
-         let current_cost = Cost.query_cost cfg.costs est ph.Phase.spec in
-         let best =
-           Optimizer.optimize ~preagg:cfg.preagg ~costs:cfg.costs query
-             catalog sels
-         in
-         let switch_cost =
-           best.est_cost *. (1.0 +. (1.0 -. remaining_fraction))
-         in
+            compute the would-be costs, so a declined switch (the Q3A
+            guarded-rule case) carries the same evidence as a taken
+            one. *)
+         let est, current_cost, best, switch_cost = price sels in
          record_observations ~est cal ~phase:(phase_label ph.Phase.id)
            ~point:Calibrate.Poll ph.Phase.spec;
          Calibrate.decide cal ~phase:(phase_label ph.Phase.id)
@@ -882,9 +858,7 @@ let run ?(config = default_config) query catalog sources =
       (* Background re-optimization: cost-to-go of the running plan vs the
          best plan under the refreshed estimates (with any open-breaker
          source pinned at its observed cardinality). *)
-      let psels = planning_sels () in
-      let est = Cardinality.create query catalog psels in
-      let current_cost = Cost.query_cost cfg.costs est ph.Phase.spec in
+      let est, current_cost, best, switch_cost = price (planning_sels ()) in
       match cfg.deadline with
       | Some dl when now +. current_cost > dl ->
         (* §4.3 against the clock: the cost-to-go no longer fits the
@@ -897,18 +871,6 @@ let run ?(config = default_config) query catalog sources =
                  est_finish_s = (now +. current_cost) /. 1e6 });
         degrade ph "deadline"
       | Some _ | None ->
-      let best =
-        Optimizer.optimize ~preagg:cfg.preagg ~costs:cfg.costs query catalog
-          psels
-      in
-      (* Switching is not free: the regions already consumed must later be
-         stitched against everything the new plan reads — work roughly
-         proportional to the input fraction already processed.  Charging
-         it here is the other half of §4.3's "factor in the amount of
-         computation already performed". *)
-      let switch_cost =
-        best.est_cost *. (1.0 +. (1.0 -. remaining_fraction))
-      in
       let switching =
         best.spec <> ph.Phase.spec
         && switch_cost < cfg.switch_threshold *. current_cost
@@ -967,11 +929,7 @@ let run ?(config = default_config) query catalog sources =
   in
   let finish_phase () =
     let ph = !current in
-    let outs = Plan.flush ph.Phase.plan in
-    if outs <> [] then begin
-      ph.Phase.emitted <- ph.Phase.emitted + List.length outs;
-      Sink.feed sink ~from:(Plan.schema ph.Phase.plan) outs
-    end;
+    emit ph (Plan.flush ph.Phase.plan);
     update_observations cfg query catalog sels sources order_detectors ph.Phase.plan;
     (match cfg.calibrate with
      | None -> ()
@@ -1005,15 +963,8 @@ let run ?(config = default_config) query catalog sources =
         | None -> invalid_arg "Corrective: switch without a plan"
       in
       next_spec := None;
-      Ctx.set_phase ctx (phase_label (List.length !completed));
-      freeze_priors spec;
-      current :=
-        Phase.create ~record_outputs ~id:(List.length !completed) ctx spec
-          ~schema_of ~keep;
-      if Ctx.traced ctx then
-        Ctx.emit ctx
-          (Trace.Phase_opened
-             { id = !current.Phase.id; plan = plan_desc spec });
+      current := open_phase ~id:(List.length !completed) spec;
+      phase_opened !current;
       drive ()
     | Driver.Exhausted -> finish_phase ()
     | Driver.Stopped ->
@@ -1021,10 +972,9 @@ let run ?(config = default_config) query catalog sources =
          arrived participates in stitch-up like any other phase. *)
       finish_phase ()
   in
-  if Ctx.traced ctx then
-    Ctx.emit ctx
-      (Trace.Phase_opened
-         { id = !current.Phase.id; plan = plan_desc !current.Phase.spec });
+  (* The initial phase is announced only now: on resume, after the
+     restored clock and the resume event. *)
+  phase_opened !current;
   drive ();
   Crash.stitchup_started crash;
   let phases = List.rev_map (fun c -> c.cl_phase) !completed in

@@ -178,7 +178,7 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
         aggs =
           List.map
             (fun (a : Aggregate.spec) ->
-              { a with expr = Rewrite.expr rename a.expr })
+              { a with expr = Expr.rename rename a.expr })
             query.aggs;
         projection = List.map rename query.projection }
     in

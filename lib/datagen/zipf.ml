@@ -20,14 +20,13 @@ let z t = t.z
 
 let sample t rng =
   let u = Prng.float rng in
-  (* First index whose cdf >= u. *)
-  let rec bsearch lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.cdf.(mid) >= u then bsearch lo mid else bsearch (mid + 1) hi
-  in
-  bsearch 0 (t.n - 1) + 1
+  (* First index whose cdf >= u; a loop over locals allocates nothing. *)
+  let lo = ref 0 and hi = ref (t.n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.cdf.(mid) >= u then hi := mid else lo := mid + 1
+  done;
+  !lo + 1
 
 let prob t rank =
   if rank < 1 || rank > t.n then invalid_arg "Zipf.prob: rank out of range";

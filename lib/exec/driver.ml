@@ -166,27 +166,10 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
       Ctx.wall_bucket ctx "(driver wait)";
       Ctx.charge_span ctx (Ctx.span ctx "(retry)") ctx.Ctx.costs.reconnect;
       let now = Ctx.now ctx in
-      if Retry.exhausted ctrls.(i) then begin
+      if Retry.exhausted ctrls.(i) then
         (* Retry budget spent: the connection is declared permanently
-           dead.  Fail over to the next mirror, or give the source up and
-           let the run complete with partial results. *)
-        let ok = Source.failover srcs.(i) ~at:now in
-        (if ok then begin
-           Adp_obs.Metrics.incr ctx.Ctx.failovers;
-           Retry.note_progress ctrls.(i) ~now;
-           breaker_success i ~now
-         end
-         else Adp_obs.Metrics.incr ctx.Ctx.sources_failed);
-        if Ctx.traced ctx then
-          Ctx.emit ctx
-            (Adp_obs.Trace.Failover { source = Source.name srcs.(i); ok });
-        (* A permanent source failure changes the best remaining plan:
-           trigger the re-optimizer immediately instead of waiting for
-           the next scheduled poll. *)
-        match poll with
-        | Some (_, cb) -> reopt_poll cb ~continue:loop
-        | None -> loop ()
-      end
+           dead. *)
+        fail_over i ~now
       else begin
         Adp_obs.Metrics.incr ctx.Ctx.retries;
         let attempt = Retry.attempts ctrls.(i) + 1 in
@@ -217,29 +200,33 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
         end
         else begin
           let tripped = breaker_failure i ~now in
-          if tripped && Source.mirrors_remaining srcs.(i) > 0 then begin
+          if tripped && Source.mirrors_remaining srcs.(i) > 0 then
             (* The breaker gave up on this connection and a mirror is
                available: switch over now rather than burning the rest of
                the retry budget against a tripping source. *)
-            let fo = Source.failover srcs.(i) ~at:now in
-            (if fo then begin
-               Adp_obs.Metrics.incr ctx.Ctx.failovers;
-               Retry.note_progress ctrls.(i) ~now;
-               breaker_success i ~now
-             end);
-            if Ctx.traced ctx then
-              Ctx.emit ctx
-                (Adp_obs.Trace.Failover
-                   { source = Source.name srcs.(i); ok = fo });
-            (* Breaker-driven failover changes the source landscape:
-               poll immediately, as with retry-exhaustion failover. *)
-            match poll with
-            | Some (_, cb) -> reopt_poll cb ~continue:loop
-            | None -> loop ()
-          end
+            fail_over i ~now
           else loop ()
         end
       end
     end
+  (* Fail over to the next mirror, or give the source up and let the run
+     complete with partial results.  Either way the source landscape
+     changed, which changes the best remaining plan: trigger the
+     re-optimizer immediately instead of waiting for the next scheduled
+     poll. *)
+  and fail_over i ~now =
+    let ok = Source.failover srcs.(i) ~at:now in
+    if ok then begin
+      Adp_obs.Metrics.incr ctx.Ctx.failovers;
+      Retry.note_progress ctrls.(i) ~now;
+      breaker_success i ~now
+    end
+    else Adp_obs.Metrics.incr ctx.Ctx.sources_failed;
+    if Ctx.traced ctx then
+      Ctx.emit ctx
+        (Adp_obs.Trace.Failover { source = Source.name srcs.(i); ok });
+    match poll with
+    | Some (_, cb) -> reopt_poll cb ~continue:loop
+    | None -> loop ()
   in
   loop ()

@@ -62,7 +62,12 @@ val preagg :
 (** Base relation (scan source) names of the subtree, sorted. *)
 val relations : spec -> string list
 
-(** Join predicates of the subtree as canonical ["a=b"] strings, sorted.
+(** [canon_pred a b] is the canonical ["a=b"] string of the equi-join
+    predicate between columns [a] and [b]: the smaller name first, so
+    both orientations give one string. *)
+val canon_pred : string -> string -> string
+
+(** Join predicates of the subtree as {!canon_pred} strings, sorted.
     A join whose key lists differ in length contributes none. *)
 val predicates : spec -> string list
 

@@ -49,8 +49,10 @@ let pred_selectivity t (a, b) =
   let ra = Logical.relation_of_column a
   and rb = Logical.relation_of_column b in
   let ca = raw_cardinality t ra and cb = raw_cardinality t rb in
-  let canon = if String.compare a b <= 0 then a ^ "=" ^ b else b ^ "=" ^ a in
-  match Adp_stats.Selectivity.multiplicative_factor t.sels canon with
+  match
+    Adp_stats.Selectivity.multiplicative_factor t.sels
+      (Adp_exec.Plan.canon_pred a b)
+  with
   | Some f -> f /. max 1.0 (min ca cb)
   | None ->
     let key_a = Catalog.is_key t.catalog ~relation:ra ~column:a in

@@ -27,14 +27,12 @@ let preds_between q ~inside ~outside =
       else None)
     q.join_preds
 
-let canon_pred a b = if String.compare a b <= 0 then a ^ "=" ^ b else b ^ "=" ^ a
-
 let preds_within q rels =
   List.filter_map
     (fun (a, b) ->
       if List.mem (relation_of_column a) rels
          && List.mem (relation_of_column b) rels
-      then Some (canon_pred a b)
+      then Some (Plan.canon_pred a b)
       else None)
     q.join_preds
   |> List.sort String.compare

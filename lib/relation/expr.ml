@@ -16,6 +16,14 @@ let rec columns = function
   | Const _ -> []
   | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) -> columns a @ columns b
 
+let rec rename f = function
+  | Col c -> Col (f c)
+  | Const v -> Const v
+  | Add (a, b) -> Add (rename f a, rename f b)
+  | Sub (a, b) -> Sub (rename f a, rename f b)
+  | Mul (a, b) -> Mul (rename f a, rename f b)
+  | Div (a, b) -> Div (rename f a, rename f b)
+
 let arith f a b =
   if Value.is_null a || Value.is_null b then Value.Null
   else

@@ -18,6 +18,10 @@ val float : float -> t
 (** Columns referenced. *)
 val columns : t -> string list
 
+(** [rename f e] replaces every column [c] of [e] by [f c] (plan
+    partitioning's materialized sources, §2.1). *)
+val rename : (string -> string) -> t -> t
+
 (** [compile e schema] resolves columns and returns an evaluator producing
     a {!Value.t} ([Null] is absorbing through arithmetic). *)
 val compile : t -> Schema.t -> Tuple.t -> Value.t

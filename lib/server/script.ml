@@ -14,19 +14,6 @@ type directive =
 
 type t = (float * directive) list
 
-let pp_directive ppf = function
-  | Submit { qid; spec; klass; deadline_s } ->
-    Format.fprintf ppf "submit %s%s%s %s" qid
-      (match klass with Some c -> " class=" ^ c | None -> "")
-      (match deadline_s with
-       | Some d -> Printf.sprintf " deadline=%g" d
-       | None -> "")
-      spec
-  | Kill { qid; point } ->
-    Format.fprintf ppf "kill %s %a" qid Crash.pp_point point
-  | Cancel qid -> Format.fprintf ppf "cancel %s" qid
-  | Drain -> Format.fprintf ppf "drain"
-
 let is_qid s =
   s <> ""
   && String.for_all

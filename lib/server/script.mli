@@ -38,8 +38,6 @@ type directive =
 (** Directives sorted by time; equal times keep file order. *)
 type t = (float * directive) list
 
-val pp_directive : Format.formatter -> directive -> unit
-
 (** Parse a script text.  Every problem is reported at once as
     diagnostics with stable [script-*] codes ([script-syntax],
     [script-bad-time], [script-bad-qid], [script-bad-point],

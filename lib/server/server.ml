@@ -908,112 +908,6 @@ let view r =
     vr_max_interval_s = r.r_max_interval_s; vr_finished_s = r.r_finished_s;
     vr_shared_signatures = r.r_shared_signatures }
 
-let view_to_json v =
-  let num f = Json.Num f in
-  let int i = Json.Num (float_of_int i) in
-  let str s = Json.Str s in
-  let q (x : query_view) =
-    Json.Obj
-      [ ("id", str x.v_id); ("spec", str x.v_spec);
-        ("class", str x.v_class); ("deadline_s", num x.v_deadline_s);
-        ("outcome", str x.v_outcome); ("reason", str x.v_reason);
-        ("submitted_s", num x.v_submitted_s);
-        ("finished_s", num x.v_finished_s); ("attempts", int x.v_attempts);
-        ("result_card", int x.v_result_card); ("time_s", num x.v_time_s);
-        ("coverage", num x.v_coverage); ("degraded", str x.v_degraded);
-        ("breaker_trips", int x.v_breaker_trips);
-        ("resumed_phases", int x.v_resumed_phases);
-        ("checkpoints", int x.v_checkpoints);
-        ("warm_signatures", int x.v_warm_signatures);
-        ("warm_plan_changed", Json.Bool x.v_warm_plan_changed) ]
-  in
-  Json.Obj
-    [ ("schema", int 2); ("kind", str "tukwila-server-report");
-      ("queries", Json.List (List.map q v.vr_queries));
-      ("done", int v.vr_done); ("failed", int v.vr_failed);
-      ("cancelled", int v.vr_cancelled); ("rejected", int v.vr_rejected);
-      ("shed", int v.vr_shed);
-      ("workers_spawned", int v.vr_workers_spawned);
-      ("workers_died", int v.vr_workers_died);
-      ("reclaims", int v.vr_reclaims); ("polls", int v.vr_polls);
-      ("busy_polls", int v.vr_busy_polls);
-      ("min_interval_s", num v.vr_min_interval_s);
-      ("max_interval_s", num v.vr_max_interval_s);
-      ("finished_s", num v.vr_finished_s);
-      ("shared_signatures", int v.vr_shared_signatures) ]
-
-let view_of_json j =
-  let get j k f =
-    match Option.bind (Json.member k j) f with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or malformed field %S" k)
-  in
-  (* Governance fields arrived with schema 2; defaulting keeps schema-1
-     reports loadable. *)
-  let opt j k f ~default =
-    match Option.bind (Json.member k j) f with Some v -> v | None -> default
-  in
-  let ( let* ) = Result.bind in
-  let* kind = get j "kind" Json.get_str in
-  if kind <> "tukwila-server-report" then
-    Error "not a tukwila server report"
-  else
-    let* qs = get j "queries" Json.get_list in
-    let* queries =
-      List.fold_left
-        (fun acc qj ->
-          let* acc = acc in
-          let* v_id = get qj "id" Json.get_str in
-          let* v_spec = get qj "spec" Json.get_str in
-          let v_class = opt qj "class" Json.get_str ~default:"" in
-          let v_deadline_s = opt qj "deadline_s" Json.get_num ~default:0.0 in
-          let v_degraded = opt qj "degraded" Json.get_str ~default:"" in
-          let v_breaker_trips =
-            opt qj "breaker_trips" Json.get_int ~default:0
-          in
-          let* v_outcome = get qj "outcome" Json.get_str in
-          let* v_reason = get qj "reason" Json.get_str in
-          let* v_submitted_s = get qj "submitted_s" Json.get_num in
-          let* v_finished_s = get qj "finished_s" Json.get_num in
-          let* v_attempts = get qj "attempts" Json.get_int in
-          let* v_result_card = get qj "result_card" Json.get_int in
-          let* v_time_s = get qj "time_s" Json.get_num in
-          let* v_coverage = get qj "coverage" Json.get_num in
-          let* v_resumed_phases = get qj "resumed_phases" Json.get_int in
-          let* v_checkpoints = get qj "checkpoints" Json.get_int in
-          let* v_warm_signatures = get qj "warm_signatures" Json.get_int in
-          let* v_warm_plan_changed =
-            get qj "warm_plan_changed" Json.get_bool
-          in
-          Ok
-            ({ v_id; v_spec; v_class; v_deadline_s; v_outcome; v_reason;
-               v_submitted_s; v_finished_s; v_attempts; v_result_card;
-               v_time_s; v_coverage; v_degraded; v_breaker_trips;
-               v_resumed_phases; v_checkpoints; v_warm_signatures;
-               v_warm_plan_changed }
-            :: acc))
-        (Ok []) qs
-    in
-    let* vr_done = get j "done" Json.get_int in
-    let* vr_failed = get j "failed" Json.get_int in
-    let* vr_cancelled = get j "cancelled" Json.get_int in
-    let* vr_rejected = get j "rejected" Json.get_int in
-    let vr_shed = opt j "shed" Json.get_int ~default:0 in
-    let* vr_workers_spawned = get j "workers_spawned" Json.get_int in
-    let* vr_workers_died = get j "workers_died" Json.get_int in
-    let* vr_reclaims = get j "reclaims" Json.get_int in
-    let* vr_polls = get j "polls" Json.get_int in
-    let* vr_busy_polls = get j "busy_polls" Json.get_int in
-    let* vr_min_interval_s = get j "min_interval_s" Json.get_num in
-    let* vr_max_interval_s = get j "max_interval_s" Json.get_num in
-    let* vr_finished_s = get j "finished_s" Json.get_num in
-    let* vr_shared_signatures = get j "shared_signatures" Json.get_int in
-    Ok
-      { vr_queries = List.rev queries; vr_done; vr_failed; vr_cancelled;
-        vr_rejected; vr_shed; vr_workers_spawned; vr_workers_died;
-        vr_reclaims; vr_polls; vr_busy_polls; vr_min_interval_s;
-        vr_max_interval_s; vr_finished_s; vr_shared_signatures }
-
 let pp_view ppf v =
   let fnum = Json.float_str in
   Format.fprintf ppf "server report:@.";

@@ -152,9 +152,10 @@ val tpch_resolver :
 
 (** {2 Report rendering}
 
-    A [view] is the JSON-safe projection of a {!report} (outcome names
-    and cardinalities instead of result relations): what [tukwila serve]
-    writes with [--report] and [tukwila server-report] renders back. *)
+    A [view] is the printable projection of a {!report}: outcome names
+    and cardinalities instead of result relations.  [tukwila serve]
+    prints it with {!pp_view}, and comparing two views checks that
+    observers left a serve unperturbed. *)
 
 type query_view = {
   v_id : string;
@@ -198,6 +199,4 @@ type view = {
 }
 
 val view : report -> view
-val view_to_json : view -> Adp_obs.Json.t
-val view_of_json : Adp_obs.Json.t -> (view, string) result
 val pp_view : Format.formatter -> view -> unit

@@ -20,19 +20,33 @@ val side : unit -> side
 (** Observe the join attribute of one arriving tuple. *)
 val observe : side -> Value.t -> unit
 
-(** Values seen so far. *)
-val seen : side -> int
+(** Whether a stream has been perfectly sorted ascending so far, over at
+    least two values (its prefix covers only part of the domain, so the
+    full range is extrapolated rather than the histogram scaled). *)
+val sorted : Order_detector.t -> bool
 
-(** Whether the stream has been perfectly sorted ascending so far (its
-    prefix covers only part of the domain, so the full range is
-    extrapolated rather than the histogram scaled). *)
+(** {!sorted} over the side's order detector. *)
 val detected_sorted : side -> bool
 
 (** {!detected_sorted} and strictly ascending — a key. *)
 val detected_key : side -> bool
 
+(** Average duplicates per value when [seen] values showed [d] distinct. *)
+val per_distinct : seen:int -> float -> float
+
 (** Average duplicates per distinct value in the prefix. *)
 val multiplicity : side -> float
+
+(** [extrapolated_range (lo, hi) frac]: the full range of a sorted stream
+    whose prefix covers [[lo, hi]] after a fraction [frac] of it, assuming
+    the rest continues past [hi] at the same density. *)
+val extrapolated_range : float * float -> float -> float * float
+
+(** [sorted_overlap a b] predicts the equi-join size of two sorted
+    streams, each given by its extrapolated range, expected total size
+    and multiplicity [(lo, hi, total, multiplicity)]. *)
+val sorted_overlap :
+  float * float * float * float -> float * float * float * float -> float
 
 (** [estimate ~left ~right] predicts the full equi-join output size, where
     each side is paired with the fraction of its stream consumed so far

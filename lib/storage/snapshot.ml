@@ -188,8 +188,6 @@ let tuple b (t : Tuple.t) =
   int b (Array.length t);
   Array.iter (value b) t
 
-let schema b s = list str b (Array.to_list (Schema.columns s))
-
 (* ------------------------------------------------------------------ *)
 (* Decoder                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -280,11 +278,6 @@ let read_tuple d =
   let n = read_int d in
   if n < 0 then corrupt "negative tuple arity";
   Array.init n (fun _ -> read_value d)
-
-let read_schema d =
-  match Schema.make (read_list read_str d) with
-  | s -> s
-  | exception Invalid_argument m -> corrupt ("bad schema: " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* Segmented container files                                          *)

@@ -41,7 +41,6 @@ val option : (enc -> 'a -> unit) -> enc -> 'a option -> unit
 val pair : (enc -> 'a -> unit) -> (enc -> 'b -> unit) -> enc -> 'a * 'b -> unit
 val value : enc -> Value.t -> unit
 val tuple : enc -> Tuple.t -> unit
-val schema : enc -> Schema.t -> unit
 
 (** {2 Decoder} *)
 
@@ -69,7 +68,6 @@ val read_option : (dec -> 'a) -> dec -> 'a option
 val read_pair : (dec -> 'a) -> (dec -> 'b) -> dec -> 'a * 'b
 val read_value : dec -> Value.t
 val read_tuple : dec -> Tuple.t
-val read_schema : dec -> Schema.t
 
 (** {2 CRC-32}
 

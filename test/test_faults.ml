@@ -9,6 +9,7 @@ open Adp_exec
 open Adp_core
 open Adp_query
 open Helpers
+module Trace = Adp_obs.Trace
 
 let mk_rel n = rel [ "t.k"; "t.p" ] (List.init n (fun i -> [ vi i; vi 0 ]))
 
@@ -278,6 +279,63 @@ let test_partial_results_without_mirror () =
   Alcotest.(check int) "no failover possible" 0 r.Report.failovers;
   Alcotest.(check bool) "still produced rows" true (r.Report.result_card > 0)
 
+(* A flapping lineitem: each drop outlasts the first reconnect attempt,
+   so every flap records one breaker failure.  The second trips the
+   breaker (threshold 2) while retry budget remains, and the driver
+   fails over to the lagging mirror on the trip rather than on retry
+   exhaustion. *)
+let test_breaker_trip_fails_over () =
+  let ds = Lazy.force dataset in
+  let q = Lazy.force q3a in
+  let catalog = Workload.catalog ~with_cardinalities:false ds q in
+  let sources () =
+    let srcs = Workload.sources ~model:(Source.Bandwidth 100_000.0) ds q () in
+    let lineitem = List.find (fun s -> Source.name s = "lineitem") srcs in
+    List.iter
+      (fun after_tuples ->
+        Source.inject lineitem
+          (Source.Disconnect { after_tuples; rejoin_after_s = Some 0.025 }))
+      [ 300; 600 ];
+    Source.add_mirror lineitem (Source.mirror ~lag_tuples:150 ());
+    srcs
+  in
+  let max_retries = 5 in
+  let trace = Trace.memory () in
+  let o =
+    Strategy.run ~label:"flapping" ~trace
+      ~retry:(policy ~timeout:0.02 ~retries:max_retries ~backoff:0.01 ())
+      (Strategy.Corrective
+         { Corrective.default_config with
+           Corrective.poll_interval = 2e4; min_leaf_seen = 50;
+           breaker =
+             Some
+               { Breaker.window_s = 60.0; failure_threshold = 2;
+                 cooldown_s = 1.0; probe_jitter = 0.0; seed = 5 } })
+      q catalog ~sources
+  in
+  let r = o.Strategy.report in
+  Alcotest.(check int) "one failover" 1 r.Report.failovers;
+  Alcotest.(check bool) "retry budget not spent" true
+    (r.Report.retries < max_retries);
+  let rec after_trip = function
+    | (_, Trace.Breaker_state_changed { source = "lineitem"; to_state = "open"; _ })
+      :: rest ->
+      List.exists
+        (function
+          | _, Trace.Failover { source = "lineitem"; ok = true } -> true
+          | _ -> false)
+        rest
+    | _ :: rest -> after_trip rest
+    | [] -> false
+  in
+  Alcotest.(check bool) "the trip is followed by a failover" true
+    (after_trip (Trace.events trace));
+  Alcotest.(check (float 1e-9)) "full coverage" 1.0 r.Report.coverage;
+  check_approx_rel "result equals the reference"
+    (Strategy.reference q catalog
+       ~sources:(Workload.sources ~model:Source.Local ds q))
+    o.Strategy.result
+
 let suite =
   [ Alcotest.test_case "retry schedule" `Quick test_retry_schedule;
     Alcotest.test_case "backoff jitter deterministic" `Quick
@@ -295,4 +353,6 @@ let suite =
     Alcotest.test_case "failover query deterministic" `Quick
       test_failover_query_deterministic;
     Alcotest.test_case "partial results without mirror" `Quick
-      test_partial_results_without_mirror ]
+      test_partial_results_without_mirror;
+    Alcotest.test_case "breaker trip fails over" `Quick
+      test_breaker_trip_fails_over ]

@@ -532,14 +532,10 @@ let test_deadline_shed_and_degrade () =
       (* The script text carries the deadline rounded to µs precision. *)
       Alcotest.(check (option (float 1e-6))) "deadline recorded"
         (Some (d *. 0.3)) q.Server.qr_deadline_s;
-      (* The view carries the governance columns and round-trips. *)
-      let v = Server.view r in
-      let qv = List.hd v.Server.vr_queries in
+      (* The view carries the governance columns. *)
+      let qv = List.hd (Server.view r).Server.vr_queries in
       Alcotest.(check string) "view degraded column" "deadline"
-        qv.Server.v_degraded;
-      match Server.view_of_json (Server.view_to_json v) with
-      | Ok v' -> Alcotest.(check bool) "JSON round-trip" true (v = v')
-      | Error e -> Alcotest.failf "view round-trip failed: %s" e)
+        qv.Server.v_degraded)
 
 let suite =
   [ Alcotest.test_case "breaker: success while open closes and clears" `Quick

@@ -606,22 +606,6 @@ let test_shared_profile_scoped_per_query () =
              || String.starts_with ~prefix:"q:b:" i.Profile.phase)
            (Profile.spans profile)))
 
-(* ---------------- report JSON round-trip ---------------- *)
-
-let test_view_json_roundtrip () =
-  with_server
-    ~config:(fun c -> { c with Server.checkpoint_every = 300 })
-    (acceptance_script ^ "\nat 5 drain\nat 6 submit late Q3")
-    (fun r ->
-      let v = Server.view r in
-      match Json.parse (Json.to_string (Server.view_to_json v)) with
-      | Error e -> Alcotest.fail e
-      | Ok j -> (
-        match Server.view_of_json j with
-        | Ok v' ->
-          Alcotest.(check bool) "view roundtrips through JSON" true (v = v')
-        | Error e -> Alcotest.fail e))
-
 let test_config_validation () =
   let base = Server.default_config ~checkpoint_dir:"x" in
   let codes cfg = List.map code_of (Server.validate cfg) in
@@ -677,6 +661,4 @@ let suite =
       test_serve_zero_perturbation;
     Alcotest.test_case "shared profile scoped per query" `Quick
       test_shared_profile_scoped_per_query;
-    Alcotest.test_case "view json roundtrip" `Quick
-      test_view_json_roundtrip;
     Alcotest.test_case "config validation" `Quick test_config_validation ]

@@ -412,6 +412,57 @@ let test_histogram_assisted_corrective () =
   Alcotest.(check bool) "histogram-assisted result exact" true
     (approx_same_relations o.Strategy.result want)
 
+(* Every float the monitor feeds the re-optimizer, pinned: an MD5 over
+   the bits of each poll's observed selectivities, cost-to-go and switch
+   cost.  Covers the sorted-pair range estimate (Q5, Q10A: orders and
+   lineitem arrive sorted on the order key) and the histogram estimator
+   (Q3A with [use_histograms]); a refactor of either must leave every
+   bit in place. *)
+let poll_digest ?initial_plan ~use_histograms ~poll_interval q_id =
+  let q = Workload.query q_id in
+  let catalog = Workload.catalog ~with_cardinalities:false dataset q in
+  let trace = Adp_obs.Trace.memory () in
+  let cfg =
+    { Corrective.default_config with poll_interval; use_histograms }
+  in
+  ignore
+    (Strategy.run ?initial_plan ~trace (Strategy.Corrective cfg) q catalog
+       ~sources:(Workload.sources dataset q));
+  let buf = Buffer.create 4096 in
+  let add x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let polls = ref 0 in
+  List.iter
+    (function
+      | _, Adp_obs.Trace.Reopt_poll { observed_sel; est_cost; switch_cost; _ }
+        ->
+        incr polls;
+        List.iter (fun (_, sel) -> add sel) observed_sel;
+        add est_cost;
+        add switch_cost
+      | _ -> ())
+    (Adp_obs.Trace.events trace);
+  (!polls, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_poll_estimates_pinned () =
+  let check name (polls, hex) (got_polls, got_hex) =
+    Alcotest.(check int) (name ^ " polls") polls got_polls;
+    Alcotest.(check string) (name ^ " digest") hex got_hex
+  in
+  check "Q5" (1, "da78d8a96d45f66888761d68dc01119b")
+    (poll_digest ~use_histograms:false ~poll_interval:2e4 Workload.Q5);
+  check "Q10A" (1, "843953645942377f9c973e49f3012273")
+    (poll_digest ~use_histograms:false ~poll_interval:2e4 Workload.Q10A);
+  let q = Workload.query Workload.Q3A in
+  let bad =
+    (Optimizer.pessimal q
+       (Workload.catalog ~with_cardinalities:true dataset q)
+       (Adp_stats.Selectivity.create ()))
+      .Optimizer.spec
+  in
+  check "Q3A histograms" (18, "f5e644a5836281190f7d5cd055b648bb")
+    (poll_digest ~initial_plan:bad ~use_histograms:true ~poll_interval:5e3
+       Workload.Q3A)
+
 let test_plan_partition_with_initial_plan () =
   (* Forcing the poor starting plan: for a 4-relation query the single
      stage IS that plan; for Q5 the first stage cuts it after 3 joins. *)
@@ -696,14 +747,8 @@ let test_layout_forced_switch () =
     (List.mem true switched_with_preagg)
 
 let test_rewrite () =
-  let f c = "m." ^ c in
-  let e = Rewrite.expr f Expr.(Add (col "a", int 1)) in
-  Alcotest.(check string) "expr renamed" "(m.a + 1)" (Expr.to_string e);
-  let p =
-    Rewrite.predicate f Predicate.(eq "a" (vi 1) &&& between "b" (vi 0) (vi 9))
-  in
-  Alcotest.(check (list string)) "pred renamed" [ "m.a"; "m.b" ]
-    (Predicate.columns p)
+  let e = Expr.rename (fun c -> "m." ^ c) Expr.(Add (col "a", int 1)) in
+  Alcotest.(check string) "expr renamed" "(m.a + 1)" (Expr.to_string e)
 
 let suite =
   [ Alcotest.test_case "Q3A all strategies" `Slow test_q3a;
@@ -731,6 +776,8 @@ let suite =
       test_adaptivity_harmless_with_good_estimates;
     Alcotest.test_case "histogram-assisted corrective" `Slow
       test_histogram_assisted_corrective;
+    Alcotest.test_case "poll estimates pinned" `Quick
+      test_poll_estimates_pinned;
     Alcotest.test_case "plan partitioning from poor start" `Slow
       test_plan_partition_with_initial_plan;
     Alcotest.test_case "plan partitioning stages" `Slow
