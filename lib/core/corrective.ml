@@ -684,7 +684,7 @@ let run ?(config = default_config) query catalog sources =
     in
     let path, bytes = Checkpoint.save ~dir:policy.Checkpoint.dir ck in
     Metrics.incr ctx.Ctx.checkpoints;
-    Metrics.incr ~by:bytes ctx.Ctx.checkpoint_bytes;
+    Metrics.add ctx.Ctx.checkpoint_bytes bytes;
     if Ctx.traced ctx then
       Ctx.emit ctx
         (Trace.Checkpoint_written { seq = !ckpt_seq; path; bytes });

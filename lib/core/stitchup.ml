@@ -75,19 +75,26 @@ let build_side env sp schema ~key_cols (r : node_result) =
   ( List.map (fun p -> p.phase.id, table p) r.uniform,
     Hash_table.of_list schema ~key_cols r.mixed )
 
+let rec emit_from ~emit layout tbl t cur =
+  if cur >= 0 then begin
+    emit (Plan.join_tuple layout t (Hash_table.row tbl cur));
+    emit_from ~emit layout tbl t (Hash_table.next tbl cur)
+  end
+
+(* Each probe is charged before its matches are emitted, newest first. *)
 let probe_into env sp ~emit layout tbl lkey tuples =
   let c = env.ctx.Ctx.costs in
   List.iter
     (fun t ->
-      let matches = Hash_table.probe_tuple tbl t lkey in
-      charge_sp env sp
-        (c.hash_probe +. (c.per_match *. float_of_int (List.length matches)));
+      let first = Hash_table.probe_tuple tbl t lkey in
+      let n = Hash_table.count tbl first in
+      charge_sp env sp (c.hash_probe +. (c.per_match *. float_of_int n));
       (match sp with
        | Some sp ->
          Adp_obs.Profile.add_probes sp 1;
-         Adp_obs.Profile.add_out sp (List.length matches)
+         Adp_obs.Profile.add_out sp n
        | None -> ());
-      List.iter (fun m -> emit (Plan.join_tuple layout t m)) matches)
+      emit_from ~emit layout tbl t first)
     tuples
 
 (* At the root ([sink] given) the cross-phase combinations stream into

@@ -145,15 +145,12 @@ let reference (query : Logical.query) catalog ~sources =
       let lsrc = List.find (fun s -> s.Logical.name = name) query.sources in
       Predicate.compile lsrc.Logical.filter (Source.schema src)
     in
+    (* The whole relation, read directly: draining the source would stop
+       at an injected disconnect and answer over a truncated input. *)
     let rel = Relation.create (Source.schema src) in
-    let rec drain () =
-      match Source.next src with
-      | None -> ()
-      | Some (tuple, _) ->
-        if filter tuple then Relation.append rel tuple;
-        drain ()
-    in
-    drain ();
+    Relation.iter
+      (fun tuple -> if filter tuple then Relation.append rel tuple)
+      (Source.relation src);
     rel
   in
   ignore catalog;

@@ -67,5 +67,7 @@ val run :
   outcome
 
 (** Reference evaluation: naive in-memory nested-loop join + aggregation,
-    bypassing the engine entirely.  Slow; used as a test oracle. *)
+    bypassing the engine entirely.  It reads each source's whole relation
+    ({!Source.relation}), so a source's injected faults do not truncate
+    the answer.  Slow; used as a test oracle. *)
 val reference : Logical.query -> Catalog.t -> sources:(unit -> Source.t list) -> Relation.t

@@ -2,8 +2,10 @@
 
     The skewed TPC-D dataset in the paper was generated with a Zipf factor
     z = 0.5 on the major attributes; this module reproduces that by sampling
-    ranks with probability proportional to [1 / rank^z].  Sampling uses a
-    precomputed cumulative table with binary search, O(log n) per draw. *)
+    ranks with probability proportional to [1 / rank^z].  A draw [u] is
+    mapped to the first rank whose cumulative probability reaches [u]; a
+    guide table of [n] equal-width buckets over [u] brackets that rank,
+    so a draw reads a few table entries instead of searching all [n]. *)
 
 type t
 

@@ -291,6 +291,16 @@ let resolve_region t region =
     !acc
   end
 
+(* The matches at [cur] joined with the scanned tuple [s], newest first,
+   consed onto [acc]; returns how many there were. *)
+let rec cross_matches tbl ~scan_left s acc n cur =
+  if cur < 0 then n
+  else begin
+    let m = Hash_table.row tbl cur in
+    acc := (if scan_left then Tuple.concat s m else Tuple.concat m s) :: !acc;
+    cross_matches tbl ~scan_left s acc (n + 1) (Hash_table.next tbl cur)
+  end
+
 let finish t =
   if t.finished then invalid_arg "Comp_join.finish: already finished";
   t.finished <- true;
@@ -309,17 +319,17 @@ let finish t =
       (* Scan order is hash order; sorting the combination gives stitch-up
          output a deterministic key order independent of insertion
          history. *)
-      Hash_table.to_list scan
-      |> List.concat_map (fun s ->
-             let matches = Hash_table.probe_tuple probe_tbl s scan_key in
-             Ctx.charge_span t.ctx t.sp_stitch
-               (c.hash_probe
-               +. (c.per_match *. float_of_int (List.length matches)));
-             List.map
-               (fun m ->
-                 if scan_left then Tuple.concat s m else Tuple.concat m s)
-               matches)
-      |> List.sort Tuple.compare
+      let acc = ref [] in
+      List.iter
+        (fun s ->
+          let n =
+            cross_matches probe_tbl ~scan_left s acc 0
+              (Hash_table.probe_tuple probe_tbl s scan_key)
+          in
+          Ctx.charge_span t.ctx t.sp_stitch
+            (c.hash_probe +. (c.per_match *. float_of_int n)))
+        (Hash_table.to_list scan);
+      List.sort Tuple.compare (List.rev !acc)
     end
   in
   let s1 = cross (Sym_join.left_table t.merge) (Sym_join.right_table t.hash) in

@@ -41,7 +41,9 @@ type outcome = Exhausted | Switched | Stopped
 (** [retry] defaults to {!Retry.default_policy}, which is generous enough
     that fault-free workloads never trigger it.  [breakers] must hold one
     controller per source, in source-list order (a mismatched array is
-    ignored). *)
+    ignored).  [consume] may change the source it is handed, but no other:
+    the driver keeps each source's pending in-time delivery until that
+    source is taken from, a poll callback runs, or a failover happens. *)
 val run :
   Ctx.t ->
   sources:Source.t list ->

@@ -110,6 +110,15 @@ let emit _t parts =
   in
   Array.concat pieces
 
+(* Residual predicates between a match [m] and the covered set. *)
+let rec survives parts m = function
+  | [] -> true
+  | (r, c, jc, _) :: rest ->
+    (match parts.(r) with
+     | Some tup -> Value.eq_sql tup.(c) m.(jc)
+     | None -> false)
+    && survives parts m rest
+
 (* Route a partial combination to completion, depth-first. *)
 let rec route t parts covered acc =
   let n = Array.length t.stems in
@@ -148,34 +157,35 @@ let rec route t parts covered acc =
            | None -> invalid_arg "Eddy: missing part"
          in
          let table = List.assoc probe_col stem.s_tables in
-         let matches = Hash_table.probe_value table key in
+         let first = Hash_table.probe_value table key in
          stem.s_probes <- stem.s_probes + 1;
+         let c = t.ctx.Ctx.costs in
          Ctx.charge t.ctx
-           (t.ctx.Ctx.costs.hash_probe
-           +. (t.ctx.Ctx.costs.per_match *. float_of_int (List.length matches)));
-         (* Residual predicates between j and the covered set. *)
-         let survives m =
-           List.for_all
-             (fun (r, c, jc, _) ->
-               match parts.(r) with
-               | Some tup -> Value.eq_sql tup.(c) m.(jc)
-               | None -> false)
-             rest
-         in
-         List.fold_left
-           (fun acc m ->
-             if survives m then begin
-               stem.s_matches <- stem.s_matches + 1;
-               parts.(j) <- Some m;
-               covered.(j) <- true;
-               let acc = route t parts covered acc in
-               parts.(j) <- None;
-               covered.(j) <- false;
-               acc
-             end
-             else acc)
-           acc matches)
+           (c.hash_probe
+           +. (c.per_match *. float_of_int (Hash_table.count table first)));
+         walk t parts covered j rest table acc first)
   end
+
+(* The matches from cursor [cur] on, newest first, each one that passes
+   the residual predicates [rest] routed on with relation [j] covered. *)
+and walk t parts covered j rest table acc cur =
+  if cur < 0 then acc
+  else
+    let m = Hash_table.row table cur in
+    let acc =
+      if survives parts m rest then begin
+        let stem = t.stems.(j) in
+        stem.s_matches <- stem.s_matches + 1;
+        parts.(j) <- Some m;
+        covered.(j) <- true;
+        let acc = route t parts covered acc in
+        parts.(j) <- None;
+        covered.(j) <- false;
+        acc
+      end
+      else acc
+    in
+    walk t parts covered j rest table acc (Hash_table.next table cur)
 
 let insert t ~source tuple =
   let n = Array.length t.stems in

@@ -179,13 +179,23 @@ type preagg_rt = {
   mutable p_out_total : int;
 }
 
+(* Where a node's outputs are recorded, oldest first: in the table its
+   parent join keeps over it, which inserts every tuple the node emits in
+   emission order, or, for the root and a pre-aggregation's child, in a
+   log of the node's own.  A plan that does not record its outputs
+   leaves every node [Unrecorded]. *)
+type record =
+  | Unrecorded
+  | Own of Row_log.t
+  | Held of Hash_table.t
+
 type node = {
   n_spec : spec;
   n_schema : Schema.t;
   n_signature : string;
   n_relations : string list;
   n_predicates : string list;
-  mutable n_outputs : Tuple.t list;  (* newest first *)
+  mutable n_record : record;
   mutable n_out_count : int;
   n_in_metric : Metrics.counter;
   n_out_metric : Metrics.counter;
@@ -247,7 +257,10 @@ let node_counter ctx name help spec =
     ~labels:[ ("node", Format.asprintf "%a" pp_spec spec) ]
     ~help name
 
-let rec build ?(depth = 0) ctx spec ~schema_of ~keep =
+let own ~record =
+  if record then Own (Row_log.create ~linked:false ()) else Unrecorded
+
+let rec build ?(depth = 0) ctx spec ~schema_of ~keep ~record =
   let n_in_metric =
     node_counter ctx "adp_node_tuples_in_total"
       "tuples entering the operator" spec
@@ -267,15 +280,17 @@ let rec build ?(depth = 0) ctx spec ~schema_of ~keep =
     let schema = schema_of s.source in
     { n_spec = spec; n_schema = schema;
       n_signature = signature_of spec; n_relations = [ s.source ];
-      n_predicates = []; n_outputs = [];
+      n_predicates = []; n_record = Unrecorded;
       n_out_count = 0; n_in_metric; n_out_metric; n_span;
       impl =
         RLeaf
           { source = s.source; filter = Predicate.compile s.filter schema;
             filter_atoms = Predicate.size s.filter; seen = 0 } }
   | Join j ->
-    let left = build ~depth:(depth + 1) ctx j.left ~schema_of ~keep in
-    let right = build ~depth:(depth + 1) ctx j.right ~schema_of ~keep in
+    let left = build ~depth:(depth + 1) ctx j.left ~schema_of ~keep ~record
+    and right =
+      build ~depth:(depth + 1) ctx j.right ~schema_of ~keep ~record
+    in
     let overlap =
       List.filter (fun s -> List.mem s right.n_relations) left.n_relations
     in
@@ -286,20 +301,27 @@ let rec build ?(depth = 0) ctx spec ~schema_of ~keep =
     let layout =
       join_layout keep ~relations:n_relations left.n_schema right.n_schema
     in
+    let ltbl = Hash_table.create left.n_schema ~key_cols:j.left_key
+    and rtbl = Hash_table.create right.n_schema ~key_cols:j.right_key in
+    if record then begin
+      left.n_record <- Held ltbl;
+      right.n_record <- Held rtbl
+    end;
     { n_spec = spec; n_schema = layout.l_schema;
       n_signature = signature_of spec; n_relations;
-      n_predicates = predicates spec; n_outputs = []; n_out_count = 0;
+      n_predicates = predicates spec; n_record = Unrecorded; n_out_count = 0;
       n_in_metric; n_out_metric; n_span;
       impl =
         RJoin
-          { left; right;
-            ltbl = Hash_table.create left.n_schema ~key_cols:j.left_key;
-            rtbl = Hash_table.create right.n_schema ~key_cols:j.right_key;
+          { left; right; ltbl; rtbl;
             lkey = j.left_key; rkey = j.right_key; layout;
             preds = List.map2 canon_pred j.left_key j.right_key;
             j_span = n_span } }
   | Preagg p ->
-    let child = build ~depth:(depth + 1) ctx p.child ~schema_of ~keep in
+    let child =
+      build ~depth:(depth + 1) ctx p.child ~schema_of ~keep ~record
+    in
+    child.n_record <- own ~record;
     let schema = Aggregate.partial_schema ~group_cols:p.group_cols p.aggs in
     let p_group_idx =
       Array.of_list (List.map (Schema.index child.n_schema) p.group_cols)
@@ -312,7 +334,8 @@ let rec build ?(depth = 0) ctx spec ~schema_of ~keep =
     in
     { n_spec = spec; n_schema = schema; n_signature = signature_of spec;
       n_relations = child.n_relations;
-      n_predicates = child.n_predicates; n_outputs = []; n_out_count = 0;
+      n_predicates = child.n_predicates; n_record = Unrecorded;
+      n_out_count = 0;
       n_in_metric; n_out_metric; n_span;
       impl =
         RPreagg
@@ -330,12 +353,22 @@ let rec build ?(depth = 0) ctx spec ~schema_of ~keep =
 let spec t = t.root.n_spec
 let schema t = t.root.n_schema
 
-let record ~keep node outs =
+let rec push_all log = function
+  | [] -> ()
+  | o :: rest ->
+    ignore (Row_log.push log o : int);
+    push_all log rest
+
+(* A node's outputs reach its record here only when it owns its log; a
+   parent join's table records them as [join_side] inserts them. *)
+let record node outs =
   if outs <> [] then begin
-    if keep then node.n_outputs <- List.rev_append outs node.n_outputs;
+    (match node.n_record with
+     | Own log -> push_all log outs
+     | Held _ | Unrecorded -> ());
     let n = List.length outs in
     node.n_out_count <- node.n_out_count + n;
-    Metrics.incr ~by:n node.n_out_metric;
+    Metrics.add node.n_out_metric n;
     match node.n_span with
     | Some sp -> Profile.add_out sp n
     | None -> ()
@@ -345,7 +378,7 @@ let record ~keep node outs =
 let record_in node outs =
   if outs <> [] then begin
     let n = List.length outs in
-    Metrics.incr ~by:n node.n_in_metric;
+    Metrics.add node.n_in_metric n;
     match node.n_span with
     | Some sp -> Profile.add_in sp n
     | None -> ()
@@ -358,18 +391,23 @@ let probe_cost ctx sp tbl matches =
   Ctx.charge_span ctx sp
     (c.hash_probe +. io +. (c.per_match *. float_of_int matches))
 
-(* Result tuples of one probe, reversed as [List.rev_map] would give them,
-   counted in the same walk, which ends by charging the probe. *)
-let rec emit_matches ctx j ~from_left tuple n acc = function
-  | [] ->
-    probe_cost ctx j.j_span (if from_left then j.rtbl else j.ltbl) n;
+(* Result tuples of one probe of [tbl], walked in place from cursor
+   [cur]: the cursor visits matches newest first, so the list comes out
+   oldest first.  Counted in the same walk, which ends by charging the
+   probe. *)
+let rec emit_matches ctx j ~from_left tbl tuple n acc cur =
+  if cur < 0 then begin
+    probe_cost ctx j.j_span tbl n;
     acc
-  | m :: rest ->
+  end
+  else
+    let m = Hash_table.row tbl cur in
     let out =
       if from_left then join_tuple j.layout tuple m
       else join_tuple j.layout m tuple
     in
-    emit_matches ctx j ~from_left tuple (n + 1) (out :: acc) rest
+    emit_matches ctx j ~from_left tbl tuple (n + 1) (out :: acc)
+      (Hash_table.next tbl cur)
 
 let join_side ctx j ~from_left tuple =
   let c = ctx.Ctx.costs in
@@ -379,11 +417,14 @@ let join_side ctx j ~from_left tuple =
      Profile.add_probes sp 1
    | None -> ());
   Ctx.charge_span ctx j.j_span c.hash_build;
-  let matches =
-    if from_left then Hash_table.insert_probe j.ltbl tuple ~probe:j.rtbl
-    else Hash_table.insert_probe j.rtbl tuple ~probe:j.ltbl
+  let outs =
+    if from_left then
+      emit_matches ctx j ~from_left j.rtbl tuple 0 []
+        (Hash_table.insert_probe j.ltbl tuple ~probe:j.rtbl)
+    else
+      emit_matches ctx j ~from_left j.ltbl tuple 0 []
+        (Hash_table.insert_probe j.rtbl tuple ~probe:j.ltbl)
   in
-  let outs = emit_matches ctx j ~from_left tuple 0 [] matches in
   (match j.j_span with
    | Some sp ->
      Profile.note_mem sp
@@ -474,14 +515,15 @@ let routes ctx root =
   Array.of_list (List.rev (walk [] [] root))
 
 let instantiate ?(record_outputs = true) ctx spec ~schema_of ~keep =
-  let root = build ctx spec ~schema_of ~keep in
+  let root = build ctx spec ~schema_of ~keep ~record:record_outputs in
+  root.n_record <- own ~record:record_outputs;
   { ctx; root; routes = routes ctx root; record_outputs }
 
-let rec climb ~keep outs hops =
+let rec climb outs hops =
   match outs, hops with
   | [], _ | _, [] -> outs
   | _, { h_node = node; h_step } :: rest ->
-    climb ~keep (record ~keep node (each h_step (record_in node outs))) rest
+    climb (record node (each h_step (record_in node outs))) rest
 
 let rec find_route routes source i =
   if i = Array.length routes then
@@ -491,7 +533,7 @@ let rec find_route routes source i =
 
 (* Push one source tuple in at its leaf and up its route to the root. *)
 let push t ~source tuple =
-  let ctx = t.ctx and keep = t.record_outputs in
+  let ctx = t.ctx in
   let r = find_route t.routes source 0 in
   let node = r.r_leaf and l = r.r_leaf_rt in
   l.seen <- l.seen + 1;
@@ -501,33 +543,40 @@ let push t ~source tuple =
    | None -> ());
   Ctx.charge_span ctx node.n_span
     (ctx.Ctx.costs.filter_atom *. float_of_int (max 1 l.filter_atoms));
-  if l.filter tuple then climb ~keep (record ~keep node [ tuple ]) r.r_hops
+  if l.filter tuple then climb (record node [ tuple ]) r.r_hops
   else []
 
-let rec do_flush ctx ~keep node =
+let rec do_flush ctx node =
   match node.impl with
   | RLeaf _ -> []
   | RJoin j ->
-    let louts = do_flush ctx ~keep j.left in
+    let louts = do_flush ctx j.left in
     let from_left =
       List.concat_map (join_side ctx j ~from_left:true)
         (record_in node louts)
     in
-    let routs = do_flush ctx ~keep j.right in
+    let routs = do_flush ctx j.right in
     let from_right =
       List.concat_map (join_side ctx j ~from_left:false)
         (record_in node routs)
     in
-    record ~keep node (from_left @ from_right)
+    record node (from_left @ from_right)
   | RPreagg p ->
-    let child_outs = do_flush ctx ~keep p.child in
+    let child_outs = do_flush ctx p.child in
     let cascaded =
       List.concat_map (preagg_insert ctx p.pa) (record_in node child_outs)
     in
     let drained = preagg_flush_window ctx p.pa in
-    record ~keep node (cascaded @ drained)
+    record node (cascaded @ drained)
 
-let flush t = do_flush t.ctx ~keep:t.record_outputs t.root
+let flush t = do_flush t.ctx t.root
+
+(* A node's recorded outputs, oldest first, shared. *)
+let outputs node =
+  match node.n_record with
+  | Own log -> Row_log.view log
+  | Held tbl -> Hash_table.view tbl
+  | Unrecorded -> Row_log.view_of_list []
 
 type join_info = {
   signature : string;
@@ -567,7 +616,7 @@ let node_results t =
     (fun acc node ->
       match node.impl with
       | RJoin _ ->
-        (node.n_signature, node.n_schema, List.rev node.n_outputs,
+        (node.n_signature, node.n_schema, Row_log.view_to_list (outputs node),
          List.length node.n_relations)
         :: acc
       | RLeaf _ | RPreagg _ -> acc)
@@ -591,7 +640,10 @@ let leaf_partition t source =
     (map_leaves
        (fun l node ->
          if String.equal l.source source then
-           Some (node.n_schema, List.rev node.n_outputs, node.n_signature)
+           Some
+             ( node.n_schema,
+               Row_log.view_to_list (outputs node),
+               node.n_signature )
          else None)
        t)
 
@@ -709,7 +761,7 @@ type preagg_state = {
 }
 
 type state = {
-  st_outputs : Tuple.t list;
+  st_outputs : Row_log.view;
   st_out_count : int;
   st_impl : impl_state;
 }
@@ -744,9 +796,9 @@ let rec capture_node node =
                   (fun k -> (k, Array.copy (Ktbl.find p.pa.p_buffer k)))
                   p.pa.p_order } }
   in
-  (* Outputs are only ever prepended, so the live list is already a
+  (* A log is only ever appended to, so a view of it is already a
      snapshot: share it rather than copy it. *)
-  { st_outputs = node.n_outputs; st_out_count = node.n_out_count; st_impl }
+  { st_outputs = outputs node; st_out_count = node.n_out_count; st_impl }
 
 let capture t =
   if not t.record_outputs then
@@ -758,14 +810,16 @@ let shape_error () =
 
 (* A join inserted every tuple its child emitted, in emission order, so
    re-inserting the child's outputs oldest-first rebuilds the table with
-   its exact bucket chains. *)
+   its exact bucket chains, and with them the child's record. *)
 let refill tbl (child : state) ~swapped =
   Hash_table.clear tbl;
-  List.iter (Hash_table.insert tbl) (List.rev child.st_outputs);
+  Row_log.view_iter (Hash_table.insert tbl) child.st_outputs;
   if swapped then Hash_table.swap_out tbl else Hash_table.swap_in tbl
 
 let rec restore_node node st =
-  node.n_outputs <- st.st_outputs;
+  (match node.n_record with
+   | Own _ -> node.n_record <- Own (Row_log.of_view st.st_outputs)
+   | Held _ | Unrecorded -> ());
   node.n_out_count <- st.st_out_count;
   match node.impl, st.st_impl with
   | RLeaf l, St_leaf s -> l.seen <- s.seen
@@ -791,4 +845,5 @@ let rec restore_node node st =
 
 let restore t st = restore_node t.root st
 
-let root_results t = (t.root.n_schema, List.rev t.root.n_outputs)
+let root_results t =
+  (t.root.n_schema, Row_log.view_to_list (outputs t.root))

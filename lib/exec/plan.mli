@@ -12,6 +12,15 @@ open Adp_relation
     node's intermediate result is materialized for registration in the
     {!Adp_storage.Registry}.
 
+    Output records.  A join inserts every tuple a child emits, in emission
+    order, into the table it keeps over that child, and the table stores
+    its rows once, in an insertion-ordered log
+    ({!Adp_storage.Hash_table.view}).  That log {e is} the child's output
+    record, so the plan keeps no copy of it.  Only the nodes no join table
+    holds keep a log of their own: the root, and the child of a
+    pre-aggregation.  A plan instantiated with [~record_outputs:false]
+    keeps none of its own logs, and reports no outputs.
+
     Signatures: every node carries a canonical signature built from its
     base-relation set, its join-predicate set and its pre-aggregation
     descriptors, so logically equivalent subexpressions in differently
@@ -129,9 +138,11 @@ type t
 (** [instantiate ctx spec ~schema_of ~keep] resolves scan schemas through
     [schema_of] and builds the runtime tree, each join laid out by
     {!join_layout} under [keep].  [record_outputs] (default true)
-    materializes every join node's results for registration in the
-    state-structure registry; disable it for executions that will never
-    stitch (single-phase runs), where it would only consume memory.
+    records every node's results for registration in the state-structure
+    registry: the join tables hold most of them anyway, and the root and
+    pre-aggregation children get logs of their own.  Disable it for
+    executions that will never stitch (single-phase runs), where those
+    logs would only consume memory.
     @raise Invalid_argument if two scans share a source name. *)
 val instantiate :
   ?record_outputs:bool ->
@@ -171,7 +182,9 @@ type join_info = {
 val join_infos : t -> join_info list
 
 (** Materialized result of every join node: signature, output schema,
-    tuples, complexity.  Includes the root. *)
+    tuples (oldest first, read from the join's record), complexity.
+    Includes the root.  Empty tuple lists on a plan that does not record
+    its outputs. *)
 val node_results : t -> (string * Schema.t * Tuple.t list * int) list
 
 (** [leaf_partition t source] is the buffered partition of [source]'s
@@ -182,7 +195,8 @@ val leaf_partition : t -> string -> (Schema.t * Tuple.t list * string) option
 
 (** The live table a join of [t] keeps over its child [signature], if
     that child's layout is [schema] and the join keys it on [key_cols] in
-    that order: it holds the child's outputs, each key's newest first.
+    that order: its log is the child's outputs, and a probe visits each
+    key's rows newest first.
     [None] for the root, and on a plan that does not record outputs. *)
 val child_table :
   t -> signature:string -> schema:Schema.t -> key_cols:string list ->
@@ -232,23 +246,24 @@ val apply_memory_pressure : t -> budget:int -> string list
 
     A plan's complete runtime state as plain data: per-leaf consumption
     counters, every join's swapped flags, every pre-aggregation's open
-    window, and each node's materialized output list.  Join hash tables
-    are not captured: a join inserts every tuple its children emit, in
-    emission order, so [restore] rebuilds each table by re-inserting its
-    child's outputs oldest-first, which reproduces the exact bucket
-    chains.  [capture] walks the runtime tree; [restore] writes a
-    captured state back into a freshly instantiated plan of the {e same
-    spec} — the recovery path rebuilds an interrupted phase by
+    window, and each node's output record.  Join hash tables are not
+    captured apart from their logs: a join inserts every tuple its
+    children emit, in emission order, so [restore] rebuilds each table by
+    re-inserting its child's outputs oldest first, which reproduces the
+    exact bucket chains.  [capture] walks the runtime tree; [restore]
+    writes a captured state back into a freshly instantiated plan of the
+    {e same spec} — the recovery path rebuilds an interrupted phase by
     instantiating its spec and restoring its state.
 
-    Output lists are newest first, as the plan holds them: [capture]
-    shares each node's live list rather than copying it.  A running plan
-    only ever prepends to that list, so the captured state stays a
-    snapshot of the capture instant however far the plan runs on.
-    [restore] assigns the list back, and reverses it once per join table
-    it refills.  Pre-aggregation groups are oldest first and are copied,
-    because their accumulators are updated in place.  A state serialized
-    and reloaded restores byte-identical iteration order. *)
+    [capture] shares each node's record as a view of its log — the
+    parent table's, or the node's own — with no copy.  A running plan
+    only ever appends to a log, so the captured state stays a snapshot
+    of the capture instant however far the plan runs on.  [restore]
+    refills each join table from its child's view and copies the views
+    of the root and of pre-aggregation children into fresh logs.
+    Pre-aggregation groups are oldest first and are copied, because their
+    accumulators are updated in place.  A state serialized and reloaded
+    restores byte-identical iteration order. *)
 
 type preagg_state = {
   ps_window : int;
@@ -260,7 +275,8 @@ type preagg_state = {
 }
 
 type state = {
-  st_outputs : Tuple.t list;  (** newest first, shared with the plan *)
+  st_outputs : Adp_storage.Row_log.view;
+      (** oldest first, shared with the plan *)
   st_out_count : int;
   st_impl : impl_state;
 }
@@ -276,8 +292,8 @@ and impl_state =
   | St_preagg of { st_child : state; st_pa : preagg_state }
 
 (** @raise Invalid_argument on a plan instantiated with
-    [~record_outputs:false], whose output lists cannot rebuild its
-    tables. *)
+    [~record_outputs:false], which keeps no record of its root's
+    outputs. *)
 val capture : t -> state
 
 (** @raise Invalid_argument when the state's shape does not match the

@@ -110,6 +110,7 @@ let create ?(seed = 1) ?name ?(faults = []) ?(mirrors = []) relation model =
 
 let name t = t.name
 let schema t = Relation.schema t.relation
+let relation t = t.relation
 let cardinality t = Relation.cardinality t.relation
 let consumed t = t.pos
 

@@ -81,6 +81,9 @@ val create :
 val name : t -> string
 val schema : t -> Schema.t
 
+(** The whole relation the source streams, whatever its faults. *)
+val relation : t -> Relation.t
+
 (** Total tuples in the underlying relation. *)
 val cardinality : t -> int
 

@@ -28,6 +28,15 @@ let accepts t side tuple =
      | None -> true
      | Some k -> Tuple.compare_key k (Hash_table.key_of tbl tuple) <= 0)
 
+(* The matches at [cur] joined with [tuple]: the cursor visits them
+   newest first, so the list comes out oldest first. *)
+let rec joined tbl ~left tuple acc cur =
+  if cur < 0 then acc
+  else
+    let m = Hash_table.row tbl cur in
+    let out = if left then Tuple.concat tuple m else Tuple.concat m tuple in
+    joined tbl ~left tuple (out :: acc) (Hash_table.next tbl cur)
+
 let insert t side tuple =
   if not (accepts t side tuple) then
     invalid_arg "Sym_join.insert: out-of-order merge insertion";
@@ -42,18 +51,16 @@ let insert t side tuple =
     match side with
     | L ->
       if t.mode = `Merge then t.last_l <- Some (Hash_table.key_of t.ltbl tuple);
-      let matches = Hash_table.insert_probe t.ltbl tuple ~probe:t.rtbl in
-      Ctx.charge t.ctx
-        (probe +. (c.per_match *. float_of_int (List.length matches)));
-      List.rev_map (fun m -> Tuple.concat tuple m) matches
+      joined t.rtbl ~left:true tuple []
+        (Hash_table.insert_probe t.ltbl tuple ~probe:t.rtbl)
     | R ->
       if t.mode = `Merge then t.last_r <- Some (Hash_table.key_of t.rtbl tuple);
-      let matches = Hash_table.insert_probe t.rtbl tuple ~probe:t.ltbl in
-      Ctx.charge t.ctx
-        (probe +. (c.per_match *. float_of_int (List.length matches)));
-      List.rev_map (fun m -> Tuple.concat m tuple) matches
+      joined t.ltbl ~left:false tuple []
+        (Hash_table.insert_probe t.rtbl tuple ~probe:t.ltbl)
   in
-  t.out <- t.out + List.length outs;
+  let n = List.length outs in
+  Ctx.charge t.ctx (probe +. (c.per_match *. float_of_int n));
+  t.out <- t.out + n;
   outs
 
 let left_table t = t.ltbl

@@ -84,6 +84,7 @@ let gauge t ?(labels = []) ?(help = "") name =
     (function Gauge g -> Some g | _ -> None)
 
 let incr ?(by = 1) c = c.c <- c.c + by
+let add c n = c.c <- c.c + n
 let count c = c.c
 let set_count c n = c.c <- n
 let set g v = g.g <- v

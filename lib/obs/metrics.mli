@@ -58,6 +58,11 @@ val gauge :
 (** {2 Updates and reads} *)
 
 val incr : ?by:int -> counter -> unit
+
+(** [add c n] is [incr ~by:n c] without the [Some n] an [-opaque] build
+    allocates for the optional argument: the form for hot paths. *)
+val add : counter -> int -> unit
+
 val count : counter -> int
 
 (** Overwrite a counter (checkpoint restore only). *)

@@ -22,8 +22,8 @@ module Diagnostic = Adp_analysis.Diagnostic
     {!Diagnostic.t} with a stable [ckpt-*] code. *)
 
 (** The container version {!save} writes and {!load} accepts.  4: each
-    node's output list is stored newest first, as {!Plan.capture} shares
-    it, and each segment header carries its CRC and length at fixed width
+    node's outputs are stored newest first (a count, then the rows), and
+    each segment header carries its CRC and length at fixed width
     (see {!Adp_storage.Snapshot.write_file}).  Version 3 already carried
     only the columns the query still reads
     ({!Adp_optimizer.Logical.keep}). *)

@@ -209,8 +209,10 @@ let rec read_spec d =
 
 (* ---------------- plan runtime state ---------------- *)
 
+(* A node's outputs are a count, then the rows newest first (format 4). *)
 let rec plan_state b (st : Plan.state) =
-  S.list S.tuple b st.st_outputs;
+  S.int b (Row_log.view_length st.st_outputs);
+  Row_log.view_rev_iter (S.tuple b) st.st_outputs;
   S.int b st.st_out_count;
   match st.st_impl with
   | Plan.St_leaf { seen } ->
@@ -232,7 +234,9 @@ let rec plan_state b (st : Plan.state) =
     S.list (S.pair S.tuple S.tuple) b st_pa.ps_groups
 
 let rec read_plan_state d : Plan.state =
-  let st_outputs = S.read_list S.read_tuple d in
+  let st_outputs =
+    Row_log.view_of_list (List.rev (S.read_list S.read_tuple d))
+  in
   let st_out_count = S.read_int d in
   let st_impl =
     match S.read_u8 d with

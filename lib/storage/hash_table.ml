@@ -2,16 +2,19 @@ open Adp_relation
 
 (* A chained table specialised for join state.  Each entry stores its
    key's hash, so growth relinks entries without re-hashing and a lookup
-   compares keys only when the stored hash matches; an entry holds its
-   rows in place.  The layout is the stdlib [Hashtbl.Make]'s over the
-   same hash (see the .mli), so iteration order is too. *)
+   compares keys only when the stored hash matches.  The rows live once,
+   in the table's insertion-ordered log; an entry holds the id of its
+   key's newest row, and the log's link beside each row chains it to the
+   previous row with the same key.  The layout is the stdlib
+   [Hashtbl.Make]'s over the same hash (see the .mli), so iteration order
+   is too. *)
 
 type 'k bucket =
   | Empty
   | Cons of {
       hash : int;
       key : 'k;
-      mutable rows : Tuple.t list;  (* newest first *)
+      mutable head : int;  (* newest row id *)
       mutable next : 'k bucket;
     }
 
@@ -28,7 +31,8 @@ type table =
 type t = {
   key_idx : int array;
   table : table;
-  mutable size : int;
+  first : int;  (* the log's first chunk, kept across [clear] *)
+  mutable log : Row_log.t;
   mutable swapped : bool;
 }
 
@@ -86,56 +90,66 @@ let resize ch =
   end
 
 (* Find-or-add in one bucket walk; a new key goes at the bucket head. *)
-let add equal ch hash key tuple =
+let add equal ch log hash key tuple =
   let data = ch.data in
   let i = index data hash in
   match find equal hash key data.(i) with
-  | Cons c -> c.rows <- tuple :: c.rows
+  | Cons c -> c.head <- Row_log.push_linked log tuple c.head
   | Empty ->
-    data.(i) <- Cons { hash; key; rows = [ tuple ]; next = data.(i) };
+    let head = Row_log.push_linked log tuple (-1) in
+    data.(i) <- Cons { hash; key; head; next = data.(i) };
     ch.keys <- ch.keys + 1;
     if ch.keys > Array.length data lsl 1 then resize ch
 
-let rows equal ch hash key =
+let head equal ch hash key =
   match find equal hash key ch.data.(index ch.data hash) with
-  | Cons c -> c.rows
-  | Empty -> []
+  | Cons c -> c.head
+  | Empty -> -1
 
 let has_null k = Array.exists Value.is_null k
 
-let sized schema ~key_cols n =
+(* [n] sizes the bucket array, [first] the log's first chunk. *)
+let sized schema ~key_cols ~first n =
   let key_idx = Array.of_list (List.map (Schema.index schema) key_cols) in
   let table =
     if Array.length key_idx = 1 then Single (chains n) else Multi (chains n)
   in
-  { key_idx; table; size = 0; swapped = false }
+  { key_idx; table; first; log = Row_log.create ~first ~linked:true ();
+    swapped = false }
 
-let create schema ~key_cols = sized schema ~key_cols 256
+let create schema ~key_cols = sized schema ~key_cols ~first:16 256
 
-let length t = t.size
+let length t = Row_log.length t.log
 
 let key_of t tuple = Tuple.key tuple t.key_idx
 
 let insert t tuple =
-  (match t.table with
-   | Single ch ->
-     let v = tuple.(t.key_idx.(0)) in
-     add Value.equal ch (hash_value v) v tuple
-   | Multi ch ->
-     let k = key_of t tuple in
-     add Tuple.equal_key ch (Tuple.hash_key k) k tuple);
-  t.size <- t.size + 1
+  match t.table with
+  | Single ch ->
+    let v = tuple.(t.key_idx.(0)) in
+    add Value.equal ch t.log (hash_value v) v tuple
+  | Multi ch ->
+    let k = key_of t tuple in
+    add Tuple.equal_key ch t.log (Tuple.hash_key k) k tuple
+
+let row t id = Row_log.get t.log id
+let next t id = Row_log.link t.log id
+
+let rec count_from t n cur =
+  if cur < 0 then n else count_from t (n + 1) (next t cur)
+
+let count t cur = count_from t 0 cur
 
 let probe_value t v =
   match t.table, v with
-  | Single _, Value.Null | Multi _, _ -> []
-  | Single ch, _ -> rows Value.equal ch (hash_value v) v
+  | Single _, Value.Null | Multi _, _ -> -1
+  | Single ch, _ -> head Value.equal ch (hash_value v) v
 
 let probe t k =
   match t.table with
-  | Single _ -> if Array.length k = 1 then probe_value t k.(0) else []
+  | Single _ -> if Array.length k = 1 then probe_value t k.(0) else -1
   | Multi ch ->
-    if has_null k then [] else rows Tuple.equal_key ch (Tuple.hash_key k) k
+    if has_null k then -1 else head Tuple.equal_key ch (Tuple.hash_key k) k
 
 let probe_tuple t tuple cols =
   if Array.length cols = 1 then probe_value t tuple.(cols.(0))
@@ -143,53 +157,56 @@ let probe_tuple t tuple cols =
 
 (* The key is hashed once, for the insert and for the probe. *)
 let insert_probe t tuple ~probe:other =
-  t.size <- t.size + 1;
   match t.table with
   | Single ch ->
     let v = tuple.(t.key_idx.(0)) in
     let h = hash_value v in
-    add Value.equal ch h v tuple;
+    add Value.equal ch t.log h v tuple;
     (match other.table, v with
-     | Single _, Value.Null | Multi _, _ -> []
-     | Single och, _ -> rows Value.equal och h v)
+     | Single _, Value.Null | Multi _, _ -> -1
+     | Single och, _ -> head Value.equal och h v)
   | Multi ch ->
     let k = key_of t tuple in
     let h = Tuple.hash_key k in
-    add Tuple.equal_key ch h k tuple;
+    add Tuple.equal_key ch t.log h k tuple;
     (match other.table with
-     | Multi och -> if has_null k then [] else rows Tuple.equal_key och h k
+     | Multi och -> if has_null k then -1 else head Tuple.equal_key och h k
      | Single _ -> probe other k)
 
 let of_list schema ~key_cols tuples =
-  let t = sized schema ~key_cols (List.length tuples) in
+  let n = List.length tuples in
+  let t = sized schema ~key_cols ~first:n n in
   List.iter (insert t) tuples;
   t
 
-let iter_chains f data =
+let view t = Row_log.view t.log
+
+(* Buckets in order; each key's rows newest first. *)
+let iter_chains f log data =
+  let rec rows id =
+    if id >= 0 then begin
+      f (Row_log.get log id);
+      rows (Row_log.link log id)
+    end
+  in
   let rec walk = function
     | Empty -> ()
     | Cons c ->
-      List.iter f c.rows;
+      rows c.head;
       walk c.next
   in
   Array.iter walk data
 
 let iter f t =
   match t.table with
-  | Single ch -> iter_chains f ch.data
-  | Multi ch -> iter_chains f ch.data
+  | Single ch -> iter_chains f t.log ch.data
+  | Multi ch -> iter_chains f t.log ch.data
 
-let fold_chains data =
-  let rec walk acc = function
-    | Empty -> acc
-    | Cons c -> walk (List.rev_append c.rows acc) c.next
-  in
-  Array.fold_left walk [] data
-
+(* [iter]'s order reversed, as [Hashtbl.fold] gives it. *)
 let to_list t =
-  match t.table with
-  | Single ch -> fold_chains ch.data
-  | Multi ch -> fold_chains ch.data
+  let acc = ref [] in
+  iter (fun r -> acc := r :: !acc) t;
+  !acc
 
 let distinct_keys t =
   match t.table with Single ch -> ch.keys | Multi ch -> ch.keys
@@ -205,6 +222,8 @@ let reset ch =
     Array.fill ch.data 0 ch.initial Empty
   else ch.data <- Array.make ch.initial Empty
 
+(* A fresh log rather than an emptied one, so a view taken before the
+   clear still reads its rows. *)
 let clear t =
   (match t.table with Single ch -> reset ch | Multi ch -> reset ch);
-  t.size <- 0
+  t.log <- Row_log.create ~first:t.first ~linked:true ()

@@ -7,6 +7,29 @@ open Adp_relation
     The table knows which columns of its tuples form the key and exposes
     its contents for sharing across plans (§3.1 "exposing state").
 
+    Row log.  Each row is stored once, in an append-only
+    {!Row_log} kept in insertion order: a join inserts every tuple its
+    child emits, in emission order, so the log of a join's table {e is}
+    that child's output record ({!view}).  A key's entry holds the id of
+    its newest row, and the log keeps beside each row an unboxed [int]
+    that chains it to the previous row with the same key.
+
+    Cursors.  A probe returns a cursor rather than a list: the id of the
+    key's newest matching row, or [-1] when nothing matches.  {!row}
+    reads a cursor's row and {!next} moves it to the next older match, so
+    a probe walks its matches in place, newest first, with no list and,
+    when [walk] is a top-level function, no closure:
+    {[
+      let rec walk tbl cur =
+        if cur >= 0 then begin
+          use (Hash_table.row tbl cur);
+          walk tbl (Hash_table.next tbl cur)
+        end
+      (* ... *)
+      walk tbl (Hash_table.probe_tuple tbl tuple cols)
+    ]}
+    A cursor stays valid while the table grows, and until {!clear}.
+
     Overflow: {!swap_out}/{!swap_in} model spilling to disk.  Contents stay
     addressable (this is a simulation, not an actual spill); the flag is
     consulted by the cost model, which charges I/O for probes against
@@ -17,12 +40,12 @@ open Adp_relation
     place, and bucket layout (so {!iter} order) equals a composite-keyed
     table's.
 
-    Layout contract.  The table is chained, and each entry keeps its key's
-    hash ([Tuple.hash_key] of the key columns), so growth never re-hashes
-    and a lookup compares keys ({!Value.equal}, {!Tuple.equal_key}) only
-    when the stored hash matches.  The layout is exactly that of a
-    [Hashtbl.Make] table over the same hash and equality, filled by
-    [find_opt]/[add]:
+    Layout and order contract.  The table is chained, and each entry
+    keeps its key's hash ([Tuple.hash_key] of the key columns), so growth
+    never re-hashes and a lookup compares keys ({!Value.equal},
+    {!Tuple.equal_key}) only when the stored hash matches.  The layout is
+    exactly that of a [Hashtbl.Make] table over the same hash and
+    equality, filled by [find_opt]/[add]:
     - bucket index [hash land max_int mod size];
     - initial size [power_2_above 16 n]: 256 for {!create}, the input
       length for {!of_list};
@@ -31,19 +54,21 @@ open Adp_relation
     - the bucket array doubles when keys exceed twice its size, relinking
       each chain in order;
     - {!clear} shrinks back to the initial size, as [Hashtbl.reset] does.
-    {!iter} and {!to_list} therefore visit tuples in the stdlib table's
-    order.  [Comp_join] and checkpoint restore see that order, and the
-    virtual clock depends on it.  {!of_list} sizes its table from its
-    input, which changes iteration order but not what a probe returns, so
-    stitch-up, which only probes, may use a phase's live table or an
-    {!of_list} table over the same tuples alike.  Inserting into a table
-    while iterating it is unspecified.
+    {!iter} visits tuples in the stdlib table's order, and {!to_list}
+    returns them in the reverse of that order, as [Hashtbl.fold] does.
+    [Comp_join] and checkpoint restore see that order, and the virtual
+    clock depends on it.  A probe's cursor visits a key's rows newest
+    first, and {!view} lists every row oldest first.  {!of_list} sizes
+    its table from its input, which changes iteration order but not what
+    a probe visits, so stitch-up, which only probes, may use a phase's
+    live table or an {!of_list} table over the same tuples alike.
+    Inserting into a table while iterating it is unspecified.
 
     NULL rule.  Probes follow SQL equality: a probe key that is NULL, or
     has a NULL column, matches nothing ({!probe}, {!probe_value},
-    {!probe_tuple}, {!insert_probe}).  Inserts still store such tuples,
-    under one key as [Value.equal] groups them, so {!length}, {!iter},
-    {!distinct_keys} and rebuilds see them. *)
+    {!probe_tuple}, {!insert_probe} return [-1]).  Inserts still store
+    such tuples, under one key as [Value.equal] groups them, so
+    {!length}, {!iter}, {!view} and {!distinct_keys} see them. *)
 
 type t
 
@@ -58,24 +83,38 @@ val insert : t -> Tuple.t -> unit
     table pre-sized for them. *)
 val of_list : Schema.t -> key_cols:string list -> Tuple.t list -> t
 
-(** Matches for the probe key (most recently inserted first). *)
-val probe : t -> Value.t array -> Tuple.t list
+(** Cursor at the newest row whose key is the probe key, or [-1]. *)
+val probe : t -> Value.t array -> int
 
 (** [probe_tuple t tuple cols] is [probe t (Tuple.key tuple cols)]. *)
-val probe_tuple : t -> Tuple.t -> int array -> Tuple.t list
+val probe_tuple : t -> Tuple.t -> int array -> int
 
 (** [probe_value t v] is [probe t [| v |]]. *)
-val probe_value : t -> Value.t -> Tuple.t list
+val probe_value : t -> Value.t -> int
 
 (** [insert_probe t tuple ~probe] is [insert t tuple] then
-    [probe probe (key_of t tuple)], computing and hashing the key once. *)
-val insert_probe : t -> Tuple.t -> probe:t -> Tuple.t list
+    [probe probe (key_of t tuple)], computing and hashing the key once.
+    The cursor is into [probe]. *)
+val insert_probe : t -> Tuple.t -> probe:t -> int
+
+(** The row at a cursor ([>= 0]). *)
+val row : t -> int -> Tuple.t
+
+(** The cursor at the next older row with the same key, or [-1]. *)
+val next : t -> int -> int
+
+(** How many rows a walk from this cursor visits. *)
+val count : t -> int -> int
 
 (** Key of a tuple under this table's key columns. *)
 val key_of : t -> Tuple.t -> Value.t array
 
 val iter : (Tuple.t -> unit) -> t -> unit
 val to_list : t -> Tuple.t list
+
+(** Every row, oldest first, shared with the table: a snapshot that
+    later inserts and {!clear} leave as it is. *)
+val view : t -> Row_log.view
 
 (** Number of distinct keys currently present. *)
 val distinct_keys : t -> int

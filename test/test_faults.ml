@@ -336,6 +336,139 @@ let test_breaker_trip_fails_over () =
        ~sources:(Workload.sources ~model:Source.Local ds q))
     o.Strategy.result
 
+(* ---------------- driver against its reference picker ---------------- *)
+
+(* A random source landscape: per source its length, arrival model,
+   faults and mirrors; then retry jitter, breakers, a deadline and a
+   poll that may stall a source (a poll callback may change any source)
+   and now and then stops the run. *)
+type src_spec = {
+  len : int;
+  model : Source.model;
+  faults : Source.fault list;
+  mirrors : (int * Source.model * Source.fault list) list;
+}
+
+let gen_landscape =
+  let open QCheck2.Gen in
+  let model =
+    oneof
+      [ return Source.Local;
+        map (fun r -> Source.Bandwidth (float_of_int r)) (int_range 5 200);
+        map2
+          (fun burst gap ->
+            Source.Bursty
+              { rate = 100.0; mean_burst = burst;
+                mean_gap = float_of_int gap /. 10.0 })
+          (int_range 1 8) (int_range 1 10) ]
+  in
+  let fault =
+    oneof
+      [ map2
+          (fun at d ->
+            Source.Stall
+              { after_tuples = at; duration_s = float_of_int d /. 10.0 })
+          (int_bound 20) (int_range 1 10);
+        map2
+          (fun at rejoin ->
+            Source.Disconnect
+              { after_tuples = at;
+                rejoin_after_s =
+                  Option.map (fun r -> float_of_int r /. 10.0) rejoin })
+          (int_bound 20) (opt (int_range 1 30));
+        return Source.Dead_on_arrival ]
+  in
+  let faults = list_size (int_bound 2) fault in
+  let src =
+    map4
+      (fun len model faults mirrors -> { len; model; faults; mirrors })
+      (int_bound 40) model faults
+      (list_size (int_bound 2) (triple (int_bound 5) model faults))
+  in
+  let breaker =
+    opt
+      (map3
+         (fun threshold cooldown seed ->
+           { Breaker.window_s = 60.0; failure_threshold = threshold;
+             cooldown_s = float_of_int cooldown /. 10.0; probe_jitter = 0.2;
+             seed })
+         (int_range 1 3) (int_range 1 20) (int_bound 100))
+  in
+  tup5 (list_size (int_range 1 4) src) breaker (opt (int_range 1 80))
+    (opt (triple (int_range 1 50) (int_bound 6) bool))
+    (pair (int_range 1 5) (int_bound 3))
+
+type driver_run =
+  Ctx.t ->
+  sources:Source.t list ->
+  consume:(Source.t -> Tuple.t -> unit) ->
+  ?poll:float * (unit -> [ `Continue | `Switch | `Stop ]) ->
+  ?retry:Retry.policy ->
+  ?deadline:float ->
+  ?breakers:Breaker.t array ->
+  unit ->
+  Driver.outcome
+
+(* Every delivery (source, tuple, clock), poll and outcome of one run. *)
+let drive (run : driver_run)
+    (srcs, breaker, deadline, poll, (timeout, retries)) =
+  let sources =
+    List.mapi
+      (fun i sp ->
+        Source.create ~seed:i ~name:(Printf.sprintf "s%d" i)
+          ~faults:sp.faults
+          ~mirrors:
+            (List.map
+               (fun (lag, model, faults) ->
+                 Source.mirror ~model ~lag_tuples:lag ~faults ())
+               sp.mirrors)
+          (mk_rel sp.len) sp.model)
+      srcs
+  in
+  let ctx = Ctx.create () in
+  let log = ref [] in
+  let consume s t = log := `Took (Source.name s, t, Ctx.now ctx) :: !log in
+  let polls = ref 0 in
+  let poll =
+    Option.map
+      (fun (iv, stop_after, stalls) ->
+        ( float_of_int iv *. 1e4,
+          fun () ->
+            incr polls;
+            log := `Poll (Ctx.now ctx) :: !log;
+            (if stalls then
+               let s = List.nth sources (!polls mod List.length sources) in
+               Source.inject s
+                 (Source.Stall
+                    { after_tuples = Source.consumed s; duration_s = 0.05 }));
+            if stop_after > 0 && !polls >= stop_after * 3 then `Stop
+            else `Continue ))
+      poll
+  in
+  let retry =
+    { Retry.default_policy with
+      Retry.timeout_s = float_of_int timeout /. 10.0; max_retries = retries;
+      backoff_initial_s = 0.1; jitter = 0.3 }
+  in
+  let breakers =
+    Option.map
+      (fun p ->
+        Array.of_list (List.mapi (fun i _ -> Breaker.create ~salt:i p) srcs))
+      breaker
+  in
+  let deadline = Option.map (fun d -> float_of_int d *. 1e5) deadline in
+  let outcome = run ctx ~sources ~consume ?poll ~retry ?deadline ?breakers () in
+  ( outcome, List.rev !log, Ctx.now ctx,
+    Adp_obs.Metrics.count ctx.Ctx.retries,
+    Adp_obs.Metrics.count ctx.Ctx.failovers,
+    Adp_obs.Metrics.count ctx.Ctx.sources_failed )
+
+let driver_matches_reference =
+  QCheck2.Test.make ~name:"driver delivers as its reference picker" ~count:1000
+    ~long_factor:10 gen_landscape
+    (fun l ->
+      drive Driver.run l = drive Driver_reference.run l)
+
 let suite =
   [ Alcotest.test_case "retry schedule" `Quick test_retry_schedule;
     Alcotest.test_case "backoff jitter deterministic" `Quick
@@ -355,4 +488,5 @@ let suite =
     Alcotest.test_case "partial results without mirror" `Quick
       test_partial_results_without_mirror;
     Alcotest.test_case "breaker trip fails over" `Quick
-      test_breaker_trip_fails_over ]
+      test_breaker_trip_fails_over;
+    qtest driver_matches_reference ]

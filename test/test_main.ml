@@ -24,4 +24,5 @@ let () =
       "obs", Test_obs.suite;
       "recovery", Test_recovery.suite;
       "server", Test_server.suite;
-      "governance", Test_governance.suite ]
+      "governance", Test_governance.suite;
+      "pins", Test_pins.suite ]

@@ -4,6 +4,14 @@ open Helpers
 
 let ks = keyed_schema "t"
 
+(* The rows a probe's cursor visits, newest first. *)
+let matches tbl cur =
+  let rec walk acc cur =
+    if cur < 0 then List.rev acc
+    else walk (Hash_table.row tbl cur :: acc) (Hash_table.next tbl cur)
+  in
+  walk [] cur
+
 (* ---------------- Hash table ---------------- *)
 
 let test_hash_basic () =
@@ -13,8 +21,10 @@ let test_hash_basic () =
   Hash_table.insert h [| vi 2; vi 20 |];
   Alcotest.(check int) "length" 3 (Hash_table.length h);
   Alcotest.(check int) "distinct" 2 (Hash_table.distinct_keys h);
-  Alcotest.(check int) "probe multi" 2 (List.length (Hash_table.probe h [| vi 1 |]));
-  Alcotest.(check int) "probe miss" 0 (List.length (Hash_table.probe h [| vi 9 |]))
+  Alcotest.(check int) "probe multi" 2
+    (List.length (matches h (Hash_table.probe h [| vi 1 |])));
+  Alcotest.(check int) "probe miss" 0
+    (List.length (matches h (Hash_table.probe h [| vi 9 |])))
 
 (* SQL equality: a NULL key, or one with a NULL column, is stored (it
    counts and iterates) but no probe ever matches it. *)
@@ -25,25 +35,27 @@ let test_hash_null_keys () =
   Hash_table.insert single [| Value.Null; vi 1 |];
   Alcotest.(check int) "null insert_probe matches nothing" 0
     (List.length
-       (Hash_table.insert_probe single [| Value.Null; vi 2 |] ~probe:other));
+       (matches other
+          (Hash_table.insert_probe single [| Value.Null; vi 2 |] ~probe:other)));
   Alcotest.(check int) "nulls stored" 2 (Hash_table.length single);
   Alcotest.(check int) "one null key" 1 (Hash_table.distinct_keys single);
   Alcotest.(check int) "nulls iterate" 2 (List.length (Hash_table.to_list single));
   Alcotest.(check int) "probe null" 0
-    (List.length (Hash_table.probe single [| Value.Null |]));
+    (List.length (matches single (Hash_table.probe single [| Value.Null |])));
   Alcotest.(check int) "probe_value null" 0
-    (List.length (Hash_table.probe_value single Value.Null));
+    (List.length (matches single (Hash_table.probe_value single Value.Null)));
   let ks3 = Schema.make [ "t.a"; "t.b"; "t.p" ] in
   let multi = Hash_table.create ks3 ~key_cols:[ "t.a"; "t.b" ] in
   Hash_table.insert multi [| vi 1; Value.Null; vi 0 |];
   Hash_table.insert multi [| vi 1; vi 2; vi 1 |];
   Alcotest.(check int) "composite with null" 0
-    (List.length (Hash_table.probe multi [| vi 1; Value.Null |]));
+    (List.length (matches multi (Hash_table.probe multi [| vi 1; Value.Null |])));
   Alcotest.(check int) "probe_tuple with null" 0
     (List.length
-       (Hash_table.probe_tuple multi [| vi 1; Value.Null; vi 9 |] [| 0; 1 |]));
+       (matches multi
+          (Hash_table.probe_tuple multi [| vi 1; Value.Null; vi 9 |] [| 0; 1 |])));
   Alcotest.(check int) "composite without null" 1
-    (List.length (Hash_table.probe multi [| vi 1; vi 2 |]))
+    (List.length (matches multi (Hash_table.probe multi [| vi 1; vi 2 |])))
 
 let test_hash_swap () =
   let h = Hash_table.create ks ~key_cols:[ "t.k" ] in
@@ -62,7 +74,7 @@ let hash_model =
       List.iter (Hash_table.insert h) tuples;
       List.for_all
         (fun k ->
-          let got = Hash_table.probe h [| vi k |] in
+          let got = matches h (Hash_table.probe h [| vi k |]) in
           let want =
             List.filter (fun t -> Value.equal t.(0) (vi k)) tuples
           in
@@ -144,9 +156,9 @@ let keyed_path_model =
       let probes_agree p =
         let k = Tuple.key p idx in
         let want = ref_probe r k in
-        Hash_table.probe h k = want
-        && Hash_table.probe_tuple h p idx = want
-        && (two_cols || Hash_table.probe_value h p.(0) = want)
+        matches h (Hash_table.probe h k) = want
+        && matches h (Hash_table.probe_tuple h p idx) = want
+        && (two_cols || matches h (Hash_table.probe_value h p.(0)) = want)
       in
       let iterated = ref [] in
       (* determinism-ok: iteration order is what this property checks *)
@@ -175,10 +187,10 @@ let insert_probe_model =
             if left then fused_l, fused_r, plain_l, plain_r
             else fused_r, fused_l, plain_r, plain_l
           in
-          let fused = Hash_table.insert_probe fl t ~probe:fr in
+          let fused = matches fr (Hash_table.insert_probe fl t ~probe:fr) in
           Hash_table.insert pl t;
-          fused = Hash_table.probe pr (Tuple.key t idx)
-          && Hash_table.probe_tuple sized t idx
+          fused = matches pr (Hash_table.probe pr (Tuple.key t idx))
+          && matches sized (Hash_table.probe_tuple sized t idx)
              = List.filter
                  (fun u ->
                    let k = Tuple.key t idx in
@@ -310,6 +322,53 @@ let test_registry_complexity_filter () =
     [ [| vi 1; vi 2 |] ];
   Alcotest.(check int) "leaf not discarded" 0 (Registry.discarded_tuples r)
 
+(* ---------------- Row log ---------------- *)
+
+(* Rows pushed in several runs, crossing chunk boundaries (the first
+   chunk's size is drawn; chunks cap at 4096 rows), with a view taken
+   after each run: every view keeps exactly the rows pushed before it, in
+   both directions, however many rows follow; each id reads its row and
+   its link; a copy of a view lists the same rows. *)
+let row_log_views =
+  QCheck2.Test.make ~name:"row log views are snapshots" ~count:40
+    ~long_factor:10
+    QCheck2.Gen.(
+      pair (int_range 1 40) (list_size (int_range 1 6) (int_bound 5000)))
+    (fun (first, runs) ->
+      let log = Row_log.create ~first ~linked:true () in
+      let pushed = ref [] and ids = ref [] and n = ref 0 in
+      let views =
+        List.map
+          (fun k ->
+            for _ = 1 to k do
+              let row = [| vi !n |] in
+              let id = Row_log.push_linked log row (!n - 1) in
+              ids := (id, row, !n - 1) :: !ids;
+              pushed := row :: !pushed;
+              incr n
+            done;
+            (Row_log.view log, List.rev !pushed))
+          runs
+      in
+      List.for_all
+        (fun (v, want) ->
+          let back = ref [] in
+          Row_log.view_iter (fun r -> back := r :: !back) v;
+          let rev = ref [] in
+          Row_log.view_rev_iter (fun r -> rev := r :: !rev) v;
+          Row_log.view_to_list v = want
+          && !rev = want
+          && List.rev !back = want
+          && Row_log.view_length v = List.length want
+          && Row_log.view_to_list (Row_log.view (Row_log.of_view v)) = want
+          && Row_log.view_to_list (Row_log.view_of_list want) = want)
+        views
+      && Row_log.length log = !n
+      && List.for_all
+           (fun (id, row, link) ->
+             Row_log.get log id == row && Row_log.link log id = link)
+           !ids)
+
 let suite =
   [ Alcotest.test_case "hash basics" `Quick test_hash_basic;
     Alcotest.test_case "hash swap flags" `Quick test_hash_swap;
@@ -323,4 +382,5 @@ let suite =
     Alcotest.test_case "hash key values pinned" `Quick test_hash_key_values;
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "registry complexity filter" `Quick
-      test_registry_complexity_filter ]
+      test_registry_complexity_filter;
+    qtest row_log_views ]

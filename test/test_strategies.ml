@@ -750,8 +750,31 @@ let test_rewrite () =
   let e = Expr.rename (fun c -> "m." ^ c) Expr.(Add (col "a", int 1)) in
   Alcotest.(check string) "expr renamed" "(m.a + 1)" (Expr.to_string e)
 
+(* The oracle answers over every source's whole relation: a source
+   factory that injects a permanent disconnect (and so makes the engine
+   answer over partial input) leaves the reference answer as it is. *)
+let test_reference_reads_whole_relations () =
+  let q = Workload.query Workload.Q3 in
+  let catalog = Workload.catalog dataset q in
+  let clean = Workload.sources dataset q in
+  let disconnecting () =
+    List.map
+      (fun s ->
+        Source.inject s
+          (Source.Disconnect { after_tuples = 10; rejoin_after_s = None });
+        s)
+      (clean ())
+  in
+  let want = Strategy.reference q catalog ~sources:clean in
+  Alcotest.(check bool) "the clean answer is not empty" true
+    (Relation.cardinality want > 0);
+  check_approx_rel "disconnecting sources, same reference answer" want
+    (Strategy.reference q catalog ~sources:disconnecting)
+
 let suite =
-  [ Alcotest.test_case "Q3A all strategies" `Slow test_q3a;
+  [ Alcotest.test_case "reference reads whole relations" `Quick
+      test_reference_reads_whole_relations;
+    Alcotest.test_case "Q3A all strategies" `Slow test_q3a;
     Alcotest.test_case "Q3 (with dates) all strategies" `Slow test_q3_dates;
     Alcotest.test_case "Q10 all strategies" `Slow test_q10;
     Alcotest.test_case "Q10A skewed all strategies" `Slow test_q10a_skewed;
