@@ -43,7 +43,7 @@ type outcome = Exhausted | Switched | Stopped
     controller per source, in source-list order (a mismatched array is
     ignored).  [consume] may change the source it is handed, but no other:
     the driver keeps each source's pending in-time delivery until that
-    source is taken from, a poll callback runs, or a failover happens. *)
+    source is taken from or a poll callback runs. *)
 val run :
   Ctx.t ->
   sources:Source.t list ->

@@ -263,7 +263,9 @@ val apply_memory_pressure : t -> budget:int -> string list
     of the root and of pre-aggregation children into fresh logs.
     Pre-aggregation groups are oldest first and are copied, because their
     accumulators are updated in place.  A state serialized and reloaded
-    restores byte-identical iteration order. *)
+    restores byte-identical iteration order.  Do not compare states with
+    [=]: a view shares its log's chunks past its length, so compare the
+    views' rows ({!Adp_storage.Row_log.view_to_list}). *)
 
 type preagg_state = {
   ps_window : int;

@@ -83,8 +83,8 @@ let gauge t ?(labels = []) ?(help = "") name =
       (g, Gauge g))
     (function Gauge g -> Some g | _ -> None)
 
-let incr ?(by = 1) c = c.c <- c.c + by
 let add c n = c.c <- c.c + n
+let incr c = add c 1
 let count c = c.c
 let set_count c n = c.c <- n
 let set g v = g.g <- v

@@ -57,10 +57,9 @@ val gauge :
 
 (** {2 Updates and reads} *)
 
-val incr : ?by:int -> counter -> unit
+(** [incr c] is [add c 1]. *)
+val incr : counter -> unit
 
-(** [add c n] is [incr ~by:n c] without the [Some n] an [-opaque] build
-    allocates for the optional argument: the form for hot paths. *)
 val add : counter -> int -> unit
 
 val count : counter -> int

@@ -463,11 +463,29 @@ let drive (run : driver_run)
     Adp_obs.Metrics.count ctx.Ctx.failovers,
     Adp_obs.Metrics.count ctx.Ctx.sources_failed )
 
+(* A driver that stops making progress (say, one that keeps a delivery
+   after taking it) loops without consuming or polling.  [within] turns
+   such a hang into an exception, so the case fails and is printed; a
+   case here runs in well under a millisecond. *)
+exception Hung
+
+let within secs f =
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hung)) in
+  let arm s =
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL
+         { Unix.it_interval = 0.0; it_value = s })
+  in
+  arm secs;
+  Fun.protect f ~finally:(fun () ->
+      arm 0.0;
+      Sys.set_signal Sys.sigalrm old)
+
 let driver_matches_reference =
   QCheck2.Test.make ~name:"driver delivers as its reference picker" ~count:1000
     ~long_factor:10 gen_landscape
     (fun l ->
-      drive Driver.run l = drive Driver_reference.run l)
+      within 2.0 (fun () -> drive Driver.run l = drive Driver_reference.run l))
 
 let suite =
   [ Alcotest.test_case "retry schedule" `Quick test_retry_schedule;

@@ -181,12 +181,12 @@ let test_metrics_registry () =
     Metrics.counter m ~labels:[ "node", "a \"⋈\" b\n" ] "adp_node_test_total"
   in
   Metrics.incr c;
-  Metrics.incr ~by:41 c;
+  Metrics.add c 41;
   Alcotest.(check int) "counter counts" 42 (Metrics.count c);
   (* Registration is idempotent per (name, labels): the same cell. *)
   Metrics.incr (Metrics.counter m "adp_test_total");
   Alcotest.(check int) "same cell" 43 (Metrics.count c);
-  Metrics.incr ~by:7 c_labelled;
+  Metrics.add c_labelled 7;
   Alcotest.(check int) "labelled cell distinct" 7 (Metrics.count c_labelled);
   Alcotest.(check int) "counter_total sums label sets" 7
     (Metrics.counter_total m "adp_node_test_total");
@@ -233,9 +233,9 @@ let test_metrics_label_scopes () =
   let c0 = Metrics.counter m ~help:"tuples" "adp_scope_total" in
   let c1 = Metrics.counter q1 ~help:"tuples" "adp_scope_total" in
   let c2 = Metrics.counter q2 ~help:"tuples" "adp_scope_total" in
-  Metrics.incr ~by:1 c0;
-  Metrics.incr ~by:10 c1;
-  Metrics.incr ~by:100 c2;
+  Metrics.add c0 1;
+  Metrics.add c1 10;
+  Metrics.add c2 100;
   (* Three distinct cells: the scopes did not clobber each other. *)
   Alcotest.(check int) "root cell" 1 (Metrics.count c0);
   Alcotest.(check int) "q1 cell" 10 (Metrics.count c1);
@@ -243,7 +243,7 @@ let test_metrics_label_scopes () =
   Alcotest.(check int) "three cells registered" 3 (Metrics.cells m);
   (* Scopes compose: extra labels nest under the scope. *)
   let c1n = Metrics.counter q1 ~labels:[ "node", "j" ] "adp_scope_total" in
-  Metrics.incr ~by:7 c1n;
+  Metrics.add c1n 7;
   let prom = Metrics.to_prometheus m in
   Alcotest.(check bool) "scoped labels rendered" true
     (contains ~needle:"adp_scope_total{query=\"q1\",node=\"j\"} 7" prom);
@@ -266,7 +266,7 @@ let test_metrics_label_scopes () =
   for attempt = 1 to 50 do
     Metrics.prune q1;
     let c = Metrics.counter q1 "adp_scope_total" in
-    Metrics.incr ~by:attempt c;
+    Metrics.add c attempt;
     let g = Metrics.gauge q1 "adp_scope_gauge" in
     Metrics.set g (float_of_int attempt)
   done;
@@ -291,7 +291,7 @@ let test_with_labels_no_leaks () =
         let qid = Printf.sprintf "q%02d" i in
         let v = Metrics.with_labels m [ ("query", qid) ] in
         let c = Metrics.counter v ~help:"rows" "adp_rows_total" in
-        Metrics.incr c ~by:i;
+        Metrics.add c i;
         let g = Metrics.gauge v ~help:"depth" "adp_depth" in
         Metrics.set g (float_of_int i);
         v)
