@@ -557,10 +557,12 @@ let run ?(config = default_config) query catalog sources =
        (Analyzer.check_conformance
           (List.map (fun pr -> pr.Checkpoint.pr_spec) restored
           @ [ initial_spec ])));
-  let open_phase ?(record_outputs = record_outputs) ~id spec =
+  (* Only a checkpoint's capture reads a new phase's root outputs back. *)
+  let open_phase ?(record_outputs = record_outputs)
+      ?(record_root = cfg.checkpoint <> None) ~id spec =
     Ctx.set_phase ctx (phase_label id);
     freeze_priors spec;
-    Phase.create ~record_outputs ~id ctx spec ~schema_of ~keep
+    Phase.create ~record_outputs ~record_root ~id ctx spec ~schema_of ~keep
   in
   let phase_opened (ph : Phase.t) =
     if Ctx.traced ctx then
@@ -596,13 +598,15 @@ let run ?(config = default_config) query catalog sources =
   List.iter
     (fun (pr : Checkpoint.phase_record) ->
       let ph =
-        open_phase ~record_outputs:true ~id:pr.Checkpoint.pr_id
-          pr.Checkpoint.pr_spec
+        open_phase ~record_outputs:true ~record_root:true
+          ~id:pr.Checkpoint.pr_id pr.Checkpoint.pr_spec
       in
       Plan.restore ph.Phase.plan pr.Checkpoint.pr_state;
       ph.Phase.emitted <- pr.Checkpoint.pr_emitted;
       let sch, outs = Plan.root_results ph.Phase.plan in
-      Sink.feed sink ~from:sch outs;
+      (* The charges of one feed of them all, with nothing in between. *)
+      Row_log.view_iter (Sink.stream sink ~from:sch) outs;
+      Sink.settle sink (Row_log.view_length outs);
       emit ph (Plan.flush ph.Phase.plan);
       Phase.register ph registry;
       completed :=

@@ -8,9 +8,10 @@ type t = {
   mutable emitted : int;
 }
 
-let create ?record_outputs ~id ctx spec ~schema_of ~keep =
+let create ?record_outputs ?record_root ~id ctx spec ~schema_of ~keep =
   { id; spec;
-    plan = Plan.instantiate ?record_outputs ctx spec ~schema_of ~keep;
+    plan =
+      Plan.instantiate ?record_outputs ?record_root ctx spec ~schema_of ~keep;
     emitted = 0 }
 
 let register t registry =

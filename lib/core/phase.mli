@@ -21,9 +21,11 @@ type t = {
 (** [keep] is the query's join layout rule ({!Plan.keep}), the same for
     every phase of one execution.  [record_outputs] defaults to true;
     pass false for executions that will never stitch (single-phase runs)
-    to avoid materializing intermediates nobody can reuse. *)
+    to avoid materializing intermediates nobody can reuse.  [record_root]
+    is {!Plan.instantiate}'s. *)
 val create :
   ?record_outputs:bool ->
+  ?record_root:bool ->
   id:int ->
   Ctx.t ->
   Plan.spec ->
@@ -32,5 +34,6 @@ val create :
   t
 
 (** Register the phase's strictly intermediate join results (the root's
-    output already reached the shared sink) under its plan id. *)
+    output already reached the shared sink) under its plan id, as views
+    of the plan's own records: O(plan nodes), copying no row. *)
 val register : t -> Registry.t -> unit

@@ -14,14 +14,20 @@ type stats = {
 (* One phase's tuples at a stitch-up node.  [live] is the signature of
    the node in that phase's plan that emitted exactly these tuples, in
    this order: the join above it there holds them in a table. *)
-type part = { phase : Phase.t; tuples : Tuple.t list; live : string option }
+type part = { phase : Phase.t; tuples : Row_log.view; live : string option }
 
 (* Evaluation result of one stitch-up node: tuples grouped by lineage. *)
 type node_result = {
   schema : Schema.t;
   uniform : part list;
-  mixed : Tuple.t list;
+  mixed : Row_log.view;
 }
+
+(* The rows [f] pushes, in order, as the view of a fresh log. *)
+let collect f =
+  let log = Row_log.create ~linked:false () in
+  f (fun t -> ignore (Row_log.push log t : int));
+  Row_log.view log
 
 type env = {
   ctx : Ctx.t;
@@ -47,7 +53,8 @@ let leaf_result env source =
   in
   match parts with
   | [] -> invalid_arg ("Stitchup: no partitions for source " ^ source)
-  | (schema, _) :: _ -> { schema; uniform = List.map snd parts; mixed = [] }
+  | (schema, _) :: _ ->
+    { schema; uniform = List.map snd parts; mixed = Row_log.view_of_list [] }
 
 (* One hash table per lineage over the right input: the phase's own live
    table over these tuples when its layout and key match, else a fresh
@@ -56,10 +63,11 @@ let leaf_result env source =
 let build_side env sp schema ~key_cols (r : node_result) =
   let c = env.ctx.Ctx.costs in
   let charge tuples =
+    let n = Row_log.view_length tuples in
     (* One charge per tuple: the clock's float sum must stay bit-identical. *)
-    List.iter (fun _ -> charge_sp env sp c.hash_build) tuples;
+    for _ = 1 to n do charge_sp env sp c.hash_build done;
     match sp with
-    | Some sp -> Adp_obs.Profile.add_builds sp (List.length tuples)
+    | Some sp -> Adp_obs.Profile.add_builds sp n
     | None -> ()
   in
   let table p =
@@ -69,11 +77,11 @@ let build_side env sp schema ~key_cols (r : node_result) =
           Plan.child_table p.phase.plan ~signature ~schema ~key_cols)
     with
     | Some tbl -> tbl
-    | None -> Hash_table.of_list schema ~key_cols p.tuples
+    | None -> Hash_table.of_view schema ~key_cols p.tuples
   in
   charge r.mixed;
   ( List.map (fun p -> p.phase.id, table p) r.uniform,
-    Hash_table.of_list schema ~key_cols r.mixed )
+    Hash_table.of_view schema ~key_cols r.mixed )
 
 let rec emit_from ~emit layout tbl t cur =
   if cur >= 0 then begin
@@ -84,7 +92,7 @@ let rec emit_from ~emit layout tbl t cur =
 (* Each probe is charged before its matches are emitted, newest first. *)
 let probe_into env sp ~emit layout tbl lkey tuples =
   let c = env.ctx.Ctx.costs in
-  List.iter
+  Row_log.view_iter
     (fun t ->
       let first = Hash_table.probe_tuple tbl t lkey in
       let n = Hash_table.count tbl first in
@@ -141,23 +149,26 @@ let rec eval env ?sink ~depth spec =
                 { p with tuples; live = Some signature }
               else
                 let perm = Schema.permutation ~from ~into:schema in
-                let tuples = List.map (fun t -> Tuple.project t perm) tuples in
+                let project push t = push (Tuple.project t perm) in
+                let tuples =
+                  collect (fun push -> Row_log.view_iter (project push) tuples)
+                in
                 { p with tuples; live = None }
             | None ->
-              let out = ref [] in
-              Option.iter
-                (fun tbl ->
-                  probe_into env sp
-                    ~emit:(fun t -> out := t :: !out)
-                    layout tbl lkey p.tuples)
-                (List.assoc_opt phase rtabs);
-              env.recomputed <- env.recomputed + List.length !out;
-              { p with tuples = List.rev !out; live = None })
+              let tuples =
+                collect (fun emit ->
+                    Option.iter
+                      (fun tbl ->
+                        probe_into env sp ~emit layout tbl lkey p.tuples)
+                      (List.assoc_opt phase rtabs))
+              in
+              env.recomputed <- env.recomputed + Row_log.view_length tuples;
+              { p with tuples; live = None })
           l.uniform
     in
     (* Mixed combinations: structure-to-structure enumeration, skipping
        same-phase pairs (those are the uniform path above). *)
-    let mixed = ref [] in
+    let mixed = Row_log.create ~linked:false () in
     let emit =
       match sink with
       | Some sink ->
@@ -165,7 +176,7 @@ let rec eval env ?sink ~depth spec =
         fun t ->
           env.output <- env.output + 1;
           add t
-      | None -> fun t -> mixed := t :: !mixed
+      | None -> fun t -> ignore (Row_log.push mixed t : int)
     in
     List.iter
       (fun p ->
@@ -180,7 +191,7 @@ let rec eval env ?sink ~depth spec =
       (fun (_, tbl) -> probe_into env sp ~emit layout tbl lkey l.mixed)
       rtabs;
     probe_into env sp ~emit layout rmixed lkey l.mixed;
-    { schema; uniform; mixed = List.rev !mixed }
+    { schema; uniform; mixed = Row_log.view mixed }
 
 let run ctx query ~join_tree ~phases ~registry ~sink =
   let start = Ctx.now ctx in

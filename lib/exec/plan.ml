@@ -183,7 +183,8 @@ type preagg_rt = {
    parent join keeps over it, which inserts every tuple the node emits in
    emission order, or, for the root and a pre-aggregation's child, in a
    log of the node's own.  A plan that does not record its outputs
-   leaves every node [Unrecorded]. *)
+   leaves every node [Unrecorded], and the root is [Unrecorded] too
+   unless [record_root] asks for its log. *)
 type record =
   | Unrecorded
   | Own of Row_log.t
@@ -514,9 +515,10 @@ let routes ctx root =
   in
   Array.of_list (List.rev (walk [] [] root))
 
-let instantiate ?(record_outputs = true) ctx spec ~schema_of ~keep =
+let instantiate ?(record_outputs = true) ?(record_root = record_outputs) ctx
+    spec ~schema_of ~keep =
   let root = build ctx spec ~schema_of ~keep ~record:record_outputs in
-  root.n_record <- own ~record:record_outputs;
+  root.n_record <- own ~record:record_root;
   { ctx; root; routes = routes ctx root; record_outputs }
 
 let rec climb outs hops =
@@ -616,7 +618,7 @@ let node_results t =
     (fun acc node ->
       match node.impl with
       | RJoin _ ->
-        (node.n_signature, node.n_schema, Row_log.view_to_list (outputs node),
+        (node.n_signature, node.n_schema, outputs node,
          List.length node.n_relations)
         :: acc
       | RLeaf _ | RPreagg _ -> acc)
@@ -640,10 +642,7 @@ let leaf_partition t source =
     (map_leaves
        (fun l node ->
          if String.equal l.source source then
-           Some
-             ( node.n_schema,
-               Row_log.view_to_list (outputs node),
-               node.n_signature )
+           Some (node.n_schema, outputs node, node.n_signature)
          else None)
        t)
 
@@ -801,9 +800,10 @@ let rec capture_node node =
   { st_outputs = outputs node; st_out_count = node.n_out_count; st_impl }
 
 let capture t =
-  if not t.record_outputs then
-    invalid_arg "Plan.capture: plan does not record its outputs";
-  capture_node t.root
+  match t.root.n_record with
+  | Own _ when t.record_outputs -> capture_node t.root
+  | Own _ | Held _ | Unrecorded ->
+    invalid_arg "Plan.capture: plan does not record its outputs"
 
 let shape_error () =
   invalid_arg "Plan.restore: state shape does not match the plan"
@@ -845,5 +845,4 @@ let rec restore_node node st =
 
 let restore t st = restore_node t.root st
 
-let root_results t =
-  (t.root.n_schema, Row_log.view_to_list (outputs t.root))
+let root_results t = (t.root.n_schema, outputs t.root)

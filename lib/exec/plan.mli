@@ -17,9 +17,10 @@ open Adp_relation
     its rows once, in an insertion-ordered log
     ({!Adp_storage.Hash_table.view}).  That log {e is} the child's output
     record, so the plan keeps no copy of it.  Only the nodes no join table
-    holds keep a log of their own: the root, and the child of a
-    pre-aggregation.  A plan instantiated with [~record_outputs:false]
-    keeps none of its own logs, and reports no outputs.
+    holds keep a log of their own: a pre-aggregation's child, and the root
+    when [~record_root] asks.  A plan instantiated with
+    [~record_outputs:false] keeps none of its own logs, and reports no
+    outputs.  Outputs leave a plan only as O(1) views of these logs.
 
     Signatures: every node carries a canonical signature built from its
     base-relation set, its join-predicate set and its pre-aggregation
@@ -142,10 +143,13 @@ type t
     registry: the join tables hold most of them anyway, and the root and
     pre-aggregation children get logs of their own.  Disable it for
     executions that will never stitch (single-phase runs), where those
-    logs would only consume memory.
+    logs would only consume memory.  [record_root] (default
+    [record_outputs]) keeps the root's log, which only {!capture} and
+    {!root_results} read.
     @raise Invalid_argument if two scans share a source name. *)
 val instantiate :
   ?record_outputs:bool ->
+  ?record_root:bool ->
   Ctx.t ->
   spec ->
   schema_of:(string -> Schema.t) ->
@@ -182,16 +186,17 @@ type join_info = {
 val join_infos : t -> join_info list
 
 (** Materialized result of every join node: signature, output schema,
-    tuples (oldest first, read from the join's record), complexity.
-    Includes the root.  Empty tuple lists on a plan that does not record
-    its outputs. *)
-val node_results : t -> (string * Schema.t * Tuple.t list * int) list
+    a view of its record (oldest first), complexity.  Includes the root.
+    Empty where the plan keeps no record. *)
+val node_results :
+  t -> (string * Schema.t * Adp_storage.Row_log.view * int) list
 
 (** [leaf_partition t source] is the buffered partition of [source]'s
     effective leaf: the schema of its buffered tuples (post-filter,
-    possibly pre-aggregated), the tuples oldest first, and the leaf's
+    possibly pre-aggregated), a view of them oldest first, and the leaf's
     effective signature.  [None] if no scan reads [source]. *)
-val leaf_partition : t -> string -> (Schema.t * Tuple.t list * string) option
+val leaf_partition :
+  t -> string -> (Schema.t * Adp_storage.Row_log.view * string) option
 
 (** The live table a join of [t] keeps over its child [signature], if
     that child's layout is [schema] and the join keys it on [key_cols] in
@@ -223,12 +228,8 @@ val preagg_stats : t -> (string * int * int * int) list
 (** Tuples currently held in the plan's join state structures. *)
 val memory_in_use : t -> int
 
-(** Buffered pre-aggregation groups currently resident. *)
-val preagg_in_use : t -> int
-
 (** Everything the governance ceiling counts: resident join build-side
-    tuples ({!memory_in_use}) plus buffered pre-aggregation groups
-    ({!preagg_in_use}). *)
+    tuples ({!memory_in_use}) plus buffered pre-aggregation groups. *)
 val memory_footprint : t -> int
 
 (** [apply_memory_pressure t ~budget] keeps at most [budget] tuples'
@@ -293,16 +294,15 @@ and impl_state =
     }
   | St_preagg of { st_child : state; st_pa : preagg_state }
 
-(** @raise Invalid_argument on a plan instantiated with
-    [~record_outputs:false], which keeps no record of its root's
-    outputs. *)
+(** @raise Invalid_argument on a plan that keeps no record of its
+    outputs or of its root's. *)
 val capture : t -> state
 
 (** @raise Invalid_argument when the state's shape does not match the
     plan's spec tree. *)
 val restore : t -> state -> unit
 
-(** The root's materialized output (schema, tuples oldest-first) — what
+(** The root's materialized output (schema, view oldest first) — what
     the recovery path re-feeds to a rebuilt sink.  Requires
-    [record_outputs]. *)
-val root_results : t -> Schema.t * Tuple.t list
+    [record_root]. *)
+val root_results : t -> Schema.t * Adp_storage.Row_log.view

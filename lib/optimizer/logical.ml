@@ -41,28 +41,28 @@ let connected q rels =
   match rels with
   | [] | [ _ ] -> true
   | first :: _ ->
-    let reached = Hashtbl.create 8 in
-    Hashtbl.replace reached first ();
-    let changed = ref true in
+    (* The predicates inside [rels], as relation pairs; then grow the set
+       reached from [first] along them to its fixpoint. *)
+    let edges =
+      List.filter_map
+        (fun (a, b) ->
+          let ra = relation_of_column a and rb = relation_of_column b in
+          if List.mem ra rels && List.mem rb rels then Some (ra, rb) else None)
+        q.join_preds
+    in
+    let reached = ref [ first ] and changed = ref true in
     while !changed do
       changed := false;
       List.iter
-        (fun (a, b) ->
-          let ra = relation_of_column a and rb = relation_of_column b in
-          if List.mem ra rels && List.mem rb rels then begin
-            let ha = Hashtbl.mem reached ra and hb = Hashtbl.mem reached rb in
-            if ha && not hb then begin
-              Hashtbl.replace reached rb ();
-              changed := true
-            end;
-            if hb && not ha then begin
-              Hashtbl.replace reached ra ();
-              changed := true
-            end
+        (fun (ra, rb) ->
+          let ha = List.mem ra !reached and hb = List.mem rb !reached in
+          if ha <> hb then begin
+            reached := (if ha then rb else ra) :: !reached;
+            changed := true
           end)
-        q.join_preds
+        edges
     done;
-    List.for_all (Hashtbl.mem reached) rels
+    List.for_all (fun r -> List.mem r !reached) rels
 
 let scan_token_of q name =
   match List.find_opt (fun s -> s.name = name) q.sources with

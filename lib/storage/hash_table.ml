@@ -173,10 +173,10 @@ let insert_probe t tuple ~probe:other =
      | Multi och -> if has_null k then -1 else head Tuple.equal_key och h k
      | Single _ -> probe other k)
 
-let of_list schema ~key_cols tuples =
-  let n = List.length tuples in
+let of_view schema ~key_cols rows =
+  let n = Row_log.view_length rows in
   let t = sized schema ~key_cols ~first:n n in
-  List.iter (insert t) tuples;
+  Row_log.view_iter (insert t) rows;
   t
 
 let view t = Row_log.view t.log

@@ -48,7 +48,7 @@ open Adp_relation
     equality, filled by [find_opt]/[add]:
     - bucket index [hash land max_int mod size];
     - initial size [power_2_above 16 n]: 256 for {!create}, the input
-      length for {!of_list};
+      length for {!of_view};
     - a new key goes at the head of its bucket, and a key's rows are kept
       newest first;
     - the bucket array doubles when keys exceed twice its size, relinking
@@ -58,10 +58,10 @@ open Adp_relation
     returns them in the reverse of that order, as [Hashtbl.fold] does.
     [Comp_join] and checkpoint restore see that order, and the virtual
     clock depends on it.  A probe's cursor visits a key's rows newest
-    first, and {!view} lists every row oldest first.  {!of_list} sizes
+    first, and {!view} lists every row oldest first.  {!of_view} sizes
     its table from its input, which changes iteration order but not what
     a probe visits, so stitch-up, which only probes, may use a phase's
-    live table or an {!of_list} table over the same tuples alike.
+    live table or an {!of_view} table over the same tuples alike.
     Inserting into a table while iterating it is unspecified.
 
     NULL rule.  Probes follow SQL equality: a probe key that is NULL, or
@@ -79,9 +79,9 @@ val length : t -> int
 
 val insert : t -> Tuple.t -> unit
 
-(** [of_list schema ~key_cols tuples] inserts [tuples], in order, into a
+(** [of_view schema ~key_cols rows] inserts [rows], oldest first, into a
     table pre-sized for them. *)
-val of_list : Schema.t -> key_cols:string list -> Tuple.t list -> t
+val of_view : Schema.t -> key_cols:string list -> Row_log.view -> t
 
 (** Cursor at the newest row whose key is the probe key, or [-1]. *)
 val probe : t -> Value.t array -> int

@@ -4,7 +4,7 @@ type entry = {
   signature : string;
   phase : int;
   schema : Schema.t;
-  tuples : Tuple.t list;
+  tuples : Row_log.view;
   cardinality : int;
   complexity : int;
   mutable reused : bool;
@@ -16,8 +16,8 @@ let create () = { table = Hashtbl.create 64 }
 
 let register t ~signature ~phase ~schema ~complexity tuples =
   let entry =
-    { signature; phase; schema; tuples; cardinality = List.length tuples;
-      complexity; reused = false }
+    { signature; phase; schema; tuples;
+      cardinality = Row_log.view_length tuples; complexity; reused = false }
   in
   Hashtbl.replace t.table (signature, phase) entry
 
@@ -31,13 +31,6 @@ let phases_with t ~signature =
 
 let mark_reused entry = entry.reused <- true
 
-let entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
-  |> List.sort (fun a b ->
-         match String.compare a.signature b.signature with
-         | 0 -> Int.compare a.phase b.phase
-         | c -> c)
-
 let reused_tuples t =
   Hashtbl.fold
     (fun _ e acc ->
@@ -49,9 +42,3 @@ let discarded_tuples t =
     (fun _ e acc ->
       if (not e.reused) && e.complexity >= 2 then acc + e.cardinality else acc)
     t.table 0
-
-let page_out_order t =
-  entries t
-  |> List.sort (fun a b -> Int.compare b.complexity a.complexity)
-
-let clear t = Hashtbl.reset t.table

@@ -62,6 +62,53 @@ let test_logical_validate () =
      Alcotest.fail "disconnected accepted"
    with Invalid_argument _ -> ())
 
+(* [Logical.connected] as it was written with a hash set of reached
+   relations: the reference the list-based fixpoint must agree with. *)
+let connected_reference (q : Logical.query) rels =
+  match rels with
+  | [] | [ _ ] -> true
+  | first :: _ ->
+    let reached = Hashtbl.create 8 in
+    Hashtbl.replace reached first ();
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (a, b) ->
+          let ra = Logical.relation_of_column a
+          and rb = Logical.relation_of_column b in
+          if List.mem ra rels && List.mem rb rels then begin
+            let ha = Hashtbl.mem reached ra and hb = Hashtbl.mem reached rb in
+            if ha && not hb then begin
+              Hashtbl.replace reached rb ();
+              changed := true
+            end;
+            if hb && not ha then begin
+              Hashtbl.replace reached ra ();
+              changed := true
+            end
+          end)
+        q.join_preds
+    done;
+    List.for_all (Hashtbl.mem reached) rels
+
+(* Random join graphs over up to seven relations (self-joins and
+   repeated edges included), probed with random relation lists that may
+   repeat a name or name a relation the query lacks. *)
+let connected_matches_reference =
+  QCheck2.Test.make ~name:"connected agrees with its reference (qcheck)"
+    ~count:300
+    QCheck2.Gen.(
+      let rel = map (Printf.sprintf "r%d") (int_bound 7) in
+      let col =
+        map2 (fun r c -> Printf.sprintf "%s.c%d" r c) rel (int_bound 2)
+      in
+      pair (list_size (int_bound 10) (pair col col))
+        (list_size (int_bound 6) rel))
+    (fun (join_preds, rels) ->
+      let q = { (query ()) with Logical.join_preds } in
+      Logical.connected q rels = connected_reference q rels)
+
 (* ---------------- Catalog & cardinality ---------------- *)
 
 let test_catalog_defaults () =
@@ -274,6 +321,7 @@ let optimizer_plans_agree =
 let suite =
   [ Alcotest.test_case "logical helpers" `Quick test_logical_helpers;
     Alcotest.test_case "logical validation" `Quick test_logical_validate;
+    qtest connected_matches_reference;
     Alcotest.test_case "catalog defaults" `Quick test_catalog_defaults;
     Alcotest.test_case "key-FK estimate" `Quick test_cardinality_key_fk;
     Alcotest.test_case "filter estimate" `Quick test_cardinality_filter;

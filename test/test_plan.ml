@@ -1,5 +1,6 @@
 open Adp_relation
 open Adp_exec
+open Adp_storage
 open Helpers
 
 let schema_of_tbl tables name = List.assoc name tables
@@ -66,7 +67,7 @@ let test_filter_pushdown () =
   Alcotest.(check int) "seen all" 3 leaf.seen;
   Alcotest.(check int) "passed" 2 leaf.passed;
   let _, part, _ = Option.get (Plan.leaf_partition plan "r") in
-  Alcotest.(check int) "buffered only passing" 2 (List.length part)  ;
+  Alcotest.(check int) "buffered only passing" 2 (Row_log.view_length part);
   Alcotest.(check bool) "no leaf for an unread source" true
     (Plan.leaf_partition plan "u" = None)
 
@@ -135,7 +136,7 @@ let test_join_infos_and_node_results () =
   let results = Plan.node_results plan in
   Alcotest.(check int) "results per join" 2 (List.length results);
   let _, _, root_tuples, _ = List.nth results 1 in
-  Alcotest.(check int) "root materialized" 1 (List.length root_tuples)
+  Alcotest.(check int) "root materialized" 1 (Row_log.view_length root_tuples)
 
 (* Three joins over four sources, one of them read through a windowed
    pre-aggregation; every count below is worked out by hand from the
@@ -180,7 +181,9 @@ let test_routed_push_counts () =
   Alcotest.check (Alcotest.list rows) "node results: tuples, oldest first"
     [ [ t [ 1; 5; 1; 7 ]; t [ 2; 6; 2; 8 ]; t [ 1; 5; 1; 8 ] ];
       [ t [ 1; 5; 1; 7; 7; 2 ] ]; root_rows ]
-    (List.map (fun (_, _, tuples, _) -> tuples) (Plan.node_results plan));
+    (List.map
+       (fun (_, _, tuples, _) -> Row_log.view_to_list tuples)
+       (Plan.node_results plan));
   Alcotest.(check (list (triple int int int)))
     "join infos: out, left out, right out"
     [ 3, 2, 3; 1, 3, 1; 2, 1, 2 ]
@@ -266,7 +269,7 @@ let test_record_outputs_disabled () =
    | _ -> Alcotest.fail "expected one join");
   (match Plan.node_results plan with
    | [ (_, _, tuples, _) ] ->
-     Alcotest.(check int) "nothing materialized" 0 (List.length tuples)
+     Alcotest.(check int) "nothing materialized" 0 (Row_log.view_length tuples)
    | _ -> Alcotest.fail "expected one node")
 
 let test_memory_pressure () =
@@ -360,8 +363,8 @@ let test_leaf_counts_match_partitions () =
           Option.get (Plan.leaf_partition plan l.source)
         in
         Alcotest.(check string) "effective leaf" signature l.signature;
-        Alcotest.(check int) (l.source ^ " passed") (List.length tuples)
-          l.passed)
+        Alcotest.(check int) (l.source ^ " passed")
+          (Row_log.view_length tuples) l.passed)
       counts
   in
   let polls = ref 0 in

@@ -306,7 +306,8 @@ let test_plan_capture_restore () =
   let second = push_all pb "r" l2 in
   check_bag "capture/restore = uninterrupted" all (first @ second);
   let _, recorded = Plan.root_results pb in
-  check_bag "root_results records everything" all recorded;
+  check_bag "root_results records everything" all
+    (Row_log.view_to_list recorded);
   (* Restoring a mismatched shape is rejected. *)
   let other = instantiate (Ctx.create ()) (Plan.scan "r") ~schema_of in
   (match Plan.restore other state with
@@ -497,7 +498,7 @@ let test_capture_is_snapshot () =
   let at_capture =
     Codec.read_plan_state (Snapshot.decoder (Snapshot.contents b))
   in
-  let _, rows_at_capture = Plan.root_results plan in
+  let rows_at_capture = Row_log.view_to_list (snd (Plan.root_results plan)) in
   let later = push_all plan "r" (mk_tuples 10 200) in
   Alcotest.(check bool) "later pushes emit" true (later <> []);
   Alcotest.(check bool) "captured state unchanged in memory" true
@@ -518,7 +519,7 @@ let test_capture_is_snapshot () =
        instantiate ~record_outputs:true (Ctx.create ()) spec ~schema_of
      in
      Plan.restore restored loaded.Checkpoint.pr_state;
-     let _, rows = Plan.root_results restored in
+     let rows = Row_log.view_to_list (snd (Plan.root_results restored)) in
      Alcotest.(check bool) "restored rows = rows at capture" true
        (List.equal Tuple.equal rows rows_at_capture);
      Alcotest.(check bool) "restored plan replays the later pushes" true

@@ -161,6 +161,50 @@ let test_registry_reuse_accounting () =
     stats.Stitchup.reused
     (Registry.reused_tuples registry)
 
+(* Words [f] allocates on the minor heap. *)
+let minor_words f =
+  (* determinism-ok: counts allocation; nothing here reads time *)
+  let w0 = Gc.minor_words () in f (); Gc.minor_words () -. w0
+
+(* Phase close copies no row.  After 10,000 pushes, the one registered
+   intermediate, (r⋈s), is a view of the rows the root join's table over
+   it already holds, physically the same tuples, and registering
+   allocates a constant number of words, not a number per row. *)
+let test_register_copies_nothing () =
+  let ph =
+    Phase.create ~id:0 (Ctx.create ()) left_deep ~schema_of
+      ~keep:Plan.keep_all
+  in
+  let push source rows =
+    List.iter
+      (fun t -> ignore (Plan.push ph.Phase.plan ~source t : Tuple.t list))
+      rows
+  in
+  push "r" (List.init 4000 (fun i -> [| vi (i mod 2000); vi i |]));
+  push "s" (List.init 4000 (fun i -> [| vi (i mod 2000); vi (i mod 1000) |]));
+  push "u" (List.init 2000 (fun i -> [| vi i; vi i |]));
+  let registry = Registry.create () in
+  let words = minor_words (fun () -> Phase.register ph registry) in
+  let rs = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
+  let signature = Plan.signature_of rs in
+  let entry = Option.get (Registry.find registry ~signature ~phase:0) in
+  let held =
+    Option.get
+      (Plan.child_table ph.Phase.plan ~signature ~schema:entry.Registry.schema
+         ~key_cols:[ "s.p" ])
+  in
+  let rows = Row_log.view_to_list entry.Registry.tuples
+  and table_rows = Row_log.view_to_list (Hash_table.view held) in
+  Alcotest.(check int) "(r⋈s) rows" 8000 entry.Registry.cardinality;
+  Alcotest.(check bool) "the table's own rows" true
+    (List.compare_lengths rows table_rows = 0
+     && List.for_all2 ( == ) rows table_rows);
+  Alcotest.(check (list int)) "only the intermediate registers" [ 0 ]
+    (Registry.phases_with registry ~signature);
+  Alcotest.(check bool)
+    (Printf.sprintf "registration allocates O(nodes) words (%.0f)" words)
+    true (words < 1000.0)
+
 let test_shape_mismatch_recomputes () =
   let r, s, u = gen_inputs 7 40 in
   (* Phase 1 registers (s⋈u); stitch tree needs (r⋈s) for phase 1 —
@@ -321,6 +365,8 @@ let suite =
       test_registry_reuse_accounting;
     Alcotest.test_case "reuse across column orders" `Quick
       test_reuse_across_column_orders;
+    Alcotest.test_case "phase registration copies no row" `Quick
+      test_register_copies_nothing;
     Alcotest.test_case "shape mismatch recomputes" `Quick
       test_shape_mismatch_recomputes;
     Alcotest.test_case "live join table lookup" `Quick test_child_table_lookup;

@@ -168,9 +168,9 @@ let keyed_path_model =
       && Hash_table.to_list h = ref_to_list r
       && Hash_table.distinct_keys h = Ktbl.length r)
 
-(* [insert_probe] is one join side; [of_list] probes like a filled table. *)
+(* [insert_probe] is one join side; [of_view] probes like a filled table. *)
 let insert_probe_model =
-  QCheck2.Test.make ~name:"insert_probe and of_list match insert + probe"
+  QCheck2.Test.make ~name:"insert_probe and of_view match insert + probe"
     ~count:60 ~long_factor:10 gen_keyed_rows
     (fun (two_cols, tuples) ->
       let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
@@ -179,7 +179,9 @@ let insert_probe_model =
       and fused_r = Hash_table.create ks3 ~key_cols
       and plain_l = Hash_table.create ks3 ~key_cols
       and plain_r = Hash_table.create ks3 ~key_cols in
-      let sized = Hash_table.of_list ks3 ~key_cols tuples in
+      let sized =
+        Hash_table.of_view ks3 ~key_cols (Row_log.view_of_list tuples)
+      in
       List.for_all
         (fun t ->
           let left = Value.compare t.(1) (vi 2) < 0 in
@@ -256,7 +258,7 @@ let layout_matches_stdlib =
 
 let layout_after_reuse =
   QCheck2.Test.make
-    ~name:"layout after clear and of_list matches Hashtbl.Make"
+    ~name:"layout after clear and of_view matches Hashtbl.Make"
     ~count:10 ~long_factor:10 gen_layout_rows
     (fun (two_cols, tuples) ->
       let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
@@ -270,7 +272,9 @@ let layout_after_reuse =
       Ktbl.reset r;
       List.iter (Hash_table.insert h) again;
       ref_fill r idx again;
-      let sized = Hash_table.of_list ks3 ~key_cols tuples in
+      let sized =
+        Hash_table.of_view ks3 ~key_cols (Row_log.view_of_list tuples)
+      in
       let rs = Ktbl.create (List.length tuples) in
       ref_fill rs idx tuples;
       Hash_table.length h = List.length again
@@ -294,10 +298,11 @@ let test_registry () =
   let r = Registry.create () in
   let sch = keyed_schema "e" in
   Registry.register r ~signature:"e1" ~phase:0 ~schema:sch ~complexity:2
-    [ [| vi 1; vi 2 |]; [| vi 3; vi 4 |] ];
+    (Row_log.view_of_list [ [| vi 1; vi 2 |]; [| vi 3; vi 4 |] ]);
   Registry.register r ~signature:"e1" ~phase:1 ~schema:sch ~complexity:2
-    [ [| vi 5; vi 6 |] ];
-  Registry.register r ~signature:"e2" ~phase:0 ~schema:sch ~complexity:3 [];
+    (Row_log.view_of_list [ [| vi 5; vi 6 |] ]);
+  Registry.register r ~signature:"e2" ~phase:0 ~schema:sch ~complexity:3
+    (Row_log.view_of_list []);
   Alcotest.(check (list int)) "phases_with" [ 0; 1 ]
     (Registry.phases_with r ~signature:"e1");
   (match Registry.find r ~signature:"e1" ~phase:0 with
@@ -306,20 +311,14 @@ let test_registry () =
      Alcotest.(check int) "cardinality" 2 e.Registry.cardinality;
      Registry.mark_reused e);
   Alcotest.(check int) "reused" 2 (Registry.reused_tuples r);
-  Alcotest.(check int) "discarded" 1 (Registry.discarded_tuples r);
-  (match Registry.page_out_order r with
-   | first :: _ ->
-     Alcotest.(check int) "most complex paged first" 3 first.Registry.complexity
-   | [] -> Alcotest.fail "empty page-out order");
-  Registry.clear r;
-  Alcotest.(check int) "cleared" 0 (List.length (Registry.entries r))
+  Alcotest.(check int) "discarded" 1 (Registry.discarded_tuples r)
 
 let test_registry_complexity_filter () =
   let r = Registry.create () in
   let sch = keyed_schema "e" in
   (* Base-relation buffers (complexity 1) never count as reused/discarded. *)
   Registry.register r ~signature:"leaf" ~phase:0 ~schema:sch ~complexity:1
-    [ [| vi 1; vi 2 |] ];
+    (Row_log.view_of_list [ [| vi 1; vi 2 |] ]);
   Alcotest.(check int) "leaf not discarded" 0 (Registry.discarded_tuples r)
 
 (* ---------------- Row log ---------------- *)
