@@ -58,8 +58,9 @@ let tail2 path =
   | p -> List.rev p
 
 (* Hash-table modules whose fold/iter order is a function of hashing and
-   insertion history, not of the keys: the stdlib's, and the engine's
-   own Hash_table (whose Ktbl and Vtbl aliases are the stdlib's). *)
+   insertion history, not of the keys: the stdlib's, the engine's own
+   Hash_table, and the names local [Hashtbl.Make] instances go by
+   (Histogram's Vtbl, the storage tests' Ktbl). *)
 let is_hash_fold path =
   match tail2 path with
   | [ ("Hashtbl" | "Ktbl" | "Vtbl" | "Hash_table"); "fold" ] -> true

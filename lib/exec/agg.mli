@@ -24,11 +24,11 @@ val create :
   t
 
 val add : t -> Tuple.t -> unit
-val add_all : t -> Tuple.t list -> unit
 
-(** Group-key indices and aggregates compiled against another schema with
-    the columns of [create]'s: [add_view t (view t s) tuple] aggregates a
-    tuple laid out under [s] as {!add} would its permuted copy. *)
+(** The aggregate compiled against another schema with the columns of
+    [create]'s: [add_view t (view t s) tuple] aggregates a tuple laid out
+    under [s] as {!add} would its permuted copy.  Every view folds into
+    the same group rows. *)
 type view
 
 val view : t -> Schema.t -> view
@@ -40,14 +40,7 @@ val add_view : t -> view -> Tuple.t -> unit
 val absorb : t -> view -> Tuple.t -> unit
 val charge_updates : t -> int -> unit
 
-(** Tuples consumed so far. *)
-val consumed : t -> int
-
-(** Current number of groups. *)
-val groups : t -> int
-
-(** Output schema: group columns followed by aggregate output names. *)
-val out_schema : t -> Schema.t
-
-(** Finalized result (can be called repeatedly; does not clear state). *)
+(** Finalized result, one row per group in first-seen order: the group
+    columns, then the aggregate outputs.  Can be called repeatedly; does
+    not clear state. *)
 val result : t -> Relation.t

@@ -1,4 +1,5 @@
 open Adp_relation
+open Adp_storage
 
 type fn = Count | Sum | Min | Max | Avg
 
@@ -38,48 +39,44 @@ type input_kind =
   | Raw of (Tuple.t -> Value.t) array  (* one eval per slot's spec *)
   | Partial of int array  (* source column index per slot *)
 
+(* A spec's slots are adjacent, in [slots_of] order. *)
 type compiled = {
   specs : spec list;
+  group_idx : int array;  (* the group columns in the input *)
   slots : slot array;
-  spec_of_slot : int array;  (* slot index -> spec index *)
   input : input_kind;
 }
 
-let layout specs =
-  let slots = ref [] and owners = ref [] in
-  List.iteri
-    (fun si s ->
-      List.iter
-        (fun sl ->
-          slots := sl :: !slots;
-          owners := si :: !owners)
-        (slots_of s.fn))
-    specs;
-  Array.of_list (List.rev !slots), Array.of_list (List.rev !owners)
+let compiled specs schema group_cols input =
+  { specs; input;
+    group_idx = Array.of_list (List.map (Schema.index schema) group_cols);
+    slots = Array.of_list (List.concat_map (fun s -> slots_of s.fn) specs) }
 
-let compile specs schema =
-  let slots, spec_of_slot = layout specs in
-  let spec_arr = Array.of_list specs in
-  let evals =
-    Array.map (fun si -> Expr.compile spec_arr.(si).expr schema) spec_of_slot
-  in
-  { specs; slots; spec_of_slot; input = Raw evals }
+let compile ~group_cols specs schema =
+  compiled specs schema group_cols
+    (Raw
+       (Array.of_list
+          (List.concat_map
+             (fun s ->
+               List.map (fun _ -> Expr.compile s.expr schema) (slots_of s.fn))
+             specs)))
 
-let compile_partial specs schema =
-  let slots, spec_of_slot = layout specs in
-  let idx =
-    Array.of_list (List.map (Schema.index schema) (partial_names specs))
-  in
-  { specs; slots; spec_of_slot; input = Partial idx }
-
-let width c = Array.length c.slots
+let compile_partial ~group_cols specs schema =
+  compiled specs schema group_cols
+    (Partial
+       (Array.of_list (List.map (Schema.index schema) (partial_names specs))))
 
 let neutral = function
   | Acc_sum -> Value.Int 0
   | Acc_cnt -> Value.Int 0
   | Acc_min | Acc_max -> Value.Null
 
-let init c = Array.map neutral c.slots
+let init c tuple =
+  let g = Array.length c.group_idx in
+  Array.init
+    (g + Array.length c.slots)
+    (fun i ->
+      if i < g then tuple.(c.group_idx.(i)) else neutral c.slots.(i - g))
 
 let combine slot acc v =
   match slot with
@@ -88,7 +85,8 @@ let combine slot acc v =
   | Acc_min -> Value.min_v acc v
   | Acc_max -> Value.max_v acc v
 
-let update c acc tuple =
+let update c row tuple =
+  let g = Array.length c.group_idx in
   match c.input with
   | Raw evals ->
     Array.iteri
@@ -96,41 +94,36 @@ let update c acc tuple =
         let v =
           match slot with Acc_cnt -> Value.Int 1 | _ -> evals.(i) tuple
         in
-        acc.(i) <- combine slot acc.(i) v)
+        row.(g + i) <- combine slot row.(g + i) v)
       c.slots
   | Partial idx ->
     Array.iteri
-      (fun i slot -> acc.(i) <- combine slot acc.(i) tuple.(idx.(i)))
+      (fun i slot -> row.(g + i) <- combine slot row.(g + i) tuple.(idx.(i)))
       c.slots
 
-let to_partial _c acc = Array.copy acc
+let find c groups tuple = Hash_table.group groups tuple c.group_idx
 
-let finalize c acc =
-  let spec_arr = Array.of_list c.specs in
-  let slot_for si kind =
-    let found = ref None in
-    Array.iteri
-      (fun i owner ->
-        if owner = si && c.slots.(i) = kind && !found = None then
-          found := Some i)
-      c.spec_of_slot;
-    match !found with
-    | Some i -> acc.(i)
-    | None -> invalid_arg "Aggregate.finalize: missing slot"
+let absorb c groups tuple =
+  let cur = find c groups tuple in
+  if cur >= 0 then update c (Hash_table.row groups cur) tuple
+  else begin
+    let row = init c tuple in
+    update c row tuple;
+    Hash_table.insert groups row
+  end
+
+let mean sum cnt =
+  if Value.is_null sum || Value.is_null cnt then Value.Null
+  else
+    let n = Value.to_float cnt in
+    if n = 0.0 then Value.Null else Value.Float (Value.to_float sum /. n)
+
+let finalize c row =
+  let rec finals p = function
+    | [] -> []
+    | { fn = Avg; _ } :: rest -> mean row.(p) row.(p + 1) :: finals (p + 2) rest
+    | { fn = Count | Sum | Min | Max; _ } :: rest ->
+      row.(p) :: finals (p + 1) rest
   in
-  Array.mapi
-    (fun si s ->
-      match s.fn with
-      | Count -> slot_for si Acc_cnt
-      | Sum -> slot_for si Acc_sum
-      | Min -> slot_for si Acc_min
-      | Max -> slot_for si Acc_max
-      | Avg ->
-        let s_ = slot_for si Acc_sum and cnt = slot_for si Acc_cnt in
-        if Value.is_null s_ || Value.is_null cnt then Value.Null
-        else begin
-          let n = Value.to_float cnt in
-          if n = 0.0 then Value.Null
-          else Value.Float (Value.to_float s_ /. n)
-        end)
-    spec_arr
+  let g = Array.length c.group_idx in
+  Array.append (Array.sub row 0 g) (Array.of_list (finals g c.specs))

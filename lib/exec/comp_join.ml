@@ -26,6 +26,7 @@ type t = {
   pq_r : (Value.t array * Tuple.t) Heap.t;
   lkey : int array;
   rkey : int array;
+  region_table : Row_log.view -> Hash_table.t;  (* right overflow rows *)
   (* Overflow state. *)
   budget : int option;
   n_regions : int;
@@ -75,6 +76,7 @@ let create ?memory_budget ?(regions = 8) ctx ~variant ~left_schema
     pq_l = Heap.create cmp; pq_r = Heap.create cmp;
     lkey = Array.of_list (List.map (Schema.index left_schema) left_key);
     rkey = Array.of_list (List.map (Schema.index right_schema) right_key);
+    region_table = Hash_table.of_view right_schema ~key_cols:right_key;
     budget = memory_budget; n_regions = max 1 regions;
     spilled = Array.make (max 1 regions) false;
     disk_l = Array.make (max 1 regions) [];
@@ -249,11 +251,11 @@ let drain t =
   go ();
   List.rev !outs
 
-module Ktbl = Tuple.Ktbl
-
 (* Join one spilled region: all left/right pairs except those already
-   joined in memory (both epoch 0 within the same operator).  As in
-   [Hash_table], a key with a NULL column matches nothing. *)
+   joined in memory (both epoch 0 within the same operator).  A table
+   over the right rows gives each key's matches newest first, and its
+   cursors are positions in [rs].  As in [Hash_table], a key with a NULL
+   column matches nothing. *)
 let resolve_region t region =
   let c = t.ctx.Ctx.costs in
   let ls = t.disk_l.(region) and rs = t.disk_r.(region) in
@@ -261,32 +263,31 @@ let resolve_region t region =
   else begin
     Ctx.charge_span t.ctx t.sp_overflow
       (c.spill_read *. float_of_int (List.length ls + List.length rs));
-    let table = Ktbl.create 64 in
-    List.iter
-      (fun e ->
-        Ctx.charge_span t.ctx t.sp_overflow c.hash_build;
-        let k = key_of t R e.d_tuple in
-        let prev = Option.value ~default:[] (Ktbl.find_opt table k) in
-        Ktbl.replace table k (e :: prev))
-      rs;
+    let table =
+      t.region_table
+        (Row_log.view_of_list (List.map (fun e -> e.d_tuple) rs))
+    in
+    let rs = Array.of_list rs in
+    Array.iter (fun _ -> Ctx.charge_span t.ctx t.sp_overflow c.hash_build) rs;
     let acc = ref [] in
     List.iter
       (fun le ->
-        let k = key_of t L le.d_tuple in
-        let matches =
-          if Array.exists Value.is_null k then []
-          else Option.value ~default:[] (Ktbl.find_opt table k)
-        in
+        let cur = Hash_table.probe_tuple table le.d_tuple t.lkey in
+        let n = Hash_table.count table cur in
         Ctx.charge_span t.ctx t.sp_overflow
-          (c.hash_probe +. (c.per_match *. float_of_int (List.length matches)));
-        List.iter
-          (fun re ->
+          (c.hash_probe +. (c.per_match *. float_of_int n));
+        let rec walk cur =
+          if cur >= 0 then begin
+            let re = rs.(cur) in
             let already_joined =
               le.d_epoch = 0 && re.d_epoch = 0 && le.d_op = re.d_op
             in
             if not already_joined then
-              acc := Tuple.concat le.d_tuple re.d_tuple :: !acc)
-          matches)
+              acc := Tuple.concat le.d_tuple re.d_tuple :: !acc;
+            walk (Hash_table.next table cur)
+          end
+        in
+        walk cur)
       ls;
     !acc
   end

@@ -163,18 +163,14 @@ let join_tuple layout a b =
 (* Runtime                                                            *)
 (* ------------------------------------------------------------------ *)
 
-module Ktbl = Tuple.Ktbl
-
 type preagg_rt = {
-  p_group_idx : int array;
   p_comp : Aggregate.compiled;
   p_mode : preagg_mode;
   p_sig : string;  (* node description for trace events *)
   p_span : Profile.span option;
   mutable p_window : int;
   mutable p_in_window : int;
-  p_buffer : Value.t array Ktbl.t;  (* group key -> accumulator *)
-  mutable p_order : Value.t array list;  (* keys, newest first *)
+  p_groups : Hash_table.t;  (* the window's group rows, first-seen *)
   mutable p_in_total : int;
   mutable p_out_total : int;
 }
@@ -324,9 +320,6 @@ let rec build ?(depth = 0) ctx spec ~schema_of ~keep ~record =
     in
     child.n_record <- own ~record;
     let schema = Aggregate.partial_schema ~group_cols:p.group_cols p.aggs in
-    let p_group_idx =
-      Array.of_list (List.map (Schema.index child.n_schema) p.group_cols)
-    in
     let initial =
       match p.mode with
       | Windowed w -> max 1 w.initial
@@ -342,13 +335,14 @@ let rec build ?(depth = 0) ctx spec ~schema_of ~keep ~record =
         RPreagg
           { child;
             pa =
-              { p_group_idx;
-                p_comp = Aggregate.compile p.aggs child.n_schema;
+              { p_comp =
+                  Aggregate.compile ~group_cols:p.group_cols p.aggs
+                    child.n_schema;
                 p_mode = p.mode;
                 p_sig = Format.asprintf "%a" pp_spec spec;
                 p_span = n_span;
                 p_window = initial; p_in_window = 0;
-                p_buffer = Ktbl.create 256; p_order = [];
+                p_groups = Hash_table.create schema ~key_cols:p.group_cols;
                 p_in_total = 0; p_out_total = 0 } } }
 
 let spec t = t.root.n_spec
@@ -433,17 +427,12 @@ let join_side ctx j ~from_left tuple =
    | None -> ());
   outs
 
+(* The window's group rows are its partial tuples, first-seen: they
+   leave as they are, and the cleared table never touches them again. *)
 let preagg_flush_window ctx pa =
-  let outs =
-    List.rev_map
-      (fun k ->
-        let acc = Ktbl.find pa.p_buffer k in
-        Array.append k (Aggregate.to_partial pa.p_comp acc))
-      pa.p_order
-  in
-  Ktbl.reset pa.p_buffer;
-  pa.p_order <- [];
-  let n_out = List.length outs in
+  let n_out = Hash_table.length pa.p_groups in
+  let outs = Row_log.view_to_list (Hash_table.view pa.p_groups) in
+  Hash_table.clear pa.p_groups;
   pa.p_out_total <- pa.p_out_total + n_out;
   (match pa.p_mode with
    | Windowed w when pa.p_in_window > 0 ->
@@ -469,28 +458,21 @@ let preagg_insert ctx pa tuple =
   in
   Ctx.charge_span ctx pa.p_span cost;
   pa.p_in_total <- pa.p_in_total + 1;
-  let k = Tuple.key tuple pa.p_group_idx in
   (* Punctuated iterator: a group-key change on group-sorted input closes
-     the previous group. *)
+     the previous group.  The operator holds at most that one group, so
+     the key changed when there is a group and it is not the tuple's. *)
   let punct_flush =
     match pa.p_mode with
-    | Punctuated ->
-      (match pa.p_order with
-       | last :: _ when not (Tuple.equal_key last k) ->
-         preagg_flush_window ctx pa
-       | _ :: _ | [] -> [])
-    | Windowed _ | Traditional | Pseudogroup -> []
+    | Punctuated
+      when Hash_table.length pa.p_groups > 0
+           && Aggregate.find pa.p_comp pa.p_groups tuple < 0 ->
+      preagg_flush_window ctx pa
+    | Punctuated | Windowed _ | Traditional | Pseudogroup -> []
   in
   pa.p_in_window <- pa.p_in_window + 1;
-  (match Ktbl.find_opt pa.p_buffer k with
-   | Some acc -> Aggregate.update pa.p_comp acc tuple
-   | None ->
-     let acc = Aggregate.init pa.p_comp in
-     Aggregate.update pa.p_comp acc tuple;
-     Ktbl.replace pa.p_buffer k acc;
-     pa.p_order <- k :: pa.p_order);
+  Aggregate.absorb pa.p_comp pa.p_groups tuple;
   (match pa.p_span with
-   | Some sp -> Profile.note_mem sp (Ktbl.length pa.p_buffer)
+   | Some sp -> Profile.note_mem sp (Hash_table.length pa.p_groups)
    | None -> ());
   let window_flush =
     if pa.p_in_window >= pa.p_window then preagg_flush_window ctx pa else []
@@ -708,7 +690,7 @@ let preagg_in_use t =
   fold_nodes
     (fun acc node ->
       match node.impl with
-      | RPreagg p -> acc + Ktbl.length p.pa.p_buffer
+      | RPreagg p -> acc + Hash_table.length p.pa.p_groups
       | RLeaf _ | RJoin _ -> acc)
     0 t.root
 
@@ -791,9 +773,12 @@ let rec capture_node node =
             { ps_window = p.pa.p_window; ps_in_window = p.pa.p_in_window;
               ps_in_total = p.pa.p_in_total; ps_out_total = p.pa.p_out_total;
               ps_groups =
-                List.rev_map
-                  (fun k -> (k, Array.copy (Ktbl.find p.pa.p_buffer k)))
-                  p.pa.p_order } }
+                List.map
+                  (fun row ->
+                    let k = Hash_table.key_of p.pa.p_groups row in
+                    let g = Array.length k in
+                    (k, Array.sub row g (Array.length row - g)))
+                  (Row_log.view_to_list (Hash_table.view p.pa.p_groups)) } }
   in
   (* A log is only ever appended to, so a view of it is already a
      snapshot: share it rather than copy it. *)
@@ -829,12 +814,9 @@ let rec restore_node node st =
     restore_node j.left s.st_left;
     restore_node j.right s.st_right
   | RPreagg p, St_preagg s ->
-    Ktbl.reset p.pa.p_buffer;
-    p.pa.p_order <- [];
+    Hash_table.clear p.pa.p_groups;
     List.iter
-      (fun (k, acc) ->
-        Ktbl.replace p.pa.p_buffer k (Array.copy acc);
-        p.pa.p_order <- k :: p.pa.p_order)
+      (fun (k, acc) -> Hash_table.insert p.pa.p_groups (Array.append k acc))
       s.st_pa.ps_groups;
     p.pa.p_window <- s.st_pa.ps_window;
     p.pa.p_in_window <- s.st_pa.ps_in_window;

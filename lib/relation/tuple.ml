@@ -21,12 +21,6 @@ let hash_key k =
 
 let equal_key a b = compare_key a b = 0
 
-module Ktbl = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal = equal_key
-  let hash = hash_key
-end)
 let compare = compare_key
 let equal a b = compare a b = 0
 

@@ -25,9 +25,6 @@ val compare_key : Value.t array -> Value.t array -> int
 val hash_key : Value.t array -> int
 val equal_key : Value.t array -> Value.t array -> bool
 
-(** Hash tables over composite keys, under {!equal_key} and {!hash_key}. *)
-module Ktbl : Hashtbl.S with type key = Value.t array
-
 (** Total order on whole tuples (lexicographic). *)
 val compare : t -> t -> int
 

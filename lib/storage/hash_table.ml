@@ -155,6 +155,16 @@ let probe_tuple t tuple cols =
   if Array.length cols = 1 then probe_value t tuple.(cols.(0))
   else probe t (Tuple.key tuple cols)
 
+(* [probe_tuple] without the NULL rule: GROUP BY puts NULLs together. *)
+let group t tuple cols =
+  match t.table with
+  | Single ch ->
+    let v = tuple.(cols.(0)) in
+    head Value.equal ch (hash_value v) v
+  | Multi ch ->
+    let k = Tuple.key tuple cols in
+    head Tuple.equal_key ch (Tuple.hash_key k) k
+
 (* The key is hashed once, for the insert and for the probe. *)
 let insert_probe t tuple ~probe:other =
   match t.table with

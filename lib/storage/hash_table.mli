@@ -68,7 +68,10 @@ open Adp_relation
     has a NULL column, matches nothing ({!probe}, {!probe_value},
     {!probe_tuple}, {!insert_probe} return [-1]).  Inserts still store
     such tuples, under one key as [Value.equal] groups them, so
-    {!length}, {!iter}, {!view} and {!distinct_keys} see them. *)
+    {!length}, {!iter}, {!view} and {!distinct_keys} see them.  The
+    GROUP BY lookup {!group} finds them too: grouping puts NULL with
+    NULL, so a table of one row per group, inserted first-seen, keeps its
+    groups in its {!view}'s order. *)
 
 type t
 
@@ -80,7 +83,8 @@ val length : t -> int
 val insert : t -> Tuple.t -> unit
 
 (** [of_view schema ~key_cols rows] inserts [rows], oldest first, into a
-    table pre-sized for them. *)
+    table pre-sized for them.  Its cursors are the rows' positions in
+    [rows], 0 for the oldest. *)
 val of_view : Schema.t -> key_cols:string list -> Row_log.view -> t
 
 (** Cursor at the newest row whose key is the probe key, or [-1]. *)
@@ -91,6 +95,11 @@ val probe_tuple : t -> Tuple.t -> int array -> int
 
 (** [probe_value t v] is [probe t [| v |]]. *)
 val probe_value : t -> Value.t -> int
+
+(** [group t tuple cols] is [probe_tuple t tuple cols] under GROUP BY's
+    equality, where NULL equals NULL: the cursor at the newest row whose
+    key is [tuple]'s [cols], or [-1]. *)
+val group : t -> Tuple.t -> int array -> int
 
 (** [insert_probe t tuple ~probe] is [insert t tuple] then
     [probe probe (key_of t tuple)], computing and hashing the key once.

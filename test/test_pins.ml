@@ -2,8 +2,8 @@
    produces it, on runs that cover every join-state path — corrective
    phases that switch and stitch up, windowed pre-aggregation under a
    static plan, the eddy's SteMs, complementary joins and plan
-   partitioning — plus the bytes of every checkpoint file one corrective
-   run writes.  A bag comparison cannot see a reordered emission, a float
+   partitioning — plus the bytes of every checkpoint file two corrective
+   runs write, one of them with pre-aggregation groups buffered.  A bag comparison cannot see a reordered emission, a float
    summed in another order, or a checkpoint that lists a node's rows
    differently; these digests can.  A change meant only to speed the
    engine up must leave every one of them as it is. *)
@@ -169,6 +169,18 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
+(* Every checkpoint file's bytes, in file name order, and the files. *)
+let checkpoint_digest dir =
+  let files = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
+  let buf = Buffer.create 65_536 in
+  List.iter
+    (fun f ->
+      Buffer.add_string buf f;
+      Buffer.add_string buf
+        (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+    files;
+  files, Digest.to_hex (Digest.string (Buffer.contents buf))
+
 (* Q5 from the pessimal plan writes a checkpoint every 2000 source tuples
    and one at the phase boundary; every file's bytes are pinned, in file
    name order. *)
@@ -181,18 +193,53 @@ let test_checkpoint_bytes () =
   in
   let o = run ~initial_plan:pessimal ~config `Corrective Workload.Q5 in
   Alcotest.(check int) "phases" 2 o.Strategy.report.Report.phases;
-  let files = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
-  let buf = Buffer.create 65_536 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf f;
-      Buffer.add_string buf
-        (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
-    files;
+  let files, digest = checkpoint_digest dir in
   rm_rf dir;
   Alcotest.(check int) "checkpoint files" 17 (List.length files);
   Alcotest.(check string) "checkpoint bytes" "bae21d29f01056b2650eb294802728f0"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    digest
+
+(* Buffered pre-aggregation groups across a checkpoint's phases. *)
+let buffered_groups (ck : Checkpoint.t) =
+  let rec groups (st : Plan.state) =
+    match st.Plan.st_impl with
+    | Plan.St_leaf _ -> 0
+    | Plan.St_join j -> groups j.st_left + groups j.st_right
+    | Plan.St_preagg p -> List.length p.st_pa.Plan.ps_groups + groups p.st_child
+  in
+  List.fold_left
+    (fun n (pr : Checkpoint.phase_record) -> n + groups pr.Checkpoint.pr_state)
+    0
+    (ck.Checkpoint.completed @ Option.to_list ck.Checkpoint.current)
+
+(* Q3A under windowed pre-aggregation writes a checkpoint every 1500
+   source tuples, mostly while groups are buffered mid-window, so the
+   files pin how a pre-aggregation's groups are encoded. *)
+let test_checkpoint_preagg_bytes () =
+  let dir = "pins-ckpt-preagg" in
+  rm_rf dir;
+  let config =
+    { corrective_config with
+      checkpoint = Some (Checkpoint.policy ~every_tuples:1500 ~dir ()) }
+  in
+  let preagg =
+    Optimizer.Force (Plan.Windowed { initial = 64; max_window = 65536 })
+  in
+  ignore (run ~preagg ~config `Corrective Workload.Q3A : Strategy.outcome);
+  let files, digest = checkpoint_digest dir in
+  let buffered =
+    List.filter
+      (fun f ->
+        match Checkpoint.load (Filename.concat dir f) with
+        | Ok ck -> buffered_groups ck > 0
+        | Error _ -> Alcotest.failf "%s does not load" f)
+      files
+  in
+  rm_rf dir;
+  Alcotest.(check int) "checkpoint files" 21 (List.length files);
+  Alcotest.(check int) "files with buffered groups" 20 (List.length buffered);
+  Alcotest.(check string) "checkpoint bytes" "237c229422118fbe6c4edf9cf7dd0263"
+    digest
 
 let suite =
   [ Alcotest.test_case "corrective from the pessimal plan" `Quick
@@ -202,4 +249,6 @@ let suite =
     Alcotest.test_case "eddy and plan partitioning" `Quick
       test_eddy_and_partitioning;
     Alcotest.test_case "complementary joins" `Quick test_complementary_joins;
-    Alcotest.test_case "checkpoint file bytes" `Quick test_checkpoint_bytes ]
+    Alcotest.test_case "checkpoint file bytes" `Quick test_checkpoint_bytes;
+    Alcotest.test_case "checkpoint file bytes, buffered pre-aggregation"
+      `Quick test_checkpoint_preagg_bytes ]

@@ -26,7 +26,7 @@ let final_sum_by_group outs out_schema =
   let agg =
     Agg.create ctx ~group_cols:[ "d.g" ] ~aggs ~input:Agg.Partial out_schema
   in
-  Agg.add_all agg outs;
+  List.iter (Agg.add agg) outs;
   Agg.result agg
 
 let direct_sum_by_group tuples =
@@ -123,7 +123,7 @@ let test_preagg_under_join () =
     Agg.create agg_ctx ~group_cols:[ "d.g" ] ~aggs ~input:Agg.Partial
       (Plan.schema plan)
   in
-  Agg.add_all agg outs;
+  List.iter (Agg.add agg) outs;
   let got = Agg.result agg in
   (* Each group has 50 tuples of v=1. *)
   check_bag "preagg under join"
@@ -179,6 +179,102 @@ let preagg_union_prop =
       let want = direct_sum_by_group tuples in
       Relation.equal_bag got want)
 
+(* GROUP BY equality, written out apart from the engine: NULL with NULL,
+   numbers by value (Int 3 with Float 3.0, 0.0 with -0.0), NaN with
+   NaN. *)
+let group_equal a b =
+  match a, b with
+  | Value.Null, Value.Null -> true
+  | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _) ->
+    let x = Value.to_float a and y = Value.to_float b in
+    x = y || (Float.is_nan x && Float.is_nan y)
+  | Value.Str x, Value.Str y -> String.equal x y
+  | _, _ -> false
+
+(* The same constructor and, for a float, the same bits: a group's key
+   must be its first-seen value, not merely an equal one. *)
+let identical a b =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Float _, _ | _, Value.Float _ -> false
+  | _, _ -> Value.compare a b = 0
+
+let grouping_schema = Schema.make [ "e.g"; "e.h"; "e.v" ]
+
+let grouping_aggs =
+  [ Aggregate.sum ~name:"s" (Expr.col "e.v"); Aggregate.count_all ~name:"c" ]
+
+(* Naive grouping over an association list: each group's first-seen
+   key, sum and count, in first-seen order. *)
+let reference_groups width tuples =
+  let key t = Array.sub t 0 width in
+  let groups =
+    List.fold_left
+      (fun groups t ->
+        let k = key t and v = match t.(2) with Value.Int v -> v | _ -> 0 in
+        let same (k', _) = Array.for_all2 group_equal k k' in
+        if List.exists same groups then
+          List.map
+            (fun ((k', (s, c)) as g) -> if same g then (k', (s + v, c + 1)) else g)
+            groups
+        else groups @ [ (k, (v, 1)) ])
+      [] tuples
+  in
+  List.map
+    (fun (k, (s, c)) -> Array.append k [| Value.Int s; Value.Int c |])
+    groups
+
+let final_groups ~input schema group_cols tuples =
+  let agg =
+    Agg.create (Ctx.create ()) ~group_cols ~aggs:grouping_aggs ~input schema
+  in
+  List.iter (Agg.add agg) tuples;
+  Relation.to_list (Agg.result agg)
+
+let grouping_prop =
+  let pool =
+    [| Value.Null; vi 3; vf 3.0; vf Float.nan; vf 0.0; vf (-0.0); vi 0;
+       vs "a"; vi 1 |]
+  in
+  let n = Array.length pool in
+  QCheck2.Test.make
+    ~name:"Agg and every pre-aggregation mode group by GROUP BY equality (qcheck)"
+    ~count:200
+    QCheck2.Gen.(
+      triple bool (int_range 1 8)
+        (list_size (int_bound 60)
+           (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 20))))
+    (fun (two, w, rows) ->
+      let width = if two then 2 else 1 in
+      let group_cols = if two then [ "e.g"; "e.h" ] else [ "e.g" ] in
+      let tuples =
+        List.map (fun (g, h, v) -> [| pool.(g); pool.(h); vi v |]) rows
+      in
+      let want = reference_groups width tuples in
+      let same got =
+        List.length got = List.length want
+        && List.for_all2 (Array.for_all2 identical) got want
+      in
+      let preagg mode =
+        let ctx = Ctx.create () in
+        let plan =
+          instantiate ctx
+            (Plan.preagg ~mode ~group_cols ~aggs:grouping_aggs (Plan.scan "e"))
+            ~schema_of:(fun _ -> grouping_schema)
+        in
+        let streamed =
+          List.concat_map (fun t -> Plan.push plan ~source:"e" t) tuples
+        in
+        final_groups ~input:Agg.Partial (Plan.schema plan) group_cols
+          (streamed @ Plan.flush plan)
+      in
+      same (final_groups ~input:Agg.Raw grouping_schema group_cols tuples)
+      && List.for_all
+           (fun mode -> same (preagg mode))
+           [ Plan.Windowed { initial = w; max_window = 16 }; Plan.Traditional;
+             Plan.Pseudogroup; Plan.Punctuated ])
+
 let suite =
   [ Alcotest.test_case "equivalence across modes" `Quick
       test_equivalence_all_modes;
@@ -194,4 +290,5 @@ let suite =
       test_punctuated_on_sorted;
     Alcotest.test_case "punctuated safe on unsorted" `Quick
       test_punctuated_on_unsorted_still_correct;
-    qtest preagg_union_prop ]
+    qtest preagg_union_prop;
+    qtest grouping_prop ]

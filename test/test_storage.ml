@@ -107,10 +107,11 @@ let ref_build idx tuples =
   ref_fill r idx tuples;
   r
 
+(* GROUP BY equality: NULL matches NULL. *)
+let ref_group r k = match Ktbl.find_opt r k with Some c -> !c | None -> []
+
 (* Probes follow SQL equality: a key with a NULL column matches nothing. *)
-let ref_probe r k =
-  if Array.exists Value.is_null k then []
-  else match Ktbl.find_opt r k with Some c -> !c | None -> []
+let ref_probe r k = if Array.exists Value.is_null k then [] else ref_group r k
 
 (* The iteration orders themselves are under test below. *)
 let ref_iter_order r =
@@ -158,6 +159,7 @@ let keyed_path_model =
         let want = ref_probe r k in
         matches h (Hash_table.probe h k) = want
         && matches h (Hash_table.probe_tuple h p idx) = want
+        && matches h (Hash_table.group h p idx) = ref_group r k
         && (two_cols || matches h (Hash_table.probe_value h p.(0)) = want)
       in
       let iterated = ref [] in
@@ -203,6 +205,26 @@ let insert_probe_model =
       && Hash_table.to_list fused_l = Hash_table.to_list plain_l
       && Hash_table.to_list fused_r = Hash_table.to_list plain_r
       && Hash_table.length sized = List.length tuples)
+
+(* An [of_view] table's cursors are its rows' positions, past the 4096
+   rows of a full chunk too. *)
+let test_of_view_cursors () =
+  List.iter
+    (fun n ->
+      let rows = List.init n (fun i -> [| vi i; vi (i mod 7) |]) in
+      let h =
+        Hash_table.of_view ks ~key_cols:[ "t.p" ] (Row_log.view_of_list rows)
+      in
+      let rec positions cur =
+        cur < 0
+        || (Value.equal (Hash_table.row h cur).(0) (vi cur)
+            && positions (Hash_table.next h cur))
+      in
+      for k = 0 to 6 do
+        if not (positions (Hash_table.probe_value h (vi k))) then
+          Alcotest.failf "n = %d: a cursor is not its row's position" n
+      done)
+    [ 1; 5; 4096; 4097; 9000 ]
 
 (* Layout equivalence on tables large enough to double at least three
    times (a 256-bucket table doubles past 512, 1024 and 2048 keys).  Keys
@@ -376,6 +398,8 @@ let suite =
     qtest hash_model;
     qtest keyed_path_model;
     qtest insert_probe_model;
+    Alcotest.test_case "of_view cursors are positions" `Quick
+      test_of_view_cursors;
     qtest layout_matches_stdlib;
     qtest layout_after_reuse;
     Alcotest.test_case "hash key values pinned" `Quick test_hash_key_values;
