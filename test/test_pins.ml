@@ -3,10 +3,12 @@
    phases that switch and stitch up, windowed pre-aggregation under a
    static plan, the eddy's SteMs, complementary joins and plan
    partitioning — plus the bytes of every checkpoint file two corrective
-   runs write, one of them with pre-aggregation groups buffered.  A bag comparison cannot see a reordered emission, a float
-   summed in another order, or a checkpoint that lists a node's rows
-   differently; these digests can.  A change meant only to speed the
-   engine up must leave every one of them as it is. *)
+   runs write, one of them with pre-aggregation groups buffered, and the
+   reuse counts of a stitch-up after a resume.  A bag comparison cannot
+   see a reordered emission, a float summed in another order, or a
+   checkpoint that lists a node's rows differently; these digests can.
+   A change meant only to speed the engine up must leave every one of
+   them as it is. *)
 
 open Adp_relation
 open Adp_exec
@@ -241,6 +243,38 @@ let test_checkpoint_preagg_bytes () =
   Alcotest.(check string) "checkpoint bytes" "237c229422118fbe6c4edf9cf7dd0263"
     digest
 
+(* Q5 from the pessimal plan crashes once it has switched plans, then
+   resumes from its newest checkpoint: the restored phases' intermediates
+   must be found and reused as a live run's are, so the reuse accounting
+   of the resumed stitch-up is pinned. *)
+(* Q10A from the pessimal plan crashes after 30,000 source tuples, once
+   it has switched plans, and resumes from its newest checkpoint: two
+   restored phases and a new one.  The restored phases' intermediates are
+   found and reused as a live run's are, so the resumed stitch-up's reuse
+   accounting is pinned. *)
+let test_resume_reuse_accounting () =
+  let dir = "pins-ckpt-resume" in
+  rm_rf dir;
+  let config =
+    { corrective_config with
+      checkpoint = Some (Checkpoint.policy ~every_tuples:2000 ~dir ());
+      crash = [ Crash.After_tuples 30_000 ] }
+  in
+  (match run ~initial_plan:pessimal ~config `Corrective Workload.Q10A with
+   | _ -> Alcotest.fail "expected a crash"
+   | exception Crash.Crashed _ -> ());
+  let config = { corrective_config with resume_from = Some dir } in
+  let o = run ~initial_plan:pessimal ~config `Corrective Workload.Q10A in
+  rm_rf dir;
+  let s = Option.get o.Strategy.corrective_stats in
+  Alcotest.(check (list int)) "restored phases, phases" [ 2; 3 ]
+    [ s.Corrective.resumed_phases; s.Corrective.phases ];
+  Alcotest.(check (list int)) "reused, discarded, output, recomputed"
+    [ 3091; 4686; 5260; 1058 ]
+    [ s.Corrective.reused_tuples; s.Corrective.discarded_tuples;
+      s.Corrective.stitch.Stitchup.output;
+      s.Corrective.stitch.Stitchup.recomputed_uniform ]
+
 let suite =
   [ Alcotest.test_case "corrective from the pessimal plan" `Quick
       test_corrective;
@@ -251,4 +285,6 @@ let suite =
     Alcotest.test_case "complementary joins" `Quick test_complementary_joins;
     Alcotest.test_case "checkpoint file bytes" `Quick test_checkpoint_bytes;
     Alcotest.test_case "checkpoint file bytes, buffered pre-aggregation"
-      `Quick test_checkpoint_preagg_bytes ]
+      `Quick test_checkpoint_preagg_bytes;
+    Alcotest.test_case "reuse accounting across a resume" `Quick
+      test_resume_reuse_accounting ]
