@@ -53,8 +53,8 @@ let breakdown ?(model = Adp_exec.Source.Local) ~bench ~title () =
             let s = cqp o in
             let cell kind metric v = kind (Bjson.slug (key ^ "/" ^ metric)) v in
             json :=
-              cell Bjson.count "discarded" s.Corrective.discarded_tuples
-              :: cell Bjson.count "reused" s.Corrective.reused_tuples
+              cell Bjson.count "discarded" s.Corrective.stitch.Stitchup.discarded
+              :: cell Bjson.count "reused" s.Corrective.stitch.Stitchup.reused
               :: cell Bjson.time "stitch-time"
                    (s.Corrective.stitch.Stitchup.time /. 1e6)
               :: cell Bjson.count "phases" s.Corrective.phases
@@ -64,9 +64,9 @@ let breakdown ?(model = Adp_exec.Source.Local) ~bench ~title () =
           metric "Stitch-up time" (fun o ->
               seconds ((cqp o).Corrective.stitch.Stitchup.time /. 1e6));
           metric "Reused tuples" (fun o ->
-              Report.human_int (cqp o).Corrective.reused_tuples);
+              Report.human_int (cqp o).Corrective.stitch.Stitchup.reused);
           metric "Discarded tuples" (fun o ->
-              Report.human_int (cqp o).Corrective.discarded_tuples) ])
+              Report.human_int (cqp o).Corrective.stitch.Stitchup.discarded) ])
       variants
   in
   Report.table ~title ~header rows;

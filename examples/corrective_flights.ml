@@ -78,8 +78,8 @@ let () =
      virtual s;@.%d intermediate tuples reused from prior phases, %d \
      registered but not reused@.@."
     stitch.Stitchup.combos_possible stitch.Stitchup.output
-    (stitch.Stitchup.time /. 1e6) stats.Corrective.reused_tuples
-    stats.Corrective.discarded_tuples;
+    (stitch.Stitchup.time /. 1e6) stitch.Stitchup.reused
+    stitch.Stitchup.discarded;
 
   let by_children =
     Relation.sort_by result [ "most_children" ] |> Relation.to_list |> List.rev

@@ -67,8 +67,6 @@ type stats = {
   cpu : float;
   idle : float;
   result_card : int;
-  reused_tuples : int;
-  discarded_tuples : int;
   phase_log : phase_info list;
   coverage : float;
   retries : int;
@@ -80,14 +78,6 @@ type stats = {
   degraded_reason : string option;
   breaker_trips : int;
   learned : Adp_stats.Selectivity.dump;
-}
-
-(* A closed phase, what it read, and where its region ends per source —
-   the ledger entry a checkpoint records for it. *)
-type closed = {
-  cl_phase : Phase.t;
-  cl_read : int;
-  cl_ends : (string * int) list;
 }
 
 (* Order detection (plus a distinct sketch and the value range) on every
@@ -402,7 +392,6 @@ let run ?(config = default_config) query catalog sources =
   let hist_attrs =
     if cfg.use_histograms then attach_histograms ctx cols else []
   in
-  let registry = Registry.create () in
   let schema_of = Catalog.schema_of catalog in
   let keep = Logical.keep query in
   let phase_label id = Printf.sprintf "phase %d" id in
@@ -589,11 +578,11 @@ let run ?(config = default_config) query catalog sources =
   let completed = ref [] in
   (* Recovery is a forced phase switch: close every checkpointed phase at
      its recorded positions.  Re-feed the outputs each had already emitted
-     (the sink's state died with the crash), flush the one interrupted
-     mid-phase to a consistent state, and register partitions so stitch-up
-     can reuse them.  Tuples below the checkpointed positions belong to
-     these phases' regions; the residual input belongs to the new phase —
-     that partition of the streams is what makes the resumed answer
+     (the sink's state died with the crash) and flush the one interrupted
+     mid-phase to a consistent state; stitch-up reads their plans as it
+     reads a live phase's.  Tuples below the checkpointed positions belong
+     to these phases' regions; the residual input belongs to the new phase
+     — that partition of the streams is what makes the resumed answer
      exactly-once. *)
   List.iter
     (fun (pr : Checkpoint.phase_record) ->
@@ -608,11 +597,9 @@ let run ?(config = default_config) query catalog sources =
       Row_log.view_iter (Sink.stream sink ~from:sch) outs;
       Sink.settle sink (Row_log.view_length outs);
       emit ph (Plan.flush ph.Phase.plan);
-      Phase.register ph registry;
-      completed :=
-        { cl_phase = ph; cl_read = pr.Checkpoint.pr_read;
-          cl_ends = pr.Checkpoint.pr_ends }
-        :: !completed)
+      ph.Phase.read <- pr.Checkpoint.pr_read;
+      ph.Phase.ends <- pr.Checkpoint.pr_ends;
+      completed := ph :: !completed)
     restored;
   if restored <> [] then begin
     Ctx.wall_bucket ctx "(checkpoint)";
@@ -675,8 +662,8 @@ let run ?(config = default_config) query catalog sources =
         stats = Adp_stats.Selectivity.dump sels;
         completed =
           List.rev_map
-            (fun cl ->
-              phase_record cl.cl_phase ~read:cl.cl_read ~ends:cl.cl_ends)
+            (fun (ph : Phase.t) ->
+              phase_record ph ~read:ph.Phase.read ~ends:ph.Phase.ends)
             !completed;
         current =
           (if include_current then
@@ -911,7 +898,7 @@ let run ?(config = default_config) query catalog sources =
         Diagnostic.raise_if_errors ~where:"corrective.switch"
           (Analyzer.check_plan_for_query ~lookup query best.spec
           @ Analyzer.check_conformance
-              (List.rev_map (fun c -> c.cl_phase.Phase.spec) !completed
+              (List.rev_map (fun (c : Phase.t) -> c.Phase.spec) !completed
               @ [ ph.Phase.spec; best.spec ]));
         if Ctx.traced ctx then
           Ctx.emit ctx
@@ -940,15 +927,15 @@ let run ?(config = default_config) query catalog sources =
      | Some cal ->
        record_observations cal ~phase:(phase_label ph.Phase.id)
          ~point:Calibrate.Phase_close ph.Phase.spec);
-    Phase.register ph registry;
     let read = tuples_read () - !reads_before in
     reads_before := tuples_read ();
     if Ctx.traced ctx then
       Ctx.emit ctx
         (Trace.Phase_closed
            { id = ph.Phase.id; read; emitted = ph.Phase.emitted });
-    completed :=
-      { cl_phase = ph; cl_read = read; cl_ends = positions () } :: !completed;
+    ph.Phase.read <- read;
+    ph.Phase.ends <- positions ();
+    completed := ph :: !completed;
     Option.iter
       (fun p -> write_checkpoint p ~include_current:false)
       cfg.checkpoint;
@@ -981,69 +968,13 @@ let run ?(config = default_config) query catalog sources =
   phase_opened !current;
   drive ();
   Crash.stitchup_started crash;
-  let phases = List.rev_map (fun c -> c.cl_phase) !completed in
+  let phases = List.rev !completed in
   let stitch =
-    if List.length phases <= 1 then
-      { Stitchup.combos_possible = 0; output = 0; reused = 0;
-        recomputed_uniform = 0; time = 0.0 }
+    if List.length phases <= 1 then Stitchup.none
     else begin
-      (* §3.4.2: the stitch-up plan is chosen taking existing state
-         structures into account — for every candidate tree, the cost of
-         producing the *unavailable* intermediate results is its estimated
-         cost minus a credit for every registered subexpression its shape
-         can reuse.  Candidates: the re-optimizer's choice and each
-         phase's own shape. *)
-      let optimized =
-        (Optimizer.optimize ~preagg:cfg.preagg ~costs:cfg.costs query catalog
-           sels)
-          .spec
-      in
       let join_tree =
-        if not cfg.reuse_intermediates then optimized
-        else begin
-          let est = Cardinality.create query catalog sels in
-          let total = List.length (Logical.source_names query) in
-          let reuse_credit spec =
-            let rec signatures s =
-              match s with
-              | Plan.Scan _ -> []
-              | Plan.Preagg { child; _ } -> signatures child
-              | Plan.Join { left; right; _ } ->
-                let own =
-                  if List.length (Plan.relations s) < total then
-                    [ Plan.signature_of s ]
-                  else []
-                in
-                own @ signatures left @ signatures right
-            in
-            List.fold_left
-              (fun acc signature ->
-                List.fold_left
-                  (fun acc phase ->
-                    match Registry.find registry ~signature ~phase with
-                    | Some e ->
-                      acc
-                      +. (float_of_int e.Registry.cardinality
-                         *. (cfg.costs.hash_build +. cfg.costs.per_match))
-                    | None -> acc)
-                  acc
-                  (Registry.phases_with registry ~signature))
-              0.0 (signatures spec)
-          in
-          let score spec =
-            Cost.query_cost cfg.costs est spec -. reuse_credit spec
-          in
-          let candidates =
-            optimized
-            :: List.map (fun c -> c.cl_phase.Phase.spec) !completed
-          in
-          List.fold_left
-            (fun best cand -> if score cand < score best then cand else best)
-            (List.hd candidates) (List.tl candidates)
-        end
-      in
-      let stitch_registry =
-        if cfg.reuse_intermediates then registry else Registry.create ()
+        Stitchup.join_tree ~preagg:cfg.preagg ~costs:cfg.costs
+          ~reuse:cfg.reuse_intermediates query catalog sels phases
       in
       (* Before paying for stitch-up, verify the chosen tree symbolically:
          legal pre-aggregation placement and an exactly-covered nᵐ − n
@@ -1052,8 +983,8 @@ let run ?(config = default_config) query catalog sources =
         (Analyzer.check_stitch_tree ~phases:(List.length phases) query
            join_tree);
       let st =
-        Stitchup.run ctx query ~join_tree ~phases ~registry:stitch_registry
-          ~sink
+        Stitchup.run ctx query ~join_tree ~phases
+          ~reuse:cfg.reuse_intermediates ~sink
       in
       (match cfg.calibrate with
        | None -> ()
@@ -1065,11 +996,11 @@ let run ?(config = default_config) query catalog sources =
   in
   let result = Sink.result sink in
   let phase_log =
-    List.rev_map
-      (fun c ->
-        { id = c.cl_phase.Phase.id; plan_desc = plan_desc c.cl_phase.Phase.spec;
-          emitted = c.cl_phase.Phase.emitted; read = c.cl_read })
-      !completed
+    List.map
+      (fun (ph : Phase.t) ->
+        { id = ph.Phase.id; plan_desc = plan_desc ph.Phase.spec;
+          emitted = ph.Phase.emitted; read = ph.Phase.read })
+      phases
   in
   Ctx.sync_metrics ctx;
   (* Fold the profiler and the calibration ledger into the trace so
@@ -1117,11 +1048,6 @@ let run ?(config = default_config) query catalog sources =
       total_time = Ctx.now ctx; cpu = Clock.cpu ctx.Ctx.clock;
       idle = Clock.idle ctx.Ctx.clock;
       result_card = Adp_relation.Relation.cardinality result;
-      reused_tuples =
-        (if List.length phases <= 1 then 0 else Registry.reused_tuples registry);
-      discarded_tuples =
-        (if List.length phases <= 1 then 0
-         else Registry.discarded_tuples registry);
       phase_log; coverage = Source.coverage sources;
       retries = Metrics.count ctx.Ctx.retries;
       failovers = Metrics.count ctx.Ctx.failovers;

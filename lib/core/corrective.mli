@@ -25,8 +25,10 @@ type config = {
   preagg : Optimizer.preagg_strategy;
   costs : Cost_model.t;
   reuse_intermediates : bool;
-      (** when false, stitch-up ignores the registry and recomputes all
-          uniform combinations (ablation of §3.4's reuse) *)
+      (** when false, stitch-up reuses none of the closed phases'
+          intermediates and recomputes all uniform combinations (ablation
+          of §3.4's reuse); its stats then count every intermediate as
+          discarded *)
   initial_plan : Adp_exec.Plan.spec option;
       (** start from this plan instead of the optimizer's choice (used by
           experiments that reproduce a specific Phase 0) *)
@@ -127,12 +129,12 @@ type phase_info = {
 type stats = {
   phases : int;
   stitch : Stitchup.stats;
+      (** includes the reused and discarded intermediate tuples of Tables
+          1–2; all zero for a single-phase run *)
   total_time : float;  (** virtual µs, including stitch-up *)
   cpu : float;
   idle : float;
   result_card : int;
-  reused_tuples : int;  (** registry tuples reused by stitch-up *)
-  discarded_tuples : int;  (** registry tuples never reused *)
   phase_log : phase_info list;
   coverage : float;
       (** fraction of source tuples delivered; < 1.0 only when a source

@@ -7,9 +7,68 @@ type stats = {
   combos_possible : int;
   output : int;
   reused : int;
+  discarded : int;
   recomputed_uniform : int;
   time : float;
 }
+
+let none =
+  { combos_possible = 0; output = 0; reused = 0; discarded = 0;
+    recomputed_uniform = 0; time = 0.0 }
+
+(* The phase's strictly intermediate join results: the root's output
+   already reached the shared sink. *)
+let intermediates (ph : Phase.t) =
+  let total = List.length (Plan.relations ph.spec) in
+  List.filter
+    (fun (_, _, _, complexity) -> complexity < total)
+    (Plan.node_results ph.plan)
+
+let registered ph ~signature =
+  List.find_map
+    (fun (sg, schema, rows, _) ->
+      if String.equal sg signature then Some (schema, rows) else None)
+    (intermediates ph)
+
+let held ph =
+  List.fold_left
+    (fun n (_, _, rows, _) -> n + Row_log.view_length rows)
+    0 (intermediates ph)
+
+(* §3.4.2: a candidate tree's credit is what building and matching every
+   intermediate it can reuse would cost; its subexpressions in pre-order,
+   the phases in ascending id. *)
+let reuse_credit (c : Cost_model.t) phases spec =
+  let rec credit acc = function
+    | Plan.Scan _ -> acc
+    | Plan.Preagg { child; _ } -> credit acc child
+    | Plan.Join { left; right; _ } as s ->
+      let signature = Plan.signature_of s in
+      let reuse acc ph =
+        match registered ph ~signature with
+        | Some (_, rows) ->
+          acc +. (float_of_int (Row_log.view_length rows)
+                  *. (c.hash_build +. c.per_match))
+        | None -> acc
+      in
+      credit (credit (List.fold_left reuse acc phases) left) right
+  in
+  credit 0.0 spec
+
+let join_tree ~preagg ~costs ~reuse query catalog sels phases =
+  let optimized = (Optimizer.optimize ~preagg ~costs query catalog sels).spec in
+  if not reuse then optimized
+  else begin
+    let est = Cardinality.create query catalog sels in
+    let score spec =
+      Cost.query_cost costs est spec -. reuse_credit costs phases spec
+    in
+    let pick (best, least) (ph : Phase.t) =
+      let s = score ph.spec in
+      if s < least then ph.spec, s else best, least
+    in
+    fst (List.fold_left pick (optimized, score optimized) (List.rev phases))
+  end
 
 (* One phase's tuples at a stitch-up node.  [live] is the signature of
    the node in that phase's plan that emitted exactly these tuples, in
@@ -33,7 +92,7 @@ type env = {
   ctx : Ctx.t;
   keep : Plan.keep;  (* the query's join layout rule, as in every phase *)
   phases : Phase.t list;
-  registry : Registry.t;
+  reuse : bool;
   mutable reused : int;
   mutable recomputed : int;
   mutable output : int;
@@ -129,21 +188,20 @@ let rec eval env ?sink ~depth spec =
     let lkey = Array.of_list (List.map (Schema.index l.schema) left_key) in
     let signature = Plan.signature_of spec in
     let rtabs, rmixed = build_side env sp r.schema ~key_cols:right_key r in
-    (* Uniform combinations: reuse registered intermediates when possible;
-       skip entirely at the root (exclusion list). *)
+    (* Uniform combinations: reuse the phase's own intermediate when its
+       plan holds one; skip entirely at the root (exclusion list). *)
     let uniform =
       if Option.is_some sink then []
       else
         List.map
           (fun p ->
             let phase = p.phase.id in
-            match Registry.find env.registry ~signature ~phase with
-            | Some entry ->
-              Registry.mark_reused entry;
-              env.reused <- env.reused + entry.Registry.cardinality;
-              let from = entry.Registry.schema
-              and tuples = entry.Registry.tuples in
-              (* The registering plan may lay the same columns out
+            match
+              if env.reuse then registered p.phase ~signature else None
+            with
+            | Some (from, tuples) ->
+              env.reused <- env.reused + Row_log.view_length tuples;
+              (* The phase's plan may lay the same columns out
                  differently (§3.2); matching layouts are shared as is. *)
               if Schema.equal from schema then
                 { p with tuples; live = Some signature }
@@ -193,24 +251,21 @@ let rec eval env ?sink ~depth spec =
     probe_into env sp ~emit layout rmixed lkey l.mixed;
     { schema; uniform; mixed = Row_log.view mixed }
 
-let run ctx query ~join_tree ~phases ~registry ~sink =
-  let start = Ctx.now ctx in
+let run ctx query ~join_tree ~phases ~reuse ~sink =
   let n = List.length phases in
-  let m = List.length (Logical.source_names query) in
-  let combos_possible =
-    let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
-    if n <= 1 then 0 else pow n m - n
-  in
-  if n <= 1 then
-    { combos_possible = 0; output = 0; reused = 0; recomputed_uniform = 0;
-      time = 0.0 }
+  if n <= 1 then none
   else begin
+    let start = Ctx.now ctx in
+    let combos_possible =
+      let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
+      pow n (List.length (Logical.source_names query)) - n
+    in
     if Ctx.traced ctx then
       Ctx.emit ctx
         (Adp_obs.Trace.Stitchup_begin { phases = n; combos = combos_possible });
     Ctx.set_phase ctx "stitch-up";
     let env =
-      { ctx; keep = Logical.keep query; phases; registry; reused = 0;
+      { ctx; keep = Logical.keep query; phases; reuse; reused = 0;
         recomputed = 0; output = 0 }
     in
     ignore (eval env ~sink ~depth:0 join_tree : node_result);
@@ -220,7 +275,9 @@ let run ctx query ~join_tree ~phases ~registry ~sink =
         (Adp_obs.Trace.Stitchup_end
            { output = env.output; reused = env.reused;
              recomputed = env.recomputed });
-    { combos_possible; output = env.output;
-      reused = env.reused; recomputed_uniform = env.recomputed;
+    { combos_possible; output = env.output; reused = env.reused;
+      discarded =
+        List.fold_left (fun n ph -> n + held ph) 0 phases - env.reused;
+      recomputed_uniform = env.recomputed;
       time = Ctx.now ctx -. start }
   end

@@ -68,7 +68,8 @@ let run ?preagg ?(label = "run") ?initial_plan ?retry ?trace ?metrics
       let report =
         report ~label ~time:stats.total_time ~cpu:stats.cpu ~idle:stats.idle
           ~phases:stats.phases ~stitch_time:stats.stitch.Stitchup.time
-          ~reused:stats.reused_tuples ~discarded:stats.discarded_tuples
+          ~reused:stats.stitch.Stitchup.reused
+          ~discarded:stats.stitch.Stitchup.discarded
           ~result_card:stats.result_card ~coverage:stats.coverage
           ~retries:stats.retries ~failovers:stats.failovers
           ~paged_out:stats.paged_out ~checkpoints:stats.checkpoints

@@ -11,6 +11,7 @@ type t = {
   base : view;  (* for the schema given to [create] *)
   out_schema : Schema.t;
   groups : Hash_table.t;  (* one group row per group, first-seen *)
+  empty : Tuple.t option;  (* a global aggregate's row over no input *)
 }
 
 let create ctx ~group_cols ~aggs ~input schema =
@@ -29,7 +30,14 @@ let create ctx ~group_cols ~aggs ~input schema =
     groups =
       Hash_table.create
         (Aggregate.partial_schema ~group_cols:group_names aggs)
-        ~key_cols:group_names }
+        ~key_cols:group_names;
+    empty =
+      (if group_cols <> [] then None
+       else
+         let value (a : Aggregate.spec) =
+           if a.fn = Aggregate.Count then Value.Int 0 else Value.Null
+         in
+         Some (Array.of_list (List.map value aggs))) }
 
 let view t schema = t.view_of schema
 
@@ -46,9 +54,13 @@ let add t tuple = add_view t t.base tuple
 
 let result t =
   let rel = Relation.create t.out_schema in
-  Row_log.view_iter
-    (fun row ->
-      Ctx.charge t.ctx t.ctx.Ctx.costs.output;
-      Relation.append rel (Aggregate.finalize t.base row))
-    (Hash_table.view t.groups);
+  let emit row =
+    Ctx.charge t.ctx t.ctx.Ctx.costs.output;
+    Relation.append rel row
+  in
+  let groups = Hash_table.view t.groups in
+  Row_log.view_iter (fun row -> emit (Aggregate.finalize t.base row)) groups;
+  (match t.empty with
+   | Some row when Row_log.view_length groups = 0 -> emit (Array.copy row)
+   | Some _ | None -> ());
   rel

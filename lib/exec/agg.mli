@@ -41,6 +41,8 @@ val absorb : t -> view -> Tuple.t -> unit
 val charge_updates : t -> int -> unit
 
 (** Finalized result, one row per group in first-seen order: the group
-    columns, then the aggregate outputs.  Can be called repeatedly; does
+    columns, then the aggregate outputs.  Without GROUP BY and with no
+    input, one row as in SQL: [COUNT] 0 and every other aggregate NULL.
+    Each row is charged one [output].  Can be called repeatedly; does
     not clear state. *)
 val result : t -> Relation.t

@@ -9,8 +9,9 @@ open Adp_relation
     the opposite sides, and resulting tuples cascade to the root.  Every
     join therefore buffers its inputs — the requirement §3.4 places on all
     plans participating in adaptive data partitioning — and every join
-    node's intermediate result is materialized for registration in the
-    {!Adp_storage.Registry}.
+    node's intermediate result stays materialized in the plan: a closed
+    phase's plan is its entry in §3.4.2's registry, which stitch-up
+    reads through {!node_results}.
 
     Output records.  A join inserts every tuple a child emits, in emission
     order, into the table it keeps over that child, and the table stores
@@ -105,8 +106,8 @@ val pp_spec : Format.formatter -> spec -> unit
     sees the base relations under the join (sorted source names, as
     {!relations} gives them) and one column name.  It must decide by the
     relation set alone: then every plan lays out one subexpression with
-    the same columns, so cross-phase reuse ({!child_table}, the registry,
-    stitch-up) works whatever the plan shape.  It must keep every column
+    the same columns, so cross-phase reuse ({!child_table}, a phase's
+    intermediates, stitch-up) works whatever the plan shape.  It must keep every column
     a join above reads as its key and every column the query outputs.
     Scans and pre-aggregations are never narrowed. *)
 
@@ -139,9 +140,9 @@ type t
 (** [instantiate ctx spec ~schema_of ~keep] resolves scan schemas through
     [schema_of] and builds the runtime tree, each join laid out by
     {!join_layout} under [keep].  [record_outputs] (default true)
-    records every node's results for registration in the state-structure
-    registry: the join tables hold most of them anyway, and the root and
-    pre-aggregation children get logs of their own.  Disable it for
+    records every node's results for stitch-up to reuse: the join tables
+    hold most of them anyway, and the root and pre-aggregation children
+    get logs of their own.  Disable it for
     executions that will never stitch (single-phase runs), where those
     logs would only consume memory.  [record_root] (default
     [record_outputs]) keeps the root's log, which only {!capture} and

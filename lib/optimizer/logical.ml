@@ -37,17 +37,25 @@ let preds_within q rels =
     q.join_preds
   |> List.sort String.compare
 
-let connected q rels =
+let relation_of_column_opt col =
+  match String.index_opt col '.' with
+  | Some i -> Some (String.sub col 0 i)
+  | None -> None
+
+(* The relations of [rels] reached from its first along the predicates
+   between two of them, grown to the fixpoint.  A predicate on an
+   unqualified column joins nothing. *)
+let reached q rels =
   match rels with
-  | [] | [ _ ] -> true
+  | [] -> []
   | first :: _ ->
-    (* The predicates inside [rels], as relation pairs; then grow the set
-       reached from [first] along them to its fixpoint. *)
     let edges =
       List.filter_map
         (fun (a, b) ->
-          let ra = relation_of_column a and rb = relation_of_column b in
-          if List.mem ra rels && List.mem rb rels then Some (ra, rb) else None)
+          match relation_of_column_opt a, relation_of_column_opt b with
+          | Some ra, Some rb when List.mem ra rels && List.mem rb rels ->
+            Some (ra, rb)
+          | (Some _ | None), (Some _ | None) -> None)
         q.join_preds
     in
     let reached = ref [ first ] and changed = ref true in
@@ -62,7 +70,11 @@ let connected q rels =
           end)
         edges
     done;
-    List.for_all (fun r -> List.mem r !reached) rels
+    !reached
+
+let connected q rels =
+  let reached = reached q rels in
+  List.for_all (fun r -> List.mem r reached) rels
 
 let scan_token_of q name =
   match List.find_opt (fun s -> s.name = name) q.sources with
@@ -73,11 +85,6 @@ let signature_of_set q rels =
   Plan.signature_of_parts
     ~relations:(List.map (scan_token_of q) rels)
     ~predicates:(preds_within q rels) ~preaggs:[]
-
-let relation_of_column_opt col =
-  match String.index_opt col '.' with
-  | Some i -> Some (String.sub col 0 i)
-  | None -> None
 
 let keep q =
   if q.group_cols = [] && q.aggs = [] && q.projection = [] then Plan.keep_all
@@ -147,36 +154,12 @@ let validate_list ~schema_of q =
     (fun (a : Aggregate.spec) -> List.iter check_col (Expr.columns a.expr))
     q.aggs;
   List.iter check_col q.projection;
-  (* Connectivity of the join graph (avoids accidental cross products).
-     Predicates with unqualified columns were already reported above and
-     are skipped here. *)
+  (* Connectivity of the join graph (avoids accidental cross products),
+     along predicates between the query's own relations.  Predicates with
+     unqualified columns were already reported above and join nothing. *)
   if List.length names > 1 then begin
-    let reached = Hashtbl.create 8 in
-    (match names with
-     | [] -> ()
-     | first :: _ ->
-       Hashtbl.replace reached first ();
-       let changed = ref true in
-       while !changed do
-         changed := false;
-         List.iter
-           (fun (a, b) ->
-             match relation_of_column_opt a, relation_of_column_opt b with
-             | Some ra, Some rb ->
-               let ha = Hashtbl.mem reached ra
-               and hb = Hashtbl.mem reached rb in
-               if ha && not hb then begin
-                 Hashtbl.replace reached rb ();
-                 changed := true
-               end;
-               if hb && not ha then begin
-                 Hashtbl.replace reached ra ();
-                 changed := true
-               end
-             | _ -> ())
-           q.join_preds
-       done);
-    let unreached = List.filter (fun n -> not (Hashtbl.mem reached n)) names in
+    let reached = reached q names in
+    let unreached = List.filter (fun n -> not (List.mem n reached)) names in
     if unreached <> [] then
       add "disconnected-join-graph"
         ("join graph disconnected at " ^ String.concat "," unreached)

@@ -37,8 +37,9 @@ val preds_between :
     set, as canonical ["a=b"] strings. *)
 val preds_within : query -> string list -> string list
 
-(** Whether the join predicates connect the given relation set (a join
-    over a disconnected set contains a cross product). *)
+(** Whether the join predicates between two relations of the set connect
+    it (a join over a disconnected set contains a cross product).  A
+    predicate on an unqualified column joins nothing. *)
 val connected : query -> string list -> bool
 
 (** Scan token (source + filter) used in plan signatures, matching
@@ -64,7 +65,9 @@ val relation_of_column_opt : string -> string option
 val keep : query -> Plan.keep
 
 (** Sanity checks: every join/group/aggregate column resolves to a source,
-    and the join graph is connected.  Returns ALL problems found as
+    and the join graph is connected ({!connected} over the query's
+    sources: a chain through a relation outside the query connects
+    nothing).  Returns ALL problems found as
     [(code, message)] pairs with stable kebab-case codes
     (["no-sources"], ["duplicate-source"], ["unqualified-column"],
     ["unknown-source-for-column"], ["unknown-source"], ["unknown-column"],

@@ -203,6 +203,17 @@ let test_check_query () =
     [ "disconnected-join-graph"; "unknown-column" ]
     (codes (Analyzer.check_query ~lookup multi))
 
+(* Only predicates between the query's own relations connect it: b is
+   reached from f only through c, which the query does not read. *)
+let test_chain_outside_query () =
+  let q =
+    { (query ()) with
+      Logical.join_preds = [ "f.k1", "a.k"; "f.k2", "c.k"; "c.k", "b.k" ] }
+  in
+  let ds = Analyzer.check_query ~lookup q in
+  check_code "chain through c" "disconnected-join-graph" ds;
+  check_code "chain through c" "unknown-source-for-column" ds
+
 let test_too_many_relations () =
   let n = Enumerate.max_relations + 1 in
   let names = List.init n (Printf.sprintf "r%d") in
@@ -810,6 +821,8 @@ let suite =
     Alcotest.test_case "preagg non-numeric agg" `Quick test_preagg_non_numeric_agg;
     Alcotest.test_case "plan-query mismatches" `Quick test_plan_query_mismatches;
     Alcotest.test_case "check query" `Quick test_check_query;
+    Alcotest.test_case "predicate chain outside the query" `Quick
+      test_chain_outside_query;
     Alcotest.test_case "too many relations" `Quick test_too_many_relations;
     Alcotest.test_case "ADP conformance" `Quick test_conformance;
     Alcotest.test_case "rewrite equivalence" `Quick test_equivalence;

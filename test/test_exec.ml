@@ -230,6 +230,31 @@ let test_agg_groups () =
     [ "[1; 13]"; "[2; 5]" ]
     (List.map Tuple.to_string (Relation.to_list out))
 
+(* SQL's global aggregate over no input is one row: COUNT 0, every other
+   aggregate NULL, charged as one output row. *)
+let test_agg_global_empty () =
+  let aggs =
+    [ Aggregate.count_all ~name:"c"; Aggregate.sum ~name:"s" (Expr.col "t.v");
+      Aggregate.avg ~name:"m" (Expr.col "t.v") ]
+  in
+  List.iter
+    (fun (label, input, schema) ->
+      let ctx = Ctx.create () in
+      let agg = Agg.create ctx ~group_cols:[] ~aggs ~input schema in
+      let out = Agg.result agg in
+      Alcotest.(check (list string)) (label ^ ": one row") [ "[0; NULL; NULL]" ]
+        (List.map Tuple.to_string (Relation.to_list out));
+      Alcotest.(check (float 0.0)) (label ^ ": one output charged")
+        ctx.Ctx.costs.output (Ctx.now ctx))
+    [ "raw", Agg.Raw, agg_schema;
+      "partial", Agg.Partial, Aggregate.partial_schema ~group_cols:[] aggs ];
+  let grouped =
+    Agg.create (Ctx.create ()) ~group_cols:[ "t.g" ] ~aggs ~input:Agg.Raw
+      agg_schema
+  in
+  Alcotest.(check int) "grouped: no row" 0
+    (Relation.cardinality (Agg.result grouped))
+
 let suite =
   [ Alcotest.test_case "clock" `Quick test_clock;
     Alcotest.test_case "heap" `Quick test_heap;
@@ -244,4 +269,6 @@ let suite =
     Alcotest.test_case "aggregate partial merge" `Quick test_aggregate_partial_merge;
     Alcotest.test_case "partial column layout" `Quick test_partial_names;
     qtest aggregate_distributes;
-    Alcotest.test_case "agg sink groups" `Quick test_agg_groups ]
+    Alcotest.test_case "agg sink groups" `Quick test_agg_groups;
+    Alcotest.test_case "global aggregate over no input" `Quick
+      test_agg_global_empty ]

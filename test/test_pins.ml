@@ -271,7 +271,8 @@ let test_resume_reuse_accounting () =
     [ s.Corrective.resumed_phases; s.Corrective.phases ];
   Alcotest.(check (list int)) "reused, discarded, output, recomputed"
     [ 3091; 4686; 5260; 1058 ]
-    [ s.Corrective.reused_tuples; s.Corrective.discarded_tuples;
+    [ s.Corrective.stitch.Stitchup.reused;
+      s.Corrective.stitch.Stitchup.discarded;
       s.Corrective.stitch.Stitchup.output;
       s.Corrective.stitch.Stitchup.recomputed_uniform ]
 

@@ -51,10 +51,9 @@ let segments n l =
       Array.to_list (Array.sub arr lo (hi - lo)))
 
 (* Run [shapes] as successive phases over segmented inputs, then stitch. *)
-let run_phased ?(query = chain_query) ?(ctx = Ctx.create ()) ~shapes
-    ~stitch_tree ~r ~s ~u () =
+let run_phased ?(query = chain_query) ?(ctx = Ctx.create ()) ?(reuse = true)
+    ~shapes ~stitch_tree ~r ~s ~u () =
   let n = List.length shapes in
-  let registry = Registry.create () in
   let rsegs = segments n r and ssegs = segments n s and usegs = segments n u in
   let phases =
     List.mapi
@@ -78,13 +77,12 @@ let run_phased ?(query = chain_query) ?(ctx = Ctx.create ()) ~shapes
       feed "r" (List.nth rsegs i);
       feed "s" (List.nth ssegs i);
       feed "u" (List.nth usegs i);
-      Sink.feed sink ~from:(Plan.schema ph.Phase.plan) (Plan.flush ph.Phase.plan);
-      Phase.register ph registry)
+      Sink.feed sink ~from:(Plan.schema ph.Phase.plan) (Plan.flush ph.Phase.plan))
     phases;
   let stats =
-    Stitchup.run ctx query ~join_tree:stitch_tree ~phases ~registry ~sink
+    Stitchup.run ctx query ~join_tree:stitch_tree ~phases ~reuse ~sink
   in
-  Sink.result sink, stats, registry
+  Sink.result sink, stats
 
 let oracle ~r ~s ~u =
   oracle_join (oracle_join r s ~on:[ 0, 0 ]) u ~on:[ 3, 0 ]
@@ -100,7 +98,7 @@ let gen_inputs seed size =
 
 let test_two_phases_same_shape () =
   let r, s, u = gen_inputs 1 30 in
-  let got, stats, _ =
+  let got, stats =
     run_phased ~shapes:[ left_deep; left_deep ] ~stitch_tree:left_deep ~r ~s
       ~u ()
   in
@@ -111,7 +109,7 @@ let test_two_phases_same_shape () =
 
 let test_two_phases_different_shapes () =
   let r, s, u = gen_inputs 2 30 in
-  let got, _, _ =
+  let got, _ =
     run_phased ~shapes:[ left_deep; right_deep ] ~stitch_tree:right_deep ~r
       ~s ~u ()
   in
@@ -120,7 +118,7 @@ let test_two_phases_different_shapes () =
 
 let test_three_phases () =
   let r, s, u = gen_inputs 3 40 in
-  let got, stats, _ =
+  let got, stats =
     run_phased
       ~shapes:[ left_deep; right_deep; left_deep ]
       ~stitch_tree:left_deep ~r ~s ~u ()
@@ -130,7 +128,7 @@ let test_three_phases () =
 
 let test_single_phase_no_stitch () =
   let r, s, u = gen_inputs 4 20 in
-  let got, stats, _ =
+  let got, stats =
     run_phased ~shapes:[ left_deep ] ~stitch_tree:left_deep ~r ~s ~u ()
   in
   check_bag "single phase complete" (Relation.to_list got) (oracle ~r ~s ~u);
@@ -141,34 +139,44 @@ let test_empty_phase_segments () =
   (* A phase that read nothing (immediate switch) must not break stitch-up. *)
   (* 2 tuples over 4 phases leaves some segments empty. *)
   let r, s, u = gen_inputs 5 2 in
-  let got, _, _ =
+  let got, _ =
     run_phased
       ~shapes:[ left_deep; right_deep; right_deep; left_deep ]
       ~stitch_tree:left_deep ~r ~s ~u ()
   in
   check_bag "empty segments ok" (Relation.to_list got) (oracle ~r ~s ~u)
 
+(* Every phase's strictly intermediate join tuples are either reused or
+   discarded, counted against the oracle's join sizes per segment. *)
 let test_registry_reuse_accounting () =
   let r, s, u = gen_inputs 6 40 in
-  let _, stats, registry =
-    run_phased ~shapes:[ left_deep; left_deep ] ~stitch_tree:left_deep ~r ~s
-      ~u ()
+  let size a b ~on = List.length (oracle_join a b ~on) in
+  let rs i = size (List.nth (segments 2 r) i) (List.nth (segments 2 s) i) ~on:[ 0, 0 ]
+  and su i = size (List.nth (segments 2 s) i) (List.nth (segments 2 u) i) ~on:[ 1, 0 ] in
+  let counts ?reuse shapes =
+    let _, stats =
+      run_phased ?reuse ~shapes ~stitch_tree:left_deep ~r ~s ~u ()
+    in
+    [ stats.Stitchup.reused; stats.Stitchup.discarded ]
   in
-  (* Same shape everywhere: every inner uniform (r⋈s)^p is registered and
-     must be reused, so nothing is recomputed. *)
-  Alcotest.(check int) "nothing recomputed" 0 stats.Stitchup.recomputed_uniform;
-  Alcotest.(check int) "registry reuse matches stats"
-    stats.Stitchup.reused
-    (Registry.reused_tuples registry)
+  (* Same shape everywhere: every inner uniform (r⋈s)^p is reused. *)
+  Alcotest.(check (list int)) "same shape: all reused" [ rs 0 + rs 1; 0 ]
+    (counts [ left_deep; left_deep ]);
+  (* Phase 1 holds (s⋈u), which the left-deep stitch-up cannot use. *)
+  Alcotest.(check (list int)) "other shape: its intermediate discarded"
+    [ rs 0; su 1 ]
+    (counts [ left_deep; right_deep ]);
+  Alcotest.(check (list int)) "no reuse: all discarded" [ 0; rs 0 + su 1 ]
+    (counts ~reuse:false [ left_deep; right_deep ])
 
 (* Words [f] allocates on the minor heap. *)
 let minor_words f =
   (* determinism-ok: counts allocation; nothing here reads time *)
   let w0 = Gc.minor_words () in f (); Gc.minor_words () -. w0
 
-(* Phase close copies no row.  After 10,000 pushes, the one registered
+(* Phase close copies no row.  After 10,000 pushes, the one reusable
    intermediate, (r⋈s), is a view of the rows the root join's table over
-   it already holds, physically the same tuples, and registering
+   it already holds, physically the same tuples, and looking it up
    allocates a constant number of words, not a number per row. *)
 let test_register_copies_nothing () =
   let ph =
@@ -183,33 +191,77 @@ let test_register_copies_nothing () =
   push "r" (List.init 4000 (fun i -> [| vi (i mod 2000); vi i |]));
   push "s" (List.init 4000 (fun i -> [| vi (i mod 2000); vi (i mod 1000) |]));
   push "u" (List.init 2000 (fun i -> [| vi i; vi i |]));
-  let registry = Registry.create () in
-  let words = minor_words (fun () -> Phase.register ph registry) in
   let rs = Plan.join (Plan.scan "r") (Plan.scan "s") ~on:[ "r.k", "s.k" ] in
   let signature = Plan.signature_of rs in
-  let entry = Option.get (Registry.find registry ~signature ~phase:0) in
+  let found = ref None in
+  let words =
+    minor_words (fun () -> found := Stitchup.registered ph ~signature)
+  in
+  let schema, view = Option.get !found in
   let held =
     Option.get
-      (Plan.child_table ph.Phase.plan ~signature ~schema:entry.Registry.schema
-         ~key_cols:[ "s.p" ])
+      (Plan.child_table ph.Phase.plan ~signature ~schema ~key_cols:[ "s.p" ])
   in
-  let rows = Row_log.view_to_list entry.Registry.tuples
+  let rows = Row_log.view_to_list view
   and table_rows = Row_log.view_to_list (Hash_table.view held) in
-  Alcotest.(check int) "(r⋈s) rows" 8000 entry.Registry.cardinality;
+  Alcotest.(check int) "(r⋈s) rows" 8000 (Row_log.view_length view);
   Alcotest.(check bool) "the table's own rows" true
     (List.compare_lengths rows table_rows = 0
      && List.for_all2 ( == ) rows table_rows);
-  Alcotest.(check (list int)) "only the intermediate registers" [ 0 ]
-    (Registry.phases_with registry ~signature);
+  Alcotest.(check bool) "the root is not reusable" true
+    (Stitchup.registered ph ~signature:(Plan.signature_of left_deep) = None);
   Alcotest.(check bool)
-    (Printf.sprintf "registration allocates O(nodes) words (%.0f)" words)
+    (Printf.sprintf "lookup allocates O(nodes) words (%.0f)" words)
     true (words < 1000.0)
+
+(* [left_deep] and [swapped_left_deep] differ only in the inner join's
+   input order: the same estimated cost and the same (r⋈s) intermediates
+   to reuse, so they tie.  The phases' shapes are tried newest first, and
+   only a strictly cheaper tree replaces the best so far. *)
+let test_tree_choice_order () =
+  let r, s, u = gen_inputs 9 40 in
+  let catalog = Catalog.create () in
+  List.iter
+    (fun (name, schema) ->
+      Catalog.add catalog name
+        { Catalog.schema; cardinality = Some 40.0; key = None })
+    tables;
+  let choose shapes =
+    let ctx = Ctx.create () in
+    let phases =
+      List.mapi
+        (fun i spec ->
+          let ph =
+            Phase.create ~id:i ctx spec ~schema_of
+              ~keep:(Logical.keep chain_query)
+          in
+          List.iter2
+            (fun source rows ->
+              List.iter
+                (fun t ->
+                  ignore (Plan.push ph.Phase.plan ~source t : Tuple.t list))
+                (List.nth (segments 2 rows) i))
+            [ "r"; "s"; "u" ] [ r; s; u ];
+          ignore (Plan.flush ph.Phase.plan : Tuple.t list);
+          ph)
+        shapes
+    in
+    Format.asprintf "%a" Plan.pp_spec
+      (Stitchup.join_tree ~preagg:Optimizer.No_preagg
+         ~costs:Cost_model.default ~reuse:true chain_query catalog
+         (Adp_stats.Selectivity.create ()) phases)
+  in
+  let show = Format.asprintf "%a" Plan.pp_spec in
+  Alcotest.(check string) "newest phase's shape" (show swapped_left_deep)
+    (choose [ left_deep; swapped_left_deep ]);
+  Alcotest.(check string) "newest phase's shape, reversed" (show left_deep)
+    (choose [ swapped_left_deep; left_deep ])
 
 let test_shape_mismatch_recomputes () =
   let r, s, u = gen_inputs 7 40 in
   (* Phase 1 registers (s⋈u); stitch tree needs (r⋈s) for phase 1 —
      unavailable, hence recomputed. *)
-  let _, stats, _ =
+  let _, stats =
     run_phased ~shapes:[ left_deep; right_deep ] ~stitch_tree:left_deep ~r ~s
       ~u ()
   in
@@ -220,7 +272,7 @@ let test_reuse_across_column_orders () =
   let r, s, u = gen_inputs 8 40 in
   (* Phase 1 registers (s⋈r) as (s, r); the stitch tree reads it as
      (r⋈s), so the reused tuples must be permuted into (r, s). *)
-  let got, stats, _ =
+  let got, stats =
     run_phased ~shapes:[ left_deep; swapped_left_deep ] ~stitch_tree:left_deep
       ~r ~s ~u ()
   in
@@ -241,7 +293,7 @@ let stitchup_identity =
       let shapes =
         List.init n_phases (fun i -> shape (if i mod 2 = 0 then shape0 else not shape0))
       in
-      let got, _, _ =
+      let got, _ =
         run_phased ~shapes ~stitch_tree:(shape stitch_shape) ~r ~s ~u ()
       in
       same_bag (Relation.to_list got) (oracle ~r ~s ~u))
@@ -327,7 +379,7 @@ let live_tables_match_rebuilt =
       in
       let run ~aggregate on =
         let ctx = Ctx.create () in
-        let got, stats, _ =
+        let got, stats =
           run_phased ~query:(two_key_query ~aggregate) ~ctx ~shapes
             ~stitch_tree:(shape stitch_shape on) ~r ~s ~u ()
         in
@@ -367,6 +419,8 @@ let suite =
       test_reuse_across_column_orders;
     Alcotest.test_case "phase registration copies no row" `Quick
       test_register_copies_nothing;
+    Alcotest.test_case "stitch-up tree: newest phase first, ties keep" `Quick
+      test_tree_choice_order;
     Alcotest.test_case "shape mismatch recomputes" `Quick
       test_shape_mismatch_recomputes;
     Alcotest.test_case "live join table lookup" `Quick test_child_table_lookup;

@@ -314,35 +314,6 @@ let test_hash_key_values () =
       ([| Value.Date 9000 |], 364418301); ([| vi 1; vs "x" |], 2562941346);
       ([||], 17) ]
 
-(* ---------------- Registry ---------------- *)
-
-let test_registry () =
-  let r = Registry.create () in
-  let sch = keyed_schema "e" in
-  Registry.register r ~signature:"e1" ~phase:0 ~schema:sch ~complexity:2
-    (Row_log.view_of_list [ [| vi 1; vi 2 |]; [| vi 3; vi 4 |] ]);
-  Registry.register r ~signature:"e1" ~phase:1 ~schema:sch ~complexity:2
-    (Row_log.view_of_list [ [| vi 5; vi 6 |] ]);
-  Registry.register r ~signature:"e2" ~phase:0 ~schema:sch ~complexity:3
-    (Row_log.view_of_list []);
-  Alcotest.(check (list int)) "phases_with" [ 0; 1 ]
-    (Registry.phases_with r ~signature:"e1");
-  (match Registry.find r ~signature:"e1" ~phase:0 with
-   | None -> Alcotest.fail "entry missing"
-   | Some e ->
-     Alcotest.(check int) "cardinality" 2 e.Registry.cardinality;
-     Registry.mark_reused e);
-  Alcotest.(check int) "reused" 2 (Registry.reused_tuples r);
-  Alcotest.(check int) "discarded" 1 (Registry.discarded_tuples r)
-
-let test_registry_complexity_filter () =
-  let r = Registry.create () in
-  let sch = keyed_schema "e" in
-  (* Base-relation buffers (complexity 1) never count as reused/discarded. *)
-  Registry.register r ~signature:"leaf" ~phase:0 ~schema:sch ~complexity:1
-    (Row_log.view_of_list [ [| vi 1; vi 2 |] ]);
-  Alcotest.(check int) "leaf not discarded" 0 (Registry.discarded_tuples r)
-
 (* ---------------- Row log ---------------- *)
 
 (* Rows pushed in several runs, crossing chunk boundaries (the first
@@ -403,7 +374,4 @@ let suite =
     qtest layout_matches_stdlib;
     qtest layout_after_reuse;
     Alcotest.test_case "hash key values pinned" `Quick test_hash_key_values;
-    Alcotest.test_case "registry" `Quick test_registry;
-    Alcotest.test_case "registry complexity filter" `Quick
-      test_registry_complexity_filter;
     qtest row_log_views ]

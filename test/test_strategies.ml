@@ -771,8 +771,34 @@ let test_reference_reads_whole_relations () =
   check_approx_rel "disconnecting sources, same reference answer" want
     (Strategy.reference q catalog ~sources:disconnecting)
 
+(* A global aggregate whose join produces nothing still answers one row,
+   as SQL does, under every execution path and the reference. *)
+let test_global_aggregate_empty_input () =
+  let q =
+    spj
+      "SELECT COUNT(*) AS c, SUM(lineitem.l_quantity) AS s FROM orders, \
+       lineitem WHERE orders.o_orderkey = lineitem.l_orderkey AND \
+       orders.o_orderkey < 0"
+  in
+  let catalog = Workload.catalog dataset q in
+  let sources () = Workload.sources dataset q () in
+  let rows rel = List.map Tuple.to_string (Relation.to_list rel) in
+  Alcotest.(check (list string)) "reference" [ "[0; NULL]" ]
+    (rows (Strategy.reference q catalog ~sources));
+  List.iter
+    (fun (label, strat) ->
+      let o = Strategy.run ~label strat q catalog ~sources in
+      Alcotest.(check (list string)) label [ "[0; NULL]" ]
+        (rows o.Strategy.result))
+    [ "static", Strategy.Static;
+      "corrective",
+      Strategy.Corrective
+        { Corrective.default_config with poll_interval = 2e4 } ]
+
 let suite =
-  [ Alcotest.test_case "reference reads whole relations" `Quick
+  [ Alcotest.test_case "global aggregate over empty input" `Quick
+      test_global_aggregate_empty_input;
+    Alcotest.test_case "reference reads whole relations" `Quick
       test_reference_reads_whole_relations;
     Alcotest.test_case "Q3A all strategies" `Slow test_q3a;
     Alcotest.test_case "Q3 (with dates) all strategies" `Slow test_q3_dates;
