@@ -52,7 +52,7 @@ let figure2_variants =
     { label = "Adaptive - Cardinalities";
       strategy = Strategy.Corrective corrective_config; with_cards = true };
     { label = "Plan Partitioning - No Stats";
-      strategy = Strategy.Plan_partitioned { break_after = 3 };
+      strategy = Strategy.Plan_partitioned;
       with_cards = false } ]
 
 (* Memoized runs: Figure 2 and Table 1 (and Figure 3 / Table 2) report the

@@ -64,10 +64,10 @@ let exact_counts orders ztable lineitem =
 let run () =
   let orders, ztable, lineitem, (z1, z2) = setup () in
   let exact2, exact3 = exact_counts orders ztable lineitem in
-  let s_ok = Join_estimator.side () in
-  let s_za = Join_estimator.side () in
-  let s_zb = Join_estimator.side () in
-  let s_l = Join_estimator.side () in
+  let s_ok = Join_estimator.side ~use_histograms:true in
+  let s_za = Join_estimator.side ~use_histograms:true in
+  let s_zb = Join_estimator.side ~use_histograms:true in
+  let s_l = Join_estimator.side ~use_histograms:true in
   let feed rel col s lo hi =
     let idx = Schema.index (Relation.schema rel) col in
     for i = lo to hi - 1 do

@@ -630,7 +630,7 @@ let query_cmd =
         Strategy.Corrective
           (recovery_cfg
              { Corrective.default_config with poll_interval = 2e4 })
-      | `Planpart -> Strategy.Plan_partitioned { break_after = 3 }
+      | `Planpart -> Strategy.Plan_partitioned
       | `Competitive ->
         Strategy.Competitive { candidates = 3; explore_budget = 5e4 }
       | `Eddy -> Strategy.Eddying

@@ -380,7 +380,7 @@ let check_stitch_tree ~phases (q : Logical.query) spec =
 (* Pass 4: configuration audit                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_knobs ~poll_interval ~switch_threshold ~max_phases ~min_leaf_seen
+let check_knobs ~poll_interval ~switch_threshold ~min_leaf_seen
     ~(retry : Retry.policy) =
   let ds = ref [] in
   let bad path fmt =
@@ -398,8 +398,6 @@ let check_knobs ~poll_interval ~switch_threshold ~max_phases ~min_leaf_seen
       "switch threshold must be non-negative (a ratio of estimated costs; \
        0 disables switching), got %g"
       switch_threshold;
-  if max_phases < 1 then
-    bad "max_phases" "at least one phase is required, got %d" max_phases;
   if min_leaf_seen < 0 then
     bad "min_leaf_seen" "minimum leaf-seen count cannot be negative, got %d"
       min_leaf_seen;

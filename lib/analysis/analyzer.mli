@@ -19,8 +19,6 @@ type schema_lookup = string -> Schema.t option
     skip type checks rather than fail them. *)
 type type_lookup = string -> Value.ty option
 
-val no_types : type_lookup
-
 (** Infer a {!type_lookup} from materialized relations by sampling each
     column's first non-null value (bounded scan). *)
 val types_of_relations : (string * Relation.t) list -> type_lookup
@@ -74,10 +72,6 @@ val check_query : lookup:schema_lookup -> Logical.query -> Diagnostic.t list
     hash join.) *)
 val check_conformance : Plan.spec list -> Diagnostic.t list
 
-(** Effective leaf signature per source: the scan's signature, or the
-    pre-aggregation's when one sits directly above the scan. *)
-val effective_leaf_signatures : Plan.spec -> (string * string) list
-
 (** A rewritten plan (e.g. after pre-aggregation insertion) must stay
     equivalent to its source: same base relations
     (["rewrite-relation-mismatch"]) and same join predicates
@@ -98,13 +92,12 @@ val check_stitch_tree :
 (** {2 Pass 4: determinism / configuration audit} *)
 
 (** Range-check the adaptive-execution knobs (["bad-knob"]): poll
-    interval and thresholds positive, phase budget at least one, retry
-    policy well formed (timeout and backoffs positive, jitter in [0, 1),
-    multiplier at least 1). *)
+    interval positive, switch threshold and minimum leaf count
+    non-negative, retry policy well formed (timeout and backoffs
+    positive, jitter in [0, 1), multiplier at least 1). *)
 val check_knobs :
-  poll_interval:float -> switch_threshold:float -> max_phases:int ->
-  min_leaf_seen:int -> retry:Retry.policy ->
-  Diagnostic.t list
+  poll_interval:float -> switch_threshold:float -> min_leaf_seen:int ->
+  retry:Retry.policy -> Diagnostic.t list
 
 (** Range-check the resource-governance knobs.  Invalid values are
     structured diagnostics, never silently clamped.  Codes:

@@ -24,7 +24,6 @@ val warning : code:string -> path:string -> string -> t
 val errorf :
   code:string -> path:string -> ('a, Format.formatter, unit, t) format4 -> 'a
 
-val is_error : t -> bool
 val has_errors : t list -> bool
 
 (** Only the [Error]-severity entries. *)
@@ -34,7 +33,6 @@ val errors : t list -> t list
 val codes : t list -> string list
 
 val pp : Format.formatter -> t -> unit
-val pp_list : Format.formatter -> t list -> unit
 val to_string : t list -> string
 
 (** Raised by plan-boundary hooks when analysis finds errors; carries the

@@ -16,12 +16,6 @@ open Adp_exec
     relation name. *)
 type combo = (string * int) list
 
-val combo_to_string : combo -> string
-
-(** Every assignment of a phase in [0, phases) to each relation —
-    the full nᵐ matrix, uniform rows included. *)
-val all_combos : relations:string list -> phases:int -> combo list
-
 (** The multiset of lineage combinations the stitch-up evaluator emits at
     the root of [tree] for the given phase count, mirroring its
     uniform/mixed structure-to-structure enumeration.  Pre-aggregation
@@ -35,9 +29,9 @@ val symbolic :
     exactly the nᵐ − n cross-phase combinations, each once.  Diagnostics:
     ["stitch-missing-combo"], ["stitch-duplicate-combo"],
     ["stitch-uniform-combo"], ["stitch-alien-combo"] (a combination whose
-    relations or phases lie outside the matrix).  Combination counts beyond
-    {!enumeration_bound} yield a single ["stitch-matrix-too-large"]
-    warning instead of enumerating. *)
+    relations or phases lie outside the matrix).  Matrices beyond 65,536
+    combinations yield a single ["stitch-matrix-too-large"] warning
+    instead of enumerating. *)
 val check_cover :
   relations:string list -> phases:int -> combo list -> Diagnostic.t list
 
@@ -45,6 +39,3 @@ val check_cover :
     relations: verifies the tree's stitch-up matrix is exactly covered. *)
 val check :
   ?exclude_root_uniform:bool -> phases:int -> Plan.spec -> Diagnostic.t list
-
-(** Matrices larger than this many combinations are not enumerated. *)
-val enumeration_bound : int

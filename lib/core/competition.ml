@@ -23,13 +23,12 @@ type competitor = {
   mutable exhausted : bool;
 }
 
-let run ?(costs = Cost_model.default) ?(candidates = 3)
-    ?(explore_budget = 2e6) query catalog ~sources =
+let run ?(candidates = 3) ?(explore_budget = 2e6) query catalog ~sources =
   let sels = Adp_stats.Selectivity.create () in
-  let ctx = Ctx.create ~costs () in
+  let ctx = Ctx.create () in
   let schema_of = Catalog.schema_of catalog in
   let alts =
-    Optimizer.alternatives ~k:candidates ~costs query catalog sels
+    Optimizer.alternatives ~k:candidates query catalog sels
   in
   let keep = Logical.keep query in
   let comps =

@@ -21,7 +21,6 @@ type stats = {
 }
 
 val run :
-  ?costs:Cost_model.t ->
   ?candidates:int ->
   ?explore_budget:float ->
   Logical.query ->

@@ -13,7 +13,6 @@ module Calibrate = Adp_obs.Calibrate
 type config = {
   poll_interval : float;
   switch_threshold : float;
-  max_phases : int;
   min_leaf_seen : int;
   preagg : Optimizer.preagg_strategy;
   costs : Cost_model.t;
@@ -37,9 +36,9 @@ type config = {
 }
 
 let default_config =
-  { poll_interval = 1e6; switch_threshold = 0.7; max_phases = 8;
-    min_leaf_seen = 100; preagg = Optimizer.No_preagg;
-    costs = Cost_model.default; reuse_intermediates = true;
+  { poll_interval = 1e6; switch_threshold = 0.7; min_leaf_seen = 100;
+    preagg = Optimizer.No_preagg; costs = Cost_model.default;
+    reuse_intermediates = true;
     initial_plan = None; memory_budget = None; use_histograms = false;
     retry = Retry.default_policy; deadline = None; memory_ceiling = None;
     breaker = None; checkpoint = None; resume_from = None;
@@ -52,6 +51,9 @@ let default_config =
    this fraction of the expected total input, the running plan is
    kept. *)
 let min_remaining_fraction = 0.25
+
+(* Switching stops once this many phases have run. *)
+let max_phases = 8
 
 type phase_info = {
   id : int;
@@ -80,42 +82,14 @@ type stats = {
   learned : Adp_stats.Selectivity.dump;
 }
 
-(* Order detection (plus a distinct sketch and the value range) on every
-   join attribute is always on: §4.5 shows it is what makes join sizes
-   predictable on sorted sources: a sorted prefix reveals the key density
-   and multiplicity, and the full range extrapolates from the fraction
-   consumed.  Every field is read only through [sorted_col], which needs
-   the column perfectly sorted; once it has stepped both up and down it
-   never is again, so the tracker goes dead and costs one test per
-   tuple. *)
-type range = { mutable lo : float; mutable hi : float }  (* flat floats *)
-
-type col_tracker = {
-  t_order : Adp_stats.Order_detector.t;
-  t_distinct : Adp_stats.Distinct.t;
-  t_range : range;
-  mutable t_live : bool;
-}
-
-let widen r x =
-  if x < r.lo then r.lo <- x;
-  if x > r.hi then r.hi <- x
-
-let track tr (v : Adp_relation.Value.t) =
-  Adp_stats.Order_detector.add tr.t_order v;
-  if not (Adp_stats.Order_detector.perfectly_sorted tr.t_order) then
-    tr.t_live <- false
-  else begin
-    Adp_stats.Distinct.add tr.t_distinct v;
-    match v with
-    | Int i | Date i -> widen tr.t_range (float_of_int i)
-    | Float x -> widen tr.t_range x
-    | Null | Str _ -> ()
-  end
-
-(* Every source's join columns with their positions: both monitors
-   observe exactly these. *)
-let join_columns (query : Logical.query) sources =
+(* One summary per join column of every source, always on: §4.5 shows
+   order detection is what makes join sizes predictable on sorted
+   sources — a sorted prefix reveals the key density and multiplicity,
+   and the full range extrapolates from the fraction consumed.  With
+   [use_histograms] the summary also keeps the §4.5 histogram, and every
+   value it takes is charged.  Without, a column that has stopped being
+   sorted costs one test per tuple. *)
+let attach_sides ctx ~use_histograms (query : Logical.query) sources =
   List.concat_map
     (fun src ->
       let name = Source.name src in
@@ -125,20 +99,16 @@ let join_columns (query : Logical.query) sources =
         query.join_preds
       |> List.sort_uniq String.compare
       |> List.map (fun col ->
-             (src, col, Adp_relation.Schema.index (Source.schema src) col)))
+             let idx = Adp_relation.Schema.index (Source.schema src) col in
+             let side = Adp_stats.Join_estimator.side ~use_histograms in
+             let observe = Adp_stats.Join_estimator.column_observer side idx in
+             Source.observe src
+               (if use_histograms then fun t ->
+                  Ctx.charge ctx ctx.Ctx.costs.histogram_add;
+                  observe t
+                else observe);
+             (col, side)))
     sources
-
-let attach_order_detectors cols =
-  List.map
-    (fun (src, col, idx) ->
-      let tr =
-        { t_order = Adp_stats.Order_detector.create ();
-          t_distinct = Adp_stats.Distinct.create ();
-          t_range = { lo = infinity; hi = neg_infinity }; t_live = true }
-      in
-      Source.observe src (fun t -> if tr.t_live then track tr t.(idx));
-      (col, tr))
-    cols
 
 (* A leaf's selection pass rate: observed, else its filter's default.  The
    monitors see the raw streams, so their join estimates are scaled by
@@ -156,7 +126,7 @@ let filter_sel (query : Logical.query) sels r =
    registry: per-leaf filter pass rates, per-join-subexpression
    selectivities (out over the product of raw leaf reads), and
    multiplicative-join flags (§4.2). *)
-let update_observations cfg query catalog sels sources order_detectors plan =
+let update_observations cfg query catalog sels sources sides plan =
   (* Source cardinalities: the consumed count is a sound lower bound, and
      an exhausted sequential source reveals its exact cardinality —
      whatever the source description claimed. *)
@@ -213,8 +183,8 @@ let update_observations cfg query catalog sels sources order_detectors plan =
     else float_of_int out *. sqrt (linear *. product)
   in
   let sorted_col col =
-    match List.assoc_opt col order_detectors with
-    | Some tr -> Adp_stats.Join_estimator.sorted tr.t_order
+    match List.assoc_opt col sides with
+    | Some s -> Adp_stats.Join_estimator.detected_sorted s
     | None -> false
   in
   let aligned_pred p =
@@ -227,25 +197,25 @@ let update_observations cfg query catalog sels sources order_detectors plan =
      multiplicity, and the full key range extrapolates from the fraction
      consumed. *)
   let sorted_pair_estimate (a, b) =
-    match List.assoc_opt a order_detectors, List.assoc_opt b order_detectors with
-    | Some ta, Some tb
-      when sorted_col a && sorted_col b
-           && ta.t_range.hi > ta.t_range.lo && tb.t_range.hi > tb.t_range.lo ->
-      let side tr r =
+    let usable s =
+      let lo, hi = Adp_stats.Join_estimator.sorted_range s in
+      Adp_stats.Join_estimator.detected_sorted s && hi > lo
+    in
+    match List.assoc_opt a sides, List.assoc_opt b sides with
+    | Some sa, Some sb when usable sa && usable sb ->
+      let side s r =
         let frac = min 1.0 (float_of_int (seen_of r) /. expected_total r) in
         let lo, hi =
           Adp_stats.Join_estimator.extrapolated_range
-            (tr.t_range.lo, tr.t_range.hi) frac
+            (Adp_stats.Join_estimator.sorted_range s) frac
         in
-        ( lo, hi, expected_total r,
-          Adp_stats.Join_estimator.per_distinct
-            ~seen:(Adp_stats.Order_detector.count tr.t_order)
-            (Adp_stats.Distinct.estimate tr.t_distinct) )
+        (lo, hi, expected_total r,
+         Adp_stats.Join_estimator.sorted_multiplicity s)
       in
       let ra = Logical.relation_of_column a
       and rb = Logical.relation_of_column b in
       Some
-        (Adp_stats.Join_estimator.sorted_overlap (side ta ra) (side tb rb)
+        (Adp_stats.Join_estimator.sorted_overlap (side sa ra) (side sb rb)
         *. filter_sel query sels ra *. filter_sel query sels rb)
     | _ -> None
   in
@@ -311,27 +281,10 @@ let update_observations cfg query catalog sels sources order_detectors plan =
 
 let plan_desc spec = Format.asprintf "%a" Plan.pp_spec spec
 
-(* §4.5 extension: incremental histograms + order detectors on every join
-   attribute of every source.  At poll time they predict *two-way* join
-   outputs — including joins the running plan is not executing, which pure
-   monitoring can never observe. *)
-type hist_attr = {
-  h_relation : string;
-  h_column : string;
-  h_side : Adp_stats.Join_estimator.side;
-}
-
-let attach_histograms ctx cols =
-  List.map
-    (fun (src, col, idx) ->
-      let side = Adp_stats.Join_estimator.side () in
-      Source.observe src (fun t ->
-          Ctx.charge ctx ctx.Ctx.costs.histogram_add;
-          Adp_stats.Join_estimator.observe side t.(idx));
-      { h_relation = Source.name src; h_column = col; h_side = side })
-    cols
-
-let feed_histogram_predictions cfg (query : Logical.query) catalog sels attrs
+(* §4.5 extension: at poll time the histograms predict two-way join
+   outputs — including joins the running plan is not executing, which
+   pure monitoring can never observe. *)
+let feed_histogram_predictions cfg (query : Logical.query) catalog sels sides
     sources =
   let consumed r =
     match List.find_opt (fun s -> Source.name s = r) sources with
@@ -347,13 +300,8 @@ let feed_histogram_predictions cfg (query : Logical.query) catalog sels attrs
     (fun (a, b) ->
       let ra = Logical.relation_of_column a
       and rb = Logical.relation_of_column b in
-      let find r col =
-        List.find_opt
-          (fun h -> h.h_relation = r && h.h_column = col)
-          attrs
-      in
-      match find ra a, find rb b with
-      | Some ha, Some hb
+      match List.assoc_opt a sides, List.assoc_opt b sides with
+      | Some sa, Some sb
         when consumed ra >= cfg.min_leaf_seen
              && consumed rb >= cfg.min_leaf_seen ->
         let frac r =
@@ -361,8 +309,8 @@ let feed_histogram_predictions cfg (query : Logical.query) catalog sels attrs
         in
         let raw_est =
           Adp_stats.Join_estimator.estimate
-            ~left:(ha.h_side, frac ra)
-            ~right:(hb.h_side, frac rb)
+            ~left:(sa, frac ra)
+            ~right:(sb, frac rb)
         in
         let est =
           raw_est *. filter_sel query sels ra *. filter_sel query sels rb
@@ -387,10 +335,8 @@ let run ?(config = default_config) query catalog sources =
     Ctx.create ~costs:cfg.costs ~trace:cfg.trace ?metrics:cfg.metrics
       ?profile:cfg.profile ?wall:cfg.wall ()
   in
-  let cols = join_columns query sources in
-  let order_detectors = attach_order_detectors cols in
-  let hist_attrs =
-    if cfg.use_histograms then attach_histograms ctx cols else []
+  let sides =
+    attach_sides ctx ~use_histograms:cfg.use_histograms query sources
   in
   let schema_of = Catalog.schema_of catalog in
   let keep = Logical.keep query in
@@ -449,8 +395,8 @@ let run ?(config = default_config) query catalog sources =
   let lookup r = try Some (schema_of r) with Not_found -> None in
   Diagnostic.raise_if_errors ~where:"corrective"
     (Analyzer.check_knobs ~poll_interval:cfg.poll_interval
-       ~switch_threshold:cfg.switch_threshold ~max_phases:cfg.max_phases
-       ~min_leaf_seen:cfg.min_leaf_seen ~retry:cfg.retry
+       ~switch_threshold:cfg.switch_threshold ~min_leaf_seen:cfg.min_leaf_seen
+       ~retry:cfg.retry
     @ Analyzer.check_governance ~poll_interval:cfg.poll_interval
         ~deadline:cfg.deadline ~memory_budget:cfg.memory_budget
         ~memory_ceiling:cfg.memory_ceiling ~breaker:cfg.breaker
@@ -528,8 +474,11 @@ let run ?(config = default_config) query catalog sources =
         (Analyzer.check_plan_for_query ~lookup query spec);
       spec
   in
+  (* A run that never polls never switches, so only a checkpoint or a
+     resume reads a phase's intermediates back. *)
   let record_outputs =
-    cfg.max_phases > 1 || cfg.checkpoint <> None || resume <> None
+    Float.is_finite cfg.poll_interval || cfg.checkpoint <> None
+    || resume <> None
   in
   let restored =
     match resume with
@@ -612,7 +561,6 @@ let run ?(config = default_config) query catalog sources =
    | Some ck ->
      Clock.restore ctx.Ctx.clock ck.Checkpoint.clock;
      Metrics.set_count ctx.Ctx.tuples_read ck.Checkpoint.tuples_read;
-     Metrics.set_count ctx.Ctx.tuples_output ck.Checkpoint.tuples_output;
      Metrics.set_count ctx.Ctx.retries ck.Checkpoint.retries;
      Metrics.set_count ctx.Ctx.failovers ck.Checkpoint.failovers;
      Metrics.set_count ctx.Ctx.sources_failed ck.Checkpoint.sources_failed;
@@ -654,7 +602,6 @@ let run ?(config = default_config) query catalog sources =
       { Checkpoint.seq = !ckpt_seq; fingerprint = fp;
         clock = Clock.capture ctx.Ctx.clock;
         tuples_read = tuples_read ();
-        tuples_output = Metrics.count ctx.Ctx.tuples_output;
         retries = Metrics.count ctx.Ctx.retries;
         failovers = Metrics.count ctx.Ctx.failovers;
         sources_failed = Metrics.count ctx.Ctx.sources_failed;
@@ -737,7 +684,7 @@ let run ?(config = default_config) query catalog sources =
   let poll () =
     let ph = !current in
     if cfg.use_histograms then
-      feed_histogram_predictions cfg query catalog sels hist_attrs sources;
+      feed_histogram_predictions cfg query catalog sels sides sources;
     (match cfg.memory_budget with
      | Some budget ->
        (* Page-outs are counted and traced inside
@@ -754,7 +701,7 @@ let run ?(config = default_config) query catalog sources =
          | Some _ | None -> ()
        end
      | None -> ());
-    update_observations cfg query catalog sels sources order_detectors ph.Phase.plan;
+    update_observations cfg query catalog sels sources sides ph.Phase.plan;
     let now = Ctx.now ctx in
     (* Governance first: a crossed hard ceiling or an already-passed
        deadline degrades before any re-optimization work is priced. *)
@@ -822,7 +769,7 @@ let run ?(config = default_config) query catalog sources =
        best.est_cost *. (1.0 +. (1.0 -. remaining_fraction)))
     in
     let guard =
-      if phase_count () >= cfg.max_phases then Some "max-phases"
+      if phase_count () >= max_phases then Some "max-phases"
       else if remaining_fraction < min_remaining_fraction then
         Some "min-remaining"
       else None
@@ -921,7 +868,7 @@ let run ?(config = default_config) query catalog sources =
   let finish_phase () =
     let ph = !current in
     emit ph (Plan.flush ph.Phase.plan);
-    update_observations cfg query catalog sels sources order_detectors ph.Phase.plan;
+    update_observations cfg query catalog sels sources sides ph.Phase.plan;
     (match cfg.calibrate with
      | None -> ()
      | Some cal ->

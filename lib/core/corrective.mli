@@ -12,13 +12,16 @@ open Adp_optimizer
     phase mid-pipeline, brings it to a consistent state (pre-aggregation
     windows flushed), and routes the remaining source data into the new
     plan.  After the sources are exhausted, the stitch-up phase combines
-    the cross-phase regions, and the shared sink finalizes the answer. *)
+    the cross-phase regions, and the shared sink finalizes the answer.
+
+    The monitor summarizes each join column once, in an
+    {!Adp_stats.Join_estimator.side}: the §4.2 sorted-pair estimate and,
+    with [use_histograms], the §4.5 histogram estimate both read it. *)
 
 type config = {
   poll_interval : float;  (** virtual µs between re-optimizer polls *)
   switch_threshold : float;
       (** switch when [best < threshold × cost-to-go(current)] *)
-  max_phases : int;  (** stop switching after this many phases *)
   min_leaf_seen : int;
       (** ignore selectivity observations until every participating leaf
           has produced this many tuples *)
@@ -37,11 +40,12 @@ type config = {
           structures are paged out most-complex-first (§3.4.2) and their
           probes pay the I/O penalty *)
   use_histograms : bool;
-      (** §4.5 extension (off by default, as in Tukwila): attach
-          incremental histograms + order detectors to every source join
-          attribute and feed predicted two-way join selectivities to the
-          re-optimizer — predictions cover joins the current plan is not
-          executing, at the cost of per-tuple maintenance *)
+      (** §4.5 extension (off by default, as in Tukwila): every join
+          column's {!Adp_stats.Join_estimator.side} also keeps an
+          incremental histogram, and each poll feeds the predicted
+          two-way join outputs to the re-optimizer — predictions cover
+          joins the current plan is not executing, at the cost of
+          per-tuple maintenance *)
   retry : Retry.policy;
       (** timeout/retry/backoff policy applied to every source; a
           permanent source failure triggers an immediate re-optimizer
@@ -116,8 +120,9 @@ type config = {
 }
 
 val default_config : config
-(** 1 virtual second polls, threshold 0.7, at most 8 phases, 100-tuple
-    observation guard, no pre-aggregation, reuse enabled. *)
+(** 1 virtual second polls, threshold 0.7, 100-tuple observation guard,
+    no pre-aggregation, reuse enabled.  Every run stops switching after
+    8 phases. *)
 
 type phase_info = {
   id : int;

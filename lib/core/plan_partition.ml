@@ -14,14 +14,13 @@ type stats = {
 
 (* One statically optimized execution of [query] over [sources], charging
    the shared context.  [spec] overrides the optimizer's plan choice. *)
-let run_stage ?(preagg = Optimizer.No_preagg) ?spec ~costs ctx query catalog
-    sources =
+let run_stage ?(preagg = Optimizer.No_preagg) ?spec ctx query catalog sources =
   let spec =
     match spec with
     | Some s -> s
     | None ->
       let sels = Adp_stats.Selectivity.create () in
-      (Optimizer.optimize ~preagg ~costs query catalog sels).Optimizer.spec
+      (Optimizer.optimize ~preagg query catalog sels).Optimizer.spec
   in
   let plan =
     (* Single-stage executions never stitch: skip intermediate recording. *)
@@ -105,9 +104,13 @@ let rec descend_to_stage1 spec ~size =
       descend_to_stage1 bigger ~size
     | Plan.Scan _ | Plan.Preagg _ -> spec
 
-let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
-    ?(break_after = 3) ?initial_plan (query : Logical.query) catalog sources =
-  let ctx = Ctx.create ~costs () in
+(* The first stage joins this many relations: the plan breaks after three
+   joins. *)
+let stage1_size = 4
+
+let run ?(preagg = Optimizer.No_preagg) ?initial_plan (query : Logical.query)
+    catalog sources =
+  let ctx = Ctx.create () in
   let n = List.length query.sources in
   let finish stages (materialized, width) result =
     ( result,
@@ -116,17 +119,17 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
         idle = Clock.idle ctx.Ctx.clock;
         result_card = Relation.cardinality result } )
   in
-  if n <= break_after + 1 then
+  if n <= stage1_size then
     finish 1 (0, 0)
-      (run_stage ~preagg ?spec:initial_plan ~costs ctx query catalog sources)
+      (run_stage ~preagg ?spec:initial_plan ctx query catalog sources)
   else begin
     let stage1_spec =
-      Option.map (descend_to_stage1 ~size:(break_after + 1)) initial_plan
+      Option.map (descend_to_stage1 ~size:stage1_size) initial_plan
     in
     let set =
       match stage1_spec with
       | Some spec -> Plan.relations spec
-      | None -> stage1_set query catalog ~size:(break_after + 1)
+      | None -> stage1_set query catalog ~size:stage1_size
     in
     let in_set r = List.mem r set in
     (* Stage 1 materializes only what stage 2 reads: the columns the
@@ -154,8 +157,7 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
       List.filter (fun s -> in_set (Source.name s)) sources
     in
     let m =
-      run_stage ?spec:stage1_spec ~costs ctx stage1_query catalog
-        stage1_sources
+      run_stage ?spec:stage1_spec ctx stage1_query catalog stage1_sources
     in
     (* Rebase the remainder of the query on the materialized result. *)
     let rename c =
@@ -196,7 +198,7 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
       Source.create ~name:"_m1" m_rel Source.Local
       :: List.filter (fun s -> not (in_set (Source.name s))) sources
     in
-    let result = run_stage ~preagg ~costs ctx stage2_query catalog2 stage2_sources in
+    let result = run_stage ~preagg ctx stage2_query catalog2 stage2_sources in
     finish 2
       (Relation.cardinality m, Schema.arity m_schema)
       result

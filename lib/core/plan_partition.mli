@@ -7,11 +7,11 @@ open Adp_optimizer
 
     With no statistics there is no good metric for placing the
     materialization point, so — like the paper — we break the plan after a
-    fixed number of joins (3 by default): a first stage joins
-    [break_after + 1] relations (picked greedily by estimated
-    cardinality), materializes the result, and the remainder of the query
-    is re-optimized with the materialization's now-exact cardinality
-    before the second stage runs.  Queries small enough to fit in one
+    fixed number of joins, three: a first stage joins four relations
+    (picked greedily by estimated cardinality), materializes the result,
+    and the remainder of the query is re-optimized with the
+    materialization's now-exact cardinality before the second stage
+    runs.  Queries small enough to fit in one
     stage degenerate to static execution. *)
 
 type stats = {
@@ -27,14 +27,12 @@ type stats = {
 }
 
 (** [initial_plan] forces the first stage to execute a cut of the given
-    plan (the larger subtree is followed until it fits in
-    [break_after + 1] relations) instead of an optimized one — used to
-    reproduce the paper's scenario where the materialization point lands
-    after the costly subexpression. *)
+    plan (the larger subtree is followed until it fits in four relations)
+    instead of an optimized one — used to reproduce the paper's scenario
+    where the materialization point lands after the costly
+    subexpression. *)
 val run :
   ?preagg:Optimizer.preagg_strategy ->
-  ?costs:Cost_model.t ->
-  ?break_after:int ->
   ?initial_plan:Adp_exec.Plan.spec ->
   Logical.query ->
   Catalog.t ->

@@ -5,14 +5,14 @@ open Adp_optimizer
 type t =
   | Static
   | Corrective of Corrective.config
-  | Plan_partitioned of { break_after : int }
+  | Plan_partitioned
   | Competitive of { candidates : int; explore_budget : float }
   | Eddying
 
 let corrective_default = Corrective (Corrective.default_config)
 
 let static_config =
-  { Corrective.default_config with poll_interval = infinity; max_phases = 1 }
+  { Corrective.default_config with poll_interval = infinity }
 
 type outcome = {
   result : Relation.t;
@@ -50,7 +50,7 @@ let run ?preagg ?(label = "run") ?initial_plan ?retry ?trace ?metrics
       let base =
         match strategy with
         | Corrective c -> c
-        | Static | Plan_partitioned _ | Competitive _ | Eddying -> static_config
+        | Static | Plan_partitioned | Competitive _ | Eddying -> static_config
       in
       (* An argument that is given replaces the configuration's field. *)
       let pick arg field = Option.value arg ~default:field in
@@ -76,10 +76,9 @@ let run ?preagg ?(label = "run") ?initial_plan ?retry ?trace ?metrics
           ?degraded_reason:stats.degraded_reason ()
       in
       { result; report; corrective_stats = Some stats }
-    | Plan_partitioned { break_after } ->
+    | Plan_partitioned ->
       let result, stats =
-        Plan_partition.run ?preagg ~break_after ?initial_plan query catalog
-          (sources ())
+        Plan_partition.run ?preagg ?initial_plan query catalog (sources ())
       in
       let report =
         report ~label ~time:stats.total_time ~cpu:stats.cpu ~idle:stats.idle

@@ -8,8 +8,8 @@ open Adp_optimizer
     - {!Static}: optimize once, execute to completion (no adaptation);
     - {!Corrective}: adaptive data partitioning with corrective query
       processing (§4);
-    - {!Plan_partitioned}: materialize after a fixed number of joins and
-      re-optimize (the plan-partitioning baseline);
+    - {!Plan_partitioned}: materialize after three joins and re-optimize
+      (the plan-partitioning baseline);
     - {!Competitive}: redundant computation over the top-k plans.
 
     [sources] is a factory because competitive execution needs an
@@ -19,7 +19,7 @@ open Adp_optimizer
 type t =
   | Static
   | Corrective of Corrective.config
-  | Plan_partitioned of { break_after : int }
+  | Plan_partitioned
   | Competitive of { candidates : int; explore_budget : float }
   | Eddying
       (** the eddy/SteM baseline (§2.1's "data partitioning" prior work):

@@ -60,7 +60,3 @@ val schema_of : string -> Schema.t
 (** Primary-key column of a base table (["lineitem"] has a composite key;
     this returns the l_orderkey prefix, which is what join analysis needs). *)
 val key_of : string -> string
-
-val mktsegments : string array
-val region_names : string array
-val nation_names : string array

@@ -11,7 +11,6 @@ type t = {
   profile : Profile.t option;
   wall : Wallclock.t option;
   tuples_read : Metrics.counter;
-  tuples_output : Metrics.counter;
   retries : Metrics.counter;
   failovers : Metrics.counter;
   sources_failed : Metrics.counter;
@@ -40,7 +39,6 @@ let create ?(costs = Cost_model.default) ?(trace = Trace.null) ?metrics
   let c name help = Metrics.counter metrics ~help name in
   { clock = Clock.create (); costs; trace; metrics; profile; wall;
     tuples_read = c "adp_tuples_read_total" "source tuples consumed";
-    tuples_output = c "adp_tuples_output_total" "result tuples emitted";
     retries = c "adp_retries_total" "source reconnect attempts issued";
     failovers = c "adp_failovers_total" "mirror failovers performed";
     sources_failed =

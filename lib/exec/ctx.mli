@@ -17,7 +17,6 @@ type t = {
   wall : Adp_obs.Wallclock.t option;
       (** wall-clock/GC shadow recorder; [None] = wall capture off *)
   tuples_read : Adp_obs.Metrics.counter;  (** source tuples consumed *)
-  tuples_output : Adp_obs.Metrics.counter;  (** result tuples emitted *)
   retries : Adp_obs.Metrics.counter;
       (** source reconnect attempts issued *)
   failovers : Adp_obs.Metrics.counter;  (** mirror failovers performed *)

@@ -1,5 +1,5 @@
 (** Binary min-heap, used by the priority-queue tuple re-ordering router of
-    §5 and by the driver's source event queue. *)
+    §5 and by the server's event queue. *)
 
 type 'a t
 

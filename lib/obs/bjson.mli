@@ -24,7 +24,6 @@ val num : string -> float -> cell
 val flag : string -> bool -> cell
 
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 
 (** Path-like slug for cell ids: lowercase, [[a-z0-9./%+-]] kept,
     everything else collapsed to ['-']. *)

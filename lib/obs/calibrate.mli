@@ -88,10 +88,6 @@ val latest_by_node : t -> (string * observation) list
 (** Latest observation per node, ordered by first appearance. *)
 
 val point_name : point -> string
-val verdict_name : verdict -> string
-
-val pp_decision : Format.formatter -> decision -> unit
-(** One decision with its [blame: <node> (q-error <q>)] line. *)
 
 val render : Format.formatter -> t -> unit
 (** The full ledger: per-node est/actual/q table then every decision. *)

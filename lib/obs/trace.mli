@@ -180,15 +180,12 @@ val close : t -> unit
 val event_name : event -> string
 val to_json : stamped -> Json.t
 val of_json : Json.t -> (stamped, string) result
-val to_jsonl : stamped list -> string
 
 (** Parse a JSONL trace file.  [Error] carries the first offending line
     number and reason. *)
 val read_jsonl : string -> (stamped list, string) result
 
 (** {2 Replay} *)
-
-val pp_event : Format.formatter -> event -> unit
 
 (** Render a recorded trace as a human-readable timeline: one line per
     event at its virtual time, the re-optimizer's selectivity evidence

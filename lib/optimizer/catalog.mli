@@ -4,9 +4,8 @@ open Adp_relation
 
     In data integration, a source description typically records only the
     schema; cardinalities, orderings and keys may be absent.  When a
-    cardinality is missing, the optimizer assumes {!default_cardinality}
-    (the paper uses 20,000 — roughly the median table size of its TPC
-    datasets). *)
+    cardinality is missing, the optimizer assumes 20,000 tuples, as the
+    paper does (roughly the median table size of its TPC datasets). *)
 
 type info = {
   schema : Schema.t;
@@ -24,8 +23,6 @@ val add : t -> string -> info -> unit
 val info : t -> string -> info
 
 val schema_of : t -> string -> Schema.t
-
-val default_cardinality : float
 
 (** Cardinality with the default assumption applied. *)
 val cardinality : t -> string -> float

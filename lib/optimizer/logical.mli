@@ -42,10 +42,6 @@ val preds_within : query -> string list -> string list
     predicate on an unqualified column joins nothing. *)
 val connected : query -> string list -> bool
 
-(** Scan token (source + filter) used in plan signatures, matching
-    {!Adp_exec.Plan.signature_of}. *)
-val scan_token_of : query -> string -> string
-
 (** Signature of the subexpression joining exactly this relation set
     (canonical; matches the executor's signatures for pre-aggregation-free
     subtrees). *)

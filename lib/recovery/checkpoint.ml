@@ -20,7 +20,6 @@ type t = {
   fingerprint : string;
   clock : Clock.state;
   tuples_read : int;
-  tuples_output : int;
   retries : int;
   failovers : int;
   sources_failed : int;
@@ -62,7 +61,9 @@ let enc_manifest t b =
   S.int b t.seq;
   S.str b t.fingerprint;
   S.int b t.tuples_read;
-  S.int b t.tuples_output;
+  (* A reserved slot, always 0: format 4's [tuples_output], a counter
+     nothing incremented. *)
+  S.int b 0;
   S.int b t.retries;
   S.int b t.failovers;
   S.int b t.sources_failed;
@@ -147,7 +148,7 @@ let read_manifest segment =
   let seq = S.read_int d in
   let fingerprint = S.read_str d in
   let tuples_read = S.read_int d in
-  let tuples_output = S.read_int d in
+  ignore (S.read_int d : int);
   let retries = S.read_int d in
   let failovers = S.read_int d in
   let sources_failed = S.read_int d in
@@ -158,7 +159,7 @@ let read_manifest segment =
   fun ~clock ~stats ~phase ->
     let completed = List.map phase completed_ids in
     let current = Option.map phase current_id in
-    { seq; fingerprint; clock; tuples_read; tuples_output; retries;
+    { seq; fingerprint; clock; tuples_read; retries;
       failovers; sources_failed; positions; stats; completed; current }
 
 let read_clock segment = Codec.read_clock_state (segment "clock")

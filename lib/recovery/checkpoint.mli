@@ -26,7 +26,8 @@ module Diagnostic = Adp_analysis.Diagnostic
     each segment header carries its CRC and length at fixed width
     (see {!Adp_storage.Snapshot.write_file}).  Version 3 already carried
     only the columns the query still reads
-    ({!Adp_optimizer.Logical.keep}). *)
+    ({!Adp_optimizer.Logical.keep}).  The manifest keeps a reserved
+    integer slot after [tuples_read], written as 0 and skipped on read. *)
 val format_version : int
 
 type phase_record = {
@@ -44,7 +45,6 @@ type t = {
   fingerprint : string;  (** {!fingerprint} of the query being executed *)
   clock : Clock.state;
   tuples_read : int;
-  tuples_output : int;
   retries : int;
   failovers : int;
   sources_failed : int;

@@ -22,11 +22,9 @@ let append t tuple =
   t.data.(t.len) <- tuple;
   t.len <- t.len + 1
 
-let append_all t tuples = List.iter (append t) tuples
-
 let of_list schema tuples =
   let t = create schema in
-  append_all t tuples;
+  List.iter (append t) tuples;
   t
 
 let get t i =

@@ -12,7 +12,6 @@ val of_list : Schema.t -> Tuple.t list -> t
 val schema : t -> Schema.t
 val cardinality : t -> int
 val append : t -> Tuple.t -> unit
-val append_all : t -> Tuple.t list -> unit
 val get : t -> int -> Tuple.t
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a

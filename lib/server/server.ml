@@ -258,19 +258,16 @@ let run config resolver script =
       ~help:"queued queries shed because their deadline passed"
       "adp_server_shed_total"
   in
-  (* Event heap: a sorted association list is plenty at workload scale;
-     the sequence number keeps equal-time events in insertion order. *)
-  let heap : (float * int * ev) list ref = ref [] in
+  (* Event heap ordered by time; the sequence number keeps equal-time
+     events in insertion order. *)
+  let heap : (float * int * ev) Heap.t =
+    Heap.create (fun (t1, s1, _) (t2, s2, _) ->
+        match Float.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c)
+  in
   let seq = ref 0 in
   let schedule at ev =
     incr seq;
-    let rec ins = function
-      | [] -> [ (at, !seq, ev) ]
-      | ((t, s, _) as hd) :: tl ->
-        if t < at || (t = at && s < !seq) then hd :: ins tl
-        else (at, !seq, ev) :: hd :: tl
-    in
-    heap := ins !heap
+    Heap.push heap (at, !seq, ev)
   in
   (* State. *)
   let jobs : (string, job) Hashtbl.t = Hashtbl.create 32 in
@@ -740,7 +737,7 @@ let run config resolver script =
       let busy_worker =
         Hashtbl.fold (fun _ s acc -> acc || s <> None) workers false
       in
-      if !waiting <> [] || busy_worker || !heap <> [] then
+      if !waiting <> [] || busy_worker || not (Heap.is_empty heap) then
         schedule (!now +. interval) E_poll
   in
   (* Boot: the pool comes up at time zero, the script is enqueued, and
@@ -760,13 +757,12 @@ let run config resolver script =
     script;
   schedule 0.0 E_poll;
   let rec loop () =
-    match !heap with
-    | [] -> ()
-    | (at, _, ev) :: rest ->
-      heap := rest;
+    if not (Heap.is_empty heap) then begin
+      let at, _, ev = Heap.pop heap in
       now := Float.max !now at;
       handle ev;
       loop ()
+    end
   in
   loop ();
   let queries =

@@ -1,48 +1,78 @@
 open Adp_relation
 
+type range = { mutable lo : float; mutable hi : float }  (* flat floats *)
+
+(* Every field but [hist] is read only while the column is perfectly
+   sorted; once it has stepped both up and down it never is again, so
+   [live] drops and those fields stop being fed. *)
 type side = {
-  hist : Histogram.t;
+  hist : Histogram.t option;
   order : Order_detector.t;
-  mutable min_v : float;
-  mutable max_v : float;
+  distinct : Distinct.t;
+  range : range;
+  mutable live : bool;
 }
 
-let side () =
-  { hist = Histogram.create ~buckets:50; order = Order_detector.create ();
-    min_v = infinity; max_v = neg_infinity }
+let side ~use_histograms =
+  { hist =
+      (if use_histograms then Some (Histogram.create ~buckets:50) else None);
+    order = Order_detector.create (); distinct = Distinct.create ();
+    range = { lo = infinity; hi = neg_infinity }; live = true }
 
-let observe s v =
-  Histogram.add s.hist v;
+let widen r x =
+  if x < r.lo then r.lo <- x;
+  if x > r.hi then r.hi <- x
+
+let track s v =
   Order_detector.add s.order v;
-  if not (Value.is_null v) then begin
+  if not (Order_detector.perfectly_sorted s.order) then s.live <- false
+  else begin
+    Distinct.add s.distinct v;
     match v with
-    | Value.Int _ | Value.Float _ | Value.Date _ ->
-      let x = Value.to_float v in
-      if x < s.min_v then s.min_v <- x;
-      if x > s.max_v then s.max_v <- x
+    | Value.Int i | Value.Date i -> widen s.range (float_of_int i)
+    | Value.Float x -> widen s.range x
     | Value.Null | Value.Str _ -> ()
   end
 
-let seen s = Histogram.count s.hist
+let observe s v =
+  (match s.hist with Some h -> Histogram.add h v | None -> ());
+  if s.live then track s v
+
+(* Without a histogram, a column no longer sorted costs one flag test. *)
+let column_observer s idx =
+  match s.hist with
+  | None -> fun (t : Tuple.t) -> if s.live then track s t.(idx)
+  | Some _ -> fun t -> observe s t.(idx)
+
+let hist s =
+  match s.hist with
+  | Some h -> h
+  | None -> invalid_arg "Join_estimator: side keeps no histogram"
+
+let seen s = Histogram.count (hist s)
 
 (* A sorted stream's prefix covers only the low part of the attribute
    domain, so its histogram must not be treated as a random sample; the
    order detector tells us to extrapolate the range instead.  A strictly
    ascending stream is additionally a key (multiplicity 1). *)
-let sorted order =
-  Order_detector.count order >= 2
-  && Order_detector.perfectly_sorted order
-  && Order_detector.ascending_fraction order >= 0.5
-
-let detected_sorted s = sorted s.order
+let detected_sorted s =
+  Order_detector.count s.order >= 2
+  && Order_detector.perfectly_sorted s.order
+  && Order_detector.ascending_fraction s.order >= 0.5
 
 let detected_key s = detected_sorted s && Order_detector.strictly_ascending s.order
 
+let sorted_range s = s.range.lo, s.range.hi
+
 let per_distinct ~seen d = if d <= 0.0 then 1.0 else float_of_int seen /. d
+
+let sorted_multiplicity s =
+  per_distinct ~seen:(Order_detector.count s.order)
+    (Distinct.estimate s.distinct)
 
 (* Multiplicity: average duplicates per distinct value in the prefix. *)
 let multiplicity s =
-  per_distinct ~seen:(seen s) (Histogram.estimate_distinct s.hist)
+  per_distinct ~seen:(seen s) (Histogram.estimate_distinct (hist s))
 
 (* Predicted full range of a sorted stream: the prefix covers [lo, hi];
    the remaining (1 - frac) continues past hi at the same density. *)
@@ -64,7 +94,7 @@ let sorted_overlap (lo1, hi1, total1, m1) (lo2, hi2, total2, m2) =
 
 let estimate ~left:(l, fl) ~right:(r, fr) =
   let scale_l = 1.0 /. max fl 1e-6 and scale_r = 1.0 /. max fr 1e-6 in
-  let range s frac = extrapolated_range (s.min_v, s.max_v) frac in
+  let range s frac = extrapolated_range (sorted_range s) frac in
   match detected_sorted l, detected_sorted r with
   | true, true ->
     let side s frac scale =
@@ -76,17 +106,17 @@ let estimate ~left:(l, fl) ~right:(r, fr) =
     (* Left sorted: right tuples falling in the predicted range match
        [multiplicity l] times each. *)
     let lo, hi = range l fl in
-    let scaled = Histogram.scale r.hist scale_r in
+    let scaled = Histogram.scale (hist r) scale_r in
     Histogram.estimate_range scaled (Value.Float lo) (Value.Float hi)
     *. multiplicity l
   | false, true ->
     let lo, hi = range r fr in
-    let scaled = Histogram.scale l.hist scale_l in
+    let scaled = Histogram.scale (hist l) scale_l in
     Histogram.estimate_range scaled (Value.Float lo) (Value.Float hi)
     *. multiplicity r
   | false, false ->
     (* Neither sorted: the prefixes behave like random samples, so scaled
        histograms compose directly. *)
     Histogram.estimate_join
-      (Histogram.scale l.hist scale_l)
-      (Histogram.scale r.hist scale_r)
+      (Histogram.scale (hist l) scale_l)
+      (Histogram.scale (hist r) scale_r)

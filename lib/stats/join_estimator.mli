@@ -11,30 +11,42 @@ open Adp_relation
     extrapolated from the seen prefix; other sides are modeled by scaling
     their histograms to the predicted full cardinality. *)
 
+(** The one summary of a join column, fed one value per arriving tuple.
+    While the column has stayed perfectly sorted it keeps an order
+    detector, a distinct sketch and the value range; the first value that
+    breaks the order stops all three for good, since every reader needs
+    the column sorted.  With [use_histograms] it also keeps a 50-bucket
+    histogram, the paper's size, over every value. *)
 type side
 
-(** [side ()] creates the per-stream summary: a 50-bucket histogram, the
-    paper's size, and an order detector. *)
-val side : unit -> side
+val side : use_histograms:bool -> side
 
 (** Observe the join attribute of one arriving tuple. *)
 val observe : side -> Value.t -> unit
 
-(** Whether a stream has been perfectly sorted ascending so far, over at
-    least two values (its prefix covers only part of the domain, so the
-    full range is extrapolated rather than the histogram scaled). *)
-val sorted : Order_detector.t -> bool
+(** [column_observer s i] observes column [i] of each tuple it is given.
+    Once the column is unsorted and when [s] keeps no histogram, a call
+    costs one flag test. *)
+val column_observer : side -> int -> Tuple.t -> unit
 
-(** {!sorted} over the side's order detector. *)
+(** Whether the stream has been perfectly sorted ascending so far, over
+    at least two values (its prefix covers only part of the domain, so
+    the full range is extrapolated rather than the histogram scaled). *)
 val detected_sorted : side -> bool
 
 (** {!detected_sorted} and strictly ascending — a key. *)
 val detected_key : side -> bool
 
-(** Average duplicates per value when [seen] values showed [d] distinct. *)
-val per_distinct : seen:int -> float -> float
+(** The [(lo, hi)] range of the numeric values seen while sorted. *)
+val sorted_range : side -> float * float
 
-(** Average duplicates per distinct value in the prefix. *)
+(** Average duplicates per value over the sorted prefix: the order
+    detector's count over the distinct sketch's estimate. *)
+val sorted_multiplicity : side -> float
+
+(** Average duplicates per distinct value in the prefix, by the
+    histogram.  Raises [Invalid_argument] on a side without one, as does
+    {!estimate}. *)
 val multiplicity : side -> float
 
 (** [extrapolated_range (lo, hi) frac]: the full range of a sorted stream

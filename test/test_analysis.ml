@@ -371,23 +371,25 @@ let test_matrix_too_large () =
 let test_knobs () =
   let ok =
     Analyzer.check_knobs ~poll_interval:1e4 ~switch_threshold:0.7
-      ~max_phases:4 ~min_leaf_seen:100
+      ~min_leaf_seen:100
       ~retry:Retry.default_policy
   in
   Alcotest.(check (list string)) "defaults are clean" [] (codes ok);
   let zero =
     Analyzer.check_knobs ~poll_interval:1e4 ~switch_threshold:0.0
-      ~max_phases:1 ~min_leaf_seen:0
+      ~min_leaf_seen:0
       ~retry:Retry.no_timeouts
   in
   Alcotest.(check (list string)) "pinned-plan config is legal" [] (codes zero);
   let bad =
     Analyzer.check_knobs ~poll_interval:(-1.0) ~switch_threshold:(-0.5)
-      ~max_phases:0 ~min_leaf_seen:(-1)
+      ~min_leaf_seen:(-1)
       ~retry:{ Retry.default_policy with jitter = 1.5; backoff_multiplier = 0.5 }
   in
-  Alcotest.(check bool) "every bad knob reported" true
-    (List.length (Diagnostic.errors bad) >= 6);
+  Alcotest.(check (list string)) "every bad knob reported"
+    [ "poll_interval"; "switch_threshold"; "min_leaf_seen";
+      "retry.backoff_multiplier"; "retry.jitter" ]
+    (List.map (fun d -> d.Diagnostic.path) (Diagnostic.errors bad));
   Alcotest.(check (list string)) "all under one code" [ "bad-knob" ] (codes bad)
 
 (* ---------------- effect & determinism lint ----------------------- *)

@@ -2,11 +2,12 @@
    produces it, on runs that cover every join-state path — corrective
    phases that switch and stitch up, windowed pre-aggregation under a
    static plan, the eddy's SteMs, complementary joins and plan
-   partitioning — plus the bytes of every checkpoint file two corrective
-   runs write, one of them with pre-aggregation groups buffered, and the
-   reuse counts of a stitch-up after a resume.  A bag comparison cannot
-   see a reordered emission, a float summed in another order, or a
-   checkpoint that lists a node's rows differently; these digests can.
+   partitioning — plus the statistics corrective runs learn, the bytes
+   of every checkpoint file two corrective runs write, one of them with
+   pre-aggregation groups buffered, and the reuse counts of a stitch-up
+   after a resume.  A bag comparison cannot see a reordered emission, a
+   float summed in another order, or a checkpoint that lists a node's
+   rows differently; these digests can.
    A change meant only to speed the engine up must leave every one of
    them as it is. *)
 
@@ -77,7 +78,7 @@ let run ?preagg ?initial_plan ?(config = corrective_config) strategy qid =
     | `Corrective -> Strategy.Corrective config
     | `Static -> Strategy.Static
     | `Eddy -> Strategy.Eddying
-    | `Partitioned -> Strategy.Plan_partitioned { break_after = 3 }
+    | `Partitioned -> Strategy.Plan_partitioned
   in
   Strategy.run ?preagg ?initial_plan strategy q
     (Workload.catalog ds q) ~sources:(Workload.sources ds q)
@@ -162,6 +163,52 @@ let test_complementary_joins () =
     (go (Comp_join.Priority_queue 64));
   check "naive, spilling" ~spills:true "13c8cab50c46f8043f656bdf1a070d24"
     (go ~memory_budget:2000 Comp_join.Naive)
+
+(* What the monitor learned, floats by their bit pattern: every
+   signature's selectivity and predicted output, every cardinality and
+   multiplicative factor.  The sorted-pair range estimate (orders and
+   lineitem arrive sorted on the order key) and the histogram estimator
+   both write here.  A reading that changes no plan choice reaches no
+   row or virtual time, so only this digest sees it. *)
+let digest_learned (d : Adp_stats.Selectivity.dump) =
+  let buf = Buffer.create 4096 in
+  let floats tag l =
+    Buffer.add_string buf tag;
+    List.iter
+      (fun (k, x) ->
+        Buffer.add_string buf k;
+        Buffer.add_int64_le buf (Int64.bits_of_float x))
+      l
+  and ints tag l =
+    Buffer.add_string buf tag;
+    List.iter
+      (fun (k, n) ->
+        Buffer.add_string buf k;
+        Buffer.add_int64_le buf (Int64.of_int n))
+      l
+  in
+  floats "sels" d.Adp_stats.Selectivity.d_sels;
+  floats "outs" d.Adp_stats.Selectivity.d_outs;
+  ints "cards" d.Adp_stats.Selectivity.d_cards;
+  ints "finals" d.Adp_stats.Selectivity.d_finals;
+  floats "mult" d.Adp_stats.Selectivity.d_mult;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_learned_statistics () =
+  List.iter
+    (fun (qid, use_histograms, want) ->
+      let config = { corrective_config with use_histograms } in
+      let o = run ~initial_plan:pessimal ~config `Corrective qid in
+      let s = Option.get o.Strategy.corrective_stats in
+      Alcotest.(check string)
+        (Printf.sprintf "%s%s: learned statistics" (Workload.name qid)
+           (if use_histograms then " with histograms" else ""))
+        want
+        (digest_learned s.Corrective.learned))
+    [ Workload.Q5, false, "6a15cb128374653432551872fbee3d1d";
+      Workload.Q3A, false, "8720df9af98adee246c8794efc752a5d";
+      Workload.Q3A, true, "76b18f33f5a263a996575337eec6eb1b";
+      Workload.Q10A, true, "89d95ad47cf828a8314d4d92d96d362e" ]
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -284,6 +331,8 @@ let suite =
     Alcotest.test_case "eddy and plan partitioning" `Quick
       test_eddy_and_partitioning;
     Alcotest.test_case "complementary joins" `Quick test_complementary_joins;
+    Alcotest.test_case "statistics the monitor learned" `Quick
+      test_learned_statistics;
     Alcotest.test_case "checkpoint file bytes" `Quick test_checkpoint_bytes;
     Alcotest.test_case "checkpoint file bytes, buffered pre-aggregation"
       `Quick test_checkpoint_preagg_bytes;

@@ -449,7 +449,7 @@ let mini_checkpoint () =
       pr_emitted = 3; pr_read = 10; pr_ends = [ "r", 10; "s", 0 ] }
   in
   { Checkpoint.seq = 3; fingerprint = "fp"; clock = Clock.capture ctx.Ctx.clock;
-    tuples_read = 10; tuples_output = 3; retries = 1; failovers = 0;
+    tuples_read = 10; retries = 1; failovers = 0;
     sources_failed = 0; positions = [ "r", 10; "s", 0 ];
     stats = Adp_stats.Selectivity.dump (Adp_stats.Selectivity.create ());
     completed = []; current = Some pr }

@@ -362,7 +362,7 @@ let feed_prefix side values frac =
     values
 
 let test_estimator_key_detection () =
-  let s = Join_estimator.side () in
+  let s = Join_estimator.side ~use_histograms:true in
   List.iter (fun v -> Join_estimator.observe s (vi v)) [ 1; 2; 5; 9 ];
   Alcotest.(check bool) "sorted" true (Join_estimator.detected_sorted s);
   Alcotest.(check bool) "key" true (Join_estimator.detected_key s);
@@ -371,7 +371,10 @@ let test_estimator_key_detection () =
   Alcotest.(check bool) "still sorted" true (Join_estimator.detected_sorted s);
   Join_estimator.observe s (vi 3);
   Alcotest.(check bool) "violation kills sorted" false
-    (Join_estimator.detected_sorted s)
+    (Join_estimator.detected_sorted s);
+  Join_estimator.observe s (vi 20);
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "range of the sorted prefix"
+    (1.0, 9.0) (Join_estimator.sorted_range s)
 
 let test_estimator_sorted_vs_random () =
   (* A sorted key stream joined with a random FK stream: the estimate
@@ -380,7 +383,8 @@ let test_estimator_sorted_vs_random () =
   let keys = List.init n (fun i -> i + 1) in
   let rng = Prng.create 21 in
   let fks = List.init n (fun _ -> 1 + Prng.int rng n) in
-  let sk = Join_estimator.side () and sf = Join_estimator.side () in
+  let sk = Join_estimator.side ~use_histograms:true
+  and sf = Join_estimator.side ~use_histograms:true in
   feed_prefix sk keys 0.25;
   feed_prefix sf fks 0.25;
   let est = Join_estimator.estimate ~left:(sk, 0.25) ~right:(sf, 0.25) in
@@ -409,7 +413,8 @@ let test_estimator_random_vs_random () =
         acc + (n * Option.value ~default:0 (Hashtbl.find_opt cb v)))
       ca 0
   in
-  let sa = Join_estimator.side () and sb = Join_estimator.side () in
+  let sa = Join_estimator.side ~use_histograms:true
+  and sb = Join_estimator.side ~use_histograms:true in
   feed_prefix sa a 0.5;
   feed_prefix sb b 0.5;
   let est = Join_estimator.estimate ~left:(sa, 0.5) ~right:(sb, 0.5) in
@@ -419,7 +424,7 @@ let test_estimator_random_vs_random () =
     true (err < 0.3)
 
 let test_estimator_multiplicity () =
-  let s = Join_estimator.side () in
+  let s = Join_estimator.side ~use_histograms:true in
   (* Sorted with 3 duplicates per value. *)
   List.iter
     (fun v -> Join_estimator.observe s (vi v))
@@ -429,7 +434,16 @@ let test_estimator_multiplicity () =
   let m = Join_estimator.multiplicity s in
   Alcotest.(check bool)
     (Printf.sprintf "multiplicity near 3 (got %.2f)" m)
-    true (m > 2.0 && m < 4.5)
+    true (m > 2.0 && m < 4.5);
+  (* The distinct count is exact this small, with or without a histogram. *)
+  let bare = Join_estimator.side ~use_histograms:false in
+  List.iter
+    (fun v -> Join_estimator.observe bare (vi v))
+    (List.concat_map (fun v -> [ v; v; v ]) (List.init 200 Fun.id));
+  Alcotest.(check (float 0.0)) "sorted-prefix multiplicity" 3.0
+    (Join_estimator.sorted_multiplicity bare);
+  Alcotest.(check (float 0.0)) "same with a histogram" 3.0
+    (Join_estimator.sorted_multiplicity s)
 
 (* ---------------- Selectivity ---------------- *)
 

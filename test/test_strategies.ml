@@ -21,7 +21,7 @@ let strategies =
     "corrective",
     Strategy.Corrective
       { Corrective.default_config with poll_interval = 2e4 };
-    "plan-partitioned", Strategy.Plan_partitioned { break_after = 3 };
+    "plan-partitioned", Strategy.Plan_partitioned;
     "competitive",
     Strategy.Competitive { candidates = 2; explore_budget = 2e4 };
     "eddy", Strategy.Eddying ]
@@ -316,7 +316,7 @@ let test_plan_partition_stages () =
   let catalog = Workload.catalog dataset q in
   let sources = Workload.sources dataset q in
   let result, stats =
-    Plan_partition.run ~break_after:3 q catalog (sources ())
+    Plan_partition.run q catalog (sources ())
   in
   Alcotest.(check int) "two stages on 6 relations" 2 stats.Plan_partition.stages;
   Alcotest.(check bool) "materialized something" true
@@ -344,7 +344,7 @@ let test_plan_partition_materializes_what_stage2_reads () =
   List.iter
     (fun (label, initial_plan, width) ->
       let result, stats =
-        Plan_partition.run ~break_after:3 ?initial_plan q catalog (sources ())
+        Plan_partition.run ?initial_plan q catalog (sources ())
       in
       Alcotest.(check int) (label ^ ": materialized width") width
         stats.Plan_partition.materialized_width;
@@ -473,7 +473,7 @@ let test_plan_partition_with_initial_plan () =
   let true_catalog = Workload.catalog ~with_cardinalities:true dataset q in
   let bad = (Optimizer.pessimal q true_catalog sels).Optimizer.spec in
   let result, stats =
-    Plan_partition.run ~break_after:3 ~initial_plan:bad q catalog (sources ())
+    Plan_partition.run ~initial_plan:bad q catalog (sources ())
   in
   Alcotest.(check int) "two stages" 2 stats.Plan_partition.stages;
   let want = Strategy.reference q catalog ~sources in
