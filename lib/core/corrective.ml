@@ -101,12 +101,10 @@ let attach_sides ctx ~use_histograms (query : Logical.query) sources =
       |> List.map (fun col ->
              let idx = Adp_relation.Schema.index (Source.schema src) col in
              let side = Adp_stats.Join_estimator.side ~use_histograms in
-             let observe = Adp_stats.Join_estimator.column_observer side idx in
              Source.observe src
-               (if use_histograms then fun t ->
-                  Ctx.charge ctx ctx.Ctx.costs.histogram_add;
-                  observe t
-                else observe);
+               (Adp_stats.Join_estimator.column_observer side idx
+                  ~on_hist:(fun () ->
+                    Ctx.charge ctx ctx.Ctx.costs.histogram_add));
              (col, side)))
     sources
 
@@ -474,12 +472,11 @@ let run ?(config = default_config) query catalog sources =
         (Analyzer.check_plan_for_query ~lookup query spec);
       spec
   in
-  (* A run that never polls never switches, so only a checkpoint or a
-     resume reads a phase's intermediates back. *)
-  let record_outputs =
-    Float.is_finite cfg.poll_interval || cfg.checkpoint <> None
-    || resume <> None
-  in
+  (* A run with no poll interval never switches: a failover still
+     triggers a poll, but the guard below keeps it in its phase.  So only
+     a checkpoint or a resume reads such a run's intermediates back. *)
+  let polls = Float.is_finite cfg.poll_interval in
+  let record_outputs = polls || cfg.checkpoint <> None || resume <> None in
   let restored =
     match resume with
     | None -> []
@@ -769,7 +766,7 @@ let run ?(config = default_config) query catalog sources =
        best.est_cost *. (1.0 +. (1.0 -. remaining_fraction)))
     in
     let guard =
-      if phase_count () >= max_phases then Some "max-phases"
+      if phase_count () >= max_phases || not polls then Some "max-phases"
       else if remaining_fraction < min_remaining_fraction then
         Some "min-remaining"
       else None

@@ -19,7 +19,9 @@ open Adp_optimizer
     with [use_histograms], the §4.5 histogram estimate both read it. *)
 
 type config = {
-  poll_interval : float;  (** virtual µs between re-optimizer polls *)
+  poll_interval : float;
+      (** virtual µs between re-optimizer polls; [infinity] never switches
+          plans, even at the poll a mirror failover triggers *)
   switch_threshold : float;
       (** switch when [best < threshold × cost-to-go(current)] *)
   min_leaf_seen : int;

@@ -36,8 +36,9 @@ type outcome = {
 }
 
 (** [static_config] is the corrective configuration {!Static} runs:
-    it never polls, so it never switches plans on its own (recovery can
-    still force a phase switch across a crash). *)
+    it has no poll interval, so it never switches plans on its own, not
+    even at a failover's poll (recovery can still force a phase switch
+    across a crash). *)
 val static_config : Corrective.config
 
 (** One rule applies the optional arguments: an argument that is given

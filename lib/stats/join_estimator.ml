@@ -39,11 +39,16 @@ let observe s v =
   if s.live then track s v
 
 (* Without a histogram, a column no longer sorted costs one flag test. *)
-let column_observer s idx =
+let column_observer s idx ~on_hist =
   match s.hist with
   | None -> fun (t : Tuple.t) -> if s.live then track s t.(idx)
-  | Some _ -> fun t -> observe s t.(idx)
+  | Some _ ->
+    fun t ->
+      on_hist ();
+      observe s t.(idx)
 
+(* The one failing path: [multiplicity] and [estimate] on a side built
+   without a histogram. *)
 let hist s =
   match s.hist with
   | Some h -> h

@@ -16,7 +16,9 @@ open Adp_relation
     detector, a distinct sketch and the value range; the first value that
     breaks the order stops all three for good, since every reader needs
     the column sorted.  With [use_histograms] it also keeps a 50-bucket
-    histogram, the paper's size, over every value. *)
+    histogram, the paper's size, over every value.  Only {!multiplicity}
+    and {!estimate} read that histogram; on a side built without one they
+    raise [Invalid_argument], and nothing else here fails. *)
 type side
 
 val side : use_histograms:bool -> side
@@ -24,10 +26,11 @@ val side : use_histograms:bool -> side
 (** Observe the join attribute of one arriving tuple. *)
 val observe : side -> Value.t -> unit
 
-(** [column_observer s i] observes column [i] of each tuple it is given.
-    Once the column is unsorted and when [s] keeps no histogram, a call
-    costs one flag test. *)
-val column_observer : side -> int -> Tuple.t -> unit
+(** [column_observer s i ~on_hist] observes column [i] of each tuple it
+    is given, calling [on_hist] first for each value the histogram takes
+    (the caller's charge for it).  Once the column is unsorted and when
+    [s] keeps no histogram, a call costs one flag test. *)
+val column_observer : side -> int -> on_hist:(unit -> unit) -> Tuple.t -> unit
 
 (** Whether the stream has been perfectly sorted ascending so far, over
     at least two values (its prefix covers only part of the domain, so
@@ -45,8 +48,7 @@ val sorted_range : side -> float * float
 val sorted_multiplicity : side -> float
 
 (** Average duplicates per distinct value in the prefix, by the
-    histogram.  Raises [Invalid_argument] on a side without one, as does
-    {!estimate}. *)
+    histogram (see {!side} for a side without one). *)
 val multiplicity : side -> float
 
 (** [extrapolated_range (lo, hi) frac]: the full range of a sorted stream

@@ -279,6 +279,38 @@ let test_partial_results_without_mirror () =
   Alcotest.(check int) "no failover possible" 0 r.Report.failovers;
   Alcotest.(check bool) "still produced rows" true (r.Report.result_card > 0)
 
+(* A failover triggers a re-optimizer poll whatever the poll interval,
+   but a static run never polls on its own schedule and so must never
+   switch.  On Q10A a corrective poll at this failover does switch (to
+   phase 2), so a static run that took it would need stitch-up; it stays
+   in one phase and returns the fault-free answer. *)
+let test_static_failover_keeps_one_phase () =
+  let ds = Lazy.force dataset in
+  let q = Workload.query Workload.Q10A in
+  let catalog = Workload.catalog ~with_cardinalities:false ds q in
+  let clean =
+    Strategy.reference q catalog
+      ~sources:(Workload.sources ~model:Source.Local ds q)
+  in
+  let sources () =
+    let srcs = Workload.sources ~model:(Source.Bandwidth 100_000.0) ds q () in
+    let orders = List.find (fun s -> Source.name s = "orders") srcs in
+    Source.inject orders
+      (Source.Disconnect { after_tuples = 300; rejoin_after_s = None });
+    Source.add_mirror orders (Source.mirror ~lag_tuples:150 ());
+    srcs
+  in
+  let o =
+    Strategy.run ~label:"static-faulty"
+      ~retry:(policy ~timeout:0.02 ~retries:2 ~backoff:0.01 ())
+      Strategy.Static q catalog ~sources
+  in
+  let r = o.Strategy.report in
+  Alcotest.(check int) "failed over" 1 r.Report.failovers;
+  Alcotest.(check int) "one phase" 1 r.Report.phases;
+  check_approx_rel "result equals the fault-free answer" clean
+    o.Strategy.result
+
 (* A flapping lineitem: each drop outlasts the first reconnect attempt,
    so every flap records one breaker failure.  The second trips the
    breaker (threshold 2) while retry budget remains, and the driver
@@ -507,4 +539,6 @@ let suite =
       test_partial_results_without_mirror;
     Alcotest.test_case "breaker trip fails over" `Quick
       test_breaker_trip_fails_over;
+    Alcotest.test_case "static failover keeps one phase" `Quick
+      test_static_failover_keeps_one_phase;
     qtest driver_matches_reference ]
