@@ -487,28 +487,21 @@ let trace_arg =
 
 let metrics_arg =
   let doc =
-    "Dump the engine's metrics registry (global and per-plan-node \
-     counters, clock gauges) into $(i,FILE) when the run ends.  A \
-     $(b,.prom) extension selects the Prometheus text exposition format; \
-     anything else writes JSON."
+    "Dump the engine counters (tuples read, retries, failovers, lost \
+     sources, checkpoints, paged-out states, breaker trips, degraded \
+     queries) into $(i,FILE) in the Prometheus text exposition format \
+     when the run ends.  Under $(b,serve) each counter is labelled with \
+     its query."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-(* The --metrics dump: a .prom path gets Prometheus text, anything else
-   JSON. *)
-let write_metrics path m =
-  Adp_storage.Snapshot.write_text ~path
-    (if Filename.check_suffix path ".prom" then Adp_obs.Metrics.to_prometheus m
-     else Adp_obs.Json.to_string (Adp_obs.Metrics.to_json m) ^ "\n")
 
 let wall_arg =
   let doc =
     "Attach the wall-clock sidecar.  $(b,query) prints a wall/GC summary \
-     line, and its $(b,--metrics) dump gains the $(b,adp_wall_*) and \
-     $(b,adp_gc_*) gauges (wall/CPU seconds, sampler ticks, allocation \
-     and collection totals).  $(b,profile) annotates the plan tree with \
-     per-node wall self-time and allocation, and follows the calibration \
-     ledger with a wall/GC summary.  The sidecar only reads hardware \
+     line (wall and CPU milliseconds, minor and major words allocated).  \
+     $(b,profile) annotates the plan tree with per-node wall self-time \
+     and allocation, and follows the calibration ledger with a wall/GC \
+     summary.  The sidecar only reads hardware \
      time: virtual times and results are identical with and without it."
   in
   Arg.(value & flag & info [ "wall" ] ~doc)
@@ -550,11 +543,7 @@ let observed o f =
     Option.iter Adp_obs.Trace.close s.trace;
     match o.metrics_file, s.metrics with
     | Some path, Some m ->
-      (* The engine syncs wall gauges at its own boundaries; a final
-         sync here covers crashed runs, whose registry would otherwise
-         miss the last deltas. *)
-      Option.iter (fun w -> Adp_obs.Wallclock.sync_metrics w m) s.wall;
-      write_metrics path m
+      Adp_storage.Snapshot.write_text ~path (Adp_obs.Metrics.to_prometheus m)
     | _ -> ()
   in
   match f s with
@@ -648,6 +637,13 @@ let query_cmd =
            "warning: resource governance (--deadline/--mem-budget/\
             --mem-ceiling/--breaker) applies only to static/corrective \
             runs\n%!");
+    (match strategy with
+     | Strategy.Static | Strategy.Corrective _ | Strategy.Eddying -> ()
+     | Strategy.Plan_partitioned | Strategy.Competitive _ ->
+       if obs.trace_file <> None || obs.metrics_file <> None then
+         Printf.eprintf
+           "warning: --trace/--metrics record nothing under planpart/\
+            competitive runs, which take no observers\n%!");
     let o, wall =
       observed obs (fun s ->
           ( Strategy.run ~preagg ~label:"query" ~retry ?trace:s.trace

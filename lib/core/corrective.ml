@@ -946,7 +946,6 @@ let run ?(config = default_config) query catalog sources =
           emitted = ph.Phase.emitted; read = ph.Phase.read })
       phases
   in
-  Ctx.sync_metrics ctx;
   (* Fold the profiler and the calibration ledger into the trace so
      [tukwila explain] can replay them.  Bounded: one event per span,
      one per node's latest observation — the full ledger stays in the

@@ -119,7 +119,6 @@ let run ?preagg ?(label = "run") ?initial_plan ?retry ?trace ?metrics
        | Driver.Exhausted -> ()
        | Driver.Switched | Driver.Stopped -> assert false);
       let result = Sink.result sink in
-      Ctx.sync_metrics ctx;
       let report =
         report ~label ~time:(Ctx.now ctx) ~cpu:(Clock.cpu ctx.Ctx.clock)
           ~idle:(Clock.idle ctx.Ctx.clock) ~phases:1

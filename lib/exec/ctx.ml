@@ -7,7 +7,6 @@ type t = {
   clock : Clock.t;
   costs : Cost_model.t;
   trace : Trace.t;
-  metrics : Metrics.t;
   profile : Profile.t option;
   wall : Wallclock.t option;
   tuples_read : Metrics.counter;
@@ -18,7 +17,6 @@ type t = {
   checkpoint_bytes : Metrics.counter;
   paged_out : Metrics.counter;
   breaker_trips : Metrics.counter;
-  breaker_transitions : Metrics.counter;
   degraded : Metrics.counter;
 }
 
@@ -37,7 +35,7 @@ let create ?(costs = Cost_model.default) ?(trace = Trace.null) ?metrics
       Some (Wallclock.profile w)
   in
   let c name help = Metrics.counter metrics ~help name in
-  { clock = Clock.create (); costs; trace; metrics; profile; wall;
+  { clock = Clock.create (); costs; trace; profile; wall;
     tuples_read = c "adp_tuples_read_total" "source tuples consumed";
     retries = c "adp_retries_total" "source reconnect attempts issued";
     failovers = c "adp_failovers_total" "mirror failovers performed";
@@ -52,9 +50,6 @@ let create ?(costs = Cost_model.default) ?(trace = Trace.null) ?metrics
         "state structures paged out by memory pressure";
     breaker_trips =
       c "adp_breaker_trips_total" "circuit breakers tripped open";
-    breaker_transitions =
-      c "adp_breaker_transitions_total"
-        "circuit breaker state transitions (any direction)";
     degraded =
       c "adp_degraded_total"
         "queries deliberately degraded by deadline or memory governance" }
@@ -100,21 +95,3 @@ let set_phase t phase =
   | None -> ()
   | Some p -> Profile.set_phase p phase
 
-let sync_metrics t =
-  let g name help = Metrics.gauge t.metrics ~help name in
-  Metrics.set
-    (g "adp_clock_virtual_seconds" "virtual completion time of the run")
-    (Clock.now t.clock /. 1e6);
-  Metrics.set
-    (g "adp_clock_cpu_seconds" "virtual time charged as computation")
-    (Clock.cpu t.clock /. 1e6);
-  Metrics.set
-    (g "adp_clock_idle_seconds" "virtual time spent waiting on sources")
-    (Clock.idle t.clock /. 1e6);
-  Metrics.set
-    (g "adp_clock_retry_idle_seconds"
-       "virtual idle time attributable to retry backoff")
-    (Clock.retry_idle t.clock /. 1e6);
-  match t.wall with
-  | None -> ()
-  | Some w -> Wallclock.sync_metrics w t.metrics

@@ -5,13 +5,15 @@
     The counters live in the metrics registry (as [adp_*_total] counter
     cells) rather than as plain record fields, so a metrics dump sees
     exactly what the engine counted and `Report.run` can be derived from
-    the registry — one source of truth, no hand-threaded duplicates. *)
+    the registry — one source of truth, no hand-threaded duplicates.
+    They are the registry's only cells: clock times, per-node counts and
+    breaker transitions each have their own record ([Report.run], the
+    plan and its profile spans, [Breaker.transitions]). *)
 
 type t = {
   clock : Clock.t;
   costs : Cost_model.t;
   trace : Adp_obs.Trace.t;
-  metrics : Adp_obs.Metrics.t;
   profile : Adp_obs.Profile.t option;
       (** per-node span registry; [None] = profiling disabled *)
   wall : Adp_obs.Wallclock.t option;
@@ -30,8 +32,6 @@ type t = {
       (** state structures paged out by memory pressure *)
   breaker_trips : Adp_obs.Metrics.counter;
       (** circuit breakers tripped open *)
-  breaker_transitions : Adp_obs.Metrics.counter;
-      (** circuit breaker state transitions, any direction *)
   degraded : Adp_obs.Metrics.counter;
       (** queries deliberately degraded by deadline/memory governance *)
 }
@@ -85,7 +85,3 @@ val traced : t -> bool
 (** Emit a trace event stamped with the current virtual time.  The clock
     is read, never advanced: tracing cannot perturb virtual time. *)
 val emit : t -> Adp_obs.Trace.event -> unit
-
-(** Refresh the clock gauges ([adp_clock_*_seconds]) in the metrics
-    registry from the virtual clock.  Called once at the end of a run. *)
-val sync_metrics : t -> unit

@@ -19,7 +19,6 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
   in
   let breaker i = bks.(i) in
   let emit_breaker_change i b ~from_state ~now =
-    Adp_obs.Metrics.incr ctx.Ctx.breaker_transitions;
     (match Breaker.state b with
      | Breaker.Open -> Adp_obs.Metrics.incr ctx.Ctx.breaker_trips
      | Breaker.Closed | Breaker.Half_open -> ());

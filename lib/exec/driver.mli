@@ -21,8 +21,9 @@
     phases) learn from repeated failures: a tripped breaker holds the
     source's reconnect attempts back to its seeded probe schedule, and —
     when the source has a mirror — fails over immediately instead of
-    burning the remaining retry budget.  Every breaker state transition
-    is counted in the context metrics and, when tracing, emitted as a
+    burning the remaining retry budget.  A trip to open is counted in
+    the context's [breaker_trips], and every state transition (which
+    the breaker counts itself) is, when tracing, emitted as a
     [Breaker_state_changed] event.
 
     An optional poll hook fires whenever the given virtual-time interval

@@ -194,8 +194,6 @@ type node = {
   n_predicates : string list;
   mutable n_record : record;
   mutable n_out_count : int;
-  n_in_metric : Metrics.counter;
-  n_out_metric : Metrics.counter;
   n_span : Profile.span option;  (* this phase's profiler span *)
   impl : impl;
 }
@@ -245,26 +243,10 @@ type t = {
   record_outputs : bool;
 }
 
-(* Per-node counters live in the context's metrics registry, labelled
-   with the node's rendering.  Registration is idempotent per (name,
-   labels), so the same logical operator keeps accumulating across the
-   plans of successive phases. *)
-let node_counter ctx name help spec =
-  Metrics.counter ctx.Ctx.metrics
-    ~labels:[ ("node", Format.asprintf "%a" pp_spec spec) ]
-    ~help name
-
 let own ~record =
   if record then Own (Row_log.create ~linked:false ()) else Unrecorded
 
 let rec build ?(depth = 0) ctx spec ~schema_of ~keep ~record =
-  let n_in_metric =
-    node_counter ctx "adp_node_tuples_in_total"
-      "tuples entering the operator" spec
-  and n_out_metric =
-    node_counter ctx "adp_node_tuples_out_total"
-      "tuples produced by the operator" spec
-  in
   (* Register the profiler span before recursing into children so the
      registry order is the plan tree's pre-order. *)
   let n_span =
@@ -278,7 +260,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of ~keep ~record =
     { n_spec = spec; n_schema = schema;
       n_signature = signature_of spec; n_relations = [ s.source ];
       n_predicates = []; n_record = Unrecorded;
-      n_out_count = 0; n_in_metric; n_out_metric; n_span;
+      n_out_count = 0; n_span;
       impl =
         RLeaf
           { source = s.source; filter = Predicate.compile s.filter schema;
@@ -307,7 +289,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of ~keep ~record =
     { n_spec = spec; n_schema = layout.l_schema;
       n_signature = signature_of spec; n_relations;
       n_predicates = predicates spec; n_record = Unrecorded; n_out_count = 0;
-      n_in_metric; n_out_metric; n_span;
+      n_span;
       impl =
         RJoin
           { left; right; ltbl; rtbl;
@@ -329,8 +311,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of ~keep ~record =
     { n_spec = spec; n_schema = schema; n_signature = signature_of spec;
       n_relations = child.n_relations;
       n_predicates = child.n_predicates; n_record = Unrecorded;
-      n_out_count = 0;
-      n_in_metric; n_out_metric; n_span;
+      n_out_count = 0; n_span;
       impl =
         RPreagg
           { child;
@@ -363,7 +344,6 @@ let record node outs =
      | Held _ | Unrecorded -> ());
     let n = List.length outs in
     node.n_out_count <- node.n_out_count + n;
-    Metrics.add node.n_out_metric n;
     match node.n_span with
     | Some sp -> Profile.add_out sp n
     | None -> ()
@@ -371,13 +351,9 @@ let record node outs =
   outs
 
 let record_in node outs =
-  if outs <> [] then begin
-    let n = List.length outs in
-    Metrics.add node.n_in_metric n;
-    match node.n_span with
-    | Some sp -> Profile.add_in sp n
-    | None -> ()
-  end;
+  (match node.n_span with
+   | Some sp -> Profile.add_in sp (List.length outs)
+   | None -> ());
   outs
 
 let probe_cost ctx sp tbl matches =
@@ -521,7 +497,6 @@ let push t ~source tuple =
   let r = find_route t.routes source 0 in
   let node = r.r_leaf and l = r.r_leaf_rt in
   l.seen <- l.seen + 1;
-  Metrics.incr node.n_in_metric;
   (match node.n_span with
    | Some sp -> Profile.add_in sp 1
    | None -> ());

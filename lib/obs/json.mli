@@ -1,7 +1,7 @@
 (** Minimal JSON tree, printer and parser.
 
-    The observability layer writes JSONL traces, metrics dumps and bench
-    documents, and must also read its own JSONL back for
+    The observability layer writes JSONL traces and bench documents,
+    and must also read its own JSONL back for
     [tukwila explain].  Rather than pull a dependency
     into the build, this is a small self-contained JSON implementation:
     a value tree, a compact printer with round-trippable float formatting,

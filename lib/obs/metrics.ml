@@ -1,21 +1,17 @@
 type counter = { mutable c : int }
-type gauge = { mutable g : float }
-
-type cell =
-  | Counter of counter
-  | Gauge of gauge
 
 type entry = {
   name : string;
   labels : (string * string) list;
   help : string;
-  cell : cell;
+  cell : counter;
 }
 
 (* The shared store behind every view of a registry.  [entries] keeps
    reversed registration order for the dumps; [index] makes registration
-   O(1) — before it, every [Plan.build] of a multi-query server rescanned
-   a list that grows with (queries × nodes). *)
+   O(1), where a scan would grow with the queries a server holds live
+   (each query attempt's [Ctx.create] registers its counters in the one
+   shared store). *)
 type store = {
   mutable entries : entry list;  (* reversed registration order *)
   index : (string * (string * string) list, entry) Hashtbl.t;
@@ -23,7 +19,7 @@ type store = {
 
 (* A registry handle is a view: the shared store plus a label scope that
    is prepended to every registration.  Two concurrent queries asking for
-   the same per-node counter through differently-scoped views get two
+   the same engine counter through differently-scoped views get two
    distinct cells instead of silently sharing (and clobbering) one. *)
 type t = { store : store; scope : (string * string) list }
 
@@ -32,28 +28,15 @@ let create () =
 
 let with_labels t extra = { t with scope = t.scope @ extra }
 
-let kind_name = function
-  | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
-
-let find t name labels = Hashtbl.find_opt t.store.index (name, labels)
-
-let register t ~labels ~help name make same =
+let counter t ?(labels = []) ?(help = "") name =
   let labels = t.scope @ labels in
-  match find t name labels with
-  | Some e -> (
-    match same e.cell with
-    | Some h -> h
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Metrics: %s re-registered as a different kind (%s)"
-           name (kind_name e.cell)))
+  match Hashtbl.find_opt t.store.index (name, labels) with
+  | Some e -> e.cell
   | None ->
-    let h, cell = make () in
-    let e = { name; labels; help; cell } in
+    let e = { name; labels; help; cell = { c = 0 } } in
     t.store.entries <- e :: t.store.entries;
     Hashtbl.replace t.store.index (name, labels) e;
-    h
+    e.cell
 
 (* Retire every cell whose labels carry all of the view's scope pairs —
    how a server drops a finished (or re-run) query's cells so the store
@@ -69,32 +52,14 @@ let prune t =
 
 let cells t = List.length t.store.entries
 
-let counter t ?(labels = []) ?(help = "") name =
-  register t ~labels ~help name
-    (fun () ->
-      let c = { c = 0 } in
-      (c, Counter c))
-    (function Counter c -> Some c | _ -> None)
-
-let gauge t ?(labels = []) ?(help = "") name =
-  register t ~labels ~help name
-    (fun () ->
-      let g = { g = 0.0 } in
-      (g, Gauge g))
-    (function Gauge g -> Some g | _ -> None)
-
 let add c n = c.c <- c.c + n
 let incr c = add c 1
 let count c = c.c
 let set_count c n = c.c <- n
-let set g v = g.g <- v
 
 let counter_total t name =
   List.fold_left
-    (fun acc e ->
-      match e.cell with
-      | Counter c when e.name = name -> acc + c.c
-      | _ -> acc)
+    (fun acc e -> if e.name = name then acc + e.cell.c else acc)
     0 t.store.entries
 
 (* Deterministic dump order: by name, then by labels. *)
@@ -105,22 +70,6 @@ let sorted t =
       | 0 -> compare a.labels b.labels
       | c -> c)
     t.store.entries
-
-let to_json t =
-  let labels_json labels =
-    Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
-  in
-  let entry e =
-    let value =
-      match e.cell with
-      | Counter c -> float_of_int c.c
-      | Gauge g -> g.g
-    in
-    Json.Obj
-      [ ("name", Json.Str e.name); ("labels", labels_json e.labels);
-        ("type", Json.Str (kind_name e.cell)); ("value", Json.Num value) ]
-  in
-  Json.Obj [ ("metrics", Json.List (List.map entry (sorted t))) ]
 
 (* Prometheus text exposition format. *)
 
@@ -146,11 +95,6 @@ let prom_labels = function
            labels)
     ^ "}"
 
-let prom_num f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
 (* Scrape-format discipline: every family gets exactly one HELP and one
    TYPE line (a synthesized HELP when none was registered), and all of a
    family's samples stay contiguous. *)
@@ -171,17 +115,11 @@ let to_prometheus t =
         | None -> first.name
       in
       Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" first.name help);
-      Buffer.add_string b
-        (Printf.sprintf "# TYPE %s %s\n" first.name (kind_name first.cell));
+      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" first.name);
       List.iter
         (fun e ->
-          let value =
-            match e.cell with
-            | Counter c -> string_of_int c.c
-            | Gauge g -> prom_num g.g
-          in
           Buffer.add_string b
-            (Printf.sprintf "%s%s %s\n" e.name (prom_labels e.labels) value))
+            (Printf.sprintf "%s%s %d\n" e.name (prom_labels e.labels) e.cell.c))
         family)
     (families (sorted t));
   Buffer.contents b

@@ -1,23 +1,20 @@
-(** Metrics registry: named counters and gauges with Prometheus-style
-    labels.
+(** Metrics registry: named counters with Prometheus-style labels.
 
-    The engine registers its global tuple/fault counters here (via
-    [Ctx]), and [Plan.build] registers per-node counters (tuples in/out,
-    hash-table probes and builds) labelled with the node's signature, so
-    the same logical operator accumulates across phases.  Registration is
-    idempotent: asking for an existing (name, labels) cell returns the
-    same cell, which is exactly what lets a re-built plan keep counting
-    into the counters of its predecessor phases.
+    It holds the engine counters [Ctx] registers for a run (tuples read,
+    retries, failovers, lost sources, checkpoints and their bytes,
+    paged-out states, breaker trips, degraded queries) — counts that
+    [Corrective.stats], [Report.run] and benchmarks read back.  Per-node
+    counts are not kept here: the plan and the profiler's spans already
+    hold them.  Registration is idempotent: asking for an existing
+    (name, labels) cell returns the same cell.
 
-    Handles are plain mutable records — an increment is one load, one
-    add, one store — so the hot path pays nothing measurable.  Dumps are
-    deterministic (sorted by name, then labels) in two formats: a JSON
-    object tree, and the Prometheus text exposition format. *)
+    A counter is a plain mutable record — an increment is one load, one
+    add, one store.  The one dump format is the Prometheus text
+    exposition format, deterministic (sorted by name, then labels). *)
 
 type t
 
 type counter
-type gauge
 
 val create : unit -> t
 
@@ -26,12 +23,12 @@ val create : unit -> t
     A registry handle is a {e view} onto a shared store: {!with_labels}
     derives a view whose label pairs are prepended to every registration
     made through it.  This is what keeps a multi-query server sound: two
-    concurrent queries registering the same per-node counter (same node
-    signature) through views scoped [("query", qid)] get two distinct
-    cells, where a shared unscoped registry would silently hand both the
-    same cell — and a checkpoint restore in one query would clobber the
-    other's counts.  Dumps and {!counter_total} always cover the whole
-    store, whichever view they are called on. *)
+    concurrent queries registering the same engine counter through views
+    scoped [("query", qid)] get two distinct cells, where a shared
+    unscoped registry would silently hand both the same cell — and a
+    checkpoint restore in one query would clobber the other's counts.
+    Dumps and {!counter_total} always cover the whole store, whichever
+    view they are called on. *)
 
 val with_labels : t -> (string * string) list -> t
 
@@ -45,15 +42,10 @@ val prune : t -> unit
 (** Number of live cells in the whole store (boundedness tests). *)
 val cells : t -> int
 
-(** {2 Registration} — idempotent per (name, scope @ labels).  Asking for
-    an existing name with a different metric kind raises
-    [Invalid_argument]. *)
+(** {2 Registration} — idempotent per (name, scope @ labels). *)
 
 val counter :
   t -> ?labels:(string * string) list -> ?help:string -> string -> counter
-
-val gauge :
-  t -> ?labels:(string * string) list -> ?help:string -> string -> gauge
 
 (** {2 Updates and reads} *)
 
@@ -67,14 +59,10 @@ val count : counter -> int
 (** Overwrite a counter (checkpoint restore only). *)
 val set_count : counter -> int -> unit
 
-val set : gauge -> float -> unit
-
 (** Sum of all counter cells with this name (any labels); 0 when none. *)
 val counter_total : t -> string -> int
 
-(** {2 Dumps} *)
-
-val to_json : t -> Json.t
+(** {2 Dump} *)
 
 (** Prometheus text exposition format, scrape-validator clean: every
     family carries exactly one [# HELP] and one [# TYPE] line, and a

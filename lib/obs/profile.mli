@@ -21,8 +21,8 @@
 
     The same registry lives across phase switches: [set_phase] names the
     current phase ("phase 0", "phase 1", "stitch-up", ...), and
-    [totals] aggregates the same node across all phases — mirroring how
-    the metrics registry keeps per-signature cells across re-planning. *)
+    [totals] aggregates the same node across all phases, so a node's
+    counts accumulate across re-planning. *)
 
 type t
 

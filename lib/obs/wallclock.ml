@@ -139,27 +139,3 @@ let gc_totals t =
       q.Gc.major_collections - t.gc0.Gc.major_collections;
     g_compactions = q.Gc.compactions - t.gc0.Gc.compactions;
     g_top_heap_words = q.Gc.top_heap_words }
-
-let sync_metrics t m =
-  let g name help v = Metrics.set (Metrics.gauge m ~help name) v in
-  let gc = gc_totals t in
-  g "adp_wall_elapsed_seconds" "wall-clock seconds since wall capture began"
-    (elapsed_s t);
-  g "adp_wall_cpu_seconds" "process CPU seconds since wall capture began"
-    (cpu_s t);
-  g "adp_wall_samples" "sampling-profiler ticks recorded"
-    (float_of_int (sample_count t));
-  g "adp_gc_minor_words" "words allocated in the minor heap"
-    gc.g_minor_words;
-  g "adp_gc_major_words" "words allocated in the major heap"
-    gc.g_major_words;
-  g "adp_gc_promoted_words" "words promoted minor -> major"
-    gc.g_promoted_words;
-  g "adp_gc_minor_collections" "minor collections"
-    (float_of_int gc.g_minor_collections);
-  g "adp_gc_major_collections" "major collection cycles"
-    (float_of_int gc.g_major_collections);
-  g "adp_gc_compactions" "heap compactions"
-    (float_of_int gc.g_compactions);
-  g "adp_gc_top_heap_words" "largest major heap size reached"
-    (float_of_int gc.g_top_heap_words)

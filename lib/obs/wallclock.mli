@@ -98,6 +98,3 @@ val totals : t -> info list
 val sample_count : t -> int
 
 val gc_totals : t -> gc_totals
-
-val sync_metrics : t -> Metrics.t -> unit
-(** Publish [adp_wall_*] / [adp_gc_*] gauges into a metrics registry. *)

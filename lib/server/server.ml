@@ -224,40 +224,6 @@ let run config resolver script =
   Diagnostic.raise_if_errors ~where:"server" (validate config);
   let trace_on = Trace.enabled config.trace in
   let emit ~at ev = if trace_on then Trace.emit config.trace ~at ev in
-  let metrics =
-    match config.metrics with Some m -> m | None -> Metrics.create ()
-  in
-  let depth_g =
-    Metrics.gauge metrics ~help:"waiting queries" "adp_server_queue_depth"
-  in
-  let interval_g =
-    Metrics.gauge metrics ~help:"dispatcher poll interval (virtual s)"
-      "adp_server_poll_interval_seconds"
-  in
-  let alive_g =
-    Metrics.gauge metrics ~help:"live pool workers" "adp_server_workers_alive"
-  in
-  let outcome_c name =
-    Metrics.counter metrics
-      ~labels:[ ("outcome", name) ]
-      ~help:"queries by final outcome" "adp_server_queries_total"
-  in
-  let done_c = outcome_c "done"
-  and failed_c = outcome_c "failed"
-  and cancelled_c = outcome_c "cancelled"
-  and rejected_c = outcome_c "rejected" in
-  let polls_c =
-    Metrics.counter metrics ~help:"dispatcher polls" "adp_server_polls_total"
-  in
-  let reclaims_c =
-    Metrics.counter metrics ~help:"queries reclaimed from dead workers"
-      "adp_server_reclaims_total"
-  in
-  let shed_c =
-    Metrics.counter metrics
-      ~help:"queued queries shed because their deadline passed"
-      "adp_server_shed_total"
-  in
   (* Event heap ordered by time; the sequence number keeps equal-time
      events in insertion order. *)
   let heap : (float * int * ev) Heap.t =
@@ -286,27 +252,17 @@ let run config resolver script =
     incr next_worker;
     incr spawned;
     Hashtbl.replace workers !next_worker None;
-    Metrics.set alive_g (float_of_int (Hashtbl.length workers));
     emit ~at:!now (Trace.Worker_spawned { worker = !next_worker });
     !next_worker
   in
   let pc = Poll_controller.create config.poll in
   let job_dir job = Filename.concat config.checkpoint_dir job.j_id in
-  let set_depth () =
-    Metrics.set depth_g (float_of_int (List.length !waiting))
-  in
   let finish job outcome =
     job.j_state <- Terminal;
     job.j_outcome <- Some outcome;
     job.j_finished <- !now;
     job.j_params <- None;
-    job.j_pending <- None;
-    Metrics.incr
-      (match outcome with
-       | Done _ -> done_c
-       | Failed _ -> failed_c
-       | Cancelled -> cancelled_c
-       | Rejected _ -> rejected_c)
+    job.j_pending <- None
   in
   (* Each re-stamped block is preceded by a [Query_attempt] marker
      carrying its length, which is what lets [tukwila explain] group a
@@ -361,11 +317,15 @@ let run config resolver script =
   let execute job (params : attempt) ~crash =
     let r = Option.get job.j_resolved in
     let dir = job_dir job in
-    let qm = Metrics.with_labels metrics [ ("query", job.j_id) ] in
+    let qm =
+      Option.map
+        (fun m -> Metrics.with_labels m [ ("query", job.j_id) ])
+        config.metrics
+    in
     (* Drop cells of a discarded or reclaimed prior attempt: the cells
        left behind equal what a single fresh process would have
        produced, and the store stays bounded per query. *)
-    Metrics.prune qm;
+    Option.iter Metrics.prune qm;
     let inner = if trace_on then Trace.memory () else Trace.null in
     let policy =
       Checkpoint.policy
@@ -395,7 +355,7 @@ let run config resolver script =
       { config.corrective with
         Corrective.checkpoint = Some policy; resume_from = params.a_resume;
         crash; stats_seed = Some params.a_seed; trace = inner;
-        metrics = Some qm; deadline; memory_budget }
+        metrics = qm; deadline; memory_budget }
     in
     (* A shared profile separates queries by scope: their spans, virtual
        and wall alike, key as "q:<id>:phase ..." instead of colliding on
@@ -570,7 +530,6 @@ let run config resolver script =
           finish job (Failed msg)
         | None ->
           waiting := !waiting @ [ qid ];
-          set_depth ();
           emit ~at:!now
             (Trace.Admission
                { query = qid; accepted = true;
@@ -607,7 +566,6 @@ let run config resolver script =
       match Hashtbl.find_opt jobs qid with
       | Some job when job.j_state = Queued ->
         waiting := List.filter (fun id -> id <> qid) !waiting;
-        set_depth ();
         finish job Cancelled
       | Some _ | None -> ())
     | E_drain -> draining := true
@@ -638,7 +596,6 @@ let run config resolver script =
           let w = params.a_worker in
           Hashtbl.remove workers w;
           incr died;
-          Metrics.set alive_g (float_of_int (Hashtbl.length workers));
           emit ~at:!now
             (Trace.Worker_died
                { worker = w; query = qid; last_heartbeat_s = last_hb /. 1e6 });
@@ -651,7 +608,6 @@ let run config resolver script =
                { worker = w; query = qid; attempt = job.j_attempts;
                  resume_from });
           incr reclaims;
-          Metrics.incr reclaims_c;
           ignore (spawn_worker ());
           job.j_failures <- job.j_failures + 1;
           job.j_params <- None;
@@ -668,8 +624,7 @@ let run config resolver script =
               !now
               +. config.retry_backoff
                  *. (2.0 ** float_of_int (job.j_failures - 1));
-            waiting := !waiting @ [ qid ];
-            set_depth ()
+            waiting := !waiting @ [ qid ]
           end
         | _ -> ())
       | Some _ | None -> ())
@@ -685,7 +640,6 @@ let run config resolver script =
                   | None -> false) ->
             waiting := List.filter (fun id -> id <> qid) !waiting;
             incr sheds;
-            Metrics.incr shed_c;
             reject job "deadline-shed"
           | Some _ | None -> ())
         !waiting;
@@ -720,16 +674,13 @@ let run config resolver script =
         | _ -> ()
       in
       assign idle ready;
-      set_depth ();
       let found = List.length ready in
       incr polls;
       if found > 0 then incr busy_polls;
-      Metrics.incr polls_c;
       let before = Poll_controller.interval pc in
       let interval = Poll_controller.record pc ~found in
       if interval < !min_seen then min_seen := interval;
       if interval > !max_seen then max_seen := interval;
-      Metrics.set interval_g (interval /. 1e6);
       if interval <> before then
         emit ~at:!now
           (Trace.Poll_interval_changed

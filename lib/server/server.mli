@@ -68,9 +68,9 @@ type config = {
           moves and admission decisions, plus every kept attempt's inner
           events re-stamped onto the server clock *)
   metrics : Adp_obs.Metrics.t option;
-      (** registry for the queue-depth/poll-interval gauges, per-outcome
-          counters, and every worker run's cells scoped by
-          [("query", qid)] *)
+      (** registry for every worker run's engine counters, scoped by
+          [("query", qid)]; [None] = each run counts privately.  The
+          server's own counts are in {!report}. *)
 }
 
 val default_config : checkpoint_dir:string -> config

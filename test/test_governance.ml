@@ -157,8 +157,7 @@ let test_driver_breaker_recovers () =
         ~retry:retry_fast ~breakers:brs ()
     in
     (outcome, !seen, Breaker.trips brs.(0), Breaker.state brs.(0),
-     Metrics.count ctx.Ctx.breaker_trips,
-     Metrics.count ctx.Ctx.breaker_transitions)
+     Metrics.count ctx.Ctx.breaker_trips, Breaker.transitions brs.(0))
   in
   let ((outcome, seen, trips, st, m_trips, m_transitions) as a) = run () in
   Alcotest.(check bool) "exhausted" true (outcome = Driver.Exhausted);

@@ -1,5 +1,5 @@
 (* Observability layer: JSON codec, trace event serialization roundtrips,
-   the metrics registry and its two dump formats, the explain replay,
+   the metrics registry and its Prometheus dump, the explain replay,
    per-event-class coverage of the engine's instrumentation hooks, and
    the headline invariant — a
    traced run and an untraced run are virtual-time identical and produce
@@ -190,12 +190,6 @@ let test_metrics_registry () =
   Alcotest.(check int) "labelled cell distinct" 7 (Metrics.count c_labelled);
   Alcotest.(check int) "counter_total sums label sets" 7
     (Metrics.counter_total m "adp_node_test_total");
-  (* Same name, different kind: rejected. *)
-  (match Metrics.gauge m "adp_test_total" with
-   | _ -> Alcotest.fail "kind mismatch accepted"
-   | exception Invalid_argument _ -> ());
-  let g = Metrics.gauge m ~help:"a gauge" "adp_test_gauge" in
-  Metrics.set g 2.5;
   (* Prometheus text exposition. *)
   let prom = Metrics.to_prometheus m in
   let has s =
@@ -204,23 +198,16 @@ let test_metrics_registry () =
   in
   has "# TYPE adp_test_total counter";
   has "adp_test_total 43";
-  has "adp_test_gauge 2.5";
   (* Label values are escaped. *)
   has "adp_node_test_total{node=\"a \\\"⋈\\\" b\\n\"} 7";
-  (* The JSON dump parses and is sorted by name. *)
-  match Json.parse (Json.to_string (Metrics.to_json m)) with
-  | Error e -> Alcotest.fail e
-  | Ok j ->
-    let names =
-      match Json.member "metrics" j with
-      | Some (Json.List entries) ->
-        List.filter_map
-          (fun e -> Option.bind (Json.member "name" e) Json.get_str)
-          entries
-      | _ -> Alcotest.fail "no metrics array"
-    in
-    Alcotest.(check bool) "json dump sorted" true
-      (names = List.sort compare names && List.length names = 3)
+  (* Families are dumped sorted by name. *)
+  let families =
+    List.filter_map
+      (fun l -> Scanf.sscanf_opt l "# TYPE %s counter" Fun.id)
+      (String.split_on_char '\n' prom)
+  in
+  Alcotest.(check (list string)) "dump sorted by name"
+    [ "adp_node_test_total"; "adp_test_total" ] families
 
 (* Label scopes: the multi-query regression.  Two views of one store
    scoped by different label sets must never collide on same-named
@@ -266,11 +253,9 @@ let test_metrics_label_scopes () =
   for attempt = 1 to 50 do
     Metrics.prune q1;
     let c = Metrics.counter q1 "adp_scope_total" in
-    Metrics.add c attempt;
-    let g = Metrics.gauge q1 "adp_scope_gauge" in
-    Metrics.set g (float_of_int attempt)
+    Metrics.add c attempt
   done;
-  Alcotest.(check int) "store stays bounded across attempts" 4
+  Alcotest.(check int) "store stays bounded across attempts" 3
     (Metrics.cells m);
   Alcotest.(check int) "last attempt's value wins" 50
     (Metrics.count (Metrics.counter q1 "adp_scope_total"));
@@ -292,15 +277,13 @@ let test_with_labels_no_leaks () =
         let v = Metrics.with_labels m [ ("query", qid) ] in
         let c = Metrics.counter v ~help:"rows" "adp_rows_total" in
         Metrics.add c i;
-        let g = Metrics.gauge v ~help:"depth" "adp_depth" in
-        Metrics.set g (float_of_int i);
         v)
   in
-  Alcotest.(check int) "scoped cells live" (base + 100) (Metrics.cells m);
+  Alcotest.(check int) "scoped cells live" (base + 50) (Metrics.cells m);
   (* Re-registration under the same view is idempotent, not a new cell. *)
   let v0 = List.hd views in
   ignore (Metrics.counter v0 ~help:"rows" "adp_rows_total");
-  Alcotest.(check int) "idempotent" (base + 100) (Metrics.cells m);
+  Alcotest.(check int) "idempotent" (base + 50) (Metrics.cells m);
   (* ...and pruning every view retires exactly the scoped cells. *)
   List.iter Metrics.prune views;
   Alcotest.(check int) "no leaked labels" base (Metrics.cells m);
@@ -369,9 +352,7 @@ let test_prometheus_families () =
   let v1 = Metrics.with_labels m [ ("query", "q1") ] in
   let v2 = Metrics.with_labels m [ ("query", "q2") ] in
   List.iter
-    (fun v ->
-      Metrics.incr (Metrics.counter v ~help:"rows" "adp_rows_total");
-      ignore (Metrics.gauge v ~help:"depth" "adp_depth"))
+    (fun v -> Metrics.incr (Metrics.counter v ~help:"rows" "adp_rows_total"))
     [ v1; v2 ];
   let text = Metrics.to_prometheus m in
   validate_prometheus text;
@@ -388,7 +369,7 @@ let test_prometheus_families () =
       in
       Alcotest.(check bool) ("HELP " ^ fam) true (has ("# HELP " ^ fam ^ " "));
       Alcotest.(check bool) ("TYPE " ^ fam) true (has ("# TYPE " ^ fam ^ " ")))
-    [ "adp_polls_total"; "adp_bare_total"; "adp_depth"; "adp_rows_total" ];
+    [ "adp_polls_total"; "adp_bare_total"; "adp_rows_total" ];
   (* The empty help string falls back to the family name, never an
      empty HELP line. *)
   Alcotest.(check bool) "synthesized help" true
@@ -946,6 +927,60 @@ let test_resume_profiled_equals_unprofiled () =
     (List.length phases >= 2 && List.mem "stitch-up" phases);
   rm_rf dir
 
+(* The registry holds the engine counters [Ctx] registers and nothing
+   else: no gauge, no per-node cell, no server cell.  Under a server
+   every cell is scoped by its query. *)
+let engine_families =
+  [ "adp_breaker_trips_total"; "adp_checkpoint_bytes_total";
+    "adp_checkpoints_total"; "adp_degraded_total"; "adp_failovers_total";
+    "adp_paged_out_total"; "adp_retries_total"; "adp_sources_failed_total";
+    "adp_tuples_read_total" ]
+
+let prom_families text =
+  List.filter_map
+    (fun l -> Scanf.sscanf_opt l "# TYPE %s %s" (fun f k -> (f, k)))
+    (String.split_on_char '\n' text)
+
+let test_metrics_census () =
+  let nine = List.map (fun f -> (f, "counter")) engine_families in
+  let metrics = Metrics.create () in
+  ignore (run_q3a ~metrics ());
+  let text = Metrics.to_prometheus metrics in
+  validate_prometheus text;
+  Alcotest.(check (list (pair string string)))
+    "corrective run: the nine counter families" nine (prom_families text);
+  let module Server = Adp_server.Server in
+  let dir = "obs-census-ckpt" in
+  rm_rf dir;
+  Sys.mkdir dir 0o755;
+  let metrics = Metrics.create () in
+  let cfg =
+    { (Server.default_config ~checkpoint_dir:dir) with
+      Server.metrics = Some metrics }
+  in
+  let script =
+    match
+      Adp_server.Script.parse
+        "at 0 submit a Q3A\nat 0 submit b Q3\nat 0.001 kill a tuples:900"
+    with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "census script rejected"
+  in
+  let r = Server.run cfg (Server.tpch_resolver q3a_dataset) script in
+  rm_rf dir;
+  Alcotest.(check (pair int int)) "serve: both done, one reclaim" (2, 1)
+    (r.Server.r_done, r.Server.r_reclaims);
+  let text = Metrics.to_prometheus metrics in
+  validate_prometheus text;
+  Alcotest.(check (list (pair string string)))
+    "serve: the nine counter families" nine (prom_families text);
+  List.iter
+    (fun l ->
+      if l <> "" && l.[0] <> '#' then
+        Alcotest.(check bool) ("query-scoped: " ^ l) true
+          (contains ~needle:"{query=\"" l))
+    (String.split_on_char '\n' text)
+
 (* ---------------- explain replay ---------------- *)
 
 let test_explain_renders_run () =
@@ -1037,16 +1072,7 @@ let test_wall_capture_is_free () =
   Alcotest.(check bool) "sampler ticked" true (Wallclock.sample_count wall > 0);
   let g = Wallclock.gc_totals wall in
   Alcotest.(check bool) "allocation observed" true
-    (g.Wallclock.g_minor_words > 0.0);
-  let m = Metrics.create () in
-  Wallclock.sync_metrics wall m;
-  let prom = Metrics.to_prometheus m in
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) ("prometheus dump carries " ^ name) true
-        (contains ~needle:name prom))
-    [ "adp_wall_elapsed_seconds"; "adp_wall_samples"; "adp_gc_minor_words";
-      "adp_gc_major_collections" ]
+    (g.Wallclock.g_minor_words > 0.0)
 
 (* One span registry: the recorder keeps no spans of its own, so every
    wall span is a profile span (same phase, node, depth and order); the
@@ -1340,6 +1366,8 @@ let suite =
     Alcotest.test_case "with_labels has no leaks" `Quick
       test_with_labels_no_leaks;
     Alcotest.test_case "prometheus families" `Quick test_prometheus_families;
+    Alcotest.test_case "the metrics dump holds the engine counters only"
+      `Quick test_metrics_census;
     Alcotest.test_case "tracing is free" `Quick test_tracing_is_free;
     Alcotest.test_case "cqp event classes" `Quick test_cqp_event_classes;
     Alcotest.test_case "fault events" `Quick test_fault_events;

@@ -290,10 +290,6 @@ let test_checkpoint_preagg_bytes () =
   Alcotest.(check string) "checkpoint bytes" "237c229422118fbe6c4edf9cf7dd0263"
     digest
 
-(* Q5 from the pessimal plan crashes once it has switched plans, then
-   resumes from its newest checkpoint: the restored phases' intermediates
-   must be found and reused as a live run's are, so the reuse accounting
-   of the resumed stitch-up is pinned. *)
 (* Q10A from the pessimal plan crashes after 30,000 source tuples, once
    it has switched plans, and resumes from its newest checkpoint: two
    restored phases and a new one.  The restored phases' intermediates are

@@ -155,7 +155,8 @@ let test_routed_push_counts () =
   let r_s_u = Plan.join r_s agg_u ~on:[ "s.p", "u.k" ] in
   let w = Plan.scan ~filter:(Predicate.eq "w.k" (vi 5)) "w" in
   let spec = Plan.join r_s_u w ~on:[ "r.p", "w.k" ] in
-  let ctx = Ctx.create () in
+  let profile = Adp_obs.Profile.create () in
+  let ctx = Ctx.create ~profile () in
   let plan = instantiate ctx spec ~schema_of in
   let t l = Array.of_list (List.map vi l) in
   let outs =
@@ -199,29 +200,18 @@ let test_routed_push_counts () =
   Alcotest.(check (list (triple int int int)))
     "preagg: in, out, window" [ 3, 1, 2 ]
     (List.map (fun (_, i, o, w) -> i, o, w) (Plan.preagg_stats plan));
-  let node_counter name node =
-    let module Json = Adp_obs.Json in
+  let span_counts node =
     let label = Format.asprintf "%a" Plan.pp_spec node in
-    let field k get e = Option.bind (Json.member k e) get in
     List.find_map
-      (fun e ->
-        if field "name" Json.get_str e = Some name
-           && field "type" Json.get_str e = Some "counter"
-           && field "labels" (field "node" Json.get_str) e = Some label
-        then Option.map int_of_float (field "value" Json.get_num e)
-        else None)
-      (Json.req (Adp_obs.Metrics.to_json ctx.Ctx.metrics) "metrics"
-         Json.get_list)
+      (fun (i : Adp_obs.Profile.info) ->
+        if i.node = label then Some (i.tuples_in, i.tuples_out) else None)
+      (Adp_obs.Profile.spans profile)
   in
-  Alcotest.(check (list (pair (option int) (option int))))
+  Alcotest.(check (list (option (pair int int))))
     "node counters: in, out"
-    (List.map
-       (fun (i, o) -> Some i, Some o)
+    (List.map Option.some
        [ 2, 2; 3, 3; 5, 3; 3, 3; 3, 1; 4, 1; 3, 2; 3, 2 ])
-    (List.map
-       (fun node ->
-         ( node_counter "adp_node_tuples_in_total" node,
-           node_counter "adp_node_tuples_out_total" node ))
+    (List.map span_counts
        [ Plan.scan "r"; Plan.scan "s"; r_s; Plan.scan "u"; agg_u; r_s_u; w;
          spec ])
 
