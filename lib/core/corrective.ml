@@ -639,8 +639,10 @@ let run ?(config = default_config) query catalog sources =
   (* Graceful degradation: record why, count it, and answer [`Stop] so the
      driver ends the phase — stitch-up then assembles what arrived and the
      report carries the reason, instead of the run timing out with
-     nothing. *)
-  let degrade ph reason =
+     nothing.  [limit] is what was crossed and [value] what crossed it:
+     the memory ceiling and the resident tuples, or the deadline and the
+     estimated finish in seconds. *)
+  let degrade ph reason ~limit ~value =
     if !degraded = None then begin
       degraded := Some reason;
       Metrics.incr ctx.Ctx.degraded;
@@ -648,7 +650,7 @@ let run ?(config = default_config) query catalog sources =
         Ctx.emit ctx
           (Trace.Query_degraded
              { reason; phase = ph.Phase.id;
-               coverage = Source.coverage sources })
+               coverage = Source.coverage sources; limit; value })
     end;
     `Stop
   in
@@ -706,26 +708,16 @@ let run ?(config = default_config) query catalog sources =
       match cfg.memory_ceiling with
       | Some ceiling ->
         let in_use = Plan.memory_footprint ph.Phase.plan in
-        if in_use > ceiling && !degraded = None && Ctx.traced ctx then
-          Ctx.emit ctx (Trace.Budget_exhausted { in_use; ceiling });
-        in_use > ceiling
-      | None -> false
+        if in_use > ceiling then Some (ceiling, in_use) else None
+      | None -> None
     in
-    let past_deadline =
-      (not over_ceiling)
-      && (match cfg.deadline with
-          | Some dl when now >= dl ->
-            if !degraded = None && Ctx.traced ctx then
-              Ctx.emit ctx
-                (Trace.Deadline_exceeded
-                   { deadline_s = dl /. 1e6; now_s = now /. 1e6;
-                     est_finish_s = now /. 1e6 });
-            true
-          | Some _ | None -> false)
-    in
-    if over_ceiling then degrade ph "memory"
-    else if past_deadline then degrade ph "deadline"
-    else begin
+    match over_ceiling, cfg.deadline with
+    | Some (ceiling, in_use), _ ->
+      degrade ph "memory" ~limit:(float_of_int ceiling)
+        ~value:(float_of_int in_use)
+    | None, Some dl when now >= dl ->
+      degrade ph "deadline" ~limit:(dl /. 1e6) ~value:(now /. 1e6)
+    | None, (Some _ | None) ->
     (* §4.3: factor in work already performed — late in the input there
        is not enough left for a better plan to amortize the stitch-up. *)
     let remaining_fraction =
@@ -799,12 +791,8 @@ let run ?(config = default_config) query catalog sources =
         (* §4.3 against the clock: the cost-to-go no longer fits the
            remaining budget, so no switch can save this run — close it
            deliberately and report what arrived. *)
-        if !degraded = None && Ctx.traced ctx then
-          Ctx.emit ctx
-            (Trace.Deadline_exceeded
-               { deadline_s = dl /. 1e6; now_s = now /. 1e6;
-                 est_finish_s = (now +. current_cost) /. 1e6 });
-        degrade ph "deadline"
+        degrade ph "deadline" ~limit:(dl /. 1e6)
+          ~value:((now +. current_cost) /. 1e6)
       | Some _ | None ->
       let switching =
         best.spec <> ph.Phase.spec
@@ -859,7 +847,6 @@ let run ?(config = default_config) query catalog sources =
         `Switch
       end
       else `Continue
-    end
     end
   in
   let finish_phase () =
@@ -946,43 +933,6 @@ let run ?(config = default_config) query catalog sources =
           emitted = ph.Phase.emitted; read = ph.Phase.read })
       phases
   in
-  (* Fold the profiler and the calibration ledger into the trace so
-     [tukwila explain] can replay them.  Bounded: one event per span,
-     one per node's latest observation — the full ledger stays in the
-     in-memory [Calibrate.t] the caller passed in. *)
-  if Ctx.traced ctx then begin
-    (match cfg.profile with
-     | None -> ()
-     | Some p ->
-       (* A profile shared across a server's queries holds every query's
-          spans; this run's trace carries only its own scope's.  Wall
-          buckets carry no virtual time. *)
-       List.iter
-         (fun (i : Profile.info) ->
-           if not i.Profile.bucket then
-             Ctx.emit ctx
-               (Trace.Node_profile
-                  { phase = i.Profile.phase; node = i.Profile.node;
-                    depth = i.Profile.depth; self_us = i.Profile.self_us;
-                    tuples_in = i.Profile.tuples_in;
-                    tuples_out = i.Profile.tuples_out;
-                    probes = i.Profile.probes; builds = i.Profile.builds;
-                    mem_hw = i.Profile.mem_hw }))
-         (Profile.in_scope p));
-    match cfg.calibrate with
-    | None -> ()
-    | Some cal ->
-      let blame = Option.map fst (Calibrate.worst cal) in
-      List.iter
-        (fun (node, (o : Calibrate.observation)) ->
-          Ctx.emit ctx
-            (Trace.Calibration
-               { phase = o.Calibrate.o_phase;
-                 point = Calibrate.point_name o.Calibrate.o_point; node;
-                 est = o.Calibrate.o_est; actual = o.Calibrate.o_actual;
-                 q_error = o.Calibrate.o_q; blame = Some node = blame }))
-        (Calibrate.latest_by_node cal)
-  end;
   (* The fault/checkpoint/page-out numbers come straight out of the
      metrics registry — the same cells the engine incremented — instead
      of hand-threaded shadow counters. *)

@@ -87,7 +87,5 @@ val worst : t -> (string * float) option
 val latest_by_node : t -> (string * observation) list
 (** Latest observation per node, ordered by first appearance. *)
 
-val point_name : point -> string
-
 val render : Format.formatter -> t -> unit
 (** The full ledger: per-node est/actual/q table then every decision. *)

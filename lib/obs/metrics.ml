@@ -28,14 +28,13 @@ let create () =
 
 let with_labels t extra = { t with scope = t.scope @ extra }
 
-let counter t ?(labels = []) ?(help = "") name =
-  let labels = t.scope @ labels in
-  match Hashtbl.find_opt t.store.index (name, labels) with
+let counter t ?(help = "") name =
+  match Hashtbl.find_opt t.store.index (name, t.scope) with
   | Some e -> e.cell
   | None ->
-    let e = { name; labels; help; cell = { c = 0 } } in
+    let e = { name; labels = t.scope; help; cell = { c = 0 } } in
     t.store.entries <- e :: t.store.entries;
-    Hashtbl.replace t.store.index (name, labels) e;
+    Hashtbl.replace t.store.index (name, t.scope) e;
     e.cell
 
 (* Retire every cell whose labels carry all of the view's scope pairs —

@@ -42,10 +42,10 @@ val prune : t -> unit
 (** Number of live cells in the whole store (boundedness tests). *)
 val cells : t -> int
 
-(** {2 Registration} — idempotent per (name, scope @ labels). *)
+(** {2 Registration} — idempotent per (name, view scope); labels come
+    only from {!with_labels}. *)
 
-val counter :
-  t -> ?labels:(string * string) list -> ?help:string -> string -> counter
+val counter : t -> ?help:string -> string -> counter
 
 (** {2 Updates and reads} *)
 

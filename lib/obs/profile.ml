@@ -90,12 +90,6 @@ let add_sample sp ~minor_words ~major_words =
 (* Reads hand out copies, so later charges never move a snapshot. *)
 let spans t = List.rev_map (fun sp -> { sp with self_us = sp.self_us }) t.rev
 
-let in_scope t =
-  let prefix = t.cur_scope ^ ":" in
-  List.filter
-    (fun i -> t.cur_scope = "" || String.starts_with ~prefix i.phase)
-    (spans t)
-
 let totals t =
   let order = ref [] and tbl = Hashtbl.create 16 in
   List.iter

@@ -96,10 +96,6 @@ val add_sample : span -> minor_words:float -> major_words:float -> unit
 (** All spans in registration order (pre-order within each phase). *)
 val spans : t -> info list
 
-(** The spans registered under the current scope, in registration
-    order; every span when unscoped. *)
-val in_scope : t -> info list
-
 (** Aggregate across phases, keyed by node, ordered by first
     registration.  The [phase] field of each entry is ["*"]. *)
 val totals : t -> info list

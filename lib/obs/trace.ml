@@ -33,26 +33,6 @@ type event =
   | Stitchup_begin of { phases : int; combos : int }
   | Stitchup_end of { output : int; reused : int; recomputed : int }
   | Page_out of { node : string }
-  | Node_profile of {
-      phase : string;
-      node : string;
-      depth : int;
-      self_us : float;
-      tuples_in : int;
-      tuples_out : int;
-      probes : int;
-      builds : int;
-      mem_hw : int;
-    }
-  | Calibration of {
-      phase : string;
-      point : string;
-      node : string;
-      est : float;
-      actual : float;
-      q_error : float;
-      blame : bool;
-    }
   | Worker_spawned of { worker : int }
   | Worker_died of {
       worker : int;
@@ -72,13 +52,13 @@ type event =
       queue_depth : int;
       reason : string;
     }
-  | Deadline_exceeded of {
-      deadline_s : float;
-      now_s : float;
-      est_finish_s : float;
+  | Query_degraded of {
+      reason : string;
+      phase : int;
+      coverage : float;
+      limit : float;
+      value : float;
     }
-  | Budget_exhausted of { in_use : int; ceiling : int }
-  | Query_degraded of { reason : string; phase : int; coverage : float }
   | Breaker_state_changed of {
       source : string;
       from_state : string;
@@ -94,32 +74,25 @@ type event =
 
 type stamped = float * event
 
-type file_sink = {
-  path : string;
+(* Memory and file sinks are one buffer; a file sink only adds the path
+   that [close] writes once and then clears. *)
+type buffer = {
+  mutable path : string option;
   mutable acc : stamped list;  (* reversed *)
-  mutable flushed : bool;
 }
 
-type t =
-  | Null
-  | Memory of stamped list ref
-  | File of file_sink
+type t = Null | Buffered of buffer
 
 let null = Null
-let memory () = Memory (ref [])
-let file path = File { path; acc = []; flushed = false }
-let enabled = function Null -> false | Memory _ | File _ -> true
+let buffered path = Buffered { path; acc = [] }
+let memory () = buffered None
+let file path = buffered (Some path)
+let enabled = function Null -> false | Buffered _ -> true
 
 let emit t ~at ev =
-  match t with
-  | Null -> ()
-  | Memory r -> r := (at, ev) :: !r
-  | File f -> f.acc <- (at, ev) :: f.acc
+  match t with Null -> () | Buffered b -> b.acc <- (at, ev) :: b.acc
 
-let events = function
-  | Null -> []
-  | Memory r -> List.rev !r
-  | File f -> List.rev f.acc
+let events = function Null -> [] | Buffered b -> List.rev b.acc
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                      *)
@@ -139,15 +112,11 @@ let event_name = function
   | Stitchup_begin _ -> "stitchup_begin"
   | Stitchup_end _ -> "stitchup_end"
   | Page_out _ -> "page_out"
-  | Node_profile _ -> "node_profile"
-  | Calibration _ -> "calibration"
   | Worker_spawned _ -> "worker_spawned"
   | Worker_died _ -> "worker_died"
   | Worker_reclaimed _ -> "worker_reclaimed"
   | Poll_interval_changed _ -> "poll_interval_changed"
   | Admission _ -> "admission"
-  | Deadline_exceeded _ -> "deadline_exceeded"
-  | Budget_exhausted _ -> "budget_exhausted"
   | Query_degraded _ -> "query_degraded"
   | Breaker_state_changed _ -> "breaker_state_changed"
   | Query_attempt _ -> "query_attempt"
@@ -193,17 +162,6 @@ let fields ev : (string * Json.t) list =
     [ ("output", int output); ("reused", int reused);
       ("recomputed", int recomputed) ]
   | Page_out { node } -> [ ("node", str node) ]
-  | Node_profile
-      { phase; node; depth; self_us; tuples_in; tuples_out; probes; builds;
-        mem_hw } ->
-    [ ("phase", str phase); ("node", str node); ("depth", int depth);
-      ("self_us", num self_us); ("in", int tuples_in);
-      ("out", int tuples_out); ("probes", int probes);
-      ("builds", int builds); ("mem_hw", int mem_hw) ]
-  | Calibration { phase; point; node; est; actual; q_error; blame } ->
-    [ ("phase", str phase); ("point", str point); ("node", str node);
-      ("est", num est); ("actual", num actual); ("q_error", num q_error);
-      ("blame", Json.Bool blame) ]
   | Worker_spawned { worker } -> [ ("worker", int worker) ]
   | Worker_died { worker; query; last_heartbeat_s } ->
     [ ("worker", int worker); ("query", str query);
@@ -216,14 +174,9 @@ let fields ev : (string * Json.t) list =
   | Admission { query; accepted; queue_depth; reason } ->
     [ ("query", str query); ("accepted", Json.Bool accepted);
       ("queue_depth", int queue_depth); ("reason", str reason) ]
-  | Deadline_exceeded { deadline_s; now_s; est_finish_s } ->
-    [ ("deadline_s", num deadline_s); ("now_s", num now_s);
-      ("est_finish_s", num est_finish_s) ]
-  | Budget_exhausted { in_use; ceiling } ->
-    [ ("in_use", int in_use); ("ceiling", int ceiling) ]
-  | Query_degraded { reason; phase; coverage } ->
+  | Query_degraded { reason; phase; coverage; limit; value } ->
     [ ("reason", str reason); ("phase", int phase);
-      ("coverage", num coverage) ]
+      ("coverage", num coverage); ("limit", num limit); ("value", num value) ]
   | Breaker_state_changed { source; from_state; to_state; failures } ->
     [ ("source", str source); ("from", str from_state);
       ("to", str to_state); ("failures", int failures) ]
@@ -300,17 +253,6 @@ let of_json j =
           { output = int "output"; reused = int "reused";
             recomputed = int "recomputed" }
       | "page_out" -> Page_out { node = str "node" }
-      | "node_profile" ->
-        Node_profile
-          { phase = str "phase"; node = str "node"; depth = int "depth";
-            self_us = num "self_us"; tuples_in = int "in";
-            tuples_out = int "out"; probes = int "probes";
-            builds = int "builds"; mem_hw = int "mem_hw" }
-      | "calibration" ->
-        Calibration
-          { phase = str "phase"; point = str "point"; node = str "node";
-            est = num "est"; actual = num "actual"; q_error = num "q_error";
-            blame = bool "blame" }
       | "worker_spawned" -> Worker_spawned { worker = int "worker" }
       | "worker_died" ->
         Worker_died
@@ -327,16 +269,11 @@ let of_json j =
         Admission
           { query = str "query"; accepted = bool "accepted";
             queue_depth = int "queue_depth"; reason = str "reason" }
-      | "deadline_exceeded" ->
-        Deadline_exceeded
-          { deadline_s = num "deadline_s"; now_s = num "now_s";
-            est_finish_s = num "est_finish_s" }
-      | "budget_exhausted" ->
-        Budget_exhausted { in_use = int "in_use"; ceiling = int "ceiling" }
       | "query_degraded" ->
         Query_degraded
           { reason = str "reason"; phase = int "phase";
-            coverage = num "coverage" }
+            coverage = num "coverage"; limit = num "limit";
+            value = num "value" }
       | "breaker_state_changed" ->
         Breaker_state_changed
           { source = str "source"; from_state = str "from";
@@ -359,14 +296,11 @@ let to_jsonl evs =
     evs;
   Buffer.contents b
 
-let close t =
-  match t with
-  | Null | Memory _ -> ()
-  | File f ->
-    if not f.flushed then begin
-      f.flushed <- true;
-      Adp_storage.Snapshot.write_text ~path:f.path (to_jsonl (List.rev f.acc))
-    end
+let close = function
+  | Buffered ({ path = Some path; _ } as b) ->
+    b.path <- None;
+    Adp_storage.Snapshot.write_text ~path (to_jsonl (List.rev b.acc))
+  | Null | Buffered _ -> ()
 
 let read_jsonl path =
   Json.read_lines path
@@ -440,16 +374,6 @@ let pp_event ppf ev =
       output reused recomputed
   | Page_out { node } ->
     Format.fprintf ppf "page-out: %s" node
-  | Node_profile { phase; node; self_us; tuples_in; tuples_out; _ } ->
-    Format.fprintf ppf
-      "node profile [%s] %s: self %s s, in %d, out %d" phase node
-      (fnum (self_us /. 1e6))
-      tuples_in tuples_out
-  | Calibration { phase; point; node; est; actual; q_error; blame } ->
-    Format.fprintf ppf
-      "calibration [%s, %s] %s: est %s, actual %s, q-error %s%s" phase point
-      node (fnum est) (fnum actual) (fnum q_error)
-      (if blame then " <- blame" else "")
   | Worker_spawned { worker } ->
     Format.fprintf ppf "worker %d spawned" worker
   | Worker_died { worker; query; last_heartbeat_s } ->
@@ -477,19 +401,18 @@ let pp_event ppf ev =
     else
       Format.fprintf ppf "admission: %s REJECTED (%s, queue depth %d)" query
         reason queue_depth
-  | Deadline_exceeded { deadline_s; now_s; est_finish_s } ->
+  | Query_degraded { reason; phase; coverage; limit; value } ->
     Format.fprintf ppf
-      "deadline exceeded: limit %s s, now %s s, estimated finish %s s"
-      (fnum deadline_s) (fnum now_s) (fnum est_finish_s)
-  | Budget_exhausted { in_use; ceiling } ->
-    Format.fprintf ppf
-      "memory budget exhausted: %d resident tuples over ceiling %d" in_use
-      ceiling
-  | Query_degraded { reason; phase; coverage } ->
-    Format.fprintf ppf
-      "query DEGRADED (%s) in phase %d: finishing with what arrived \
+      "query DEGRADED (%s) in phase %d: %s; finishing with what arrived \
        (coverage %.2f)"
-      reason phase coverage
+      reason phase
+      (if reason = "memory" then
+         Printf.sprintf "%s resident tuples over ceiling %s" (fnum value)
+           (fnum limit)
+       else
+         Printf.sprintf "estimated finish %s s over limit %s s" (fnum value)
+           (fnum limit))
+      coverage
   | Breaker_state_changed { source; from_state; to_state; failures } ->
     Format.fprintf ppf
       "circuit breaker: %s %s -> %s (%d failure%s in window)" source
@@ -501,42 +424,11 @@ let pp_event ppf ev =
       attempt worker events
       (if events = 1 then "" else "s")
 
-(* Rebuild a [Profile.t] from the Node_profile events a profiled run
-   appends to its trace; emission preserved registration order, so the
-   rendered tree is the run's own pre-order. *)
-let profile_of_events evs =
-  let p = Profile.create () in
-  let any = ref false in
-  List.iter
-    (fun (_, ev) ->
-      match ev with
-      | Node_profile
-          { phase; node; depth; self_us; tuples_in; tuples_out; probes;
-            builds; mem_hw } ->
-        any := true;
-        Profile.set_phase p phase;
-        let sp = Profile.span p ~depth node in
-        Profile.add_time sp self_us;
-        Profile.add_in sp tuples_in;
-        Profile.add_out sp tuples_out;
-        Profile.add_probes sp probes;
-        Profile.add_builds sp builds;
-        Profile.note_mem sp mem_hw
-      | _ -> ())
-    evs;
-  if !any then Some p else None
-
 let explain ppf evs =
   match evs with
   | [] -> Format.fprintf ppf "(empty trace)@."
   | (first, _) :: _ ->
     let last = List.fold_left (fun _ (at, _) -> at) first evs in
-    (* Profile/calibration events are end-of-run summaries; render them
-       as sections below rather than as timeline lines. *)
-    let summary_ev = function
-      | Node_profile _ | Calibration _ -> true
-      | _ -> false
-    in
     (* Server traces mark each contiguous re-stamped block with a
        [Query_attempt] header; render the block's events as a per-query
        lane (prefixed with the query id) instead of anonymous flat
@@ -552,10 +444,7 @@ let explain ppf evs =
           end
           else ""
         in
-        if summary_ev ev then ()
-        else
-          Format.fprintf ppf "[%12.6f s] %s%a@." (at /. 1e6) prefix pp_event
-            ev;
+        Format.fprintf ppf "[%12.6f s] %s%a@." (at /. 1e6) prefix pp_event ev;
         (match ev with
          | Query_attempt { query; events; _ } ->
            lane := query;
@@ -595,34 +484,6 @@ let explain ppf evs =
       count (function Checkpoint_written _ -> true | _ -> false)
     in
     let pageouts = count (function Page_out _ -> true | _ -> false) in
-    (match profile_of_events evs with
-     | None -> ()
-     | Some p ->
-       let blames =
-         List.filter_map
-           (function
-             | _, Calibration { node; blame = true; _ } -> Some node
-             | _ -> None)
-           evs
-       in
-       let annot ~node =
-         if List.mem node blames then Some "<- blame" else None
-       in
-       Format.fprintf ppf "-- per-node profile:@.";
-       Profile.render ~annot ppf p);
-    let has_calibration =
-      List.exists (function _, Calibration _ -> true | _ -> false) evs
-    in
-    if has_calibration then begin
-      Format.fprintf ppf "-- calibration (latest per node):@.";
-      List.iter
-        (fun (_, ev) ->
-          match ev with
-          | Calibration _ ->
-            Format.fprintf ppf "   %a@." pp_event ev
-          | _ -> ())
-        evs
-    end;
     Format.fprintf ppf
       "-- %d events spanning %s virtual seconds@.-- phases %d; polls %d; \
        switches %d; routing flips %d; window resizes %d; retries %d; \
@@ -659,10 +520,14 @@ let explain ppf evs =
     (* Governance events likewise only appear when deadlines, budgets or
        breakers are configured; ungoverned replays stay byte-identical. *)
     let deadline_hits =
-      count (function Deadline_exceeded _ -> true | _ -> false)
+      count (function
+        | Query_degraded { reason = "deadline"; _ } -> true
+        | _ -> false)
     in
     let budget_hits =
-      count (function Budget_exhausted _ -> true | _ -> false)
+      count (function
+        | Query_degraded { reason = "memory"; _ } -> true
+        | _ -> false)
     in
     let degradations =
       count (function Query_degraded _ -> true | _ -> false)

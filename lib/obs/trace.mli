@@ -59,31 +59,6 @@ type event =
   | Stitchup_begin of { phases : int; combos : int }
   | Stitchup_end of { output : int; reused : int; recomputed : int }
   | Page_out of { node : string }
-  | Node_profile of {
-      phase : string;
-      node : string;
-      depth : int;  (** pre-order depth in the phase's plan tree *)
-      self_us : float;  (** virtual microseconds attributed to the node *)
-      tuples_in : int;
-      tuples_out : int;
-      probes : int;
-      builds : int;
-      mem_hw : int;  (** high-water resident tuple count *)
-    }
-      (** End-of-run profiler summary, one per span (see
-          {!Adp_obs.Profile}); emitted only when a run is both traced and
-          profiled. *)
-  | Calibration of {
-      phase : string;
-      point : string;  (** "poll" | "phase-close" | "stitch-up" *)
-      node : string;
-      est : float;  (** cardinality frozen when the phase opened *)
-      actual : float;  (** refreshed estimate under observed stats *)
-      q_error : float;
-      blame : bool;  (** the worst-misestimated node of the run *)
-    }
-      (** End-of-run calibration summary: the latest est-vs-actual record
-          per node (see {!Adp_obs.Calibrate}). *)
   | Worker_spawned of { worker : int }
       (** server: a pool worker came up (initial spawn or a replacement
           after a death) *)
@@ -111,21 +86,17 @@ type event =
       queue_depth : int;  (** waiting jobs after the decision *)
       reason : string;  (** "" when accepted; why when shed *)
     }
-  | Deadline_exceeded of {
-      deadline_s : float;  (** the query's deadline, virtual seconds *)
-      now_s : float;
-      est_finish_s : float;
-          (** [now + cost-to-go] when the poll concluded the deadline
-              cannot be met (equals [now_s] when already past it) *)
-    }
-  | Budget_exhausted of {
-      in_use : int;  (** resident tuples across builds + pre-agg windows *)
-      ceiling : int;  (** the hard memory ceiling that was crossed *)
-    }
   | Query_degraded of {
       reason : string;  (** "deadline" | "memory" *)
       phase : int;  (** phase in which degradation was decided *)
       coverage : float;  (** fraction of source input consumed so far *)
+      limit : float;
+          (** the limit that was crossed: the deadline in virtual seconds,
+              or the memory ceiling in resident tuples *)
+      value : float;
+          (** what crossed it: the estimated finish in virtual seconds
+              ([now + cost-to-go], or now when already past the deadline),
+              or the resident tuples across builds and pre-agg windows *)
     }
       (** The governance layer decided to finish early: the current phase
           closes, stitch-up runs over what arrived, and the report carries
@@ -158,7 +129,8 @@ val null : t
 (** In-memory sink (tests, [explain] of a live run). *)
 val memory : unit -> t
 
-(** JSONL file sink; nothing is written until {!close}. *)
+(** JSONL file sink: the same in-memory buffer, written to the path by
+    {!close}. *)
 val file : string -> t
 
 val enabled : t -> bool

@@ -268,11 +268,10 @@ let test_degraded_zero_perturbation () =
   let has pred =
     List.exists (fun (_, ev) -> pred ev) (Trace.events trace)
   in
-  Alcotest.(check bool) "deadline event emitted" true
-    (has (function Trace.Deadline_exceeded _ -> true | _ -> false));
-  Alcotest.(check bool) "degradation event emitted" true
+  Alcotest.(check bool) "degradation event carries the deadline" true
     (has (function
-      | Trace.Query_degraded { reason = "deadline"; _ } -> true
+      | Trace.Query_degraded { reason = "deadline"; limit; value; _ } ->
+        limit = deadline /. 1e6 && value >= limit
       | _ -> false))
 
 (* ---------------- governance knob analyzer ---------------- *)
