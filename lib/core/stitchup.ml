@@ -84,7 +84,7 @@ type node_result = {
 
 (* The rows [f] pushes, in order, as the view of a fresh log. *)
 let collect f =
-  let log = Row_log.create ~linked:false () in
+  let log = Row_log.create () in
   f (fun t -> ignore (Row_log.push log t : int));
   Row_log.view log
 
@@ -226,7 +226,7 @@ let rec eval env ?sink ~depth spec =
     in
     (* Mixed combinations: structure-to-structure enumeration, skipping
        same-phase pairs (those are the uniform path above). *)
-    let mixed = Row_log.create ~linked:false () in
+    let mixed = Row_log.create () in
     let emit =
       match sink with
       | Some sink ->

@@ -244,7 +244,7 @@ type t = {
 }
 
 let own ~record =
-  if record then Own (Row_log.create ~linked:false ()) else Unrecorded
+  if record then Own (Row_log.create ()) else Unrecorded
 
 let rec build ?(depth = 0) ctx spec ~schema_of ~keep ~record =
   (* Register the profiler span before recursing into children so the

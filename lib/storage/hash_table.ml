@@ -5,9 +5,10 @@ open Adp_relation
    compares keys only when the stored hash matches.  The rows live once,
    in the table's insertion-ordered log; an entry holds the id of its
    key's newest row, and the log's link beside each row chains it to the
-   previous row with the same key.  The layout is the stdlib
-   [Hashtbl.Make]'s over the same hash (see the .mli), so iteration order
-   is too. *)
+   previous row with the same key.  An insert only appends to the log:
+   the rows join the index, oldest first, when a read next needs it
+   ([sync]).  The layout is the stdlib [Hashtbl.Make]'s over the same
+   hash (see the .mli), so iteration order is too. *)
 
 type 'k bucket =
   | Empty
@@ -33,6 +34,8 @@ type t = {
   table : table;
   first : int;  (* the log's first chunk, kept across [clear] *)
   mutable log : Row_log.t;
+  mutable linked : int;  (* the log's first [linked] rows are indexed *)
+  mutable unlinked : int;  (* the id of row [linked] *)
   mutable swapped : bool;
 }
 
@@ -89,15 +92,17 @@ let resize ch =
     ch.data <- ndata
   end
 
-(* Find-or-add in one bucket walk; a new key goes at the bucket head. *)
-let add equal ch log hash key tuple =
+(* Link row [id] in one bucket walk; a new key goes at the bucket head. *)
+let add equal ch log hash key id =
   let data = ch.data in
   let i = index data hash in
   match find equal hash key data.(i) with
-  | Cons c -> c.head <- Row_log.push_linked log tuple c.head
+  | Cons c ->
+    Row_log.set_link log id c.head;
+    c.head <- id
   | Empty ->
-    let head = Row_log.push_linked log tuple (-1) in
-    data.(i) <- Cons { hash; key; head; next = data.(i) };
+    Row_log.set_link log id (-1);
+    data.(i) <- Cons { hash; key; head = id; next = data.(i) };
     ch.keys <- ch.keys + 1;
     if ch.keys > Array.length data lsl 1 then resize ch
 
@@ -114,8 +119,8 @@ let sized schema ~key_cols ~first n =
   let table =
     if Array.length key_idx = 1 then Single (chains n) else Multi (chains n)
   in
-  { key_idx; table; first; log = Row_log.create ~first ~linked:true ();
-    swapped = false }
+  { key_idx; table; first; log = Row_log.create ~first (); linked = 0;
+    unlinked = 0; swapped = false }
 
 let create schema ~key_cols = sized schema ~key_cols ~first:16 256
 
@@ -123,14 +128,27 @@ let length t = Row_log.length t.log
 
 let key_of t tuple = Tuple.key tuple t.key_idx
 
-let insert t tuple =
-  match t.table with
-  | Single ch ->
-    let v = tuple.(t.key_idx.(0)) in
-    add Value.equal ch t.log (hash_value v) v tuple
-  | Multi ch ->
-    let k = key_of t tuple in
-    add Tuple.equal_key ch t.log (Tuple.hash_key k) k tuple
+let insert t tuple = ignore (Row_log.push t.log tuple : int)
+
+(* Index the rows inserted since the last read, in log order, so chains
+   and resizes fall as eager insertion made them. *)
+let link_pending t =
+  while t.linked < Row_log.length t.log do
+    let id = t.unlinked in
+    let tuple = Row_log.get t.log id in
+    (match t.table with
+     | Single ch ->
+       let v = tuple.(t.key_idx.(0)) in
+       add Value.equal ch t.log (hash_value v) v id
+     | Multi ch ->
+       let k = key_of t tuple in
+       add Tuple.equal_key ch t.log (Tuple.hash_key k) k id);
+    t.linked <- t.linked + 1;
+    t.unlinked <- Row_log.succ t.log id
+  done
+
+(* Every read through the index starts here; the test inlines. *)
+let sync t = if t.linked < Row_log.length t.log then link_pending t
 
 let row t id = Row_log.get t.log id
 let next t id = Row_log.link t.log id
@@ -141,11 +159,13 @@ let rec count_from t n cur =
 let count t cur = count_from t 0 cur
 
 let probe_value t v =
+  sync t;
   match t.table, v with
   | Single _, Value.Null | Multi _, _ -> -1
   | Single ch, _ -> head Value.equal ch (hash_value v) v
 
 let probe t k =
+  sync t;
   match t.table with
   | Single _ -> if Array.length k = 1 then probe_value t k.(0) else -1
   | Multi ch ->
@@ -157,6 +177,7 @@ let probe_tuple t tuple cols =
 
 (* [probe_tuple] without the NULL rule: GROUP BY puts NULLs together. *)
 let group t tuple cols =
+  sync t;
   match t.table with
   | Single ch ->
     let v = tuple.(cols.(0)) in
@@ -165,23 +186,9 @@ let group t tuple cols =
     let k = Tuple.key tuple cols in
     head Tuple.equal_key ch (Tuple.hash_key k) k
 
-(* The key is hashed once, for the insert and for the probe. *)
-let insert_probe t tuple ~probe:other =
-  match t.table with
-  | Single ch ->
-    let v = tuple.(t.key_idx.(0)) in
-    let h = hash_value v in
-    add Value.equal ch t.log h v tuple;
-    (match other.table, v with
-     | Single _, Value.Null | Multi _, _ -> -1
-     | Single och, _ -> head Value.equal och h v)
-  | Multi ch ->
-    let k = key_of t tuple in
-    let h = Tuple.hash_key k in
-    add Tuple.equal_key ch t.log h k tuple;
-    (match other.table with
-     | Multi och -> if has_null k then -1 else head Tuple.equal_key och h k
-     | Single _ -> probe other k)
+let insert_probe t tuple ~probe =
+  insert t tuple;
+  probe_tuple probe tuple t.key_idx
 
 let of_view schema ~key_cols rows =
   let n = Row_log.view_length rows in
@@ -208,6 +215,7 @@ let iter_chains f log data =
   Array.iter walk data
 
 let iter f t =
+  sync t;
   match t.table with
   | Single ch -> iter_chains f t.log ch.data
   | Multi ch -> iter_chains f t.log ch.data
@@ -219,6 +227,7 @@ let to_list t =
   !acc
 
 let distinct_keys t =
+  sync t;
   match t.table with Single ch -> ch.keys | Multi ch -> ch.keys
 
 let swap_out t = t.swapped <- true
@@ -236,4 +245,6 @@ let reset ch =
    clear still reads its rows. *)
 let clear t =
   (match t.table with Single ch -> reset ch | Multi ch -> reset ch);
-  t.log <- Row_log.create ~first:t.first ~linked:true ()
+  t.log <- Row_log.create ~first:t.first ();
+  t.linked <- 0;
+  t.unlinked <- 0

@@ -14,6 +14,14 @@ open Adp_relation
     its newest row, and the log keeps beside each row an unboxed [int]
     that chains it to the previous row with the same key.
 
+    Lazy links.  {!insert} only appends to the log.  The next read
+    through the index ({!probe}, {!probe_value}, {!probe_tuple},
+    {!group}, the probed side of {!insert_probe}, {!iter}, {!to_list},
+    {!distinct_keys}) first links the pending rows, oldest first, so
+    layout and order are eager insertion's.  A table no such read
+    reaches, like a join side whose other input has finished, holds only
+    its log; {!length} and {!view} link nothing.
+
     Cursors.  A probe returns a cursor rather than a list: the id of the
     key's newest matching row, or [-1] when nothing matches.  {!row}
     reads a cursor's row and {!next} moves it to the next older match, so
@@ -102,8 +110,9 @@ val probe_value : t -> Value.t -> int
 val group : t -> Tuple.t -> int array -> int
 
 (** [insert_probe t tuple ~probe] is [insert t tuple] then
-    [probe probe (key_of t tuple)], computing and hashing the key once.
-    The cursor is into [probe]. *)
+    [probe probe (key_of t tuple)]: one join side.  [t] links the tuple
+    when it is next read, hashing its key again.  The cursor is into
+    [probe]. *)
 val insert_probe : t -> Tuple.t -> probe:t -> int
 
 (** The row at a cursor ([>= 0]). *)

@@ -7,44 +7,35 @@ let cap = 1 lsl bits
 let mask = cap - 1
 
 type t = {
-  linked : bool;
   first : int;
   mutable chunks : Tuple.t array array;  (* the first [n] slots are used *)
-  mutable links : int array array;  (* beside [chunks] when [linked] *)
+  mutable links : int array array;  (* [||] for a chunk with no link set *)
   mutable n : int;
   mutable last : Tuple.t array;  (* [chunks.(n - 1)], or empty *)
-  mutable last_links : int array;
   mutable fill : int;  (* rows in [last] *)
   mutable length : int;
 }
 
-let create ?(first = 16) ~linked () =
-  { linked; first = max 1 (min cap first); chunks = [||]; links = [||];
-    n = 0; last = [||]; last_links = [||]; fill = 0; length = 0 }
+let create ?(first = 16) () =
+  { first = max 1 (min cap first); chunks = [||]; links = [||]; n = 0;
+    last = [||]; fill = 0; length = 0 }
 
 let length t = t.length
 
 (* The directory is copied when it grows, never a chunk, so a view that
    holds the old directory still reaches every row it counts. *)
-let grow dir n =
-  let d = Array.make (max 4 (2 * n)) [||] in
-  Array.blit dir 0 d 0 n;
+let grow dir size =
+  let d = Array.make size [||] in
+  Array.blit dir 0 d 0 (Array.length dir);
   d
 
 let open_chunk t =
   let size = if t.n = 0 then t.first else min cap (2 * Array.length t.last) in
-  if t.n = Array.length t.chunks then begin
-    t.chunks <- grow t.chunks t.n;
-    if t.linked then t.links <- grow t.links t.n
-  end;
+  if t.n = Array.length t.chunks then
+    t.chunks <- grow t.chunks (max 4 (2 * t.n));
   let c = Array.make size [||] in
   t.chunks.(t.n) <- c;
   t.last <- c;
-  if t.linked then begin
-    let l = Array.make size (-1) in
-    t.links.(t.n) <- l;
-    t.last_links <- l
-  end;
   t.n <- t.n + 1;
   t.fill <- 0
 
@@ -56,11 +47,17 @@ let push t row =
   t.length <- t.length + 1;
   ((t.n - 1) lsl bits) lor o
 
-let push_linked t row link =
-  if not t.linked then invalid_arg "Row_log.push_linked: unlinked log";
-  let id = push t row in
-  t.last_links.(id land mask) <- link;
-  id
+let succ t id =
+  if (id land mask) + 1 < Array.length t.chunks.(id lsr bits) then id + 1
+  else ((id lsr bits) + 1) lsl bits
+
+let set_link t id link =
+  let c = id lsr bits in
+  if c >= Array.length t.links then
+    t.links <- grow t.links (Array.length t.chunks);
+  if t.links.(c) == [||] then
+    t.links.(c) <- Array.make (Array.length t.chunks.(c)) (-1);
+  t.links.(c).(id land mask) <- link
 
 let get t id = t.chunks.(id lsr bits).(id land mask)
 let link t id = t.links.(id lsr bits).(id land mask)
@@ -105,11 +102,11 @@ let view_to_list v =
   !acc
 
 let of_view v =
-  let t = create ~first:v.v_length ~linked:false () in
+  let t = create ~first:v.v_length () in
   view_iter (fun r -> ignore (push t r : int)) v;
   t
 
 let view_of_list rows =
-  let t = create ~first:(List.length rows) ~linked:false () in
+  let t = create ~first:(List.length rows) () in
   List.iter (fun r -> ignore (push t r : int)) rows;
   view t

@@ -10,10 +10,12 @@ open Adp_relation
     large one allocates a bounded amount per chunk.
 
     Each row has an id, which stays valid for the life of the log.  Ids
-    are not dense: an id names a chunk and an offset within it.  A linked
-    log also keeps an unboxed [int] beside each row, which
-    {!Hash_table} uses to chain a row to the previous row with the same
-    key ([-1] for none).
+    are not dense: an id names a chunk and an offset within it, and they
+    grow in push order.  A row may also carry an unboxed [int] link,
+    which {!Hash_table} uses to chain it to the previous row with the
+    same key ([-1] for none).  A chunk's link array exists once a link
+    has been set in that chunk, so a log whose links are never set holds
+    only its rows.
 
     A {!view} is the log's first [n] rows, taken in O(1) without a copy.
     Appends never touch a row that is already in the log, so a view is a
@@ -21,25 +23,29 @@ open Adp_relation
 
 type t
 
-(** [create ?first ~linked ()] is an empty log whose first chunk holds
-    [first] rows (default 16), clamped to [1 .. 4096].  Chunks are
-    allocated when a row first needs them. *)
-val create : ?first:int -> linked:bool -> unit -> t
+(** [create ?first ()] is an empty log whose first chunk holds [first]
+    rows (default 16), clamped to [1 .. 4096].  Chunks are allocated when
+    a row first needs them. *)
+val create : ?first:int -> unit -> t
 
 val length : t -> int
 
 (** [push t row] appends [row] and returns its id. *)
 val push : t -> Tuple.t -> int
 
-(** [push_linked t row link] appends [row] with [link] beside it and
-    returns its id.
-    @raise Invalid_argument on a log created with [~linked:false]. *)
-val push_linked : t -> Tuple.t -> int -> int
+(** [succ t id] is the id of the row pushed after the row with id [id],
+    whether or not it has been pushed yet. *)
+val succ : t -> int -> int
 
 (** The row with this id. *)
 val get : t -> int -> Tuple.t
 
-(** The link stored beside the row with this id. *)
+(** [set_link t id link] stores [link] beside the row with id [id],
+    allocating the link array of that row's chunk if it has none. *)
+val set_link : t -> int -> int -> unit
+
+(** The link last set beside the row with this id.  Unspecified for a
+    row whose link was never set. *)
 val link : t -> int -> int
 
 (** {2 Views} *)
@@ -63,6 +69,6 @@ val view_rev_iter : (Tuple.t -> unit) -> view -> unit
 (** Oldest first. *)
 val view_to_list : view -> Tuple.t list
 
-(** [of_view v] is a fresh, unlinked log holding a copy of [v]'s rows,
-    for a restored plan to append to. *)
+(** [of_view v] is a fresh log with no links, holding a copy of [v]'s
+    rows, for a restored plan to append to. *)
 val of_view : view -> t

@@ -303,6 +303,151 @@ let layout_after_reuse =
       && same_layout h r
       && same_layout sized rs)
 
+(* Indexing is lazy: an insert only appends to the log, and the next read
+   links the pending rows in log order.  Random steps (a run of inserts,
+   the same followed by a probe through one of the probe functions, a run
+   of [insert_probe]s alternating between two tables as a join's sides
+   do, or a clear) must leave both tables laid out as Hashtbl.Make tables
+   filled eagerly, after every step, with the layout checks taken in a
+   rotating order so that each of them is at times the read that links.
+   A cursor keeps walking the matches it had while its table grows, until
+   the table is cleared. *)
+type lazy_step =
+  | Inserts of Tuple.t list
+  | Probe of Tuple.t list * int * Tuple.t
+      (* inserts, then which probe function, and the probe row *)
+  | Insert_probes of Tuple.t list
+  | Clear
+
+(* NULL, NaN, Int 3 beside Float 3.0, duplicate small keys, and a wide
+   integer range that makes the tables resize. *)
+let lazy_value rng =
+  match Adp_datagen.Prng.int rng 12 with
+  | 0 -> Value.Null
+  | 1 -> vi 3
+  | 2 -> vf 3.0
+  | 3 -> vf Float.nan
+  | 4 | 5 -> vi (Adp_datagen.Prng.int rng 10)
+  | _ -> vi (Adp_datagen.Prng.int rng 5000)
+
+let gen_lazy_steps =
+  QCheck2.Gen.(
+    triple bool (int_bound 1_000_000) (int_range 1 40)
+    |> map (fun (two_cols, seed, n) ->
+           let rng = Adp_datagen.Prng.create seed in
+           let next = ref 0 in
+           let row () =
+             let a = lazy_value rng in
+             let b = lazy_value rng in
+             incr next;
+             [| a; b; vi !next |]
+           in
+           let rows m =
+             List.init (Adp_datagen.Prng.int rng m) (fun _ -> row ())
+           in
+           ( two_cols,
+             List.init n (fun _ ->
+                 let side = Adp_datagen.Prng.int rng 2 in
+                 ( side,
+                   match Adp_datagen.Prng.int rng 8 with
+                   | 0 | 1 -> Inserts (rows 700)
+                   | 2 | 3 | 4 ->
+                     let ins = rows 700 in
+                     Probe (ins, Adp_datagen.Prng.int rng 4, row ())
+                   | 5 | 6 -> Insert_probes (rows 60)
+                   | _ -> Clear )) )))
+
+let lazy_matches_eager =
+  QCheck2.Test.make ~name:"lazy indexing matches eager Hashtbl.Make"
+    ~count:20 ~long_factor:10 gen_lazy_steps
+    (fun (two_cols, steps) ->
+      let key_cols = if two_cols then [ "t.a"; "t.b" ] else [ "t.a" ] in
+      let idx = if two_cols then [| 0; 1 |] else [| 0 |] in
+      let h = Array.init 2 (fun _ -> Hash_table.create ks3 ~key_cols) in
+      let r = Array.init 2 (fun _ -> Ktbl.create 256) in
+      (* Live cursors: (side, cursor, the rows it walked when taken). *)
+      let cursors = ref [] in
+      let take side cur want =
+        let ok = same_rows (matches h.(side) cur) want in
+        cursors := (side, cur, want) :: !cursors;
+        ok
+      in
+      let insert side rows =
+        List.iter (Hash_table.insert h.(side)) rows;
+        ref_fill r.(side) idx rows
+      in
+      let probe side fn p =
+        let k = Tuple.key p idx and t = h.(side) in
+        match fn with
+        | 0 -> take side (Hash_table.probe t k) (ref_probe r.(side) k)
+        | 1 -> take side (Hash_table.probe_tuple t p idx) (ref_probe r.(side) k)
+        | 2 when not two_cols ->
+          take side (Hash_table.probe_value t p.(0)) (ref_probe r.(side) k)
+        | _ -> take side (Hash_table.group t p idx) (ref_group r.(side) k)
+      in
+      let layout i side =
+        let t = h.(side) and rt = r.(side) in
+        let checks =
+          [| (fun () -> same_rows (iter_order t) (ref_iter_order rt));
+             (fun () -> same_rows (Hash_table.to_list t) (ref_to_list rt));
+             (fun () -> Hash_table.distinct_keys t = Ktbl.length rt) |]
+        in
+        List.for_all (fun j -> checks.((i + j) mod 3) ()) [ 0; 1; 2 ]
+      in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i (side, step) ->
+             let ok =
+               match step with
+               | Inserts rows ->
+                 insert side rows;
+                 true
+               | Probe (rows, fn, p) ->
+                 insert side rows;
+                 probe side fn p
+               | Insert_probes rows ->
+                 List.for_all Fun.id
+                   (List.mapi
+                      (fun j t ->
+                        let s = (side + j) mod 2 in
+                        let cur =
+                          Hash_table.insert_probe h.(s) t ~probe:h.(1 - s)
+                        in
+                        ref_fill r.(s) idx [ t ];
+                        take (1 - s) cur
+                          (ref_probe r.(1 - s) (Tuple.key t idx)))
+                      rows)
+               | Clear ->
+                 Hash_table.clear h.(side);
+                 Ktbl.reset r.(side);
+                 cursors := List.filter (fun (s, _, _) -> s <> side) !cursors;
+                 true
+             in
+             ok
+             && layout i side
+             && layout (i + 1) (1 - side)
+             && List.for_all
+                  (fun (s, cur, want) -> same_rows (matches h.(s) cur) want)
+                  !cursors)
+           steps))
+
+(* A table nobody probes holds only its rows: the first probe builds the
+   index, a 5-word entry per key plus a link per row, so it adds at least
+   6 words a row. *)
+let test_unprobed_no_index () =
+  let n = 10_000 in
+  let h = Hash_table.create ks ~key_cols:[ "t.k" ] in
+  for i = 1 to n do
+    Hash_table.insert h [| vi i; vi 0 |]
+  done;
+  let before = Obj.reachable_words (Obj.repr h) in
+  Alcotest.(check int) "probe" 1
+    (Hash_table.count h (Hash_table.probe_value h (vi 7)));
+  let grew = Obj.reachable_words (Obj.repr h) - before in
+  if grew < 6 * n then
+    Alcotest.failf
+      "the first probe added %d words for %d rows: an index existed" grew n
+
 (* Bucket layout, and with it every iteration order above, rests on these
    values; they must not change. *)
 let test_hash_key_values () =
@@ -327,14 +472,15 @@ let row_log_views =
     QCheck2.Gen.(
       pair (int_range 1 40) (list_size (int_range 1 6) (int_bound 5000)))
     (fun (first, runs) ->
-      let log = Row_log.create ~first ~linked:true () in
+      let log = Row_log.create ~first () in
       let pushed = ref [] and ids = ref [] and n = ref 0 in
       let views =
         List.map
           (fun k ->
             for _ = 1 to k do
               let row = [| vi !n |] in
-              let id = Row_log.push_linked log row (!n - 1) in
+              let id = Row_log.push log row in
+              Row_log.set_link log id (!n - 1);
               ids := (id, row, !n - 1) :: !ids;
               pushed := row :: !pushed;
               incr n
@@ -373,5 +519,8 @@ let suite =
       test_of_view_cursors;
     qtest layout_matches_stdlib;
     qtest layout_after_reuse;
+    qtest lazy_matches_eager;
+    Alcotest.test_case "an unprobed table builds no index" `Quick
+      test_unprobed_no_index;
     Alcotest.test_case "hash key values pinned" `Quick test_hash_key_values;
     qtest row_log_views ]
